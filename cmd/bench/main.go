@@ -1,10 +1,10 @@
 // Command bench snapshots the performance of the execution hot path so PRs
 // have a trajectory to compare against. It runs the tier-2 micro-benchmarks
 // (trie build — row-major and columnar, k-way trie merge, single-cube
-// Leapfrog, result listing through the batched columnar sink vs the
-// per-tuple emit baseline, shuffle encode/decode on both layouts, hash
-// partitioning) plus the triangle query end-to-end on every engine over a
-// generated power-law graph at CubesPerServer=4 (a shared-block workload),
+// Leapfrog, result listing through the batched columnar sink, shuffle
+// encode/decode on both layouts, hash partitioning) plus the triangle
+// query end-to-end on every engine over a generated power-law graph at
+// CubesPerServer=4 (a shared-block workload),
 // verifies the engines agree on the result count, that the block-trie
 // cache built each (relation, block) trie exactly once per worker, and
 // that collected results flow through the batched emit sink (nonzero
@@ -21,10 +21,15 @@
 //
 // Since PR 6 every mode also enforces a fault-free-parity invariant:
 // each engine re-run through a quiescent fault-injection transport (the
-// full robustness chain — panic recovery, context-aware exchange routing,
+// full robustness chain — panic recovery, the wrapped exchange stream,
 // retry accounting — engaged, zero faults armed) must return exactly the
 // plain run's result with zero recovered panics and zero transport
 // retries, so the recover/retry wrappers cost nothing on the happy path.
+//
+// Every mode also enforces the exchange invariants: each engine's parallel
+// run equals its Config.Sequential run as sorted output and moves chunks,
+// and a multi-round BigJoin over the TCP transport dials at most workers²
+// connections.
 //
 // Since PR 9 every mode also drives the multi-tenant serving tier: a bulk
 // flood through a one-slot admission gate must shed with typed
@@ -138,10 +143,9 @@ type Snapshot struct {
 	// prepared once, executed cold (shuffle + trie builds, published to the
 	// session store) then warm (shuffle skipped, tries adopted).
 	Session *SessionBench `json:"session,omitempty"`
-	// Streaming is the pipelined-shuffle workload: streamed-vs-materialized
+	// Streaming is the pipelined-shuffle workload: parallel-vs-sequential
 	// parity across every engine, comm/compute overlap on a shuffle-heavy
-	// run, dial amortization over the persistent TCP transport, and the
-	// receive-side memory bound on the multi-round BigJoin.
+	// run, and dial amortization over the persistent TCP transport.
 	Streaming *StreamBench `json:"streaming,omitempty"`
 	// Hybrid is the strategy-routing workload: a path-attached triangle
 	// where the Hybrid engine's split plan (semijoin-reduced WCOJ core +
@@ -180,12 +184,11 @@ type SessionBench struct {
 
 // StreamBench reports the streaming-shuffle measurement: wire-level chunk
 // counters from the parallel (pipelined) engine runs, the comm/compute
-// overlap reclaimed on a shuffle-heavy workload, the dial count of one
-// multi-round run over the persistent TCP transport, and the receive-side
-// peak bytes of the BigJoin run streamed vs materialized.
+// overlap reclaimed on a shuffle-heavy workload, and the dial count of one
+// multi-round run over the persistent TCP transport.
 type StreamBench struct {
 	// StreamChunks totals the chunk envelopes the parallel engine runs
-	// moved through the pipelined path (every engine must stream).
+	// moved (every engine must stream).
 	StreamChunks int64 `json:"stream_chunks"`
 	// OverlapEngine / OverlapSeconds: the shuffle-heavy run's measured
 	// comm/compute overlap (producer+consumer busy time in excess of the
@@ -197,10 +200,6 @@ type StreamBench struct {
 	// persistent-connection ceiling no matter how many exchanges ran.
 	TCPDials     int64 `json:"tcp_dials"`
 	TCPDialBound int64 `json:"tcp_dial_bound"`
-	// BigJoin receive-side peak payload bytes held at one worker: bounded
-	// chunk queues (streamed) vs the full materialized inbox.
-	RecvPeakStreamedBytes     int64 `json:"bigjoin_recv_peak_streamed_bytes"`
-	RecvPeakMaterializedBytes int64 `json:"bigjoin_recv_peak_materialized_bytes"`
 }
 
 // HybridBench reports the strategy-routing measurement on the
@@ -457,16 +456,16 @@ func main() {
 	if !*quick {
 		runMicroBenches(&snap, edges, rels, order, *workers)
 	}
-	// Emit-path benchmarks and invariants run in every mode: the quick CI
-	// smoke must still catch a silent regression to per-tuple emission.
+	// The emit-path benchmark and its invariants run in every mode: the
+	// quick CI smoke must still catch a silent regression to per-value
+	// allocation.
 	benchEmitPipeline(&snap, edges)
-	emitEngineSmoke(q, rels, *workers, *cubes)
 	// Fault-free parity runs in every mode: the robustness layer must cost
 	// nothing (and change nothing) when no fault fires.
 	faultFreeParity(q, rels, *workers, *cubes)
-	// Streaming-shuffle invariants (streamed == materialized for every
-	// engine, chunks flow, overlap > 0, TCP dials amortized, BigJoin
-	// receive peak bounded) run in every mode too.
+	// Streaming-shuffle invariants (parallel == sequential for every
+	// engine, chunks flow, overlap > 0, TCP dials amortized) run in every
+	// mode too.
 	snap.Streaming = benchStreamingShuffle(q, rels, *dataset, *workers, *cubes)
 	// Session invariants (warm trie builds == 0, streamed output ==
 	// one-shot baseline byte-for-byte) run in every mode too.
@@ -622,8 +621,8 @@ func runMicroBenches(snap *Snapshot, edges *relation.Relation, rels []*relation.
 		}
 	})
 
-	// --- Shuffle codec: batched delta format vs legacy fixed-width, plus
-	// the columnar encoder (one contiguous run per column, no gather) ---
+	// --- Shuffle codec: the batched delta format on both layouts (the
+	// columnar encoder sees one contiguous run per column, no gather) ---
 	block := edges.Clone()
 	block.Sort()
 	colBlock := block.Clone().PivotToColumns()
@@ -631,9 +630,7 @@ func runMicroBenches(snap *Snapshot, edges *relation.Relation, rels []*relation.
 	if colEnc := relation.Encode(colBlock); !bytes.Equal(encoded, colEnc) {
 		fatal(fmt.Errorf("columnar encoder produced different wire bytes"))
 	}
-	encodedRaw := relation.EncodeRaw(block)
 	snap.EncodedBytes["delta"] = len(encoded)
-	snap.EncodedBytes["raw"] = len(encodedRaw)
 	scratch := make([]byte, 0, len(encoded))
 	snap.Benchmarks["shuffle_encode"] = bench(func(b *testing.B) {
 		b.ReportAllocs()
@@ -647,12 +644,6 @@ func runMicroBenches(snap *Snapshot, edges *relation.Relation, rels []*relation.
 			scratch = relation.AppendEncode(scratch[:0], colBlock)
 		}
 	})
-	snap.Benchmarks["shuffle_encode_reference"] = bench(func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			relation.EncodeRaw(block)
-		}
-	})
 	var decodeScratch relation.Relation
 	snap.Benchmarks["shuffle_decode"] = bench(func(b *testing.B) {
 		b.ReportAllocs()
@@ -662,18 +653,8 @@ func runMicroBenches(snap *Snapshot, edges *relation.Relation, rels []*relation.
 			}
 		}
 	})
-	snap.Benchmarks["shuffle_decode_reference"] = bench(func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			if _, err := relation.DecodeRaw(encodedRaw); err != nil {
-				fatal(err)
-			}
-		}
-	})
 	// Composite: one block's full shuffle cost — encode + wire (modeled at
-	// the paper's 10 GbE testbed bandwidth) + decode. This is the number
-	// the batched codec optimizes: it trades a few percent of encode CPU
-	// for a 4–5× cut in bytes moved.
+	// the paper's 10 GbE testbed bandwidth) + decode.
 	wire := func(nBytes int) float64 {
 		return cluster.DefaultNetwork().CommSeconds(int64(nBytes), 1) * 1e9
 	}
@@ -683,13 +664,6 @@ func runMicroBenches(snap *Snapshot, edges *relation.Relation, rels []*relation.
 			snap.Benchmarks["shuffle_decode"].NsPerOp,
 		AllocsPerOp: snap.Benchmarks["shuffle_encode"].AllocsPerOp +
 			snap.Benchmarks["shuffle_decode"].AllocsPerOp,
-	}
-	snap.Benchmarks["shuffle_roundtrip_reference"] = Metric{
-		NsPerOp: snap.Benchmarks["shuffle_encode_reference"].NsPerOp +
-			wire(len(encodedRaw)) +
-			snap.Benchmarks["shuffle_decode_reference"].NsPerOp,
-		AllocsPerOp: snap.Benchmarks["shuffle_encode_reference"].AllocsPerOp +
-			snap.Benchmarks["shuffle_decode_reference"].AllocsPerOp,
 	}
 
 	// --- Hash partitioner: column-scan hash + single scatter, row-major
@@ -748,23 +722,15 @@ const emitAllocCeiling = 256
 // R(a,b) ⋈ S(b,c), whose output volume dwarfs the input (every hub
 // contributes deg·deg results) and whose leaf intersections are whole
 // adjacency lists — the ring-of-1 runs the sink receives as zero-copy
-// slices. Results materialize as a columnar-resident relation, once
-// through the batched columnar sink (leapfrog.Sink →
-// relation.ColumnWriter) and once through the per-tuple emit baseline
-// (row-major append + the pivot to columns every downstream consumer —
-// shuffle encode, merge, trie build — would force anyway). Asserts both
-// paths list identical relations, that the sink path's emitted-run
-// counters engage, and that the sink's allocs/op stay under
-// emitAllocCeiling — in quick mode too, so CI catches a silent regression
-// to per-tuple emission.
+// slices. Asserts that the emitted-run counters engage and that allocs/op
+// stay under emitAllocCeiling — in quick mode too.
 func benchEmitPipeline(snap *Snapshot, edges *relation.Relation) {
 	r := edges.Clone()
 	r.Name, r.Attrs = "R", []string{"a", "b"}
 	s := edges.Clone()
 	s.Name, s.Attrs = "S", []string{"b", "c"}
-	rels := []*relation.Relation{r, s}
 	order := []string{"a", "b", "c"}
-	tries := leapfrog.BuildTries(rels, order)
+	tries := leapfrog.BuildTries([]*relation.Relation{r, s}, order)
 	runSink := func() (*relation.Relation, leapfrog.Stats) {
 		out := relation.New("out", order...)
 		st, err := leapfrog.Join(tries, order, leapfrog.Options{Sink: relation.NewColumnWriter(out)})
@@ -773,87 +739,31 @@ func benchEmitPipeline(snap *Snapshot, edges *relation.Relation) {
 		}
 		return out, st
 	}
-	runPerTuple := func() (*relation.Relation, leapfrog.Stats) {
-		out := relation.New("out", order...)
-		st, err := leapfrog.Join(tries, order, leapfrog.Options{
-			Emit: func(t relation.Tuple) { out.AppendTuple(t) },
-		})
-		if err != nil {
-			fatal(err)
-		}
-		out.PivotToColumns()
-		return out, st
+	out, st := runSink()
+	if int64(out.Len()) != st.Results || (st.Results > 0 && st.EmittedRuns == 0) || st.EmittedValues != st.Results {
+		fatal(fmt.Errorf("batched emit did not engage: %d results, %d rows, %d runs, %d values",
+			st.Results, out.Len(), st.EmittedRuns, st.EmittedValues))
 	}
-	sinkOut, sinkSt := runSink()
-	tupleOut, tupleSt := runPerTuple()
-	if sinkSt.Results != tupleSt.Results || !sinkOut.Equal(tupleOut) {
-		fatal(fmt.Errorf("emit paths disagree: sink %d tuples vs per-tuple %d",
-			sinkOut.Len(), tupleOut.Len()))
-	}
-	if sinkSt.Results > 0 && (sinkSt.EmittedRuns == 0 || sinkSt.EmittedValues != sinkSt.Results) {
-		fatal(fmt.Errorf("batched emit did not engage: %d results, %d runs, %d values",
-			sinkSt.Results, sinkSt.EmittedRuns, sinkSt.EmittedValues))
-	}
-	snap.Benchmarks["leapfrog_emit_sink"] = bench(func(b *testing.B) {
+	sink := bench(func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			runSink()
 		}
 	})
-	snap.Benchmarks["leapfrog_emit_pertuple"] = bench(func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			runPerTuple()
-		}
-	})
-	sink := snap.Benchmarks["leapfrog_emit_sink"]
-	pt := snap.Benchmarks["leapfrog_emit_pertuple"]
+	snap.Benchmarks["leapfrog_emit_sink"] = sink
 	if sink.AllocsPerOp > emitAllocCeiling {
-		fatal(fmt.Errorf("emit sink allocates %d/op, ceiling %d: batched path regressed toward per-tuple",
+		fatal(fmt.Errorf("emit sink allocates %d/op, ceiling %d: batched path regressed toward per-value allocation",
 			sink.AllocsPerOp, emitAllocCeiling))
 	}
-	fmt.Fprintf(os.Stderr,
-		"emit listing: sink %.0f ns/op (%d allocs, %d B) vs per-tuple %.0f ns/op (%d allocs, %d B) — %.2fx, runlen %.1f\n",
+	fmt.Fprintf(os.Stderr, "emit listing: sink %.0f ns/op (%d allocs, %d B), runlen %.1f\n",
 		sink.NsPerOp, sink.AllocsPerOp, sink.BytesPerOp,
-		pt.NsPerOp, pt.AllocsPerOp, pt.BytesPerOp,
-		pt.NsPerOp/sink.NsPerOp, float64(sinkSt.EmittedValues)/float64(max(sinkSt.EmittedRuns, 1)))
-}
-
-// emitEngineSmoke asserts the engines' collected output rides the batched
-// sink: a CollectOutput run must report nonzero emitted-run counters with
-// values matching the result count, and must list exactly the relation
-// the legacy per-tuple shim produces.
-func emitEngineSmoke(q hypergraph.Query, rels []*relation.Relation, workers, cubes int) {
-	cfg := engine.Config{NumServers: workers, Samples: 300, Seed: 1,
-		CubesPerServer: cubes, CollectOutput: true}
-	rep, err := engine.RunADJ(q, rels, cfg)
-	if err != nil {
-		fatal(err)
-	}
-	if rep.Results > 0 && rep.EmittedRuns == 0 {
-		fatal(fmt.Errorf("ADJ CollectOutput: %d results but zero emitted runs — batched sink not engaged", rep.Results))
-	}
-	if rep.EmittedValues != rep.Results {
-		fatal(fmt.Errorf("ADJ CollectOutput: emitted values %d != results %d", rep.EmittedValues, rep.Results))
-	}
-	cfg.PerTupleEmit = true
-	shim, err := engine.RunADJ(q, rels, cfg)
-	if err != nil {
-		fatal(err)
-	}
-	if rep.Results != shim.Results || !rep.Output.Equal(shim.Output) {
-		fatal(fmt.Errorf("ADJ sink output differs from per-tuple shim (%d vs %d tuples)",
-			rep.Output.Len(), shim.Output.Len()))
-	}
-	fmt.Fprintf(os.Stderr, "engine emit smoke: ADJ results=%d runs=%d (runlen %.1f), sink == shim\n",
-		rep.Results, rep.EmittedRuns, float64(rep.EmittedValues)/float64(max(rep.EmittedRuns, 1)))
+		float64(st.EmittedValues)/float64(max(st.EmittedRuns, 1)))
 }
 
 // faultFreeParity asserts the robustness layer is free on the happy path:
 // every engine re-run through a quiescent fault-injection transport (zero
-// rules armed, but the whole chain engaged — wrapper routing, the
-// context-aware exchange path, panic-recovery bookkeeping and retry
-// accounting) must return exactly the plain run's result and report zero
+// rules armed, but the whole chain engaged — the wrapped exchange stream,
+// panic-recovery bookkeeping and retry accounting) must return exactly the plain run's result and report zero
 // recovered panics and zero transport retries.
 func faultFreeParity(q hypergraph.Query, rels []*relation.Relation, workers, cubes int) {
 	for _, name := range engine.EngineNames() {
@@ -883,11 +793,9 @@ func faultFreeParity(q hypergraph.Query, rels []*relation.Relation, workers, cub
 // benchStreamingShuffle enforces the pipelined-shuffle invariants in every
 // mode (quick included) and returns the streaming section of the snapshot:
 //
-//   - every engine run in the parallel (streamed) mode produces sorted
-//     output byte-identical to its sequential (materialized shim) run, and
-//     moves a nonzero number of chunk envelopes while the shim moves none;
-//   - the streamed BigJoin's receive-side peak bytes never exceed the
-//     materialized inbox peak (bounded chunk queues vs full inboxes);
+//   - every engine run in parallel mode produces sorted output
+//     byte-identical to its Config.Sequential run, and moves a nonzero
+//     number of chunk envelopes;
 //   - a shuffle-heavy run reports comm/compute overlap > 0;
 //   - one multi-round BigJoin over the real TCP transport dials at most
 //     workers² connections across all its exchanges (persistent
@@ -905,37 +813,26 @@ func benchStreamingShuffle(q hypergraph.Query, rels []*relation.Relation, datase
 		run := engine.Engines()[name]
 		cfg := engine.Config{NumServers: workers, Samples: 300, Seed: 1,
 			CubesPerServer: cubes, CollectOutput: true}
-		streamed, err := run(q, rels, cfg)
+		par, err := run(q, rels, cfg)
 		if err != nil {
 			fatal(fmt.Errorf("streaming %s (parallel): %w", name, err))
 		}
 		cfg.Sequential = true
-		mat, err := run(q, rels, cfg)
+		seq, err := run(q, rels, cfg)
 		if err != nil {
 			fatal(fmt.Errorf("streaming %s (sequential): %w", name, err))
 		}
-		if streamed.Results != mat.Results || !bytes.Equal(sortedBytes(streamed.Output), sortedBytes(mat.Output)) {
-			fatal(fmt.Errorf("streaming %s: streamed output differs from materialized (%d vs %d results)",
-				name, streamed.Results, mat.Results))
+		if par.Results != seq.Results || !bytes.Equal(sortedBytes(par.Output), sortedBytes(seq.Output)) {
+			fatal(fmt.Errorf("streaming %s: parallel output differs from sequential (%d vs %d results)",
+				name, par.Results, seq.Results))
 		}
 		if wantResults == -1 {
-			wantResults = streamed.Results
+			wantResults = par.Results
 		}
-		if streamed.StreamChunks == 0 {
-			fatal(fmt.Errorf("streaming %s: parallel run moved zero chunks — pipelined path not engaged", name))
+		if par.StreamChunks == 0 {
+			fatal(fmt.Errorf("streaming %s: parallel run moved zero chunks", name))
 		}
-		if mat.StreamChunks != 0 {
-			fatal(fmt.Errorf("streaming %s: sequential run reported %d stream chunks", name, mat.StreamChunks))
-		}
-		sb.StreamChunks += streamed.StreamChunks
-		if name == "BigJoin" {
-			sb.RecvPeakStreamedBytes = streamed.RecvPeakBytes
-			sb.RecvPeakMaterializedBytes = mat.RecvPeakBytes
-			if streamed.RecvPeakBytes > mat.RecvPeakBytes {
-				fatal(fmt.Errorf("streaming BigJoin: streamed receive peak %d B exceeds materialized inbox peak %d B",
-					streamed.RecvPeakBytes, mat.RecvPeakBytes))
-			}
-		}
+		sb.StreamChunks += par.StreamChunks
 	}
 
 	// Overlap on a shuffle-heavy workload: the Push-shuffle HCubeJ over a
@@ -984,10 +881,8 @@ func benchStreamingShuffle(q hypergraph.Query, rels []*relation.Relation, datase
 		fatal(fmt.Errorf("streaming BigJoin over TCP dialed %d connections, want in (0, %d]: persistent connections not amortizing",
 			sb.TCPDials, sb.TCPDialBound))
 	}
-	fmt.Fprintf(os.Stderr,
-		"streaming: %d chunks, overlap %.4fs (%s), tcp dials %d/%d, bigjoin recv peak %d B streamed vs %d B materialized\n",
-		sb.StreamChunks, sb.OverlapSeconds, sb.OverlapEngine,
-		sb.TCPDials, sb.TCPDialBound, sb.RecvPeakStreamedBytes, sb.RecvPeakMaterializedBytes)
+	fmt.Fprintf(os.Stderr, "streaming: %d chunks, overlap %.4fs (%s), tcp dials %d/%d\n",
+		sb.StreamChunks, sb.OverlapSeconds, sb.OverlapEngine, sb.TCPDials, sb.TCPDialBound)
 	return sb
 }
 

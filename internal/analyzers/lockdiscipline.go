@@ -13,7 +13,7 @@ import (
 //  1. No blocking operation while a mutex is held: channel sends and
 //     receives, select without default, range over a channel, and the
 //     runtime's blocking calls (Exchange, StreamExchange, Parallel,
-//     RouteExchange, Admit, sync.WaitGroup.Wait, time.Sleep). A blocked
+//     Admit, sync.WaitGroup.Wait, time.Sleep). A blocked
 //     holder stalls every Exec on the session — the exact shape of the
 //     retry-after-under-mu bug the -race job caught in PR 9.
 //     (close() and select with a default arm are non-blocking and allowed.)
@@ -37,7 +37,6 @@ var blockingMethodNames = map[string]bool{
 	"Exchange":       true,
 	"StreamExchange": true,
 	"Parallel":       true,
-	"RouteExchange":  true,
 	"Admit":          true,
 }
 

@@ -12,24 +12,17 @@ import (
 	"adj/internal/relation"
 )
 
-// Worker is one simulated server: its local relation fragments, local
-// tries, and per-cube databases after an HCube shuffle.
+// Worker is one simulated server: its local relation fragments and the
+// block-trie registry an HCube shuffle fills.
 type Worker struct {
 	ID int
 	N  int
 	// Rels holds local fragments of base/derived relations, keyed by name.
 	Rels map[string]*relation.Relation
-	// Cubes holds, per hypercube coordinate index assigned to this server,
-	// the local database for that cube (relation name -> fragment) — the
-	// legacy raw-tuple path, populated only by Push/Pull shuffles run
-	// without a TrieOrder.
-	Cubes map[int]map[string]*relation.Relation
 	// Blocks is the worker's shared block-trie cache: the HCube shuffle
 	// deposits (relation, block) parts here and the join phase pulls
 	// per-cube tries built exactly once per block (see blockcache).
 	Blocks *blockcache.Registry
-	// Inbox receives envelopes during an exchange.
-	Inbox []Envelope
 	// Scratch carries engine-specific per-phase state.
 	Scratch map[string]interface{}
 	// arena holds per-exchange payload allocations; reset after consume.
@@ -140,27 +133,13 @@ func newWorker(id, n int) *Worker {
 	return &Worker{
 		ID: id, N: n,
 		Rels:    make(map[string]*relation.Relation),
-		Cubes:   make(map[int]map[string]*relation.Relation),
 		Blocks:  blockcache.New(),
 		Scratch: make(map[string]interface{}),
 	}
 }
 
-// CubeDB returns (creating if needed) the local database of cube c.
-func (w *Worker) CubeDB(c int) map[string]*relation.Relation {
-	db, ok := w.Cubes[c]
-	if !ok {
-		db = make(map[string]*relation.Relation)
-		w.Cubes[c] = db
-	}
-	return db
-}
-
 // ResetCubes clears per-cube state between shuffles.
-func (w *Worker) ResetCubes() {
-	w.Cubes = make(map[int]map[string]*relation.Relation)
-	w.Blocks = blockcache.New()
-}
+func (w *Worker) ResetCubes() { w.Blocks = blockcache.New() }
 
 // Config configures a cluster.
 type Config struct {
@@ -175,11 +154,6 @@ type Config struct {
 	// mode, which times a 28-worker cluster faithfully on a 2-core machine.
 	// The default runs one goroutine per worker, using the real hardware.
 	Sequential bool
-	// RealParallel is the legacy name for the goroutine mode.
-	//
-	// Deprecated: goroutine-parallel workers are now the default; set
-	// Sequential for the deterministic simulation. The field is ignored.
-	RealParallel bool
 }
 
 // Cluster is a simulated cluster executing BSP phases.
@@ -280,15 +254,14 @@ func (c *Cluster) SetPanicHook(hook func(phase string, workerID int)) {
 	c.panicHook = hook
 }
 
-// ResetRun clears all per-run worker state: inboxes, payload arenas,
-// per-cube databases, block-trie registries and relation fragments. A
-// session calls it after a failed or cancelled execution so no partial
-// exchange backlog or half-built registry can leak into the next run (a
+// ResetRun clears all per-run worker state: payload arenas, block-trie
+// registries, relation fragments and scratch. A session calls it after a
+// failed or cancelled execution so no half-built registry can leak into the
+// next run (a
 // clean run re-loads everything it needs; the session-level trie store is
 // separate state and survives).
 func (c *Cluster) ResetRun() {
 	for _, w := range c.Workers {
-		w.Inbox = nil
 		w.arena = payloadArena{}
 		w.Rels = make(map[string]*relation.Relation)
 		w.ResetCubes()
@@ -404,113 +377,6 @@ func (c *Cluster) foldErrors(phase string, errs []error) error {
 		}
 	}
 	return fmt.Errorf("phase %s worker %d: %w", phase, firstWorker, firstErr)
-}
-
-// Exchange runs one all-to-all shuffle: produce yields each worker's
-// outgoing envelopes (charged as computation), the transport routes them,
-// and consume processes each worker's inbox (also computation). Network
-// counters and modeled communication time accrue to the phase.
-func (c *Cluster) Exchange(phase string,
-	produce func(w *Worker) ([]Envelope, error),
-	consume func(w *Worker, inbox []Envelope) error) error {
-
-	bySender := make([][]Envelope, c.N)
-	err := c.Parallel(phase+"/send", func(w *Worker) error {
-		envs, err := produce(w)
-		if err != nil {
-			return err
-		}
-		for i := range envs {
-			envs[i].From = w.ID
-		}
-		bySender[w.ID] = envs
-		return nil
-	})
-	if err != nil {
-		return err
-	}
-
-	// Account network counters.
-	pm := c.Metrics.Phase(phase)
-	outBytes := make([]int64, c.N)
-	inBytes := make([]int64, c.N)
-	outMsgs := make([]int64, c.N)
-	for s, envs := range bySender {
-		for _, e := range envs {
-			b := int64(len(e.Payload))
-			pm.BytesSent += b
-			pm.TuplesSent += e.Tuples
-			pm.Messages += e.MsgWeight()
-			outBytes[s] += b
-			outMsgs[s] += e.MsgWeight()
-			if e.To >= 0 && e.To < c.N {
-				inBytes[e.To] += b
-			}
-		}
-	}
-	var maxBytes, maxMsgs int64
-	for i := 0; i < c.N; i++ {
-		if outBytes[i] > maxBytes {
-			maxBytes = outBytes[i]
-		}
-		if inBytes[i] > maxBytes {
-			maxBytes = inBytes[i]
-		}
-		if outMsgs[i] > maxMsgs {
-			maxMsgs = outMsgs[i]
-		}
-	}
-	pm.CommSeconds += c.network.CommSeconds(maxBytes, maxMsgs)
-
-	if err := c.ctx.Err(); err != nil {
-		return fmt.Errorf("phase %s: %w", phase, err)
-	}
-	routed, err := c.route(phase, bySender)
-	if err != nil {
-		return fmt.Errorf("phase %s: %w", phase, err)
-	}
-	for i, inbox := range routed {
-		c.Workers[i].Inbox = inbox
-	}
-	defer func() {
-		for _, w := range c.Workers {
-			w.Inbox = nil
-			w.arena.reset()
-		}
-	}()
-	return c.Parallel(phase+"/recv", func(w *Worker) error {
-		return consume(w, w.Inbox)
-	})
-}
-
-// route dispatches one exchange's envelopes through the transport,
-// preferring the context-aware interface (deadlines, in-flight
-// cancellation, per-phase fault injection) when the transport implements
-// it, and folds the transport's retry counters into the run's metrics.
-func (c *Cluster) route(phase string, bySender [][]Envelope) ([][]Envelope, error) {
-	var retryBefore, dialBefore int64
-	rc, counted := c.transp.(RetryCounter)
-	if counted {
-		retryBefore = rc.RetryStats()
-	}
-	dc, dialed := c.transp.(DialCounter)
-	if dialed {
-		dialBefore = dc.DialStats()
-	}
-	var routed [][]Envelope
-	var err error
-	if et, ok := c.transp.(ExchangeTransport); ok {
-		routed, err = et.RouteExchange(c.ctx, phase, bySender)
-	} else {
-		routed, err = c.transp.Route(bySender)
-	}
-	if counted {
-		c.Metrics.AddTransportRetries(rc.RetryStats() - retryBefore)
-	}
-	if dialed {
-		c.Metrics.AddTransportDials(dc.DialStats() - dialBefore)
-	}
-	return routed, err
 }
 
 // LoadRelation distributes r across workers round-robin (the arbitrary

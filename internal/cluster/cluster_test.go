@@ -5,10 +5,10 @@ import (
 	"math/rand"
 	"reflect"
 	"sort"
+	"strings"
 	"sync/atomic"
 	"testing"
 
-	"adj/internal/blockcache"
 	"adj/internal/relation"
 )
 
@@ -65,49 +65,69 @@ func TestParallelPropagatesErrors(t *testing.T) {
 	}
 }
 
+// sendAll streams envs through s in order.
+func sendAll(s StreamSender, envs ...Envelope) error {
+	for _, e := range envs {
+		if err := s.Send(e); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// drain pulls r to end-of-stream and returns owned copies of every chunk
+// (payloads are only valid until the next Recv).
+func drain(r StreamReceiver) ([]Envelope, error) {
+	var inbox []Envelope
+	for {
+		e, ok, err := r.Recv()
+		if err != nil || !ok {
+			return inbox, err
+		}
+		e.Payload = append([]byte(nil), e.Payload...)
+		inbox = append(inbox, e)
+	}
+}
+
 func TestExchangeRoutesAndCounts(t *testing.T) {
-	for _, mode := range []string{"local", "tcp", "parallel"} {
+	for _, mode := range []string{"local", "tcp", "sequential", "tcp-sequential"} {
 		mode := mode
 		t.Run(mode, func(t *testing.T) {
 			cfg := Config{N: 3}
 			switch mode {
-			case "tcp":
+			case "tcp", "tcp-sequential":
 				tr, err := NewTCPTransport(3)
 				if err != nil {
 					t.Fatal(err)
 				}
 				cfg.Transport = tr
-			case "parallel":
-				cfg.RealParallel = true
 			}
+			cfg.Sequential = strings.HasSuffix(mode, "sequential")
 			c := New(cfg)
 			defer c.Close()
 			// Every worker sends its ID to every other worker.
 			got := make([][]int, 3)
-			err := c.Exchange("x",
-				func(w *Worker) ([]Envelope, error) {
-					var out []Envelope
+			err := c.StreamExchange("x",
+				func(w *Worker, s StreamSender) error {
 					for to := 0; to < 3; to++ {
 						if to == w.ID {
 							continue
 						}
-						out = append(out, Envelope{
-							To:      to,
-							Key:     "id",
-							Payload: []byte{byte(w.ID)},
-							Tuples:  1,
-						})
+						if err := s.Send(Envelope{To: to, Key: "id", Payload: []byte{byte(w.ID)}, Tuples: 1}); err != nil {
+							return err
+						}
 					}
-					return out, nil
+					return nil
 				},
-				func(w *Worker, inbox []Envelope) error {
+				func(w *Worker, r StreamReceiver) error {
+					inbox, err := drain(r)
 					for _, e := range inbox {
 						got[w.ID] = append(got[w.ID], int(e.Payload[0]))
 						if e.From != int(e.Payload[0]) {
 							return fmt.Errorf("From field mismatch: %d vs %d", e.From, e.Payload[0])
 						}
 					}
-					return nil
+					return err
 				})
 			if err != nil {
 				t.Fatal(err)
@@ -121,7 +141,7 @@ func TestExchangeRoutesAndCounts(t *testing.T) {
 				}
 			}
 			pm := c.Metrics.Phase("x")
-			if pm.Messages != 6 || pm.TuplesSent != 6 || pm.BytesSent != 6 {
+			if pm.Messages != 6 || pm.TuplesSent != 6 || pm.BytesSent != 6 || pm.StreamChunks != 6 {
 				t.Fatalf("metrics: %+v", pm)
 			}
 			if pm.CommSeconds <= 0 {
@@ -143,34 +163,35 @@ func TestExchangeRelationPayloadOverTCP(t *testing.T) {
 	for i := 0; i < 500; i++ {
 		orig.Append(rng.Int63(), rng.Int63())
 	}
-	var received *relation.Relation
-	err = c.Exchange("ship",
-		func(w *Worker) ([]Envelope, error) {
+	var received atomic.Pointer[relation.Relation]
+	err = c.StreamExchange("ship",
+		func(w *Worker, s StreamSender) error {
 			if w.ID != 0 {
-				return nil, nil
+				return nil
 			}
-			return []Envelope{{To: 1, Key: "rel", Payload: relation.Encode(orig), Tuples: int64(orig.Len())}}, nil
+			return s.Send(Envelope{To: 1, Key: "rel", Payload: relation.Encode(orig), Tuples: int64(orig.Len())})
 		},
-		func(w *Worker, inbox []Envelope) error {
+		func(w *Worker, r StreamReceiver) error {
+			inbox, err := drain(r)
 			for _, e := range inbox {
-				r, err := relation.Decode(e.Payload)
+				rel, err := relation.Decode(e.Payload)
 				if err != nil {
 					return err
 				}
-				received = r
+				received.Store(rel)
 			}
-			return nil
+			return err
 		})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if received == nil || !received.Equal(orig) {
+	if got := received.Load(); got == nil || !got.Equal(orig) {
 		t.Fatal("relation did not survive the TCP roundtrip")
 	}
 }
 
 func TestTCPMultipleExchanges(t *testing.T) {
-	// The transport must survive repeated Route calls (one per BSP phase).
+	// The transport must survive repeated exchanges (one per BSP phase).
 	tr, err := NewTCPTransport(2)
 	if err != nil {
 		t.Fatal(err)
@@ -179,15 +200,16 @@ func TestTCPMultipleExchanges(t *testing.T) {
 	defer c.Close()
 	for round := 0; round < 3; round++ {
 		var sum atomic.Int64 // consume runs on one goroutine per worker
-		err := c.Exchange("r",
-			func(w *Worker) ([]Envelope, error) {
-				return []Envelope{{To: 1 - w.ID, Payload: []byte{byte(round)}}}, nil
+		err := c.StreamExchange("r",
+			func(w *Worker, s StreamSender) error {
+				return s.Send(Envelope{To: 1 - w.ID, Payload: []byte{byte(round)}})
 			},
-			func(w *Worker, inbox []Envelope) error {
+			func(w *Worker, r StreamReceiver) error {
+				inbox, err := drain(r)
 				for _, e := range inbox {
 					sum.Add(int64(e.Payload[0]))
 				}
-				return nil
+				return err
 			})
 		if err != nil {
 			t.Fatalf("round %d: %v", round, err)
@@ -199,15 +221,18 @@ func TestTCPMultipleExchanges(t *testing.T) {
 }
 
 func TestEnvelopeOutOfRange(t *testing.T) {
-	c := New(Config{N: 2})
-	defer c.Close()
-	err := c.Exchange("bad",
-		func(w *Worker) ([]Envelope, error) {
-			return []Envelope{{To: 5}}, nil
-		},
-		func(w *Worker, inbox []Envelope) error { return nil })
-	if err == nil {
-		t.Fatal("expected routing error")
+	for _, sequential := range []bool{false, true} {
+		c := New(Config{N: 2, Sequential: sequential})
+		err := c.StreamExchange("bad",
+			func(w *Worker, s StreamSender) error { return s.Send(Envelope{To: 5}) },
+			func(w *Worker, r StreamReceiver) error {
+				_, err := drain(r)
+				return err
+			})
+		c.Close()
+		if err == nil {
+			t.Fatalf("sequential=%v: expected routing error", sequential)
+		}
 	}
 }
 
@@ -236,19 +261,5 @@ func TestNetworkModel(t *testing.T) {
 	}
 	if (NetworkModel{}).CommSeconds(100, 100) != 0 {
 		t.Fatal("zero model must cost nothing")
-	}
-}
-
-func TestCubeDBHelpers(t *testing.T) {
-	w := newWorker(0, 1)
-	db := w.CubeDB(3)
-	db["R"] = relation.New("R", "a")
-	if w.CubeDB(3)["R"] == nil {
-		t.Fatal("cube db lost")
-	}
-	w.Blocks.BindCube(3, "R", blockcache.Key{Rel: "R", Sig: 0})
-	w.ResetCubes()
-	if len(w.Cubes) != 0 || len(w.Blocks.Cubes()) != 0 {
-		t.Fatal("reset failed")
 	}
 }

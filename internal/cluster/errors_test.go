@@ -91,26 +91,22 @@ func TestIsTransient(t *testing.T) {
 	}
 }
 
-// countingTransport is a fake ExchangeTransport + RetryCounter: each
-// exchange "retries" a fixed number of times so the test can assert
-// Exchange diffs the counter into the run's metrics.
+// countingTransport is a fake Transport + RetryCounter: each exchange
+// "retries" a fixed number of times so the test can assert StreamExchange
+// diffs the counter into the run's metrics.
 type countingTransport struct {
-	inner           *LocalTransport
-	retriesPerRoute int64
-	total           int64
-	sawPhase        string
-	sawCtx          context.Context
+	inner              *LocalTransport
+	retriesPerExchange int64
+	total              int64
+	sawPhase           string
+	sawCtx             context.Context
 }
 
-func (c *countingTransport) Route(bySender [][]Envelope) ([][]Envelope, error) {
-	c.total += c.retriesPerRoute
-	return c.inner.Route(bySender)
-}
-
-func (c *countingTransport) RouteExchange(ctx context.Context, phase string, bySender [][]Envelope) ([][]Envelope, error) {
+func (c *countingTransport) OpenExchange(ctx context.Context, phase string, window int) (ExchangeStream, error) {
+	c.total += c.retriesPerExchange
 	c.sawPhase = phase
 	c.sawCtx = ctx
-	return c.Route(bySender)
+	return c.inner.OpenExchange(ctx, phase, window)
 }
 
 func (c *countingTransport) RetryStats() int64 { return c.total }
@@ -118,19 +114,22 @@ func (c *countingTransport) Close() error      { return c.inner.Close() }
 
 // TestExchangeFoldsRetryStats verifies the metrics plumbing: a transport
 // that reports retries sees them charged to the run's metrics, one diff per
-// exchange, and the context-aware route receives the run context and phase.
+// exchange, and the transport receives the run context and phase.
 func TestExchangeFoldsRetryStats(t *testing.T) {
 	const n = 3
-	ct := &countingTransport{inner: NewLocalTransport(n), retriesPerRoute: 2}
+	ct := &countingTransport{inner: NewLocalTransport(n), retriesPerExchange: 2}
 	c := New(Config{N: n, Transport: ct})
 	defer c.Close()
 
 	exchange := func(phase string) error {
-		return c.Exchange(phase,
-			func(w *Worker) ([]Envelope, error) {
-				return []Envelope{{From: w.ID, To: (w.ID + 1) % n, Key: "k"}}, nil
+		return c.StreamExchange(phase,
+			func(w *Worker, s StreamSender) error {
+				return s.Send(Envelope{To: (w.ID + 1) % n, Key: "k"})
 			},
-			func(w *Worker, inbox []Envelope) error { return nil })
+			func(w *Worker, r StreamReceiver) error {
+				_, err := drain(r)
+				return err
+			})
 	}
 	if err := exchange("shuffle/a"); err != nil {
 		t.Fatal(err)
@@ -145,9 +144,9 @@ func TestExchangeFoldsRetryStats(t *testing.T) {
 		t.Fatalf("after two exchanges: TransportRetries = %d, want 4", got)
 	}
 	if ct.sawPhase != "shuffle/b" {
-		t.Fatalf("context-aware route saw phase %q", ct.sawPhase)
+		t.Fatalf("transport saw phase %q", ct.sawPhase)
 	}
 	if ct.sawCtx == nil {
-		t.Fatal("context-aware route did not receive the run context")
+		t.Fatal("transport did not receive the run context")
 	}
 }

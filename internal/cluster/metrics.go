@@ -60,21 +60,19 @@ type PhaseMetrics struct {
 	// Messages counts logical envelopes (Push counts one per tuple even
 	// though the runtime batches the physical transfer).
 	Messages int64
-	// OverlapSeconds is the comm/compute overlap the streaming path
-	// reclaimed: producer busy time + consumer busy time in excess of the
-	// exchange's wall time (0 on the materialized path, where consume
-	// cannot start before the last producer finishes).
+	// OverlapSeconds is the comm/compute overlap the exchange reclaimed:
+	// producer busy time + consumer busy time in excess of the exchange's
+	// wall time (0 in Sequential mode, where consume cannot start before
+	// the last producer finishes).
 	OverlapSeconds float64
-	// StreamChunks counts chunk envelopes delivered through the streaming
-	// path (0 when the exchange ran materialized).
+	// StreamChunks counts chunk envelopes delivered to receivers.
 	StreamChunks int64
 	// InflightPeakChunks is the high-water mark of chunks queued at any
-	// single receiver (bounded by the stream window).
+	// single receiver (bounded by the stream window in parallel mode).
 	InflightPeakChunks int64
 	// RecvPeakBytes is the high-water mark of receive-side payload bytes
-	// held at any single worker: queued chunk bytes when streamed, the
-	// full inbox when materialized. The streaming win on multi-round
-	// engines shows up here.
+	// queued at any single worker: window-bounded in parallel mode, the
+	// full inbox in Sequential mode.
 	RecvPeakBytes int64
 }
 

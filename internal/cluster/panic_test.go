@@ -6,6 +6,9 @@ import (
 	"fmt"
 	"testing"
 	"time"
+
+	"adj/internal/blockcache"
+	"adj/internal/relation"
 )
 
 // TestParallelRecoversPanic checks the containment contract in both
@@ -90,29 +93,27 @@ func TestParallelPanicCancelsPeers(t *testing.T) {
 	}
 }
 
-// TestExchangePanicInConsume checks containment on the exchange path: a
-// panic in a consume body is typed, and the deferred inbox/arena cleanup
-// still runs.
+// TestExchangePanicInConsume checks containment on the exchange path in
+// both scheduling modes: a panic in a consume body is typed and attributed
+// to the recv half, and the exchange unwinds instead of hanging.
 func TestExchangePanicInConsume(t *testing.T) {
-	c := New(Config{N: 2})
-	defer c.Close()
-
-	err := c.Exchange("x",
-		func(w *Worker) ([]Envelope, error) {
-			return []Envelope{{To: (w.ID + 1) % 2, Payload: []byte("p")}}, nil
-		},
-		func(w *Worker, inbox []Envelope) error {
-			if w.ID == 1 {
-				panic("consume")
-			}
-			return nil
-		})
-	if !errors.Is(err, ErrWorkerPanic) {
-		t.Fatalf("want ErrWorkerPanic, got %v", err)
-	}
-	for _, w := range c.Workers {
-		if w.Inbox != nil {
-			t.Fatalf("worker %d inbox not cleared after panic", w.ID)
+	for _, sequential := range []bool{false, true} {
+		c := New(Config{N: 2, Sequential: sequential})
+		err := c.StreamExchange("x",
+			func(w *Worker, s StreamSender) error {
+				return s.Send(Envelope{To: (w.ID + 1) % 2, Payload: []byte("p")})
+			},
+			func(w *Worker, r StreamReceiver) error {
+				if w.ID == 1 {
+					panic("consume")
+				}
+				_, err := drain(r)
+				return err
+			})
+		c.Close()
+		var wp *WorkerPanicError
+		if !errors.As(err, &wp) || wp.WorkerID != 1 || wp.Phase != "x/recv" {
+			t.Fatalf("sequential=%v: want worker 1 panic in x/recv, got %v", sequential, err)
 		}
 	}
 }
@@ -165,12 +166,12 @@ func TestResetRunClearsWorkerState(t *testing.T) {
 	c := New(Config{N: 2})
 	defer c.Close()
 	w := c.Workers[0]
-	w.Inbox = []Envelope{{Key: "left-over"}}
 	w.Scratch["k"] = 1
-	w.CubeDB(3)["r"] = nil
+	w.Rels["r"] = relation.New("r", "a")
+	w.Blocks.BindCube(3, "r", blockcache.Key{Rel: "r", Sig: 0})
 	c.ResetRun()
-	if w.Inbox != nil || len(w.Scratch) != 0 || len(w.Cubes) != 0 {
-		t.Fatalf("ResetRun left state behind: inbox=%v scratch=%v cubes=%v",
-			w.Inbox, w.Scratch, w.Cubes)
+	if len(w.Scratch) != 0 || len(w.Rels) != 0 || len(w.Blocks.Cubes()) != 0 {
+		t.Fatalf("ResetRun left state behind: scratch=%v rels=%v cubes=%v",
+			w.Scratch, w.Rels, w.Blocks.Cubes())
 	}
 }

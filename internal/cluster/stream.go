@@ -1,17 +1,15 @@
 package cluster
 
 import (
-	"errors"
 	"fmt"
+	"math"
 	"sync"
 	"time"
 )
 
-// StreamExchange runs one all-to-all shuffle through the streaming
-// transport path: every worker's producer emits bounded chunks while every
-// worker's consumer pulls and processes them, so communication overlaps
-// computation on both sides (trie builds start when the first chunk lands,
-// not when the slowest sender finishes).
+// StreamExchange runs one all-to-all shuffle — the only exchange runner:
+// every worker's producer emits bounded chunks into one multiplexed
+// transport exchange and every worker's consumer pulls and processes them.
 //
 // Contract: produce must Send complete, independently-decodable chunks and
 // return (the cluster closes the sender half); consume must drain its
@@ -19,29 +17,17 @@ import (
 // interleaving across senders, and must not retain a received payload past
 // the next Recv (transports pool receive buffers).
 //
-// In sequential mode — the deterministic simulation — or over a transport
-// without streaming support, the exchange runs materialized through the
-// same Exchange shim as every legacy call site: produce collects into an
-// inbox routed as one batch, consume iterates it in deterministic order.
-// Results must be identical either way; only wall-clock and the wire-level
-// counters (chunks, overlap, receive peaks) differ.
+// Scheduling is the only thing the cluster's mode changes. The default runs
+// 2N goroutines (one producer and one consumer per worker, both under panic
+// containment) so communication overlaps computation on both sides: trie
+// builds start when the first chunk lands, not when the slowest sender
+// finishes. Sequential mode — the deterministic simulation — opens the same
+// exchange with an unbounded window, runs the producers one worker at a
+// time in worker order, then the consumers one worker at a time over the
+// real receivers: LocalTransport therefore delivers in (sender, send-order),
+// chunk-boundary fault injection fires in a reproducible order, and the
+// accounting below is shared, not mirrored.
 func (c *Cluster) StreamExchange(phase string,
-	produce func(w *Worker, s StreamSender) error,
-	consume func(w *Worker, r StreamReceiver) error) error {
-
-	if st, ok := c.transp.(StreamTransport); ok && c.parallel {
-		err := c.streamedExchange(phase, st, produce, consume)
-		if !errors.Is(err, ErrStreamUnsupported) {
-			return err
-		}
-	}
-	return c.materializedStreamExchange(phase, produce, consume)
-}
-
-// streamedExchange is the overlapping path: 2N goroutines (one producer
-// and one consumer per worker, both under panic containment) over one
-// multiplexed transport exchange.
-func (c *Cluster) streamedExchange(phase string, st StreamTransport,
 	produce func(w *Worker, s StreamSender) error,
 	consume func(w *Worker, r StreamReceiver) error) error {
 
@@ -59,11 +45,14 @@ func (c *Cluster) streamedExchange(phase string, st StreamTransport,
 		dialBefore = dc.DialStats()
 	}
 
-	es, err := st.OpenExchange(c.ctx, phase, DefaultStreamWindow)
+	window := DefaultStreamWindow
+	if !c.parallel {
+		// No consumer runs until every producer has finished, so a bounded
+		// window would deadlock the first producer to fill it.
+		window = math.MaxInt
+	}
+	es, err := c.transp.OpenExchange(c.ctx, phase, window)
 	if err != nil {
-		if errors.Is(err, ErrStreamUnsupported) {
-			return err
-		}
 		return fmt.Errorf("phase %s: %w", phase, err)
 	}
 
@@ -82,62 +71,77 @@ func (c *Cluster) streamedExchange(phase string, st StreamTransport,
 		}
 	}()
 
-	t0 := time.Now()
-	var wg sync.WaitGroup
-	for i := 0; i < n; i++ {
-		wg.Add(2)
-		go func(i int) {
-			defer wg.Done()
-			w := c.Workers[i]
-			ms := &meteredSender{inner: es.Sender(i), w: w, inBytes: make([]int64, n)}
-			senders[i] = ms
-			ts := time.Now()
-			err := c.runWorker(phase+"/send", w, func(w *Worker) error {
-				return produce(w, ms)
-			})
-			prodDur[i] = time.Since(ts)
-			ms.inner.Close()
-			if err != nil {
-				//adjlint:ignore errwrap identity dedup against the recorded abort cause, not classification
-				if tracker.abort(es, err) || err != tracker.cause() {
-					prodErrs[i] = err
-				}
+	runProducer := func(i int) {
+		w := c.Workers[i]
+		ms := &meteredSender{inner: es.Sender(i), w: w, inBytes: make([]int64, n)}
+		senders[i] = ms
+		ts := time.Now()
+		err := c.runWorker(phase+"/send", w, func(w *Worker) error {
+			return produce(w, ms)
+		})
+		prodDur[i] = time.Since(ts)
+		ms.inner.Close()
+		if err != nil {
+			//adjlint:ignore errwrap identity dedup against the recorded abort cause, not classification
+			if tracker.abort(es, err) || err != tracker.cause() {
+				prodErrs[i] = err
 			}
-		}(i)
-		go func(i int) {
-			defer wg.Done()
-			w := c.Workers[i]
-			mr := &meteredReceiver{inner: es.Receiver(i)}
-			receivers[i] = mr
-			ts := time.Now()
-			err := c.runWorker(phase+"/recv", w, func(w *Worker) error {
-				return consume(w, mr)
-			})
-			consDur[i] = time.Since(ts)
-			if err != nil {
-				//adjlint:ignore errwrap identity dedup against the recorded abort cause, not classification
-				if tracker.abort(es, err) || err != tracker.cause() {
-					consErrs[i] = err
-				}
+		}
+	}
+	runConsumer := func(i int) {
+		w := c.Workers[i]
+		mr := &meteredReceiver{inner: es.Receiver(i)}
+		receivers[i] = mr
+		ts := time.Now()
+		err := c.runWorker(phase+"/recv", w, func(w *Worker) error {
+			return consume(w, mr)
+		})
+		consDur[i] = time.Since(ts)
+		if err != nil {
+			//adjlint:ignore errwrap identity dedup against the recorded abort cause, not classification
+			if tracker.abort(es, err) || err != tracker.cause() {
+				consErrs[i] = err
+			}
+			return
+		}
+		// Drain anything the consumer left unread so senders blocked on
+		// the window can finish and pooled buffers return.
+		for {
+			if _, ok, err := mr.inner.Recv(); err != nil || !ok {
 				return
 			}
-			// Drain anything the consumer left unread so senders blocked on
-			// the window can finish and pooled buffers return.
-			for {
-				if _, ok, err := mr.inner.Recv(); err != nil || !ok {
-					return
-				}
-			}
-		}(i)
+		}
 	}
-	wg.Wait()
+
+	t0 := time.Now()
+	if c.parallel {
+		var wg sync.WaitGroup
+		for i := 0; i < n; i++ {
+			wg.Add(2)
+			go func(i int) {
+				defer wg.Done()
+				runProducer(i)
+			}(i)
+			go func(i int) {
+				defer wg.Done()
+				runConsumer(i)
+			}(i)
+		}
+		wg.Wait()
+	} else {
+		for i := 0; i < n; i++ {
+			runProducer(i)
+		}
+		for i := 0; i < n; i++ {
+			runConsumer(i)
+		}
+	}
 	elapsed := time.Since(t0).Seconds()
 	stats := es.Stats()
 	es.Close()
 
 	// Accounting. Producer/consumer "busy" time excludes blocking inside
-	// Send/Recv (backpressure waits are not computation); the comp phases
-	// keep the same vocabulary as the materialized path, and the overlap
+	// Send/Recv (backpressure waits are not computation), and the overlap
 	// counter records how much busy time the pipeline packed into less
 	// wall clock than a barriered exchange would need.
 	pm := c.Metrics.Phase(phase)
@@ -205,44 +209,6 @@ func (c *Cluster) streamedExchange(phase string, st StreamTransport,
 		return fmt.Errorf("phase %s: %w", phase, cause)
 	}
 	return nil
-}
-
-// materializedStreamExchange runs a StreamExchange body through the
-// materialized Exchange shim: identical accounting, routing, and error
-// semantics to every legacy call site, with deterministic consume order in
-// sequential mode.
-func (c *Cluster) materializedStreamExchange(phase string,
-	produce func(w *Worker, s StreamSender) error,
-	consume func(w *Worker, r StreamReceiver) error) error {
-
-	inboxBytes := make([]int64, c.N)
-	err := c.Exchange(phase,
-		func(w *Worker) ([]Envelope, error) {
-			cs := &collectSender{}
-			if err := produce(w, cs); err != nil {
-				return nil, err
-			}
-			return cs.envs, nil
-		},
-		func(w *Worker, inbox []Envelope) error {
-			var b int64
-			for i := range inbox {
-				b += int64(len(inbox[i].Payload))
-			}
-			inboxBytes[w.ID] = b
-			return consume(w, &sliceReceiver{inbox: inbox})
-		})
-	var peak int64
-	for _, b := range inboxBytes {
-		if b > peak {
-			peak = b
-		}
-	}
-	pm := c.Metrics.Phase(phase)
-	if peak > pm.RecvPeakBytes {
-		pm.RecvPeakBytes = peak
-	}
-	return err
 }
 
 // abortTracker distinguishes a worker's own error from the collateral
@@ -315,33 +281,4 @@ func (r *meteredReceiver) Recv() (Envelope, bool, error) {
 	e, ok, err := r.inner.Recv()
 	r.wait += time.Since(t0)
 	return e, ok, err
-}
-
-// collectSender materializes a produce callback's chunks for the Exchange
-// shim.
-type collectSender struct {
-	envs []Envelope
-}
-
-func (s *collectSender) Send(e Envelope) error {
-	s.envs = append(s.envs, e)
-	return nil
-}
-
-func (s *collectSender) Close() error { return nil }
-
-// sliceReceiver iterates a materialized inbox through the StreamReceiver
-// surface.
-type sliceReceiver struct {
-	inbox []Envelope
-	i     int
-}
-
-func (r *sliceReceiver) Recv() (Envelope, bool, error) {
-	if r.i >= len(r.inbox) {
-		return Envelope{}, false, nil
-	}
-	e := r.inbox[r.i]
-	r.i++
-	return e, true, nil
 }

@@ -86,11 +86,11 @@ func runStreamCollect(t *testing.T, c *Cluster, phase string, chunks int) [][]st
 	return got
 }
 
-// TestStreamExchangeLocalMatchesMaterialized runs the same chunked exchange
-// through the parallel (streamed) and sequential (materialized shim) paths
-// and requires identical delivered content; the streamed run must also
-// report wire-level chunk counters while the shim reports none.
-func TestStreamExchangeLocalMatchesMaterialized(t *testing.T) {
+// TestStreamExchangeParallelMatchesSequential runs the same chunked exchange
+// under both schedulings of the one exchange path and requires identical
+// delivered content and identical logical counters; both report wire-level
+// chunk counters, and only the parallel run is bound by the window.
+func TestStreamExchangeParallelMatchesSequential(t *testing.T) {
 	const n, chunks = 4, 7
 	par := New(Config{N: n})
 	defer par.Close()
@@ -104,30 +104,85 @@ func TestStreamExchangeLocalMatchesMaterialized(t *testing.T) {
 			t.Fatalf("worker %d received %d chunks, want %d", d, len(gotPar[d]), n*chunks)
 		}
 		if strings.Join(gotPar[d], "\n") != strings.Join(gotSeq[d], "\n") {
-			t.Fatalf("worker %d: streamed and materialized deliveries differ", d)
+			t.Fatalf("worker %d: parallel and sequential deliveries differ", d)
 		}
 	}
 
-	pmPar := par.Metrics.Phase("x")
-	if pmPar.StreamChunks != int64(n*n*chunks) {
-		t.Fatalf("streamed StreamChunks = %d, want %d", pmPar.StreamChunks, n*n*chunks)
+	pmPar, pmSeq := par.Metrics.Phase("x"), seq.Metrics.Phase("x")
+	if pmPar.StreamChunks != int64(n*n*chunks) || pmSeq.StreamChunks != pmPar.StreamChunks {
+		t.Fatalf("StreamChunks parallel=%d sequential=%d, want %d", pmPar.StreamChunks, pmSeq.StreamChunks, n*n*chunks)
 	}
 	if pmPar.InflightPeakChunks <= 0 || pmPar.InflightPeakChunks > DefaultStreamWindow {
 		t.Fatalf("InflightPeakChunks = %d, want in (0, %d]", pmPar.InflightPeakChunks, DefaultStreamWindow)
 	}
-	pmSeq := seq.Metrics.Phase("x")
-	if pmSeq.StreamChunks != 0 {
-		t.Fatalf("materialized run reported %d stream chunks", pmSeq.StreamChunks)
-	}
 	// Identical logical counters either way: chunked weights preserve the
 	// one-message-per-block accounting.
 	if pmPar.Messages != pmSeq.Messages || pmPar.TuplesSent != pmSeq.TuplesSent || pmPar.BytesSent != pmSeq.BytesSent {
-		t.Fatalf("counter drift: streamed (msgs=%d tuples=%d bytes=%d) vs materialized (msgs=%d tuples=%d bytes=%d)",
+		t.Fatalf("counter drift: parallel (msgs=%d tuples=%d bytes=%d) vs sequential (msgs=%d tuples=%d bytes=%d)",
 			pmPar.Messages, pmPar.TuplesSent, pmPar.BytesSent,
 			pmSeq.Messages, pmSeq.TuplesSent, pmSeq.BytesSent)
 	}
 	if pmPar.Messages != int64(n*n) {
 		t.Fatalf("Messages = %d, want %d (one per logical block)", pmPar.Messages, n*n)
+	}
+}
+
+// TestStreamExchangeSequentialDeliveryOrder pins what Sequential mode adds
+// on LocalTransport: every receiver sees chunks in (sender, send-order).
+func TestStreamExchangeSequentialDeliveryOrder(t *testing.T) {
+	const n, chunks = 3, 5
+	c := New(Config{N: n, Sequential: true})
+	defer c.Close()
+	err := c.StreamExchange("x",
+		func(w *Worker, s StreamSender) error {
+			for k := 0; k < chunks; k++ {
+				for d := 0; d < n; d++ {
+					if err := s.Send(Envelope{To: d, Chunk: int32(k)}); err != nil {
+						return err
+					}
+				}
+			}
+			return nil
+		},
+		func(w *Worker, r StreamReceiver) error {
+			inbox, err := drain(r)
+			if err != nil {
+				return err
+			}
+			if len(inbox) != n*chunks {
+				return fmt.Errorf("received %d chunks, want %d", len(inbox), n*chunks)
+			}
+			for i, e := range inbox {
+				if e.From != i/chunks || int(e.Chunk) != i%chunks {
+					return fmt.Errorf("position %d holds chunk %d of sender %d", i, e.Chunk, e.From)
+				}
+			}
+			return nil
+		})
+	if err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestStreamExchangeSequentialExceedsWindow sends far more chunks per
+// receiver than DefaultStreamWindow in Sequential mode, where no consumer
+// runs until every producer has finished: the exchange must complete over
+// both transports instead of deadlocking the first producer on backpressure.
+func TestStreamExchangeSequentialExceedsWindow(t *testing.T) {
+	const n, chunks = 2, 3 * DefaultStreamWindow
+	tcp, err := NewTCPTransport(n)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, tr := range map[string]Transport{"local": NewLocalTransport(n), "tcp": tcp} {
+		c := New(Config{N: n, Transport: tr, Sequential: true})
+		got := runStreamCollect(t, c, "big", chunks) // a deadlock trips the -timeout
+		for d := range got {
+			if len(got[d]) != n*chunks {
+				t.Errorf("%s: worker %d received %d chunks, want %d", name, d, len(got[d]), n*chunks)
+			}
+		}
+		c.Close()
 	}
 }
 
@@ -319,7 +374,7 @@ func TestTCPStreamConcurrentExchanges(t *testing.T) {
 						}
 					}
 				}
-				out, err := tr.RouteExchange(context.Background(), tag, bySender)
+				out, err := routeAll(context.Background(), tr, tag, bySender)
 				if err != nil {
 					errs[g] = err
 					return
@@ -465,7 +520,7 @@ func TestTCPStreamMidStreamCancel(t *testing.T) {
 	// The aborted exchange must not poison the next one.
 	bySender := make([][]Envelope, 2)
 	bySender[0] = []Envelope{{From: 0, To: 1, Key: "next", Payload: []byte("ok")}}
-	out, err := tr.RouteExchange(context.Background(), "next", bySender)
+	out, err := routeAll(context.Background(), tr, "next", bySender)
 	if err != nil {
 		t.Fatalf("follow-up exchange failed: %v", err)
 	}
@@ -493,8 +548,8 @@ func TestTCPStreamExchangeSequentialReuse(t *testing.T) {
 				bySender[s] = append(bySender[s], Envelope{From: s, To: d, Key: "k", Payload: []byte{1, 2}})
 			}
 		}
-		if _, err := tr.Route(bySender); err != nil {
-			t.Fatalf("route: %v", err)
+		if _, err := routeAll(context.Background(), tr, "", bySender); err != nil {
+			t.Fatalf("exchange: %v", err)
 		}
 	}
 	run()

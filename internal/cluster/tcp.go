@@ -14,7 +14,7 @@ import (
 	"time"
 )
 
-// TCPTransport routes envelopes over real loopback TCP sockets. It exists
+// TCPTransport moves envelopes over real loopback TCP sockets. It exists
 // to keep the serialization and wire path honest: integration tests run
 // the full join engines over it and must produce byte-identical results to
 // the local transport.
@@ -180,12 +180,6 @@ func (t *TCPTransport) RetryStats() int64 { return t.retries.Load() }
 // unless connections are torn down by faults.
 func (t *TCPTransport) DialStats() int64 { return t.dials.Load() }
 
-// Route performs one exchange without context plumbing (Transport compat).
-func (t *TCPTransport) Route(bySender [][]Envelope) ([][]Envelope, error) {
-	//adjlint:ignore ctxflow legacy Transport.Route has no context parameter to thread
-	return t.RouteExchange(context.Background(), "", bySender)
-}
-
 // backoff returns the jittered exponential delay before retry `attempt`
 // (1-based: the delay after the attempt-th failure).
 func (t *TCPTransport) backoff(attempt int) time.Duration {
@@ -242,62 +236,6 @@ func (t *TCPTransport) OpenExchange(ctx context.Context, phase string, window in
 		}
 	}()
 	return ex, nil
-}
-
-// RouteExchange performs one materialized all-to-all exchange as a shim
-// over the streaming path: senders stream their envelopes as chunks over
-// the persistent connections, receivers drain their queues into
-// caller-owned slices. The first unrecoverable failure aborts the
-// exchange with a typed error; ctx cancellation aborts it with ctx's
-// error.
-func (t *TCPTransport) RouteExchange(ctx context.Context, phase string, bySender [][]Envelope) ([][]Envelope, error) {
-	es, err := t.OpenExchange(ctx, phase, 0)
-	if err != nil {
-		return nil, err
-	}
-	ex := es.(*tcpExchange)
-	defer ex.Close()
-
-	out := make([][]Envelope, t.n)
-	var wg sync.WaitGroup
-	for s := 0; s < t.n; s++ {
-		var envs []Envelope
-		if s < len(bySender) {
-			envs = bySender[s]
-		}
-		wg.Add(1)
-		go func(s int, envs []Envelope) {
-			defer wg.Done()
-			snd := ex.Sender(s)
-			for _, e := range envs {
-				if err := snd.Send(e); err != nil {
-					break
-				}
-			}
-			snd.Close()
-		}(s, envs)
-	}
-	for d := 0; d < t.n; d++ {
-		wg.Add(1)
-		go func(d int) {
-			defer wg.Done()
-			rcv := ex.Receiver(d)
-			for {
-				e, ok, err := rcv.Recv()
-				if err != nil || !ok {
-					return
-				}
-				// Own the (pooled) payload before the next Recv.
-				e.Payload = append([]byte(nil), e.Payload...)
-				out[d] = append(out[d], e)
-			}
-		}(d)
-	}
-	wg.Wait()
-	if cause := ex.cause(); cause != nil {
-		return nil, cause
-	}
-	return out, nil
 }
 
 // getConn returns the persistent connection for (s, d), dialing it (with

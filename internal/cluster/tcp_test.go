@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"net"
+	"sync"
 	"testing"
 	"time"
 )
@@ -22,9 +23,46 @@ func deadAddr(t *testing.T) string {
 	return addr
 }
 
-// routeWithTimeout runs Route and fails the test if it hangs — the
-// regression this guards against is Route blocking forever in wg.Wait when
-// a sender dies and its receiver keeps waiting in Accept.
+// routeAll drives one whole exchange over tr the way a cluster would:
+// every worker streams bySender[worker] through its sender half while every
+// worker drains its receiver into owned copies. On failure it returns the
+// abort cause as the receivers observed it (else the first sender error).
+func routeAll(ctx context.Context, tr Transport, phase string, bySender [][]Envelope) ([][]Envelope, error) {
+	es, err := tr.OpenExchange(ctx, phase, 0)
+	if err != nil {
+		return nil, err
+	}
+	defer es.Close()
+	n := len(bySender)
+	out := make([][]Envelope, n)
+	sendErrs := make([]error, n)
+	recvErrs := make([]error, n)
+	var wg sync.WaitGroup
+	for i := 0; i < n; i++ {
+		wg.Add(2)
+		go func(i int) {
+			defer wg.Done()
+			snd := es.Sender(i)
+			sendErrs[i] = sendAll(snd, bySender[i]...)
+			snd.Close()
+		}(i)
+		go func(i int) {
+			defer wg.Done()
+			out[i], recvErrs[i] = drain(es.Receiver(i))
+		}(i)
+	}
+	wg.Wait()
+	for _, err := range append(recvErrs, sendErrs...) {
+		if err != nil {
+			return nil, err
+		}
+	}
+	return out, nil
+}
+
+// routeWithTimeout runs routeAll and fails the test if it hangs — the
+// regression this guards against is an exchange blocking forever when a
+// sender dies and its receiver keeps waiting for chunks.
 func routeWithTimeout(t *testing.T, tr *TCPTransport, bySender [][]Envelope, d time.Duration) ([][]Envelope, error) {
 	t.Helper()
 	type result struct {
@@ -33,23 +71,23 @@ func routeWithTimeout(t *testing.T, tr *TCPTransport, bySender [][]Envelope, d t
 	}
 	done := make(chan result, 1)
 	go func() {
-		out, err := tr.Route(bySender)
+		out, err := routeAll(context.Background(), tr, "", bySender)
 		done <- result{out, err}
 	}()
 	select {
 	case r := <-done:
 		return r.out, r.err
 	case <-time.After(d):
-		t.Fatal("TCPTransport.Route hung after a sender failure (deadlock regression)")
+		t.Fatal("TCP exchange hung after a sender failure (deadlock regression)")
 		return nil, nil
 	}
 }
 
-// TestTCPRouteSenderFailureReturnsError kills a sender mid-exchange by
+// TestTCPExchangeSenderFailureReturnsError kills a sender mid-exchange by
 // pointing its destination at a dead address: the dial fails, no
-// connection ever reaches the destination's listener, and Route must
-// surface the sender error instead of hanging in Accept.
-func TestTCPRouteSenderFailureReturnsError(t *testing.T) {
+// connection ever reaches the destination's listener, and the exchange
+// must surface the sender error instead of hanging.
+func TestTCPExchangeSenderFailureReturnsError(t *testing.T) {
 	tr, err := NewTCPTransport(2)
 	if err != nil {
 		t.Fatal(err)
@@ -60,15 +98,15 @@ func TestTCPRouteSenderFailureReturnsError(t *testing.T) {
 	bySender := make([][]Envelope, 2)
 	bySender[0] = []Envelope{{From: 0, To: 1, Key: "k", Payload: []byte("payload")}}
 	if _, err := routeWithTimeout(t, tr, bySender, 30*time.Second); err == nil {
-		t.Fatal("Route should report the failed sender")
+		t.Fatal("exchange should report the failed sender")
 	}
 }
 
-// TestTCPRoutePartialSenderFailure mixes healthy and dead destinations:
-// the healthy exchange leg completes, the dead one errors, and Route
+// TestTCPExchangePartialSenderFailure mixes healthy and dead destinations:
+// the healthy exchange leg completes, the dead one errors, and the exchange
 // still returns (with the sender error) instead of deadlocking on the
 // receiver that never gets its connection.
-func TestTCPRoutePartialSenderFailure(t *testing.T) {
+func TestTCPExchangePartialSenderFailure(t *testing.T) {
 	tr, err := NewTCPTransport(3)
 	if err != nil {
 		t.Fatal(err)
@@ -83,13 +121,13 @@ func TestTCPRoutePartialSenderFailure(t *testing.T) {
 	}
 	bySender[1] = []Envelope{{From: 1, To: 1, Key: "self", Payload: []byte("c")}}
 	if _, err := routeWithTimeout(t, tr, bySender, 30*time.Second); err == nil {
-		t.Fatal("Route should report the failed sender")
+		t.Fatal("exchange should report the failed sender")
 	}
 }
 
-// TestTCPRouteRecoversAfterFailure verifies the abort path re-arms the
+// TestTCPExchangeRecoversAfterFailure verifies the abort path re-arms the
 // listeners: a failed exchange must not poison the next one.
-func TestTCPRouteRecoversAfterFailure(t *testing.T) {
+func TestTCPExchangeRecoversAfterFailure(t *testing.T) {
 	tr, err := NewTCPTransport(2)
 	if err != nil {
 		t.Fatal(err)
@@ -101,25 +139,25 @@ func TestTCPRouteRecoversAfterFailure(t *testing.T) {
 	bySender := make([][]Envelope, 2)
 	bySender[0] = []Envelope{{From: 0, To: 1, Key: "k", Payload: []byte("x")}}
 	if _, err := routeWithTimeout(t, tr, bySender, 30*time.Second); err == nil {
-		t.Fatal("first route should fail")
+		t.Fatal("first exchange should fail")
 	}
 
 	tr.addrs[1] = good
 	out, err := routeWithTimeout(t, tr, bySender, 30*time.Second)
 	if err != nil {
-		t.Fatalf("second route should succeed: %v", err)
+		t.Fatalf("second exchange should succeed: %v", err)
 	}
 	if len(out[1]) != 1 || out[1][0].Key != "k" || string(out[1][0].Payload) != "x" {
-		t.Fatalf("second route delivered %+v", out[1])
+		t.Fatalf("second exchange delivered %+v", out[1])
 	}
 }
 
-// TestTCPRouteNoStaleBacklogAfterAbort stresses the abort path for backlog
+// TestTCPExchangeNoStaleBacklogAfterAbort stresses the abort path for backlog
 // contamination: in exchange 1, sender 0→1 dials and writes successfully
 // while sender 1→0 fails, so the abort can fire before receiver 1 accepts
 // the healthy connection, leaving it in the kernel backlog. Exchange 2 on
 // the same transport must never be handed exchange 1's envelopes.
-func TestTCPRouteNoStaleBacklogAfterAbort(t *testing.T) {
+func TestTCPExchangeNoStaleBacklogAfterAbort(t *testing.T) {
 	for iter := 0; iter < 200; iter++ {
 		tr, err := NewTCPTransport(2)
 		if err != nil {
@@ -133,7 +171,7 @@ func TestTCPRouteNoStaleBacklogAfterAbort(t *testing.T) {
 		first[1] = []Envelope{{From: 1, To: 0, Key: "doomed", Payload: []byte("x")}}
 		if _, err := routeWithTimeout(t, tr, first, 30*time.Second); err == nil {
 			tr.Close()
-			t.Fatal("first route should fail")
+			t.Fatal("first exchange should fail")
 		}
 
 		tr.addrs[0] = good
@@ -142,7 +180,7 @@ func TestTCPRouteNoStaleBacklogAfterAbort(t *testing.T) {
 		out, err := routeWithTimeout(t, tr, second, 30*time.Second)
 		if err != nil {
 			tr.Close()
-			t.Fatalf("iter %d: second route failed: %v", iter, err)
+			t.Fatalf("iter %d: second exchange failed: %v", iter, err)
 		}
 		if len(out[1]) != 1 || out[1][0].Key != "NEW" {
 			tr.Close()
@@ -152,13 +190,13 @@ func TestTCPRouteNoStaleBacklogAfterAbort(t *testing.T) {
 	}
 }
 
-// TestTCPRouteNoStaleBacklogBusyReceiver is the harder contamination
+// TestTCPExchangeNoStaleBacklogBusyReceiver is the harder contamination
 // scenario: receiver 1 is kept busy reading a multi-megabyte frame while a
 // second, fully-written small connection parks in its accept backlog; the
 // abort (triggered by a third, dead destination) kills the big transfer,
 // the receiver exits with the small connection still queued, and exchange
 // 2 must not be handed its envelopes.
-func TestTCPRouteNoStaleBacklogBusyReceiver(t *testing.T) {
+func TestTCPExchangeNoStaleBacklogBusyReceiver(t *testing.T) {
 	big := make([]byte, 4<<20)
 	for iter := 0; iter < 40; iter++ {
 		tr, err := NewTCPTransport(3)
@@ -176,7 +214,7 @@ func TestTCPRouteNoStaleBacklogBusyReceiver(t *testing.T) {
 		}
 		if _, err := routeWithTimeout(t, tr, first, 30*time.Second); err == nil {
 			tr.Close()
-			t.Fatal("first route should fail")
+			t.Fatal("first exchange should fail")
 		}
 
 		tr.addrs[2] = good
@@ -185,7 +223,7 @@ func TestTCPRouteNoStaleBacklogBusyReceiver(t *testing.T) {
 		out, err := routeWithTimeout(t, tr, second, 30*time.Second)
 		if err != nil {
 			tr.Close()
-			t.Fatalf("iter %d: second route failed: %v", iter, err)
+			t.Fatalf("iter %d: second exchange failed: %v", iter, err)
 		}
 		if len(out[1]) != 1 || out[1][0].Key != "NEW" {
 			tr.Close()
@@ -214,7 +252,7 @@ func TestTCPRetryStatsCountDialRetries(t *testing.T) {
 	bySender[0] = []Envelope{{From: 0, To: 1, Key: "k", Payload: []byte("p")}}
 	_, err = routeWithTimeout(t, tr, bySender, 30*time.Second)
 	if err == nil {
-		t.Fatal("Route to a dead destination should fail")
+		t.Fatal("exchange to a dead destination should fail")
 	}
 	if !errors.Is(err, ErrTransport) {
 		t.Fatalf("want ErrTransport, got %v", err)
@@ -231,10 +269,10 @@ func TestTCPRetryStatsCountDialRetries(t *testing.T) {
 	}
 }
 
-// TestTCPRouteExchangeCancelInFlight cancels the context while a sender is
+// TestTCPExchangeCancelInFlight cancels the context while a sender is
 // stuck retrying a dead destination: the exchange must abort promptly and
 // return the context's error, classifiable as ErrCanceled.
-func TestTCPRouteExchangeCancelInFlight(t *testing.T) {
+func TestTCPExchangeCancelInFlight(t *testing.T) {
 	tr, err := NewTCPTransportWithRetry(2, RetryPolicy{
 		MaxAttempts: 1000, BaseDelay: 5 * time.Millisecond, MaxDelay: 10 * time.Millisecond,
 	})
@@ -254,24 +292,24 @@ func TestTCPRouteExchangeCancelInFlight(t *testing.T) {
 
 	done := make(chan error, 1)
 	go func() {
-		_, err := tr.RouteExchange(ctx, "test", bySender)
+		_, err := routeAll(ctx, tr, "test", bySender)
 		done <- err
 	}()
 	select {
 	case err = <-done:
 	case <-time.After(30 * time.Second):
-		t.Fatal("RouteExchange ignored in-flight cancellation")
+		t.Fatal("exchange ignored in-flight cancellation")
 	}
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("want context.Canceled, got %v", err)
 	}
 }
 
-// TestTCPRouteExchangeDeadline gives the exchange a context deadline while
+// TestTCPExchangeDeadline gives the exchange a context deadline while
 // its only destination is dead: the retry loop must stop at the deadline
 // and surface context.DeadlineExceeded instead of spinning through its
 // (effectively unbounded) attempt budget.
-func TestTCPRouteExchangeDeadline(t *testing.T) {
+func TestTCPExchangeDeadline(t *testing.T) {
 	tr, err := NewTCPTransportWithRetry(2, RetryPolicy{
 		MaxAttempts: 100000, BaseDelay: time.Millisecond, MaxDelay: 2 * time.Millisecond,
 	})
@@ -288,13 +326,13 @@ func TestTCPRouteExchangeDeadline(t *testing.T) {
 
 	done := make(chan error, 1)
 	go func() {
-		_, err := tr.RouteExchange(ctx, "test", bySender)
+		_, err := routeAll(ctx, tr, "test", bySender)
 		done <- err
 	}()
 	select {
 	case err = <-done:
 	case <-time.After(30 * time.Second):
-		t.Fatal("RouteExchange ignored its deadline")
+		t.Fatal("exchange ignored its deadline")
 	}
 	if !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("want context.DeadlineExceeded, got %v", err)

@@ -41,31 +41,27 @@ func (e Envelope) MsgWeight() int64 {
 	return 1
 }
 
-// Transport routes envelopes between workers. Implementations must either
-// deliver every envelope to inboxes grouped by destination with payload
-// bytes preserved exactly, or return an error — partial or corrupted
-// delivery without an error is a contract violation (the engines would
-// silently compute wrong results).
+// Transport moves envelopes between workers, one streaming exchange at a
+// time. An exchange must either deliver every chunk to its destination's
+// receiver with payload bytes preserved exactly, or fail every blocked and
+// future Send/Recv with an error — partial or corrupted delivery without an
+// error is a contract violation (the engines would silently compute wrong
+// results).
 type Transport interface {
-	// Route takes all envelopes produced in one exchange (grouped by sender)
-	// and returns them grouped by destination worker.
-	Route(bySender [][]Envelope) ([][]Envelope, error)
+	// OpenExchange starts a multiplexed exchange in which senders emit
+	// bounded chunks and receivers pull them through a window of at most
+	// `window` in-flight chunks per receiver (backpressure propagates to
+	// senders; window <= 0 uses DefaultStreamWindow). ctx carries the run's
+	// deadline and in-flight cancellation; phase names the exchange for
+	// metrics and fault injection.
+	OpenExchange(ctx context.Context, phase string, window int) (ExchangeStream, error)
 	// Close releases transport resources.
 	Close() error
 }
 
-// ExchangeTransport is the context-aware transport surface: RouteExchange
-// receives the run's context (deadline + in-flight cancellation) and the
-// exchange's phase name (metrics, fault injection). Cluster.Exchange
-// prefers it when implemented and falls back to Route otherwise.
-type ExchangeTransport interface {
-	Transport
-	RouteExchange(ctx context.Context, phase string, bySender [][]Envelope) ([][]Envelope, error)
-}
-
 // RetryCounter is implemented by transports that retry failed operations;
-// RetryStats returns the cumulative retry count, which Exchange diffs
-// around each route to charge retries to the run's metrics.
+// RetryStats returns the cumulative retry count, which StreamExchange
+// diffs around each exchange to charge retries to the run's metrics.
 type RetryCounter interface {
 	RetryStats() int64
 }
@@ -77,11 +73,6 @@ type RetryCounter interface {
 type DialCounter interface {
 	DialStats() int64
 }
-
-// ErrStreamUnsupported is returned by OpenExchange when a transport (or a
-// wrapper around one) cannot stream; callers fall back to the materialized
-// Route path.
-var ErrStreamUnsupported = errors.New("cluster: transport does not support streaming exchanges")
 
 // StreamSender is one worker's sending half of a streaming exchange. Send
 // delivers a single bounded chunk and may block under backpressure (the
@@ -139,15 +130,6 @@ func (s *StreamStats) merge(o StreamStats) {
 	}
 }
 
-// StreamTransport is the streaming transport surface: OpenExchange starts
-// a multiplexed exchange in which senders emit bounded chunks and
-// receivers pull them through a window of at most `window` in-flight
-// chunks per receiver (backpressure propagates to senders).
-type StreamTransport interface {
-	Transport
-	OpenExchange(ctx context.Context, phase string, window int) (ExchangeStream, error)
-}
-
 // DefaultStreamWindow bounds the per-receiver in-flight chunk queue when a
 // caller passes window <= 0.
 const DefaultStreamWindow = 64
@@ -162,36 +144,6 @@ type LocalTransport struct {
 
 // NewLocalTransport returns a transport for n workers.
 func NewLocalTransport(n int) *LocalTransport { return &LocalTransport{n: n} }
-
-// Route groups envelopes by destination. A counting pass sizes each
-// per-destination slice exactly before any envelope is appended.
-func (t *LocalTransport) Route(bySender [][]Envelope) ([][]Envelope, error) {
-	counts := make([]int, t.n)
-	for _, envs := range bySender {
-		for i := range envs {
-			e := &envs[i]
-			if e.To < 0 || e.To >= t.n {
-				return nil, fmt.Errorf("local transport: destination %d out of range [0,%d)", e.To, t.n)
-			}
-			if e.From < 0 || e.From >= t.n {
-				return nil, fmt.Errorf("local transport: sender %d out of range [0,%d)", e.From, t.n)
-			}
-			counts[e.To]++
-		}
-	}
-	out := make([][]Envelope, t.n)
-	for d, c := range counts {
-		if c > 0 {
-			out[d] = make([]Envelope, 0, c)
-		}
-	}
-	for _, envs := range bySender {
-		for _, e := range envs {
-			out[e.To] = append(out[e.To], e)
-		}
-	}
-	return out, nil
-}
 
 // OpenExchange starts an in-process streaming exchange backed by bounded
 // per-destination chunk queues.

@@ -11,27 +11,27 @@ import (
 	"adj/internal/testutil"
 )
 
-// detReport extracts the deterministic slice of a Report: result count,
-// the full shuffle/message accounting, the block-cache structure counters
-// and the sorted materialized output. Everything here must be invariant
-// under scheduling mode and cube fan-out; only the measured seconds may
-// differ between runs.
-func detReport(t *testing.T, rep Report) string {
-	t.Helper()
+// invariantReport extracts the scheduling-invariant slice of a Report (the
+// determinism contract in README.md): result count, failure, tuples
+// shuffled, logical messages, block-cache structure and the sorted
+// materialized output. BytesShuffled and output row order are not in it —
+// multi-round engines re-encode intermediates in chunk-arrival order, so
+// those two are reproducible only under Config.Sequential.
+func invariantReport(rep Report) string {
 	out := ""
 	if rep.Output != nil {
 		out = rep.Output.Clone().SortDedup().String()
 	}
-	return fmt.Sprintf("results=%d failed=%v(%s) tuples=%d bytes=%d msgs=%d blocks=%d out=%s",
+	return fmt.Sprintf("results=%d failed=%v(%s) tuples=%d msgs=%d blocks=%d out=%s",
 		rep.Results, rep.Failed, rep.FailReason,
-		rep.TuplesShuffled, rep.BytesShuffled, rep.Messages, rep.CacheBlocks, out)
+		rep.TuplesShuffled, rep.Messages, rep.CacheBlocks, out)
 }
 
-// The cached/scheduled execution path must be invisible in every
-// deterministic report field: across all five engines, parallel scheduling
-// (locality deques + stealing) vs Config.Sequential, and cube fan-outs 1
-// and 4, the results, materialized outputs and cost-accounting counters
-// must be identical.
+// TestCacheSchedulerEquivalenceAllEngines pins the determinism contract
+// across all six engines and cube fan-outs 1 and 4: parallel scheduling
+// (2N exchange goroutines, locality deques + stealing) agrees with
+// Config.Sequential on every scheduling-invariant field, and two Sequential
+// runs additionally agree on BytesShuffled and on output row order.
 func TestCacheSchedulerEquivalenceAllEngines(t *testing.T) {
 	rng := rand.New(rand.NewSource(57))
 	for iter := 0; iter < 3; iter++ {
@@ -39,29 +39,40 @@ func TestCacheSchedulerEquivalenceAllEngines(t *testing.T) {
 		for _, q := range []hypergraph.Query{hypergraph.Q1(), hypergraph.Q2()} {
 			rels := q.BindGraph(edges)
 			for name, run := range Engines() {
-				var want string
 				for _, cps := range []int{1, 4} {
-					for _, sequential := range []bool{true, false} {
+					// CubesPerServer changes the shuffle (finer cubes), so
+					// compare only within a fan-out.
+					at := fmt.Sprintf("iter=%d %s/%s cps=%d", iter, name, q.Name, cps)
+					exec := func(sequential bool) Report {
 						cfg := smallCfg(3)
 						cfg.CubesPerServer = cps
 						cfg.Sequential = sequential
 						cfg.CollectOutput = true
 						rep, err := run(q, rels, cfg)
 						if err != nil {
-							t.Fatalf("iter=%d %s/%s cps=%d seq=%v: %v", iter, name, q.Name, cps, sequential, err)
+							t.Fatalf("%s seq=%v: %v", at, sequential, err)
 						}
-						// CubesPerServer changes the shuffle (finer cubes), so
-						// only compare across scheduling modes within a fan-out;
-						// result counts must agree across everything.
-						got := detReport(t, rep)
-						if sequential {
-							want = got
-							continue
+						if int64(rep.Output.Len()) != rep.Results {
+							t.Fatalf("%s seq=%v: output %d tuples, results=%d", at, sequential, rep.Output.Len(), rep.Results)
 						}
-						if got != want {
-							t.Fatalf("iter=%d %s/%s cps=%d: parallel differs from sequential:\n  seq: %s\n  par: %s",
-								iter, name, q.Name, cps, want, got)
+						switch name {
+						case "ADJ", "HCubeJ", "HCubeJ+Cache":
+							// Batched emission engaged, one value per result.
+							if (rep.Results > 0 && rep.EmittedRuns == 0) || rep.EmittedValues != rep.Results {
+								t.Fatalf("%s seq=%v: %d results, %d emitted runs, %d emitted values",
+									at, sequential, rep.Results, rep.EmittedRuns, rep.EmittedValues)
+							}
 						}
+						return rep
+					}
+					seq, seqAgain, par := exec(true), exec(true), exec(false)
+					if want, got := invariantReport(seq), invariantReport(par); got != want {
+						t.Fatalf("%s: parallel differs from sequential:\n  seq: %s\n  par: %s", at, want, got)
+					}
+					if invariantReport(seq) != invariantReport(seqAgain) ||
+						seq.BytesShuffled != seqAgain.BytesShuffled || !seq.Output.Equal(seqAgain.Output) {
+						t.Fatalf("%s: two sequential runs differ (bytes %d vs %d, same row order: %v)",
+							at, seq.BytesShuffled, seqAgain.BytesShuffled, seq.Output.Equal(seqAgain.Output))
 					}
 				}
 			}
@@ -117,11 +128,8 @@ func TestCachedVsRebuiltCubeTries(t *testing.T) {
 			}
 			snap := make(map[string]string)
 			for _, w := range c.Workers {
-				for _, cube := range allCubes(w) {
-					tries, err := cubeTries(w, cube, info, order)
-					if err != nil {
-						t.Fatal(err)
-					}
+				for _, cube := range w.Blocks.Cubes() {
+					tries := cubeTries(w, cube, info, order)
 					for i, tr := range tries {
 						snap[fmt.Sprintf("%s/%d", info[i].Name, cube)] = tr.ToRelation("x").String()
 					}

@@ -58,18 +58,9 @@ type Config struct {
 	// executes workers on goroutines and spreads a worker's cubes over a
 	// work-stealing pool (the hot path).
 	Sequential bool
-	// RealParallel is the legacy name for the goroutine mode.
-	//
-	// Deprecated: parallel execution is now the default; set Sequential to
-	// get the old default behavior. The field is ignored.
-	RealParallel bool
 	// CollectOutput materializes result tuples into Report.Output (tests);
 	// default counts only.
 	CollectOutput bool
-	// PerTupleEmit forces the legacy per-tuple emit shim instead of the
-	// batched columnar result sink when collecting output. Kept as the
-	// equivalence/benchmark baseline; production runs leave it false.
-	PerTupleEmit bool
 
 	// --- Session execution (see the adj package's Session API) ---
 
@@ -156,14 +147,14 @@ type Report struct {
 	// bypass admission).
 	QueueSeconds   float64
 	AdmissionClass string
-	// Streaming-shuffle counters: StreamChunks counts chunk envelopes
-	// delivered through the pipelined path (0 when every exchange ran
-	// materialized), OverlapSeconds the comm/compute overlap the pipeline
-	// reclaimed (producer + consumer busy time in excess of exchange wall
-	// time), RecvPeakBytes the largest receive-side payload high-water of
-	// any phase (window-bounded when streamed, the full inbox when
-	// materialized), and TransportDials the connections the run's exchanges
-	// opened — persistent transports amortize these toward zero.
+	// Exchange counters: StreamChunks counts chunk envelopes delivered,
+	// OverlapSeconds the comm/compute overlap the pipeline reclaimed
+	// (producer + consumer busy time in excess of exchange wall time; 0
+	// under Sequential), RecvPeakBytes the largest receive-side payload
+	// high-water of any phase (window-bounded in parallel mode, the full
+	// inbox under Sequential), and TransportDials the connections the
+	// run's exchanges opened — persistent transports amortize these
+	// toward zero.
 	StreamChunks   int64
 	OverlapSeconds float64
 	RecvPeakBytes  int64
@@ -348,7 +339,7 @@ func localCubeJoin(c *cluster.Cluster, phase string, infos []hcube.RelInfo, orde
 	runCtx := c.Context()
 	cancelled := c.CancelPoll()
 	err := c.Parallel(phase, func(w *cluster.Worker) error {
-		cubes := allCubes(w)
+		cubes := w.Blocks.Cubes()
 		perCube := make([]int64, len(cubes))
 		perCubeEmit := make([]emitStats, len(cubes))
 		var perCubeOut []*relation.Relation
@@ -356,24 +347,17 @@ func localCubeJoin(c *cluster.Cluster, phase string, infos []hcube.RelInfo, orde
 			perCubeOut = make([]*relation.Relation, len(cubes))
 		}
 		joinCube := func(ci int) error {
-			tries, err := cubeTries(w, cubes[ci], infos, order)
-			if err != nil {
-				return err
-			}
+			tries := cubeTries(w, cubes[ci], infos, order)
 			opts := leapfrog.Options{Budget: budgetPer, Cancel: cancelled}
 			if collect {
 				// Results stay columnar from the leaf intersection on: the
-				// sink appends whole runs to the cube's output columns. The
-				// per-tuple shim remains as the equivalence baseline.
+				// sink appends whole runs to the cube's output columns.
 				out := relation.New("out", order...)
 				perCubeOut[ci] = out
-				if cfg.PerTupleEmit {
-					opts.Emit = func(t relation.Tuple) { out.AppendTuple(t) }
-				} else {
-					opts.Sink = relation.NewColumnWriter(out)
-				}
+				opts.Sink = relation.NewColumnWriter(out)
 			}
 			var st leapfrog.Stats
+			var err error
 			if cached {
 				cj := leapfrog.NewCachedJoin(tries, order, cacheBudget(cfg))
 				st, err = cj.Run(opts)
@@ -476,46 +460,22 @@ func cacheBudget(cfg Config) int {
 	return 1 << 22
 }
 
-func allCubes(w *cluster.Worker) []int {
-	seen := make(map[int]bool)
-	for _, c := range w.Blocks.Cubes() {
-		seen[c] = true
-	}
-	for c := range w.Cubes {
-		seen[c] = true
-	}
-	out := make([]int, 0, len(seen))
-	for c := range seen {
-		out = append(out, c)
-	}
-	sort.Ints(out)
-	return out
-}
-
-// cubeTries assembles the tries of one cube in the global order. The
-// shared block-trie registry is the primary source: each (relation,
-// block) trie is built once per worker and the cube's trie is merged
-// lazily here, at first use (or aliased directly when the cube holds a
-// single block of the relation — the common case, since a relation's own
-// attributes pin its share coordinates). Raw per-cube fragments remain as
-// the fallback for shuffles run without a TrieOrder.
-func cubeTries(w *cluster.Worker, cube int, infos []hcube.RelInfo, order []string) ([]*trie.Trie, error) {
+// cubeTries assembles the tries of one cube in the global order from the
+// worker's block-trie registry: each (relation, block) trie is built once
+// per worker and the cube's trie is merged lazily here, at first use (or
+// aliased directly when the cube holds a single block of the relation —
+// the common case, since a relation's own attributes pin its share
+// coordinates). A relation with no block on the cube joins as empty.
+func cubeTries(w *cluster.Worker, cube int, infos []hcube.RelInfo, order []string) []*trie.Trie {
 	out := make([]*trie.Trie, 0, len(infos))
 	for _, ri := range infos {
-		if tr, ok := w.Blocks.CubeTrie(cube, ri.Name); ok && tr != nil {
-			out = append(out, tr)
-			continue
+		tr, ok := w.Blocks.CubeTrie(cube, ri.Name)
+		if !ok || tr == nil {
+			tr = trie.Build(relation.New(ri.Name, ri.Attrs...), sortAttrsByOrder(ri.Attrs, order))
 		}
-		var frag *relation.Relation
-		if db, ok := w.Cubes[cube]; ok {
-			frag = db[ri.Name]
-		}
-		if frag == nil {
-			frag = relation.New(ri.Name, ri.Attrs...)
-		}
-		out = append(out, trie.Build(frag, sortAttrsByOrder(ri.Attrs, order)))
+		out = append(out, tr)
 	}
-	return out, nil
+	return out
 }
 
 // finishReport folds phase metrics into the paper's four buckets by phase

@@ -230,23 +230,6 @@ func TestShuffleKindOverride(t *testing.T) {
 	}
 }
 
-func TestRealParallelMode(t *testing.T) {
-	rng := rand.New(rand.NewSource(16))
-	edges := testutil.RandEdges(rng, "E", 400, 25)
-	q := hypergraph.Q1()
-	rels := q.BindGraph(edges)
-	want := int64(relation.NaiveJoin(rels, q.Attrs()).Len())
-	cfg := smallCfg(4)
-	cfg.RealParallel = true
-	rep, err := RunADJ(q, rels, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.Results != want {
-		t.Fatalf("parallel mode results=%d want %d", rep.Results, want)
-	}
-}
-
 func TestReportString(t *testing.T) {
 	r := Report{Engine: "ADJ", Query: "Q1", Results: 5}
 	if r.String() == "" || r.Total() != 0 {

@@ -154,7 +154,6 @@ func All(cfg Config) ([]Result, error) {
 		{"table2", Table2},
 		{"table3", Table3},
 		{"table4", Table4},
-		{"emit", EmitPipeline},
 		{"session", SessionReuse},
 	}
 	var out []Result
@@ -197,8 +196,6 @@ func ByID(id string) func(Config) (Result, error) {
 		return Table3
 	case "table4":
 		return Table4
-	case "emit":
-		return EmitPipeline
 	case "session":
 		return SessionReuse
 	default:
@@ -209,6 +206,5 @@ func ByID(id string) func(Config) (Result, error) {
 // IDs lists experiment ids in paper order.
 func IDs() []string {
 	return []string{"table1", "fig1a", "fig1b", "fig6", "fig8", "fig9",
-		"fig10", "fig11", "fig12a", "fig12d", "table2", "table3", "table4", "emit",
-		"session"}
+		"fig10", "fig11", "fig12a", "fig12d", "table2", "table3", "table4", "session"}
 }

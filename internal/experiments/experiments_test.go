@@ -193,27 +193,6 @@ func TestTables234(t *testing.T) {
 	}
 }
 
-func TestEmitPipeline(t *testing.T) {
-	r, err := EmitPipeline(tinyCfg())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(r.Rows) == 0 {
-		t.Fatal("no rows")
-	}
-	for _, row := range r.Rows {
-		if row.Values == nil {
-			continue
-		}
-		// The batched pipeline must engage (RunLen present means runs were
-		// delivered); on tiny test graphs runs may be short, but never
-		// fractional below one value per delivery.
-		if rl, ok := row.Values["RunLen"]; !ok || rl < 1 {
-			t.Errorf("%s: run length %.2f, batching not engaged", row.Label, rl)
-		}
-	}
-}
-
 func TestByIDAndIDs(t *testing.T) {
 	for _, id := range IDs() {
 		if ByID(id) == nil {

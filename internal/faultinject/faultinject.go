@@ -6,9 +6,10 @@
 // contract: each run either matches the fault-free result exactly or
 // returns a clean typed error — never a hang, a partial result, or a leak.
 //
-// Determinism: all randomness comes from one seeded source consumed in a
-// fixed order (rules in declaration order, envelopes in exchange order), so
-// a (seed, workload) pair replays the exact same fault schedule.
+// Determinism: all randomness comes from one seeded source consumed in
+// rule-declaration order at each chunk's Send, so a (seed, workload) pair
+// replays the exact same fault schedule whenever the sends themselves are
+// ordered (see OpenExchange).
 package faultinject
 
 import (
@@ -35,17 +36,17 @@ var ErrInjected = errors.New("faultinject: injected fault")
 // wildcard values ("" / -1) match everything.
 type Rule struct {
 	// Phase matches exchanges whose phase name contains this substring
-	// ("" matches every phase, including Route calls with no phase).
+	// ("" matches every phase).
 	Phase string
 	// From matches the sending worker (-1 = any).
 	From int
 	// To matches the receiving worker (-1 = any).
 	To int
 
-	// Drop is the probability that a matched envelope's delivery fails.
-	// The transport contract is deliver-all-or-error, so a drop surfaces
-	// as a typed transport error for the whole exchange (silent loss would
-	// make engines compute wrong results without noticing).
+	// Drop is the probability that a matched chunk's delivery fails. The
+	// transport contract is deliver-all-or-error, so a drop surfaces as a
+	// typed transport error for the whole exchange (silent loss would make
+	// engines compute wrong results without noticing).
 	Drop float64
 	// FailDial is the probability, rolled once per matched exchange, that
 	// the exchange fails immediately with a dial-class transport error.
@@ -56,8 +57,8 @@ type Rule struct {
 	// decode reliably fails, exercising the typed corrupt-payload abort
 	// path — corruption never silently changes results.
 	Corrupt float64
-	// Delay is the probability that a matched exchange sleeps a random
-	// duration up to MaxDelay before routing.
+	// Delay is the probability that a matched chunk's Send sleeps a random
+	// duration up to MaxDelay first.
 	Delay float64
 	// MaxDelay bounds an injected delay (default 2ms when Delay > 0).
 	MaxDelay time.Duration
@@ -86,9 +87,9 @@ type Stats struct {
 	Delays    int64
 }
 
-// Transport wraps an inner cluster transport with seeded fault injection.
-// It implements cluster.ExchangeTransport (so phase names reach the rules)
-// and forwards cluster.RetryCounter when the inner transport provides it.
+// Transport wraps an inner cluster transport with seeded fault injection
+// and forwards cluster.RetryCounter / cluster.DialCounter when the inner
+// transport provides them.
 type Transport struct {
 	inner cluster.Transport
 
@@ -166,12 +167,6 @@ func (t *Transport) DialStats() int64 {
 // Close closes the inner transport.
 func (t *Transport) Close() error { return t.inner.Close() }
 
-// Route implements cluster.Transport (no phase context).
-func (t *Transport) Route(bySender [][]cluster.Envelope) ([][]cluster.Envelope, error) {
-	//adjlint:ignore ctxflow legacy Transport.Route has no context parameter to thread
-	return t.RouteExchange(context.Background(), "", bySender)
-}
-
 // roll consumes one coin flip from the seeded source for rule ri; a rule
 // whose Times budget is spent stops flipping (and stops consuming
 // randomness, keeping the remaining schedule deterministic).
@@ -203,85 +198,19 @@ func (t *Transport) randDelay(max time.Duration) time.Duration {
 	return d
 }
 
-// RouteExchange applies the fault schedule to one exchange, then routes the
-// (possibly corrupted) envelopes through the inner transport.
-func (t *Transport) RouteExchange(ctx context.Context, phase string, bySender [][]cluster.Envelope) ([][]cluster.Envelope, error) {
-	rules := t.snapshotRules()
-	for ri, r := range rules {
-		if !r.matchesPhase(phase) {
-			continue
-		}
-		if t.roll(ri, r, r.FailDial) {
-			t.failDials.Add(1)
-			return nil, &cluster.TransportError{Op: "dial", Dest: Any, Attempts: 1,
-				Err: fmt.Errorf("%w: fail-dial in phase %q", ErrInjected, phase)}
-		}
-		if t.roll(ri, r, r.Delay) {
-			t.delays.Add(1)
-			select {
-			case <-ctx.Done():
-				return nil, ctx.Err()
-			case <-time.After(t.randDelay(r.MaxDelay)):
-			}
-		}
-	}
-
-	// Per-envelope faults, in deterministic (sender, envelope) order. Drops
-	// abort the exchange typed; corruptions flip the magic byte of a copied
-	// payload (never the caller's buffer) and let the exchange proceed so
-	// the receive-side decode path sees the damage.
-	var out [][]cluster.Envelope = bySender
-	copied := false
-	for s, envs := range bySender {
-		for i, e := range envs {
-			for ri, r := range rules {
-				if !r.matchesPhase(phase) || !r.matchesLeg(e.From, e.To) {
-					continue
-				}
-				if t.roll(ri, r, r.Drop) {
-					t.drops.Add(1)
-					return nil, &cluster.TransportError{Op: "deliver", Dest: e.To, Attempts: 1,
-						Err: fmt.Errorf("%w: dropped envelope %d→%d in phase %q", ErrInjected, e.From, e.To, phase)}
-				}
-				if len(e.Payload) > 0 && t.roll(ri, r, r.Corrupt) {
-					t.corrupts.Add(1)
-					if !copied {
-						out = make([][]cluster.Envelope, len(bySender))
-						for j := range bySender {
-							out[j] = append([]cluster.Envelope(nil), bySender[j]...)
-						}
-						copied = true
-					}
-					p := append([]byte(nil), e.Payload...)
-					p[0] ^= 0xFF
-					out[s][i].Payload = p
-				}
-			}
-		}
-	}
-
-	if et, ok := t.inner.(cluster.ExchangeTransport); ok {
-		return et.RouteExchange(ctx, phase, out)
-	}
-	return t.inner.Route(out)
-}
-
-// OpenExchange applies the fault schedule to a streaming exchange
-// (cluster.StreamTransport): exchange-level FailDial rules fire at open;
-// Drop, Corrupt and Delay rules fire per chunk at its Send boundary — a
-// drop aborts the exchange with a typed transient error mid-stream,
-// corruption flips the magic byte of a copied chunk so the receive-side
-// decode fails typed, a delay stalls that one chunk. Chunk-level flips
-// still come from the one seeded source and Times budgets stay exact, but
-// in the goroutine-parallel streamed mode the order in which concurrent
-// senders consume flips follows the runtime schedule; schedules that must
-// replay exactly (the retry tests) use Times=1/probability-1 rules, which
-// are order-independent.
+// OpenExchange applies the fault schedule to one exchange: exchange-level
+// FailDial rules fire at open; Drop, Corrupt and Delay rules fire per chunk
+// at its Send boundary — a drop aborts the exchange with a typed transient
+// error mid-stream, corruption flips the magic byte of a copied chunk
+// (never the sender's buffer) so the receive-side decode fails typed, a
+// delay stalls that one chunk. All flips come from the one seeded source
+// and Times budgets stay exact. Under a Sequential cluster senders run one
+// at a time in worker order, so a (seed, workload) pair replays the exact
+// schedule; in goroutine-parallel mode the order in which concurrent
+// senders consume flips follows the runtime schedule, so schedules that
+// must replay exactly there use Times=1/probability-1 rules, which are
+// order-independent.
 func (t *Transport) OpenExchange(ctx context.Context, phase string, window int) (cluster.ExchangeStream, error) {
-	st, ok := t.inner.(cluster.StreamTransport)
-	if !ok {
-		return nil, cluster.ErrStreamUnsupported
-	}
 	rules := t.snapshotRules()
 	for ri, r := range rules {
 		if !r.matchesPhase(phase) {
@@ -293,7 +222,7 @@ func (t *Transport) OpenExchange(ctx context.Context, phase string, window int) 
 				Err: fmt.Errorf("%w: fail-dial in phase %q", ErrInjected, phase)}
 		}
 	}
-	inner, err := st.OpenExchange(ctx, phase, window)
+	inner, err := t.inner.OpenExchange(ctx, phase, window)
 	if err != nil {
 		return nil, err
 	}

@@ -3,6 +3,7 @@ package faultinject
 import (
 	"context"
 	"errors"
+	"math"
 	"testing"
 	"time"
 
@@ -21,16 +22,71 @@ func envs(n int) [][]cluster.Envelope {
 	return bySender
 }
 
+// routeAll runs one whole exchange over tr the way a Sequential cluster
+// does: senders stream bySender one worker at a time in worker order under
+// an unbounded window, then every receiver drains into owned copies.
+func routeAll(ctx context.Context, tr cluster.Transport, phase string, bySender [][]cluster.Envelope) ([][]cluster.Envelope, error) {
+	es, err := tr.OpenExchange(ctx, phase, math.MaxInt)
+	if err != nil {
+		return nil, err
+	}
+	defer es.Close()
+	for s, envs := range bySender {
+		snd := es.Sender(s)
+		for _, e := range envs {
+			if err := snd.Send(e); err != nil {
+				return nil, err
+			}
+		}
+		snd.Close()
+	}
+	out := make([][]cluster.Envelope, len(bySender))
+	for d := range out {
+		rcv := es.Receiver(d)
+		for {
+			e, ok, err := rcv.Recv()
+			if err != nil {
+				return nil, err
+			}
+			if !ok {
+				break
+			}
+			e.Payload = append([]byte(nil), e.Payload...)
+			out[d] = append(out[d], e)
+		}
+	}
+	return out, nil
+}
+
 // TestDeterministicSchedule replays the same seed twice over the same
-// exchange sequence and requires identical injection counts and identical
-// per-exchange outcomes.
+// exchange sequence on a Sequential cluster — producers run one worker at a
+// time, so chunk-boundary flips are consumed in a fixed order — and requires
+// identical injection counts and identical per-exchange outcomes.
 func TestDeterministicSchedule(t *testing.T) {
 	run := func(seed int64) (Stats, []bool) {
 		tr := Wrap(cluster.NewLocalTransport(3), seed,
 			Rule{From: Any, To: Any, Drop: 0.2, Corrupt: 0.2, FailDial: 0.05})
+		c := cluster.New(cluster.Config{N: 3, Transport: tr, Sequential: true})
+		defer c.Close()
+		bySender := envs(3)
 		var outcomes []bool
 		for i := 0; i < 50; i++ {
-			_, err := tr.RouteExchange(context.Background(), "phase", envs(3))
+			err := c.StreamExchange("phase",
+				func(w *cluster.Worker, s cluster.StreamSender) error {
+					for _, e := range bySender[w.ID] {
+						if err := s.Send(e); err != nil {
+							return err
+						}
+					}
+					return nil
+				},
+				func(w *cluster.Worker, r cluster.StreamReceiver) error {
+					for {
+						if _, ok, err := r.Recv(); err != nil || !ok {
+							return err
+						}
+					}
+				})
 			outcomes = append(outcomes, err == nil)
 		}
 		return tr.Stats(), outcomes
@@ -58,7 +114,7 @@ func TestDeterministicSchedule(t *testing.T) {
 // error classifying as both cluster.ErrTransport and ErrInjected.
 func TestDropIsTypedError(t *testing.T) {
 	tr := Wrap(cluster.NewLocalTransport(2), 7, Rule{From: Any, To: Any, Drop: 1})
-	_, err := tr.Route(envs(2))
+	_, err := routeAll(context.Background(), tr, "", envs(2))
 	if err == nil {
 		t.Fatal("Drop=1 should fail the exchange")
 	}
@@ -73,7 +129,7 @@ func TestDropIsTypedError(t *testing.T) {
 // TestFailDialIsTypedError verifies the exchange-level fail-dial fault.
 func TestFailDialIsTypedError(t *testing.T) {
 	tr := Wrap(cluster.NewLocalTransport(2), 7, Rule{From: Any, To: Any, FailDial: 1})
-	_, err := tr.Route(envs(2))
+	_, err := routeAll(context.Background(), tr, "", envs(2))
 	if !errors.Is(err, cluster.ErrTransport) || !errors.Is(err, ErrInjected) {
 		t.Fatalf("fail-dial error not typed: %v", err)
 	}
@@ -90,7 +146,7 @@ func TestCorruptFlipsCopyNotOriginal(t *testing.T) {
 	tr := Wrap(cluster.NewLocalTransport(2), 7, Rule{From: 0, To: 1, Corrupt: 1})
 	bySender := envs(2)
 	orig := bySender[0][1].Payload // the 0→1 leg
-	out, err := tr.Route(bySender)
+	out, err := routeAll(context.Background(), tr, "", bySender)
 	if err != nil {
 		t.Fatalf("corruption should not fail the exchange itself: %v", err)
 	}
@@ -118,10 +174,10 @@ func TestCorruptFlipsCopyNotOriginal(t *testing.T) {
 // phase substring and one leg must not fire elsewhere.
 func TestRuleScoping(t *testing.T) {
 	tr := Wrap(cluster.NewLocalTransport(2), 7, Rule{Phase: "hcube", From: 1, To: 0, Drop: 1})
-	if _, err := tr.RouteExchange(context.Background(), "join/emit", envs(2)); err != nil {
+	if _, err := routeAll(context.Background(), tr, "join/emit", envs(2)); err != nil {
 		t.Fatalf("rule fired outside its phase: %v", err)
 	}
-	if _, err := tr.RouteExchange(context.Background(), "hcube/push", envs(2)); err == nil {
+	if _, err := routeAll(context.Background(), tr, "hcube/push", envs(2)); err == nil {
 		t.Fatal("rule did not fire in its phase")
 	}
 }
@@ -134,7 +190,7 @@ func TestDelayObservesContext(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
 	defer cancel()
 	start := time.Now()
-	_, err := tr.RouteExchange(ctx, "slow", envs(2))
+	_, err := routeAll(ctx, tr, "slow", envs(2))
 	if !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("want DeadlineExceeded, got %v", err)
 	}
@@ -186,11 +242,11 @@ func TestPanicHookDeterministic(t *testing.T) {
 // restarts the budget.
 func TestTimesBoundsInjections(t *testing.T) {
 	tr := Wrap(cluster.NewLocalTransport(2), 9, Rule{From: Any, To: Any, Drop: 1, Times: 1})
-	if _, err := tr.Route(envs(2)); err == nil {
+	if _, err := routeAll(context.Background(), tr, "", envs(2)); err == nil {
 		t.Fatal("first exchange should fail")
 	}
 	for i := 0; i < 5; i++ {
-		if _, err := tr.Route(envs(2)); err != nil {
+		if _, err := routeAll(context.Background(), tr, "", envs(2)); err != nil {
 			t.Fatalf("exchange %d after Times budget spent should succeed: %v", i, err)
 		}
 	}
@@ -198,7 +254,7 @@ func TestTimesBoundsInjections(t *testing.T) {
 		t.Fatalf("drops = %d, want exactly 1", tr.Stats().Drops)
 	}
 	tr.SetRules(Rule{From: Any, To: Any, Drop: 1, Times: 1})
-	if _, err := tr.Route(envs(2)); err == nil {
+	if _, err := routeAll(context.Background(), tr, "", envs(2)); err == nil {
 		t.Fatal("SetRules should restart the Times budget")
 	}
 }
@@ -209,7 +265,7 @@ func TestTimesBoundsInjections(t *testing.T) {
 // streamRoundTrip opens a streaming exchange over tr, streams `chunks`
 // chunks from worker 0 to worker 1, closes the sender halves, and drains
 // receiver 1. It returns the drained payload copies or the first error.
-func streamRoundTrip(ctx context.Context, tr cluster.StreamTransport, chunks int) ([][]byte, error) {
+func streamRoundTrip(ctx context.Context, tr cluster.Transport, chunks int) ([][]byte, error) {
 	es, err := tr.OpenExchange(ctx, "stream", 8)
 	if err != nil {
 		return nil, err

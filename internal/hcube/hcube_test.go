@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
-	"sort"
 	"testing"
 	"testing/quick"
 
@@ -221,12 +220,8 @@ func TestShuffleJoinEqualsSequential(t *testing.T) {
 				}
 				var total int64
 				for _, w := range c.Workers {
-					for cube := range mergeCubeKeys(w) {
-						tries, err := cubeTries(w, cube, info, order)
-						if err != nil {
-							t.Logf("cubeTries: %v", err)
-							return false
-						}
+					for _, cube := range w.Blocks.Cubes() {
+						tries := cubeTries(w, cube, info, order)
 						st, err := leapfrog.Join(tries, order, leapfrog.Options{})
 						if err != nil {
 							t.Logf("join: %v", err)
@@ -249,45 +244,31 @@ func TestShuffleJoinEqualsSequential(t *testing.T) {
 	}
 }
 
-// mergeCubeKeys returns the union of cube ids present on a worker —
-// block-cache bindings plus the legacy per-cube maps.
-func mergeCubeKeys(w *cluster.Worker) map[int]bool {
-	out := make(map[int]bool)
-	for _, c := range w.Blocks.Cubes() {
-		out[c] = true
-	}
-	for c := range w.Cubes {
-		out[c] = true
+// cubeTries assembles tries for one cube from the worker's block-trie
+// cache. Relations with no local tuples for the cube are empty.
+func cubeTries(w *cluster.Worker, cube int, info []RelInfo, order []string) []*trie.Trie {
+	p := Plan{TrieOrder: order}
+	var out []*trie.Trie
+	for _, ri := range info {
+		tr, ok := w.Blocks.CubeTrie(cube, ri.Name)
+		if !ok || tr == nil {
+			tr = trie.Build(relation.New(ri.Name, ri.Attrs...), p.trieAttrs(ri))
+		}
+		out = append(out, tr)
 	}
 	return out
 }
 
-// cubeTries assembles tries for one cube: the block-trie cache first (the
-// runtime path), then the legacy per-cube stores. Relations with no local
-// tuples for the cube are empty.
-func cubeTries(w *cluster.Worker, cube int, info []RelInfo, order []string) ([]*trie.Trie, error) {
-	pos := make(map[string]int, len(order))
-	for i, a := range order {
-		pos[a] = i
+// Every kind deposits into the block-trie cache, so a plan without a
+// TrieOrder is rejected up front rather than shuffled into nothing.
+func TestRunRequiresTrieOrder(t *testing.T) {
+	c := cluster.New(cluster.Config{N: 2})
+	defer c.Close()
+	for _, kind := range []Kind{Push, Pull, Merge} {
+		if err := Run(c, "shuffle", Plan{Kind: kind}); err == nil {
+			t.Fatalf("kind=%v: Run accepted a plan without TrieOrder", kind)
+		}
 	}
-	var out []*trie.Trie
-	for _, ri := range info {
-		if tr, ok := w.Blocks.CubeTrie(cube, ri.Name); ok && tr != nil {
-			out = append(out, tr)
-			continue
-		}
-		var frag *relation.Relation
-		if db, ok := w.Cubes[cube]; ok {
-			frag = db[ri.Name]
-		}
-		if frag == nil {
-			frag = relation.New(ri.Name, ri.Attrs...)
-		}
-		attrs := append([]string(nil), ri.Attrs...)
-		sort.Slice(attrs, func(x, y int) bool { return pos[attrs[x]] < pos[attrs[y]] })
-		out = append(out, trie.Build(frag, attrs))
-	}
-	return out, nil
 }
 
 // Push, Pull and Merge must deliver identical cube contents.
@@ -312,8 +293,8 @@ func TestShuffleKindsAgree(t *testing.T) {
 		}
 		snap := make(map[string]string)
 		for _, w := range c.Workers {
-			for cube := range mergeCubeKeys(w) {
-				tries, _ := cubeTries(w, cube, info, order)
+			for _, cube := range w.Blocks.Cubes() {
+				tries := cubeTries(w, cube, info, order)
 				for i, tr := range tries {
 					key := info[i].Name + "/" + string(rune('0'+cube))
 					snap[key] = tr.ToRelation("x").SortDedup().String()
@@ -404,8 +385,8 @@ func TestShuffleColumnarFragmentsMatchRowMajor(t *testing.T) {
 						bytes += p.BytesSent
 					}
 					for _, w := range c.Workers {
-						for cube := range mergeCubeKeys(w) {
-							tries, _ := cubeTries(w, cube, info, order)
+						for _, cube := range w.Blocks.Cubes() {
+							tries := cubeTries(w, cube, info, order)
 							for i, tr := range tries {
 								key := fmt.Sprintf("%s/%d", info[i].Name, cube)
 								out[key] = tr.ToRelation("x").SortDedup().String()

@@ -52,10 +52,8 @@ type Plan struct {
 	// Kind selects push/pull/merge.
 	Kind Kind
 	// TrieOrder gives the global attribute order block tries are built in
-	// (each relation uses its attrs sorted by this order). Merge requires
-	// it; Push/Pull use it to route received blocks into the worker's
-	// block-trie cache — without it they fall back to materializing raw
-	// per-cube databases (the legacy path).
+	// (each relation uses its attrs sorted by this order). Required: every
+	// kind deposits received blocks into the worker's block-trie cache.
 	TrieOrder []string
 	// Reuse, when non-nil, connects the shuffle to a session-resident
 	// block-trie store: relations whose content signature is listed and
@@ -63,7 +61,7 @@ type Plan struct {
 	// all — every worker adopts the published tries straight into its
 	// registry (a "warm" relation). Relations without a surviving set run
 	// the normal exchange and have their built tries published afterwards
-	// via Publish. Requires a TrieOrder; ignored otherwise.
+	// via Publish.
 	Reuse *Reuse
 }
 
@@ -105,7 +103,7 @@ func (p Plan) layoutSig(ri RelInfo) uint64 {
 // for relations the session store can serve without a shuffle. Relations
 // missing a manifest (or any evicted block) are omitted and run cold.
 func (p Plan) warmRels() map[string]map[int]*trie.Trie {
-	if p.Reuse == nil || p.Reuse.Store == nil || len(p.TrieOrder) == 0 {
+	if p.Reuse == nil || p.Reuse.Store == nil {
 		return nil
 	}
 	var warm map[string]map[int]*trie.Trie
@@ -178,7 +176,7 @@ func adoptWarm(w *cluster.Worker, p Plan, warm map[string]map[int]*trie.Trie) {
 // are idempotent across workers (replicated blocks are built to identical
 // tries on every receiving server).
 func Publish(c *cluster.Cluster, p Plan) {
-	if p.Reuse == nil || p.Reuse.Store == nil || len(p.TrieOrder) == 0 {
+	if p.Reuse == nil || p.Reuse.Store == nil {
 		return
 	}
 	type relState struct {
@@ -235,10 +233,12 @@ func Publish(c *cluster.Cluster, p Plan) {
 
 // Run executes the shuffle on the cluster: afterwards every worker's
 // block-trie registry (Worker.Blocks) holds the deposited blocks of its
-// assigned cubes, ready for lazy per-cube trie assembly; the legacy
-// Push/Pull path without a TrieOrder materializes raw cube databases
-// instead. Phase metrics accrue under the given phase name.
+// assigned cubes, ready for lazy per-cube trie assembly. Phase metrics
+// accrue under the given phase name.
 func Run(c *cluster.Cluster, phase string, p Plan) error {
+	if len(p.TrieOrder) == 0 {
+		return fmt.Errorf("hcube %s: TrieOrder required", p.Kind)
+	}
 	for _, w := range c.Workers {
 		w.ResetCubes()
 	}
@@ -259,12 +259,8 @@ func Run(c *cluster.Cluster, phase string, p Plan) error {
 	}
 }
 
-// trieAttrs returns ri's attributes sorted by TrieOrder position, or nil
-// when the plan carries no order (legacy raw-tuple path).
+// trieAttrs returns ri's attributes sorted by TrieOrder position.
 func (p Plan) trieAttrs(ri RelInfo) []string {
-	if len(p.TrieOrder) == 0 {
-		return nil
-	}
 	pos := make(map[string]int, len(p.TrieOrder))
 	for i, a := range p.TrieOrder {
 		pos[a] = i
@@ -274,12 +270,8 @@ func (p Plan) trieAttrs(ri RelInfo) []string {
 	return attrs
 }
 
-// attrsByRel precomputes trieAttrs for every plan relation (nil map when
-// the plan carries no TrieOrder).
+// attrsByRel precomputes trieAttrs for every plan relation.
 func (p Plan) attrsByRel() map[string][]string {
-	if len(p.TrieOrder) == 0 {
-		return nil
-	}
 	out := make(map[string][]string, len(p.Rels))
 	for _, ri := range p.Rels {
 		out[ri.Name] = p.trieAttrs(ri)
@@ -393,7 +385,6 @@ func runPull(c *cluster.Cluster, phase string, p Plan, warm map[string]map[int]*
 		},
 		func(w *cluster.Worker, r cluster.StreamReceiver) error {
 			adoptWarm(w, p, warm)
-			var scratch relation.Relation // decode scratch for the legacy path
 			attrsOf := p.attrsByRel()
 			for {
 				e, ok, err := r.Recv()
@@ -411,41 +402,21 @@ func runPull(c *cluster.Cluster, phase string, p Plan, warm map[string]map[int]*
 				if !ok {
 					return fmt.Errorf("hcube pull: unknown relation %q", name)
 				}
-				relPos := p.Shares.RelPositions(ri.Attrs)
-				if attrs := attrsOf[name]; attrs != nil {
-					// Deposit the sender's chunk as one tuple part; bind every
-					// local cube matching the signature (rebinds are no-ops).
-					// The part relation is freshly decoded (not scratch)
-					// because the registry retains it until the block trie is
-					// built — received payloads are only valid until the next
-					// Recv.
-					key := blockcache.Key{Rel: name, Sig: sig}
-					part := new(relation.Relation)
-					if err := relation.DecodeInto(e.Payload, part); err != nil {
-						return cluster.CorruptPayload("hcube pull block", err)
-					}
-					w.Blocks.DepositTuples(key, attrs, part)
-					for _, cube := range p.Shares.BlockCubes(relPos, sig) {
-						if ServerOfCube(cube, w.N) == w.ID {
-							w.Blocks.BindCube(cube, name, key)
-						}
-					}
-					continue
+				// Deposit the sender's chunk as one tuple part; bind every
+				// local cube matching the signature (rebinds are no-ops). The
+				// part relation is freshly decoded because the registry
+				// retains it until the block trie is built — received
+				// payloads are only valid until the next Recv.
+				key := blockcache.Key{Rel: name, Sig: sig}
+				part := new(relation.Relation)
+				if err := relation.DecodeInto(e.Payload, part); err != nil {
+					return cluster.CorruptPayload("hcube pull block", err)
 				}
-				if err := relation.DecodeInto(e.Payload, &scratch); err != nil {
-					return cluster.CorruptPayload("hcube pull tuples", err)
-				}
-				for _, cube := range p.Shares.BlockCubes(relPos, sig) {
-					if ServerOfCube(cube, w.N) != w.ID {
-						continue
+				w.Blocks.DepositTuples(key, attrsOf[name], part)
+				for _, cube := range p.Shares.BlockCubes(p.Shares.RelPositions(ri.Attrs), sig) {
+					if ServerOfCube(cube, w.N) == w.ID {
+						w.Blocks.BindCube(cube, name, key)
 					}
-					db := w.CubeDB(cube)
-					tgt, ok := db[name]
-					if !ok {
-						tgt = relation.New(name, ri.Attrs...)
-						db[name] = tgt
-					}
-					tgt.AppendAll(&scratch)
 				}
 			}
 		})
@@ -457,9 +428,6 @@ func runPull(c *cluster.Cluster, phase string, p Plan, warm map[string]map[int]*
 // cubes is decoded and (when it is a relation's only block on the cube)
 // merged exactly once.
 func runMerge(c *cluster.Cluster, phase string, p Plan, warm map[string]map[int]*trie.Trie) error {
-	if len(p.TrieOrder) == 0 {
-		return fmt.Errorf("hcube merge: TrieOrder required")
-	}
 	return c.StreamExchange(phase,
 		func(w *cluster.Worker, s cluster.StreamSender) error {
 			for _, ri := range p.Rels {
@@ -533,19 +501,16 @@ func runMerge(c *cluster.Cluster, phase string, p Plan, warm map[string]map[int]
 // --- helpers ---
 
 // consumeTupleBlocks drains Push envelopes ("rel@sig#cube") from the
-// stream. With a TrieOrder, each sender's chunk is decoded and deposited
-// once — replicated cube copies carry the same chunk ordinal, so the dedup
-// key is (sender, block, chunk) — and every replicated cube binds the
-// shared block key; without one it falls back to appending raw tuples into
-// per-cube databases.
+// stream. Each sender's chunk is decoded and deposited once — replicated
+// cube copies carry the same chunk ordinal, so the dedup key is (sender,
+// block, chunk) — and every replicated cube binds the shared block key.
 func consumeTupleBlocks(w *cluster.Worker, r cluster.StreamReceiver, p Plan) error {
-	var scratch relation.Relation // decode scratch for the legacy path
 	type seenKey struct {
 		from  int
 		chunk int32
 		key   blockcache.Key
 	}
-	var seen map[seenKey]bool
+	seen := make(map[seenKey]bool)
 	attrsOf := p.attrsByRel()
 	for {
 		e, ok, err := r.Recv()
@@ -563,37 +528,21 @@ func consumeTupleBlocks(w *cluster.Worker, r cluster.StreamReceiver, p Plan) err
 		if err != nil {
 			return err
 		}
-		ri, ok := relByName(p.Rels, name)
+		attrs, ok := attrsOf[name]
 		if !ok {
 			return fmt.Errorf("hcube push: unknown relation %q", name)
 		}
-		if attrs := attrsOf[name]; attrs != nil {
-			key := blockcache.Key{Rel: name, Sig: sig}
-			sk := seenKey{e.From, e.Chunk, key}
-			if seen == nil {
-				seen = make(map[seenKey]bool)
+		key := blockcache.Key{Rel: name, Sig: sig}
+		sk := seenKey{e.From, e.Chunk, key}
+		if !seen[sk] {
+			seen[sk] = true
+			part := new(relation.Relation)
+			if err := relation.DecodeInto(e.Payload, part); err != nil {
+				return cluster.CorruptPayload("hcube push block", err)
 			}
-			if !seen[sk] {
-				seen[sk] = true
-				part := new(relation.Relation)
-				if err := relation.DecodeInto(e.Payload, part); err != nil {
-					return cluster.CorruptPayload("hcube push block", err)
-				}
-				w.Blocks.DepositTuples(key, attrs, part)
-			}
-			w.Blocks.BindCube(cube, name, key)
-			continue
+			w.Blocks.DepositTuples(key, attrs, part)
 		}
-		if err := relation.DecodeInto(e.Payload, &scratch); err != nil {
-			return cluster.CorruptPayload("hcube push tuples", err)
-		}
-		db := w.CubeDB(cube)
-		tgt, ok := db[name]
-		if !ok {
-			tgt = relation.New(name, ri.Attrs...)
-			db[name] = tgt
-		}
-		tgt.AppendAll(&scratch)
+		w.Blocks.BindCube(cube, name, key)
 	}
 }
 

@@ -66,8 +66,7 @@ func NewCachedJoin(tries []*trie.Trie, order []string, cacheBudget int) *CachedJ
 // Run executes the cached join; semantics match Join. Leaf results reach
 // the sink as runs: materialized (or cached) leaf value lists are handed
 // over whole, and the budget-saturated miss path streams through the
-// extender's drain — either way no per-tuple callback runs outside the
-// legacy Emit shim.
+// extender's drain — either way no per-tuple callback runs.
 func (c *CachedJoin) Run(opt Options) (Stats, error) {
 	ext, err := NewExtender(c.tries, c.order)
 	if err != nil {
@@ -75,8 +74,7 @@ func (c *CachedJoin) Run(opt Options) (Stats, error) {
 	}
 	n := len(c.order)
 	st := Stats{LevelTuples: make([]int64, n), LevelSeeks: make([]int64, n)}
-	var fsink funcSink
-	sink := sinkOf(opt, &fsink)
+	sink := opt.Sink
 	caches := make([]map[string][]Value, n)
 	cacheSize := make([]int, n)
 	for d := range caches {

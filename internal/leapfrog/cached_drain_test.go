@@ -21,7 +21,7 @@ func TestCachedLeafDrainEquivalence(t *testing.T) {
 
 		collect := func(run func(Options) (Stats, error)) (int64, string) {
 			out := relation.New("out", order...)
-			st, err := run(Options{Emit: func(tp relation.Tuple) { out.AppendTuple(tp) }})
+			st, err := run(Options{Sink: relation.NewColumnWriter(out)})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -38,6 +38,14 @@ func TestCachedLeafDrainEquivalence(t *testing.T) {
 			}
 		}
 	}
+}
+
+// drainLeafVals runs DrainLeaf at depth 1 of a two-attribute order through
+// a column writer and returns the drained leaf values with the count.
+func drainLeafVals(ext *Extender, binding []Value, limit int64) ([]Value, int64) {
+	out := relation.New("out", "x", "y")
+	cnt, _ := ext.DrainLeaf(binding, 1, limit, relation.NewColumnWriter(out))
+	return out.Columns()[1], cnt
 }
 
 // DrainLeaf must intersect correctly for rings of 1, 2 and 3+ lists: run
@@ -68,8 +76,7 @@ func TestDrainLeafMatchesExtend(t *testing.T) {
 		for _, x := range firsts {
 			binding[0] = x
 			want, _ := ext.Extend(binding, 1)
-			var got []Value
-			cnt, _ := ext.DrainLeaf(binding, 1, -1, SinkFunc(func(t relation.Tuple) { got = append(got, t[1]) }))
+			got, cnt := drainLeafVals(ext, binding, -1)
 			if int(cnt) != len(want) {
 				t.Fatalf("iter=%d k=%d x=%d: drained %d values, Extend found %d", iter, k, x, cnt, len(want))
 			}
@@ -81,8 +88,7 @@ func TestDrainLeafMatchesExtend(t *testing.T) {
 			// Limited drain returns a prefix.
 			if len(want) > 1 {
 				lim := int64(len(want) / 2)
-				var pre []Value
-				cnt, _ := ext.DrainLeaf(binding, 1, lim, SinkFunc(func(t relation.Tuple) { pre = append(pre, t[1]) }))
+				pre, cnt := drainLeafVals(ext, binding, lim)
 				if cnt != lim {
 					t.Fatalf("limited drain returned %d, want %d", cnt, lim)
 				}

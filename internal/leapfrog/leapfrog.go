@@ -75,14 +75,9 @@ func (s Stats) TotalWithResults() int64 {
 
 // Options configures a run.
 type Options struct {
-	// Sink, when non-nil, receives results as batched runs (see Sink) —
-	// the columnar fast path. It takes precedence over Emit.
+	// Sink, when non-nil, receives results as batched runs (see Sink);
+	// nil means counting only.
 	Sink Sink
-	// Emit, when non-nil, receives every result tuple (values in the global
-	// attribute order). The tuple aliases an internal buffer; copy to
-	// retain. Legacy per-tuple form: it is served through a Sink shim, so
-	// per-value delivery survives only inside the adapter.
-	Emit func(relation.Tuple)
 	// Budget caps total extension work (sum of level tuples); 0 = unlimited.
 	Budget int64
 	// FirstFixed, when non-nil, restricts the first attribute to one value —
@@ -155,8 +150,6 @@ type joiner struct {
 	// runBuf stages non-contiguous leaf matches (rings of 2+) into one
 	// slice per drain so they reach the sink as a single run.
 	runBuf []Value
-	// fsink is the pooled per-tuple Emit adapter.
-	fsink funcSink
 }
 
 var joinerPool = sync.Pool{New: func() interface{} { return &joiner{} }}
@@ -249,8 +242,7 @@ func growValues(s []Value, n int) []Value {
 // run executes the join iteratively.
 func (j *joiner) run(opt Options) (Stats, error) {
 	st := Stats{LevelTuples: make([]int64, j.n), LevelSeeks: make([]int64, j.n)}
-	sink := sinkOf(opt, &j.fsink)
-	defer func() { j.fsink.emit = nil }()
+	sink := opt.Sink
 	lf := j.frames
 	var work int64
 	d := 0

@@ -18,10 +18,8 @@ func TestTriangleSmall(t *testing.T) {
 	r3 := relation.FromTuples("R3", []string{"a", "c"}, e)
 	rels := []*relation.Relation{r1, r2, r3}
 	order := []string{"a", "b", "c"}
-	var got [][]Value
-	st, err := JoinRelations(rels, order, Options{Emit: func(tp relation.Tuple) {
-		got = append(got, append([]Value(nil), tp...))
-	}})
+	gotRel := relation.New("g", order...)
+	st, err := JoinRelations(rels, order, Options{Sink: relation.NewColumnWriter(gotRel)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -32,8 +30,7 @@ func TestTriangleSmall(t *testing.T) {
 	if want.Len() == 0 {
 		t.Fatal("instance should have triangles")
 	}
-	gotRel := relation.FromTuples("g", order, got).SortDedup()
-	if !gotRel.Equal(want.Renamed("g")) {
+	if !gotRel.SortDedup().Equal(want.Renamed("g")) {
 		t.Fatalf("tuples mismatch:\n%v\nvs\n%v", gotRel, want)
 	}
 }
@@ -92,9 +89,7 @@ func TestEmitTuplesMatchNaive(t *testing.T) {
 	q, rels := testutil.RandQueryInstance(rng, 3, 3, 30, 5)
 	order := q.Attrs()
 	out := relation.New("out", order...)
-	_, err := JoinRelations(rels, order, Options{Emit: func(tp relation.Tuple) {
-		out.AppendTuple(tp)
-	}})
+	_, err := JoinRelations(rels, order, Options{Sink: relation.NewColumnWriter(out)})
 	if err != nil {
 		t.Fatal(err)
 	}

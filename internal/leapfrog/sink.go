@@ -1,7 +1,5 @@
 package leapfrog
 
-import "adj/internal/relation"
-
 // Sink receives join results in batched, columnar-friendly form. Results
 // of a worst-case-optimal join arrive as runs: every tuple of a run shares
 // the binding of all attributes except the deepest, which the leaf-level
@@ -12,7 +10,7 @@ import "adj/internal/relation"
 // the intersection kernel and the output columns.
 //
 // relation.ColumnWriter satisfies Sink directly and is the production
-// implementation; SinkFunc adapts the legacy per-tuple emit form.
+// implementation.
 type Sink interface {
 	// BeginRun announces the binding prefix (values of order[0:d], where d
 	// is the leaf depth) shared by subsequent AppendRun calls. The slice
@@ -22,50 +20,6 @@ type Sink interface {
 	// one result tuple per value. The slice may alias trie storage or
 	// joiner scratch; copy to retain past the call.
 	AppendRun(vals []Value)
-}
-
-// funcSink adapts a per-tuple emit callback to the Sink interface — the
-// compatibility shim behind Options.Emit. It reassembles each run into
-// full tuples in a reused buffer, preserving the legacy convention that
-// the emitted tuple aliases an internal buffer.
-type funcSink struct {
-	emit func(relation.Tuple)
-	buf  []Value
-}
-
-func (s *funcSink) BeginRun(prefix []Value) {
-	s.buf = append(s.buf[:0], prefix...)
-	s.buf = append(s.buf, 0)
-}
-
-func (s *funcSink) AppendRun(vals []Value) {
-	d := len(s.buf) - 1
-	for _, v := range vals {
-		s.buf[d] = v
-		s.emit(s.buf)
-	}
-}
-
-// SinkFunc wraps a legacy per-tuple emit callback as a Sink. Engines and
-// tests that still consume one tuple at a time use it to ride the batched
-// pipeline unchanged.
-func SinkFunc(emit func(relation.Tuple)) Sink {
-	return &funcSink{emit: emit}
-}
-
-// sinkOf resolves the effective sink of an Options value: an explicit
-// Sink wins; otherwise a legacy Emit callback is wrapped in the given
-// scratch shim (pooled by the joiner so steady-state runs allocate
-// nothing); nil means counting only.
-func sinkOf(opt Options, scratch *funcSink) Sink {
-	if opt.Sink != nil {
-		return opt.Sink
-	}
-	if opt.Emit != nil {
-		scratch.emit = opt.Emit
-		return scratch
-	}
-	return nil
 }
 
 // deliver hands one run to the sink and maintains the emitted-run

@@ -31,9 +31,8 @@ import (
 //	uvarint tuple count n
 //	per column: one deltaenc run of n values (fixed-width or exception form)
 //
-// The legacy fixed-width row-major format (EncodeRaw/DecodeRaw) is kept as
-// the pre-batching benchmark baseline. Package trie applies the same
-// delta-run scheme to its flat level arrays (trie/codec.go).
+// Package trie applies the same delta-run scheme to its flat level arrays
+// (trie/codec.go).
 
 // codecMagic tags the batched delta format.
 const codecMagic = 0xAD
@@ -279,99 +278,4 @@ func DecodeAppend(buf []byte, dst, scratch *Relation) error {
 	}
 	dst.AppendAll(scratch)
 	return nil
-}
-
-// EncodeRaw serializes r in the legacy fixed-width layout (u32 lengths,
-// u64 row-major values). Kept as the pre-batching baseline for the codec
-// benchmarks; the engines ship the delta-varint format.
-func EncodeRaw(r *Relation) []byte {
-	size := 4 + len(r.Name) + 4 + 8 + 8*len(r.data)
-	for _, a := range r.Attrs {
-		size += 4 + len(a)
-	}
-	buf := make([]byte, 0, size)
-	var b4 [4]byte
-	var b8 [8]byte
-	put32 := func(v uint32) {
-		binary.LittleEndian.PutUint32(b4[:], v)
-		buf = append(buf, b4[:]...)
-	}
-	put64 := func(v uint64) {
-		binary.LittleEndian.PutUint64(b8[:], v)
-		buf = append(buf, b8[:]...)
-	}
-	put32(uint32(len(r.Name)))
-	buf = append(buf, r.Name...)
-	put32(uint32(len(r.Attrs)))
-	for _, a := range r.Attrs {
-		put32(uint32(len(a)))
-		buf = append(buf, a...)
-	}
-	put64(uint64(r.Len()))
-	for _, v := range r.data {
-		put64(uint64(v))
-	}
-	return buf
-}
-
-// DecodeRaw deserializes a relation encoded by EncodeRaw.
-func DecodeRaw(buf []byte) (*Relation, error) {
-	off := 0
-	get32 := func() (uint32, error) {
-		if off+4 > len(buf) {
-			return 0, fmt.Errorf("relation decode: truncated at %d", off)
-		}
-		v := binary.LittleEndian.Uint32(buf[off:])
-		off += 4
-		return v, nil
-	}
-	getStr := func() (string, error) {
-		n, err := get32()
-		if err != nil {
-			return "", err
-		}
-		if off+int(n) > len(buf) {
-			return "", fmt.Errorf("relation decode: truncated string at %d", off)
-		}
-		s := string(buf[off : off+int(n)])
-		off += int(n)
-		return s, nil
-	}
-	name, err := getStr()
-	if err != nil {
-		return nil, err
-	}
-	arity, err := get32()
-	if err != nil {
-		return nil, err
-	}
-	if arity > 64 {
-		return nil, fmt.Errorf("relation decode: implausible arity %d", arity)
-	}
-	attrs := make([]string, arity)
-	for i := range attrs {
-		attrs[i], err = getStr()
-		if err != nil {
-			return nil, err
-		}
-	}
-	if off+8 > len(buf) {
-		return nil, fmt.Errorf("relation decode: truncated count at %d", off)
-	}
-	count := binary.LittleEndian.Uint64(buf[off:])
-	off += 8
-	total := int(count) * int(arity)
-	if off+8*total > len(buf) {
-		return nil, fmt.Errorf("relation decode: truncated data: need %d values", total)
-	}
-	data := make([]Value, total)
-	for i := range data {
-		data[i] = Value(binary.LittleEndian.Uint64(buf[off:]))
-		off += 8
-	}
-	if off != len(buf) {
-		return nil, fmt.Errorf("relation decode: %d trailing bytes", len(buf)-off)
-	}
-	r := &Relation{Name: name, Attrs: attrs, data: data}
-	return r, nil
 }

@@ -114,20 +114,9 @@ func TestSortedRunsEncodeSmallerThanRaw(t *testing.T) {
 	}
 	r.Sort()
 	delta := len(Encode(r))
-	raw := len(EncodeRaw(r))
+	raw := 8 * r.Arity() * r.Len() // fixed-width u64 values
 	if delta*2 > raw {
-		t.Fatalf("delta-varint %dB should be well under half of raw %dB on sorted runs", delta, raw)
-	}
-}
-
-func TestRawCodecRoundtrip(t *testing.T) {
-	r := FromTuples("R", []string{"a", "b"}, [][]Value{{1, -2}, {3, 4}})
-	back, err := DecodeRaw(EncodeRaw(r))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !back.Equal(r) {
-		t.Fatal("raw roundtrip mismatch")
+		t.Fatalf("delta-varint %dB should be well under half of fixed-width %dB on sorted runs", delta, raw)
 	}
 }
 
@@ -150,15 +139,6 @@ func BenchmarkEncode(b *testing.B) {
 	}
 }
 
-func BenchmarkEncodeRaw(b *testing.B) {
-	r := benchRelation(20000)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		EncodeRaw(r)
-	}
-}
-
 func BenchmarkDecode(b *testing.B) {
 	r := benchRelation(20000)
 	buf := Encode(r)
@@ -167,18 +147,6 @@ func BenchmarkDecode(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if err := DecodeInto(buf, &scratch); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkDecodeRaw(b *testing.B) {
-	r := benchRelation(20000)
-	buf := EncodeRaw(r)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := DecodeRaw(buf); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -46,9 +46,8 @@ func DistributedEstimate(c *cluster.Cluster, relAttrs map[string][]string, order
 		return Estimate{}, fmt.Errorf("sampling: no relation contains first attribute %q", attr)
 	}
 	partials := make([][]relation.Value, c.N)
-	err := c.Exchange("sample/vala",
-		func(w *cluster.Worker) ([]cluster.Envelope, error) {
-			var out []cluster.Envelope
+	err := c.StreamExchange("sample/vala",
+		func(w *cluster.Worker, s cluster.StreamSender) error {
 			for _, name := range withA {
 				frag, ok := w.Rels[name]
 				if !ok {
@@ -60,21 +59,31 @@ func DistributedEstimate(c *cluster.Cluster, relAttrs map[string][]string, order
 					if p.Len() == 0 {
 						continue
 					}
-					out = append(out, cluster.Envelope{
+					err := s.Send(cluster.Envelope{
 						To:      to,
 						Key:     "proj/" + name,
 						Payload: w.EncodeRelation(p),
 						Tuples:  int64(p.Len()),
 					})
+					if err != nil {
+						return err
+					}
 				}
 			}
-			return out, nil
+			return nil
 		},
-		func(w *cluster.Worker, inbox []cluster.Envelope) error {
+		func(w *cluster.Worker, rcv cluster.StreamReceiver) error {
 			// Per relation, union the received values; then intersect across
 			// relations.
 			perRel := make(map[string]map[relation.Value]bool, len(withA))
-			for _, e := range inbox {
+			for {
+				e, ok, err := rcv.Recv()
+				if err != nil {
+					return err
+				}
+				if !ok {
+					break
+				}
 				r, err := relation.Decode(e.Payload)
 				if err != nil {
 					return err
@@ -141,9 +150,8 @@ func DistributedEstimate(c *cluster.Cluster, relAttrs map[string][]string, order
 	// Steps 3+4: semijoin-reduce A-relations against S' and broadcast the
 	// reduced database; every worker receives all fragments.
 	reduced := make([]map[string]*relation.Relation, c.N)
-	err = c.Exchange("sample/reduce",
-		func(w *cluster.Worker) ([]cluster.Envelope, error) {
-			var out []cluster.Envelope
+	err = c.StreamExchange("sample/reduce",
+		func(w *cluster.Worker, s cluster.StreamSender) error {
 			for name, attrs := range relAttrs {
 				frag, ok := w.Rels[name]
 				if !ok {
@@ -158,19 +166,29 @@ func DistributedEstimate(c *cluster.Cluster, relAttrs map[string][]string, order
 				}
 				payload := w.EncodeRelation(send)
 				for to := 0; to < w.N; to++ {
-					out = append(out, cluster.Envelope{
+					err := s.Send(cluster.Envelope{
 						To:      to,
 						Key:     "red/" + name,
 						Payload: payload,
 						Tuples:  int64(send.Len()),
 					})
+					if err != nil {
+						return err
+					}
 				}
 			}
-			return out, nil
+			return nil
 		},
-		func(w *cluster.Worker, inbox []cluster.Envelope) error {
+		func(w *cluster.Worker, rcv cluster.StreamReceiver) error {
 			db := make(map[string]*relation.Relation)
-			for _, e := range inbox {
+			for {
+				e, ok, err := rcv.Recv()
+				if err != nil {
+					return err
+				}
+				if !ok {
+					break
+				}
 				r, err := relation.Decode(e.Payload)
 				if err != nil {
 					return err
