@@ -1,8 +1,8 @@
 // Command bench snapshots the performance of the execution hot path so PRs
 // have a trajectory to compare against. It runs the tier-2 micro-benchmarks
-// (trie build — row-major and columnar, k-way trie merge, single-cube
-// Leapfrog, result listing through the batched columnar sink, shuffle
-// encode/decode on both layouts, hash partitioning) plus the triangle
+// (trie build, k-way trie merge, single-cube Leapfrog, result listing
+// through the batched columnar sink, shuffle encode/decode, hash
+// partitioning — one bench per kernel) plus the triangle
 // query end-to-end on every engine over a generated power-law graph at
 // CubesPerServer=4 (a shared-block workload),
 // verifies the engines agree on the result count, that the block-trie
@@ -36,10 +36,12 @@
 // *adj.OverloadError rejections (positive retry hints) while every
 // interactive request completes within a fairness bound; two sessions
 // opened through one Server must warm each other (the second session's
-// first execution builds zero tries); and on multi-core hosts N warmed
-// executions run concurrently over the cluster pool must beat the same N
-// serialized by >= 2x. The counters land in the snapshot's "serving"
-// section.
+// first execution builds zero tries). N warmed executions run serialized
+// and then concurrently over the cluster pool are timed and recorded as
+// concurrent_speedup but not asserted: one exec already runs its workers
+// on goroutines, so the ratio depends on the host's core count (scaling
+// efficiency is measured by benchmark/'s single-client pass). The counters
+// land in the snapshot's "serving" section.
 //
 // When a reference snapshot exists (-ref, default BENCH_8.json), the
 // output embeds a before/after comparison for every shared benchmark key
@@ -53,7 +55,6 @@ package main
 
 import (
 	"bytes"
-	"container/heap"
 	"context"
 	"encoding/json"
 	"errors"
@@ -244,7 +245,7 @@ type ServingBench struct {
 	CrossSessionCacheHits  int64 `json:"cross_session_warm_trie_cache_hits"`
 	// Throughput: the same warmed executions run back-to-back vs
 	// concurrently over the pool. Speedup = serialized / concurrent wall
-	// time; enforced >= 2x only on multi-core hosts.
+	// time; recorded, not asserted.
 	Concurrency       int     `json:"concurrency"`
 	SingleExecSeconds float64 `json:"single_exec_seconds"`
 	SerializedSeconds float64 `json:"serialized_seconds"`
@@ -262,149 +263,6 @@ func metricOf(r testing.BenchmarkResult) Metric {
 
 func bench(fn func(b *testing.B)) Metric {
 	return metricOf(testing.Benchmark(fn))
-}
-
-// buildReference is the pre-Builder trie pipeline (materialize the permuted
-// relation, sort+dedup, FromSorted), reconstructed from public API as the
-// comparison baseline.
-func buildReference(r *relation.Relation, attrs []string) *trie.Trie {
-	cols := make([]int, len(attrs))
-	for i, a := range attrs {
-		cols[i] = r.AttrIndex(a)
-	}
-	perm := relation.NewWithCapacity(r.Name, r.Len(), attrs...)
-	row := make([]relation.Value, len(attrs))
-	for i, n := 0, r.Len(); i < n; i++ {
-		t := r.Tuple(i)
-		for j, c := range cols {
-			row[j] = t[c]
-		}
-		perm.AppendTuple(row)
-	}
-	perm.SortDedup()
-	return trie.FromSorted(perm)
-}
-
-// --- Reference Leapfrog: the seed implementation, reconstructed as the
-// comparison baseline. One iterator allocation per trie per run, a
-// sort.Slice per level open, and every key read through the iterator. ---
-
-type refFrame struct {
-	iters []*trie.Iterator
-	p     int
-	key   relation.Value
-	atEnd bool
-	open_ bool
-}
-
-func (f *refFrame) open() bool {
-	for _, it := range f.iters {
-		it.Open()
-	}
-	f.open_ = true
-	f.atEnd = false
-	for _, it := range f.iters {
-		if it.AtEnd() {
-			f.atEnd = true
-			return false
-		}
-	}
-	sortIters(f.iters)
-	f.p = 0
-	f.search()
-	return !f.atEnd
-}
-
-func sortIters(iters []*trie.Iterator) {
-	sortSlice(iters, func(a, b *trie.Iterator) bool { return a.Key() < b.Key() })
-}
-
-func (f *refFrame) close() {
-	if !f.open_ {
-		return
-	}
-	for _, it := range f.iters {
-		it.Up()
-	}
-	f.open_ = false
-}
-
-func (f *refFrame) search() {
-	k := len(f.iters)
-	xPrime := f.iters[(f.p+k-1)%k].Key()
-	for {
-		x := f.iters[f.p].Key()
-		if x == xPrime {
-			f.key = x
-			return
-		}
-		f.iters[f.p].Seek(xPrime)
-		if f.iters[f.p].AtEnd() {
-			f.atEnd = true
-			return
-		}
-		xPrime = f.iters[f.p].Key()
-		f.p = (f.p + 1) % k
-	}
-}
-
-func (f *refFrame) next() {
-	f.iters[f.p].Next()
-	if f.iters[f.p].AtEnd() {
-		f.atEnd = true
-		return
-	}
-	f.p = (f.p + 1) % len(f.iters)
-	f.search()
-}
-
-func referenceJoinCount(tries []*trie.Trie, order []string) int64 {
-	pos := make(map[string]int, len(order))
-	for i, a := range order {
-		pos[a] = i
-	}
-	active := make([][]*trie.Iterator, len(order))
-	for _, t := range tries {
-		it := trie.NewIterator(t)
-		for _, a := range t.Attrs {
-			active[pos[a]] = append(active[pos[a]], it)
-		}
-	}
-	lf := make([]*refFrame, len(order))
-	for d := range lf {
-		lf[d] = &refFrame{iters: active[d]}
-	}
-	var results int64
-	d := 0
-	if !lf[0].open() {
-		return 0
-	}
-	n := len(order)
-	for d >= 0 {
-		f := lf[d]
-		if f.atEnd {
-			f.close()
-			d--
-			if d >= 0 {
-				lf[d].next()
-			}
-			continue
-		}
-		if d == n-1 {
-			results++
-			f.next()
-			continue
-		}
-		d++
-		lf[d].open()
-	}
-	return results
-}
-
-// sortSlice is sort.Slice specialized to iterator slices (keeps the
-// reference implementation's per-open allocation behavior).
-func sortSlice(s []*trie.Iterator, less func(a, b *trie.Iterator) bool) {
-	sortslice.Slice(s, func(i, j int) bool { return less(s[i], s[j]) })
 }
 
 func main() {
@@ -475,8 +333,8 @@ func main() {
 	// run in every mode too.
 	snap.Hybrid = benchHybridWorkload(*workers, *quick)
 	// Serving invariants (bulk shed under flood with typed errors while
-	// interactive completes, cross-session warm hits through a Server,
-	// concurrent throughput over the pool) run in every mode too.
+	// interactive completes, cross-session warm hits through a Server) run
+	// in every mode too.
 	snap.Serving = benchServingWorkload(q, edges, *workers, *quick)
 
 	snap.Engines = runEngines(q, rels, *workers, *cubes)
@@ -551,33 +409,19 @@ func main() {
 }
 
 func runMicroBenches(snap *Snapshot, edges *relation.Relation, rels []*relation.Relation, order []string, workers int) {
-	// --- Trie build: radix builder vs reference pipeline ---
+	// --- Trie build: the radix builder over the base edge relation as
+	// generated, and over a sorted copy (the shape shuffle blocks have) ---
 	snap.Benchmarks["trie_build"] = bench(func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			trie.Build(edges, []string{"src", "dst"})
 		}
 	})
-	snap.Benchmarks["trie_build_reference"] = bench(func(b *testing.B) {
+	sortedEdges := edges.Clone().Sort()
+	snap.Benchmarks["trie_build_sorted"] = bench(func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			buildReference(edges, []string{"src", "dst"})
-		}
-	})
-	// Columnar layout: same radix builder over a columnar-resident source
-	// (the layout every shuffled block arrives in after PR 2).
-	colEdges := edges.Clone().PivotToColumns()
-	snap.Benchmarks["trie_build_columnar"] = bench(func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			trie.Build(colEdges, []string{"src", "dst"})
-		}
-	})
-	sortedColEdges := edges.Clone().PivotToColumns().Sort()
-	snap.Benchmarks["trie_build_columnar_sorted"] = bench(func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			trie.Build(sortedColEdges, []string{"src", "dst"})
+			trie.Build(sortedEdges, []string{"src", "dst"})
 		}
 	})
 
@@ -592,15 +436,6 @@ func runMicroBenches(snap *Snapshot, edges *relation.Relation, rels []*relation.
 			}
 		}
 	})
-	snap.Benchmarks["leapfrog_triangle_reference"] = bench(func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			referenceJoinCount(tries, order)
-		}
-	})
-	if got, want := referenceJoinCount(tries, order), countJoin(tries, order); got != want {
-		fatal(fmt.Errorf("reference joiner disagrees: %d vs %d", got, want))
-	}
 	snap.Benchmarks["cube_pipeline"] = bench(func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
@@ -610,38 +445,16 @@ func runMicroBenches(snap *Snapshot, edges *relation.Relation, rels []*relation.
 			}
 		}
 	})
-	snap.Benchmarks["cube_pipeline_reference"] = bench(func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			var ts []*trie.Trie
-			for _, r := range rels {
-				ts = append(ts, buildReference(r, sortedAttrs(r, order)))
-			}
-			referenceJoinCount(ts, order)
-		}
-	})
 
-	// --- Shuffle codec: the batched delta format on both layouts (the
-	// columnar encoder sees one contiguous run per column, no gather) ---
-	block := edges.Clone()
-	block.Sort()
-	colBlock := block.Clone().PivotToColumns()
-	encoded := relation.Encode(block)
-	if colEnc := relation.Encode(colBlock); !bytes.Equal(encoded, colEnc) {
-		fatal(fmt.Errorf("columnar encoder produced different wire bytes"))
-	}
+	// --- Shuffle codec: the batched delta format, one contiguous run per
+	// column ---
+	encoded := relation.Encode(sortedEdges)
 	snap.EncodedBytes["delta"] = len(encoded)
 	scratch := make([]byte, 0, len(encoded))
 	snap.Benchmarks["shuffle_encode"] = bench(func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			scratch = relation.AppendEncode(scratch[:0], block)
-		}
-	})
-	snap.Benchmarks["shuffle_encode_columnar"] = bench(func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			scratch = relation.AppendEncode(scratch[:0], colBlock)
+			scratch = relation.AppendEncode(scratch[:0], sortedEdges)
 		}
 	})
 	var decodeScratch relation.Relation
@@ -666,38 +479,21 @@ func runMicroBenches(snap *Snapshot, edges *relation.Relation, rels []*relation.
 			snap.Benchmarks["shuffle_decode"].AllocsPerOp,
 	}
 
-	// --- Hash partitioner: column-scan hash + single scatter, row-major
-	// vs columnar-resident input (the BinaryJoin/BigJoin repartition and
-	// the sampler's value partitioning) ---
-	snap.Benchmarks["partition_rowmajor"] = bench(func(b *testing.B) {
+	// --- Hash partitioner: column-scan hash + single scatter (the
+	// BinaryJoin/BigJoin repartition and the sampler's value partitioning) ---
+	snap.Benchmarks["partition"] = bench(func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			edges.PartitionBy([]int{0}, workers)
 		}
 	})
-	snap.Benchmarks["partition_columnar"] = bench(func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			colEdges.PartitionBy([]int{0}, workers)
-		}
-	})
 
-	// --- K-way block-trie merge: pooled heap/stream state vs the
-	// allocate-per-merge reference (the Merge HCube's receiver path) ---
+	// --- K-way block-trie merge (the Merge HCube's receiver path) ---
 	mergeBlocks := blockTries(edges, 8)
-	if got, want := trie.Merge(mergeBlocks).NumTuples, mergeReference(mergeBlocks).NumTuples; got != want {
-		fatal(fmt.Errorf("pooled merge disagrees with reference: %d vs %d tuples", got, want))
-	}
 	snap.Benchmarks["trie_merge"] = bench(func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			trie.Merge(mergeBlocks)
-		}
-	})
-	snap.Benchmarks["trie_merge_reference"] = bench(func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			mergeReference(mergeBlocks)
 		}
 	})
 
@@ -933,18 +729,15 @@ func benchSessionWorkload(q hypergraph.Query, edges *relation.Relation, workers 
 		}
 		// Reconstruct the relation from the streamed runs and compare the
 		// encoded bytes against the one-shot baseline.
-		streamed := relation.NewWithCapacity("out", int(res.Count()), res.Attrs()...)
-		row := make([]relation.Value, len(res.Attrs()))
+		streamed := relation.New("out", res.Attrs()...)
+		cw := relation.NewColumnWriter(streamed)
 		for {
 			prefix, vals, ok := res.NextRun()
 			if !ok {
 				break
 			}
-			copy(row, prefix)
-			for _, v := range vals {
-				row[len(row)-1] = v
-				streamed.AppendTuple(row)
-			}
+			cw.BeginRun(prefix)
+			cw.AppendRun(vals)
 		}
 		if got := relation.Encode(streamed); !bytes.Equal(got, baseBytes) {
 			fatal(fmt.Errorf("session exec %d: streamed results differ from one-shot baseline (%d vs %d bytes)",
@@ -1153,11 +946,10 @@ func benchHybridWorkload(workers int, quick bool) *HybridBench {
 //     warm (zero trie builds);
 //   - two sessions opened through one Server warm each other — the second
 //     session's first execution over the same graph adopts the first's
-//     tries (zero builds, nonzero store hits);
-//   - on a multi-core host, N warmed executions run concurrently over the
-//     cluster pool must beat the same N back-to-back by >= 2x (a
-//     single-processor host serializes every goroutine, so the invariant
-//     is unmeasurable there and skipped with a note).
+//     tries (zero builds, nonzero store hits).
+//
+// It also times N warmed executions back-to-back and concurrently over
+// the cluster pool; the ratio is recorded, not asserted.
 func benchServingWorkload(q hypergraph.Query, edges *relation.Relation, workers int, quick bool) *ServingBench {
 	sb := &ServingBench{}
 
@@ -1368,14 +1160,6 @@ func benchServingWorkload(q hypergraph.Query, edges *relation.Relation, workers 
 	if sb.ConcurrentSeconds > 0 {
 		sb.ConcurrentSpeedup = sb.SerializedSeconds / sb.ConcurrentSeconds
 	}
-	if sb.ConcurrentSpeedup < 2 {
-		if runtime.GOMAXPROCS(0) > 1 {
-			fatal(fmt.Errorf("serving: %d concurrent execs over a %d-cluster pool only %.2fx over serialized, want >= 2x",
-				n, conc, sb.ConcurrentSpeedup))
-		}
-		fmt.Fprintf(os.Stderr, "serving: single-processor host (GOMAXPROCS=1) — concurrent speedup %.2fx unmeasurable, skipping the >= 2x invariant\n",
-			sb.ConcurrentSpeedup)
-	}
 	fmt.Fprintf(os.Stderr,
 		"serving: flood %d bulk -> %d shed / %d ran, %d interactive all ran (max wait %.4fs), cross-session warm builds=%d hits=%d, %d execs serialized %.4fs vs concurrent(%d) %.4fs — %.2fx\n",
 		sb.BulkSubmitted, sb.BulkShed, sb.BulkCompleted, sb.InteractiveRuns, sb.InteractiveMaxWait,
@@ -1562,139 +1346,6 @@ func blockTries(edges *relation.Relation, n int) []*trie.Trie {
 func fatal(err error) {
 	fmt.Fprintln(os.Stderr, "bench:", err)
 	os.Exit(1)
-}
-
-// --- Reference k-way merge: the pre-pooling implementation (one
-// iterator, stream struct, tuple buffer and heap allocation per input per
-// merge, plus a fresh staging relation), reconstructed from public API as
-// the trie_merge comparison baseline. ---
-
-type refStream struct {
-	t       *trie.Trie
-	it      *trie.Iterator
-	cur     []relation.Value
-	started bool
-}
-
-func (s *refStream) next() bool {
-	k := s.t.Arity()
-	if k == 0 || s.t.NumTuples == 0 {
-		return false
-	}
-	it := s.it
-	if !s.started {
-		s.started = true
-		for d := 0; d < k; d++ {
-			it.Open()
-			if it.AtEnd() {
-				return false
-			}
-			s.cur[d] = it.Key()
-		}
-		return true
-	}
-	for {
-		it.Next()
-		if !it.AtEnd() {
-			s.cur[it.Depth()] = it.Key()
-			for it.Depth() < k-1 {
-				it.Open()
-				s.cur[it.Depth()] = it.Key()
-			}
-			return true
-		}
-		it.Up()
-		if it.Depth() < 0 {
-			return false
-		}
-	}
-}
-
-type refStreamHeap struct {
-	items []*refStream
-	k     int
-}
-
-func (h *refStreamHeap) Len() int { return len(h.items) }
-func (h *refStreamHeap) Less(i, j int) bool {
-	a, b := h.items[i].cur, h.items[j].cur
-	for x := 0; x < h.k; x++ {
-		if a[x] != b[x] {
-			return a[x] < b[x]
-		}
-	}
-	return false
-}
-func (h *refStreamHeap) Swap(i, j int)      { h.items[i], h.items[j] = h.items[j], h.items[i] }
-func (h *refStreamHeap) Push(x interface{}) { h.items = append(h.items, x.(*refStream)) }
-func (h *refStreamHeap) Pop() interface{} {
-	old := h.items
-	n := len(old)
-	it := old[n-1]
-	h.items = old[:n-1]
-	return it
-}
-
-func mergeReference(ts []*trie.Trie) *trie.Trie {
-	var live []*trie.Trie
-	for _, t := range ts {
-		if t != nil && t.NumTuples > 0 {
-			live = append(live, t)
-		}
-	}
-	if len(live) == 0 {
-		return &trie.Trie{}
-	}
-	if len(live) == 1 {
-		return live[0]
-	}
-	k := live[0].Arity()
-	total := 0
-	var streams []*refStream
-	for _, t := range live {
-		total += t.NumTuples
-		s := &refStream{t: t, it: trie.NewIterator(t), cur: make([]relation.Value, k)}
-		if s.next() {
-			streams = append(streams, s)
-		}
-	}
-	h := &refStreamHeap{items: streams, k: k}
-	heap.Init(h)
-	out := relation.NewWithCapacity("merged", total, live[0].Attrs...)
-	last := make([]relation.Value, k)
-	havLast := false
-	for h.Len() > 0 {
-		s := h.items[0]
-		same := havLast
-		if same {
-			for x := 0; x < k; x++ {
-				if last[x] != s.cur[x] {
-					same = false
-					break
-				}
-			}
-		}
-		if !same {
-			copy(last, s.cur)
-			havLast = true
-			out.AppendTuple(s.cur)
-		}
-		if s.next() {
-			heap.Fix(h, 0)
-		} else {
-			heap.Pop(h)
-		}
-	}
-	return trie.FromSorted(out)
-}
-
-// countJoin runs the production joiner and returns the result count.
-func countJoin(tries []*trie.Trie, order []string) int64 {
-	st, err := leapfrog.Join(tries, order, leapfrog.Options{})
-	if err != nil {
-		fatal(err)
-	}
-	return st.Results
 }
 
 // sortedAttrs returns r's attributes ordered by global-order position.

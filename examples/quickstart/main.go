@@ -64,7 +64,7 @@ func main() {
 		res.Count(), rep.TuplesShuffled, rep.TrieBuilds, rep.TrieCacheHits)
 
 	// Results stream as prefix-replicated runs: one (a, b) binding plus the
-	// run of all c values completing it — no row-major materialization.
+	// run of all c values completing it — no row is gathered.
 	var runs int
 	for {
 		_, _, ok := res.NextRun()

@@ -10,7 +10,7 @@
 //     fmt.Errorf with an error argument must use %w, sentinel errors are
 //     compared with errors.Is, never ==.
 //   - lockdiscipline: no blocking operation (channel send/receive, select,
-//     Exchange/StreamExchange/Parallel/Admit, time.Sleep) while a sync
+//     StreamExchange/Parallel/Admit, time.Sleep) while a sync
 //     mutex is held, and no early return that can leave one locked.
 //   - pooldiscipline: every sync.Pool.Get has a matching Put on all paths,
 //     and pointer-to-slice scratch is length-reset before Put.

@@ -12,8 +12,8 @@ import (
 //
 //  1. No blocking operation while a mutex is held: channel sends and
 //     receives, select without default, range over a channel, and the
-//     runtime's blocking calls (Exchange, StreamExchange, Parallel,
-//     Admit, sync.WaitGroup.Wait, time.Sleep). A blocked
+//     runtime's blocking calls (StreamExchange, Parallel, Admit,
+//     sync.WaitGroup.Wait, time.Sleep). A blocked
 //     holder stalls every Exec on the session — the exact shape of the
 //     retry-after-under-mu bug the -race job caught in PR 9.
 //     (close() and select with a default arm are non-blocking and allowed.)
@@ -34,7 +34,6 @@ var LockDiscipline = &Analyzer{
 // call to any of these while holding a mutex serializes the cluster (or
 // deadlocks outright, for Admit → Exec → Admit chains).
 var blockingMethodNames = map[string]bool{
-	"Exchange":       true,
 	"StreamExchange": true,
 	"Parallel":       true,
 	"Admit":          true,

@@ -10,7 +10,7 @@ import (
 // PhaseVocab enforces the phase-name vocabulary that ties the plan IR,
 // the cluster metrics ledger, and the experiment harness together. Phase
 // names are join keys: lower.go stamps them on plan ops, Parallel /
-// Exchange / StreamExchange charge wall-clock to them, and the fig09-style
+// StreamExchange charge wall-clock to them, and the fig09-style
 // reports group by them. A typo'd phase name is not an error anywhere —
 // it just silently opens a new metrics bucket and the report's numbers
 // stop adding up.
@@ -24,7 +24,7 @@ import (
 // responsibility):
 //   - Phase: fields in composite literals of a type named Op (the plan IR)
 //   - .Phase(...) calls on a type named Metrics
-//   - the phase argument of .Parallel / .Exchange / .StreamExchange calls
+//   - the phase argument of .Parallel / .StreamExchange calls
 //     on a type named Cluster
 var PhaseVocab = &Analyzer{
 	Name: "phasevocab",
@@ -109,7 +109,7 @@ func checkPhaseCallArg(pass *Pass, call *ast.CallExpr) {
 	case sel.Sel.Name == "Phase" && typeNameIs(tv.Type, "Metrics"):
 		site = "Metrics.Phase charge"
 	case typeNameIs(tv.Type, "Cluster") &&
-		(sel.Sel.Name == "Parallel" || sel.Sel.Name == "Exchange" || sel.Sel.Name == "StreamExchange"):
+		(sel.Sel.Name == "Parallel" || sel.Sel.Name == "StreamExchange"):
 		site = "Cluster." + sel.Sel.Name + " phase"
 	default:
 		return

@@ -104,12 +104,12 @@ func (s *server) suppressedSend() {
 
 type fakeCluster struct{}
 
-func (fakeCluster) Exchange(phase string) error { return nil }
+func (fakeCluster) StreamExchange(phase string) error { return nil }
 
 func (s *server) exchangeHeld(c fakeCluster) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return c.Exchange("shuffle") // want "call to Exchange while s.mu is held"
+	return c.StreamExchange("shuffle") // want "call to StreamExchange while s.mu is held"
 }
 
 func takesMutex(mu sync.Mutex) { _ = mu }

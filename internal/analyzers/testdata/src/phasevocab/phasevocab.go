@@ -15,7 +15,6 @@ func (m *Metrics) Phase(name string) *Metrics { return m }
 type Cluster struct{}
 
 func (c *Cluster) Parallel(phase string, fn func() error) error { return nil }
-func (c *Cluster) Exchange(phase string) error                  { return nil }
 func (c *Cluster) StreamExchange(phase string) error            { return nil }
 
 const legacyPhase = "hcube"
@@ -29,7 +28,7 @@ func good(c *Cluster, m *Metrics) {
 	m.Phase("shuffle")
 	m.Phase("sample/reduce")
 	_ = c.Parallel("tries", nil)
-	_ = c.Exchange("shuffle")
+	_ = c.StreamExchange("shuffle")
 	_ = c.StreamExchange("emit")
 }
 
@@ -37,7 +36,7 @@ func bad(c *Cluster, m *Metrics) {
 	_ = Op{Phase: "shufle"}       // want "outside the vocabulary"
 	m.Phase("Join")               // want "outside the vocabulary"
 	_ = c.Parallel("warmup", nil) // want "outside the vocabulary"
-	_ = c.Exchange("x")           // want "outside the vocabulary"
+	_ = c.StreamExchange("x")     // want "outside the vocabulary"
 }
 
 func suppressed(m *Metrics) {
@@ -46,8 +45,8 @@ func suppressed(m *Metrics) {
 }
 
 func computed(c *Cluster, phase string) {
-	_ = c.Exchange(phase)          // ok: computed names are the caller's problem
-	_ = c.Exchange(phase + "/sub") // ok: not a literal
+	_ = c.StreamExchange(phase)          // ok: computed names are the caller's problem
+	_ = c.StreamExchange(phase + "/sub") // ok: not a literal
 }
 
 type other struct{}

@@ -216,8 +216,7 @@ func (e *blockEntry) build() *trie.Trie {
 	case 1:
 		return trie.Build(e.tupleParts[0], e.attrs)
 	}
-	// Multiple senders contributed sub-blocks: concatenate (AppendAll
-	// adopts the columnar layout the decoder produced) and build once —
+	// Multiple senders contributed sub-blocks: concatenate and build once —
 	// the radix builder sorts and dedups across parts.
 	total := 0
 	for _, p := range e.tupleParts {

@@ -383,15 +383,18 @@ func (c *Cluster) foldErrors(phase string, errs []error) error {
 // initial placement a distributed file system gives you). Fragments keep
 // the relation's name.
 func (c *Cluster) LoadRelation(r *relation.Relation) {
-	frags := make([]*relation.Relation, c.N)
-	for i := range frags {
-		frags[i] = relation.New(r.Name, r.Attrs...)
-	}
-	for i, n := 0, r.Len(); i < n; i++ {
-		frags[i%c.N].AppendTuple(r.Tuple(i))
-	}
+	n := r.Len()
 	for i, w := range c.Workers {
-		w.Rels[r.Name] = frags[i]
+		// Worker i holds rows i, i+N, i+2N, ...: one strided copy per column.
+		cols := make([][]relation.Value, r.Arity())
+		for j, col := range r.Columns() {
+			frag := make([]relation.Value, 0, (n-i+c.N-1)/c.N)
+			for x := i; x < n; x += c.N {
+				frag = append(frag, col[x])
+			}
+			cols[j] = frag
+		}
+		w.Rels[r.Name] = relation.FromColumns(r.Name, r.Attrs, cols)
 	}
 }
 

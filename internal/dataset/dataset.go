@@ -139,12 +139,13 @@ func StatsOf(name string, r *relation.Relation) Stats {
 	out := make(map[relation.Value]int)
 	in := make(map[relation.Value]int)
 	nodes := make(map[relation.Value]bool)
-	for i, n := 0, r.Len(); i < n; i++ {
-		t := r.Tuple(i)
-		out[t[0]]++
-		in[t[1]]++
-		nodes[t[0]] = true
-		nodes[t[1]] = true
+	src, dst := r.Column(0), r.Column(1)
+	for i, u := range src {
+		v := dst[i]
+		out[u]++
+		in[v]++
+		nodes[u] = true
+		nodes[v] = true
 	}
 	s := Stats{Name: name, Edges: r.Len(), Nodes: len(nodes)}
 	for _, d := range out {
@@ -168,8 +169,8 @@ func StatsOf(name string, r *relation.Relation) Stats {
 // generator tests use it to verify heavy tails.
 func DegreeHistogram(r *relation.Relation) [][2]int {
 	deg := make(map[relation.Value]int)
-	for i, n := 0, r.Len(); i < n; i++ {
-		deg[r.Tuple(i)[0]]++
+	for _, u := range r.Column(0) {
+		deg[u]++
 	}
 	hist := make(map[int]int)
 	for _, d := range deg {

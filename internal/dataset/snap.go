@@ -70,9 +70,9 @@ func WriteSNAP(w io.Writer, r *relation.Relation) error {
 	}
 	bw := bufio.NewWriter(w)
 	fmt.Fprintf(bw, "# %s: %d edges\n", r.Name, r.Len())
-	for i, n := 0, r.Len(); i < n; i++ {
-		t := r.Tuple(i)
-		fmt.Fprintf(bw, "%d\t%d\n", t[0], t[1])
+	dst := r.Column(1)
+	for i, u := range r.Column(0) {
+		fmt.Fprintf(bw, "%d\t%d\n", u, dst[i])
 	}
 	return bw.Flush()
 }

@@ -2,7 +2,7 @@ package engine
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 	"strconv"
 
 	"adj/internal/cluster"
@@ -22,21 +22,6 @@ import (
 // IR interpreter.
 func RunBigJoin(q hypergraph.Query, rels []*relation.Relation, cfg Config) (Report, error) {
 	return runEngine("BigJoin", q, rels, cfg)
-}
-
-// scatter distributes a coordinator-built relation round-robin as the
-// workers' "bindings" fragments (counted as a broadcast-free placement).
-func scatter(c *cluster.Cluster, phase string, r *relation.Relation) {
-	frags := make([]*relation.Relation, c.N)
-	for i := range frags {
-		frags[i] = relation.New("bindings", r.Attrs...)
-	}
-	for i := 0; i < r.Len(); i++ {
-		frags[i%c.N].AppendTuple(r.Tuple(i))
-	}
-	for i, w := range c.Workers {
-		w.Rels["bindings"] = frags[i]
-	}
 }
 
 // proposeRound extends every binding with the candidate values of the
@@ -133,8 +118,7 @@ func proposeRound(c *cluster.Cluster, phase string, prop *relation.Relation, pre
 			// blowups must fail fast, not after materializing everything).
 			// Each binding extends into a run — the binding prefix repeated
 			// over its candidate values — so the extension writes through
-			// the columnar run writer and the round's output feeds the next
-			// shuffle's EncodeRelation columnar-native, with no pivot.
+			// the run writer.
 			perWorkerCap := int64(0)
 			if cfg.Budget > 0 {
 				perWorkerCap = cfg.Budget
@@ -144,44 +128,41 @@ func proposeRound(c *cluster.Cluster, phase string, prop *relation.Relation, pre
 			overCap := func() bool {
 				return perWorkerCap > 0 && int64(cw.Rows()) > perWorkerCap
 			}
+			bindCols := binds.Columns()
+			bind := make([]relation.Value, len(bindCols))
 			if len(boundAttrs) == 0 {
 				cands := idx.Distinct(attr)
 				for i := 0; i < binds.Len(); i++ {
-					cw.BeginRun(binds.Tuple(i))
+					gatherRow(bind, bindCols, i)
+					cw.BeginRun(bind)
 					cw.AppendRun(cands)
 					if overCap() {
 						return ErrBudget
 					}
 				}
 			} else {
-				attrPos := idx.AttrIndex(attr)
-				keyCols := attrIdx(idx.Attrs, boundAttrs)
+				attrCol := idx.Column(idx.AttrIndex(attr))
+				keyCols := pickCols(idx, boundAttrs)
 				index := make(map[string][]relation.Value)
 				kbuf := make([]relation.Value, len(boundAttrs))
-				for i := 0; i < idx.Len(); i++ {
-					t := idx.Tuple(i)
-					for j, kc := range keyCols {
-						kbuf[j] = t[kc]
-					}
+				for i, v := range attrCol {
+					gatherRow(kbuf, keyCols, i)
 					k := keyString(kbuf)
-					index[k] = append(index[k], t[attrPos])
+					index[k] = append(index[k], v)
 				}
-				for k := range index {
-					vs := index[k]
-					sort.Slice(vs, func(i, j int) bool { return vs[i] < vs[j] })
-					index[k] = dedupVals(vs)
+				for k, vs := range index {
+					slices.Sort(vs)
+					index[k] = slices.Compact(vs)
 				}
-				bindCols := attrIdx(binds.Attrs, boundAttrs)
+				bindKeyCols := pickCols(binds, boundAttrs)
 				for i := 0; i < binds.Len(); i++ {
-					t := binds.Tuple(i)
-					for j, bc := range bindCols {
-						kbuf[j] = t[bc]
-					}
+					gatherRow(kbuf, bindKeyCols, i)
 					cands := index[keyString(kbuf)]
 					if len(cands) == 0 {
 						continue
 					}
-					cw.BeginRun(t)
+					gatherRow(bind, bindCols, i)
+					cw.BeginRun(bind)
 					cw.AppendRun(cands)
 					if overCap() {
 						return ErrBudget
@@ -247,8 +228,7 @@ func verifyRound(c *cluster.Cluster, phase string, ver *relation.Relation, prefi
 				return nil
 			}
 			if idx == nil {
-				binds.SetData(binds.Data()[:0])
-				w.Rels["bindings"] = binds
+				w.Rels["bindings"] = relation.New("bindings", binds.Attrs...)
 				return nil
 			}
 			keep := binds.Semijoin(idx, checkAttrs)
@@ -267,12 +247,18 @@ func keyString(vals []relation.Value) string {
 	return string(b)
 }
 
-func dedupVals(sorted []relation.Value) []relation.Value {
-	out := sorted[:0]
-	for i, v := range sorted {
-		if i == 0 || v != sorted[i-1] {
-			out = append(out, v)
-		}
+// pickCols returns r's columns for the named attributes, in that order.
+func pickCols(r *relation.Relation, attrs []string) [][]relation.Value {
+	cols := make([][]relation.Value, len(attrs))
+	for j, c := range attrIdx(r.Attrs, attrs) {
+		cols[j] = r.Column(c)
 	}
-	return out
+	return cols
+}
+
+// gatherRow copies row i of cols into dst (len(dst) == len(cols)).
+func gatherRow(dst []relation.Value, cols [][]relation.Value, i int) {
+	for j, col := range cols {
+		dst[j] = col[i]
+	}
 }

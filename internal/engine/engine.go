@@ -350,8 +350,8 @@ func localCubeJoin(c *cluster.Cluster, phase string, infos []hcube.RelInfo, orde
 			tries := cubeTries(w, cubes[ci], infos, order)
 			opts := leapfrog.Options{Budget: budgetPer, Cancel: cancelled}
 			if collect {
-				// Results stay columnar from the leaf intersection on: the
-				// sink appends whole runs to the cube's output columns.
+				// The sink appends whole runs from the leaf intersection to
+				// the cube's output columns.
 				out := relation.New("out", order...)
 				perCubeOut[ci] = out
 				opts.Sink = relation.NewColumnWriter(out)

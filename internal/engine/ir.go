@@ -146,12 +146,10 @@ func runOp(c *cluster.Cluster, prog *plan.Program, op *plan.Op, st *progState,
 			return nil
 		})
 	case plan.Scatter:
+		// Round-robin placement of the first attribute's candidates as the
+		// workers' "bindings" fragments (broadcast-free, not a shuffle).
 		vals := sampling.ValA(rels, op.Attr)
-		bindings := relation.New("bind0", op.Attr)
-		for _, v := range vals {
-			bindings.Append(v)
-		}
-		scatter(c, op.Phase, bindings)
+		c.LoadRelation(relation.FromColumns("bindings", []string{op.Attr}, [][]relation.Value{vals}))
 		return nil
 	case plan.Extend:
 		if err := proposeRound(c, op.Phase, rels[op.RelIdx], op.Prefix, op.Attr, cfg); err != nil {

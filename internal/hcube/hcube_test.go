@@ -343,13 +343,13 @@ func TestShuffleCostOrdering(t *testing.T) {
 	}
 }
 
-// TestShuffleColumnarFragmentsMatchRowMajor pivots every worker fragment
-// to the columnar layout before shuffling and asserts byte-identical
-// envelopes and identical cube contents versus row-major fragments. It
-// covers the per-column signature accumulation in groupBlocks, the
-// columnar block sort, and the columnar encoder — the layout must never
-// change what goes on the wire.
-func TestShuffleColumnarFragmentsMatchRowMajor(t *testing.T) {
+// TestShuffleCubeContentsMatchBruteForce checks what each shuffle kind
+// delivers against a per-row expectation: relation row t belongs to exactly
+// the cubes DestCubes names, so every hosted cube's trie must enumerate the
+// sorted distinct rows placed there — and nothing may be lost. It covers
+// the per-column signature accumulation in groupBlocks (against the
+// per-row BlockSig sum behind DestCubes), the block sort and the codec.
+func TestShuffleCubeContentsMatchBruteForce(t *testing.T) {
 	rng := rand.New(rand.NewSource(41))
 	for _, kind := range []Kind{Push, Pull, Merge} {
 		kind := kind
@@ -363,46 +363,44 @@ func TestShuffleColumnarFragmentsMatchRowMajor(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				plan := Plan{Shares: shares, Rels: info, Kind: kind, TrieOrder: order}
+				want := make(map[string]*relation.Relation) // "rel/cube" -> rows placed there
+				for _, r := range rels {
+					relPos := shares.RelPositions(r.Attrs)
+					for i := 0; i < r.Len(); i++ {
+						row := r.Tuple(i)
+						for _, cube := range shares.DestCubes(relPos, row) {
+							key := fmt.Sprintf("%s/%d", r.Name, cube)
+							if want[key] == nil {
+								want[key] = relation.New("x", r.Attrs...)
+							}
+							want[key].AppendTuple(row)
+						}
+					}
+				}
 
-				snap := func(pivot bool) (map[string]string, int64) {
-					c := cluster.New(cluster.Config{N: n, Sequential: true})
-					defer c.Close()
-					c.LoadDatabase(rels)
-					if pivot {
-						for _, w := range c.Workers {
-							for _, frag := range w.Rels {
-								frag.PivotToColumns()
+				c := cluster.New(cluster.Config{N: n, Sequential: true})
+				c.LoadDatabase(rels)
+				if err := Run(c, "shuffle", Plan{Shares: shares, Rels: info, Kind: kind, TrieOrder: order}); err != nil {
+					t.Fatal(err)
+				}
+				for _, w := range c.Workers {
+					for _, cube := range w.Blocks.Cubes() {
+						for i, tr := range cubeTries(w, cube, info, order) {
+							key := fmt.Sprintf("%s/%d", info[i].Name, cube)
+							exp := want[key]
+							if exp == nil {
+								exp = relation.New("x", info[i].Attrs...)
+							}
+							delete(want, key)
+							if got := tr.ToRelation("x"); !got.Equal(exp.Project(tr.Attrs...)) {
+								t.Fatalf("iter %d: %s holds\n%v\nwant\n%v", iter, key, got, exp)
 							}
 						}
 					}
-					if err := Run(c, "shuffle", plan); err != nil {
-						t.Fatal(err)
-					}
-					out := make(map[string]string)
-					var bytes int64
-					for _, p := range c.Metrics.Phases() {
-						bytes += p.BytesSent
-					}
-					for _, w := range c.Workers {
-						for _, cube := range w.Blocks.Cubes() {
-							tries := cubeTries(w, cube, info, order)
-							for i, tr := range tries {
-								key := fmt.Sprintf("%s/%d", info[i].Name, cube)
-								out[key] = tr.ToRelation("x").SortDedup().String()
-							}
-						}
-					}
-					return out, bytes
 				}
-
-				rowSnap, rowBytes := snap(false)
-				colSnap, colBytes := snap(true)
-				if rowBytes != colBytes {
-					t.Fatalf("iter %d: shuffled bytes differ between layouts: %d vs %d", iter, rowBytes, colBytes)
-				}
-				if !reflect.DeepEqual(rowSnap, colSnap) {
-					t.Fatalf("iter %d: cube contents differ between row-major and columnar fragments", iter)
+				c.Close()
+				for key, exp := range want {
+					t.Fatalf("iter %d: no worker hosts %s (%d rows lost)", iter, key, exp.Len())
 				}
 			}
 		})

@@ -547,36 +547,26 @@ func consumeTupleBlocks(w *cluster.Worker, r cluster.StreamReceiver, p Plan) err
 }
 
 // groupBlocks buckets a fragment's tuples by block signature into one
-// contiguous columnar backing per attribute (a signature pass, a counting
-// pass, then one scatter of row slots — no per-block growth). It returns
+// contiguous backing per attribute (a signature pass, a counting pass,
+// then one scatter of row slots — no per-block growth). It returns
 // ascending signatures and, aligned with them, the non-empty blocks; block
 // relations alias the shared backing column-wise and may be sorted in
-// place by the caller. Columnar blocks feed straight into the columnar
-// sort/encode (Push, Pull) and trie-build (Merge) fast paths; a
-// columnar-resident fragment additionally computes the signature hashes
-// as per-column sequential scans.
+// place by the caller.
 func groupBlocks(frag *relation.Relation, s Shares, relPos []int, ri RelInfo) ([]int, []*relation.Relation) {
 	n := frag.Len()
 	k := frag.Arity()
 	nb := s.NumBlocks(relPos)
 	sigOf := make([]int32, n)
-	fragCols := colsIfResident(frag)
-	if fragCols != nil {
-		// Mixed-radix signature accumulated one column at a time: the exact
-		// sum BlockSig computes per row, reordered into sequential scans.
-		stride := 1
-		for j, p := range relPos {
-			col := fragCols[j]
-			pv := s.P[p]
-			for i := 0; i < n; i++ {
-				sigOf[i] += int32(relation.HashValue(col[i], pv) * stride)
-			}
-			stride *= pv
+	fragCols := frag.Columns()
+	// Mixed-radix signature accumulated one column at a time: the exact
+	// sum BlockSig computes per row, reordered into sequential scans.
+	stride := 1
+	for j, p := range relPos {
+		pv := s.P[p]
+		for i, v := range fragCols[j] {
+			sigOf[i] += int32(relation.HashValue(v, pv) * stride)
 		}
-	} else {
-		for i := 0; i < n; i++ {
-			sigOf[i] = int32(s.BlockSig(relPos, frag.Tuple(i)))
-		}
+		stride *= pv
 	}
 	counts := make([]int32, nb+1)
 	for _, sig := range sigOf {
@@ -594,24 +584,12 @@ func groupBlocks(frag *relation.Relation, s Shares, relPos []int, ri RelInfo) ([
 		fill[sig]++
 	}
 	backCols := make([][]relation.Value, k)
-	for j := 0; j < k; j++ {
-		backCols[j] = make([]relation.Value, n)
-	}
-	if fragCols != nil {
-		for j, col := range fragCols {
-			back := backCols[j]
-			for i, slot := range slots {
-				back[slot] = col[i]
-			}
-		}
-	} else {
-		data := frag.Data()
+	for j, col := range fragCols {
+		back := make([]relation.Value, n)
 		for i, slot := range slots {
-			row := data[i*k : (i+1)*k]
-			for j, v := range row {
-				backCols[j][slot] = v
-			}
+			back[slot] = col[i]
 		}
+		backCols[j] = back
 	}
 	var sigs []int
 	var blocks []*relation.Relation
@@ -620,27 +598,16 @@ func groupBlocks(frag *relation.Relation, s Shares, relPos []int, ri RelInfo) ([
 		if lo == hi {
 			continue
 		}
-		b := relation.New(ri.Name, ri.Attrs...)
 		// Three-index slices: cap each block column at its own region so an
 		// append reallocates instead of overwriting the next block's rows.
 		blockCols := make([][]relation.Value, k)
 		for j := 0; j < k; j++ {
 			blockCols[j] = backCols[j][lo:hi:hi]
 		}
-		b.SetColumns(blockCols)
 		sigs = append(sigs, sig)
-		blocks = append(blocks, b)
+		blocks = append(blocks, relation.FromColumns(ri.Name, ri.Attrs, blockCols))
 	}
 	return sigs, blocks
-}
-
-// colsIfResident returns the fragment's column views only when they are
-// already materialized (never forces a transpose).
-func colsIfResident(r *relation.Relation) [][]relation.Value {
-	if !r.ColumnsResident() {
-		return nil
-	}
-	return r.Columns()
 }
 
 // blockServers returns the distinct servers hosting cubes matching sig.

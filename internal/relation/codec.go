@@ -3,7 +3,6 @@ package relation
 import (
 	"encoding/binary"
 	"fmt"
-	"sync"
 
 	"adj/internal/deltaenc"
 )
@@ -37,24 +36,11 @@ import (
 // codecMagic tags the batched delta format.
 const codecMagic = 0xAD
 
-// colScratch pools the gather buffer the row-major encode path stages each
-// column in before handing it to the shared run encoder. Keeping both
-// layouts on deltaenc.AppendRun guarantees byte-identical wire output —
-// width selection (including the exception-list form) cannot drift between
-// them.
-var colScratch = sync.Pool{New: func() interface{} {
-	s := make([]Value, 0, 1024)
-	return &s
-}}
-
 // AppendEncode serializes r onto dst (which may be nil or a recycled
 // buffer) and returns the extended slice. This is the allocation-free path:
 // callers that pool their buffers pay nothing beyond the payload itself.
-//
-// A columnar-resident relation encodes each column as one contiguous
-// deltaenc run — a pure sequential scan with no gather loop; row-major
-// input uses the strided column loops below. Both produce byte-identical
-// payloads (the per-run format is shared with deltaenc.AppendRun).
+// Each column encodes as one contiguous deltaenc run — a pure sequential
+// scan with no gather loop.
 func AppendEncode(dst []byte, r *Relation) []byte {
 	return AppendEncodeRange(dst, r, 0, r.Len())
 }
@@ -90,31 +76,9 @@ func AppendEncodeRange(dst []byte, r *Relation, lo, hi int) []byte {
 	if n == 0 || k == 0 {
 		return dst
 	}
-	if cs := r.colsView(); cs != nil {
-		for _, col := range cs {
-			dst = deltaenc.AppendRun(dst, col[lo:hi])
-		}
-		return dst
+	for _, col := range r.cols {
+		dst = deltaenc.AppendRun(dst, col[lo:hi])
 	}
-	// Row-major input: gather each column's range into pooled scratch and
-	// encode it through the same run encoder the columnar path uses, so
-	// both layouts produce byte-identical payloads.
-	sp := colScratch.Get().(*[]Value)
-	col := *sp
-	if cap(col) < n {
-		col = make([]Value, n)
-	} else {
-		col = col[:n]
-	}
-	data := r.data
-	for j := 0; j < k; j++ {
-		for i, o := lo*k+j, 0; o < n; i, o = i+k, o+1 {
-			col[o] = data[i]
-		}
-		dst = deltaenc.AppendRun(dst, col)
-	}
-	*sp = col[:0]
-	colScratch.Put(sp)
 	return dst
 }
 
@@ -142,14 +106,9 @@ func Decode(buf []byte) (*Relation, error) {
 // capacity suffices) and r's schema strings (when they match the payload).
 // Receivers that decode a stream of blocks into one scratch relation
 // allocate nothing in steady state. r must be owned by the caller — its
-// arrays are overwritten, so never pass a relation whose data or Attrs are
-// shared (e.g. via Renamed).
-//
-// The decoded relation is columnar-resident: each wire column is one
-// contiguous delta run, so decode writes every column with a single
-// sequential pass and downstream consumers (trie builds, cube appends)
-// pick up the columnar fast paths. Row-major views materialize lazily via
-// Data/Tuple.
+// arrays are overwritten, so never pass a relation whose columns or Attrs
+// are shared (e.g. via Renamed). Each wire column is one contiguous delta
+// run, so decode writes every column with a single sequential pass.
 func DecodeInto(buf []byte, r *Relation) error {
 	if len(buf) == 0 || buf[0] != codecMagic {
 		return fmt.Errorf("relation decode: bad magic (want 0x%02x)", codecMagic)
@@ -218,8 +177,8 @@ func DecodeInto(buf []byte, r *Relation) error {
 	// section must be present in the buffer before n*k values are
 	// materialized, and the total is capped outright — width-0 columns
 	// occupy no payload bytes, so byte accounting alone cannot bound a
-	// zero-compressed bomb.
-	if n < 0 || total < 0 || total > 1<<28 {
+	// zero-compressed bomb. A relation without attributes holds no tuples.
+	if n < 0 || total < 0 || total > 1<<28 || (k == 0 && n > 0) {
 		return fmt.Errorf("relation decode: implausible tuple count %d", count)
 	}
 	walk := off
@@ -256,22 +215,15 @@ func DecodeInto(buf []byte, r *Relation) error {
 	r.Name = name
 	r.Attrs = attrs
 	r.cols = cols
-	if k > 0 {
-		r.lay = layoutCols
-	} else {
-		r.data = r.data[:0]
-		r.lay = layoutRows
-	}
 	return nil
 }
 
 // DecodeAppend decodes one chunk payload through scratch (caller-owned,
 // reused across chunks — the steady state allocates nothing) and appends
-// its tuples to dst via the columnar appender. This is the streaming
-// receiver's incremental decode: chunks of one logical block accumulate
-// into dst in arrival order without materializing the whole block's bytes
-// first. The chunk's schema must match dst's (same arity; dst adopts the
-// chunk's schema when empty, as AppendAll does).
+// its tuples to dst column-wise. This is the streaming receiver's
+// incremental decode: chunks of one logical block accumulate into dst in
+// arrival order without materializing the whole block's bytes first. The
+// chunk's arity must match dst's.
 func DecodeAppend(buf []byte, dst, scratch *Relation) error {
 	if err := DecodeInto(buf, scratch); err != nil {
 		return err

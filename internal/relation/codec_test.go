@@ -1,6 +1,7 @@
 package relation
 
 import (
+	"bytes"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -93,7 +94,7 @@ func TestDecodeIntoReusesBacking(t *testing.T) {
 	if !scratch.Equal(big) {
 		t.Fatal("first decode mismatch")
 	}
-	firstBacking := &scratch.data[0]
+	firstBacking := &scratch.cols[0][0]
 	small := FromTuples("small", []string{"x", "y"}, [][]Value{{5, 6}})
 	if err := DecodeInto(Encode(small), &scratch); err != nil {
 		t.Fatal(err)
@@ -101,7 +102,7 @@ func TestDecodeIntoReusesBacking(t *testing.T) {
 	if !scratch.Equal(small) {
 		t.Fatal("second decode mismatch")
 	}
-	if &scratch.data[0] != firstBacking {
+	if &scratch.cols[0][0] != firstBacking {
 		t.Fatal("DecodeInto should reuse the backing array when capacity suffices")
 	}
 }
@@ -153,7 +154,7 @@ func BenchmarkDecode(b *testing.B) {
 }
 
 // TestCodecCorruptPayloadFuzz hammers the decoder with randomly corrupted
-// and truncated payloads produced by the columnar encoder. Decode must
+// and truncated payloads produced by the encoder. Decode must
 // never panic or over-allocate; it either errors or returns a structurally
 // consistent relation (corruption of value bytes can silently change
 // values — that is the transport checksum's job, not the codec's).
@@ -173,7 +174,7 @@ func TestCodecCorruptPayloadFuzz(t *testing.T) {
 			}
 			r.AppendTuple(row)
 		}
-		buf := Encode(r.PivotToColumns())
+		buf := Encode(r)
 		mut := append([]byte(nil), buf...)
 		switch rng.Intn(3) {
 		case 0: // single byte flip
@@ -198,14 +199,72 @@ func TestCodecCorruptPayloadFuzz(t *testing.T) {
 			if err != nil {
 				return
 			}
-			// Structural consistency: every column the same length, Len
-			// and arity coherent, row view materializable.
-			if dec.Arity() > 64 {
-				t.Fatalf("iter %d: implausible arity %d accepted", iter, dec.Arity())
-			}
-			if got := len(dec.Data()); got != dec.Len()*dec.Arity() {
-				t.Fatalf("iter %d: inconsistent decoded shape: %d values for %dx%d", iter, got, dec.Len(), dec.Arity())
-			}
+			checkDecodedShape(t, dec)
 		}()
 	}
+}
+
+// checkDecodedShape asserts a successfully decoded relation is structurally
+// consistent: plausible arity, one column per attribute, every column Len
+// long, and under the decoder's value cap.
+func checkDecodedShape(t testing.TB, dec *Relation) {
+	t.Helper()
+	if dec.Arity() > 64 {
+		t.Fatalf("implausible arity %d accepted", dec.Arity())
+	}
+	if len(dec.Columns()) != dec.Arity() {
+		t.Fatalf("%d columns for arity %d", len(dec.Columns()), dec.Arity())
+	}
+	for j, col := range dec.Columns() {
+		if len(col) != dec.Len() {
+			t.Fatalf("column %d holds %d values, Len is %d", j, len(col), dec.Len())
+		}
+	}
+	if dec.Len()*dec.Arity() > 1<<28 {
+		t.Fatalf("decoded %d values, past the 1<<28 cap", dec.Len()*dec.Arity())
+	}
+}
+
+// FuzzDecodeInto: hostile bytes never panic the decoder or push it past its
+// allocation cap, and whatever decodes re-encodes to bytes that decode to
+// the same relation and encode to themselves. Encoder output (the seeds)
+// re-encodes byte for byte; arbitrary accepted input need not, because the
+// format admits padded varints and wider-than-needed delta runs.
+func FuzzDecodeInto(f *testing.F) {
+	seeds := [][]byte{
+		Encode(New("empty", "a", "b")),
+		Encode(New("noattrs")),
+		Encode(FromTuples("R", []string{"a", "b"}, [][]Value{{1, 2}, {3, -4}, {1 << 40, -(1 << 50)}})),
+		Encode(benchRelation(200)),
+		AppendEncodeRange(nil, benchRelation(200), 50, 120),
+	}
+	for _, seed := range seeds {
+		dec, err := Decode(seed)
+		if err != nil {
+			f.Fatal(err)
+		}
+		if again := Encode(dec); !bytes.Equal(again, seed) {
+			f.Fatalf("encoder output does not re-encode to itself:\n in  %x\n out %x", seed, again)
+		}
+		f.Add(seed)
+	}
+	f.Add([]byte{codecMagic, 0, 1, 0, 0xff, 0xff, 0xff, 0xff, 0x0f}) // huge count, no payload
+	f.Add([]byte{codecMagic, 1, '0', 0, 0x30})                       // tuples without attributes
+	var scratch, again Relation
+	f.Fuzz(func(t *testing.T, buf []byte) {
+		if err := DecodeInto(buf, &scratch); err != nil {
+			return
+		}
+		checkDecodedShape(t, &scratch)
+		enc := Encode(&scratch)
+		if err := DecodeInto(enc, &again); err != nil {
+			t.Fatalf("re-encoded payload does not decode: %v\n in  %x\n enc %x", err, buf, enc)
+		}
+		if !again.Equal(&scratch) || again.Name != scratch.Name {
+			t.Fatalf("re-encoded payload decodes differently:\n in  %x\n enc %x", buf, enc)
+		}
+		if twice := Encode(&again); !bytes.Equal(twice, enc) {
+			t.Fatalf("canonical encoding is not a fixed point:\n enc   %x\n twice %x", enc, twice)
+		}
+	})
 }

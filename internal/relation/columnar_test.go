@@ -2,81 +2,48 @@ package relation
 
 import (
 	"bytes"
-	"math/rand"
+	"slices"
+	"sync"
 	"testing"
 )
 
-// randomRelation builds a random row-major relation with the given arity.
-func randomRelation(rng *rand.Rand, name string, arity, n, domain int) *Relation {
-	attrs := make([]string, arity)
-	for i := range attrs {
-		attrs[i] = string(rune('a' + i))
-	}
-	r := New(name, attrs...)
-	for i := 0; i < n; i++ {
-		row := make([]Value, arity)
-		for j := range row {
-			row[j] = Value(rng.Intn(domain))
-		}
-		r.AppendTuple(row)
-	}
-	return r
-}
-
-func TestColumnsTransposeRoundtrip(t *testing.T) {
+func TestColumnsHoldAttributesInRowOrder(t *testing.T) {
 	r := FromTuples("R", []string{"a", "b", "c"}, [][]Value{{1, 2, 3}, {4, 5, 6}, {7, 8, 9}})
 	cols := r.Columns()
 	if len(cols) != 3 {
 		t.Fatalf("columns=%d", len(cols))
 	}
 	for j, want := range [][]Value{{1, 4, 7}, {2, 5, 8}, {3, 6, 9}} {
-		for i := range want {
-			if cols[j][i] != want[i] {
-				t.Fatalf("col %d = %v, want %v", j, cols[j], want)
-			}
+		if !slices.Equal(cols[j], want) {
+			t.Fatalf("col %d = %v, want %v", j, cols[j], want)
 		}
 	}
-	if !r.ColumnsResident() || !r.RowsResident() {
-		t.Fatal("after Columns() both representations should be in sync")
-	}
-	// A row mutation invalidates the columnar mirror; the next Columns()
-	// call must reflect the new content.
 	r.Append(10, 11, 12)
-	if r.ColumnsResident() {
-		t.Fatal("Append must invalidate the columnar view")
-	}
 	if got := r.Column(0); len(got) != 4 || got[3] != 10 {
 		t.Fatalf("column 0 after append = %v", got)
 	}
 }
 
-func TestFromColumnsLazyRowPivot(t *testing.T) {
+// How a relation was constructed leaves no trace: FromColumns and
+// FromTuples of the same content are Equal, row for row.
+func TestFromColumnsEqualsFromTuples(t *testing.T) {
 	r := FromColumns("R", []string{"x", "y"}, [][]Value{{1, 3, 5}, {2, 4, 6}})
 	if r.Len() != 3 || r.Arity() != 2 {
 		t.Fatalf("len=%d arity=%d", r.Len(), r.Arity())
 	}
-	if r.RowsResident() {
-		t.Fatal("fresh columnar relation should not have rows materialized")
-	}
 	if tup := r.Tuple(1); tup[0] != 3 || tup[1] != 4 {
 		t.Fatalf("tuple 1 = %v", tup)
 	}
-	if !r.RowsResident() {
-		t.Fatal("Tuple must materialize the row-major view")
-	}
 	want := FromTuples("R", []string{"x", "y"}, [][]Value{{1, 2}, {3, 4}, {5, 6}})
 	if !r.Equal(want) {
-		t.Fatalf("pivot mismatch:\n%v\nvs\n%v", r, want)
+		t.Fatalf("mismatch:\n%v\nvs\n%v", r, want)
 	}
 }
 
-func TestAppendAllAdoptsColumnarLayout(t *testing.T) {
+func TestAppendAllCopies(t *testing.T) {
 	src := FromColumns("S", []string{"x", "y"}, [][]Value{{1, 2}, {10, 20}})
 	dst := New("D", "x", "y")
 	dst.AppendAll(src)
-	if !dst.ColumnsResident() || dst.RowsResident() {
-		t.Fatal("append of a columnar block into an empty relation should stay columnar")
-	}
 	dst.AppendAll(src)
 	if dst.Len() != 4 {
 		t.Fatalf("len=%d", dst.Len())
@@ -102,12 +69,9 @@ func TestAppendColumns(t *testing.T) {
 	}
 }
 
-func TestClonePreservesColumnarLayout(t *testing.T) {
+func TestCloneDeepCopiesColumns(t *testing.T) {
 	r := FromColumns("R", []string{"a"}, [][]Value{{1, 2, 3}})
 	c := r.Clone()
-	if !c.ColumnsResident() {
-		t.Fatal("clone of a columnar relation should stay columnar")
-	}
 	c.Columns()[0][0] = 42
 	if r.Column(0)[0] != 1 {
 		t.Fatal("clone must deep-copy columns")
@@ -128,85 +92,30 @@ func TestRenamedCopiesAttrsSlice(t *testing.T) {
 	}
 }
 
-func TestSortDedupColumnarMatchesRowMajor(t *testing.T) {
-	rng := rand.New(rand.NewSource(11))
-	for iter := 0; iter < 100; iter++ {
-		arity := 1 + rng.Intn(4)
-		n := rng.Intn(120)
-		row := randomRelation(rng, "R", arity, n, 8) // small domain forces duplicates
-		col := row.Clone().PivotToColumns()
-		row.Sort().Dedup()
-		col.Sort().Dedup()
-		if !col.ColumnsResident() {
-			t.Fatal("columnar relation should stay columnar through Sort/Dedup")
-		}
-		if !row.Equal(col) {
-			t.Fatalf("iter %d: sort+dedup diverged:\n%v\nvs\n%v", iter, row, col)
+// TestEncodeGoldenBytes pins the wire format: the bytes below were captured
+// from relation.Encode before the row-major store was removed, and both
+// constructors must keep producing exactly them.
+func TestEncodeGoldenBytes(t *testing.T) {
+	golden := []byte{
+		0xad, 0x1, 0x52, 0x2, 0x1, 0x61, 0x2, 0x62, 0x62, 0x6, 0x4, 0x2, 0x0, 0x0, 0x0, 0x0,
+		0x0, 0x0, 0x0, 0x4, 0x0, 0x0, 0x0, 0x52, 0x2, 0x0, 0x0, 0x0, 0x0, 0x0, 0x0, 0x88,
+		0x20, 0x2, 0x0, 0x11, 0x2, 0x4, 0x0, 0x0, 0x0, 0x5, 0x0, 0x0, 0x0, 0xe, 0x0, 0x0,
+		0x0, 0x0, 0x2, 0x0, 0x0, 0xed, 0xff, 0xff, 0xff, 0xff, 0x1, 0x0, 0x0, 0x4, 0x6, 0x1,
+		0x15, 0x0, 0x0,
+	}
+	attrs := []string{"a", "bb"}
+	fromTuples := FromTuples("R", attrs, [][]Value{{1, 2}, {1, 5}, {3, 4}, {300, -7}, {300, 1 << 40}, {70000, 9}})
+	fromColumns := FromColumns("R", attrs, [][]Value{{1, 1, 3, 300, 300, 70000}, {2, 5, 4, -7, 1 << 40, 9}})
+	for name, r := range map[string]*Relation{"FromTuples": fromTuples, "FromColumns": fromColumns} {
+		if got := Encode(r); !bytes.Equal(got, golden) {
+			t.Errorf("%s: wire bytes moved:\n got %#v\nwant %#v", name, got, golden)
 		}
 	}
-}
-
-func TestPartitionByColumnarMatchesRowMajor(t *testing.T) {
-	rng := rand.New(rand.NewSource(12))
-	for iter := 0; iter < 60; iter++ {
-		arity := 1 + rng.Intn(3)
-		n := rng.Intn(200)
-		parts := 1 + rng.Intn(5)
-		row := randomRelation(rng, "R", arity, n, 1000)
-		col := row.Clone().PivotToColumns()
-		var cols []int
-		nc := 1 + rng.Intn(arity)
-		perm := rng.Perm(arity)
-		cols = append(cols, perm[:nc]...)
-		rp := row.PartitionBy(cols, parts)
-		cp := col.PartitionBy(cols, parts)
-		if len(rp) != len(cp) {
-			t.Fatalf("iter %d: %d vs %d partitions", iter, len(rp), len(cp))
-		}
-		for p := range rp {
-			if !rp[p].Equal(cp[p]) {
-				t.Fatalf("iter %d: partition %d diverged:\n%v\nvs\n%v", iter, p, rp[p], cp[p])
-			}
-		}
+	if got, want := Encode(New("E", "x")), []byte{0xad, 0x1, 0x45, 0x1, 0x1, 0x78, 0x0}; !bytes.Equal(got, want) {
+		t.Errorf("empty relation: got %#v want %#v", got, want)
 	}
-}
-
-func TestEncodeColumnarRowMajorIdenticalBytes(t *testing.T) {
-	rng := rand.New(rand.NewSource(13))
-	for iter := 0; iter < 80; iter++ {
-		arity := 1 + rng.Intn(4)
-		n := rng.Intn(150)
-		row := randomRelation(rng, "R", arity, n, 1<<20)
-		if rng.Intn(2) == 0 {
-			row.Sort() // exercise the sorted-run case the shuffle ships
-		}
-		col := row.Clone().PivotToColumns()
-		rb := Encode(row)
-		cb := Encode(col)
-		if !bytes.Equal(rb, cb) {
-			t.Fatalf("iter %d: wire bytes diverge between layouts (%d vs %d bytes)", iter, len(rb), len(cb))
-		}
-		dec, err := Decode(cb)
-		if err != nil {
-			t.Fatalf("iter %d: decode: %v", iter, err)
-		}
-		if !dec.Equal(row) {
-			t.Fatalf("iter %d: decode mismatch", iter)
-		}
-	}
-}
-
-func TestDecodeIsColumnarResident(t *testing.T) {
-	r := FromTuples("R", []string{"a", "b"}, [][]Value{{1, 2}, {3, 4}})
-	dec, err := Decode(Encode(r))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !dec.ColumnsResident() || dec.RowsResident() {
-		t.Fatal("decoded relation should be columnar-resident")
-	}
-	if !dec.Equal(r) {
-		t.Fatalf("roundtrip mismatch: %v", dec)
+	if a, b := Fingerprint(fromTuples), Fingerprint(fromColumns); a != b || a != 13793384967671187867 {
+		t.Errorf("fingerprints %d, %d: want 13793384967671187867 for both", a, b)
 	}
 }
 
@@ -232,52 +141,25 @@ func TestDecodeIntoReusesColumnBacking(t *testing.T) {
 	}
 }
 
-func TestHashJoinAcrossLayoutsMatches(t *testing.T) {
-	rng := rand.New(rand.NewSource(14))
-	for iter := 0; iter < 40; iter++ {
-		r := randomRelation(rng, "R", 2, rng.Intn(60), 20)
-		r.Attrs = []string{"a", "b"}
-		s := randomRelation(rng, "S", 2, rng.Intn(60), 20)
-		s.Attrs = []string{"b", "c"}
-		want := HashJoin(r, s).SortDedup()
-		got := HashJoin(r.Clone().PivotToColumns(), s.Clone().PivotToColumns()).SortDedup()
-		if !want.Equal(got) {
-			t.Fatalf("iter %d: join diverged across layouts", iter)
-		}
-	}
-}
-
-func TestPivotsAreInverse(t *testing.T) {
-	rng := rand.New(rand.NewSource(15))
-	r := randomRelation(rng, "R", 3, 100, 50)
-	orig := r.Clone()
-	r.PivotToColumns().PivotToRows().PivotToColumns()
-	if !r.Equal(orig) {
-		t.Fatal("pivot roundtrip changed content")
-	}
-}
-
-// TestRenamedAliasMutationStaysConsistent is the layout-aliasing
-// regression: after a sibling created by Renamed sorts the shared backing
-// in place, the original must not serve a stale cached transpose — its
-// secondary view has to be re-derived from the mutated storage.
+// TestRenamedAliasMutationStaysConsistent: Renamed shares column contents,
+// so after a sibling sorts in place the original reads the sorted values —
+// through Column and Tuple alike.
 func TestRenamedAliasMutationStaysConsistent(t *testing.T) {
 	r := FromTuples("R", []string{"a", "b"}, [][]Value{{3, 30}, {1, 10}, {2, 20}})
-	r.Columns() // cache the columnar mirror (layoutBoth)
 	s := r.Renamed("S")
-	s.Sort() // mutates the shared row backing in place
+	s.Sort() // mutates the shared columns in place
 	wantCol0 := []Value{1, 2, 3}
 	got := r.Column(0)
 	for i := range wantCol0 {
 		if got[i] != wantCol0[i] {
-			t.Fatalf("original served a stale columnar view after sibling sort: col0=%v", got)
+			t.Fatalf("sibling sort not visible through the original: col0=%v", got)
 		}
 	}
 	if r.Tuple(0)[0] != 1 || s.Tuple(0)[0] != 1 {
 		t.Fatalf("shared backing not sorted: r=%v s=%v", r.Tuple(0), s.Tuple(0))
 	}
 
-	// Columnar-authoritative receiver: the sibling shares the columns.
+	// Unary relations sort their one column directly; still in place.
 	c := FromColumns("C", []string{"a"}, [][]Value{{3, 1, 2}})
 	cs := c.Renamed("CS")
 	cs.Sort()
@@ -287,7 +169,7 @@ func TestRenamedAliasMutationStaysConsistent(t *testing.T) {
 }
 
 // TestRenamedColumnarAliasHeaderIsolation: length-changing operations on a
-// columnar Renamed sibling must not change the original's row count — the
+// Renamed sibling must not change the original's row count — the
 // outer column-header slice is private per alias even though the column
 // contents are shared.
 func TestRenamedColumnarAliasHeaderIsolation(t *testing.T) {
@@ -305,5 +187,49 @@ func TestRenamedColumnarAliasHeaderIsolation(t *testing.T) {
 	s2.Columns()[0][0] = 7
 	if r.Column(0)[0] != 7 {
 		t.Fatal("column contents should remain shared")
+	}
+}
+
+// TestConcurrentReadersShareRelation: no reading method writes the
+// receiver, so goroutines may share one relation without synchronization.
+// Run under -race.
+func TestConcurrentReadersShareRelation(t *testing.T) {
+	attrs := []string{"a", "b"}
+	shared := map[string]*Relation{
+		"FromTuples":  FromTuples("R", attrs, [][]Value{{1, 10}, {2, 20}, {3, 30}}),
+		"FromColumns": FromColumns("R", attrs, [][]Value{{1, 2, 3}, {10, 20, 30}}),
+		"FromEdges":   FromEdges("R", "a", "b", [][2]Value{{1, 10}, {2, 20}, {3, 30}}),
+	}
+	want := FromTuples("W", attrs, [][]Value{{1, 10}, {2, 20}, {3, 30}})
+	wantFP := Fingerprint(want)
+	for name, r := range shared {
+		var wg sync.WaitGroup
+		for g := 0; g < 4; g++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for iter := 0; iter < 50; iter++ {
+					if tup := r.Tuple(1); tup[0] != 2 || tup[1] != 20 {
+						t.Errorf("%s: Tuple(1) = %v", name, tup)
+					}
+					if cols := r.Columns(); len(cols) != 2 || cols[1][2] != 30 {
+						t.Errorf("%s: Columns() = %v", name, cols)
+					}
+					if col := r.Column(1); col[0] != 10 {
+						t.Errorf("%s: Column(1) = %v", name, col)
+					}
+					if !r.Equal(want) || !want.Equal(r) {
+						t.Errorf("%s: not Equal to its content", name)
+					}
+					if Fingerprint(r) != wantFP {
+						t.Errorf("%s: fingerprint differs", name)
+					}
+					if s := r.Renamed("S"); s.Len() != 3 || s.Tuple(0)[1] != 10 {
+						t.Errorf("%s: Renamed = %v", name, s)
+					}
+				}
+			}()
+		}
+		wg.Wait()
 	}
 }

@@ -10,11 +10,10 @@ import "fmt"
 // varying last column (AppendRun); the writer replicates the prefix values
 // with tight fill loops instead of copying a full row per tuple.
 //
-// The target relation becomes (or stays) columnar-resident and is kept
-// consistent after every append, so it can be read, merged (AppendAll
-// adopts the columnar layout) or encoded at any point. The writer owns the
-// relation's column storage while attached: do not mutate the relation
-// through other methods until the writer is dropped.
+// The target relation is kept consistent after every append, so it can be
+// read, merged or encoded at any point. The writer owns the relation's
+// column storage while attached: do not mutate the relation through other
+// methods until the writer is dropped.
 //
 // ColumnWriter satisfies the leapfrog result-sink contract (BeginRun /
 // AppendRun over []Value) directly — no per-tuple adapter sits between the
@@ -27,16 +26,12 @@ type ColumnWriter struct {
 }
 
 // NewColumnWriter attaches a writer to r. r may already hold tuples (new
-// runs append after them) and may use either layout; it is pivoted to
-// columnar residency.
+// runs append after them).
 func NewColumnWriter(r *Relation) *ColumnWriter {
 	if len(r.Attrs) == 0 {
 		panic(fmt.Sprintf("relation %q: ColumnWriter needs at least one attribute", r.Name))
 	}
-	w := &ColumnWriter{r: r}
-	w.cols = r.mutableColsEmptyOK()
-	w.rows = r.Len()
-	return w
+	return &ColumnWriter{r: r, cols: r.cols, rows: r.Len()}
 }
 
 // Rows returns the number of tuples appended so far (including any the

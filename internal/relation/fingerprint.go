@@ -50,27 +50,16 @@ func (h Hash64) Sum() uint64 { return uint64(h) }
 // Attribute *names* are deliberately excluded: a graph query binds the same
 // edge relation under many atom names, and block tries built from it depend
 // only on the values and the column permutation, not on what the columns
-// are called. The fingerprint works on whichever layout is resident and
-// never forces a transpose.
+// are called. How the relation was constructed does not matter either:
+// equal content in equal row order always fingerprints equal.
 func Fingerprint(r *Relation) uint64 {
 	h := NewHash64()
 	h.Word(uint64(r.Arity()))
 	h.Word(uint64(r.Len()))
-	if r.ColumnsResident() {
-		// Column-major walk: the hash must match the row-major walk of the
-		// same content, so values are mixed in row order by striding the
-		// resident columns.
-		cols := r.Columns()
-		n := r.Len()
-		for i := 0; i < n; i++ {
-			for _, col := range cols {
-				h.Word(uint64(col[i]))
-			}
+	for i, n := 0, r.Len(); i < n; i++ {
+		for _, col := range r.cols {
+			h.Word(uint64(col[i]))
 		}
-		return h.Sum()
-	}
-	for _, v := range r.Data() {
-		h.Word(uint64(v))
 	}
 	return h.Sum()
 }

@@ -39,61 +39,38 @@ func HashTuple(t Tuple, parts int) int {
 // Tuples with equal values on cols land in the same partition — the
 // contract hash joins rely on.
 //
-// Both layouts run in two passes: hash every row into a partition id
-// (a pure column scan for a single-column key on columnar input), count,
-// then scatter each row exactly once into exact-size backing. A
-// columnar-resident relation yields columnar partitions (scattering one
-// column at a time); row-major input yields row-major partitions.
+// Two passes: hash every row into a partition id (a pure column scan for a
+// single-column key), count, then scatter each column exactly once into
+// exact-size backing.
 func (r *Relation) PartitionBy(cols []int, parts int) []*Relation {
 	n := r.Len()
 	part, counts := r.partitionIDs(cols, parts, n)
+	outCols := make([][][]Value, parts)
+	for p := range outCols {
+		outCols[p] = make([][]Value, len(r.cols))
+		for j := range outCols[p] {
+			outCols[p][j] = make([]Value, counts[p])
+		}
+	}
+	cur := make([]int32, parts)
+	for j, col := range r.cols {
+		clear(cur)
+		for i, p := range part {
+			outCols[p][j][cur[p]] = col[i]
+			cur[p]++
+		}
+	}
 	out := make([]*Relation, parts)
-	if cs := r.colsView(); cs != nil {
-		k := len(r.Attrs)
-		outCols := make([][][]Value, parts)
-		for p := 0; p < parts; p++ {
-			outCols[p] = make([][]Value, k)
-			for j := 0; j < k; j++ {
-				outCols[p][j] = make([]Value, counts[p])
-			}
-		}
-		cur := make([]int32, parts)
-		for j, col := range cs {
-			for i := range cur {
-				cur[i] = 0
-			}
-			for i := 0; i < n; i++ {
-				p := part[i]
-				outCols[p][j][cur[p]] = col[i]
-				cur[p]++
-			}
-		}
-		for p := 0; p < parts; p++ {
-			out[p] = FromColumns(r.Name, r.Attrs, outCols[p])
-		}
-		return out
-	}
-	k := len(r.Attrs)
-	data := r.rows()
-	bufs := make([][]Value, parts)
-	for p := 0; p < parts; p++ {
-		bufs[p] = make([]Value, 0, int(counts[p])*k)
-	}
-	for i := 0; i < n; i++ {
-		p := part[i]
-		bufs[p] = append(bufs[p], data[i*k:(i+1)*k]...)
-	}
-	for p := 0; p < parts; p++ {
-		out[p] = New(r.Name, r.Attrs...)
-		out[p].SetData(bufs[p])
+	for p := range out {
+		out[p] = FromColumns(r.Name, r.Attrs, outCols[p])
 	}
 	return out
 }
 
 // partitionIDs hashes every row into [0, parts) and returns per-row ids
-// plus per-partition counts. Single-column keys over columnar input hash
-// one contiguous column; multi-column keys gather into a scratch tuple
-// (the FNV combination is order-sensitive, so it must see whole rows).
+// plus per-partition counts. Single-column keys hash one contiguous
+// column; multi-column keys gather into a scratch tuple (the FNV
+// combination is order-sensitive, so it must see the whole key).
 func (r *Relation) partitionIDs(cols []int, parts, n int) ([]int32, []int32) {
 	part := make([]int32, n)
 	counts := make([]int32, parts)
@@ -103,28 +80,21 @@ func (r *Relation) partitionIDs(cols []int, parts, n int) ([]int32, []int32) {
 		}
 		return part, counts
 	}
-	if cs := r.colsView(); cs != nil && len(cols) == 1 {
-		col := cs[cols[0]]
-		for i := 0; i < n; i++ {
-			p := int32(HashValue(col[i], parts))
+	if len(cols) == 1 {
+		for i, v := range r.cols[cols[0]] {
+			p := int32(HashValue(v, parts))
 			part[i] = p
 			counts[p]++
 		}
 		return part, counts
 	}
 	kbuf := make([]Value, len(cols))
-	for i := 0; i < n; i++ {
-		t := r.Tuple(i)
-		var p int
-		if len(cols) == 1 {
-			p = HashValue(t[cols[0]], parts)
-		} else {
-			for j, c := range cols {
-				kbuf[j] = t[c]
-			}
-			p = HashTuple(kbuf, parts)
+	for i := range part {
+		for j, c := range cols {
+			kbuf[j] = r.cols[c][i]
 		}
-		part[i] = int32(p)
+		p := int32(HashTuple(kbuf, parts))
+		part[i] = p
 		counts[p]++
 	}
 	return part, counts

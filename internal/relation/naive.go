@@ -24,17 +24,17 @@ func NaiveJoin(rels []*Relation, outAttrs []string) *Relation {
 		}
 		r := rels[d]
 		for i, n := 0, r.Len(); i < n; i++ {
-			t := r.Tuple(i)
 			ok := true
 			var bound []string
 			for j, a := range r.Attrs {
+				x := r.cols[j][i]
 				if v, has := binding[a]; has {
-					if v != t[j] {
+					if v != x {
 						ok = false
 						break
 					}
 				} else {
-					binding[a] = t[j]
+					binding[a] = x
 					bound = append(bound, a)
 				}
 			}

@@ -3,84 +3,83 @@ package relation
 import (
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
 )
 
 // Project returns a new relation containing only the given attributes, in
 // the given order, with duplicates removed (set semantics, as required for
 // the val(A) intersections of the sampler and for trie construction).
 func (r *Relation) Project(attrs ...string) *Relation {
-	idx := make([]int, len(attrs))
-	for i, a := range attrs {
-		j := r.AttrIndex(a)
-		if j < 0 {
-			panic(fmt.Sprintf("relation %q: project on missing attribute %q", r.Name, a))
-		}
-		idx[i] = j
-	}
-	out := NewWithCapacity(r.Name+"_proj", r.Len(), attrs...)
-	row := make([]Value, len(attrs))
-	for i, n := 0, r.Len(); i < n; i++ {
-		t := r.Tuple(i)
-		for j, c := range idx {
-			row[j] = t[c]
-		}
-		out.AppendTuple(row)
-	}
-	return out.SortDedup()
+	return r.ProjectMulti(attrs...).SortDedup()
 }
 
 // ProjectMulti keeps duplicates (bag semantics); used where counts matter.
-// A columnar-resident receiver projects by whole-column copies and stays
-// columnar (the BinaryJoin output path), so projection costs one memcpy
-// per kept attribute instead of a row gather.
+// Projection costs one memcpy per kept attribute.
 func (r *Relation) ProjectMulti(attrs ...string) *Relation {
-	idx := make([]int, len(attrs))
+	outCols := make([][]Value, len(attrs))
 	for i, a := range attrs {
 		j := r.AttrIndex(a)
 		if j < 0 {
 			panic(fmt.Sprintf("relation %q: project on missing attribute %q", r.Name, a))
 		}
-		idx[i] = j
+		outCols[i] = append([]Value(nil), r.cols[j]...)
 	}
-	if cs := r.colsView(); cs != nil {
-		outCols := make([][]Value, len(attrs))
-		for j, c := range idx {
-			outCols[j] = append([]Value(nil), cs[c]...)
+	return FromColumns(r.Name+"_proj", attrs, outCols)
+}
+
+// gatherCols returns, for every column, its values at the listed rows in
+// that order: one exact-size gather per column.
+func gatherCols(cols [][]Value, rows []int32) [][]Value {
+	out := make([][]Value, len(cols))
+	for j, col := range cols {
+		oc := make([]Value, len(rows))
+		for x, i := range rows {
+			oc[x] = col[i]
 		}
-		return FromColumns(r.Name+"_proj", attrs, outCols)
-	}
-	out := NewWithCapacity(r.Name+"_proj", r.Len(), attrs...)
-	row := make([]Value, len(attrs))
-	for i, n := 0, r.Len(); i < n; i++ {
-		t := r.Tuple(i)
-		for j, c := range idx {
-			row[j] = t[c]
-		}
-		out.AppendTuple(row)
+		out[j] = oc
 	}
 	return out
 }
 
-// Filter returns the tuples for which keep returns true.
+// gather returns a relation named name holding the listed rows of r.
+func (r *Relation) gather(name string, rows []int32) *Relation {
+	return FromColumns(name, r.Attrs, gatherCols(r.cols, rows))
+}
+
+// Filter returns the tuples for which keep returns true. The tuple passed
+// to keep is scratch reused across rows; keep must not retain it.
 func (r *Relation) Filter(keep func(Tuple) bool) *Relation {
-	out := New(r.Name+"_filt", r.Attrs...)
+	row := make(Tuple, len(r.cols))
+	var kept []int32
 	for i, n := 0, r.Len(); i < n; i++ {
-		t := r.Tuple(i)
-		if keep(t) {
-			out.AppendTuple(t)
+		for j, col := range r.cols {
+			row[j] = col[i]
+		}
+		if keep(row) {
+			kept = append(kept, int32(i))
 		}
 	}
-	return out
+	return r.gather(r.Name+"_filt", kept)
+}
+
+// filterColumn returns the tuples whose attribute a satisfies keep.
+func (r *Relation) filterColumn(op, a string, keep func(Value) bool) *Relation {
+	c := r.AttrIndex(a)
+	if c < 0 {
+		panic(fmt.Sprintf("relation %q: %s on missing attribute %q", r.Name, op, a))
+	}
+	var kept []int32
+	for i, v := range r.cols[c] {
+		if keep(v) {
+			kept = append(kept, int32(i))
+		}
+	}
+	return r.gather(r.Name+"_filt", kept)
 }
 
 // Select returns tuples whose attribute a equals v.
 func (r *Relation) Select(a string, v Value) *Relation {
-	c := r.AttrIndex(a)
-	if c < 0 {
-		panic(fmt.Sprintf("relation %q: select on missing attribute %q", r.Name, a))
-	}
-	return r.Filter(func(t Tuple) bool { return t[c] == v })
+	return r.filterColumn("select", a, func(x Value) bool { return x == v })
 }
 
 // Distinct returns the sorted set of values of attribute a.
@@ -89,24 +88,15 @@ func (r *Relation) Distinct(a string) []Value {
 	if c < 0 {
 		panic(fmt.Sprintf("relation %q: distinct on missing attribute %q", r.Name, a))
 	}
-	seen := make(map[Value]struct{}, r.Len())
-	for i, n := 0, r.Len(); i < n; i++ {
-		seen[r.Tuple(i)[c]] = struct{}{}
-	}
-	out := make([]Value, 0, len(seen))
-	for v := range seen {
-		out = append(out, v)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
+	out := slices.Clone(r.cols[c])
+	slices.Sort(out)
+	return slices.Compact(out)
 }
 
 // Semijoin returns the tuples of r that join with at least one tuple of s on
 // the shared attributes `on` (which must exist in both schemas). This is the
 // database-reduction step of the distributed sampler (§IV of the paper) and
-// BigJoin's verify filter. The output keeps r's resident layout: a
-// columnar-resident receiver yields a columnar result via one exact-size
-// gather per column, so the next round's re-shuffle encodes with no pivot.
+// BigJoin's verify filter.
 func (r *Relation) Semijoin(s *Relation, on []string) *Relation {
 	ri := make([]int, len(on))
 	si := make([]int, len(on))
@@ -120,45 +110,25 @@ func (r *Relation) Semijoin(s *Relation, on []string) *Relation {
 	keys := make(map[string]struct{}, s.Len())
 	kbuf := make([]Value, len(on))
 	for i, n := 0, s.Len(); i < n; i++ {
-		t := s.Tuple(i)
-		for j, c := range si {
-			kbuf[j] = t[c]
-		}
-		keys[encodeKey(kbuf)] = struct{}{}
+		keys[s.rowKey(kbuf, si, i)] = struct{}{}
 	}
-	out := New(r.Name, r.Attrs...)
-	if cs := r.colsView(); cs != nil {
-		n := r.Len()
-		keep := make([]int32, 0, n)
-		for i := 0; i < n; i++ {
-			for j, c := range ri {
-				kbuf[j] = cs[c][i]
-			}
-			if _, ok := keys[encodeKey(kbuf)]; ok {
-				keep = append(keep, int32(i))
-			}
-		}
-		outCols := make([][]Value, len(cs))
-		for j, col := range cs {
-			oc := make([]Value, len(keep))
-			for x, i := range keep {
-				oc[x] = col[i]
-			}
-			outCols[j] = oc
-		}
-		out.SetColumns(outCols)
-		return out
-	}
-	for i, n := 0, r.Len(); i < n; i++ {
-		t := r.Tuple(i)
-		for j, c := range ri {
-			kbuf[j] = t[c]
-		}
-		if _, ok := keys[encodeKey(kbuf)]; ok {
-			out.AppendTuple(t)
+	n := r.Len()
+	keep := make([]int32, 0, n)
+	for i := 0; i < n; i++ {
+		if _, ok := keys[r.rowKey(kbuf, ri, i)]; ok {
+			keep = append(keep, int32(i))
 		}
 	}
-	return out
+	return r.gather(r.Name, keep)
+}
+
+// rowKey gathers row i's values at columns at into kbuf and returns their
+// map key.
+func (r *Relation) rowKey(kbuf []Value, at []int, i int) string {
+	for j, c := range at {
+		kbuf[j] = r.cols[c][i]
+	}
+	return encodeKey(kbuf)
 }
 
 // SemijoinValues keeps tuples whose attribute a takes a value in vals.
@@ -167,11 +137,7 @@ func (r *Relation) SemijoinValues(a string, vals []Value) *Relation {
 	for _, v := range vals {
 		set[v] = struct{}{}
 	}
-	c := r.AttrIndex(a)
-	if c < 0 {
-		panic(fmt.Sprintf("relation %q: semijoinValues on missing attribute %q", r.Name, a))
-	}
-	return r.Filter(func(t Tuple) bool { _, ok := set[t[c]]; return ok })
+	return r.filterColumn("semijoinValues", a, func(x Value) bool { _, ok := set[x]; return ok })
 }
 
 // SharedAttrs returns the attributes common to both schemas, in r's order.
@@ -208,10 +174,7 @@ func HashJoin(r, s *Relation) *Relation {
 	return hashJoin(r, s, 0)
 }
 
-// hashJoin returns nil when the limit is exceeded. The output is built
-// columnar: every matched (probe, build) pair appends one value per output
-// column, so the result feeds the shuffle codec, the hash partitioner and
-// the trie builder in their native layout with no pivot — the path every
+// hashJoin returns nil when the limit is exceeded. It is the path every
 // BinaryJoin intermediate and ADJ bag pre-computation round takes.
 func hashJoin(r, s *Relation, limit int) *Relation {
 	shared := SharedAttrs(r, s)
@@ -230,61 +193,40 @@ func hashJoin(r, s *Relation, limit int) *Relation {
 	// Output schema and the column picks for each side.
 	var outAttrs []string
 	outAttrs = append(outAttrs, r.Attrs...)
-	var sExtra []int
+	var sExtra [][]Value
 	for j, a := range s.Attrs {
 		if r.AttrIndex(a) < 0 {
 			outAttrs = append(outAttrs, a)
-			sExtra = append(sExtra, j)
+			sExtra = append(sExtra, s.cols[j])
 		}
 	}
 	out := New(fmt.Sprintf("(%s⋈%s)", r.Name, s.Name), outAttrs...)
 	if build.Len() == 0 || probe.Len() == 0 {
 		return out
 	}
-	ht := make(map[string][]int, build.Len())
+	ht := make(map[string][]int32, build.Len())
 	kbuf := make([]Value, len(shared))
 	for i, n := 0, build.Len(); i < n; i++ {
-		t := build.Tuple(i)
-		for j, c := range bi {
-			kbuf[j] = t[c]
-		}
-		k := encodeKey(kbuf)
-		ht[k] = append(ht[k], i)
+		k := build.rowKey(kbuf, bi, i)
+		ht[k] = append(ht[k], int32(i))
 	}
-	outCols := make([][]Value, len(outAttrs))
-	rk := len(r.Attrs)
-	count := 0
+	// Matched row pairs, as (row of r, row of s); the output columns are
+	// gathered from them one column at a time.
+	var rRows, sRows []int32
 	for i, n := 0, probe.Len(); i < n; i++ {
-		pt := probe.Tuple(i)
-		for j, c := range pi {
-			kbuf[j] = pt[c]
-		}
-		matches, ok := ht[encodeKey(kbuf)]
-		if !ok {
-			continue
-		}
-		for _, m := range matches {
-			bt := build.Tuple(m)
-			var rt, st Tuple
+		for _, m := range ht[probe.rowKey(kbuf, pi, i)] {
 			if swapped {
-				rt, st = bt, pt
+				rRows, sRows = append(rRows, m), append(sRows, int32(i))
 			} else {
-				rt, st = pt, bt
+				rRows, sRows = append(rRows, int32(i)), append(sRows, m)
 			}
-			// Keys are exact encodings, so shared attrs are equal here.
-			for j, v := range rt {
-				outCols[j] = append(outCols[j], v)
-			}
-			for j, c := range sExtra {
-				outCols[rk+j] = append(outCols[rk+j], st[c])
-			}
-			count++
-			if limit > 0 && count > limit {
+			if limit > 0 && len(rRows) > limit {
 				return nil
 			}
 		}
 	}
-	out.SetColumns(outCols)
+	// Keys are exact encodings, so shared attrs are equal on every pair.
+	out.cols = append(gatherCols(r.cols, rRows), gatherCols(sExtra, sRows)...)
 	return out
 }
 

@@ -1,6 +1,7 @@
 // Package relation implements the relational substrate of ADJ: schemas,
-// typed tuples stored in flat row-major blocks, and the operations the join
-// engines need (sort, dedup, project, semijoin, hash partitioning).
+// tuples stored column-major (one value slice per attribute), and the
+// operations the join engines need (sort, dedup, project, semijoin, hash
+// partitioning).
 //
 // Values are int64. A Relation is a multiset of fixed-arity tuples over a
 // named schema; most operations return new relations and leave the receiver
@@ -10,61 +11,46 @@ package relation
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 	"strings"
 )
 
 // Value is the domain of every attribute. Graph datasets use vertex ids.
 type Value = int64
 
-// Tuple is a single row. It aliases the relation's backing array; callers
-// must copy before retaining it across mutations.
+// Tuple is a single row, always a copy: a relation stores no rows to alias.
 type Tuple = []Value
-
-// layout tracks which backing representation currently holds the
-// relation's content. The zero value is layoutRows, so a zero Relation is a
-// valid empty row-major relation.
-type layout uint8
-
-const (
-	// layoutRows: data is authoritative; cols may be stale scratch.
-	layoutRows layout = iota
-	// layoutCols: cols is authoritative; data may be stale scratch.
-	layoutCols
-	// layoutBoth: data and cols hold identical content (a read-only
-	// materialized view of one from the other). Any mutation collapses the
-	// layout back to the representation it was applied to.
-	layoutBoth
-)
 
 // Relation is a multiset of tuples with a fixed schema.
 //
-// Tuples live in one of two backing stores: a row-major flat slice (data)
-// or a column-major slice-per-attribute (cols). Either side can be
-// authoritative; the other is materialized lazily on first access and kept
-// as a read-only view until the next mutation (see layout). The row-major
-// API (Tuple, Append, Data, Sort, ...) keeps working on columnar relations
-// via that lazy transpose, while the hot paths — the trie builder's radix
-// passes, the shuffle codec's per-column delta runs, and the hash
-// partitioner — operate on whichever representation is resident and prefer
-// columnar when both are.
+// Tuples are stored column-major: cols[j] holds attribute Attrs[j] of every
+// tuple in row order, and that is the only backing store. The trie
+// builder's radix passes, the shuffle codec's per-column delta runs, the
+// hash partitioner and the hash joins all scan these columns directly.
+// The row-shaped calls (Append, AppendTuple, FromTuples, Tuple) are
+// conveniences that scatter into or gather from the columns. No reading
+// method writes the receiver, so any number of goroutines may read one
+// relation concurrently.
+//
+// The zero value is an empty relation of arity 0; every constructor keeps
+// len(cols) == len(Attrs).
 type Relation struct {
 	Name  string
 	Attrs []string
-	data  []Value
 	cols  [][]Value
-	lay   layout
 }
 
 // New returns an empty relation with the given name and schema.
 func New(name string, attrs ...string) *Relation {
-	return &Relation{Name: name, Attrs: append([]string(nil), attrs...)}
+	return &Relation{Name: name, Attrs: append([]string(nil), attrs...), cols: make([][]Value, len(attrs))}
 }
 
 // NewWithCapacity returns an empty relation pre-sized for n tuples.
 func NewWithCapacity(name string, n int, attrs ...string) *Relation {
 	r := New(name, attrs...)
-	r.data = make([]Value, 0, n*len(attrs))
+	for j := range r.cols {
+		r.cols[j] = make([]Value, 0, n)
+	}
 	return r
 }
 
@@ -72,7 +58,7 @@ func NewWithCapacity(name string, n int, attrs ...string) *Relation {
 func FromTuples(name string, attrs []string, rows [][]Value) *Relation {
 	r := NewWithCapacity(name, len(rows), attrs...)
 	for _, row := range rows {
-		r.Append(row...)
+		r.AppendTuple(row)
 	}
 	return r
 }
@@ -80,11 +66,40 @@ func FromTuples(name string, attrs []string, rows [][]Value) *Relation {
 // FromEdges builds a binary relation over (src, dst) attribute names from an
 // edge list, the representation used for all graph datasets in the paper.
 func FromEdges(name, srcAttr, dstAttr string, edges [][2]Value) *Relation {
-	r := NewWithCapacity(name, len(edges), srcAttr, dstAttr)
-	for _, e := range edges {
-		r.data = append(r.data, e[0], e[1])
+	src := make([]Value, len(edges))
+	dst := make([]Value, len(edges))
+	for i, e := range edges {
+		src[i], dst[i] = e[0], e[1]
 	}
-	return r
+	return FromColumns(name, []string{srcAttr, dstAttr}, [][]Value{src, dst})
+}
+
+// checkColumns validates a caller-supplied column batch: one slice per
+// attribute, all the same length. Shared by FromColumns, SetColumns and
+// AppendColumns so the contract cannot drift between them.
+func checkColumns(name string, nattrs int, cols [][]Value) {
+	if len(cols) != nattrs {
+		panic(fmt.Sprintf("relation %q: %d columns != %d attrs", name, len(cols), nattrs))
+	}
+	for j := 1; j < len(cols); j++ {
+		if len(cols[j]) != len(cols[0]) {
+			panic(fmt.Sprintf("relation %q: column %d length %d != column 0 length %d", name, j, len(cols[j]), len(cols[0])))
+		}
+	}
+}
+
+// FromColumns builds a relation taking ownership of cols (one slice per
+// attribute, all the same length).
+func FromColumns(name string, attrs []string, cols [][]Value) *Relation {
+	checkColumns(name, len(attrs), cols)
+	return &Relation{Name: name, Attrs: append([]string(nil), attrs...), cols: cols}
+}
+
+// SetColumns replaces the backing store with the given columns. Takes
+// ownership of cols.
+func (r *Relation) SetColumns(cols [][]Value) {
+	checkColumns(r.Name, len(r.Attrs), cols)
+	r.cols = cols
 }
 
 // Arity returns the number of attributes.
@@ -92,112 +107,78 @@ func (r *Relation) Arity() int { return len(r.Attrs) }
 
 // Len returns the number of tuples.
 func (r *Relation) Len() int {
-	if len(r.Attrs) == 0 {
+	if len(r.cols) == 0 {
 		return 0
 	}
-	if r.lay == layoutCols {
-		return len(r.cols[0])
-	}
-	return len(r.data) / len(r.Attrs)
+	return len(r.cols[0])
 }
 
-// Tuple returns the i-th row as a slice aliasing internal (row-major)
-// storage, materializing it from the columnar store if necessary.
+// Columns returns the per-column value slices (read-only by convention).
+// Column j holds attribute Attrs[j] for every tuple in row order.
+func (r *Relation) Columns() [][]Value { return r.cols }
+
+// Column returns the values of column j (read-only by convention).
+func (r *Relation) Column(j int) []Value { return r.cols[j] }
+
+// Tuple gathers the i-th row into a fresh slice. It is a convenience for
+// tests, tools and one-off lookups; loops over a relation read Columns.
 func (r *Relation) Tuple(i int) Tuple {
-	k := len(r.Attrs)
-	d := r.rows()
-	return d[i*k : (i+1)*k]
+	t := make(Tuple, len(r.cols))
+	for j, col := range r.cols {
+		t[j] = col[i]
+	}
+	return t
 }
 
 // Append adds one row. It panics if the arity does not match the schema:
 // that is always a programming error, never a data error.
-func (r *Relation) Append(vals ...Value) {
-	if len(vals) != len(r.Attrs) {
-		panic(fmt.Sprintf("relation %q: append arity %d != schema arity %d", r.Name, len(vals), len(r.Attrs)))
-	}
-	r.data = append(r.mutableRows(), vals...)
-}
+func (r *Relation) Append(vals ...Value) { r.AppendTuple(vals) }
 
-// AppendTuple adds one row without the variadic copy.
+// AppendTuple adds one row, scattering it into the columns.
 func (r *Relation) AppendTuple(t Tuple) {
 	if len(t) != len(r.Attrs) {
 		panic(fmt.Sprintf("relation %q: append arity %d != schema arity %d", r.Name, len(t), len(r.Attrs)))
 	}
-	r.data = append(r.mutableRows(), t...)
+	for j, v := range t {
+		r.cols[j] = append(r.cols[j], v)
+	}
 }
 
-// AppendAll concatenates all tuples of s (same arity required) onto r.
-// When the source is columnar-resident and the receiver is columnar (or
-// still empty), the append runs column-wise and the receiver stays
-// columnar — the path shuffle receivers take when folding decoded blocks
-// into cube databases.
+// AppendColumns appends one batch of column slices (aligned with Attrs,
+// equal lengths); the batch is copied.
+func (r *Relation) AppendColumns(cols [][]Value) {
+	checkColumns(r.Name, len(r.Attrs), cols)
+	for j := range r.cols {
+		r.cols[j] = append(r.cols[j], cols[j]...)
+	}
+}
+
+// AppendAll concatenates all tuples of s (same arity required) onto r —
+// the path shuffle receivers take when folding decoded blocks into cube
+// databases.
 func (r *Relation) AppendAll(s *Relation) {
 	if len(s.Attrs) != len(r.Attrs) {
 		panic(fmt.Sprintf("relation %q: appendAll arity %d != %d", r.Name, len(s.Attrs), len(r.Attrs)))
 	}
-	if s.lay != layoutRows && (r.lay == layoutCols || (r.Len() == 0 && len(r.Attrs) > 0)) {
-		dst := r.mutableColsEmptyOK()
-		for j := range dst {
-			dst[j] = append(dst[j], s.cols[j]...)
-		}
-		r.cols = dst
-		return
-	}
-	r.data = append(r.mutableRows(), s.rows()...)
+	r.AppendColumns(s.cols)
 }
 
-// Data exposes the raw row-major value block (read-only by convention),
-// materializing it from the columnar store if necessary.
-func (r *Relation) Data() []Value { return r.rows() }
-
-// SetData replaces the backing array. len(d) must be a multiple of arity.
-func (r *Relation) SetData(d []Value) {
-	if len(r.Attrs) > 0 && len(d)%len(r.Attrs) != 0 {
-		panic(fmt.Sprintf("relation %q: data length %d not a multiple of arity %d", r.Name, len(d), len(r.Attrs)))
-	}
-	r.data = d
-	r.lay = layoutRows
-}
-
-// Clone deep-copies the relation, preserving its resident representation.
+// Clone deep-copies the relation.
 func (r *Relation) Clone() *Relation {
-	c := &Relation{Name: r.Name, Attrs: append([]string(nil), r.Attrs...), lay: r.lay}
-	switch r.lay {
-	case layoutCols:
-		c.cols = cloneCols(r.cols)
-	case layoutBoth:
-		c.data = append([]Value(nil), r.data...)
-		c.cols = cloneCols(r.cols)
-	default:
-		c.data = append([]Value(nil), r.data...)
+	cols := make([][]Value, len(r.cols))
+	for j, c := range r.cols {
+		cols[j] = slices.Clone(c)
 	}
-	return c
+	return &Relation{Name: r.Name, Attrs: slices.Clone(r.Attrs), cols: cols}
 }
 
-// Renamed returns a shallow copy with a different name: tuple storage is
-// shared, but the Attrs slice is copied (like Clone) so a later schema
-// mutation on either relation cannot alias the other.
-//
-// Only the authoritative representation is shared. A receiver holding both
-// views in sync is first collapsed to its row-major side, so an in-place
-// mutation through either alias cannot leave the other serving a stale
-// cached transpose: the sibling re-derives its secondary view from the
-// shared (mutated) backing on next access.
+// Renamed returns a shallow copy with a different name: column contents
+// are shared, but the Attrs slice is copied (like Clone) so a later schema
+// mutation on either relation cannot alias the other, and so is the slice
+// of column headers, so length-changing operations on one alias (append,
+// dedup) leave the other's row count alone.
 func (r *Relation) Renamed(name string) *Relation {
-	s := &Relation{Name: name, Attrs: append([]string(nil), r.Attrs...)}
-	if r.lay == layoutBoth {
-		r.lay = layoutRows
-	}
-	if r.lay == layoutCols {
-		// Copy the outer slice so length-changing operations on one alias
-		// (append, dedup) rewrite only its own column headers; the column
-		// contents stay shared, matching row-major sharing semantics.
-		s.cols = append([][]Value(nil), r.cols...)
-		s.lay = layoutCols
-	} else {
-		s.data = r.data
-	}
-	return s
+	return &Relation{Name: name, Attrs: append([]string(nil), r.Attrs...), cols: append([][]Value(nil), r.cols...)}
 }
 
 // AttrIndex returns the position of attribute a in the schema, or -1.
@@ -235,64 +216,102 @@ func (r *Relation) String() string {
 }
 
 // Sort orders tuples lexicographically in place and returns the receiver.
-// Columnar-resident relations stay columnar: the sort computes a row
-// permutation and applies it column by column.
-func (r *Relation) Sort() *Relation {
-	k := len(r.Attrs)
-	if k == 0 || r.Len() < 2 {
-		return r
-	}
-	if r.lay == layoutCols {
-		r.sortCols()
-		return r
-	}
-	sort.Sort(&rowSorter{data: r.mutableRows(), k: k, tmp: make([]Value, k)})
-	return r
-}
+func (r *Relation) Sort() *Relation { return r.SortByColumns(nil) }
 
 // SortByColumns orders tuples in place by the given column permutation:
 // first compare column cols[0], then cols[1], etc. Columns not listed keep
 // their relative influence last in schema order to make the sort total.
+//
+// A unary relation sorts its one column directly. Wider relations sort a
+// row permutation — comparisons resolve in the first columns almost
+// always — and then apply it to each column with one gather pass.
 func (r *Relation) SortByColumns(cols []int) *Relation {
 	k := len(r.Attrs)
-	if k == 0 || r.Len() < 2 {
+	n := r.Len()
+	if n < 2 {
 		return r
 	}
-	full := append([]int(nil), cols...)
-	seen := make(map[int]bool, k)
-	for _, c := range cols {
-		seen[c] = true
+	if k == 1 {
+		slices.Sort(r.cols[0])
+		return r
 	}
-	for c := 0; c < k; c++ {
-		if !seen[c] {
-			full = append(full, c)
+	keys := make([][]Value, 0, k)
+	listed := make([]bool, k)
+	for _, c := range cols {
+		if !listed[c] {
+			listed[c] = true
+			keys = append(keys, r.cols[c])
 		}
 	}
-	sort.Sort(&rowSorterCols{data: r.mutableRows(), k: k, cols: full, tmp: make([]Value, k)})
+	for c, col := range r.cols {
+		if !listed[c] {
+			keys = append(keys, col)
+		}
+	}
+	byKeys := func(a, b int32) int {
+		for _, c := range keys {
+			if c[a] != c[b] {
+				if c[a] < c[b] {
+					return -1
+				}
+				return 1
+			}
+		}
+		return 0
+	}
+	// Blocks cut from a sorted relation arrive sorted; leave those alone.
+	sorted := true
+	for i := 1; i < n && sorted; i++ {
+		sorted = byKeys(int32(i-1), int32(i)) <= 0
+	}
+	if sorted {
+		return r
+	}
+	idx := make([]int32, n)
+	for i := range idx {
+		idx[i] = int32(i)
+	}
+	slices.SortFunc(idx, byKeys)
+	tmp := make([]Value, n)
+	for _, col := range r.cols {
+		for i, p := range idx {
+			tmp[i] = col[p]
+		}
+		copy(col, tmp)
+	}
 	return r
 }
 
 // Dedup removes duplicate tuples in place. The relation must be sorted (in
 // any total order). Returns the receiver.
 func (r *Relation) Dedup() *Relation {
-	k := len(r.Attrs)
 	n := r.Len()
 	if n < 2 {
 		return r
 	}
-	if r.lay == layoutCols {
-		r.dedupCols()
-		return r
-	}
-	d := r.mutableRows()
+	cols := r.cols
 	w := 1
 	for i := 1; i < n; i++ {
-		if !equalRows(d, (w-1)*k, i*k, k) {
-			copy(d[w*k:(w+1)*k], d[i*k:(i+1)*k])
-			w++
+		dup := true
+		for _, c := range cols {
+			if c[i] != c[w-1] {
+				dup = false
+				break
+			}
 		}
+		if dup {
+			continue
+		}
+		if w != i {
+			for _, c := range cols {
+				c[w] = c[i]
+			}
+		}
+		w++
 	}
-	r.data = d[:w*k]
+	for j := range cols {
+		cols[j] = cols[j][:w]
+	}
 	return r
 }
 
@@ -301,94 +320,6 @@ func (r *Relation) SortDedup() *Relation { return r.Sort().Dedup() }
 
 // Equal reports whether two relations have identical schema and identical
 // tuple sequences (order-sensitive; sort both first for multiset equality).
-// Representation does not matter: a columnar relation equals its row-major
-// transpose.
 func (r *Relation) Equal(s *Relation) bool {
-	if len(r.Attrs) != len(s.Attrs) {
-		return false
-	}
-	for i := range r.Attrs {
-		if r.Attrs[i] != s.Attrs[i] {
-			return false
-		}
-	}
-	if r.Len() != s.Len() {
-		return false
-	}
-	if r.lay != layoutRows && s.lay != layoutRows {
-		for j := range r.cols {
-			rc, sc := r.cols[j], s.cols[j]
-			for i := range rc {
-				if rc[i] != sc[i] {
-					return false
-				}
-			}
-		}
-		return true
-	}
-	rd, sd := r.rows(), s.rows()
-	for i := range rd {
-		if rd[i] != sd[i] {
-			return false
-		}
-	}
-	return true
-}
-
-func equalRows(d []Value, a, b, k int) bool {
-	for i := 0; i < k; i++ {
-		if d[a+i] != d[b+i] {
-			return false
-		}
-	}
-	return true
-}
-
-// rowSorter sorts flat row-major data lexicographically.
-type rowSorter struct {
-	data []Value
-	k    int
-	tmp  []Value
-}
-
-func (s *rowSorter) Len() int { return len(s.data) / s.k }
-func (s *rowSorter) Less(i, j int) bool {
-	a, b := i*s.k, j*s.k
-	for x := 0; x < s.k; x++ {
-		if s.data[a+x] != s.data[b+x] {
-			return s.data[a+x] < s.data[b+x]
-		}
-	}
-	return false
-}
-func (s *rowSorter) Swap(i, j int) {
-	a, b := i*s.k, j*s.k
-	copy(s.tmp, s.data[a:a+s.k])
-	copy(s.data[a:a+s.k], s.data[b:b+s.k])
-	copy(s.data[b:b+s.k], s.tmp)
-}
-
-// rowSorterCols sorts by an explicit column priority list.
-type rowSorterCols struct {
-	data []Value
-	k    int
-	cols []int
-	tmp  []Value
-}
-
-func (s *rowSorterCols) Len() int { return len(s.data) / s.k }
-func (s *rowSorterCols) Less(i, j int) bool {
-	a, b := i*s.k, j*s.k
-	for _, c := range s.cols {
-		if s.data[a+c] != s.data[b+c] {
-			return s.data[a+c] < s.data[b+c]
-		}
-	}
-	return false
-}
-func (s *rowSorterCols) Swap(i, j int) {
-	a, b := i*s.k, j*s.k
-	copy(s.tmp, s.data[a:a+s.k])
-	copy(s.data[a:a+s.k], s.data[b:b+s.k])
-	copy(s.data[b:b+s.k], s.tmp)
+	return slices.Equal(r.Attrs, s.Attrs) && slices.EqualFunc(r.cols, s.cols, slices.Equal[[]Value])
 }

@@ -3,6 +3,7 @@ package relation
 import (
 	"math/rand"
 	"reflect"
+	"slices"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -48,48 +49,78 @@ func TestSortDedup(t *testing.T) {
 	}
 }
 
+// randRows draws n rows of the given arity over [0, dom).
+func randRows(rng *rand.Rand, arity, n int, dom int64) [][]Value {
+	rows := make([][]Value, n)
+	for i := range rows {
+		rows[i] = make([]Value, arity)
+		for j := range rows[i] {
+			rows[i][j] = rng.Int63n(dom)
+		}
+	}
+	return rows
+}
+
+func attrNames(arity int) []string {
+	return []string{"a", "b", "c", "d"}[:arity]
+}
+
+// sortedRows is the brute-force expectation for SortByColumns: a copy of
+// rows ordered by the listed columns first, then the rest in schema order.
+func sortedRows(rows [][]Value, order []int) [][]Value {
+	arity := 0
+	if len(rows) > 0 {
+		arity = len(rows[0])
+	}
+	full := append([]int(nil), order...)
+	for c := 0; c < arity; c++ {
+		if !slices.Contains(order, c) {
+			full = append(full, c)
+		}
+	}
+	out := slices.Clone(rows)
+	sort.SliceStable(out, func(x, y int) bool {
+		for _, c := range full {
+			if out[x][c] != out[y][c] {
+				return out[x][c] < out[y][c]
+			}
+		}
+		return false
+	})
+	return out
+}
+
+// Sort and SortByColumns against the brute-force row sort, on every arity
+// (arity 1 takes the direct column sort) and both constructors.
 func TestSortProperty(t *testing.T) {
 	f := func(seed int64, nRaw uint8) bool {
 		rng := rand.New(rand.NewSource(seed))
-		n := int(nRaw%50) + 1
-		r := New("R", "a", "b", "c")
-		for i := 0; i < n; i++ {
-			r.Append(rng.Int63n(5), rng.Int63n(5), rng.Int63n(5))
+		arity := 1 + rng.Intn(4)
+		rows := randRows(rng, arity, int(nRaw%120), 5)
+		attrs := attrNames(arity)
+		order := rng.Perm(arity)[:rng.Intn(arity+1)]
+		r := FromTuples("R", attrs, rows)
+		if !r.Clone().Sort().Equal(FromTuples("R", attrs, sortedRows(rows, nil))) {
+			return false
 		}
-		r.Sort()
-		for i := 1; i < r.Len(); i++ {
-			a, b := r.Tuple(i-1), r.Tuple(i)
-			for j := 0; j < 3; j++ {
-				if a[j] < b[j] {
-					break
-				}
-				if a[j] > b[j] {
-					return false
-				}
-			}
-		}
-		return true
+		return r.SortByColumns(order).Equal(FromTuples("R", attrs, sortedRows(rows, order)))
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
+	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Fatal(err)
 	}
 }
 
+// SortDedup against the brute-force expectation: the sorted distinct rows.
 func TestDedupProperty(t *testing.T) {
 	f := func(seed int64, nRaw uint8) bool {
 		rng := rand.New(rand.NewSource(seed))
-		n := int(nRaw%60) + 1
-		r := New("R", "a", "b")
-		seen := make(map[[2]Value]bool)
-		for i := 0; i < n; i++ {
-			v := [2]Value{rng.Int63n(4), rng.Int63n(4)}
-			seen[v] = true
-			r.Append(v[0], v[1])
-		}
-		r.SortDedup()
-		return r.Len() == len(seen)
+		arity := 1 + rng.Intn(4)
+		rows := randRows(rng, arity, int(nRaw%120), 4) // small domain forces duplicates
+		want := slices.CompactFunc(sortedRows(rows, nil), func(a, b []Value) bool { return slices.Equal(a, b) })
+		got := FromTuples("R", attrNames(arity), rows).SortDedup()
+		return got.Equal(FromTuples("R", attrNames(arity), want))
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
+	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -122,6 +153,37 @@ func TestProjectMissingAttrPanics(t *testing.T) {
 	New("R", "a").Project("zz")
 }
 
+// Project against the brute-force expectation: the sorted distinct rows of
+// the picked columns, in the picked order.
+func TestProjectProperty(t *testing.T) {
+	f := func(seed int64, nRaw uint8) bool {
+		rng := rand.New(rand.NewSource(seed))
+		arity := 1 + rng.Intn(4)
+		rows := randRows(rng, arity, int(nRaw%100), 4)
+		pick := rng.Perm(arity)[:1+rng.Intn(arity)]
+		attrs := attrNames(arity)
+		var pickAttrs []string
+		for _, c := range pick {
+			pickAttrs = append(pickAttrs, attrs[c])
+		}
+		bag := make([][]Value, len(rows))
+		for i, row := range rows {
+			for _, c := range pick {
+				bag[i] = append(bag[i], row[c])
+			}
+		}
+		r := FromTuples("R", attrs, rows)
+		if !r.ProjectMulti(pickAttrs...).Equal(FromTuples("R", pickAttrs, bag)) {
+			return false
+		}
+		set := slices.CompactFunc(sortedRows(bag, nil), func(a, b []Value) bool { return slices.Equal(a, b) })
+		return r.Project(pickAttrs...).Equal(FromTuples("R", pickAttrs, set))
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
+		t.Fatal(err)
+	}
+}
+
 func TestSelectAndDistinct(t *testing.T) {
 	r := FromTuples("R", []string{"a", "b"}, [][]Value{{1, 2}, {1, 3}, {2, 2}})
 	s := r.Select("a", 1)
@@ -143,6 +205,31 @@ func TestSemijoin(t *testing.T) {
 	}
 	if out.Tuple(0)[1] != 2 || out.Tuple(1)[1] != 4 {
 		t.Fatalf("semijoin tuples wrong: %v", out)
+	}
+}
+
+// Semijoin against the brute-force expectation: the rows of r, in order,
+// that agree with some row of s on the shared attributes.
+func TestSemijoinProperty(t *testing.T) {
+	f := func(seed int64) bool {
+		rng := rand.New(rand.NewSource(seed))
+		rRows := randRows(rng, 3, rng.Intn(60), 6)
+		sRows := randRows(rng, 3, rng.Intn(60), 6)
+		r := FromTuples("R", []string{"a", "b", "c"}, rRows)
+		s := FromTuples("S", []string{"c", "x", "b"}, sRows)
+		var want [][]Value
+		for _, rr := range rRows {
+			for _, sr := range sRows {
+				if rr[1] == sr[2] && rr[2] == sr[0] {
+					want = append(want, rr)
+					break
+				}
+			}
+		}
+		return r.Semijoin(s, []string{"b", "c"}).Equal(FromTuples("R", r.Attrs, want))
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
+		t.Fatal(err)
 	}
 }
 
@@ -190,15 +277,16 @@ func TestHashJoinEmpty(t *testing.T) {
 	}
 }
 
-// HashJoin must agree with NaiveJoin on random inputs.
+// HashJoin must agree with NaiveJoin on random inputs, tuple for tuple,
+// whichever side is smaller (the build side).
 func TestHashJoinMatchesNaive(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
-		r := randRel(rng, "R", []string{"a", "b"}, 20, 5)
-		s := randRel(rng, "S", []string{"b", "c"}, 20, 5)
+		r := randRel(rng, "R", []string{"a", "b"}, rng.Intn(60), 8)
+		s := randRel(rng, "S", []string{"b", "c"}, rng.Intn(60), 8)
 		got := HashJoin(r, s).SortDedup()
 		want := NaiveJoin([]*Relation{r, s}, []string{"a", "b", "c"})
-		return got.Len() == want.Len()
+		return got.Equal(want)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Fatal(err)
@@ -221,22 +309,37 @@ func TestJoinAllTriangle(t *testing.T) {
 	}
 }
 
+// PartitionBy against the brute-force placement: row i goes to the bucket
+// HashValue (one key column) or HashTuple (several) names, and every
+// partition keeps its rows in input order.
 func TestPartitionBy(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
-	r := randRel(rng, "R", []string{"a", "b"}, 500, 50)
-	parts := r.PartitionBy([]int{0}, 7)
-	total := 0
-	for _, p := range parts {
-		total += p.Len()
-	}
-	if total != r.Len() {
-		t.Fatalf("partition lost tuples: %d vs %d", total, r.Len())
-	}
-	// Same key -> same partition.
-	for pi, p := range parts {
-		for i := 0; i < p.Len(); i++ {
-			if HashValue(p.Tuple(i)[0], 7) != pi {
-				t.Fatalf("tuple in wrong partition")
+	for iter := 0; iter < 80; iter++ {
+		arity := 1 + rng.Intn(3)
+		parts := 1 + rng.Intn(7)
+		rows := randRows(rng, arity, rng.Intn(300), 1000)
+		key := rng.Perm(arity)[:1+rng.Intn(arity)]
+		want := make([][][]Value, parts)
+		for _, row := range rows {
+			var p int
+			if len(key) == 1 {
+				p = HashValue(row[key[0]], parts)
+			} else {
+				kv := make([]Value, len(key))
+				for j, c := range key {
+					kv[j] = row[c]
+				}
+				p = HashTuple(kv, parts)
+			}
+			want[p] = append(want[p], row)
+		}
+		got := FromTuples("R", attrNames(arity), rows).PartitionBy(key, parts)
+		if len(got) != parts {
+			t.Fatalf("iter %d: %d partitions, want %d", iter, len(got), parts)
+		}
+		for p := range got {
+			if !got[p].Equal(FromTuples("R", attrNames(arity), want[p])) {
+				t.Fatalf("iter %d: partition %d on key %v:\n%v\nwant rows %v", iter, p, key, got[p], want[p])
 			}
 		}
 	}

@@ -94,8 +94,8 @@ func DistributedEstimate(c *cluster.Cluster, relAttrs map[string][]string, order
 					set = make(map[relation.Value]bool)
 					perRel[name] = set
 				}
-				for i := 0; i < r.Len(); i++ {
-					set[r.Tuple(i)[0]] = true
+				for _, v := range r.Column(0) {
+					set[v] = true
 				}
 			}
 			var local []relation.Value

@@ -84,12 +84,7 @@ func ValA(rels []*relation.Relation, attr string) []relation.Value {
 		if !r.HasAttr(attr) {
 			continue
 		}
-		proj := r.Project(attr)
-		vals := make([]relation.Value, proj.Len())
-		for i := range vals {
-			vals[i] = proj.Tuple(i)[0]
-		}
-		lists = append(lists, vals)
+		lists = append(lists, r.Distinct(attr))
 	}
 	if len(lists) == 0 {
 		return nil

@@ -7,10 +7,12 @@ import (
 	"adj/internal/relation"
 )
 
-// Builder constructs tries directly from a relation without the
+// Builder constructs tries directly from a relation's columns without the
 // materialize-copy → sort → dedup → FromSorted pipeline. It sorts a row
 // index column-wise with an LSD radix sort over the int64 values, then
-// writes exactly-sized Levels arrays in a single fill pass. All scratch
+// writes exactly-sized Levels arrays, each level from its own column — for
+// pre-sorted input (the shuffle-block common case) every pass is a pure
+// sequential scan. All scratch
 // (index permutation, gathered column keys, first-difference marks) is
 // owned by the Builder and reused across builds, so a steady-state build
 // allocates only the trie's own 2k level arrays.
@@ -22,9 +24,8 @@ type Builder struct {
 	tmpIdx  []int32  // radix ping-pong buffer
 	keys    []uint64 // gathered (sign-flipped) column keys, aligned with idx
 	tmpKeys []uint64
-	cols    []int     // permuted column positions in the source relation
-	first   []int32   // first column where sorted row i differs from row i-1; k = duplicate
-	pcols   [][]Value // per-level column views for the columnar build path
+	first   []int32   // first level where sorted row i differs from row i-1; k = duplicate
+	pcols   [][]Value // the source relation's column of each trie level
 }
 
 // NewBuilder returns an empty builder; scratch grows on first use.
@@ -44,16 +45,18 @@ func (b *Builder) Build(r *relation.Relation, attrs []string) *Trie {
 	}
 	k := len(attrs)
 	n := r.Len()
-	if cap(b.cols) < k {
-		b.cols = make([]int, k)
+	if cap(b.pcols) < k {
+		b.pcols = make([][]Value, k)
 	}
-	cols := b.cols[:k]
-	for i, a := range attrs {
+	pcols := b.pcols[:k]
+	// A pooled Builder must not pin the source relation's data alive.
+	defer clear(pcols)
+	for d, a := range attrs {
 		j := r.AttrIndex(a)
 		if j < 0 {
 			panic(fmt.Sprintf("trie: attr order %v is not a permutation of %v", attrs, r.Attrs))
 		}
-		cols[i] = j
+		pcols[d] = r.Column(j)
 	}
 	t := &Trie{Attrs: append([]string(nil), attrs...), Levels: make([]Level, k), NumTuples: 0}
 	if k == 0 || n == 0 {
@@ -66,82 +69,33 @@ func (b *Builder) Build(r *relation.Relation, attrs []string) *Trie {
 		return t
 	}
 
-	if r.ColumnsResident() {
-		// Columnar fast path: every pass below becomes a per-column
-		// sequential scan instead of a stride-k walk over row blocks.
-		b.buildCols(t, r.Columns(), cols, k, n)
-		return t
-	}
-
-	data := r.Data()
 	b.grow(n)
 
-	// First-difference scan doubling as the sortedness check: first[i] is
-	// the first permuted column where row i differs from its predecessor
-	// (k means duplicate row); first[0] = 0, the first row opens a new node
-	// at every level. Pre-sorted input — the common case on the hot path,
-	// since base graph relations are stored sorted and shuffle blocks
-	// arrive as sorted runs — needs no sort and no second comparison pass.
+	// Pre-sorted input — the common case on the hot path, since base graph
+	// relations are stored sorted and shuffle blocks arrive as sorted runs
+	// — is recognised by the first marking pass and needs no sort.
 	first := b.first[:n]
-	first[0] = 0
-	sorted := true
-	for i := 1; i < n; i++ {
-		a := (i - 1) * k
-		c := i * k
-		f := int32(k)
-		for d := 0; d < k; d++ {
-			va, vc := data[a+cols[d]], data[c+cols[d]]
-			if va != vc {
-				if vc < va {
-					sorted = false
-				}
-				f = int32(d)
-				break
-			}
-		}
-		if !sorted {
-			break
-		}
-		first[i] = f
+	idx := b.idx[:n]
+	for i := range idx {
+		idx[i] = int32(i)
 	}
-	var idx []int32
-	if sorted {
-		idx = b.idx[:n]
-		for i := range idx {
-			idx[i] = int32(i)
-		}
-	} else {
-		idx = b.sortRows(data, cols, k, n)
-		for i := 1; i < n; i++ {
-			a := int(idx[i-1]) * k
-			c := int(idx[i]) * k
-			f := int32(k)
-			for d := 0; d < k; d++ {
-				if data[a+cols[d]] != data[c+cols[d]] {
-					f = int32(d)
-					break
-				}
-			}
-			first[i] = f
-		}
+	if !markFirstDiffs(first, idx, pcols) {
+		idx = b.sortRows(idx, pcols)
+		markFirstDiffs(first, idx, pcols)
 	}
 
-	// Counting pass: nodes[d] = number of trie nodes at level d.
+	// Counting pass: nodes[d] = rows with first ≤ d = trie nodes at level d.
 	nodes := make([]int32, k)
-	tuples := 0
 	for i := 0; i < n; i++ {
-		f := first[i]
-		if f == int32(k) {
-			continue // duplicate
-		}
-		tuples++
-		for d := int(f); d < k; d++ {
-			nodes[d]++
+		if f := first[i]; f < int32(k) {
+			nodes[f]++
 		}
 	}
-	t.NumTuples = tuples
+	for d := 1; d < k; d++ {
+		nodes[d] += nodes[d-1]
+	}
+	t.NumTuples = int(nodes[k-1])
 
-	// Allocate exact-size level arrays.
 	for d := 0; d < k; d++ {
 		parents := int32(1)
 		if d > 0 {
@@ -152,21 +106,29 @@ func (b *Builder) Build(r *relation.Relation, attrs []string) *Trie {
 	}
 	t.Levels[0].Starts = append(t.Levels[0].Starts, 0)
 
-	// Fill pass: a row with first-difference f creates one new node at every
-	// level ≥ f. Creating a node at level d opens a fresh child range at
-	// level d+1, whose start is recorded before any of its children land.
-	for i := 0; i < n; i++ {
-		f := first[i]
-		if f == int32(k) {
+	// Fill, level-major: creating a node at level d-1 opens a fresh child
+	// range at level d (its start recorded before the row's own value
+	// lands); a row with first-difference f contributes a value to every
+	// level ≥ f. Each level reads exactly one column.
+	for d := 0; d < k; d++ {
+		lvl := &t.Levels[d]
+		col := pcols[d]
+		if d == 0 {
+			for i := 0; i < n; i++ {
+				if first[i] == 0 {
+					lvl.Vals = append(lvl.Vals, col[idx[i]])
+				}
+			}
 			continue
 		}
-		row := int(idx[i]) * k
-		for d := int(f); d < k; d++ {
-			lvl := &t.Levels[d]
-			lvl.Vals = append(lvl.Vals, data[row+cols[d]])
-			if d+1 < k {
-				nl := &t.Levels[d+1]
-				nl.Starts = append(nl.Starts, int32(len(nl.Vals)))
+		df := int32(d)
+		for i := 0; i < n; i++ {
+			f := first[i]
+			if f < df {
+				lvl.Starts = append(lvl.Starts, int32(len(lvl.Vals)))
+			}
+			if f <= df {
+				lvl.Vals = append(lvl.Vals, col[idx[i]])
 			}
 		}
 	}
@@ -174,6 +136,29 @@ func (b *Builder) Build(r *relation.Relation, attrs []string) *Trie {
 		t.Levels[d].Starts = append(t.Levels[d].Starts, int32(len(t.Levels[d].Vals)))
 	}
 	return t
+}
+
+// markFirstDiffs sets first[i] to the first level where row idx[i] differs
+// from row idx[i-1] (len(pcols) means duplicate; first[0] = 0, the first
+// row opens a node at every level). It stops and reports false at the first
+// pair that is out of lexicographic order.
+func markFirstDiffs(first, idx []int32, pcols [][]Value) bool {
+	first[0] = 0
+	for i := 1; i < len(idx); i++ {
+		a, c := idx[i-1], idx[i]
+		f := int32(len(pcols))
+		for d, col := range pcols {
+			if col[a] != col[c] {
+				if col[c] < col[a] {
+					return false
+				}
+				f = int32(d)
+				break
+			}
+		}
+		first[i] = f
+	}
+	return true
 }
 
 // grow sizes the reusable scratch for n rows.
@@ -187,27 +172,25 @@ func (b *Builder) grow(n int) {
 	}
 }
 
-// sortRows returns a permutation of [0,n) ordering rows lexicographically by
-// the permuted columns. Small inputs use insertion sort; larger ones an LSD
+// sortRows reorders idx (the identity permutation on entry) so that it lists
+// the rows lexicographically by the level columns. Small inputs use insertion sort; larger ones an LSD
 // radix sort (stable byte passes per column, last column first), skipping
-// byte positions that are constant across the column.
-func (b *Builder) sortRows(data []Value, cols []int, k, n int) []int32 {
-	idx := b.idx[:n]
-	for i := range idx {
-		idx[i] = int32(i)
-	}
+// byte positions that are constant across the column. The key gather for
+// level c reads the single contiguous column pcols[c].
+func (b *Builder) sortRows(idx []int32, pcols [][]Value) []int32 {
+	n := len(idx)
 	if n < 48 {
-		insertionSortRows(idx, data, cols, k)
+		insertionSortRows(idx, pcols)
 		return idx
 	}
 	keys := b.keys[:n]
 	tmpIdx := b.tmpIdx[:n]
 	tmpKeys := b.tmpKeys[:n]
-	for c := k - 1; c >= 0; c-- {
-		col := cols[c]
+	for c := len(pcols) - 1; c >= 0; c-- {
+		col := pcols[c]
 		min, max := ^uint64(0), uint64(0)
 		for i, r := range idx {
-			u := uint64(data[int(r)*k+col]) ^ signFlip
+			u := uint64(col[r]) ^ signFlip
 			keys[i] = u
 			if u < min {
 				min = u
@@ -226,7 +209,6 @@ func (b *Builder) sortRows(data []Value, cols []int, k, n int) []int32 {
 
 // radixPasses runs the stable LSD byte passes over keys (skipping byte
 // positions constant across [min, max]) and returns the rotated buffers.
-// Shared by the row-major and columnar sort paths.
 func radixPasses(idx, tmpIdx []int32, keys, tmpKeys []uint64, min, max uint64) ([]int32, []int32, []uint64, []uint64) {
 	// Bytes strictly above the highest differing byte are constant.
 	hi := 0
@@ -261,11 +243,11 @@ func radixPasses(idx, tmpIdx []int32, keys, tmpKeys []uint64, min, max uint64) (
 
 // insertionSortRows sorts idx by lexicographic row comparison; used for the
 // tiny relations where radix setup costs more than it saves.
-func insertionSortRows(idx []int32, data []Value, cols []int, k int) {
+func insertionSortRows(idx []int32, pcols [][]Value) {
 	for i := 1; i < len(idx); i++ {
 		x := idx[i]
 		j := i - 1
-		for j >= 0 && rowLess(data, cols, k, x, idx[j]) {
+		for j >= 0 && rowLess(pcols, x, idx[j]) {
 			idx[j+1] = idx[j]
 			j--
 		}
@@ -273,10 +255,9 @@ func insertionSortRows(idx []int32, data []Value, cols []int, k int) {
 	}
 }
 
-func rowLess(data []Value, cols []int, k int, a, b int32) bool {
-	ra, rb := int(a)*k, int(b)*k
-	for _, c := range cols {
-		va, vb := data[ra+c], data[rb+c]
+func rowLess(pcols [][]Value, a, b int32) bool {
+	for _, col := range pcols {
+		va, vb := col[a], col[b]
 		if va != vb {
 			return va < vb
 		}

@@ -12,10 +12,7 @@ import (
 // relation, SortDedup, FromSorted), kept as the test oracle and the
 // benchmark baseline for the radix builder.
 func buildReference(r *relation.Relation, attrs []string) *Trie {
-	cols := make([]int, len(attrs))
-	for i, a := range attrs {
-		cols[i] = r.AttrIndex(a)
-	}
+	cols := attrIdx(r, attrs)
 	perm := relation.NewWithCapacity(r.Name, r.Len(), attrs...)
 	row := make([]Value, len(attrs))
 	for i, n := 0, r.Len(); i < n; i++ {
@@ -27,6 +24,15 @@ func buildReference(r *relation.Relation, attrs []string) *Trie {
 	}
 	perm.SortDedup()
 	return FromSorted(perm)
+}
+
+// attrIdx returns the column positions of attrs in r.
+func attrIdx(r *relation.Relation, attrs []string) []int {
+	idx := make([]int, len(attrs))
+	for i, a := range attrs {
+		idx[i] = r.AttrIndex(a)
+	}
+	return idx
 }
 
 func triesEqual(a, b *Trie) bool {
@@ -59,8 +65,9 @@ func triesEqual(a, b *Trie) bool {
 
 // Property: the radix builder produces a structurally identical trie to the
 // reference sort+dedup pipeline on randomized relations — including
-// permuted column orders, duplicates, negative values and sizes on both
-// sides of the insertion-sort/radix cutoff.
+// permuted column orders, duplicates, negative values, sizes on both
+// sides of the insertion-sort/radix cutoff, and pre-sorted input (the
+// builder's no-sort path).
 func TestBuilderMatchesReference(t *testing.T) {
 	b := NewBuilder()
 	f := func(seed int64, arityRaw, sizeClass uint8) bool {
@@ -93,6 +100,9 @@ func TestBuilderMatchesReference(t *testing.T) {
 		}
 		attrs := append([]string(nil), names...)
 		rng.Shuffle(arity, func(i, j int) { attrs[i], attrs[j] = attrs[j], attrs[i] })
+		if rng.Intn(3) == 0 {
+			r.SortByColumns(attrIdx(r, attrs))
+		}
 		want := buildReference(r, attrs)
 		if !triesEqual(b.Build(r, attrs), want) {
 			return false

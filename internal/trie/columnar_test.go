@@ -25,52 +25,6 @@ func randomRel(rng *rand.Rand, arity, n, domain int) *relation.Relation {
 	return r
 }
 
-// TestBuildColumnarMatchesRowMajor is the core layout-equivalence property:
-// building from a columnar-resident relation must produce a trie identical
-// (level arrays included) to building from its row-major twin, across
-// arities, permuted attribute orders, sorted and unsorted input.
-func TestBuildColumnarMatchesRowMajor(t *testing.T) {
-	rng := rand.New(rand.NewSource(21))
-	for iter := 0; iter < 150; iter++ {
-		arity := 1 + rng.Intn(4)
-		n := rng.Intn(120)
-		domain := []int{2, 5, 50, 10000}[rng.Intn(4)]
-		row := randomRel(rng, arity, n, domain)
-		if rng.Intn(2) == 0 {
-			row.Sort() // exercise the sortedness fast path
-		}
-		col := row.Clone().PivotToColumns()
-		attrs := append([]string(nil), row.Attrs...)
-		rng.Shuffle(len(attrs), func(i, j int) { attrs[i], attrs[j] = attrs[j], attrs[i] })
-		tr := Build(row, attrs)
-		tc := Build(col, attrs)
-		if !triesEqual(tr, tc) {
-			t.Fatalf("iter %d (arity=%d n=%d dom=%d): columnar build diverged\nrow: %v\ncol: %v",
-				iter, arity, n, domain, tr, tc)
-		}
-		if !col.ColumnsResident() {
-			t.Fatalf("iter %d: Build must not de-materialize the columnar source", iter)
-		}
-	}
-}
-
-// TestBuildColumnarJoinEquivalence closes the loop at the semantic level:
-// enumerating the columnar-built trie yields exactly the sorted distinct
-// rows of the source relation.
-func TestBuildColumnarJoinEquivalence(t *testing.T) {
-	rng := rand.New(rand.NewSource(22))
-	for iter := 0; iter < 60; iter++ {
-		arity := 1 + rng.Intn(3)
-		row := randomRel(rng, arity, rng.Intn(100), 8)
-		want := row.Clone().SortDedup()
-		got := Build(row.Clone().PivotToColumns(), row.Attrs).ToRelation("R")
-		got.Name = want.Name
-		if !got.Equal(want) {
-			t.Fatalf("iter %d: trie enumeration mismatch\n%v\nvs\n%v", iter, got, want)
-		}
-	}
-}
-
 // TestMergeUnaryTries is the regression test for the arity-1 merge path:
 // the tuple stream's initial descent must open the iterator exactly once,
 // so the first tuple is the real minimum, not a zero value.

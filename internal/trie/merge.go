@@ -17,7 +17,7 @@ import (
 // one non-empty input remains, that input itself (callers treating tries
 // as immutable, as the whole runtime does, may therefore share both inputs
 // and output freely, e.g. across cubes in the block cache). All k-way
-// heap state, tuple streams and the staging relation come from an
+// heap state, tuple streams and the staging columns come from an
 // internal pool, so repeated merges — the per-cube path of the Merge
 // shuffle — allocate only the output trie.
 func Merge(ts []*Trie) *Trie {
@@ -48,13 +48,12 @@ func Merge(ts []*Trie) *Trie {
 
 // merger holds the pooled k-way merge state: tuple streams (iterator +
 // current-tuple buffer each), the stream heap's item slice, the dedup
-// buffer and the staging relation's row backing.
+// buffer and the staging columns.
 type merger struct {
 	streams []tupleStream
 	h       streamHeap
 	last    []Value
-	out     relation.Relation
-	data    []Value
+	cols    [][]Value
 }
 
 var mergePool = sync.Pool{New: func() interface{} { return &merger{} }}
@@ -85,17 +84,20 @@ func (m *merger) merge(ts []*Trie) *Trie {
 	}
 	m.h.k = k
 	heap.Init(&m.h)
-	// Stage the merged, deduplicated rows in a pooled relation; FromSorted
-	// copies them into fresh level arrays, so the backing returns to the
-	// pool afterwards.
-	out := &m.out
-	out.Name = "merged"
-	out.Attrs = attrs
-	need := totalTuples(ts) * k
-	if cap(m.data) < need {
-		m.data = make([]Value, 0, need)
+	// Stage the merged, deduplicated rows in pooled columns;
+	// fromSortedColumns copies them into fresh level arrays, so the
+	// backing stays with the pool afterwards.
+	if cap(m.cols) < k {
+		m.cols = make([][]Value, k)
 	}
-	out.SetData(m.data[:0])
+	cols := m.cols[:k]
+	need := totalTuples(ts)
+	for j := range cols {
+		if cap(cols[j]) < need {
+			cols[j] = make([]Value, 0, need)
+		}
+		cols[j] = cols[j][:0]
+	}
 	if cap(m.last) < k {
 		m.last = make([]Value, k)
 	}
@@ -106,7 +108,9 @@ func (m *merger) merge(ts []*Trie) *Trie {
 		if !havLast || !equalTuple(last, s.cur) {
 			copy(last, s.cur)
 			havLast = true
-			out.AppendTuple(s.cur)
+			for j, v := range s.cur {
+				cols[j] = append(cols[j], v)
+			}
 		}
 		if s.next() {
 			heap.Fix(&m.h, 0)
@@ -114,11 +118,7 @@ func (m *merger) merge(ts []*Trie) *Trie {
 			heap.Pop(&m.h)
 		}
 	}
-	t := FromSorted(out)
-	// Reclaim the (possibly grown) backing and drop the borrowed schema.
-	m.data = out.Data()[:0]
-	out.Attrs = nil
-	out.SetData(m.data)
+	t := fromSortedColumns(attrs, cols)
 	// Drop every input-trie reference before the merger parks in the pool:
 	// callers (the block cache in particular) release their part tries
 	// after merging, and a pooled stream slot must not pin them. Clearing

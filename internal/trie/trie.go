@@ -53,9 +53,18 @@ func Build(r *relation.Relation, attrs []string) *Trie {
 // FromSorted constructs a trie from a relation already sorted
 // lexicographically with duplicates removed, without copying the data again.
 func FromSorted(r *relation.Relation) *Trie {
-	k := r.Arity()
-	n := r.Len()
-	t := &Trie{Attrs: append([]string(nil), r.Attrs...), Levels: make([]Level, k), NumTuples: n}
+	return fromSortedColumns(r.Attrs, r.Columns())
+}
+
+// fromSortedColumns is FromSorted over bare columns (one per attribute,
+// equal lengths); the level arrays are fresh, cols is only read.
+func fromSortedColumns(attrs []string, cols [][]Value) *Trie {
+	k := len(attrs)
+	n := 0
+	if k > 0 {
+		n = len(cols[0])
+	}
+	t := &Trie{Attrs: append([]string(nil), attrs...), Levels: make([]Level, k), NumTuples: n}
 	if k == 0 || n == 0 {
 		for d := 0; d < k; d++ {
 			t.Levels[d] = Level{Starts: []int32{0}}
@@ -79,9 +88,8 @@ func FromSorted(r *relation.Relation) *Trie {
 		lvl.Starts = make([]int32, 0, parents+1)
 		newGroup := make([]int32, n)
 		prevParent := int32(-1)
-		for i := 0; i < n; i++ {
+		for i, v := range cols[d] {
 			p := group[i]
-			v := r.Tuple(i)[d]
 			if p != prevParent {
 				// Starting a new parent: close out starts up to p.
 				for int32(len(lvl.Starts)) <= p {

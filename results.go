@@ -11,10 +11,10 @@ import (
 //
 // Results arrive from the engines as prefix-replicated runs — all output
 // tuples sharing a binding of the first k-1 attributes, differing only in
-// the last — and NextRun surfaces exactly that structure without ever
-// materializing row-major tuples: the prefix is one k-1 tuple, the values
-// are a zero-copy slice of the result's last column. Rows materializes the
-// compatibility view for callers that want a plain Relation.
+// the last — and NextRun surfaces exactly that structure without
+// gathering rows: the prefix is one k-1 tuple, the values are a zero-copy
+// slice of the result's last column. Rows returns the result relation
+// itself for callers that want a plain Relation.
 type Results struct {
 	rep Report
 	out *relation.Relation
