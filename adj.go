@@ -48,26 +48,21 @@
 //	sess.Register("T", t)
 //	pq, _ := sess.Prepare("ADJ", q)
 //
-// # One-shot compatibility
-//
-// The original one-shot calls remain and are thin shims over a temporary
-// Session (open, register, prepare, execute, close):
-//
-//	report, err := adj.Count(q, edges, adj.Options{Workers: 8})
-//	report, err := adj.Run("ADJ", q, db, adj.Options{Workers: 4})
-//
-// Migrating to the Session API is worthwhile whenever the same relations
-// serve more than one execution: Prepare amortizes sampling, and the
-// session's content-keyed trie store amortizes shuffle and trie builds.
+// Prepare → Exec under the caller's context is the only way a query runs:
+// every execution is cancellable, and a query answered once pays the same
+// planning it would amortize over many (pq.PlanSeconds reports it;
+// pq.Explain renders the physical plan without executing it).
 //
 // The baselines the paper compares against (SparkSQL-style binary joins,
-// BigJoin, HCubeJ, HCubeJ+Cache) are available under the same Session and
-// Run APIs, and cmd/experiments regenerates every figure and table of the
-// evaluation.
+// BigJoin, HCubeJ, HCubeJ+Cache) and the Hybrid planner are engine names
+// under the same Session API (AllEngineNames), and cmd/experiments
+// regenerates every figure and table of the evaluation.
 package adj
 
 import (
+	"context"
 	"fmt"
+	"slices"
 
 	"adj/internal/admission"
 	"adj/internal/cluster"
@@ -157,7 +152,7 @@ type TenantStats = admission.TenantStats
 // are not. Options.Retry applies exactly this test.
 func IsTransient(err error) bool { return cluster.IsTransient(err) }
 
-// Options configures a Session (and, via the one-shot shims, a run).
+// Options configures a Session.
 type Options struct {
 	// Workers is the simulated cluster size (default 4; the paper uses up
 	// to 28). A Session's worker pool is created once at Open.
@@ -171,10 +166,6 @@ type Options struct {
 	Budget int64
 	// MemoryPerServer bounds HCube load per server in tuples (0 = unbounded).
 	MemoryPerServer int64
-	// CollectOutput materializes result tuples into Report.Output on the
-	// one-shot calls. Session executions stream results instead (see
-	// PreparedQuery.Exec and CountOnly).
-	CollectOutput bool
 	// TrieStoreBytes bounds the session-resident block-trie store, the
 	// content-keyed cache that lets a repeated query skip shuffle-side trie
 	// builds. 0 picks the default (256 MiB); negative disables cross-query
@@ -201,33 +192,25 @@ type Options struct {
 	Admission AdmissionConfig
 }
 
-func (o Options) toConfig() engine.Config {
+// toConfig is the engine configuration of one planning pass or execution
+// under ctx.
+func (o Options) toConfig(ctx context.Context) engine.Config {
 	return engine.Config{
 		NumServers:      o.Workers,
 		Samples:         o.Samples,
 		Seed:            o.Seed,
 		Budget:          o.Budget,
 		MemoryPerServer: o.MemoryPerServer,
-		CollectOutput:   o.CollectOutput,
+		Ctx:             ctx,
 	}
 }
 
-// oneShot adapts Options for a temporary single-execution session: the
-// cross-query trie store would be discarded unread at Close, so reuse is
-// disabled — skipping both the content fingerprint at Register and the
-// post-join publish.
-func oneShot(opts Options) Options {
-	opts.TrieStoreBytes = -1
-	return opts
-}
-
-// resolveEngine is the single engine-name lookup behind Run, RunGraph and
-// Session.Prepare.
-func resolveEngine(name string) (engine.RunFunc, error) {
-	if run, ok := engine.Engines()[name]; ok {
-		return run, nil
+// checkEngine rejects engine names the registry does not list.
+func checkEngine(name string) error {
+	if !slices.Contains(AllEngineNames(), name) {
+		return fmt.Errorf("adj: unknown engine %q (want one of %v)", name, AllEngineNames())
 	}
-	return nil, fmt.Errorf("adj: unknown engine %q (want one of %v)", name, AllEngineNames())
+	return nil
 }
 
 // EngineNames lists the paper's engines: "ADJ", "HCubeJ", "HCubeJ+Cache",
@@ -268,61 +251,9 @@ func LoadGraph(path string) (*Relation, error) { return dataset.LoadSNAPFile(pat
 // DatasetNames lists the named synthetic datasets in size order.
 func DatasetNames() []string { return dataset.Names() }
 
-// Run executes a query one-shot with the named engine over a database —
-// a thin shim over a temporary Session (register, prepare, execute, close).
-// Every atom of q must name a relation in db with matching arity. Use a
-// Session directly when the same relations serve repeated queries.
-func Run(engineName string, q Query, db Database, opts Options) (Report, error) {
-	if _, err := resolveEngine(engineName); err != nil {
-		return Report{}, err
-	}
-	s, err := Open(oneShot(opts))
-	if err != nil {
-		return Report{}, err
-	}
-	defer s.Close()
-	for name, r := range db {
-		if err := s.Register(name, r); err != nil {
-			return Report{}, err
-		}
-	}
-	p, err := s.Prepare(engineName, q)
-	if err != nil {
-		return Report{}, err
-	}
-	return p.execOneShot(opts)
-}
-
-// RunGraph executes a subgraph query one-shot, binding every atom to the
-// same edge relation — the paper's benchmark setup. Like Run, it is a shim
-// over a temporary Session.
-func RunGraph(engineName string, q Query, edges *Relation, opts Options) (Report, error) {
-	if _, err := resolveEngine(engineName); err != nil {
-		return Report{}, err
-	}
-	s, err := Open(oneShot(opts))
-	if err != nil {
-		return Report{}, err
-	}
-	defer s.Close()
-	if err := s.Register("edges", edges); err != nil {
-		return Report{}, err
-	}
-	p, err := s.PrepareGraph(engineName, q, "edges")
-	if err != nil {
-		return Report{}, err
-	}
-	return p.execOneShot(opts)
-}
-
-// Count runs ADJ on a graph-bound query and returns the full report.
-func Count(q Query, edges *Relation, opts Options) (Report, error) {
-	return RunGraph("ADJ", q, edges, opts)
-}
-
 // CountAcyclic evaluates an α-acyclic query with Yannakakis' algorithm
 // (linear in input + output; §VI positions it as the acyclic-query
-// standard). It errors when the query is cyclic — use Run for those.
+// standard). It errors when the query is cyclic — use a Session for those.
 func CountAcyclic(q Query, db Database) (int64, error) {
 	rels, err := q.Bind(db)
 	if err != nil {
@@ -333,27 +264,4 @@ func CountAcyclic(q Query, db Database) (int64, error) {
 		return 0, err
 	}
 	return yannakakis.Count(q, rels, d)
-}
-
-// Explain returns ADJ's physical plan for a graph-bound query — see
-// ExplainEngine.
-func Explain(q Query, edges *Relation, opts Options) (string, error) {
-	return ExplainEngine("ADJ", q, edges, opts)
-}
-
-// ExplainEngine returns the named engine's physical plan for a graph-bound
-// query, rendered as an indented operator tree with per-op strategy and
-// cost annotations, without executing the distributed join (it still
-// samples, which is where planning cost lives). It runs the same planning
-// pass Prepare does, so the printed plan is exactly the operator DAG an
-// execution would interpret.
-func ExplainEngine(engineName string, q Query, edges *Relation, opts Options) (string, error) {
-	pp, err := engine.Prepare(engineName, q, q.BindGraph(edges), opts.toConfig())
-	if err != nil {
-		return "", err
-	}
-	if pp.Program != nil {
-		return pp.Program.Tree(), nil
-	}
-	return pp.Opt.String(), nil
 }

@@ -1,21 +1,39 @@
 package adj
 
 import (
+	"context"
 	"strings"
 	"testing"
 )
 
-func TestQuickstartFlow(t *testing.T) {
-	edges := GenerateGraph("WB", 0.05)
-	q := CatalogQuery("Q1")
-	rep, err := Count(q, edges, Options{Workers: 4, Samples: 200, Seed: 1})
+// openGraph opens a session with edges registered as "edges".
+func openGraph(t *testing.T, opts Options, edges *Relation) *Session {
+	t.Helper()
+	s, err := Open(opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rep.Failed {
+	t.Cleanup(func() { s.Close() })
+	if err := s.Register("edges", edges); err != nil {
+		t.Fatal(err)
+	}
+	return s
+}
+
+func TestQuickstartFlow(t *testing.T) {
+	s := openGraph(t, Options{Workers: 4, Samples: 200, Seed: 1}, GenerateGraph("WB", 0.05))
+	pq, err := s.PrepareGraph("ADJ", CatalogQuery("Q1"), "edges")
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := pq.Exec(context.Background(), CountOnly())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep := res.Report(); rep.Failed {
 		t.Fatalf("failed: %s", rep.FailReason)
 	}
-	if rep.Results <= 0 {
+	if res.Count() <= 0 {
 		t.Fatal("expected triangles in WB")
 	}
 }
@@ -33,73 +51,81 @@ func TestRunAdHocQuery(t *testing.T) {
 		return r
 	}
 	e := [][]Value{{1, 2}, {2, 3}, {1, 3}}
-	db := Database{"R": mk("R", e), "S": mk("S", e), "T": mk("T", e)}
-	rep, err := Run("ADJ", q, db, Options{Workers: 2, Samples: 50})
+	s, err := Open(Options{Workers: 2, Samples: 50})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rep.Results != 1 {
-		t.Fatalf("triangle count=%d want 1", rep.Results)
+	defer s.Close()
+	if err := s.RegisterDatabase(Database{"R": mk("R", e), "S": mk("S", e), "T": mk("T", e)}); err != nil {
+		t.Fatal(err)
+	}
+	pq, err := s.Prepare("ADJ", q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := pq.Exec(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Count() != 1 {
+		t.Fatalf("triangle count=%d want 1", res.Count())
 	}
 }
 
+// Every engine reachable through the public API answers with exactly the
+// brute-force oracle's rows.
 func TestAllEnginesViaPublicAPI(t *testing.T) {
 	edges := GenerateGraph("WB", 0.03)
 	q := CatalogQuery("Q1")
-	var want int64 = -1
-	for _, name := range EngineNames() {
-		rep, err := RunGraph(name, q, edges, Options{Workers: 3, Samples: 100, Seed: 2})
+	want := oracleJoin(q, edges)
+	s := openGraph(t, Options{Workers: 3, Samples: 100, Seed: 2}, edges)
+	for _, name := range AllEngineNames() {
+		pq, err := s.PrepareGraph(name, q, "edges")
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
-		if rep.Failed {
+		res, err := pq.Exec(context.Background())
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if rep := res.Report(); rep.Failed {
 			t.Fatalf("%s failed: %s", name, rep.FailReason)
 		}
-		if want < 0 {
-			want = rep.Results
-		} else if rep.Results != want {
-			t.Fatalf("%s: %d results, others got %d", name, rep.Results, want)
+		if res.Count() != int64(want.Len()) || !sameRows(res.Rows(), want) {
+			t.Fatalf("%s: %d results, oracle found %d (or rows differ)", name, res.Count(), want.Len())
 		}
 	}
 }
 
-func TestRunUnknownEngine(t *testing.T) {
+func TestPrepareUnknownEngine(t *testing.T) {
 	q := CatalogQuery("Q1")
-	if _, err := Run("nope", q, Database{}, Options{}); err == nil {
+	s := openGraph(t, Options{}, NewRelation("E", "s", "d"))
+	if _, err := s.Prepare("nope", q); err == nil {
 		t.Fatal("expected error")
 	}
-	if _, err := RunGraph("nope", q, NewRelation("E", "s", "d"), Options{}); err == nil {
+	if _, err := s.PrepareGraph("nope", q, "edges"); err == nil {
 		t.Fatal("expected error")
 	}
 }
 
-func TestRunMissingRelation(t *testing.T) {
-	q := CatalogQuery("Q1")
-	if _, err := Run("ADJ", q, Database{}, Options{}); err == nil {
+func TestPrepareMissingRelation(t *testing.T) {
+	s := openGraph(t, Options{}, NewRelation("E", "s", "d"))
+	if _, err := s.Prepare("ADJ", CatalogQuery("Q1")); err == nil {
+		t.Fatal("expected bind error")
+	}
+	if _, err := s.PrepareGraph("ADJ", CatalogQuery("Q1"), "missing"); err == nil {
 		t.Fatal("expected bind error")
 	}
 }
 
 func TestExplain(t *testing.T) {
-	edges := GenerateGraph("WB", 0.03)
-	plan, err := Explain(CatalogQuery("Q5"), edges, Options{Workers: 4, Samples: 100})
+	s := openGraph(t, Options{Workers: 4, Samples: 100}, GenerateGraph("WB", 0.03))
+	pq, err := s.PrepareGraph("ADJ", CatalogQuery("Q5"), "edges")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(plan, "ord=") {
-		t.Fatalf("plan missing order: %s", plan)
-	}
-}
-
-func TestCollectOutput(t *testing.T) {
-	edges := GenerateGraph("WB", 0.02)
-	q := CatalogQuery("Q1")
-	rep, err := Count(q, edges, Options{Workers: 2, Samples: 50, CollectOutput: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.Output == nil || int64(rep.Output.Len()) != rep.Results {
-		t.Fatalf("output len %v vs results %d", rep.Output, rep.Results)
+	if plan := pq.Explain(); !strings.Contains(plan, "ord=") || !strings.Contains(plan, pq.Plan()) {
+		t.Fatalf("plan missing order or label %q: %s", pq.Plan(), plan)
 	}
 }
 

@@ -12,6 +12,7 @@ package adj_test
 // see EXPERIMENTS.md for paper-vs-measured shape notes.
 
 import (
+	"context"
 	"math/rand"
 	"os"
 	"strconv"
@@ -45,6 +46,7 @@ func benchCfg() experiments.Config {
 		Samples: 300,
 		Seed:    1,
 		Budget:  20_000_000,
+		Ctx:     context.Background(),
 	}
 }
 
@@ -329,10 +331,10 @@ func BenchmarkAblationShuffle(b *testing.B) {
 		kind := kind
 		b.Run(kind.String(), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				cfg := engine.Config{NumServers: 8, Samples: 100, Seed: 1}
+				cfg := engine.Config{NumServers: 8, Samples: 100, Seed: 1, Ctx: context.Background()}
 				k := kind
 				cfg.ShuffleKind = &k
-				if _, err := engine.RunHCubeJ(q, rels, cfg); err != nil {
+				if _, err := engine.Run("HCubeJ", q, rels, cfg); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -392,9 +394,11 @@ func BenchmarkHashJoin(b *testing.B) {
 func BenchmarkSamplingEstimate(b *testing.B) {
 	edges := adj.GenerateGraph("LJ", benchScale())
 	q := hypergraph.Get("Q4")
+	rels := q.BindGraph(edges)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := adj.Explain(q, edges, adj.Options{Workers: 8, Samples: 500, Seed: int64(i)}); err != nil {
+		cfg := engine.Config{NumServers: 8, Samples: 500, Seed: int64(i), Ctx: context.Background()}
+		if _, err := engine.Prepare("ADJ", q, rels, cfg); err != nil {
 			b.Fatal(err)
 		}
 	}

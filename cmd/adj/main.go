@@ -1,9 +1,10 @@
 // Command adj runs a join query on a simulated cluster with any of the
-// five engines and prints the paper-style cost breakdown. Runs go through
-// the Session API: the dataset is registered once, the query is prepared
-// once (planning amortized), and -repeat executes it repeatedly on the
-// resident workers — repeated executions go warm, served from the
-// session's content-keyed block-trie store with zero shuffle-side builds.
+// engines and prints the paper-style cost breakdown. Runs go through the
+// Session API under a context that SIGINT cancels: the dataset is
+// registered once, the query is prepared once (planning amortized), and
+// -repeat executes it repeatedly on the resident workers — repeated
+// executions go warm, served from the session's content-keyed block-trie
+// store with zero shuffle-side builds.
 //
 // Examples:
 //
@@ -15,8 +16,8 @@
 // Note -all runs every engine on the same session: engines whose shuffles
 // agree on shares and attribute order reuse each other's published block
 // tries (visible as builds=0 / zero shuffled tuples on later engines).
-// For isolated per-engine measurements use cmd/bench, which runs each
-// engine on a fresh cluster.
+// For isolated per-engine measurements run one engine per invocation;
+// benchmark/ measures end-to-end and per-layer costs with repeats.
 //
 //	adj -query Q6 -dataset LJ -explain              # print ADJ's plan DAG only
 //	adj -query Q5 -dataset LJ -engine Hybrid -explain   # the hybrid route's DAG
@@ -27,6 +28,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"os/signal"
 	"strings"
 	"time"
 
@@ -64,19 +66,20 @@ func main() {
 		fmt.Printf("dataset %s@%g: %d edges\n", *dataset, *scale, edges.Len())
 	}
 
-	opts := adj.Options{Workers: *workers, Samples: *samples, Seed: *seed, Budget: *budget}
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
+	defer stop()
 
-	if *explain {
-		plan, err := adj.ExplainEngine(*engine, q, edges, opts)
-		exitOn(err)
-		fmt.Println(plan)
-		return
-	}
-
-	sess, err := adj.Open(opts)
+	sess, err := adj.Open(adj.Options{Workers: *workers, Samples: *samples, Seed: *seed, Budget: *budget})
 	exitOn(err)
 	defer sess.Close()
 	exitOn(sess.Register("edges", edges))
+
+	if *explain {
+		pq, err := sess.PrepareGraph(*engine, q, "edges")
+		exitOn(err)
+		fmt.Println(pq.Explain())
+		return
+	}
 
 	names := []string{*engine}
 	if *all {
@@ -90,7 +93,7 @@ func main() {
 		}
 		for exec := 0; exec < *repeat; exec++ {
 			t0 := time.Now()
-			res, err := pq.Exec(context.Background(), adj.CountOnly())
+			res, err := pq.Exec(ctx, adj.CountOnly())
 			if err != nil {
 				fmt.Fprintf(os.Stderr, "%s: %v\n", name, err)
 				break

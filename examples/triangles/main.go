@@ -23,13 +23,7 @@ func main() {
 	fmt.Printf("counting triangles on %d edges\n\n", edges.Len())
 
 	fmt.Println("--- engine comparison (4 workers, one session) ---")
-	sess, err := adj.Open(adj.Options{Workers: 4, Samples: 300, Seed: 7})
-	if err != nil {
-		log.Fatal(err)
-	}
-	if err := sess.Register("edges", edges); err != nil {
-		log.Fatal(err)
-	}
+	sess := open(4, edges)
 	for _, name := range adj.EngineNames() {
 		pq, err := sess.PrepareGraph(name, q, "edges")
 		if err != nil {
@@ -52,10 +46,17 @@ func main() {
 	fmt.Println("\n--- ADJ scaling (simulated workers) ---")
 	var t1 float64
 	for _, n := range []int{1, 2, 4, 8, 16} {
-		rep, err := adj.Count(q, edges, adj.Options{Workers: n, Samples: 300, Seed: 7})
+		sess := open(n, edges)
+		pq, err := sess.PrepareGraph("ADJ", q, "edges")
 		if err != nil {
 			log.Fatal(err)
 		}
+		res, err := pq.Exec(context.Background(), adj.CountOnly())
+		if err != nil {
+			log.Fatal(err)
+		}
+		sess.Close()
+		rep := res.Report()
 		exec := rep.PreComputing + rep.Communication + rep.Computation
 		if n == 1 {
 			t1 = exec
@@ -70,14 +71,8 @@ func main() {
 	// The serving case: the same query stream hitting a resident session.
 	// Execution 1 is cold; the rest adopt the published block tries.
 	fmt.Println("\n--- repeated queries on a resident session ---")
-	sess, err = adj.Open(adj.Options{Workers: 8, Samples: 300, Seed: 7})
-	if err != nil {
-		log.Fatal(err)
-	}
+	sess = open(8, edges)
 	defer sess.Close()
-	if err := sess.Register("edges", edges); err != nil {
-		log.Fatal(err)
-	}
 	pq, err := sess.PrepareGraph("ADJ", q, "edges")
 	if err != nil {
 		log.Fatal(err)
@@ -93,4 +88,16 @@ func main() {
 			i+1, res.Count(), time.Since(t0).Seconds(),
 			rep.TuplesShuffled, rep.TrieBuilds, rep.TrieCacheHits)
 	}
+}
+
+// open returns an n-worker session with the graph registered as "edges".
+func open(n int, edges *adj.Relation) *adj.Session {
+	sess, err := adj.Open(adj.Options{Workers: n, Samples: 300, Seed: 7})
+	if err != nil {
+		log.Fatal(err)
+	}
+	if err := sess.Register("edges", edges); err != nil {
+		log.Fatal(err)
+	}
+	return sess
 }

@@ -6,23 +6,8 @@ import (
 	"strconv"
 
 	"adj/internal/cluster"
-	"adj/internal/hypergraph"
 	"adj/internal/relation"
 )
-
-// RunBigJoin is the multi-round distributed worst-case-optimal baseline
-// (Ammar et al., PVLDB'18; §VII): the attribute order is processed one
-// attribute per round. Partial bindings are distributed; each round a
-// proposer relation (the smallest containing the attribute) generates
-// candidate extensions, and every other relation containing the attribute
-// verifies them via a shuffle to the worker owning the matching index
-// partition. Low memory per round, but every round shuffles all partial
-// bindings — the multi-round communication cost the one-round engines
-// avoid. Planning lives in Prepare/lowerBigJoin; execution is the shared
-// IR interpreter.
-func RunBigJoin(q hypergraph.Query, rels []*relation.Relation, cfg Config) (Report, error) {
-	return runEngine("BigJoin", q, rels, cfg)
-}
 
 // proposeRound extends every binding with the candidate values of the
 // proposer relation. Bindings travel to the proposer's index partition;

@@ -1,18 +1,6 @@
 package engine
 
-import (
-	"adj/internal/hypergraph"
-	"adj/internal/relation"
-)
-
-// RunBinaryJoin is the SparkSQL-style baseline (§VII): the query is
-// decomposed into a sequence of distributed binary hash joins, shuffling
-// every intermediate result. On cyclic queries the intermediates explode —
-// exactly the failure mode Fig. 12 shows for SparkSQL. Planning lives in
-// binaryJoinOrder/lowerBinary; execution is the shared IR interpreter.
-func RunBinaryJoin(q hypergraph.Query, rels []*relation.Relation, cfg Config) (Report, error) {
-	return runEngine("SparkSQL", q, rels, cfg)
-}
+import "adj/internal/relation"
 
 // binaryJoinOrder returns a greedy connected pairwise order over relation
 // indexes: start from the smallest relation, repeatedly join with the

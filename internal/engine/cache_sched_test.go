@@ -168,7 +168,7 @@ func TestCacheHitsWithCubeFanout(t *testing.T) {
 	rels := q.BindGraph(edges)
 	cfg := smallCfg(4)
 	cfg.CubesPerServer = 4
-	rep, err := RunADJ(q, rels, cfg)
+	rep, err := Run("ADJ", q, rels, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

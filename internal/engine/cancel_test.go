@@ -73,6 +73,29 @@ func TestPreCancelledContext(t *testing.T) {
 	}
 }
 
+// TestPrepareRequiresLiveContext: planning is part of the run, so every row
+// of the engine table — the sampling planners and the cheap deterministic
+// ones alike — fails a context that is already done with its error, and a
+// missing context is rejected rather than defaulted.
+func TestPrepareRequiresLiveContext(t *testing.T) {
+	edges := dataset.Load("WB", 0.03)
+	q := hypergraph.Get("Q1")
+	rels := q.BindGraph(edges)
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	for _, e := range engineTable {
+		if _, err := Prepare(e.name, q, rels, Config{NumServers: 2, Samples: 50, Ctx: ctx}); !errors.Is(err, context.Canceled) {
+			t.Fatalf("%s: Prepare under a cancelled ctx: want context.Canceled, got %v", e.name, err)
+		}
+		if _, err := Prepare(e.name, q, rels, Config{NumServers: 2, Samples: 50}); !errors.Is(err, errNilCtx) {
+			t.Fatalf("%s: Prepare without a ctx: want errNilCtx, got %v", e.name, err)
+		}
+		if _, err := Run(e.name, q, rels, Config{NumServers: 2, Samples: 50}); !errors.Is(err, errNilCtx) {
+			t.Fatalf("%s: Run without a ctx: want errNilCtx, got %v", e.name, err)
+		}
+	}
+}
+
 func waitGoroutines(t *testing.T, baseline int) {
 	t.Helper()
 	deadline := time.Now().Add(10 * time.Second)

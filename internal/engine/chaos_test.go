@@ -24,11 +24,16 @@ import (
 //     cluster.ErrTransport or a context error), never an anonymous one, and
 //   - either way the goroutine count settles back to baseline (no leaks)
 //     within a bounded deadline (no hangs).
+//
+// The "none" row wraps the transport with no rule armed: the whole
+// robustness chain is engaged (wrapped exchange stream, panic-recovery
+// bookkeeping, retry accounting) and must cost nothing on the happy path —
+// the fault-free result, zero recovered panics, zero transport retries.
 func TestChaosMatrix(t *testing.T) {
 	edges := dataset.Load("WB", 0.05)
 	q := hypergraph.Get("Q1")
 	rels := q.BindGraph(edges)
-	base := Config{NumServers: 4, Samples: 100, Seed: 7}
+	base := Config{NumServers: 4, Samples: 100, Seed: 7, Ctx: context.Background()}
 
 	// Fault-free reference counts, one per engine.
 	want := make(map[string]int64)
@@ -42,14 +47,15 @@ func TestChaosMatrix(t *testing.T) {
 
 	kinds := []struct {
 		name  string
-		rule  faultinject.Rule
+		rules []faultinject.Rule
 		panic bool
 	}{
-		{"drop", faultinject.Rule{From: faultinject.Any, To: faultinject.Any, Drop: 0.2}, false},
-		{"faildial", faultinject.Rule{From: faultinject.Any, To: faultinject.Any, FailDial: 0.3}, false},
-		{"corrupt", faultinject.Rule{From: faultinject.Any, To: faultinject.Any, Corrupt: 0.2}, false},
-		{"delay", faultinject.Rule{From: faultinject.Any, To: faultinject.Any, Delay: 0.5, MaxDelay: time.Millisecond}, false},
-		{"panic", faultinject.Rule{}, true},
+		{"none", nil, false},
+		{"drop", []faultinject.Rule{{From: faultinject.Any, To: faultinject.Any, Drop: 0.2}}, false},
+		{"faildial", []faultinject.Rule{{From: faultinject.Any, To: faultinject.Any, FailDial: 0.3}}, false},
+		{"corrupt", []faultinject.Rule{{From: faultinject.Any, To: faultinject.Any, Corrupt: 0.2}}, false},
+		{"delay", []faultinject.Rule{{From: faultinject.Any, To: faultinject.Any, Delay: 0.5, MaxDelay: time.Millisecond}}, false},
+		{"panic", nil, true},
 	}
 	// Each cell runs minSeeds randomized runs, and keeps drawing seeds (up
 	// to maxSeeds) until at least one fault has actually fired — a cell
@@ -68,7 +74,8 @@ func TestChaosMatrix(t *testing.T) {
 			for _, k := range kinds {
 				engName, run, k, sequential := engName, run, k, sequential
 				t.Run(engName+"/"+mode+"/"+k.name, func(t *testing.T) {
-					fired := false
+					quiet := !k.panic && len(k.rules) == 0
+					fired := quiet
 					for seed := int64(1); seed <= maxSeeds; seed++ {
 						if seed > minSeeds && fired {
 							break
@@ -86,31 +93,33 @@ func TestChaosMatrix(t *testing.T) {
 							cfg.Cluster = clus
 						} else {
 							ftr = faultinject.Wrap(
-								cluster.NewLocalTransport(cfg.NumServers), seed, k.rule)
+								cluster.NewLocalTransport(cfg.NumServers), seed, k.rules...)
 							cfg.Transport = ftr
 						}
 
-						done := make(chan struct {
-							results int64
-							err     error
-						}, 1)
-						go func() {
-							rep, err := run(q, rels, cfg)
-							done <- struct {
-								results int64
-								err     error
-							}{rep.Results, err}
-						}()
-						var results int64
+						var rep Report
 						var err error
+						done := make(chan struct{})
+						go func() {
+							defer close(done)
+							rep, err = run(q, rels, cfg)
+						}()
 						select {
-						case r := <-done:
-							results, err = r.results, r.err
+						case <-done:
 						case <-time.After(120 * time.Second):
 							t.Fatalf("seed %d: run hung under fault injection", seed)
 						}
 
-						if err != nil {
+						if quiet {
+							if err != nil || rep.Results != want[engName] {
+								t.Fatalf("seed %d: quiescent injector changed the run: %d results (want %d), err %v",
+									seed, rep.Results, want[engName], err)
+							}
+							if rep.PanicsRecovered != 0 || rep.TransportRetries != 0 {
+								t.Fatalf("seed %d: clean run reported panics=%d retries=%d",
+									seed, rep.PanicsRecovered, rep.TransportRetries)
+							}
+						} else if err != nil {
 							typed := errors.Is(err, cluster.ErrWorkerPanic) ||
 								errors.Is(err, cluster.ErrTransport) ||
 								errors.Is(err, context.Canceled) ||
@@ -118,9 +127,9 @@ func TestChaosMatrix(t *testing.T) {
 							if !typed {
 								t.Fatalf("seed %d: failed run's error is untyped: %v", seed, err)
 							}
-						} else if results != want[engName] {
+						} else if rep.Results != want[engName] {
 							t.Fatalf("seed %d: faulted run silently changed the result: got %d, want %d",
-								seed, results, want[engName])
+								seed, rep.Results, want[engName])
 						}
 						if ftr != nil {
 							fired = fired || ftr.Injected() > 0
@@ -156,7 +165,7 @@ func TestChaosPanicErrorDetail(t *testing.T) {
 			panic("chaos")
 		}
 	})
-	_, err := RunADJ(q, rels, Config{NumServers: 2, Samples: 50, Seed: 1, Cluster: clus})
+	_, err := Run("ADJ", q, rels, Config{Samples: 50, Seed: 1, Cluster: clus, Ctx: context.Background()})
 	var wp *cluster.WorkerPanicError
 	if !errors.As(err, &wp) {
 		t.Fatalf("want *WorkerPanicError, got %v", err)

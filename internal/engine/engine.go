@@ -1,9 +1,12 @@
-// Package engine implements the five distributed join engines the paper
-// evaluates (§VII): ADJ (the contribution), HCubeJ (one-round,
+// Package engine implements the distributed join engines the paper
+// evaluates (§VII) — ADJ (the contribution), HCubeJ (one-round,
 // communication-first), HCubeJ+Cache, BigJoin (multi-round parallel
-// Leapfrog) and BinaryJoin (the SparkSQL-style multi-round pairwise
-// baseline). All run on the cluster runtime and report the paper's cost
-// breakdown: Optimization / Pre-Computing / Communication / Computation.
+// Leapfrog) and SparkSQL (the multi-round pairwise baseline) — plus Hybrid.
+// An engine is a row of engineTable: a planner that lowers a bound query to
+// a plan.Program. There is one way to run a query: Prepare picks the
+// planner and lowers, Run interprets the Program on the cluster runtime
+// under the caller's context and reports the paper's cost breakdown:
+// Optimization / Pre-Computing / Communication / Computation.
 package engine
 
 import (
@@ -18,7 +21,6 @@ import (
 	"adj/internal/cluster"
 	"adj/internal/costmodel"
 	"adj/internal/hcube"
-	"adj/internal/hypergraph"
 	"adj/internal/leapfrog"
 	"adj/internal/relation"
 	"adj/internal/trie"
@@ -64,20 +66,21 @@ type Config struct {
 
 	// --- Session execution (see the adj package's Session API) ---
 
-	// Ctx is the run's cancellation context (nil = context.Background()).
-	// Cancellation is observed at every phase barrier, between cubes in the
-	// scheduler, inside the Leapfrog inner loops and between samples while
-	// planning, so a mid-run cancel returns promptly with the context's
-	// error and no leaked goroutines.
+	// Ctx is the run's context. It is required: Prepare and Run reject a
+	// nil Ctx. Cancellation is observed at every phase barrier, between
+	// cubes in the scheduler, inside the Leapfrog inner loops and between
+	// samples while planning, so a mid-run cancel returns promptly with the
+	// context's error and no leaked goroutines.
 	Ctx context.Context
 	// Cluster, when non-nil, is a session-resident cluster borrowed for
 	// this run: the engine resets its metrics and per-cube state but does
-	// not close it. nil keeps the one-shot behavior (fresh cluster per run,
-	// closed on return).
+	// not close it, and NumServers is taken from it. nil builds a fresh
+	// cluster for the run and closes it on return.
 	Cluster *cluster.Cluster
 	// Prepared, when non-nil, supplies the cached planning artifact of a
-	// PreparedQuery: the engine skips its optimization phase (sampling
-	// included) and runs the cached plan. Produce it with Prepare.
+	// PreparedQuery: Run skips its optimization phase (sampling included)
+	// and interprets the cached Program. Produce it with Prepare for the
+	// same engine; a plan prepared for another engine is an error.
 	Prepared *PreparedPlan
 	// Reuse, when non-nil, connects HCube shuffles to a session-resident
 	// block-trie store: relations whose content signatures are listed skip
@@ -86,7 +89,15 @@ type Config struct {
 	Reuse *hcube.Reuse
 }
 
+// errNilCtx rejects a Config without a context: every run is cancellable
+// by its caller, so there is no default to fall back to.
+var errNilCtx = errors.New("engine: Config.Ctx is nil (a context is required)")
+
 func (c Config) withDefaults() Config {
+	if c.Cluster != nil {
+		// Shares are optimized for the cluster the run executes on.
+		c.NumServers = c.Cluster.N
+	}
 	if c.NumServers <= 0 {
 		c.NumServers = 4
 	}
@@ -124,8 +135,9 @@ type Report struct {
 	// Emitted-run counters, summed over cubes (Leapfrog engines with
 	// CollectOutput only): results leave the leaf intersection as batched
 	// runs — EmittedRuns deliveries carrying EmittedValues tuples — rather
-	// than per-tuple callbacks. cmd/bench asserts they are nonzero so the
-	// batched path cannot silently regress to per-tuple.
+	// than per-tuple callbacks. TestCacheSchedulerEquivalenceAllEngines
+	// pins EmittedValues == Results; benchmark/'s
+	// leapfrog.emitted_values_per_run measures the batch size.
 	EmittedRuns   int64
 	EmittedValues int64
 	// Failed marks budget/memory failures (frame-top bars).
@@ -183,35 +195,6 @@ func (r Report) String() string {
 		r.Total(), r.TuplesShuffled, status)
 }
 
-// RunFunc is the engine entry signature: bound relations (one per query
-// atom, schemas renamed to query attributes) and a config.
-type RunFunc func(q hypergraph.Query, rels []*relation.Relation, cfg Config) (Report, error)
-
-// Engines returns the registry of runnable engines keyed by name: the
-// paper's five plus Hybrid, the selectivity-routed binary/WCOJ planner.
-func Engines() map[string]RunFunc {
-	return map[string]RunFunc{
-		"ADJ":          RunADJ,
-		"HCubeJ":       RunHCubeJ,
-		"HCubeJ+Cache": RunHCubeJCache,
-		"BigJoin":      RunBigJoin,
-		"SparkSQL":     RunBinaryJoin,
-		"Hybrid":       RunHybrid,
-	}
-}
-
-// EngineNames returns the paper's five engines in its presentation order
-// (benchmark tables and figures iterate these).
-func EngineNames() []string {
-	return []string{"SparkSQL", "BigJoin", "HCubeJ", "HCubeJ+Cache", "ADJ"}
-}
-
-// AllEngineNames returns every registry key in presentation order: the
-// paper's five followed by the engines this implementation adds.
-func AllEngineNames() []string {
-	return append(EngineNames(), "Hybrid")
-}
-
 // maxCubes returns the hypercube count for a run: one per server unless
 // CubesPerServer requests finer skew-spreading cubes.
 func maxCubes(cfg Config) int {
@@ -219,15 +202,6 @@ func maxCubes(cfg Config) int {
 		return cfg.NumServers * cfg.CubesPerServer
 	}
 	return cfg.NumServers
-}
-
-// newCluster builds the cluster for a run.
-func newCluster(cfg Config) *cluster.Cluster {
-	return cluster.New(cluster.Config{
-		N:          cfg.NumServers,
-		Transport:  cfg.Transport,
-		Sequential: cfg.Sequential,
-	})
 }
 
 // clusterFor returns the cluster a run executes on and its release hook:
@@ -249,33 +223,25 @@ func clusterFor(cfg Config) (*cluster.Cluster, func()) {
 			c.SetContext(nil)
 		}
 	}
-	c := newCluster(cfg)
+	c := cluster.New(cluster.Config{
+		N:          cfg.NumServers,
+		Transport:  cfg.Transport,
+		Sequential: cfg.Sequential,
+	})
 	c.SetContext(cfg.Ctx)
 	return c, func() { c.Close() }
 }
 
-// ctxOf returns the run's context (never nil).
-func ctxOf(cfg Config) context.Context {
-	if cfg.Ctx != nil {
-		return cfg.Ctx
-	}
-	//adjlint:ignore ctxflow nil-Ctx compat default: one-shot runs are uncancellable by design
-	return context.Background()
-}
-
 // cancelOf returns a cheap cancellation poll for the run's context, or nil
-// when the run is uncancellable (the common one-shot case) so the hot
+// when the context can never be cancelled (context.Background()) so the hot
 // loops skip the check entirely.
 func cancelOf(cfg Config) func() bool {
-	if cfg.Ctx == nil || cfg.Ctx.Done() == nil {
+	if cfg.Ctx.Done() == nil {
 		return nil
 	}
 	ctx := cfg.Ctx
 	return func() bool { return ctx.Err() != nil }
 }
-
-// ctxErr reports the run context's error, if any.
-func ctxErr(cfg Config) error { return ctxOf(cfg).Err() }
 
 // defaultParams calibrates cost-model constants for a run.
 func defaultParams(cfg Config) costmodel.Params {

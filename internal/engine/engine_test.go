@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -13,7 +14,7 @@ import (
 )
 
 func smallCfg(n int) Config {
-	return Config{NumServers: n, Samples: 200, Seed: 1}
+	return Config{NumServers: n, Samples: 200, Seed: 1, Ctx: context.Background()}
 }
 
 // Every engine must produce the naive join's result count on the triangle
@@ -50,20 +51,13 @@ func TestEnginesAgreeProperty(t *testing.T) {
 	if testing.Short() {
 		t.Skip("short mode")
 	}
-	runs := map[string]RunFunc{
-		"ADJ":          RunADJ,
-		"HCubeJ":       RunHCubeJ,
-		"HCubeJ+Cache": RunHCubeJCache,
-		"BigJoin":      RunBigJoin,
-		"SparkSQL":     RunBinaryJoin,
-	}
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		q, rels := testutil.RandQueryInstance(rng, 4, 4, 25, 6)
 		n := 1 + rng.Intn(4)
 		want := int64(relation.NaiveJoin(rels, q.Attrs()).Len())
-		for name, run := range runs {
-			rep, err := run(q, rels, Config{NumServers: n, Samples: 60, Seed: seed})
+		for _, name := range EngineNames() {
+			rep, err := Run(name, q, rels, Config{NumServers: n, Samples: 60, Seed: seed, Ctx: context.Background()})
 			if err != nil {
 				t.Logf("seed=%d n=%d %s: error %v", seed, n, name, err)
 				return false
@@ -92,7 +86,7 @@ func TestADJOutputTuples(t *testing.T) {
 	q, rels := testutil.RandQueryInstance(rng, 3, 4, 30, 6)
 	cfg := smallCfg(3)
 	cfg.CollectOutput = true
-	rep, err := RunADJ(q, rels, cfg)
+	rep, err := Run("ADJ", q, rels, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -122,7 +116,7 @@ func TestADJWithPaperExample(t *testing.T) {
 		t.Fatal(err)
 	}
 	want := int64(relation.NaiveJoin(rels, q.Attrs()).Len())
-	rep, err := RunADJ(q, rels, smallCfg(4))
+	rep, err := Run("ADJ", q, rels, smallCfg(4))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -138,8 +132,8 @@ func TestBudgetFailureReported(t *testing.T) {
 	rels := q.BindGraph(edges)
 	cfg := smallCfg(2)
 	cfg.Budget = 50
-	for _, run := range []RunFunc{RunBinaryJoin, RunBigJoin, RunHCubeJ} {
-		rep, err := run(q, rels, cfg)
+	for _, name := range []string{"SparkSQL", "BigJoin", "HCubeJ"} {
+		rep, err := Run(name, q, rels, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -156,7 +150,7 @@ func TestMemoryFailureReported(t *testing.T) {
 	rels := q.BindGraph(edges)
 	cfg := smallCfg(2)
 	cfg.MemoryPerServer = 10 // absurd: nothing fits
-	rep, err := RunHCubeJ(q, rels, cfg)
+	rep, err := Run("HCubeJ", q, rels, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -172,11 +166,11 @@ func TestBinaryJoinShufflesMoreThanOneRound(t *testing.T) {
 	edges := testutil.RandEdges(rng, "E", 1500, 50)
 	q := hypergraph.Q5()
 	rels := q.BindGraph(edges)
-	bj, err := RunBinaryJoin(q, rels, smallCfg(4))
+	bj, err := Run("SparkSQL", q, rels, smallCfg(4))
 	if err != nil {
 		t.Fatal(err)
 	}
-	hc, err := RunHCubeJ(q, rels, smallCfg(4))
+	hc, err := Run("HCubeJ", q, rels, smallCfg(4))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -201,7 +195,7 @@ func TestADJOverTCPTransport(t *testing.T) {
 	}
 	cfg := smallCfg(3)
 	cfg.Transport = tr
-	rep, err := RunADJ(q, rels, cfg)
+	rep, err := Run("ADJ", q, rels, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -220,7 +214,7 @@ func TestShuffleKindOverride(t *testing.T) {
 		kind := kind
 		cfg := smallCfg(4)
 		cfg.ShuffleKind = &kind
-		rep, err := RunHCubeJ(q, rels, cfg)
+		rep, err := Run("HCubeJ", q, rels, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -270,8 +264,8 @@ func TestCubesPerServerCorrectness(t *testing.T) {
 	for _, cps := range []int{1, 2, 4} {
 		cfg := smallCfg(3)
 		cfg.CubesPerServer = cps
-		for _, run := range []RunFunc{RunADJ, RunHCubeJ} {
-			rep, err := run(q, rels, cfg)
+		for _, name := range []string{"ADJ", "HCubeJ"} {
+			rep, err := Run(name, q, rels, cfg)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -288,11 +282,11 @@ func TestADJCommFirstParity(t *testing.T) {
 	edges := testutil.RandEdges(rng, "E", 500, 25)
 	q := hypergraph.Q5()
 	rels := q.BindGraph(edges)
-	co, err := RunADJ(q, rels, smallCfg(4))
+	co, err := Run("ADJ", q, rels, smallCfg(4))
 	if err != nil {
 		t.Fatal(err)
 	}
-	cf, err := RunADJCommFirst(q, rels, smallCfg(4))
+	cf, err := Run("ADJ(comm-first)", q, rels, smallCfg(4))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -313,8 +307,8 @@ func TestEnginesAgreeMixedArity(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed))
 		q, rels := testutil.RandMixedQueryInstance(rng, 3, 4, 20, 5)
 		want := int64(relation.NaiveJoin(rels, q.Attrs()).Len())
-		for _, run := range []RunFunc{RunADJ, RunHCubeJ, RunBigJoin, RunBinaryJoin} {
-			rep, err := run(q, rels, Config{NumServers: 3, Samples: 60, Seed: seed})
+		for _, name := range []string{"ADJ", "HCubeJ", "BigJoin", "SparkSQL"} {
+			rep, err := Run(name, q, rels, Config{NumServers: 3, Samples: 60, Seed: seed, Ctx: context.Background()})
 			if err != nil || rep.Failed || rep.Results != want {
 				if err != nil {
 					t.Logf("seed=%d %s: %v", seed, rep.Engine, err)

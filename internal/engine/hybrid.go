@@ -13,30 +13,22 @@ import (
 	"adj/internal/relation"
 )
 
-// RunHybrid executes the selectivity-routed binary/WCOJ engine: the query
-// hypergraph is split by GYO ear decomposition into a cyclic core and
-// acyclic ears, the sampling estimator prices a pure worst-case-optimal
-// plan against the hybrid split, and the cheaper strategy wins. A hybrid
-// plan semijoin-reduces core relations by their selective ears, runs the
-// core as one optimized Merge shuffle + Leapfrog (kept worker-resident),
-// then folds the ears back in with distributed hash joins — mixing both
-// execution strategies inside a single plan, which only the shared IR
-// makes expressible. Planning lives in lowerHybrid; execution is the
-// shared IR interpreter.
-func RunHybrid(q hypergraph.Query, rels []*relation.Relation, cfg Config) (Report, error) {
-	return runEngine("Hybrid", q, rels, cfg)
-}
-
 // earSelectivity gates semijoin pre-reduction: an ear reduces a core
 // relation only when it holds at most this fraction of the core
 // relation's distinct join keys (fewer surviving keys → the reduction
 // pays for its exchange).
 const earSelectivity = 0.75
 
-// lowerHybrid decomposes, prices and lowers the query. Returns the chosen
-// Program plus the optimizer plan of its WCOJ part (nil for a pure binary
-// route), for inspection and Explain.
-func lowerHybrid(q hypergraph.Query, rels []*relation.Relation, cfg Config) (*plan.Program, *optimizer.Plan, error) {
+// lowerHybrid is the Hybrid engine's planner: the query hypergraph is split
+// by GYO ear decomposition into a cyclic core and acyclic ears, the
+// sampling estimator prices a pure worst-case-optimal plan against the
+// hybrid split, and the cheaper strategy wins. A hybrid plan
+// semijoin-reduces core relations by their selective ears, runs the core as
+// one optimized Merge shuffle + Leapfrog (kept worker-resident), then folds
+// the ears back in with distributed hash joins — mixing both execution
+// strategies inside a single plan, which only the shared IR makes
+// expressible.
+func lowerHybrid(q hypergraph.Query, rels []*relation.Relation, cfg Config) (*plan.Program, error) {
 	params := defaultParams(cfg)
 	opt, err := optimizer.New(q, rels, optimizer.Options{
 		Params:  params,
@@ -45,14 +37,14 @@ func lowerHybrid(q hypergraph.Query, rels []*relation.Relation, cfg Config) (*pl
 		Cancel:  cancelOf(cfg),
 	})
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	fullPlan, err := opt.CommunicationFirst()
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
-	if err := ctxErr(cfg); err != nil {
-		return nil, nil, err
+	if err := cfg.Ctx.Err(); err != nil {
+		return nil, err
 	}
 	wcojCost := fullPlan.Est.Communication + orderCompCost(opt, fullPlan.AttrOrder, params)
 
@@ -66,7 +58,6 @@ func lowerHybrid(q hypergraph.Query, rels []*relation.Relation, cfg Config) (*pl
 		binCost := binaryChainCost(opt, q, rels, binOrder, params)
 		if binCost < wcojCost {
 			prog := lowerBinary(q, rels, binOrder)
-			prog.Engine = "Hybrid"
 			prog.Label = fmt.Sprintf("hybrid: binary (acyclic; binary=%.3gs wcoj=%.3gs) %s",
 				binCost, wcojCost, prog.Label)
 			for _, op := range prog.Ops {
@@ -74,18 +65,16 @@ func lowerHybrid(q hypergraph.Query, rels []*relation.Relation, cfg Config) (*pl
 					op.Cost.Seconds = 0 // priced as a chain, not per op
 				}
 			}
-			return prog, nil, nil
+			return prog, nil
 		}
-		prog := hybridWCOJProgram(q, rels, fullPlan, fmt.Sprintf(
-			"hybrid: wcoj ord=%v (acyclic; wcoj=%.3gs binary=%.3gs)", fullPlan.AttrOrder, wcojCost, binCost))
-		return prog, fullPlan, nil
+		return hybridWCOJProgram(q, rels, fullPlan, fmt.Sprintf(
+			"hybrid: wcoj ord=%v (acyclic; wcoj=%.3gs binary=%.3gs)", fullPlan.AttrOrder, wcojCost, binCost)), nil
 	}
 
 	// Fully cyclic: nothing to split; run the optimized pure WCOJ plan.
 	if len(ears) == 0 {
-		prog := hybridWCOJProgram(q, rels, fullPlan, fmt.Sprintf(
-			"hybrid: wcoj ord=%v (cyclic core only)", fullPlan.AttrOrder))
-		return prog, fullPlan, nil
+		return hybridWCOJProgram(q, rels, fullPlan, fmt.Sprintf(
+			"hybrid: wcoj ord=%v (cyclic core only)", fullPlan.AttrOrder)), nil
 	}
 
 	// Mixed: price the split — Leapfrog over the cyclic core, hash joins
@@ -117,14 +106,14 @@ func lowerHybrid(q hypergraph.Query, rels []*relation.Relation, cfg Config) (*pl
 		Cancel:  cancelOf(cfg),
 	})
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	corePlan, err := coreOpt.CommunicationFirst()
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
-	if err := ctxErr(cfg); err != nil {
-		return nil, nil, err
+	if err := cfg.Ctx.Err(); err != nil {
+		return nil, err
 	}
 
 	coreCost := corePlan.Est.Communication + orderCompCost(coreOpt, corePlan.AttrOrder, params)
@@ -133,13 +122,11 @@ func lowerHybrid(q hypergraph.Query, rels []*relation.Relation, cfg Config) (*pl
 	hybridCost := redCost + coreCost + tailCost
 
 	if wcojCost <= hybridCost {
-		prog := hybridWCOJProgram(q, rels, fullPlan, fmt.Sprintf(
-			"hybrid: wcoj ord=%v (wcoj=%.3gs hybrid=%.3gs)", fullPlan.AttrOrder, wcojCost, hybridCost))
-		return prog, fullPlan, nil
+		return hybridWCOJProgram(q, rels, fullPlan, fmt.Sprintf(
+			"hybrid: wcoj ord=%v (wcoj=%.3gs hybrid=%.3gs)", fullPlan.AttrOrder, wcojCost, hybridCost)), nil
 	}
 
-	prog := buildHybridProgram(q, rels, core, tail, reds, corePlan, wcojCost, hybridCost)
-	return prog, corePlan, nil
+	return buildHybridProgram(q, rels, core, tail, reds, corePlan, wcojCost, hybridCost), nil
 }
 
 // reduction is one planned semijoin pre-reduction: core relation inName
@@ -217,7 +204,7 @@ func buildHybridProgram(q hypergraph.Query, rels []*relation.Relation,
 	label := fmt.Sprintf("hybrid: core=[%s] ord=%v ⋈ ears=[%s] (hybrid=%.3gs wcoj=%.3gs)",
 		strings.Join(coreNames, " "), corePlan.AttrOrder, strings.Join(earNames, " "),
 		hybridCost, wcojCost)
-	prog := &plan.Program{Engine: "Hybrid", Label: label}
+	prog := &plan.Program{Label: label}
 
 	// Semijoin pre-reduction ops, replaying the plan-time decisions: shrink
 	// a core relation by a directly connected ear when the ear is selective
@@ -326,7 +313,7 @@ func earIsSelective(coreRel, ear *relation.Relation, shared []string) bool {
 // engine: one optimized Merge shuffle of every relation, Leapfrog under
 // the chosen order.
 func hybridWCOJProgram(q hypergraph.Query, rels []*relation.Relation, opt *optimizer.Plan, label string) *plan.Program {
-	prog := &plan.Program{Engine: "Hybrid", Label: label}
+	prog := &plan.Program{Label: label}
 	infos := hcube.InfoOf(rels)
 	refs := make([]plan.RelRef, len(infos))
 	for i, ri := range infos {

@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"strings"
@@ -52,7 +53,7 @@ func TestHybridMatchesPureEnginesRandom(t *testing.T) {
 			cfg := smallCfg(3)
 			cfg.Sequential = sequential
 			cfg.CollectOutput = true
-			hyb, err := RunHybrid(q, rels, cfg)
+			hyb, err := Run("Hybrid", q, rels, cfg)
 			if err != nil {
 				t.Fatalf("iter=%d seq=%v hybrid: %v", iter, sequential, err)
 			}
@@ -117,11 +118,11 @@ func hybridWorkload(scale int) (hypergraph.Query, []*relation.Relation) {
 // the split (semijoin-reduced core + ear hash joins), produce the same
 // answer as the pure engines, and beat both pure strategies on the
 // deterministic cost axes — shuffle volume and modeled communication
-// seconds. (Wall-clock totals are asserted by cmd/bench, which runs
-// alone; here the suite's parallel load would make them flaky.)
+// seconds. (Wall-clock totals are not asserted: under the suite's parallel
+// load they would be flaky.)
 func TestHybridRoutesSplitAndWins(t *testing.T) {
 	q, rels := hybridWorkload(1000)
-	cfg := Config{NumServers: 4, Samples: 300, Seed: 7}
+	cfg := Config{NumServers: 4, Samples: 300, Seed: 7, Ctx: context.Background()}
 
 	pp, err := Prepare("Hybrid", q, rels, cfg)
 	if err != nil {
@@ -134,7 +135,7 @@ func TestHybridRoutesSplitAndWins(t *testing.T) {
 		t.Fatalf("split plan lost its pre-reductions:\n%s", pp.Program.Tree())
 	}
 
-	hyb, err := RunHybrid(q, rels, cfg)
+	hyb, err := Run("Hybrid", q, rels, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

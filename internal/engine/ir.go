@@ -20,41 +20,43 @@ import (
 // frame-top failure bars rather than a Go error.
 var errRunFailed = errors.New("engine: run failed (reported)")
 
-// runEngine is the shared engine body every registry entry delegates to:
-// borrow/build the cluster, plan (or reuse the prepared Program), walk the
-// operator DAG with the IR interpreter, and fold metrics into the paper's
-// cost buckets. Engines differ only in the Program their planner lowers.
-func runEngine(name string, q hypergraph.Query, rels []*relation.Relation, cfg Config) (Report, error) {
+// Run is the one way a query executes: borrow/build the cluster, plan (or
+// take cfg.Prepared's Program), walk the operator DAG with the IR
+// interpreter under cfg.Ctx, and fold metrics into the paper's cost
+// buckets. Engines differ only in the Program their table row's planner
+// lowers; name is a key of engineTable.
+func Run(name string, q hypergraph.Query, rels []*relation.Relation, cfg Config) (Report, error) {
+	if cfg.Ctx == nil {
+		return Report{}, errNilCtx
+	}
 	cfg = cfg.withDefaults()
 	rep := Report{Engine: name, Query: q.Name, Servers: cfg.NumServers}
+	if cfg.Prepared != nil && cfg.Prepared.Engine != name {
+		return rep, fmt.Errorf("engine: plan prepared for %q cannot run as %q", cfg.Prepared.Engine, name)
+	}
 	c, release := clusterFor(cfg)
 	defer release()
 	c.LoadDatabase(rels)
 
-	// Planning: reuse the prepared Program (a session's PreparedQuery pays
-	// planning once) or lower the query now, charged to the optimize phase.
-	var prog *plan.Program
-	if pp := preparedFor(cfg, name); pp != nil && pp.Program != nil {
-		prog = pp.Program
-	} else {
+	// Planning: a session's PreparedQuery pays it once and hands the
+	// Program in; otherwise lower the query now, charged to the optimize
+	// phase.
+	pp := cfg.Prepared
+	if pp == nil {
 		t0 := time.Now()
-		pp, err := Prepare(name, q, rels, cfg)
-		if err != nil {
+		var err error
+		if pp, err = Prepare(name, q, rels, cfg); err != nil {
 			return rep, err
 		}
-		prog = pp.Program
 		chargeSeconds(c, "optimize", t0)
 	}
-	rep.Plan = prog.Label
-	if err := ctxErr(cfg); err != nil {
+	rep.Plan = pp.Program.Label
+	if err := cfg.Ctx.Err(); err != nil {
 		return rep, err
 	}
 
-	if err := runProgram(c, prog, rels, cfg, &rep); err != nil {
-		if errors.Is(err, errRunFailed) {
-			finishReport(&rep, c.Metrics)
-			return rep, nil
-		}
+	err := runProgram(c, pp.Program, rels, cfg, &rep)
+	if err != nil && !errors.Is(err, errRunFailed) {
 		return rep, err
 	}
 	finishReport(&rep, c.Metrics)
@@ -88,7 +90,7 @@ func runProgram(c *cluster.Cluster, prog *plan.Program, rels []*relation.Relatio
 	}
 	st := &progState{lf: make(map[int]lfResult), shuffles: make(map[int]hcube.Plan)}
 	for _, op := range prog.Ops {
-		if err := ctxErr(cfg); err != nil {
+		if err := cfg.Ctx.Err(); err != nil {
 			return err
 		}
 		if err := runOp(c, prog, op, st, rels, cfg, rep); err != nil {

@@ -5,8 +5,10 @@ import (
 	"strings"
 	"testing"
 
+	"adj/internal/cluster"
 	"adj/internal/hypergraph"
 	"adj/internal/plan"
+	"adj/internal/relation"
 	"adj/internal/testutil"
 )
 
@@ -153,6 +155,56 @@ func TestPreparedRunParity(t *testing.T) {
 				t.Fatalf("%s: direct run charged no optimization", name)
 			}
 		}
+	}
+}
+
+// A plan is not interchangeable between engines: handing Run a plan that
+// Prepare made for another row of the table is an error, not a silent
+// replan.
+func TestPreparedPlanEngineMismatch(t *testing.T) {
+	rng := rand.New(rand.NewSource(9))
+	q := hypergraph.Q1()
+	rels := q.BindGraph(testutil.RandEdges(rng, "E", 200, 20))
+	cfg := smallCfg(2)
+	pp, err := Prepare("SparkSQL", q, rels, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg.Prepared = pp
+	if _, err := Run("BigJoin", q, rels, cfg); err == nil || !strings.Contains(err.Error(), `prepared for "SparkSQL"`) {
+		t.Fatalf("want a prepared-for-another-engine error, got %v", err)
+	}
+	if _, err := Run("Nope", q, rels, smallCfg(2)); err == nil || !strings.Contains(err.Error(), "unknown engine") {
+		t.Fatalf("want an unknown-engine error, got %v", err)
+	}
+}
+
+// A borrowed cluster decides the cluster size: with NumServers unset the
+// run must optimize shares for the cluster's three workers (not the default
+// four) and report the same plan as a fresh three-server run.
+func TestBorrowedClusterSetsNumServers(t *testing.T) {
+	rng := rand.New(rand.NewSource(10))
+	q := hypergraph.Q1()
+	rels := q.BindGraph(testutil.RandEdges(rng, "E", 400, 25))
+	want := int64(relation.NaiveJoin(rels, q.Attrs()).Len())
+
+	fresh, err := Run("HCubeJ", q, rels, smallCfg(3))
+	if err != nil {
+		t.Fatal(err)
+	}
+	clus := cluster.New(cluster.Config{N: 3})
+	defer clus.Close()
+	cfg := smallCfg(0)
+	cfg.Cluster = clus
+	rep, err := Run("HCubeJ", q, rels, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.Servers != 3 || rep.Results != want {
+		t.Fatalf("borrowed 3-worker cluster: servers=%d results=%d, want 3 and %d", rep.Servers, rep.Results, want)
+	}
+	if rep.Plan != fresh.Plan {
+		t.Fatalf("shares optimized for the wrong cluster size: %q, fresh 3-server run chose %q", rep.Plan, fresh.Plan)
 	}
 }
 

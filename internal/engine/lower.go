@@ -13,16 +13,16 @@ import (
 
 // This file holds the lowering pass: each engine's planner turns its
 // planning artifact (GHD plan, attribute order, join order) into the
-// physical plan.Program the shared IR interpreter executes. The engines'
-// run functions are one-line shims over runEngine; everything
-// engine-specific lives in its lower function.
+// physical plan.Program the shared IR interpreter executes. Everything
+// engine-specific lives in its lower function; Prepare stamps the
+// Program with the table name it was lowered for.
 
 // lowerADJ lowers ADJ's co-optimized (or communication-first) GHD plan:
 // per-bag pre-computation as distributed HashJoin chains canonicalized by
 // a Project, one optimized Merge shuffle of the rewritten query Qi, and
 // Leapfrog under the plan's valid attribute order.
 func lowerADJ(q hypergraph.Query, rels []*relation.Relation, opt *optimizer.Plan) *plan.Program {
-	prog := &plan.Program{Engine: "ADJ", Label: opt.String()}
+	prog := &plan.Program{Label: opt.String()}
 
 	// Pre-computing: materialize each chosen bag with a chain of
 	// distributed binary joins, then canonicalize the fragment schema to
@@ -114,8 +114,8 @@ func chainTail(chain []int) []int {
 // Push shuffle of every base relation (share optimization charged to the
 // optimize phase, shares folded into the run's plan label) and plain — or
 // level-cached — Leapfrog per cube.
-func lowerHCubeJ(name string, rels []*relation.Relation, opt *optimizer.Plan, cached bool) *plan.Program {
-	prog := &plan.Program{Engine: name, Label: fmt.Sprintf("ord=%v", opt.AttrOrder)}
+func lowerHCubeJ(rels []*relation.Relation, opt *optimizer.Plan, cached bool) *plan.Program {
+	prog := &plan.Program{Label: fmt.Sprintf("ord=%v", opt.AttrOrder)}
 	infos := hcube.InfoOf(rels)
 	refs := make([]plan.RelRef, len(infos))
 	for i, ri := range infos {
@@ -148,7 +148,7 @@ func lowerBinary(q hypergraph.Query, rels []*relation.Relation, order []int) *pl
 	for i, idx := range order {
 		names[i] = rels[idx].Name
 	}
-	prog := &plan.Program{Engine: "SparkSQL", Label: "pairwise: " + strings.Join(names, " ⋈ ")}
+	prog := &plan.Program{Label: "pairwise: " + strings.Join(names, " ⋈ ")}
 
 	accName := rels[order[0]].Name
 	accAttrs := append([]string(nil), rels[order[0]].Attrs...)
@@ -182,7 +182,7 @@ func lowerBinary(q hypergraph.Query, rels []*relation.Relation, order []int) *pl
 // plus a Semijoin (verify) per other relation for every further
 // attribute, the round's last op carrying the per-round binding budget.
 func lowerBigJoin(q hypergraph.Query, rels []*relation.Relation, order []string) (*plan.Program, error) {
-	prog := &plan.Program{Engine: "BigJoin", Label: fmt.Sprintf("rounds over ord=%v", order)}
+	prog := &plan.Program{Label: fmt.Sprintf("rounds over ord=%v", order)}
 	last := prog.Add(&plan.Op{
 		Kind: plan.Scatter, Phase: "round0", Attr: order[0],
 		Out: plan.Sig{Name: "bindings", Attrs: order[:1]},

@@ -21,7 +21,7 @@ func TestParallelSequentialEquality(t *testing.T) {
 	queries := []hypergraph.Query{hypergraph.Q1(), hypergraph.Q2()}
 	for _, q := range queries {
 		for _, cps := range []int{1, 4} {
-			for name, run := range map[string]RunFunc{"ADJ": RunADJ, "HCubeJ": RunHCubeJ} {
+			for _, name := range []string{"ADJ", "HCubeJ"} {
 				t.Run(fmt.Sprintf("%s/%s/cps=%d", name, q.Name, cps), func(t *testing.T) {
 					rels := q.BindGraph(edges)
 					seqCfg := smallCfg(3)
@@ -30,11 +30,11 @@ func TestParallelSequentialEquality(t *testing.T) {
 					seqCfg.CollectOutput = true
 					parCfg := seqCfg
 					parCfg.Sequential = false
-					seq, err := run(q, rels, seqCfg)
+					seq, err := Run(name, q, rels, seqCfg)
 					if err != nil {
 						t.Fatal(err)
 					}
-					par, err := run(q, rels, parCfg)
+					par, err := Run(name, q, rels, parCfg)
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -222,7 +222,7 @@ func TestParallelBudgetFailure(t *testing.T) {
 	cfg := smallCfg(2)
 	cfg.Budget = 50
 	cfg.CubesPerServer = 4
-	rep, err := RunHCubeJ(q, rels, cfg)
+	rep, err := Run("HCubeJ", q, rels, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

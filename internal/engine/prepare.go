@@ -14,93 +14,175 @@ import (
 	"adj/internal/sampling"
 )
 
+// planner is an engine's whole identity: it lowers a bound query to the
+// plan.Program the shared interpreter executes. cfg supplies the planning
+// knobs (NumServers, Samples, Seed, Ctx for cancellation).
+type planner func(q hypergraph.Query, rels []*relation.Relation, cfg Config) (*plan.Program, error)
+
+// engineTable is the one place an engine name selects behaviour: Prepare,
+// Engines, EngineNames and AllEngineNames all derive from it. Rows are in
+// presentation order — the paper's five as its tables and figures list
+// them, then the engines this implementation adds.
+var engineTable = []struct {
+	name string
+	plan planner
+	// paper marks the five systems of §VII (EngineNames).
+	paper bool
+	// listed marks rows the registry offers (Engines, AllEngineNames); an
+	// unlisted row is reachable only by name through Prepare/Run.
+	listed bool
+}{
+	// SparkSQL-style baseline: a greedy chain of distributed binary hash
+	// joins shuffling every intermediate. On cyclic queries the
+	// intermediates explode — the failure mode Fig. 12 shows.
+	{"SparkSQL", planBinary, true, true},
+	// Multi-round distributed WCOJ (Ammar et al., PVLDB'18): one attribute
+	// per round; a proposer relation (the smallest containing the
+	// attribute) generates candidate extensions and every other relation
+	// containing it verifies them via a shuffle to the worker owning the
+	// matching index partition. Low memory per round, but every round
+	// shuffles all partial bindings.
+	{"BigJoin", planBigJoin, true, true},
+	// One-round communication-first baseline (§II-A): the original Push
+	// HCube shuffle with shares optimized for communication only, then
+	// plain Leapfrog per cube under the order selected from all n! orders
+	// by estimated intermediate size (Fig. 8's "All-Selected").
+	{"HCubeJ", planHCubeJ(false), true, true},
+	// HCubeJ with the CacheTrieJoin-style cached Leapfrog. Its cache budget
+	// shrinks with the memory HCube's shuffled load consumes, reproducing
+	// the starvation the paper reports on large datasets.
+	{"HCubeJ+Cache", planHCubeJ(true), true, true},
+	// The paper's system (§III): sample, co-optimize pre-computing /
+	// communication / computation over the GHD-restricted plan space
+	// (Alg. 2), pre-compute the chosen bags with distributed joins, shuffle
+	// the rewritten query with the optimized Merge HCube, and run Leapfrog
+	// per cube under the chosen valid attribute order.
+	{"ADJ", planADJ(true), true, true},
+	// Selectivity-routed binary/WCOJ planner: cyclic core → Leapfrog,
+	// acyclic ears → hash joins (see lowerHybrid).
+	{"Hybrid", lowerHybrid, false, true},
+	// ADJ's machinery with the communication-first strategy (no
+	// pre-computation): the right-hand columns of Tables II–IV. It keeps
+	// the optimized shuffle, isolating the plan strategy as the only
+	// difference.
+	{"ADJ(comm-first)", planADJ(false), false, false},
+}
+
+// RunFunc is the signature of a registry entry: Run with the engine name
+// bound.
+type RunFunc func(q hypergraph.Query, rels []*relation.Relation, cfg Config) (Report, error)
+
+// Engines returns the registry of listed engines keyed by name: the paper's
+// five plus Hybrid, each a closure over Run.
+func Engines() map[string]RunFunc {
+	reg := make(map[string]RunFunc, len(engineTable))
+	for _, e := range engineTable {
+		if name := e.name; e.listed {
+			reg[name] = func(q hypergraph.Query, rels []*relation.Relation, cfg Config) (Report, error) {
+				return Run(name, q, rels, cfg)
+			}
+		}
+	}
+	return reg
+}
+
+// EngineNames returns the paper's five engines in its presentation order
+// (benchmark tables and figures iterate these).
+func EngineNames() []string { return engineNames(true) }
+
+// AllEngineNames returns every registry key in presentation order: the
+// paper's five followed by the engines this implementation adds.
+func AllEngineNames() []string { return engineNames(false) }
+
+func engineNames(paperOnly bool) []string {
+	var names []string
+	for _, e := range engineTable {
+		if e.listed && (e.paper || !paperOnly) {
+			names = append(names, e.name)
+		}
+	}
+	return names
+}
+
 // PreparedPlan is the cached planning artifact of a prepared query: the
 // part of a run that samples the data and chooses a plan, split from
-// execution so a session can pay it once and execute many times. Program
-// is what executes — the lowered operator DAG the IR interpreter walks;
-// the other plan fields keep the engine-family artifact it was lowered
-// from (inspection, Explain).
+// execution so a session can pay it once and execute many times.
 type PreparedPlan struct {
-	// Engine is the registry name the plan was prepared for; engines reject
-	// a plan prepared for a different engine (plans are not interchangeable:
-	// ADJ's co-optimized GHD plan means nothing to BinaryJoin).
+	// Engine is the table name the plan was prepared for; Run rejects a
+	// plan prepared for a different engine.
 	Engine string
 	// Program is the lowered physical plan the IR interpreter executes.
 	Program *plan.Program
-	// Opt is the optimizer plan: co-optimized for ADJ, communication-first
-	// for the HCubeJ family and the hybrid's cyclic core.
-	Opt *optimizer.Plan
-	// JoinOrder is BinaryJoin's greedy pairwise order (indexes into the
-	// bound relation list).
-	JoinOrder []int
-	// Order is BigJoin's round order over the query attributes.
-	Order []string
-	// Seconds is the measured planning time — what a one-shot run would
-	// have charged to its Optimization phase.
+	// Seconds is the measured planning time — what Run charges to its
+	// Optimization phase when it plans itself.
 	Seconds float64
 }
 
-// Prepare computes the planning artifact for engineName over bound
-// relations and lowers it to the physical plan.Program the IR interpreter
-// executes: sampling-based cardinality estimation plus plan selection for
-// the optimizing engines, the cheap deterministic orders for the others,
-// selectivity-driven strategy routing for Hybrid. The result plugs into
-// Config.Prepared, making the engine skip its optimization phase. cfg
-// supplies the planning knobs (NumServers, Samples, Seed, Ctx for
-// cancellation).
+// Prepare looks engineName up in the table and runs its planner over the
+// bound relations: sampling-based cardinality estimation plus plan
+// selection for the optimizing engines, the cheap deterministic orders for
+// the others, selectivity-driven strategy routing for Hybrid. The result
+// plugs into Config.Prepared, making Run skip its optimization phase.
+// cfg.Ctx is required and observed between samples; a context that is
+// already done fails every engine with its error.
 func Prepare(engineName string, q hypergraph.Query, rels []*relation.Relation, cfg Config) (*PreparedPlan, error) {
+	if cfg.Ctx == nil {
+		return nil, errNilCtx
+	}
 	cfg = cfg.withDefaults()
-	t0 := time.Now()
-	pp := &PreparedPlan{Engine: engineName}
-	var err error
-	switch engineName {
-	case "ADJ":
-		pp.Opt, err = adjPlan(q, rels, cfg, true)
-		if err == nil {
-			pp.Program = lowerADJ(q, rels, pp.Opt)
+	for _, e := range engineTable {
+		if e.name != engineName {
+			continue
 		}
-	case "ADJ(comm-first)":
-		pp.Opt, err = adjPlan(q, rels, cfg, false)
-		if err == nil {
-			pp.Program = lowerADJ(q, rels, pp.Opt)
-			pp.Program.Engine = engineName
+		if err := cfg.Ctx.Err(); err != nil {
+			return nil, err
 		}
-	case "HCubeJ", "HCubeJ+Cache":
-		pp.Opt, err = commFirstPlan(q, rels, cfg)
-		if err == nil {
-			pp.Program = lowerHCubeJ(engineName, rels, pp.Opt, engineName == "HCubeJ+Cache")
+		t0 := time.Now()
+		prog, err := e.plan(q, rels, cfg)
+		if err != nil {
+			return nil, err
 		}
-	case "BigJoin":
-		pp.Order = q.Attrs()
-		pp.Program, err = lowerBigJoin(q, rels, pp.Order)
-	case "SparkSQL":
-		pp.JoinOrder = binaryJoinOrder(rels)
-		pp.Program = lowerBinary(q, rels, pp.JoinOrder)
-	case "Hybrid":
-		pp.Program, pp.Opt, err = lowerHybrid(q, rels, cfg)
-	default:
-		return nil, fmt.Errorf("engine: unknown engine %q (want one of %v)", engineName, AllEngineNames())
+		prog.Engine = engineName
+		return &PreparedPlan{Engine: engineName, Program: prog, Seconds: time.Since(t0).Seconds()}, nil
 	}
-	if err != nil {
-		return nil, err
-	}
-	pp.Seconds = time.Since(t0).Seconds()
-	return pp, nil
+	return nil, fmt.Errorf("engine: unknown engine %q (want one of %v)", engineName, AllEngineNames())
 }
 
-// preparedFor returns cfg's cached plan when it matches engineName, nil
-// otherwise (a mismatched plan is ignored rather than misapplied).
-func preparedFor(cfg Config, engineName string) *PreparedPlan {
-	if cfg.Prepared != nil && cfg.Prepared.Engine == engineName {
-		return cfg.Prepared
+// planADJ is ADJ's planner: co-optimized over the GHD plan space, or the
+// communication-first plan through the same lowering.
+func planADJ(coOptimize bool) planner {
+	return func(q hypergraph.Query, rels []*relation.Relation, cfg Config) (*plan.Program, error) {
+		opt, err := adjPlan(q, rels, cfg, coOptimize)
+		if err != nil {
+			return nil, err
+		}
+		return lowerADJ(q, rels, opt), nil
 	}
-	return nil
+}
+
+// planHCubeJ is the HCubeJ family's planner; cached selects the
+// level-cached Leapfrog.
+func planHCubeJ(cached bool) planner {
+	return func(q hypergraph.Query, rels []*relation.Relation, cfg Config) (*plan.Program, error) {
+		opt, err := commFirstPlan(q, rels, cfg)
+		if err != nil {
+			return nil, err
+		}
+		return lowerHCubeJ(rels, opt, cached), nil
+	}
+}
+
+func planBigJoin(q hypergraph.Query, rels []*relation.Relation, _ Config) (*plan.Program, error) {
+	return lowerBigJoin(q, rels, q.Attrs())
+}
+
+func planBinary(q hypergraph.Query, rels []*relation.Relation, _ Config) (*plan.Program, error) {
+	return lowerBinary(q, rels, binaryJoinOrder(rels)), nil
 }
 
 // adjPlan is ADJ's optimization phase (§III): calibrate cost constants,
 // probe the sampler for machine-scaled β, then co-optimize over the
-// GHD-restricted plan space (or pick the communication-first plan). Shared
-// by direct runs (charged to their optimize phase) and Prepare.
+// GHD-restricted plan space (or pick the communication-first plan).
 func adjPlan(q hypergraph.Query, rels []*relation.Relation, cfg Config, coOptimize bool) (*optimizer.Plan, error) {
 	params := defaultParams(cfg)
 	params.BetaTrie = costmodel.CalibrateBetaTrie(1 << 14)
@@ -124,7 +206,7 @@ func adjPlan(q hypergraph.Query, rels []*relation.Relation, cfg Config, coOptimi
 			params.BetaTrie = 2 * params.BetaBase
 		}
 	}
-	if err := ctxErr(cfg); err != nil {
+	if err := cfg.Ctx.Err(); err != nil {
 		return nil, err
 	}
 	if coOptimize {
@@ -145,7 +227,7 @@ func commFirstPlan(q hypergraph.Query, rels []*relation.Relation, cfg Config) (*
 	if err != nil {
 		return nil, err
 	}
-	if err := ctxErr(cfg); err != nil {
+	if err := cfg.Ctx.Err(); err != nil {
 		return nil, err
 	}
 	return opt.CommunicationFirst()

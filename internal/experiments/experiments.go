@@ -13,6 +13,7 @@ package experiments
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"strings"
 
@@ -35,18 +36,10 @@ type Config struct {
 	// Budget caps per-run intermediate work; exceeded runs are reported as
 	// failures, like the paper's 12-hour/OOM bars. Default 30M units.
 	Budget int64
-	// Ctx cancels in-flight experiment executions. cmd/experiments passes
-	// its root context; nil falls back to an uncancellable run.
+	// Ctx is the context every engine run and session execution of an
+	// experiment observes; cmd/experiments passes its signal-cancelled
+	// root. Required: experiments that execute a query fail without one.
 	Ctx context.Context
-}
-
-// ctx returns the run's context, never nil.
-func (c Config) ctx() context.Context {
-	if c.Ctx != nil {
-		return c.Ctx
-	}
-	//adjlint:ignore ctxflow nil-Ctx compat default mirrors engine.ctxOf
-	return context.Background()
 }
 
 func (c Config) withDefaults() Config {
@@ -71,6 +64,7 @@ func (c Config) engineConfig() engine.Config {
 		Samples:    c.Samples,
 		Seed:       c.Seed,
 		Budget:     c.Budget,
+		Ctx:        c.Ctx,
 		// The figures reproduce the paper's *simulated* cluster timings:
 		// sequential mode measures each worker in isolation and charges the
 		// max, so a 28-worker run is timed faithfully (and repeatably) on a
@@ -78,6 +72,28 @@ func (c Config) engineConfig() engine.Config {
 		// contention between simulated workers into the phase times.
 		Sequential: true,
 	}
+}
+
+// err reports why an experiment must stop: it has no context, or its
+// context is done. Figures that drive kernels directly (no engine run to
+// check for them) call it once per row, and once more on return so a
+// cancel that landed inside the last row's kernel is not reported as a
+// finished figure.
+func (c Config) err() error {
+	if c.Ctx == nil {
+		return errors.New("experiments: Config.Ctx is nil (a context is required)")
+	}
+	return c.Ctx.Err()
+}
+
+// cancelled is the poll those kernels take (leapfrog, sampling and
+// optimizer Cancel hooks); valid once err has been checked.
+func (c Config) cancelled() bool { return c.Ctx.Err() != nil }
+
+// run executes one engine of the table on the simulated cluster, under the
+// experiment's context — the one way experiments run a query.
+func (c Config) run(name string, q hypergraph.Query, rels []*relation.Relation) (engine.Report, error) {
+	return engine.Run(name, q, rels, c.engineConfig())
 }
 
 // graph loads a named dataset at the config's scale.
@@ -133,78 +149,43 @@ func (r Result) String() string {
 	return sb.String()
 }
 
-// All runs every experiment (the full §VII regeneration) and returns the
-// results in paper order.
-func All(cfg Config) ([]Result, error) {
-	type namedFn struct {
-		name string
-		fn   func(Config) (Result, error)
-	}
-	fns := []namedFn{
-		{"table1", Table1},
-		{"fig1a", Fig1a},
-		{"fig1b", Fig1b},
-		{"fig6", Fig6},
-		{"fig8", Fig8},
-		{"fig9", Fig9},
-		{"fig10", Fig10},
-		{"fig11", Fig11},
-		{"fig12a", Fig12Datasets},
-		{"fig12d", Fig12Queries},
-		{"table2", Table2},
-		{"table3", Table3},
-		{"table4", Table4},
-		{"session", SessionReuse},
-	}
-	var out []Result
-	for _, nf := range fns {
-		r, err := nf.fn(cfg)
-		if err != nil {
-			return out, fmt.Errorf("%s: %w", nf.name, err)
-		}
-		out = append(out, r)
-	}
-	return out, nil
+// figures is the one list of experiments, in paper order; ByID and IDs
+// derive from it (cmd/experiments' "-exp all" walks IDs).
+var figures = []struct {
+	id string
+	fn func(Config) (Result, error)
+}{
+	{"table1", Table1},
+	{"fig1a", Fig1a},
+	{"fig1b", Fig1b},
+	{"fig6", Fig6},
+	{"fig8", Fig8},
+	{"fig9", Fig9},
+	{"fig10", Fig10},
+	{"fig11", Fig11},
+	{"fig12a", Fig12Datasets},
+	{"fig12d", Fig12Queries},
+	{"table2", Table2},
+	{"table3", Table3},
+	{"table4", Table4},
+	{"session", SessionReuse},
 }
 
 // ByID returns the experiment runner for an id, or nil.
 func ByID(id string) func(Config) (Result, error) {
-	switch id {
-	case "table1":
-		return Table1
-	case "fig1a":
-		return Fig1a
-	case "fig1b":
-		return Fig1b
-	case "fig6":
-		return Fig6
-	case "fig8":
-		return Fig8
-	case "fig9":
-		return Fig9
-	case "fig10":
-		return Fig10
-	case "fig11":
-		return Fig11
-	case "fig12a":
-		return Fig12Datasets
-	case "fig12d":
-		return Fig12Queries
-	case "table2":
-		return Table2
-	case "table3":
-		return Table3
-	case "table4":
-		return Table4
-	case "session":
-		return SessionReuse
-	default:
-		return nil
+	for _, f := range figures {
+		if f.id == id {
+			return f.fn
+		}
 	}
+	return nil
 }
 
 // IDs lists experiment ids in paper order.
 func IDs() []string {
-	return []string{"table1", "fig1a", "fig1b", "fig6", "fig8", "fig9",
-		"fig10", "fig11", "fig12a", "fig12d", "table2", "table3", "table4", "session"}
+	ids := make([]string, len(figures))
+	for i, f := range figures {
+		ids[i] = f.id
+	}
+	return ids
 }

@@ -9,7 +9,7 @@ import (
 
 // tinyCfg keeps experiment smoke tests fast.
 func tinyCfg() Config {
-	return Config{Scale: 0.02, Workers: 4, Samples: 100, Seed: 1, Budget: 5_000_000}
+	return Config{Scale: 0.02, Workers: 4, Samples: 100, Seed: 1, Budget: 5_000_000, Ctx: context.Background()}
 }
 
 func TestTable1(t *testing.T) {
@@ -204,15 +204,26 @@ func TestByIDAndIDs(t *testing.T) {
 	}
 }
 
-// Regression for the ctxflow finding in sessionReuseRow: the harness used
-// to hardwire context.Background() into Exec, so an interrupted
-// cmd/experiments run kept executing. Config.Ctx must reach the session.
-func TestSessionReuseHonorsCtx(t *testing.T) {
+// cmd/experiments' root context must reach every figure that executes
+// anything (Table1 only reads dataset statistics): a cancelled context
+// stops each with its error, and a missing one is an error, not a default.
+// Regression for engineConfig dropping Config.Ctx — Ctrl-C used to cancel
+// nothing but the session experiment.
+func TestEveryFigureHonorsCtx(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	cfg := tinyCfg()
-	cfg.Ctx = ctx
-	if _, err := SessionReuse(cfg); !errors.Is(err, context.Canceled) {
-		t.Fatalf("SessionReuse with a cancelled ctx: err = %v, want context.Canceled in the chain", err)
+	for _, id := range IDs() {
+		if id == "table1" {
+			continue
+		}
+		cfg := tinyCfg()
+		cfg.Ctx = ctx
+		if _, err := ByID(id)(cfg); !errors.Is(err, context.Canceled) {
+			t.Fatalf("%s with a cancelled ctx: err = %v, want context.Canceled in the chain", id, err)
+		}
+		cfg.Ctx = nil
+		if _, err := ByID(id)(cfg); err == nil {
+			t.Fatalf("%s without a ctx: want an error", id)
+		}
 	}
 }

@@ -1,9 +1,6 @@
 package experiments
 
-import (
-	"adj/internal/dataset"
-	"adj/internal/engine"
-)
+import "adj/internal/dataset"
 
 // Fig1a reproduces Fig. 1(a): shuffled tuples of one-round (HCubeJ) vs
 // multi-round (SparkSQL-style binary join) on Q5 and Q6 over LJ. The paper
@@ -18,11 +15,11 @@ func Fig1a(cfg Config) (Result, error) {
 	edges := cfg.graph("LJ")
 	for _, qn := range []string{"Q5", "Q6"} {
 		q, rels := bindQ(qn, edges)
-		one, err := engine.RunHCubeJ(q, rels, cfg.engineConfig())
+		one, err := cfg.run("HCubeJ", q, rels)
 		if err != nil {
 			return res, err
 		}
-		multi, err := engine.RunBinaryJoin(q, rels, cfg.engineConfig())
+		multi, err := cfg.run("SparkSQL", q, rels)
 		if err != nil {
 			return res, err
 		}
@@ -52,11 +49,11 @@ func Fig1b(cfg Config) (Result, error) {
 	edges := dataset.Load("LJ", cfg.Scale)
 	for _, qn := range []string{"Q5", "Q6"} {
 		q, rels := bindQ(qn, edges)
-		cf, err := engine.RunADJCommFirst(q, rels, cfg.engineConfig())
+		cf, err := cfg.run("ADJ(comm-first)", q, rels)
 		if err != nil {
 			return res, err
 		}
-		co, err := engine.RunADJ(q, rels, cfg.engineConfig())
+		co, err := cfg.run("ADJ", q, rels)
 		if err != nil {
 			return res, err
 		}

@@ -19,6 +19,9 @@ func Fig6(cfg Config) (Result, error) {
 	}
 	for _, qn := range []string{"Q5", "Q6"} {
 		for _, ds := range dataset.Names() {
+			if err := cfg.err(); err != nil {
+				return res, err
+			}
 			edges := cfg.graph(ds)
 			q, rels := bindQ(qn, edges)
 			d, err := ghd.Decompose(q, ghd.Options{})
@@ -27,7 +30,7 @@ func Fig6(cfg Config) (Result, error) {
 			}
 			traversal := d.TraversalOrders()[0]
 			order := d.AttrOrderFor(traversal)
-			st, err := leapfrog.JoinRelations(rels, order, leapfrog.Options{Budget: cfg.Budget})
+			st, err := leapfrog.JoinRelations(rels, order, leapfrog.Options{Budget: cfg.Budget, Cancel: cfg.cancelled})
 			if err != nil {
 				res.Rows = append(res.Rows, Row{Label: qn + "/" + ds, Note: "budget exceeded"})
 				continue
@@ -66,5 +69,5 @@ func Fig6(cfg Config) (Result, error) {
 			res.Rows = append(res.Rows, row)
 		}
 	}
-	return res, nil
+	return res, cfg.err()
 }

@@ -36,6 +36,9 @@ func Fig8(cfg Config) (Result, error) {
 	}
 	for _, qn := range []string{"Q4", "Q5", "Q6"} {
 		for _, ds := range dataset.Names() {
+			if err := cfg.err(); err != nil {
+				return res, err
+			}
 			edges := dataset.Load(ds, scale)
 			q, rels := bindQ(qn, edges)
 			d, err := ghd.Decompose(q, ghd.Options{})
@@ -51,7 +54,7 @@ func Fig8(cfg Config) (Result, error) {
 			var invalidMax, validMax float64
 			truncated := false
 			for _, ord := range all {
-				st, err := leapfrog.JoinRelations(rels, ord, leapfrog.Options{Budget: perOrderBudget})
+				st, err := leapfrog.JoinRelations(rels, ord, leapfrog.Options{Budget: perOrderBudget, Cancel: cfg.cancelled})
 				var c float64
 				if err != nil {
 					c = float64(perOrderBudget) // at least this much
@@ -73,6 +76,7 @@ func Fig8(cfg Config) (Result, error) {
 				Params:  costmodel.DefaultParams(cfg.Workers),
 				Samples: cfg.Samples,
 				Seed:    cfg.Seed,
+				Cancel:  cfg.cancelled,
 			})
 			if err != nil {
 				return res, err
@@ -94,7 +98,7 @@ func Fig8(cfg Config) (Result, error) {
 			res.Rows = append(res.Rows, row)
 		}
 	}
-	return res, nil
+	return res, cfg.err()
 }
 
 func orderKey(o []string) string {

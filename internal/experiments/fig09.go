@@ -19,6 +19,9 @@ func Fig9(cfg Config) (Result, error) {
 		Columns: []string{"Push-Comm", "Pull-Comm", "Merge-Comm", "Push-Comp", "Pull-Comp", "Merge-Comp"},
 	}
 	for _, ds := range dataset.Names() {
+		if err := cfg.err(); err != nil {
+			return res, err
+		}
 		edges := cfg.graph(ds)
 		q, rels := bindQ("Q2", edges)
 		order := q.Attrs()
@@ -28,6 +31,7 @@ func Fig9(cfg Config) (Result, error) {
 			// Sequential: the figure reports simulated per-worker timings
 			// (see Config.engineConfig).
 			c := cluster.New(cluster.Config{N: cfg.Workers, Sequential: true})
+			c.SetContext(cfg.Ctx)
 			c.LoadDatabase(rels)
 			shares, err := hcube.Optimize(infos, hcube.Config{Attrs: order, NumServers: cfg.Workers})
 			if err != nil {
@@ -67,5 +71,5 @@ func Fig9(cfg Config) (Result, error) {
 		}
 		res.Rows = append(res.Rows, row)
 	}
-	return res, nil
+	return res, cfg.err()
 }

@@ -24,9 +24,12 @@ func Fig10(cfg Config) (Result, error) {
 	edges := dataset.Load("LJ", cfg.Scale)
 	sampleSizes := []int{100, 1000, 10000}
 	for _, qn := range []string{"Q4", "Q5", "Q6"} {
+		if err := cfg.err(); err != nil {
+			return res, err
+		}
 		q, rels := bindQ(qn, edges)
 		order := q.Attrs()
-		exact, err := leapfrog.JoinRelations(rels, order, leapfrog.Options{Budget: cfg.Budget})
+		exact, err := leapfrog.JoinRelations(rels, order, leapfrog.Options{Budget: cfg.Budget, Cancel: cfg.cancelled})
 		if err != nil {
 			res.Rows = append(res.Rows, Row{Label: qn + "/LJ", Note: "exact count over budget"})
 			continue
@@ -35,7 +38,7 @@ func Fig10(cfg Config) (Result, error) {
 		row := Row{Label: qn + "/LJ", Values: map[string]float64{}}
 		for _, k := range sampleSizes {
 			est, err := sampling.EstimateCardinality(rels, order, sampling.Config{
-				Samples: k, Seed: cfg.Seed,
+				Samples: k, Seed: cfg.Seed, Cancel: cfg.cancelled,
 			})
 			if err != nil {
 				return res, err
@@ -46,7 +49,7 @@ func Fig10(cfg Config) (Result, error) {
 		}
 		res.Rows = append(res.Rows, row)
 	}
-	return res, nil
+	return res, cfg.err()
 }
 
 func maxRatio(a, b float64) float64 {

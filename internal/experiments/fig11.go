@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"adj/internal/dataset"
-	"adj/internal/engine"
 )
 
 // Fig11 reproduces Fig. 11: ADJ's speed-up on LJ as workers grow from 1 to
@@ -28,9 +27,9 @@ func Fig11(cfg Config) (Result, error) {
 		row := Row{Label: qn + "/LJ", Values: map[string]float64{}}
 		var t1 float64
 		for _, n := range workerCounts {
-			ecfg := cfg.engineConfig()
-			ecfg.NumServers = n
-			rep, err := engine.RunADJ(q, rels, ecfg)
+			ncfg := cfg
+			ncfg.Workers = n
+			rep, err := ncfg.run("ADJ", q, rels)
 			if err != nil {
 				return res, err
 			}

@@ -54,9 +54,8 @@ func engineRow(cfg Config, qn, ds string) (Row, error) {
 	edges := cfg.graph(ds)
 	q, rels := bindQ(qn, edges)
 	row := Row{Label: qn + "/" + ds, Values: map[string]float64{}}
-	reg := engine.Engines()
 	for _, name := range engine.EngineNames() {
-		rep, err := reg[name](q, rels, cfg.engineConfig())
+		rep, err := cfg.run(name, q, rels)
 		if err != nil {
 			return row, err
 		}

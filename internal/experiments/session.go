@@ -17,6 +17,9 @@ import (
 // registry counters that prove the reuse.
 func SessionReuse(cfg Config) (Result, error) {
 	cfg = cfg.withDefaults()
+	if err := cfg.err(); err != nil {
+		return Result{}, err
+	}
 	res := Result{
 		ID:      "session",
 		Title:   "Session repeated-query reuse (ADJ, LJ): cold vs warm execution",
@@ -59,7 +62,7 @@ func sessionReuseRow(cfg Config, qn string, edges *adj.Relation) (Row, error) {
 	var count int64 = -1
 	for exec := 0; exec < 3; exec++ {
 		t0 := time.Now()
-		r, err := pq.Exec(cfg.ctx(), adj.CountOnly())
+		r, err := pq.Exec(cfg.Ctx, adj.CountOnly())
 		if err != nil {
 			return Row{}, fmt.Errorf("%s exec %d: %w", qn, exec, err)
 		}

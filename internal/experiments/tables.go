@@ -1,9 +1,6 @@
 package experiments
 
-import (
-	"adj/internal/dataset"
-	"adj/internal/engine"
-)
+import "adj/internal/dataset"
 
 // Table1 reproduces Table I: dataset statistics (for the synthetic
 // analogues at the configured scale).
@@ -50,11 +47,11 @@ func coOptTable(cfg Config, id, ds string) (Result, error) {
 	edges := cfg.graph(ds)
 	for _, qn := range []string{"Q4", "Q5", "Q6"} {
 		q, rels := bindQ(qn, edges)
-		co, err := engine.RunADJ(q, rels, cfg.engineConfig())
+		co, err := cfg.run("ADJ", q, rels)
 		if err != nil {
 			return res, err
 		}
-		cf, err := engine.RunADJCommFirst(q, rels, cfg.engineConfig())
+		cf, err := cfg.run("ADJ(comm-first)", q, rels)
 		if err != nil {
 			return res, err
 		}

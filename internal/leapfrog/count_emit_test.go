@@ -125,3 +125,47 @@ func TestDrainLeafCountEmitAgreementAtEveryLimit(t *testing.T) {
 		}
 	}
 }
+
+// emitAllocCeiling pins the emit path's allocations per listing run. The
+// batched sink allocates O(columns × log results) slices (amortized column
+// growth) plus a handful of fixed objects; a regression to per-value
+// allocation would scale with the result count (tens of thousands here)
+// and blow straight through this.
+const emitAllocCeiling = 256
+
+// Listing through the batched columnar sink on the emit-bound workload it
+// targets — the wedge R(a,b) ⋈ S(b,c), whose output dwarfs the input and
+// whose leaf intersections are whole adjacency lists handed over as
+// zero-copy runs — must engage the run counters and stay under the
+// allocation ceiling.
+func TestEmitSinkAllocCeiling(t *testing.T) {
+	edges := testutil.RandEdges(rand.New(rand.NewSource(4)), "E", 4000, 200)
+	r := edges.Renamed("R")
+	r.Attrs = []string{"a", "b"}
+	s := edges.Renamed("S")
+	s.Attrs = []string{"b", "c"}
+	order := []string{"a", "b", "c"}
+	tries := BuildTries([]*relation.Relation{r, s}, order)
+	list := func() (*relation.Relation, Stats) {
+		out := relation.New("out", order...)
+		st, err := Join(tries, order, Options{Sink: relation.NewColumnWriter(out)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return out, st
+	}
+	out, st := list()
+	if st.Results < 10*emitAllocCeiling {
+		t.Fatalf("only %d results: too few for the ceiling to mean anything", st.Results)
+	}
+	if int64(out.Len()) != st.Results || st.EmittedRuns == 0 || st.EmittedValues != st.Results {
+		t.Fatalf("batched emit did not engage: %d results, %d rows, %d runs, %d values",
+			st.Results, out.Len(), st.EmittedRuns, st.EmittedValues)
+	}
+	allocs := testing.AllocsPerRun(5, func() { list() })
+	t.Logf("%d results, %d runs, %.0f allocs per listing", st.Results, st.EmittedRuns, allocs)
+	if allocs > emitAllocCeiling {
+		t.Fatalf("emit sink allocates %.0f per listing of %d results, ceiling %d: batched path regressed toward per-value allocation",
+			allocs, st.Results, emitAllocCeiling)
+	}
+}

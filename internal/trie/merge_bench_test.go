@@ -59,8 +59,8 @@ func TestMergePooledReuse(t *testing.T) {
 
 // BenchmarkMerge measures the pooled k-way merge; with the heap state,
 // tuple streams and staging relation pooled, steady-state allocations are
-// only the output trie's level arrays (compare trie_merge vs
-// trie_merge_reference in BENCH_3.json for the before/after).
+// only the output trie's level arrays (benchmark/'s
+// trie.merge_ns_per_tuple probe measures the same kernel).
 func BenchmarkMerge(b *testing.B) {
 	rng := rand.New(rand.NewSource(11))
 	blocks := randBlocks(rng, 8, 2000)

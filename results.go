@@ -108,9 +108,8 @@ scan:
 	return r.prefix, values, true
 }
 
-// Rows returns the materialized result relation — the compatibility view
-// matching the old CollectOutput behavior. It returns nil on CountOnly
-// executions. The relation is the execution's own output; do not mutate it
+// Rows returns the materialized result relation. It returns nil on
+// CountOnly executions. The relation is the execution's own output; do not mutate it
 // while also iterating runs.
 func (r *Results) Rows() *Relation { return r.out }
 

@@ -175,8 +175,7 @@ func (s *Session) Register(name string, rel *Relation) error {
 	reg := &registeredRel{rel: rel, epoch: s.epochs}
 	if s.store != nil {
 		// The fingerprint only keys the trie store; with reuse disabled
-		// (one-shot shims, TrieStoreBytes < 0) the O(values) hash pass is
-		// skipped entirely.
+		// (TrieStoreBytes < 0) the O(values) hash pass is skipped entirely.
 		reg.sig = relation.Fingerprint(rel)
 	}
 	s.rels[name] = reg
@@ -215,6 +214,9 @@ func (s *Session) TrieStoreStats() TrieStoreStats { return s.store.Stats() }
 // interpreter with zero sampling or planning cost, while an execution over
 // re-registered relations with changed content replans automatically (the
 // replanning time shows up in that report's Optimization).
+//
+// Prepare takes no context: its planning pass runs to completion. Replans
+// inside Exec run under the exec's context.
 func (s *Session) Prepare(engineName string, q Query) (*PreparedQuery, error) {
 	return s.prepare(engineName, q, "")
 }
@@ -226,11 +228,10 @@ func (s *Session) PrepareGraph(engineName string, q Query, edgesName string) (*P
 }
 
 func (s *Session) prepare(engineName string, q Query, graphRel string) (*PreparedQuery, error) {
-	run, err := resolveEngine(engineName)
-	if err != nil {
+	if err := checkEngine(engineName); err != nil {
 		return nil, err
 	}
-	p := &PreparedQuery{s: s, engineName: engineName, run: run, q: q, graphRel: graphRel}
+	p := &PreparedQuery{s: s, engineName: engineName, q: q, graphRel: graphRel}
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.closed {
@@ -240,7 +241,8 @@ func (s *Session) prepare(engineName string, q Query, graphRel string) (*Prepare
 	if err != nil {
 		return nil, err
 	}
-	plan, err := engine.Prepare(engineName, q, rels, s.opts.toConfig())
+	//adjlint:ignore ctxflow the session's one root context: benchmark/ pins Prepare's and PrepareGraph's ctx-less signatures
+	plan, err := engine.Prepare(engineName, q, rels, s.opts.toConfig(context.Background()))
 	if err != nil {
 		return nil, err
 	}
@@ -318,7 +320,6 @@ func (s *Session) bindLocked(p *PreparedQuery) ([]*Relation, map[string]uint64, 
 type PreparedQuery struct {
 	s          *Session
 	engineName string
-	run        engine.RunFunc
 	q          Query
 	graphRel   string
 	plan       *engine.PreparedPlan
@@ -328,27 +329,18 @@ type PreparedQuery struct {
 // Engine returns the engine name the query was prepared for.
 func (p *PreparedQuery) Engine() string { return p.engineName }
 
-// Plan renders the cached plan.
-func (p *PreparedQuery) Plan() string {
-	if p.plan.Opt != nil {
-		return p.plan.Opt.String()
-	}
-	return fmt.Sprintf("%v%v", p.plan.Order, p.plan.JoinOrder)
-}
+// Plan is the cached plan's one-line label.
+func (p *PreparedQuery) Plan() string { return p.plan.Program.Label }
 
-// PlanSeconds is the measured planning time Prepare paid — what a one-shot
-// run charges to its Optimization phase.
+// PlanSeconds is the measured planning time Prepare paid. Exec does not
+// charge it again: a report's Optimization covers only replans.
 func (p *PreparedQuery) PlanSeconds() float64 { return p.plan.Seconds }
 
 // Explain renders the prepared physical plan — the operator DAG Exec will
 // interpret — as an indented tree with per-op strategy and cost
-// annotations.
-func (p *PreparedQuery) Explain() string {
-	if p.plan.Program != nil {
-		return p.plan.Program.Tree()
-	}
-	return p.Plan()
-}
+// annotations, without executing the distributed join (Prepare already
+// sampled, which is where planning cost lives).
+func (p *PreparedQuery) Explain() string { return p.plan.Program.Tree() }
 
 // ExecOption tunes one execution.
 type ExecOption func(*execOpts)
@@ -393,7 +385,7 @@ func WithTenant(tenant string) ExecOption {
 // and deadline expiry are observed promptly at every stage — the
 // admission queue, the pool checkout, phase barriers, the cube scheduler
 // and the Leapfrog inner loops — with no goroutines leaked; the returned
-// error is then ctx.Err().
+// error is then ctx.Err(). ctx must not be nil.
 //
 // Executions over unchanged registered relations go warm: the shuffle is
 // skipped and every block trie is adopted from the shared store
@@ -404,10 +396,6 @@ func (p *PreparedQuery) Exec(ctx context.Context, opts ...ExecOption) (*Results,
 	eo := execOpts{class: Interactive}
 	for _, o := range opts {
 		o(&eo)
-	}
-	if ctx == nil {
-		//adjlint:ignore ctxflow nil-ctx compat guard: callers without a context get an uncancellable run
-		ctx = context.Background()
 	}
 	s := p.s
 	s.mu.Lock()
@@ -464,12 +452,14 @@ func (p *PreparedQuery) Exec(ctx context.Context, opts ...ExecOption) (*Results,
 	// inputs' content, so a warm hit routes straight to the interpreter —
 	// zero sampling, zero planning. A key mismatch (a relation was
 	// re-registered with different content) replans here and charges the
-	// replanning time to this execution's Optimization phase. Replanning
-	// holds s.mu, so concurrent executions of the same prepared query
-	// replan once and the rest adopt the refreshed plan.
+	// replanning time to this execution's Optimization phase. The replan
+	// runs under this exec's ctx — a cancel or deadline stops it between
+	// samples, leaving the stale plan and key for the next exec to redo.
+	// Replanning holds s.mu, so concurrent executions of the same prepared
+	// query replan once and the rest adopt the refreshed plan.
 	var replanSeconds float64
 	if key := s.planKeyLocked(p); key != p.planKey {
-		pl, err := engine.Prepare(p.engineName, p.q, rels, s.opts.toConfig())
+		pl, err := engine.Prepare(p.engineName, p.q, rels, s.opts.toConfig(ctx))
 		if err != nil {
 			s.mu.Unlock()
 			return nil, err
@@ -482,9 +472,8 @@ func (p *PreparedQuery) Exec(ctx context.Context, opts ...ExecOption) (*Results,
 	sessOpts := s.opts
 	s.mu.Unlock()
 
-	cfg := sessOpts.toConfig()
+	cfg := sessOpts.toConfig(ctx)
 	cfg.CollectOutput = !eo.countOnly
-	cfg.Ctx = ctx
 	cfg.Cluster = clus
 	cfg.Prepared = plan
 	if store != nil {
@@ -498,14 +487,14 @@ func (p *PreparedQuery) Exec(ctx context.Context, opts ...ExecOption) (*Results,
 	// per-run worker state; the extra ResetRun here covers panics that
 	// unwound past it. The shared trie store is untouched either way, so a
 	// warm data set stays warm across a failed execution.
-	rep, err := runGuarded(p.run, p.q, rels, cfg)
+	rep, err := runGuarded(p.engineName, p.q, rels, cfg)
 	if err != nil {
 		clus.ResetRun()
 		if sessOpts.Retry && cluster.IsTransient(err) && ctx.Err() == nil {
 			// Transient transport failure and the caller opted in: re-run
 			// once on the reset workers. The re-run's report is marked so
 			// callers can count degraded executions.
-			rep, err = runGuarded(p.run, p.q, rels, cfg)
+			rep, err = runGuarded(p.engineName, p.q, rels, cfg)
 			if err == nil {
 				rep.Retried = true
 			} else {
@@ -538,7 +527,7 @@ func (s *Session) AdmissionStats() AdmissionStats { return s.ctrl.Stats() }
 // (planning leftovers, shuffle coordination, report assembly) into the
 // same typed error class, so a session never crashes the process and
 // never wedges its lock.
-func runGuarded(run engine.RunFunc, q Query, rels []*Relation, cfg engine.Config) (rep engine.Report, err error) {
+func runGuarded(engineName string, q Query, rels []*Relation, cfg engine.Config) (rep engine.Report, err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			err = &cluster.WorkerPanicError{
@@ -549,24 +538,5 @@ func runGuarded(run engine.RunFunc, q Query, rels []*Relation, cfg engine.Config
 			}
 		}
 	}()
-	return run(q, rels, cfg)
-}
-
-// execOneShot backs the package-level Run/RunGraph shims: execute on the
-// temporary session with the caller's CollectOutput semantics and fold the
-// planning time back into the report's Optimization phase, reproducing the
-// one-shot cost accounting.
-func (p *PreparedQuery) execOneShot(opts Options) (Report, error) {
-	var eo []ExecOption
-	if !opts.CollectOutput {
-		eo = append(eo, CountOnly())
-	}
-	//adjlint:ignore ctxflow one-shot compat shim: the legacy Run surface has no context to thread
-	res, err := p.Exec(context.Background(), eo...)
-	if err != nil {
-		return Report{}, err
-	}
-	rep := res.Report()
-	rep.Optimization += p.plan.Seconds
-	return rep, nil
+	return engine.Run(engineName, q, rels, cfg)
 }

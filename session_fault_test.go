@@ -33,17 +33,14 @@ func withFaultTransport(t *testing.T, s *Session, seed int64, rules ...faultinje
 // TestSessionSurvivesTransportFault is the fail-safe regression: an Exec
 // that dies on a typed transport fault must leave the session fully usable
 // — the very next Exec, with the fault healed, returns exactly the
-// one-shot result.
+// oracle's count.
 func TestSessionSurvivesTransportFault(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	edges := randomEdges(t, rng, 400, 50)
 	q := CatalogQuery("Q1")
 	opts := Options{Workers: 3, Samples: 60, Seed: 1}
 
-	ref, err := Count(q, edges, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
+	want := int64(oracleJoin(q, edges).Len())
 
 	for _, kind := range []string{"drop", "corrupt", "faildial"} {
 		kind := kind
@@ -84,8 +81,8 @@ func TestSessionSurvivesTransportFault(t *testing.T) {
 			if err != nil {
 				t.Fatalf("exec after failure: %v", err)
 			}
-			if res.Count() != ref.Results {
-				t.Fatalf("post-failure exec count = %d, one-shot = %d", res.Count(), ref.Results)
+			if res.Count() != want {
+				t.Fatalf("post-failure exec count = %d, oracle = %d", res.Count(), want)
 			}
 			if res.Err() != nil {
 				t.Fatalf("clean exec reports Err: %v", res.Err())
@@ -163,10 +160,7 @@ func TestSessionRetryTransient(t *testing.T) {
 	q := CatalogQuery("Q1")
 	base := Options{Workers: 3, Samples: 60, Seed: 1}
 
-	ref, err := Count(q, edges, base)
-	if err != nil {
-		t.Fatal(err)
-	}
+	want := int64(oracleJoin(q, edges).Len())
 	failOnce := faultinject.Rule{From: faultinject.Any, To: faultinject.Any, Drop: 1, Times: 1}
 
 	// Without Retry: the fault surfaces.
@@ -210,8 +204,8 @@ func TestSessionRetryTransient(t *testing.T) {
 	if !res.Report().Retried {
 		t.Fatal("absorbed exec's report not marked Retried")
 	}
-	if res.Count() != ref.Results {
-		t.Fatalf("retried exec count = %d, one-shot = %d", res.Count(), ref.Results)
+	if res.Count() != want {
+		t.Fatalf("retried exec count = %d, oracle = %d", res.Count(), want)
 	}
 
 	// A second execution on the same session is clean and unmarked.

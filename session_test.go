@@ -1,7 +1,6 @@
 package adj
 
 import (
-	"bytes"
 	"context"
 	"errors"
 	"math/rand"
@@ -23,7 +22,21 @@ func randomEdges(t *testing.T, rng *rand.Rand, n, vertices int) *Relation {
 	for i := 0; i < n; i++ {
 		r.Append(Value(rng.Intn(vertices)), Value(rng.Intn(vertices)))
 	}
-	return r
+	// Set semantics: duplicate edges would make trie-based and hash-join
+	// engines disagree with the oracle on output multiplicity.
+	return r.SortDedup()
+}
+
+// oracleJoin answers q over a graph with the brute-force nested-loop join —
+// no engine, planner or trie code involved — as sorted rows over q.Attrs().
+func oracleJoin(q Query, edges *Relation) *Relation {
+	return relation.NaiveJoin(q.BindGraph(edges), q.Attrs()).Sort()
+}
+
+// sameRows reports whether an execution's rows (in the engine's attribute
+// order) are exactly the oracle's, as a multiset.
+func sameRows(got, want *Relation) bool {
+	return got != nil && got.ProjectMulti(want.Attrs...).Sort().Equal(want)
 }
 
 func sortedBytes(t *testing.T, r *Relation) []byte {
@@ -36,35 +49,27 @@ func sortedBytes(t *testing.T, r *Relation) []byte {
 	return relation.Encode(c)
 }
 
-// TestSessionMatchesOneShot is the randomized session-vs-oneshot
-// equivalence: for random graphs, every engine must produce the same count
-// and the same output multiset through a PreparedQuery (twice — cold and
-// warm) as through the one-shot RunGraph, and warm executions of the HCube
-// engines must be served entirely from the session trie store.
-func TestSessionMatchesOneShot(t *testing.T) {
+// TestSessionMatchesOracle is the randomized session-vs-oracle check: for
+// random graphs, every engine must produce the brute-force join's count
+// and row multiset through a PreparedQuery twice — cold and warm — and
+// warm executions of the HCube engines must be served entirely from the
+// session trie store.
+func TestSessionMatchesOracle(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	queries := []string{"Q1", "Q2"}
 	for trial := 0; trial < 3; trial++ {
 		edges := randomEdges(t, rng, 300+rng.Intn(300), 40+rng.Intn(40))
 		q := CatalogQuery(queries[trial%len(queries)])
-		opts := Options{Workers: 3, Samples: 60, Seed: int64(trial + 1)}
+		want := oracleJoin(q, edges)
 
-		s, err := Open(opts)
+		s, err := Open(Options{Workers: 3, Samples: 60, Seed: int64(trial + 1)})
 		if err != nil {
 			t.Fatal(err)
 		}
 		if err := s.Register("edges", edges); err != nil {
 			t.Fatal(err)
 		}
-		for _, name := range EngineNames() {
-			oneshotOpts := opts
-			oneshotOpts.CollectOutput = true
-			base, err := RunGraph(name, q, edges, oneshotOpts)
-			if err != nil {
-				t.Fatalf("%s oneshot: %v", name, err)
-			}
-			baseBytes := sortedBytes(t, base.Output)
-
+		for _, name := range AllEngineNames() {
 			pq, err := s.PrepareGraph(name, q, "edges")
 			if err != nil {
 				t.Fatalf("%s prepare: %v", name, err)
@@ -78,11 +83,11 @@ func TestSessionMatchesOneShot(t *testing.T) {
 				if rep.Failed {
 					t.Fatalf("%s exec %d failed: %s", name, exec, rep.FailReason)
 				}
-				if res.Count() != base.Results {
-					t.Fatalf("%s exec %d: count %d, oneshot %d", name, exec, res.Count(), base.Results)
+				if res.Count() != int64(want.Len()) {
+					t.Fatalf("%s exec %d: count %d, oracle %d", name, exec, res.Count(), want.Len())
 				}
-				if got := sortedBytes(t, res.Rows()); !bytes.Equal(got, baseBytes) {
-					t.Fatalf("%s exec %d: output differs from oneshot", name, exec)
+				if !sameRows(res.Rows(), want) {
+					t.Fatalf("%s exec %d: rows differ from the oracle's", name, exec)
 				}
 				// Streamed runs must reconstruct exactly the materialized rows.
 				rebuilt := NewRelation("out", res.Attrs()...)
