@@ -3,6 +3,7 @@ package engine
 import (
 	"fmt"
 	"sort"
+	"sync"
 	"time"
 
 	"adj/internal/costmodel"
@@ -11,7 +12,6 @@ import (
 	"adj/internal/optimizer"
 	"adj/internal/plan"
 	"adj/internal/relation"
-	"adj/internal/sampling"
 )
 
 // planner is an engine's whole identity: it lowers a bound query to the
@@ -142,6 +142,11 @@ func Prepare(engineName string, q hypergraph.Query, rels []*relation.Relation, c
 		if err != nil {
 			return nil, err
 		}
+		// A cancel during planning cuts the estimates short; the plan
+		// searched from them must not be handed out (or cached).
+		if err := cfg.Ctx.Err(); err != nil {
+			return nil, err
+		}
 		prog.Engine = engineName
 		return &PreparedPlan{Engine: engineName, Program: prog, Seconds: time.Since(t0).Seconds()}, nil
 	}
@@ -180,12 +185,18 @@ func planBinary(q hypergraph.Query, rels []*relation.Relation, _ Config) (*plan.
 	return lowerBinary(q, rels, binaryJoinOrder(rels)), nil
 }
 
-// adjPlan is ADJ's optimization phase (§III): calibrate cost constants,
-// probe the sampler for machine-scaled β, then co-optimize over the
-// GHD-restricted plan space (or pick the communication-first plan).
+// betaTrie is the pre-computed-trie probe rate of §III-B ("pre-measure β_i"):
+// a constant of the machine, not of the query or the data, so it is measured
+// on the first ADJ plan and kept for the life of the process.
+var betaTrie = sync.OnceValue(func() float64 { return costmodel.CalibrateBetaTrie(1 << 14) })
+
+// adjPlan is ADJ's optimization phase (§III): take the cost constants, then
+// co-optimize over the GHD-restricted plan space (or pick the
+// communication-first plan). No constant is timed per plan, so within a
+// process the plan is a function of the inputs and the seed.
 func adjPlan(q hypergraph.Query, rels []*relation.Relation, cfg Config, coOptimize bool) (*optimizer.Plan, error) {
 	params := defaultParams(cfg)
-	params.BetaTrie = costmodel.CalibrateBetaTrie(1 << 14)
+	params.BetaTrie = betaTrie()
 	opt, err := optimizer.New(q, rels, optimizer.Options{
 		Params:  params,
 		Samples: cfg.Samples,
@@ -193,20 +204,6 @@ func adjPlan(q hypergraph.Query, rels []*relation.Relation, cfg Config, coOptimi
 		Cancel:  cancelOf(cfg),
 	})
 	if err != nil {
-		return nil, err
-	}
-	// β for raw relations from the sampler's own measured rate (§III-B): a
-	// probe estimate ensures the optimizer sees machine-scaled constants.
-	probe, err := sampling.EstimateCardinality(rels, q.Attrs(), sampling.Config{
-		Samples: cfg.Samples / 4, Seed: cfg.Seed, MaxDepth: 2, Cancel: cancelOf(cfg),
-	})
-	if err == nil && probe.ExtensionsPerSecond() > 0 {
-		params.BetaBase = probe.ExtensionsPerSecond()
-		if params.BetaTrie < 2*params.BetaBase {
-			params.BetaTrie = 2 * params.BetaBase
-		}
-	}
-	if err := cfg.Ctx.Err(); err != nil {
 		return nil, err
 	}
 	if coOptimize {
@@ -225,9 +222,6 @@ func commFirstPlan(q hypergraph.Query, rels []*relation.Relation, cfg Config) (*
 		Cancel:  cancelOf(cfg),
 	})
 	if err != nil {
-		return nil, err
-	}
-	if err := cfg.Ctx.Err(); err != nil {
 		return nil, err
 	}
 	return opt.CommunicationFirst()

@@ -17,6 +17,7 @@ package ghd
 
 import (
 	"fmt"
+	"math/bits"
 	"sort"
 	"strings"
 
@@ -75,66 +76,105 @@ type Options struct {
 
 // Decompose enumerates edge-partition decompositions of q's hypergraph and
 // returns one minimizing (max bag width, then sum of widths, then fewer
-// non-base bags, then more bags).
+// non-base bags, then more bags). It is a pure function of the query's
+// atoms, and every optimizer.New pays for it, so the enumeration works on
+// bitmasks — a vertex set is a word, and a partition that is rejected
+// (disconnected group, cyclic bag hypergraph, no better than the incumbent)
+// allocates nothing.
 func Decompose(q hypergraph.Query, opt Options) (*Decomposition, error) {
 	h := q.Hypergraph()
 	m := len(h.Edges)
 	if m == 0 {
 		return nil, fmt.Errorf("ghd: query %s has no atoms", q.Name)
 	}
-	widthCache := make(map[string]float64)
-	bagWidth := func(verts []string) float64 {
-		key := strings.Join(verts, "\x00")
-		if w, ok := widthCache[key]; ok {
-			return w
+	if m > 64 || len(h.Vertices) > 64 {
+		return nil, fmt.Errorf("ghd: query %s is too large to enumerate (%d atoms, %d attributes; limit 64)", q.Name, m, len(h.Vertices))
+	}
+	// Bits follow sorted vertex order, so a mask expands to the sorted
+	// vertex list a Bag carries.
+	sorted := append([]string(nil), h.Vertices...)
+	sort.Strings(sorted)
+	bit := make(map[string]uint64, len(sorted))
+	for i, v := range sorted {
+		bit[v] = 1 << i
+	}
+	edgeMask := make([]uint64, m)
+	for e, edge := range h.Edges {
+		for _, v := range edge {
+			edgeMask[e] |= bit[v]
 		}
-		w := FractionalEdgeCover(verts, h.Edges)
-		widthCache[key] = w
+	}
+	vertsOf := func(mask uint64) []string {
+		out := make([]string, 0, bits.OnesCount64(mask))
+		for i, v := range sorted {
+			if mask&(1<<i) != 0 {
+				out = append(out, v)
+			}
+		}
+		return out
+	}
+	widthCache := make(map[uint64]float64)
+	bagWidth := func(mask uint64) float64 {
+		w, ok := widthCache[mask]
+		if !ok {
+			w = FractionalEdgeCover(vertsOf(mask), h.Edges)
+			widthCache[mask] = w
+		}
 		return w
 	}
 
 	var best *Decomposition
 	bestKey := scoreKey{maxW: 1e18}
 
-	// Enumerate set partitions via restricted growth strings, pruning
-	// disconnected groups eagerly.
+	// Enumerate set partitions via restricted growth strings; assign[e] is
+	// edge e's group. The per-partition scratch below is sized for the
+	// finest partition (m groups).
 	assign := make([]int, m)
+	groupVerts := make([]uint64, m) // vertex mask per group
+	groupEdges := make([]uint64, m) // edge-index mask per group
+	tree := make([][2]int, 0, m)    // join-tree edges, in GYO removal order
 	consider := func(numGroups int) {
-		groups := make([][]int, numGroups)
+		clear(groupVerts[:numGroups])
+		clear(groupEdges[:numGroups])
 		for e, g := range assign {
-			groups[g] = append(groups[g], e)
+			groupVerts[g] |= edgeMask[e]
+			groupEdges[g] |= 1 << e
 		}
-		if opt.MaxBagAtoms > 0 {
-			for _, g := range groups {
-				if len(g) > opt.MaxBagAtoms {
-					return
-				}
+		for _, em := range groupEdges[:numGroups] {
+			if opt.MaxBagAtoms > 0 && bits.OnesCount64(em) > opt.MaxBagAtoms {
+				return
 			}
-		}
-		for _, g := range groups {
-			if !h.ConnectedEdges(g) {
+			if !connectedEdges(edgeMask, em) {
 				return
 			}
 		}
-		bags := make([]Bag, numGroups)
-		for i, g := range groups {
-			verts := h.VerticesOf(g)
-			bags[i] = Bag{ID: i, Atoms: g, Vertices: verts, Width: bagWidth(verts)}
-		}
-		adj, ok := joinTree(bags)
-		if !ok {
+		var ok bool
+		if tree, ok = joinTree(groupVerts[:numGroups], tree[:0]); !ok {
 			return
 		}
-		d := &Decomposition{Query: q, Bags: bags, Adj: adj}
-		for _, b := range bags {
-			if b.Width > d.MaxWidth {
-				d.MaxWidth = b.Width
+		k := scoreKey{negBags: -numGroups}
+		for g, vm := range groupVerts[:numGroups] {
+			w := bagWidth(vm)
+			k.maxW = max(k.maxW, w)
+			k.sumW += w
+			if groupEdges[g]&(groupEdges[g]-1) != 0 {
+				k.nonBase++
 			}
 		}
-		k := scoreOf(d)
-		if k.less(bestKey) {
-			bestKey = k
-			best = d
+		if !k.less(bestKey) {
+			return
+		}
+		bestKey = k
+		best = &Decomposition{Query: q, Bags: make([]Bag, numGroups), Adj: make([][]int, numGroups), MaxWidth: k.maxW}
+		for g := range best.Bags {
+			best.Bags[g] = Bag{ID: g, Vertices: vertsOf(groupVerts[g]), Width: bagWidth(groupVerts[g])}
+		}
+		for e, g := range assign {
+			best.Bags[g].Atoms = append(best.Bags[g].Atoms, e)
+		}
+		for _, t := range tree {
+			best.Adj[t[0]] = append(best.Adj[t[0]], t[1])
+			best.Adj[t[1]] = append(best.Adj[t[1]], t[0])
 		}
 	}
 	var rec func(i, maxG int)
@@ -160,23 +200,31 @@ func Decompose(q hypergraph.Query, opt Options) (*Decomposition, error) {
 	return best, nil
 }
 
+// connectedEdges reports whether the edges in the index mask are connected
+// (share vertices transitively); single edges are connected by convention.
+func connectedEdges(edgeMask []uint64, edges uint64) bool {
+	first := bits.TrailingZeros64(edges)
+	reach := edgeMask[first]
+	rest := edges &^ (1 << first)
+	for grew := true; grew && rest != 0; {
+		grew = false
+		for left := rest; left != 0; left &= left - 1 {
+			e := bits.TrailingZeros64(left)
+			if edgeMask[e]&reach != 0 {
+				reach |= edgeMask[e]
+				rest &^= 1 << e
+				grew = true
+			}
+		}
+	}
+	return rest == 0
+}
+
 type scoreKey struct {
 	maxW    float64
 	sumW    float64
 	nonBase int
 	negBags int
-}
-
-func scoreOf(d *Decomposition) scoreKey {
-	k := scoreKey{maxW: d.MaxWidth}
-	for _, b := range d.Bags {
-		k.sumW += b.Width
-		if !b.IsBase() {
-			k.nonBase++
-		}
-	}
-	k.negBags = -len(d.Bags)
-	return k
 }
 
 func (a scoreKey) less(b scoreKey) bool {
@@ -228,47 +276,31 @@ func normalize(d *Decomposition) {
 	d.Adj = newAdj
 }
 
-// joinTree runs GYO reduction over the bag vertex sets. It returns the
-// join-tree adjacency and whether the bag hypergraph is α-acyclic.
-func joinTree(bags []Bag) ([][]int, bool) {
+// joinTree runs GYO reduction over the bags' vertex masks. It appends the
+// join-tree edges (removed bag, witness bag) to tree in removal order and
+// reports whether the bag hypergraph is α-acyclic.
+func joinTree(bags []uint64, tree [][2]int) ([][2]int, bool) {
 	n := len(bags)
-	adj := make([][]int, n)
-	if n == 1 {
-		return adj, true
-	}
-	alive := make([]bool, n)
-	for i := range alive {
-		alive[i] = true
-	}
-	remaining := n
-	for remaining > 1 {
+	alive := uint64(1)<<n - 1
+	for remaining := n; remaining > 1; {
 		removed := false
 		for i := 0; i < n && remaining > 1; i++ {
-			if !alive[i] {
+			if alive&(1<<i) == 0 {
 				continue
 			}
 			// S = vertices of bag i shared with any other alive bag.
-			shared := make(map[string]bool)
-			for _, v := range bags[i].Vertices {
-				for j := 0; j < n; j++ {
-					if j == i || !alive[j] {
-						continue
-					}
-					if containsStr(bags[j].Vertices, v) {
-						shared[v] = true
-						break
-					}
+			var others uint64
+			for j, verts := range bags {
+				if j != i && alive&(1<<j) != 0 {
+					others |= verts
 				}
 			}
+			shared := bags[i] & others
 			// Find witness bag w ⊇ S.
-			for j := 0; j < n; j++ {
-				if j == i || !alive[j] {
-					continue
-				}
-				if coversSet(bags[j].Vertices, shared) {
-					adj[i] = append(adj[i], j)
-					adj[j] = append(adj[j], i)
-					alive[i] = false
+			for j, verts := range bags {
+				if j != i && alive&(1<<j) != 0 && shared&^verts == 0 {
+					tree = append(tree, [2]int{i, j})
+					alive &^= 1 << i
 					remaining--
 					removed = true
 					break
@@ -276,24 +308,10 @@ func joinTree(bags []Bag) ([][]int, bool) {
 			}
 		}
 		if !removed {
-			return nil, false // irreducible: cyclic
+			return tree, false // irreducible: cyclic
 		}
 	}
-	return adj, true
-}
-
-func containsStr(sorted []string, v string) bool {
-	i := sort.SearchStrings(sorted, v)
-	return i < len(sorted) && sorted[i] == v
-}
-
-func coversSet(sorted []string, set map[string]bool) bool {
-	for v := range set {
-		if !containsStr(sorted, v) {
-			return false
-		}
-	}
-	return true
+	return tree, true
 }
 
 // FractionalEdgeCover computes ρ*(verts): the minimum total weight

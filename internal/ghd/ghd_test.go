@@ -2,6 +2,7 @@ package ghd
 
 import (
 	"math"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
@@ -122,7 +123,7 @@ func checkInvariants(t *testing.T, q hypergraph.Query, d *Decomposition) {
 	for _, v := range q.Attrs() {
 		var with []int
 		for _, b := range d.Bags {
-			if containsStr(b.Vertices, v) {
+			if slices.Contains(b.Vertices, v) {
 				with = append(with, b.ID)
 			}
 		}

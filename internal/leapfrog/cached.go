@@ -1,6 +1,7 @@
 package leapfrog
 
 import (
+	"slices"
 	"sort"
 
 	"adj/internal/trie"
@@ -155,6 +156,9 @@ func (c *CachedJoin) Run(opt Options) (Stats, error) {
 			vals, w = ext.Extend(binding, d)
 			st.LevelSeeks[d] += w
 			if c.CacheBudget > 0 && cacheSize[d]+len(vals) <= c.CacheBudget {
+				// Extend's result is the extender's scratch; the cache
+				// outlives it.
+				vals = slices.Clone(vals)
 				caches[d][key] = vals
 				cacheSize[d] += len(vals)
 			}

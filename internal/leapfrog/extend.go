@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"sort"
 
-	"adj/internal/relation"
 	"adj/internal/trie"
 )
 
@@ -19,11 +18,15 @@ type Extender struct {
 	// rels[d] lists, for each depth, the tries of relations containing
 	// order[d], with the positions (in the global order) of their attributes.
 	rels [][]extRel
-	// lists/cursors/runBuf are DrainLeaf scratch (an Extender serves one
-	// join at a time; it is not safe for concurrent use).
+	// lists/cursors/runBuf are Extend and DrainLeaf scratch (an Extender
+	// serves one join at a time; it is not safe for concurrent use — the
+	// sharded sampler gives every shard its own).
 	lists   [][]Value
 	cursors []int
 	runBuf  []Value
+	// inter[d] is depth d's intersection buffer: the values Extend(·, d)
+	// returns stay valid while the caller descends to deeper levels.
+	inter [][]Value
 }
 
 type extRel struct {
@@ -40,6 +43,7 @@ func NewExtender(tries []*trie.Trie, order []string) (*Extender, error) {
 		e.pos[a] = i
 	}
 	e.rels = make([][]extRel, len(order))
+	e.inter = make([][]Value, len(order))
 	for _, t := range tries {
 		ap := make([]int, len(t.Attrs))
 		for i, a := range t.Attrs {
@@ -64,33 +68,91 @@ func NewExtender(tries []*trie.Trie, order []string) (*Extender, error) {
 // binding (values for order[0..d-1]) extended with v satisfies every
 // relation containing order[d], restricted to its bound attributes. The
 // second return is the number of candidate values scanned (seek work).
+//
+// The returned slice is read-only and owned by the extender: it aliases
+// trie storage (one relation at d) or depth d's intersection buffer, and
+// stays valid until the next Extend at the same depth — so a traversal may
+// range over it while extending deeper levels, and a caller that retains
+// it past that copies it. Steady state allocates nothing.
 func (e *Extender) Extend(binding []Value, d int) ([]Value, int64) {
-	var lists [][]Value
+	lists := e.lists[:0]
 	var work int64
 	for _, er := range e.rels[d] {
 		vals, w := er.candidates(binding, d)
 		work += w
 		if vals == nil {
+			e.lists = lists[:0]
 			return nil, work
 		}
 		lists = append(lists, vals)
 	}
+	e.lists = lists // keep grown scratch
 	if len(lists) == 0 {
 		return nil, work
 	}
-	// Intersect smallest-first.
-	sort.Slice(lists, func(i, j int) bool { return len(lists[i]) < len(lists[j]) })
-	acc := lists[0]
-	for _, l := range lists[1:] {
-		acc = relation.IntersectSorted(acc, l)
-		work += int64(len(acc))
-		if len(acc) == 0 {
-			return []Value{}, work
+	// Intersect smallest-first. The stable insertion sort fixes the order of
+	// equal-length lists, and with it the intermediate sizes the work tally
+	// counts, as a function of the input alone.
+	for i := 1; i < len(lists); i++ {
+		for j := i; j > 0 && len(lists[j]) < len(lists[j-1]); j-- {
+			lists[j], lists[j-1] = lists[j-1], lists[j]
 		}
 	}
-	// acc may alias trie storage; copy so callers can retain it.
-	out := append([]Value(nil), acc...)
-	return out, work
+	acc := lists[0]
+	for _, l := range lists[1:] {
+		// The first round reads trie storage and fills the buffer; later
+		// rounds filter the buffer in place (writes trail reads).
+		acc = intersectInto(e.inter[d][:0], acc, l)
+		e.inter[d] = acc
+		work += int64(len(acc))
+		if len(acc) == 0 {
+			break
+		}
+	}
+	return acc, work
+}
+
+// gallopRatio is the length ratio beyond which intersecting by seeking the
+// longer list beats merging both: a merge reads every value of the longer
+// list, a galloping seek reads a logarithmic number per value of the
+// shorter.
+const gallopRatio = 8
+
+// intersectInto appends the intersection of two ascending slices (a no
+// longer than b) to dst and returns it. dst may be a[:0]: an element is
+// written only after it, and everything before it, has been read.
+func intersectInto(dst, a, b []Value) []Value {
+	if len(b) > gallopRatio*len(a) {
+		j := 0
+		for _, v := range a {
+			if b[j] < v {
+				if j = seekSlice(b, j, v); j == len(b) {
+					break
+				}
+			}
+			if b[j] == v {
+				dst = append(dst, v)
+				if j++; j == len(b) {
+					break
+				}
+			}
+		}
+		return dst
+	}
+	i, j := 0, 0
+	for i < len(a) && j < len(b) {
+		switch {
+		case a[i] < b[j]:
+			i++
+		case a[i] > b[j]:
+			j++
+		default:
+			dst = append(dst, a[i])
+			i++
+			j++
+		}
+	}
+	return dst
 }
 
 // candidates walks er's trie down the bound prefix and returns the child

@@ -100,10 +100,16 @@ func BuildTries(rels []*relation.Relation, order []string) []*trie.Trie {
 	}
 	out := make([]*trie.Trie, len(rels))
 	for i, r := range rels {
-		attrs := append([]string(nil), r.Attrs...)
-		sort.Slice(attrs, func(x, y int) bool { return pos[attrs[x]] < pos[attrs[y]] })
-		out[i] = trie.Build(r, attrs)
+		out[i] = trie.Build(r, TrieAttrs(r.Attrs, pos))
 	}
+	return out
+}
+
+// TrieAttrs returns a relation's attributes sorted by position (pos) in the
+// global order: the level order of the trie BuildTries builds for it.
+func TrieAttrs(attrs []string, pos map[string]int) []string {
+	out := append([]string(nil), attrs...)
+	sort.Slice(out, func(x, y int) bool { return pos[out[x]] < pos[out[y]] })
 	return out
 }
 

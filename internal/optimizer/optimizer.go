@@ -23,9 +23,10 @@ type Options struct {
 	Seed    int64
 	// GHDMaxBagAtoms caps bag size during decomposition (0 = none).
 	GHDMaxBagAtoms int
-	// Cancel, when non-nil, is threaded into every sampling run so a
-	// cancelled context aborts planning promptly (estimates truncated by
-	// cancellation stay unmemoized garbage, but the plan is abandoned).
+	// Cancel, when non-nil, is threaded into every sampling run — whose
+	// shards poll it from several goroutines — so a cancelled context
+	// aborts planning promptly (estimates truncated by cancellation are
+	// garbage, so the caller must abandon the plan).
 	Cancel func() bool
 }
 
@@ -37,6 +38,10 @@ type Optimizer struct {
 	opts   Options
 
 	attrs []string
+	// ix is the pass's sampling index: every estimate below takes its tries
+	// from it, so a plan builds each distinct trie once. It lives and dies
+	// with the optimizer.
+	ix *sampling.Index
 	// tCache memoizes |T_S| estimates by attribute-set key.
 	tCache map[string]float64
 	// bagCache memoizes |Rv| estimates by bag ID.
@@ -63,6 +68,7 @@ func New(q hypergraph.Query, rels []*relation.Relation, opts Options) (*Optimize
 	return &Optimizer{
 		Q: q, Rels: rels, Decomp: d, opts: opts,
 		attrs:    q.Attrs(),
+		ix:       sampling.NewIndex(),
 		tCache:   make(map[string]float64),
 		bagCache: make(map[int]float64),
 	}, nil
@@ -88,7 +94,7 @@ func (o *Optimizer) SubsetSize(attrSet []string) float64 {
 	if samples > 150 {
 		samples = 150
 	}
-	est, err := sampling.EstimateCardinality(o.Rels, order, sampling.Config{
+	est, err := o.ix.Estimate(o.Rels, order, sampling.Config{
 		Samples:         samples,
 		Seed:            o.opts.Seed,
 		MaxDepth:        len(attrSet),
@@ -141,7 +147,7 @@ func (o *Optimizer) BagSize(id int) float64 {
 		for i, ai := range b.Atoms {
 			rels[i] = o.Rels[ai]
 		}
-		est, err := sampling.EstimateCardinality(rels, bagOrder(rels), sampling.Config{
+		est, err := o.ix.Estimate(rels, bagOrder(rels), sampling.Config{
 			Samples: o.opts.Samples, Seed: o.opts.Seed, Cancel: o.opts.Cancel,
 		})
 		if err == nil {
@@ -236,9 +242,15 @@ func (o *Optimizer) CoOptimize() (*Plan, error) {
 			extendCost float64
 			preCost    float64
 		}
+		// Candidates are visited in bag-ID order and replace the incumbent
+		// only when strictly cheaper, so equal costs resolve to the lower
+		// bag ID, then to not pre-computing: the plan is a function of the
+		// costs, not of map iteration order.
 		var best *candidate
-		for v := range remaining {
-			if !o.prefixConnected(remaining, v) {
+		commNow := o.commCost(chosen) // the same for every candidate of this round
+		for _, b := range d.Bags {
+			v := b.ID
+			if !remaining[v] || !o.prefixConnected(remaining, v) {
 				continue
 			}
 			// |T_{v_{i-1}}|: bindings over the attrs of the remaining prefix.
@@ -247,20 +259,20 @@ func (o *Optimizer) CoOptimize() (*Plan, error) {
 
 			// Branch 1: do not pre-compute v.
 			ext1 := costmodel.ExtendCost(bindings, o.opts.Params.BetaFor(chosen[v]), o.opts.Params.NumServers)
-			cost1 := o.commCost(chosen) + ext1
+			cost1 := commNow + ext1
+			if best == nil || cost1 < best.cost {
+				best = &candidate{v: v, precompute: false, cost: cost1, extendCost: ext1}
+			}
 			// Branch 2: pre-compute v (only meaningful for non-base bags).
-			if !d.Bags[v].IsBase() && !chosen[v] {
+			if !b.IsBase() && !chosen[v] {
 				c2 := cloneSet(chosen)
 				c2[v] = true
 				pre := o.precomputeCost(v)
 				ext2 := costmodel.ExtendCost(bindings, o.opts.Params.BetaFor(true), o.opts.Params.NumServers)
 				cost2 := pre + o.commCost(c2) + ext2
-				if best == nil || cost2 < best.cost {
+				if cost2 < best.cost {
 					best = &candidate{v: v, precompute: true, cost: cost2, extendCost: ext2, preCost: pre}
 				}
-			}
-			if best == nil || cost1 < best.cost {
-				best = &candidate{v: v, precompute: false, cost: cost1, extendCost: ext1}
 			}
 		}
 		if best == nil {

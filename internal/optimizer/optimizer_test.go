@@ -227,3 +227,21 @@ func TestBagRelationName(t *testing.T) {
 		t.Fatal("empty plan string")
 	}
 }
+
+func TestPlanningPassSharesTries(t *testing.T) {
+	// A whole co-optimization of Q5 over a BindGraph database — a dozen
+	// subset and bag estimates under different orders — reads one edge list
+	// in two directions, so the pass's index builds two tries.
+	edges := dataset.Load("LJ", 0.05)
+	q := hypergraph.Q5()
+	o := newOpt(t, q, q.BindGraph(edges), 4)
+	if _, err := o.CoOptimize(); err != nil {
+		t.Fatal(err)
+	}
+	if len(o.tCache) < 5 {
+		t.Fatalf("co-optimization ran only %d subset estimates", len(o.tCache))
+	}
+	if n := o.ix.TriesBuilt(); n != 2 {
+		t.Fatalf("planning pass built %d tries, want 2", n)
+	}
+}

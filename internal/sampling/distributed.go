@@ -2,7 +2,6 @@ package sampling
 
 import (
 	"fmt"
-	"math/rand"
 	"sort"
 	"time"
 
@@ -134,12 +133,10 @@ func DistributedEstimate(c *cluster.Cluster, relAttrs map[string][]string, order
 	}
 
 	// Step 2: sample S'.
-	rng := rand.New(rand.NewSource(cfg.Seed))
-	samples := make([]relation.Value, cfg.Samples)
+	samples := drawSamples(vals, cfg)
 	distinct := make(map[relation.Value]bool)
-	for i := range samples {
-		samples[i] = vals[rng.Intn(len(vals))]
-		distinct[samples[i]] = true
+	for _, v := range samples {
+		distinct[v] = true
 	}
 	sampleSet := make([]relation.Value, 0, len(distinct))
 	for v := range distinct {
@@ -207,27 +204,29 @@ func DistributedEstimate(c *cluster.Cluster, relAttrs map[string][]string, order
 		return Estimate{}, err
 	}
 
-	// Step 5: each worker evaluates a contiguous share of the samples.
+	// Step 5: each worker evaluates a contiguous share of the samples — one
+	// shard of the same evaluator the local sampler shards across cores.
+	names := make([]string, 0, len(relAttrs))
+	for name := range relAttrs {
+		names = append(names, name)
+	}
+	sort.Strings(names)
 	accs := make([]Accum, c.N)
 	err = c.Parallel("sample/count", func(w *cluster.Worker) error {
 		db := reduced[w.ID]
-		var rels []*relation.Relation
-		for name, attrs := range relAttrs {
+		rels := make([]*relation.Relation, len(names))
+		for i, name := range names {
 			r, ok := db[name]
 			if !ok {
-				r = relation.New(name, attrs...)
+				r = relation.New(name, relAttrs[name]...)
 			}
-			rels = append(rels, r)
-		}
-		tries := leapfrog.BuildTries(rels, order)
-		ext, err := leapfrog.NewExtender(tries, order)
-		if err != nil {
-			return err
+			rels[i] = r
 		}
 		lo := w.ID * len(samples) / w.N
 		hi := (w.ID + 1) * len(samples) / w.N
-		accs[w.ID] = RunSamples(ext, samples[lo:hi], len(order), cfg.PerSampleBudget)
-		return nil
+		acc, err := countSamples(leapfrog.BuildTries(rels, order), order, samples[lo:hi], cfg, 1)
+		accs[w.ID] = acc
+		return err
 	})
 	if err != nil {
 		return Estimate{}, err

@@ -8,13 +8,18 @@
 package sampling
 
 import (
+	"encoding/binary"
 	"fmt"
 	"math"
 	"math/rand"
+	"runtime"
+	"sync"
+	"sync/atomic"
 	"time"
 
 	"adj/internal/leapfrog"
 	"adj/internal/relation"
+	"adj/internal/trie"
 )
 
 // Config tunes an estimation run.
@@ -31,7 +36,8 @@ type Config struct {
 	// optimizer uses it to estimate partial-join sizes |T_S| without paying
 	// for the full subtree under each sample.
 	MaxDepth int
-	// Cancel, when non-nil, is polled between samples; returning true stops
+	// Cancel, when non-nil, is polled between samples by every shard (so it
+	// must be safe to call from several goroutines); returning true stops
 	// the run early with the partial tallies (the caller is abandoning the
 	// plan anyway, so a biased estimate is fine). Threads a context's
 	// cancellation through planning.
@@ -52,19 +58,25 @@ type Estimate struct {
 	// LevelOps[i] is the number of bindings visited at level i while
 	// sampling (raw, unscaled).
 	LevelOps []int64
-	// Seconds is the measured sampling time (feeds β, §III-B).
+	// Seconds is the wall time of the whole estimate: index lookups or
+	// builds, val(A), drawing and evaluating the samples.
 	Seconds float64
+	// BusySeconds is the time spent evaluating samples, summed over the
+	// shards that shared them (feeds β, §III-B). It is what one core would
+	// have spent, so the rate derived from it does not depend on how many
+	// cores sampled.
+	BusySeconds float64
 	// Samples is the number of samples actually taken.
 	Samples int
 }
 
 // ExtensionsPerSecond returns the measured β: extension ops per second of
-// sampling time. Returns 0 when nothing was measured.
+// one core's sample evaluation. Returns 0 when nothing was measured.
 func (e Estimate) ExtensionsPerSecond() float64 {
-	if e.Seconds <= 0 || e.WorkOps == 0 {
+	if e.BusySeconds <= 0 || e.WorkOps == 0 {
 		return 0
 	}
-	return float64(e.WorkOps) / e.Seconds
+	return float64(e.WorkOps) / e.BusySeconds
 }
 
 // SampleSize returns the k of Lemma 2: with k = ⌈0.5·p⁻²·ln(2/δ)⌉ samples,
@@ -92,9 +104,98 @@ func ValA(rels []*relation.Relation, attr string) []relation.Value {
 	return relation.IntersectAllSorted(lists)
 }
 
-// EstimateCardinality runs the sequential sampler over bound relations for
-// a given attribute order.
+// Index is the sampling context of one planning pass: it memoizes the tries
+// the pass's estimates need, so the many estimates an optimizer asks for
+// (one per attribute subset, one per bag) build each distinct trie once.
+//
+// Tries are keyed by content identity and direction, never by name: the
+// identity of a trie is the sequence of columns (backing array and length)
+// its levels read, in level order. The seven atoms BindGraph binds for Q5
+// are renamed views of one edge list, so a whole pass over them holds two
+// tries — (src,dst) and (dst,src) — while two relations that merely share a
+// name share nothing. The index pins the columns it has seen, which keeps
+// their addresses from being reused while it lives; relations must not be
+// mutated during the pass. An Index is owned by one planning pass (an
+// optimizer.Optimizer) and is not safe for concurrent use.
+type Index struct {
+	cols   map[colID]uint32      // column → dense number, in order of first sight
+	tries  map[string]*trie.Trie // by the level columns' numbers
+	keyBuf []byte
+}
+
+// colID identifies a column by its backing array and length.
+type colID struct {
+	first *relation.Value
+	n     int
+}
+
+// NewIndex returns an empty planning index; tries are built on first use.
+func NewIndex() *Index {
+	return &Index{cols: make(map[colID]uint32), tries: make(map[string]*trie.Trie)}
+}
+
+// TriesBuilt returns how many distinct tries the index has built.
+func (ix *Index) TriesBuilt() int { return len(ix.tries) }
+
+// triesFor returns the tries leapfrog.BuildTries(rels, order) would build,
+// each a view (own attribute names, shared levels) of a memoized trie.
+func (ix *Index) triesFor(rels []*relation.Relation, order []string) []*trie.Trie {
+	pos := make(map[string]int, len(order))
+	for i, a := range order {
+		pos[a] = i
+	}
+	out := make([]*trie.Trie, len(rels))
+	for i, r := range rels {
+		attrs := leapfrog.TrieAttrs(r.Attrs, pos)
+		key := ix.keyBuf[:0]
+		for _, a := range attrs {
+			col := r.Column(r.AttrIndex(a))
+			id := colID{n: len(col)}
+			if len(col) > 0 {
+				id.first = &col[0]
+			}
+			num, ok := ix.cols[id]
+			if !ok {
+				num = uint32(len(ix.cols))
+				ix.cols[id] = num
+			}
+			key = binary.LittleEndian.AppendUint32(key, num)
+		}
+		ix.keyBuf = key
+		t, ok := ix.tries[string(key)]
+		if !ok {
+			t = trie.Build(r, attrs)
+			ix.tries[string(key)] = t
+		}
+		out[i] = &trie.Trie{Attrs: attrs, Levels: t.Levels, NumTuples: t.NumTuples}
+	}
+	return out
+}
+
+// valA is ValA read off the tries: the first attribute of the order is the
+// first level of every trie that contains it, and a trie's first level is
+// that column's sorted distinct values.
+func valA(tries []*trie.Trie, attr string) []relation.Value {
+	var lists [][]relation.Value
+	for _, t := range tries {
+		if len(t.Attrs) > 0 && t.Attrs[0] == attr {
+			lists = append(lists, t.Levels[0].Vals)
+		}
+	}
+	return relation.IntersectAllSorted(lists)
+}
+
+// EstimateCardinality runs the sampler over bound relations for a given
+// attribute order: the one-estimate form of Index.Estimate.
 func EstimateCardinality(rels []*relation.Relation, order []string, cfg Config) (Estimate, error) {
+	return NewIndex().Estimate(rels, order, cfg)
+}
+
+// Estimate runs the sampler over bound relations for a given attribute
+// order, taking tries from the index. The estimate is a function of the
+// relations' content, the order and cfg alone: it does not depend on what
+// the index already holds or on how many cores evaluate the samples.
+func (ix *Index) Estimate(rels []*relation.Relation, order []string, cfg Config) (Estimate, error) {
 	if len(order) == 0 {
 		return Estimate{}, fmt.Errorf("sampling: empty order")
 	}
@@ -102,34 +203,42 @@ func EstimateCardinality(rels []*relation.Relation, order []string, cfg Config) 
 		cfg.Samples = 1000
 	}
 	t0 := time.Now()
-	vals := ValA(rels, order[0])
+	tries := ix.triesFor(rels, order)
+	vals := valA(tries, order[0])
 	est := Estimate{ValA: len(vals), LevelCounts: make([]float64, len(order)), LevelOps: make([]int64, len(order))}
 	if len(vals) == 0 {
 		est.Seconds = time.Since(t0).Seconds()
 		return est, nil
 	}
-	tries := leapfrog.BuildTries(rels, order)
-	ext, err := leapfrog.NewExtender(tries, order)
+	acc, err := countSamples(tries, order, drawSamples(vals, cfg), cfg, shardsFor(cfg.Samples))
 	if err != nil {
 		return Estimate{}, err
 	}
-	rng := rand.New(rand.NewSource(cfg.Seed))
-	samples := make([]relation.Value, cfg.Samples)
-	for i := range samples {
-		samples[i] = vals[rng.Intn(len(vals))]
-	}
-	acc := runSamples(ext, samples, len(order), cfg.PerSampleBudget, cfg.MaxDepth, cfg.Cancel)
 	est.absorb(acc, len(vals), cfg.Samples)
 	est.Seconds = time.Since(t0).Seconds()
 	return est, nil
 }
 
-// Accum is the raw per-level tally of a batch of samples; the distributed
-// sampler sums Accums across workers before scaling.
+// drawSamples draws cfg.Samples values of val(A) uniformly with
+// replacement, seeded by cfg.Seed.
+func drawSamples(vals []relation.Value, cfg Config) []relation.Value {
+	rng := rand.New(rand.NewSource(cfg.Seed))
+	samples := make([]relation.Value, cfg.Samples)
+	for i := range samples {
+		samples[i] = vals[rng.Intn(len(vals))]
+	}
+	return samples
+}
+
+// Accum is the raw per-level tally of a batch of samples; shards and the
+// distributed sampler's workers sum Accums before scaling.
 type Accum struct {
 	LevelSums []int64
 	WorkOps   int64
 	Samples   int
+	// BusySeconds is the time spent evaluating the batch (summed, not
+	// overlapped, when batches merge).
+	BusySeconds float64
 }
 
 // Add merges another accumulator.
@@ -142,36 +251,113 @@ func (a *Accum) Add(b Accum) {
 	}
 	a.WorkOps += b.WorkOps
 	a.Samples += b.Samples
+	a.BusySeconds += b.BusySeconds
 }
 
-// RunSamples evaluates constrained counts for each sampled first-attribute
-// value and tallies per-level binding counts.
-func RunSamples(ext *leapfrog.Extender, samples []relation.Value, n int, budget int64) Accum {
-	return RunSamplesDepth(ext, samples, n, budget, 0)
+// chunkSamples is how many consecutive samples a shard claims at a time, and
+// so the fewest samples worth a goroutine of their own.
+const chunkSamples = 32
+
+// shardsFor returns how many shards a local estimate spreads its samples
+// over: one per core, while every shard can claim a whole chunk.
+func shardsFor(samples int) int {
+	return max(1, min(runtime.GOMAXPROCS(0), samples/chunkSamples))
 }
 
-// RunSamplesDepth is RunSamples with a depth bound (0 = full depth).
-func RunSamplesDepth(ext *leapfrog.Extender, samples []relation.Value, n int, budget int64, maxDepth int) Accum {
-	return runSamples(ext, samples, n, budget, maxDepth, nil)
-}
-
-func runSamples(ext *leapfrog.Extender, samples []relation.Value, n int, budget int64, maxDepth int, cancel func() bool) Accum {
-	acc := Accum{LevelSums: make([]int64, n), Samples: len(samples)}
-	depth := n
-	if maxDepth > 0 && maxDepth < n {
-		depth = maxDepth
+// countSamples evaluates the constrained count of every sample and tallies
+// per-level binding counts, honouring cfg's PerSampleBudget, MaxDepth and
+// Cancel. Up to shards goroutines, each with its own Extender, claim the
+// samples a chunk at a time; the caller's goroutine is one of them, so it
+// waits for a helper only while that helper is inside a chunk — a helper the
+// scheduler never gets to costs nothing, which keeps an estimate's wall time
+// steady when the machine has fewer free cores than GOMAXPROCS. A sample's
+// tally does not depend on who evaluates it and the tallies are integers, so
+// the sum is the same for any shard count and any claim order. Both the
+// local sampler (a shard per core) and the distributed one (every worker is
+// already a shard) count through here.
+func countSamples(tries []*trie.Trie, order []string, samples []relation.Value, cfg Config, shards int) (Accum, error) {
+	chunks := (len(samples) + chunkSamples - 1) / chunkSamples
+	shards = max(1, min(shards, chunks))
+	counters := make([]*counter, shards)
+	for i := range counters {
+		ext, err := leapfrog.NewExtender(tries, order)
+		if err != nil {
+			return Accum{}, err
+		}
+		counters[i] = newCounter(ext, len(order), cfg)
 	}
+	var next atomic.Int64
+	claim := func(c *counter) {
+		for {
+			i := int(next.Add(1)) - 1
+			if i >= chunks || !c.run(samples[i*chunkSamples:min((i+1)*chunkSamples, len(samples))]) {
+				return
+			}
+		}
+	}
+	var wg sync.WaitGroup
+	for _, c := range counters[1:] {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			claim(c)
+		}()
+	}
+	claim(counters[0])
+	wg.Wait()
+	var total Accum
+	for _, c := range counters {
+		total.Add(c.acc)
+	}
+	return total, nil
+}
+
+// counter evaluates one shard's samples. Its Extender, binding and tallies
+// are its own, so evaluating a sample allocates nothing.
+type counter struct {
+	ext     *leapfrog.Extender
+	n       int // attributes in the order
+	depth   int // levels to descend (n, or cfg.MaxDepth)
+	budget  int64
+	cancel  func() bool
+	binding []relation.Value
+	acc     Accum
+	work    int64 // extension work of the sample being evaluated
+}
+
+func newCounter(ext *leapfrog.Extender, n int, cfg Config) *counter {
+	depth := n
+	if cfg.MaxDepth > 0 && cfg.MaxDepth < n {
+		depth = cfg.MaxDepth
+	}
+	return &counter{
+		ext: ext, n: n, depth: depth, budget: cfg.PerSampleBudget, cancel: cfg.Cancel,
+		binding: make([]relation.Value, n),
+		acc:     Accum{LevelSums: make([]int64, n)},
+	}
+}
+
+// run tallies every sample of the chunk; it reports false, having stopped
+// early, once cancel fires.
+func (c *counter) run(samples []relation.Value) bool {
+	t0 := time.Now()
+	done := true
 	for _, a := range samples {
-		if cancel != nil && cancel() {
+		if c.cancel != nil && c.cancel() {
+			done = false
 			break
 		}
-		levels, ops := countConstrained(ext, a, n, budget, depth)
-		for i, c := range levels {
-			acc.LevelSums[i] += c
+		c.binding[0] = a
+		c.acc.LevelSums[0]++
+		c.work = 0
+		if c.n > 1 {
+			c.descend(1)
 		}
-		acc.WorkOps += ops
+		c.acc.WorkOps += c.work
 	}
-	return acc
+	c.acc.Samples += len(samples)
+	c.acc.BusySeconds += time.Since(t0).Seconds()
+	return done
 }
 
 // absorb scales a raw accumulator into the estimate: |T_i| ≈ |val(A)| ×
@@ -186,68 +372,55 @@ func (e *Estimate) absorb(acc Accum, valA, k int) {
 	e.LevelCounts[0] = n // every sampled value binds level 0 exactly once
 	e.Cardinality = e.LevelCounts[len(e.LevelCounts)-1]
 	e.WorkOps = acc.WorkOps
+	e.BusySeconds = acc.BusySeconds
 	e.Samples = k
 }
 
-// countConstrained counts partial bindings per level with the first
-// attribute fixed to a, descending at most maxDepth levels. Leaf levels
-// count through the extender's streaming drain, so no per-leaf value list
-// is materialized (or copied) while sampling — the count-only form of the
-// batched result pipeline.
-func countConstrained(ext *leapfrog.Extender, a relation.Value, n int, budget int64, maxDepth int) ([]int64, int64) {
-	levels := make([]int64, n)
-	binding := make([]relation.Value, n)
-	binding[0] = a
-	levels[0] = 1
-	var work int64
-	var rec func(d int) bool
-	rec = func(d int) bool {
-		if d >= maxDepth {
-			return true
-		}
-		if d == n-1 {
-			limit := int64(-1)
-			if budget > 0 {
-				// Upper bound before the drain's own seek work is known;
-				// clamped below so the tally matches the legacy per-value
-				// accounting (which debited the seek work first).
-				limit = budget - work + 1
-			}
-			cnt, w := ext.DrainLeaf(binding, d, limit, nil)
-			work += w
-			if budget > 0 && cnt > 0 {
-				if rem := budget - work + 1; rem < cnt {
-					// Legacy semantics: the seek work counts against the
-					// budget before values do, and the value that trips
-					// the budget is still tallied — so at least one value
-					// counts whenever the leaf is nonempty.
-					if rem < 1 {
-						rem = 1
-					}
-					cnt = rem
-				}
-			}
-			levels[d] += cnt
-			work += cnt
-			return budget <= 0 || work <= budget
-		}
-		vals, w := ext.Extend(binding, d)
-		work += w
-		for _, v := range vals {
-			binding[d] = v
-			levels[d]++
-			work++
-			if budget > 0 && work > budget {
-				return false
-			}
-			if !rec(d + 1) {
-				return false
-			}
-		}
+// descend counts the partial bindings below the current binding of levels
+// < d, down to the counter's depth. Leaf levels count through the
+// extender's streaming drain, so no per-leaf value list is materialized (or
+// copied) while sampling — the count-only form of the batched result
+// pipeline. It reports false once the sample's work budget is spent.
+func (c *counter) descend(d int) bool {
+	if d >= c.depth {
 		return true
 	}
-	if n > 1 {
-		rec(1)
+	levels := c.acc.LevelSums
+	if d == c.n-1 {
+		limit := int64(-1)
+		if c.budget > 0 {
+			// Upper bound before the drain's own seek work is known;
+			// clamped below so the tally matches the legacy per-value
+			// accounting (which debited the seek work first).
+			limit = c.budget - c.work + 1
+		}
+		cnt, w := c.ext.DrainLeaf(c.binding, d, limit, nil)
+		c.work += w
+		if c.budget > 0 && cnt > 0 {
+			if rem := c.budget - c.work + 1; rem < cnt {
+				// Legacy semantics: the seek work counts against the
+				// budget before values do, and the value that trips
+				// the budget is still tallied — so at least one value
+				// counts whenever the leaf is nonempty.
+				cnt = max(rem, 1)
+			}
+		}
+		levels[d] += cnt
+		c.work += cnt
+		return c.budget <= 0 || c.work <= c.budget
 	}
-	return levels, work
+	vals, w := c.ext.Extend(c.binding, d)
+	c.work += w
+	for _, v := range vals {
+		c.binding[d] = v
+		levels[d]++
+		c.work++
+		if c.budget > 0 && c.work > c.budget {
+			return false
+		}
+		if !c.descend(d + 1) {
+			return false
+		}
+	}
+	return true
 }

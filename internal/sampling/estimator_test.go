@@ -120,35 +120,55 @@ func TestEstimateDeterministic(t *testing.T) {
 func TestDistributedMatchesSequential(t *testing.T) {
 	// Same seed and sample count: the distributed sampler computes the same
 	// val(A), draws the same samples, and must produce the identical
-	// estimate (the work is split, not re-randomized).
+	// estimate (the work is split, not re-randomized) — at full depth and
+	// under a depth bound, which both samplers honour through the one
+	// evaluator.
 	rng := rand.New(rand.NewSource(8))
 	edges := testutil.RandEdges(rng, "E", 500, 25)
 	q := hypergraph.Q1()
 	rels := q.BindGraph(edges)
 	order := q.Attrs()
-	cfg := Config{Samples: 800, Seed: 11}
-	seq, err := EstimateCardinality(rels, order, cfg)
-	if err != nil {
-		t.Fatal(err)
+	relAttrs := make(map[string][]string)
+	for _, r := range rels {
+		relAttrs[r.Name] = r.Attrs
 	}
-	for _, n := range []int{1, 3, 5} {
-		c := cluster.New(cluster.Config{N: n})
-		c.LoadDatabase(rels)
-		relAttrs := make(map[string][]string)
-		for _, r := range rels {
-			relAttrs[r.Name] = r.Attrs
-		}
-		dist, err := DistributedEstimate(c, relAttrs, order, cfg)
+	for _, cfg := range []Config{{Samples: 800, Seed: 11}, {Samples: 800, Seed: 11, MaxDepth: 2}} {
+		seq, err := EstimateCardinality(rels, order, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if dist.ValA != seq.ValA {
-			t.Fatalf("n=%d: valA %d vs %d", n, dist.ValA, seq.ValA)
+		if cfg.MaxDepth == 2 && (seq.LevelCounts[1] == 0 || seq.LevelCounts[2] != 0) {
+			t.Fatalf("depth-2 estimate counted levels %v", seq.LevelCounts)
 		}
-		if math.Abs(dist.Cardinality-seq.Cardinality) > 1e-6 {
-			t.Fatalf("n=%d: distributed %.3f vs sequential %.3f", n, dist.Cardinality, seq.Cardinality)
+		for _, n := range []int{1, 3, 5} {
+			c := cluster.New(cluster.Config{N: n})
+			c.LoadDatabase(rels)
+			dist, err := DistributedEstimate(c, relAttrs, order, cfg)
+			c.Close()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if dist.ValA != seq.ValA {
+				t.Fatalf("n=%d: valA %d vs %d", n, dist.ValA, seq.ValA)
+			}
+			if !reflect.DeepEqual(dist.LevelCounts, seq.LevelCounts) || !reflect.DeepEqual(dist.LevelOps, seq.LevelOps) {
+				t.Fatalf("n=%d depth=%d: distributed levels %v %v vs sequential %v %v",
+					n, cfg.MaxDepth, dist.LevelCounts, dist.LevelOps, seq.LevelCounts, seq.LevelOps)
+			}
 		}
-		c.Close()
+	}
+
+	// A cancel that has already fired stops every worker before its first
+	// sample.
+	c := cluster.New(cluster.Config{N: 3})
+	defer c.Close()
+	c.LoadDatabase(rels)
+	dist, err := DistributedEstimate(c, relAttrs, order, Config{Samples: 800, Seed: 11, Cancel: func() bool { return true }})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if dist.LevelOps[0] != 0 || dist.WorkOps != 0 {
+		t.Fatalf("cancelled distributed estimate still evaluated samples: ops %v work %d", dist.LevelOps, dist.WorkOps)
 	}
 }
 
