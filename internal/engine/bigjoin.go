@@ -3,7 +3,6 @@ package engine
 import (
 	"fmt"
 	"slices"
-	"strconv"
 
 	"adj/internal/cluster"
 	"adj/internal/relation"
@@ -16,7 +15,6 @@ import (
 // pre-built indexes).
 func proposeRound(c *cluster.Cluster, phase string, prop *relation.Relation, prefix []string, attr string, cfg Config) error {
 	boundAttrs := sharedAttrs(prop.Attrs, prefix)
-	newAttrs := append(append([]string(nil), prefix...), attr)
 
 	return c.StreamExchange(phase,
 		func(w *cluster.Worker, s cluster.StreamSender) error {
@@ -76,93 +74,83 @@ func proposeRound(c *cluster.Cluster, phase string, prop *relation.Relation, pre
 				idx = relation.New(prop.Name, attr)
 			}
 			binds := relation.New("bindings", prefix...)
-			var scratch relation.Relation
-			for {
-				e, ok, err := r.Recv()
-				if err != nil {
-					return err
-				}
-				if !ok {
-					break
-				}
-				var dst *relation.Relation
-				switch e.Key {
-				case "idx":
-					dst = idx
-				case "bind":
-					dst = binds
-				default:
-					return fmt.Errorf("bigjoin propose: bad key %q", e.Key)
-				}
-				if err := relation.DecodeAppend(e.Payload, dst, &scratch); err != nil {
-					return cluster.CorruptPayload("bigjoin exchange", err)
-				}
+			if err := recvRound(r, "propose", idx, binds); err != nil {
+				return err
 			}
-			// Build candidate lists per bound-key, aborting as soon as the
-			// proposals alone exceed the budget (SparkSQL/BigJoin-style
-			// blowups must fail fast, not after materializing everything).
-			// Each binding extends into a run — the binding prefix repeated
-			// over its candidate values — so the extension writes through
-			// the run writer.
-			perWorkerCap := int64(0)
-			if cfg.Budget > 0 {
-				perWorkerCap = cfg.Budget
-			}
-			extended := relation.New("bindings", newAttrs...)
-			cw := relation.NewColumnWriter(extended)
-			overCap := func() bool {
-				return perWorkerCap > 0 && int64(cw.Rows()) > perWorkerCap
-			}
-			bindCols := binds.Columns()
-			bind := make([]relation.Value, len(bindCols))
-			if len(boundAttrs) == 0 {
-				cands := idx.Distinct(attr)
-				for i := 0; i < binds.Len(); i++ {
-					gatherRow(bind, bindCols, i)
-					cw.BeginRun(bind)
-					cw.AppendRun(cands)
-					if overCap() {
-						return ErrBudget
-					}
-				}
-			} else {
-				attrCol := idx.Column(idx.AttrIndex(attr))
-				keyCols := pickCols(idx, boundAttrs)
-				index := make(map[string][]relation.Value)
-				kbuf := make([]relation.Value, len(boundAttrs))
-				for i, v := range attrCol {
-					gatherRow(kbuf, keyCols, i)
-					k := keyString(kbuf)
-					index[k] = append(index[k], v)
-				}
-				for k, vs := range index {
-					slices.Sort(vs)
-					index[k] = slices.Compact(vs)
-				}
-				bindKeyCols := pickCols(binds, boundAttrs)
-				for i := 0; i < binds.Len(); i++ {
-					gatherRow(kbuf, bindKeyCols, i)
-					cands := index[keyString(kbuf)]
-					if len(cands) == 0 {
-						continue
-					}
-					gatherRow(bind, bindCols, i)
-					cw.BeginRun(bind)
-					cw.AppendRun(cands)
-					if overCap() {
-						return ErrBudget
-					}
-				}
+			extended, err := extendBindings(binds, idx, boundAttrs, attr, cfg.Budget)
+			if err != nil {
+				return err
 			}
 			w.Rels["bindings"] = extended
 			return nil
 		})
 }
 
+// extendBindings is a propose round's local step: every binding is extended
+// by the distinct values idx holds for attr among the rows that agree with
+// the binding on boundAttrs, in binding order, candidates ascending. With
+// no bound attribute every row of idx carries the same (empty) key, so
+// every binding gets idx's whole distinct attr column.
+//
+// Count, then fill: idx is indexed by its bound attributes and each key's
+// candidates become one sorted, de-duplicated run inside a single backing
+// slice; one pass over the bindings records each one's key and sums the run
+// lengths, so proposals over the budget fail with ErrBudget before any
+// output is allocated (SparkSQL/BigJoin-style blowups must fail fast); the
+// output columns are then reserved once at their exact size and each
+// binding extends into a run — the binding repeated over its candidates —
+// through the run writer.
+func extendBindings(binds, idx *relation.Relation, boundAttrs []string, attr string, budget int64) (*relation.Relation, error) {
+	extended := relation.New("bindings", append(slices.Clip(binds.Attrs), attr)...)
+	ix := relation.NewIndex(pickCols(idx, boundAttrs), idx.Len())
+	// cands[candOff[g]:candOff[g+1]] are key g's candidates.
+	cands := make([]relation.Value, 0, idx.Len())
+	candOff := make([]int32, ix.Groups()+1)
+	attrCol := idx.Column(idx.AttrIndex(attr))
+	for g := 0; g < ix.Groups(); g++ {
+		lo := len(cands)
+		for _, row := range ix.Rows(int32(g)) {
+			cands = append(cands, attrCol[row])
+		}
+		slices.Sort(cands[lo:])
+		cands = cands[:lo+len(slices.Compact(cands[lo:]))]
+		candOff[g+1] = int32(len(cands))
+	}
+
+	bindKey := pickCols(binds, boundAttrs)
+	group := make([]int32, binds.Len())
+	total := int64(0)
+	for i := range group {
+		g := ix.Lookup(bindKey, i)
+		group[i] = g
+		if g < 0 {
+			continue
+		}
+		total += int64(candOff[g+1] - candOff[g])
+		if budget > 0 && total > budget {
+			return nil, ErrBudget
+		}
+	}
+
+	cw := relation.NewColumnWriter(extended)
+	cw.Reserve(int(total))
+	bindCols := binds.Columns()
+	bind := make([]relation.Value, len(bindCols))
+	for i, g := range group {
+		if g < 0 {
+			continue
+		}
+		gatherRow(bind, bindCols, i)
+		cw.BeginRun(bind)
+		cw.AppendRun(cands[candOff[g]:candOff[g+1]])
+	}
+	return extended, nil
+}
+
 // verifyRound filters extended bindings against one relation: bindings are
 // shuffled to the partition owning the relation's matching tuples and kept
 // only when the relation contains the projection.
-func verifyRound(c *cluster.Cluster, phase string, ver *relation.Relation, prefix []string, attr string, cfg Config) error {
+func verifyRound(c *cluster.Cluster, phase string, ver *relation.Relation, prefix []string, attr string) error {
 	checkAttrs := append(sharedAttrs(ver.Attrs, prefix), attr)
 	return c.StreamExchange(phase,
 		func(w *cluster.Worker, s cluster.StreamSender) error {
@@ -181,62 +169,47 @@ func verifyRound(c *cluster.Cluster, phase string, ver *relation.Relation, prefi
 			return nil
 		},
 		func(w *cluster.Worker, r cluster.StreamReceiver) error {
-			var idx, binds *relation.Relation
-			var scratch relation.Relation
-			for {
-				e, ok, err := r.Recv()
-				if err != nil {
-					return err
-				}
-				if !ok {
-					break
-				}
-				if err := relation.DecodeInto(e.Payload, &scratch); err != nil {
-					return cluster.CorruptPayload("bigjoin exchange", err)
-				}
-				var dst **relation.Relation
-				switch e.Key {
-				case "idx":
-					dst = &idx
-				case "bind":
-					dst = &binds
-				default:
-					return fmt.Errorf("bigjoin verify: bad key %q", e.Key)
-				}
-				if *dst == nil {
-					*dst = relation.New(scratch.Name, scratch.Attrs...)
-				}
-				(*dst).AppendAll(&scratch)
+			idx := relation.New(ver.Name, ver.Attrs...)
+			binds := relation.New("bindings", append(slices.Clip(prefix), attr)...)
+			if err := recvRound(r, "verify", idx, binds); err != nil {
+				return err
 			}
-			if binds == nil {
-				w.Rels["bindings"] = relation.New("bindings")
-				return nil
-			}
-			if idx == nil {
-				w.Rels["bindings"] = relation.New("bindings", binds.Attrs...)
-				return nil
-			}
-			keep := binds.Semijoin(idx, checkAttrs)
-			keep.Name = "bindings"
-			w.Rels["bindings"] = keep
+			w.Rels["bindings"] = binds.Semijoin(idx, checkAttrs)
 			return nil
 		})
 }
 
-func keyString(vals []relation.Value) string {
-	b := make([]byte, 0, len(vals)*9)
-	for _, v := range vals {
-		b = strconv.AppendInt(b, int64(v), 36)
-		b = append(b, '|')
+// recvRound drains one BigJoin round's stream on a worker, folding "idx"
+// chunks into idx and "bind" chunks into binds. Both targets carry the
+// schema the round expects, so a chunk of any other shape is a corrupt
+// payload, not a panic further down.
+func recvRound(r cluster.StreamReceiver, round string, idx, binds *relation.Relation) error {
+	var scratch relation.Relation
+	for {
+		e, ok, err := r.Recv()
+		if err != nil || !ok {
+			return err
+		}
+		var dst *relation.Relation
+		switch e.Key {
+		case "idx":
+			dst = idx
+		case "bind":
+			dst = binds
+		default:
+			return fmt.Errorf("bigjoin %s: bad key %q", round, e.Key)
+		}
+		if err := relation.DecodeAppend(e.Payload, dst, &scratch); err != nil {
+			return cluster.CorruptPayload("bigjoin exchange", err)
+		}
 	}
-	return string(b)
 }
 
 // pickCols returns r's columns for the named attributes, in that order.
 func pickCols(r *relation.Relation, attrs []string) [][]relation.Value {
 	cols := make([][]relation.Value, len(attrs))
-	for j, c := range attrIdx(r.Attrs, attrs) {
-		cols[j] = r.Column(c)
+	for j, a := range attrs {
+		cols[j] = r.Column(r.AttrIndex(a))
 	}
 	return cols
 }

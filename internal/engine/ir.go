@@ -127,7 +127,7 @@ func runOp(c *cluster.Cluster, prog *plan.Program, op *plan.Op, st *progState,
 	case plan.Semijoin:
 		var err error
 		if op.Attr != "" {
-			err = verifyRound(c, op.Phase, rels[op.RelIdx], op.Prefix, op.Attr, cfg)
+			err = verifyRound(c, op.Phase, rels[op.RelIdx], op.Prefix, op.Attr)
 		} else {
 			err = distributedSemijoin(c, op.Phase, op.Left.Name, op.Left.Attrs,
 				op.Right.Name, op.Right.Attrs, op.Out.Name)
@@ -286,9 +286,6 @@ func runEmit(c *cluster.Cluster, prog *plan.Program, op *plan.Op, st *progState,
 	if cfg.CollectOutput {
 		out := relation.New("out", op.Out.Attrs...)
 		for _, w := range c.Workers {
-			// Empty fragments may carry a degenerate schema (BigJoin's
-			// verify resets a drained worker to an attribute-less bindings
-			// relation); they contribute nothing, so skip before projecting.
 			if frag, ok := w.Rels[name]; ok && frag.Len() > 0 {
 				out.AppendAll(frag.ProjectMulti(op.ProjectOnto...))
 			}

@@ -5,17 +5,12 @@ import (
 	"strings"
 	"testing"
 
-	"adj/internal/dataset"
 	"adj/internal/hypergraph"
 	"adj/internal/relation"
 )
 
 // coldGraph is one graph of the benchmark's cold-adj shape (LJ@0.05).
-func coldGraph(seed int64) *relation.Relation {
-	spec := dataset.SpecOf("LJ", 0.05)
-	spec.Seed = seed
-	return dataset.Generate(spec)
-}
+func coldGraph(seed int64) *relation.Relation { return powerLawGraph(0.05, seed) }
 
 // TestCoOptimizeDeterministic pins the plan-determinism contract: within a
 // process, ADJ's plan is a function of (query, relations, seed). Bags of

@@ -3,6 +3,7 @@ package relation
 import (
 	"encoding/binary"
 	"fmt"
+	"slices"
 
 	"adj/internal/deltaenc"
 )
@@ -222,12 +223,20 @@ func DecodeInto(buf []byte, r *Relation) error {
 // reused across chunks — the steady state allocates nothing) and appends
 // its tuples to dst column-wise. This is the streaming receiver's
 // incremental decode: chunks of one logical block accumulate into dst in
-// arrival order without materializing the whole block's bytes first. The
-// chunk's arity must match dst's.
+// arrival order without materializing the whole block's bytes first.
+//
+// dst carries the schema the receiver expects. A chunk that decodes but
+// has another arity or other attribute names is an error like any other
+// corrupt payload — it arrived from outside the process — and leaves dst
+// untouched. The relation name is not compared: senders ship projections
+// and partitions under derived names.
 func DecodeAppend(buf []byte, dst, scratch *Relation) error {
 	if err := DecodeInto(buf, scratch); err != nil {
 		return err
 	}
-	dst.AppendAll(scratch)
+	if !slices.Equal(scratch.Attrs, dst.Attrs) {
+		return fmt.Errorf("relation decode: chunk schema %v, receiver expects %v", scratch.Attrs, dst.Attrs)
+	}
+	dst.AppendColumns(scratch.cols)
 	return nil
 }

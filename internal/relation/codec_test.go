@@ -3,6 +3,7 @@ package relation
 import (
 	"bytes"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -265,6 +266,44 @@ func FuzzDecodeInto(f *testing.F) {
 		}
 		if twice := Encode(&again); !bytes.Equal(twice, enc) {
 			t.Fatalf("canonical encoding is not a fixed point:\n enc   %x\n twice %x", enc, twice)
+		}
+	})
+}
+
+// FuzzDecodeAppend: a receiver folds chunks into a relation whose schema it
+// chose, through one scratch it reuses. Whatever the bytes, DecodeAppend
+// never panics; a chunk it refuses — undecodable, or decodable with another
+// arity or other attribute names — leaves dst as it was, and a chunk it
+// accepts appends exactly its rows. testdata/fuzz/FuzzDecodeAppend holds
+// the two well-formed wrong-shape payloads that used to panic AppendAll.
+func FuzzDecodeAppend(f *testing.F) {
+	base := FromTuples("R", []string{"a", "b"}, [][]Value{{1, 2}, {3, -4}})
+	for _, seed := range []*Relation{
+		FromTuples("part", base.Attrs, [][]Value{{5, 6}, {1 << 40, 7}}),
+		New("empty", base.Attrs...),
+		FromTuples("narrow", []string{"a"}, [][]Value{{5}}),
+		New("noattrs"),
+	} {
+		f.Add(Encode(seed))
+	}
+	chunked := benchRelation(200)
+	chunked.Attrs = slices.Clone(base.Attrs)
+	f.Add(AppendEncodeRange(nil, chunked, 50, 120))
+	f.Add([]byte{codecMagic, 0, 2, 1, 'a', 1, 'b', 0xff, 0xff, 0xff, 0xff, 0x0f}) // huge count, no payload
+	var scratch Relation
+	f.Fuzz(func(t *testing.T, buf []byte) {
+		dst := base.Clone()
+		if err := DecodeAppend(buf, dst, &scratch); err != nil {
+			if !dst.Equal(base) {
+				t.Fatalf("refused chunk (%v) changed dst:\n%v", err, dst)
+			}
+			return
+		}
+		checkDecodedShape(t, &scratch)
+		want := base.Clone()
+		want.AppendColumns(scratch.Columns())
+		if !slices.Equal(scratch.Attrs, base.Attrs) || !dst.Equal(want) {
+			t.Fatalf("accepted chunk %v did not append its rows:\n%v", &scratch, dst)
 		}
 	})
 }

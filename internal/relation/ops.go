@@ -93,51 +93,44 @@ func (r *Relation) Distinct(a string) []Value {
 	return slices.Compact(out)
 }
 
-// Semijoin returns the tuples of r that join with at least one tuple of s on
-// the shared attributes `on` (which must exist in both schemas). This is the
-// database-reduction step of the distributed sampler (§IV of the paper) and
-// BigJoin's verify filter.
-func (r *Relation) Semijoin(s *Relation, on []string) *Relation {
-	ri := make([]int, len(on))
-	si := make([]int, len(on))
-	for i, a := range on {
-		ri[i] = r.AttrIndex(a)
-		si[i] = s.AttrIndex(a)
-		if ri[i] < 0 || si[i] < 0 {
-			panic(fmt.Sprintf("semijoin: attribute %q missing from %q or %q", a, r.Name, s.Name))
+// keyCols returns r's columns for the named attributes, in that order; op
+// names the caller for the panic a missing attribute raises.
+func (r *Relation) keyCols(op string, attrs []string) [][]Value {
+	cols := make([][]Value, len(attrs))
+	for j, a := range attrs {
+		c := r.AttrIndex(a)
+		if c < 0 {
+			panic(fmt.Sprintf("%s: attribute %q missing from %q", op, a, r.Name))
 		}
+		cols[j] = r.cols[c]
 	}
-	keys := make(map[string]struct{}, s.Len())
-	kbuf := make([]Value, len(on))
-	for i, n := 0, s.Len(); i < n; i++ {
-		keys[s.rowKey(kbuf, si, i)] = struct{}{}
-	}
-	n := r.Len()
-	keep := make([]int32, 0, n)
-	for i := 0; i < n; i++ {
-		if _, ok := keys[r.rowKey(kbuf, ri, i)]; ok {
-			keep = append(keep, int32(i))
-		}
-	}
-	return r.gather(r.Name, keep)
+	return cols
 }
 
-// rowKey gathers row i's values at columns at into kbuf and returns their
-// map key.
-func (r *Relation) rowKey(kbuf []Value, at []int, i int) string {
-	for j, c := range at {
-		kbuf[j] = r.cols[c][i]
-	}
-	return encodeKey(kbuf)
+// Semijoin returns the tuples of r that join with at least one tuple of s on
+// the shared attributes `on` (which must exist in both schemas), in r's row
+// order. This is the database-reduction step of the distributed sampler
+// (§IV of the paper) and BigJoin's verify filter.
+func (r *Relation) Semijoin(s *Relation, on []string) *Relation {
+	return r.keepIndexed(r.Name, r.keyCols("semijoin", on), NewIndex(s.keyCols("semijoin", on), s.Len()))
 }
 
 // SemijoinValues keeps tuples whose attribute a takes a value in vals.
 func (r *Relation) SemijoinValues(a string, vals []Value) *Relation {
-	set := make(map[Value]struct{}, len(vals))
-	for _, v := range vals {
-		set[v] = struct{}{}
+	return r.keepIndexed(r.Name+"_filt", r.keyCols("semijoinValues", []string{a}), NewIndex([][]Value{vals}, len(vals)))
+}
+
+// keepIndexed returns, under the given name, the rows of r whose key (r's
+// columns key) is present in ix.
+func (r *Relation) keepIndexed(name string, key [][]Value, ix *Index) *Relation {
+	n := r.Len()
+	keep := make([]int32, 0, n)
+	for i := 0; i < n; i++ {
+		if ix.Lookup(key, i) >= 0 {
+			keep = append(keep, int32(i))
+		}
 	}
-	return r.filterColumn("semijoinValues", a, func(x Value) bool { _, ok := set[x]; return ok })
+	return r.gather(name, keep)
 }
 
 // SharedAttrs returns the attributes common to both schemas, in r's order.
@@ -176,57 +169,74 @@ func HashJoin(r, s *Relation) *Relation {
 
 // hashJoin returns nil when the limit is exceeded. It is the path every
 // BinaryJoin intermediate and ADJ bag pre-computation round takes.
+//
+// Count, then fill: the smaller side is indexed, one pass over the probe
+// side records each row's group and sums the groups' sizes — so an output
+// over the limit is refused before any of it is allocated — and every
+// output column is then allocated once at its exact size and filled in
+// probe row order, build row order within a probe row.
 func hashJoin(r, s *Relation, limit int) *Relation {
 	shared := SharedAttrs(r, s)
 	// Build side: the smaller input.
-	build, probe := s, r
-	swapped := false
+	build, probe, swapped := s, r, false
 	if r.Len() < s.Len() {
 		build, probe, swapped = r, s, true
 	}
-	bi := make([]int, len(shared))
-	pi := make([]int, len(shared))
-	for i, a := range shared {
-		bi[i] = build.AttrIndex(a)
-		pi[i] = probe.AttrIndex(a)
-	}
-	// Output schema and the column picks for each side.
-	var outAttrs []string
+	// Output schema: r's attributes, then s's non-shared ones.
+	outAttrs := make([]string, 0, len(r.Attrs)+len(s.Attrs)-len(shared))
 	outAttrs = append(outAttrs, r.Attrs...)
-	var sExtra [][]Value
+	srcCols := make([][]Value, 0, cap(outAttrs))
+	srcCols = append(srcCols, r.cols...)
 	for j, a := range s.Attrs {
 		if r.AttrIndex(a) < 0 {
 			outAttrs = append(outAttrs, a)
-			sExtra = append(sExtra, s.cols[j])
+			srcCols = append(srcCols, s.cols[j])
 		}
 	}
-	out := New(fmt.Sprintf("(%s⋈%s)", r.Name, s.Name), outAttrs...)
+	out := &Relation{Name: "(" + r.Name + "⋈" + s.Name + ")", Attrs: outAttrs, cols: make([][]Value, len(outAttrs))}
 	if build.Len() == 0 || probe.Len() == 0 {
 		return out
 	}
-	ht := make(map[string][]int32, build.Len())
-	kbuf := make([]Value, len(shared))
-	for i, n := 0, build.Len(); i < n; i++ {
-		k := build.rowKey(kbuf, bi, i)
-		ht[k] = append(ht[k], int32(i))
-	}
-	// Matched row pairs, as (row of r, row of s); the output columns are
-	// gathered from them one column at a time.
-	var rRows, sRows []int32
-	for i, n := 0, probe.Len(); i < n; i++ {
-		for _, m := range ht[probe.rowKey(kbuf, pi, i)] {
-			if swapped {
-				rRows, sRows = append(rRows, m), append(sRows, int32(i))
-			} else {
-				rRows, sRows = append(rRows, int32(i)), append(sRows, m)
-			}
-			if limit > 0 && len(rRows) > limit {
-				return nil
-			}
+	ix := NewIndex(build.keyCols("hashJoin", shared), build.Len())
+	probeKey := probe.keyCols("hashJoin", shared)
+	group := make([]int32, probe.Len())
+	total := 0
+	for i := range group {
+		g := ix.Lookup(probeKey, i)
+		group[i] = g
+		if g < 0 {
+			continue
+		}
+		total += len(ix.Rows(g))
+		if limit > 0 && total > limit {
+			return nil
 		}
 	}
-	// Keys are exact encodings, so shared attrs are equal on every pair.
-	out.cols = append(gatherCols(r.cols, rRows), gatherCols(sExtra, sRows)...)
+	// Keys are compared exactly, so shared attrs are equal on every pair.
+	for j, src := range srcCols {
+		col := make([]Value, total)
+		// r's columns come first; r is the build side exactly when swapped.
+		fromBuild := (j < len(r.cols)) == swapped
+		w := 0
+		for i, g := range group {
+			if g < 0 {
+				continue
+			}
+			run := ix.Rows(g)
+			if fromBuild {
+				for _, m := range run {
+					col[w] = src[m]
+					w++
+				}
+				continue
+			}
+			v := src[i]
+			for end := w + len(run); w < end; w++ {
+				col[w] = v
+			}
+		}
+		out.cols[j] = col
+	}
 	return out
 }
 
@@ -254,24 +264,4 @@ func CrossCount(rels []*Relation) int64 {
 		}
 	}
 	return p
-}
-
-// encodeKey packs values into a string key for map-based joins. Values are
-// written in fixed-width big-endian-ish form so distinct tuples always get
-// distinct keys.
-func encodeKey(vals []Value) string {
-	b := make([]byte, 8*len(vals))
-	for i, v := range vals {
-		u := uint64(v)
-		o := i * 8
-		b[o] = byte(u >> 56)
-		b[o+1] = byte(u >> 48)
-		b[o+2] = byte(u >> 40)
-		b[o+3] = byte(u >> 32)
-		b[o+4] = byte(u >> 24)
-		b[o+5] = byte(u >> 16)
-		b[o+6] = byte(u >> 8)
-		b[o+7] = byte(u)
-	}
-	return string(b)
 }

@@ -1,12 +1,21 @@
 // Package relation implements the relational substrate of ADJ: schemas,
 // tuples stored column-major (one value slice per attribute), and the
-// operations the join engines need (sort, dedup, project, semijoin, hash
-// partitioning).
+// operations the join engines need (sort, dedup, project, hash join,
+// semijoin, hash partitioning, the wire codec).
 //
 // Values are int64. A Relation is a multiset of fixed-arity tuples over a
 // named schema; most operations return new relations and leave the receiver
 // untouched, matching the immutable dataflow style of the distributed
 // runtime (package cluster).
+//
+// Every key lookup — HashJoin, Semijoin, SemijoinValues, and BigJoin's
+// propose round in package engine — goes through one structure, Index: the
+// rows of some key columns grouped by key, integer keys compared as
+// integers, each key's rows one contiguous run. Its consumers count their
+// output from the runs before they allocate it, so an output limit is
+// enforced before anything is materialized and a call allocates a constant
+// number of objects. internal/engine/README.md ("How the join kernels
+// index") has the layout and the reasons.
 package relation
 
 import (

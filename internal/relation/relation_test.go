@@ -410,16 +410,6 @@ func TestSortByColumns(t *testing.T) {
 	}
 }
 
-func TestEncodeKeyInjective(t *testing.T) {
-	// Adjacent values that a naive byte-concat might collide on.
-	a := encodeKey([]Value{1, 0})
-	b := encodeKey([]Value{0, 1})
-	c := encodeKey([]Value{1 << 32, 0})
-	if a == b || a == c || b == c {
-		t.Fatal("encodeKey collided")
-	}
-}
-
 func randRel(rng *rand.Rand, name string, attrs []string, n int, dom int64) *Relation {
 	r := New(name, attrs...)
 	for i := 0; i < n; i++ {
