@@ -289,7 +289,8 @@ func sortAttrsByOrder(attrs []string, order []string) []string {
 func localCubeJoin(c *cluster.Cluster, phase string, infos []hcube.RelInfo, order []string, cfg Config, cached bool, storeAs string) (int64, *relation.Relation, blockcache.Stats, emitStats, error) {
 	collect := cfg.CollectOutput || storeAs != ""
 	results := make([]int64, c.N)
-	outputs := make([]*relation.Relation, c.N)
+	// cubeOuts[w] holds worker w's per-cube outputs, in cube order.
+	cubeOuts := make([][]*relation.Relation, c.N)
 	emitted := make([]emitStats, c.N)
 	budgetPer := int64(0)
 	if cfg.Budget > 0 {
@@ -357,21 +358,9 @@ func localCubeJoin(c *cluster.Cluster, phase string, infos []hcube.RelInfo, orde
 		for _, e := range perCubeEmit {
 			emitted[w.ID].add(e)
 		}
-		if collect {
-			out := relation.New("out", order...)
-			for _, o := range perCubeOut {
-				if o != nil {
-					out.AppendAll(o)
-				}
-			}
-			if storeAs != "" {
-				stored := out
-				stored.Name = storeAs
-				w.Rels[storeAs] = stored
-			}
-			if cfg.CollectOutput {
-				outputs[w.ID] = out
-			}
+		cubeOuts[w.ID] = perCubeOut
+		if storeAs != "" {
+			w.Rels[storeAs] = concatOutputs(storeAs, order, results[w.ID], perCubeOut)
 		}
 		return nil
 	})
@@ -387,17 +376,29 @@ func localCubeJoin(c *cluster.Cluster, phase string, infos []hcube.RelInfo, orde
 		return 0, nil, cacheStats, allEmit, err
 	}
 	var total int64
+	for _, r := range results {
+		total += r
+	}
 	var merged *relation.Relation
 	if cfg.CollectOutput {
-		merged = relation.New("out", order...)
-	}
-	for i := range results {
-		total += results[i]
-		if merged != nil && outputs[i] != nil {
-			merged.AppendAll(outputs[i])
-		}
+		// One copy per row, cube output → result: the counts are in, so the
+		// fold allocates each column once at its final size.
+		merged = concatOutputs("out", order, total, cubeOuts...)
 	}
 	return total, merged, cacheStats, allEmit, nil
+}
+
+// concatOutputs appends the cube outputs, in the order given, to one fresh
+// relation of rows capacity: (worker, cube) order, the same in parallel and
+// Sequential runs.
+func concatOutputs(name string, order []string, rows int64, outs ...[]*relation.Relation) *relation.Relation {
+	all := relation.NewWithCapacity(name, int(rows), order...)
+	for _, perCube := range outs {
+		for _, o := range perCube {
+			all.AppendAll(o)
+		}
+	}
+	return all
 }
 
 // emitStats folds the leapfrog emitted-run counters across cubes/workers.

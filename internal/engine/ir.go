@@ -36,7 +36,6 @@ func Run(name string, q hypergraph.Query, rels []*relation.Relation, cfg Config)
 	}
 	c, release := clusterFor(cfg)
 	defer release()
-	c.LoadDatabase(rels)
 
 	// Planning: a session's PreparedQuery pays it once and hands the
 	// Program in; otherwise lower the query now, charged to the optimize
@@ -74,6 +73,28 @@ type progState struct {
 	// published collects the shuffle plans to Publish on success, in
 	// execution order.
 	published []hcube.Plan
+	// loaded names the base relations whose fragments are on the workers.
+	loaded map[string]bool
+}
+
+// load places the named relations' fragments on the workers before an op
+// reads them from Worker.Rels — once per run, and only for relations some op
+// does read: a shuffle served warm from the trie store touches no base
+// tuple, so a warm run copies none. Names that are not base relations
+// (earlier ops' outputs, already worker-resident) pass through.
+func (st *progState) load(c *cluster.Cluster, rels []*relation.Relation, names ...string) {
+	for _, name := range names {
+		if st.loaded[name] {
+			continue
+		}
+		for _, r := range rels {
+			if r.Name == name {
+				c.LoadRelation(r)
+				st.loaded[name] = true
+				break
+			}
+		}
+	}
 }
 
 type lfResult struct {
@@ -88,7 +109,7 @@ func runProgram(c *cluster.Cluster, prog *plan.Program, rels []*relation.Relatio
 	if err := prog.Validate(); err != nil {
 		return err
 	}
-	st := &progState{lf: make(map[int]lfResult), shuffles: make(map[int]hcube.Plan)}
+	st := &progState{lf: make(map[int]lfResult), shuffles: make(map[int]hcube.Plan), loaded: make(map[string]bool)}
 	for _, op := range prog.Ops {
 		if err := cfg.Ctx.Err(); err != nil {
 			return err
@@ -109,7 +130,7 @@ func runOp(c *cluster.Cluster, prog *plan.Program, op *plan.Op, st *progState,
 	rels []*relation.Relation, cfg Config, rep *Report) error {
 	switch op.Kind {
 	case plan.Shuffle:
-		return runShuffle(c, op, st, cfg, rep)
+		return runShuffle(c, op, st, rels, cfg, rep)
 	case plan.BuildTrie:
 		// Tries are built lazily per (relation, block) at first cube use —
 		// see cubeTries — so the op itself is a marker carrying the order
@@ -118,6 +139,7 @@ func runOp(c *cluster.Cluster, prog *plan.Program, op *plan.Op, st *progState,
 	case plan.LeapfrogCube:
 		return runLeapfrog(c, prog, op, st, cfg, rep)
 	case plan.HashJoin:
+		st.load(c, rels, op.Left.Name, op.Right.Name)
 		size, err := distributedJoin(c, op.Phase, op.Left.Name, op.Left.Attrs,
 			op.Right.Name, op.Right.Attrs, op.Out.Name, cfg.Budget)
 		if err != nil {
@@ -127,8 +149,10 @@ func runOp(c *cluster.Cluster, prog *plan.Program, op *plan.Op, st *progState,
 	case plan.Semijoin:
 		var err error
 		if op.Attr != "" {
+			st.load(c, rels, rels[op.RelIdx].Name)
 			err = verifyRound(c, op.Phase, rels[op.RelIdx], op.Prefix, op.Attr)
 		} else {
+			st.load(c, rels, op.Left.Name, op.Right.Name)
 			err = distributedSemijoin(c, op.Phase, op.Left.Name, op.Left.Attrs,
 				op.Right.Name, op.Right.Attrs, op.Out.Name)
 		}
@@ -137,6 +161,7 @@ func runOp(c *cluster.Cluster, prog *plan.Program, op *plan.Op, st *progState,
 		}
 		return checkOpBudget(c, op, cfg, rep)
 	case plan.Project:
+		st.load(c, rels, op.Left.Name)
 		return c.Parallel(op.Phase, func(w *cluster.Worker) error {
 			frag, ok := w.Rels[op.Left.Name]
 			if !ok {
@@ -154,11 +179,13 @@ func runOp(c *cluster.Cluster, prog *plan.Program, op *plan.Op, st *progState,
 		c.LoadRelation(relation.FromColumns("bindings", []string{op.Attr}, [][]relation.Value{vals}))
 		return nil
 	case plan.Extend:
+		st.load(c, rels, rels[op.RelIdx].Name)
 		if err := proposeRound(c, op.Phase, rels[op.RelIdx], op.Prefix, op.Attr, cfg); err != nil {
 			return opFailure(c, op, st, err, 0, rep)
 		}
 		return checkOpBudget(c, op, cfg, rep)
 	case plan.Emit:
+		st.load(c, rels, op.From)
 		return runEmit(c, prog, op, st, cfg, rep)
 	default:
 		return fmt.Errorf("engine: unknown plan op kind %v", op.Kind)
@@ -167,8 +194,9 @@ func runOp(c *cluster.Cluster, prog *plan.Program, op *plan.Op, st *progState,
 
 // runShuffle executes one HCube exchange: re-gather dynamic sizes,
 // optimize shares (charged to the optimize phase when the plan says so),
-// enforce the memory bound, and run the shuffle with session reuse wired.
-func runShuffle(c *cluster.Cluster, op *plan.Op, st *progState, cfg Config, rep *Report) error {
+// enforce the memory bound, and run the shuffle with session reuse wired —
+// loading the fragments of only the relations the store cannot serve warm.
+func runShuffle(c *cluster.Cluster, op *plan.Op, st *progState, rels []*relation.Relation, cfg Config, rep *Report) error {
 	infos := make([]hcube.RelInfo, len(op.Rels))
 	for i, rr := range op.Rels {
 		size := rr.Size
@@ -208,6 +236,12 @@ func runShuffle(c *cluster.Cluster, op *plan.Op, st *progState, cfg Config, rep 
 	sp := hcube.Plan{
 		Shares: shares, Rels: infos, Kind: kind, TrieOrder: op.Order,
 		Reuse: shuffleReuse(cfg, planID, infos),
+	}
+	sp.Warm = sp.WarmRels()
+	for _, ri := range infos {
+		if _, warm := sp.Warm[ri.Name]; !warm {
+			st.load(c, rels, ri.Name)
+		}
 	}
 	if err := hcube.Run(c, op.Phase, sp); err != nil {
 		return err

@@ -128,6 +128,33 @@ func TestOptimizeUsesAllServers(t *testing.T) {
 	}
 }
 
+// Share vectors that tie on communication and on load go to the attributes
+// the join visits first: cfg.Attrs is the traversal order, and a cube that
+// owns a slice of the leading attributes walks only its part of the search
+// tree. The tie costs nothing — same tuples shuffled, same load.
+func TestSharesTieGoesToLeadingAttrs(t *testing.T) {
+	order := []string{"b", "c", "a"}
+	rels := []RelInfo{
+		{Name: "R1", Attrs: []string{"a", "b"}, Size: 1000},
+		{Name: "R2", Attrs: []string{"b", "c"}, Size: 1000},
+		{Name: "R3", Attrs: []string{"a", "c"}, Size: 1000},
+	}
+	s, err := Optimize(rels, Config{Attrs: order, NumServers: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(s.P, []int{2, 2, 1}) {
+		t.Fatalf("p=%v over %v, want [2 2 1]: the tie goes to the attributes visited first", s.P, order)
+	}
+	for _, p := range [][]int{{1, 2, 2}, {2, 1, 2}} {
+		tied := Shares{Attrs: order, P: p}
+		if TotalComm(rels, tied) != TotalComm(rels, s) || LoadPerCube(rels, tied) != LoadPerCube(rels, s) {
+			t.Fatalf("p=%v is not a tie with %v: comm %d vs %d, load %v vs %v", p, s.P,
+				TotalComm(rels, tied), TotalComm(rels, s), LoadPerCube(rels, tied), LoadPerCube(rels, s))
+		}
+	}
+}
+
 func TestOptimizeSkewedSizes(t *testing.T) {
 	// One giant relation: its missing attribute should get share 1 so the
 	// giant is never replicated.

@@ -151,10 +151,14 @@ func (c *Config) normalize() {
 
 // Optimize picks the share vector minimizing total communication subject to
 // the cube-count window and memory bound (Eq. 3). Ties break toward lower
-// per-server load, then lexicographically smaller p. When the memory bound
-// is unsatisfiable it is dropped and the minimum-load vector is returned
-// (the run will be reported as memory-stressed by the engine, mirroring the
-// paper's OOM failures).
+// per-server load, then toward the lexicographically larger p over
+// cfg.Attrs: callers pass the join's traversal order, so among vectors that
+// shuffle the same tuples the one partitioning the attributes visited first
+// wins. A cube then owns a slice of the top of the search tree instead of
+// re-walking all of it to filter at the bottom — the same communication,
+// less computation. When the memory bound is unsatisfiable it is dropped and
+// the minimum-load vector is returned (the run will be reported as
+// memory-stressed by the engine, mirroring the paper's OOM failures).
 func Optimize(rels []RelInfo, cfg Config) (Shares, error) {
 	cfg.normalize()
 	n := len(cfg.Attrs)
@@ -187,7 +191,7 @@ func Optimize(rels []RelInfo, cfg Config) (Shares, error) {
 		}
 		for i := range a.s.P {
 			if a.s.P[i] != b.s.P[i] {
-				return a.s.P[i] < b.s.P[i]
+				return a.s.P[i] > b.s.P[i]
 			}
 		}
 		return false

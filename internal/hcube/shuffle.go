@@ -63,6 +63,12 @@ type Plan struct {
 	// the normal exchange and have their built tries published afterwards
 	// via Publish.
 	Reuse *Reuse
+	// Warm is the set of relations this run serves from Reuse's store
+	// instead of shuffling, as resolved by WarmRels: relation name → its
+	// complete block-trie set. Run shuffles exactly the relations absent
+	// from it, so those are the only ones whose fragments the workers must
+	// hold; nil runs everything cold.
+	Warm map[string]map[int]*trie.Trie
 }
 
 // Reuse names the session store and the content signatures of the shuffled
@@ -99,10 +105,11 @@ func (p Plan) layoutSig(ri RelInfo) uint64 {
 	return h.Sum()
 }
 
-// warmRels returns, per relation name, the store's complete block-trie set
-// for relations the session store can serve without a shuffle. Relations
-// missing a manifest (or any evicted block) are omitted and run cold.
-func (p Plan) warmRels() map[string]map[int]*trie.Trie {
+// WarmRels returns, per relation name, the store's complete block-trie set
+// for relations the session store can serve without a shuffle: the value
+// for Plan.Warm. Relations missing a manifest (or any evicted block) are
+// omitted and run cold.
+func (p Plan) WarmRels() map[string]map[int]*trie.Trie {
 	if p.Reuse == nil || p.Reuse.Store == nil {
 		return nil
 	}
@@ -130,9 +137,9 @@ func (p Plan) warmRels() map[string]map[int]*trie.Trie {
 // attribute names and deposited pre-built (requests count as cache hits,
 // never builds), and the matching cubes are bound — exactly the bindings a
 // cold shuffle's consume phase would have produced.
-func adoptWarm(w *cluster.Worker, p Plan, warm map[string]map[int]*trie.Trie) {
+func adoptWarm(w *cluster.Worker, p Plan) {
 	for _, ri := range p.Rels {
-		blocks, ok := warm[ri.Name]
+		blocks, ok := p.Warm[ri.Name]
 		if !ok {
 			continue
 		}
@@ -242,18 +249,17 @@ func Run(c *cluster.Cluster, phase string, p Plan) error {
 	for _, w := range c.Workers {
 		w.ResetCubes()
 	}
-	// Warm relations: the session store still holds the complete block-trie
-	// set for this content and layout, so they skip the exchange entirely —
-	// no encode, no wire, no shuffle-side trie build — and every worker
-	// adopts its share of the published tries during consume.
-	warm := p.warmRels()
+	// Warm relations (p.Warm): the session store still holds the complete
+	// block-trie set for this content and layout, so they skip the exchange
+	// entirely — no encode, no wire, no shuffle-side trie build — and every
+	// worker adopts its share of the published tries during consume.
 	switch p.Kind {
 	case Push:
-		return runPush(c, phase, p, warm)
+		return runPush(c, phase, p)
 	case Pull:
-		return runPull(c, phase, p, warm)
+		return runPull(c, phase, p)
 	case Merge:
-		return runMerge(c, phase, p, warm)
+		return runMerge(c, phase, p)
 	default:
 		return fmt.Errorf("hcube: unknown kind %d", p.Kind)
 	}
@@ -288,11 +294,11 @@ func (p Plan) attrsByRel() map[string][]string {
 // signature and the destination cube ("rel@sig#cube") so the receiver can
 // deposit each sender's chunk once into the block cache while still
 // binding every replicated cube.
-func runPush(c *cluster.Cluster, phase string, p Plan, warm map[string]map[int]*trie.Trie) error {
+func runPush(c *cluster.Cluster, phase string, p Plan) error {
 	return c.StreamExchange(phase,
 		func(w *cluster.Worker, s cluster.StreamSender) error {
 			for _, ri := range p.Rels {
-				if _, ok := warm[ri.Name]; ok {
+				if _, ok := p.Warm[ri.Name]; ok {
 					continue
 				}
 				frag, ok := w.Rels[ri.Name]
@@ -328,7 +334,7 @@ func runPush(c *cluster.Cluster, phase string, p Plan, warm map[string]map[int]*
 			return nil
 		},
 		func(w *cluster.Worker, r cluster.StreamReceiver) error {
-			adoptWarm(w, p, warm)
+			adoptWarm(w, p)
 			return consumeTupleBlocks(w, r, p)
 		})
 }
@@ -340,11 +346,11 @@ func runPush(c *cluster.Cluster, phase string, p Plan, warm map[string]map[int]*
 // measures is chunking-invariant. Receivers deposit each chunk as one more
 // tuple part of its block — the lazy trie build concatenates, sorts and
 // dedups parts, so chunk granularity never changes the built trie.
-func runPull(c *cluster.Cluster, phase string, p Plan, warm map[string]map[int]*trie.Trie) error {
+func runPull(c *cluster.Cluster, phase string, p Plan) error {
 	return c.StreamExchange(phase,
 		func(w *cluster.Worker, s cluster.StreamSender) error {
 			for _, ri := range p.Rels {
-				if _, ok := warm[ri.Name]; ok {
+				if _, ok := p.Warm[ri.Name]; ok {
 					continue
 				}
 				frag, ok := w.Rels[ri.Name]
@@ -384,7 +390,7 @@ func runPull(c *cluster.Cluster, phase string, p Plan, warm map[string]map[int]*
 			return nil
 		},
 		func(w *cluster.Worker, r cluster.StreamReceiver) error {
-			adoptWarm(w, p, warm)
+			adoptWarm(w, p)
 			attrsOf := p.attrsByRel()
 			for {
 				e, ok, err := r.Recv()
@@ -427,11 +433,11 @@ func runPull(c *cluster.Cluster, phase string, p Plan, warm map[string]map[int]*
 // merge happens lazily at a cube's first use, and a block shared by many
 // cubes is decoded and (when it is a relation's only block on the cube)
 // merged exactly once.
-func runMerge(c *cluster.Cluster, phase string, p Plan, warm map[string]map[int]*trie.Trie) error {
+func runMerge(c *cluster.Cluster, phase string, p Plan) error {
 	return c.StreamExchange(phase,
 		func(w *cluster.Worker, s cluster.StreamSender) error {
 			for _, ri := range p.Rels {
-				if _, ok := warm[ri.Name]; ok {
+				if _, ok := p.Warm[ri.Name]; ok {
 					continue
 				}
 				frag, ok := w.Rels[ri.Name]
@@ -464,7 +470,7 @@ func runMerge(c *cluster.Cluster, phase string, p Plan, warm map[string]map[int]
 			return nil
 		},
 		func(w *cluster.Worker, r cluster.StreamReceiver) error {
-			adoptWarm(w, p, warm)
+			adoptWarm(w, p)
 			attrsOf := p.attrsByRel()
 			for {
 				e, ok, err := r.Recv()

@@ -74,7 +74,7 @@ func (c *CachedJoin) Run(opt Options) (Stats, error) {
 		return Stats{}, err
 	}
 	n := len(c.order)
-	st := Stats{LevelTuples: make([]int64, n), LevelSeeks: make([]int64, n)}
+	st := Stats{LevelTuples: make([]int64, n)}
 	sink := opt.Sink
 	caches := make([]map[string][]Value, n)
 	cacheSize := make([]int, n)
@@ -138,8 +138,7 @@ func (c *CachedJoin) Run(opt Options) (Stats, error) {
 				if opt.Budget > 0 {
 					limit = opt.Budget - work + 1
 				}
-				cnt, w := ext.DrainLeaf(binding, d, limit, sink)
-				st.LevelSeeks[d] += w
+				cnt, _ := ext.DrainLeaf(binding, d, limit, sink)
 				st.LevelTuples[d] += cnt
 				st.Results += cnt
 				work += cnt
@@ -152,9 +151,7 @@ func (c *CachedJoin) Run(opt Options) (Stats, error) {
 				}
 				return nil
 			}
-			var w int64
-			vals, w = ext.Extend(binding, d)
-			st.LevelSeeks[d] += w
+			vals, _ = ext.Extend(binding, d)
 			if c.CacheBudget > 0 && cacheSize[d]+len(vals) <= c.CacheBudget {
 				// Extend's result is the extender's scratch; the cache
 				// outlives it.
@@ -180,8 +177,7 @@ func (c *CachedJoin) Run(opt Options) (Stats, error) {
 		return nil
 	}
 	if opt.FirstFixed != nil {
-		first, w := ext.Extend(binding, 0)
-		st.LevelSeeks[0] += w
+		first, _ := ext.Extend(binding, 0)
 		idx := sort.Search(len(first), func(i int) bool { return first[i] >= *opt.FirstFixed })
 		if idx == len(first) || first[idx] != *opt.FirstFixed {
 			return st, nil

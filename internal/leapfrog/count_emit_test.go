@@ -9,7 +9,7 @@ import (
 	"adj/internal/testutil"
 )
 
-// The count-only paths (no sink) of frame.drain and Extender.DrainLeaf
+// The count-only paths (no sink) of the joiner's leaf and Extender.DrainLeaf
 // must report exactly the counts of the emitting paths under limit/budget
 // truncation — at every boundary, not just in the unbudgeted steady state.
 // Drift here would make budget failures (and the paper's frame-top bars)

@@ -207,7 +207,7 @@ func (er extRel) childValues(i, level int, node int32) []Value {
 
 // DrainLeaf streams the intersection Extend(binding, d) would materialize
 // straight into sink — the cached join's leaf-level analogue of the plain
-// joiner's frame.drain, with the same batched convention: the matched
+// joiner's leaf, with the same batched convention: the matched
 // values reach the sink as at most one run under the prefix binding[:d]
 // (sink may be nil for counting runs; the nil check happens once, not per
 // value). The candidate lists stay slices into trie storage and the

@@ -5,8 +5,8 @@
 // implementation is iterative ("a series of iterators", as the paper notes)
 // and leaves no intermediate results in memory.
 //
-// Per-level extension counters feed the cost model (§III-B) and reproduce
-// Fig. 6 and Fig. 8.
+// The per-level binding counters (Stats.LevelTuples) feed the cost model
+// (§III-B) and reproduce Fig. 6 and Fig. 8.
 package leapfrog
 
 import (
@@ -40,9 +40,6 @@ type Stats struct {
 	// LevelTuples[d] counts the partial bindings materialized at depth d
 	// (|T_{d+1}| in the paper's notation: bindings of the first d+1 attrs).
 	LevelTuples []int64
-	// LevelSeeks[d] counts iterator seek operations at depth d, the unit of
-	// computation cost the β calibration uses.
-	LevelSeeks []int64
 	// Results is the number of full output tuples.
 	Results int64
 	// EmittedRuns counts batched run deliveries to the result sink and
@@ -153,8 +150,9 @@ type joiner struct {
 	binding []Value
 	// pos maps attribute -> order position, cleared per init.
 	pos map[string]int
-	// runBuf stages non-contiguous leaf matches (rings of 2+) into one
-	// slice per drain so they reach the sink as a single run.
+	// runBuf stages non-contiguous leaf matches (two or more relations at
+	// the leaf) into one slice per leaf so they reach the sink as a single
+	// run.
 	runBuf []Value
 }
 
@@ -225,10 +223,12 @@ func (j *joiner) init(tries []*trie.Trie, order []string) error {
 			f.vals = make([][]Value, na)
 			f.pos = make([]int, na)
 			f.base = make([]int32, na)
+			f.dirs = make([]*trie.Directory, na)
 		} else {
 			f.vals = f.vals[:na]
 			f.pos = f.pos[:na]
 			f.base = f.base[:na]
+			f.dirs = f.dirs[:na]
 		}
 		f.p = 0
 		f.key = 0
@@ -245,32 +245,49 @@ func growValues(s []Value, n int) []Value {
 	return s[:n]
 }
 
-// run executes the join iteratively.
+// run executes the join iteratively. Depths above the last each keep a
+// frame (a leapfrog ring over the participating iterators' sibling slices);
+// the last depth is never a loop iteration of its own: binding the
+// second-to-last attribute hands straight over to leaf, which consumes the
+// whole remaining intersection in one pass.
 func (j *joiner) run(opt Options) (Stats, error) {
-	st := Stats{LevelTuples: make([]int64, j.n), LevelSeeks: make([]int64, j.n)}
-	sink := opt.Sink
+	st := Stats{LevelTuples: make([]int64, j.n)}
 	lf := j.frames
+	last := j.n - 1
 	var work int64
-	d := 0
-	if !lf[0].open(&st, 0) {
+	if last == 0 && opt.FirstFixed == nil {
+		// One attribute: the join is a single leaf over the roots.
+		return st, j.leaf(&st, &opt, &work)
+	}
+	if !lf[0].open() {
 		return st, nil
 	}
 	if opt.FirstFixed != nil {
-		if !lf[0].seekExact(*opt.FirstFixed, &st, 0) {
+		if !lf[0].seekExact(*opt.FirstFixed) {
 			return st, nil
 		}
-		if j.n == 1 {
+		if last == 0 {
 			// Single-attribute constrained run: exactly the fixed value.
 			st.LevelTuples[0] = 1
 			st.Results = 1
-			if sink != nil {
+			if opt.Sink != nil {
 				j.binding[0] = *opt.FirstFixed
-				sink.BeginRun(j.binding[:0])
-				deliver(sink, &st, j.binding[:1])
+				opt.Sink.BeginRun(j.binding[:0])
+				deliver(opt.Sink, &st, j.binding[:1])
 			}
 			return st, nil
 		}
 	}
+	// advance moves depth d past the value whose subtree is done; a
+	// constrained run has only the fixed value at depth 0.
+	advance := func(d int) {
+		if d == 0 && opt.FirstFixed != nil {
+			lf[0].atEnd = true
+			return
+		}
+		lf[d].next()
+	}
+	d := 0
 	var steps int
 	for d >= 0 {
 		if opt.Cancel != nil {
@@ -285,30 +302,7 @@ func (j *joiner) run(opt Options) (Stats, error) {
 			f.close()
 			d--
 			if d >= 0 {
-				if opt.FirstFixed != nil && d == 0 {
-					// Constrained run: only the fixed value at level 0.
-					lf[0].atEnd = true
-					continue
-				}
-				lf[d].next(&st, d)
-			}
-			continue
-		}
-		if d == j.n-1 {
-			// Leaf level: drain the whole remaining intersection in one
-			// pass instead of a next/search round trip per result. The
-			// drain is capped at the remaining budget so a skewed hub
-			// leaf still bails out cheaply.
-			limit := int64(-1)
-			if opt.Budget > 0 {
-				limit = opt.Budget - work + 1
-			}
-			cnt := f.drain(&st, d, sink, j.binding, limit, &j.runBuf)
-			st.LevelTuples[d] += cnt
-			st.Results += cnt
-			work += cnt
-			if opt.Budget > 0 && work > opt.Budget {
-				return st, ErrBudget
+				advance(d)
 			}
 			continue
 		}
@@ -322,10 +316,131 @@ func (j *joiner) run(opt Options) (Stats, error) {
 		// Descend: sync this level's winning positions back into the
 		// iterators so the child ranges below resolve to the bound value.
 		f.sync()
-		d++
-		lf[d].open(&st, d)
+		if d+1 < last {
+			d++
+			lf[d].open()
+			continue
+		}
+		if err := j.leaf(&st, &opt, &work); err != nil {
+			return st, err
+		}
+		advance(d)
 	}
 	return st, nil
+}
+
+// leaf counts — and, with a sink, emits as one run under binding[:n-1] —
+// every value of the last attribute that joins with the current binding,
+// in one pass instead of a next/search round trip per result. The pass is
+// capped at the remaining budget so a skewed hub leaf still bails out
+// cheaply.
+//
+// Two relations at the leaf — every edge attribute of a subgraph query is
+// shared by exactly two atoms — is the hot shape, and it opens no frame:
+// the two candidate lists are read straight off the iterators (their
+// parents were synced by the caller) and handed to intersect. Any other
+// ring size opens the leaf's frame and drains it.
+func (j *joiner) leaf(st *Stats, opt *Options, work *int64) error {
+	d := j.n - 1
+	limit := int64(-1)
+	if opt.Budget > 0 {
+		limit = opt.Budget - *work + 1
+	}
+	f := &j.frames[d]
+	var cnt int64
+	switch {
+	case len(f.iters) != 2:
+		if f.open() {
+			cnt = f.drain(st, d, opt.Sink, j.binding, limit, &j.runBuf)
+		}
+		f.close()
+	case opt.Sink == nil:
+		cnt = intersect(f.iters[0].ChildRange(), f.iters[1].ChildRange(), limit, nil)
+	default:
+		run := j.runBuf[:0]
+		cnt = intersect(f.iters[0].ChildRange(), f.iters[1].ChildRange(), limit, &run)
+		if cnt > 0 {
+			opt.Sink.BeginRun(j.binding[:d])
+			deliver(opt.Sink, st, run)
+		}
+		j.runBuf = run[:0]
+	}
+	st.LevelTuples[d] += cnt
+	st.Results += cnt
+	*work += cnt
+	if opt.Budget > 0 && *work > opt.Budget {
+		return ErrBudget
+	}
+	return nil
+}
+
+// intersect is the two-list kernel: it counts the values common to two
+// ascending duplicate-free lists, stopping at limit when that is
+// non-negative, and appends them to *run when run is non-nil. Lists within
+// gallopRatio of each other in length are merged — every comparison
+// advances a cursor and, in the counting form, nothing branches on the
+// data; a longer list is galloped over once per value of the shorter
+// instead. The threshold is the Extender's, for the reason given there.
+func intersect(a, b []Value, limit int64, run *[]Value) int64 {
+	if len(a) > len(b) {
+		a, b = b, a
+	}
+	most := len(a) // no more values than the shorter list has, or than limit allows
+	if limit >= 0 && limit < int64(most) {
+		most = int(limit)
+	}
+	n := 0
+	switch {
+	case len(b) > gallopRatio*len(a):
+		k := 0
+		for _, v := range a {
+			if n == most {
+				break
+			}
+			if b[k] < v {
+				if k = seekSlice(b, k, v); k == len(b) {
+					break
+				}
+			}
+			if b[k] == v {
+				n++
+				if run != nil {
+					*run = append(*run, v)
+				}
+				if k++; k == len(b) {
+					break
+				}
+			}
+		}
+	case run == nil:
+		for i, k := 0, 0; i < len(a) && k < len(b) && n < most; {
+			x, y := a[i], b[k]
+			n += b2i(x == y)
+			i += b2i(x <= y)
+			k += b2i(y <= x)
+		}
+	default:
+		out := *run
+		for i, k := 0, 0; i < len(a) && k < len(b) && n < most; {
+			x, y := a[i], b[k]
+			if x == y {
+				out = append(out, x)
+				n++
+			}
+			i += b2i(x <= y)
+			k += b2i(y <= x)
+		}
+		*run = out
+	}
+	return int64(n)
+}
+
+// b2i is 1 for true, 0 for false; the compiler emits a flag move, no branch.
+func b2i(c bool) int {
+	if c {
+		return 1
+	}
+	return 0
 }
 
 // frame is the leapfrog state for one depth: the classic ring of
@@ -338,11 +453,13 @@ type frame struct {
 	iters []*trie.Iterator
 	// vals[i] is iterator i's current sibling slice, pos[i] the cursor
 	// within it, base[i] the slice's absolute start in the level's value
-	// array, keys[i] the cached vals[i][pos[i]].
+	// array, keys[i] the cached vals[i][pos[i]]; dirs[i] is the trie's root
+	// directory when vals[i] is its whole first level (nil otherwise).
 	vals  [][]Value
 	pos   []int
 	base  []int32
 	keys  []Value
+	dirs  []*trie.Directory
 	p     int
 	key   Value
 	atEnd bool
@@ -351,7 +468,7 @@ type frame struct {
 
 // open descends all active iterators and runs leapfrog-init. Returns false
 // when the intersection is immediately empty.
-func (f *frame) open(st *Stats, d int) bool {
+func (f *frame) open() bool {
 	// Open every iterator before inspecting ranges: close() pops the whole
 	// ring, so bailing out with some iterators unopened would desync their
 	// depth (an empty trie — e.g. a relation with no fragment in a cube —
@@ -371,24 +488,26 @@ func (f *frame) open(st *Stats, d int) bool {
 		f.base[i] = it.NodePos()
 		f.pos[i] = 0
 		f.keys[i] = rng[0]
+		f.dirs[i] = it.RootDirectory()
 	}
 	// Sort the ring by current key (ring invariant). The ring has one entry
 	// per relation containing this attribute — a handful — so an in-place
 	// insertion sort beats sort.Slice and avoids its per-call allocations.
 	for i := 1; i < len(f.iters); i++ {
-		x, vx, bx, kx := f.iters[i], f.vals[i], f.base[i], f.keys[i]
+		x, vx, bx, kx, dx := f.iters[i], f.vals[i], f.base[i], f.keys[i], f.dirs[i]
 		m := i - 1
 		for m >= 0 && f.keys[m] > kx {
 			f.iters[m+1] = f.iters[m]
 			f.vals[m+1] = f.vals[m]
 			f.base[m+1] = f.base[m]
 			f.keys[m+1] = f.keys[m]
+			f.dirs[m+1] = f.dirs[m]
 			m--
 		}
-		f.iters[m+1], f.vals[m+1], f.base[m+1], f.keys[m+1] = x, vx, bx, kx
+		f.iters[m+1], f.vals[m+1], f.base[m+1], f.keys[m+1], f.dirs[m+1] = x, vx, bx, kx, dx
 	}
 	f.p = 0
-	f.search(st, d)
+	f.search()
 	return !f.atEnd
 }
 
@@ -411,9 +530,10 @@ func (f *frame) close() {
 	f.open_ = false
 }
 
-// seekSlice returns the first index >= from with vals[idx] >= v, by
-// galloping then binary search — the amortized-logarithmic seek the
-// worst-case-optimality argument needs, over a flat slice.
+// seekSlice returns the first index past from with vals[idx] >= v, given
+// vals[from] < v, by galloping then binary search — the
+// amortized-logarithmic seek the worst-case-optimality argument needs,
+// over a flat slice.
 func seekSlice(vals []Value, from int, v Value) int {
 	n := len(vals)
 	step := 1
@@ -437,28 +557,41 @@ func seekSlice(vals []Value, from int, v Value) int {
 	return a
 }
 
+// seekRoot is seekSlice for a frame cursor that may sit on a trie's whole
+// first level: with a directory the gallop starts at the target's bucket
+// instead of at the cursor. A frame below depth 0 re-opens such a level at
+// position 0 under every binding, so without it each first seek would
+// gallop the whole way in.
+func seekRoot(vals []Value, from int, v Value, dir *trie.Directory) int {
+	if dir != nil {
+		if lo := dir.Floor(v); lo > from {
+			if vals[lo] >= v {
+				return lo
+			}
+			from = lo
+		}
+	}
+	return seekSlice(vals, from, v)
+}
+
 // search is leapfrog-search: advance the ring until all keys agree.
-func (f *frame) search(st *Stats, d int) {
+func (f *frame) search() {
 	k := len(f.iters)
 	if k == 2 {
-		f.search2(st, d)
+		f.search2()
 		return
 	}
 	xPrime := f.keys[(f.p+k-1)%k]
-	var seeks int64
 	for {
 		x := f.keys[f.p]
 		if x == xPrime {
 			f.key = x
-			st.LevelSeeks[d] += seeks
 			return
 		}
 		vals := f.vals[f.p]
-		np := seekSlice(vals, f.pos[f.p], xPrime)
-		seeks++
+		np := seekRoot(vals, f.pos[f.p], xPrime, f.dirs[f.p])
 		if np >= len(vals) {
 			f.atEnd = true
-			st.LevelSeeks[d] += seeks
 			return
 		}
 		f.pos[f.p] = np
@@ -475,23 +608,21 @@ func (f *frame) search(st *Stats, d int) {
 // shape in subgraph queries (every edge attribute is shared by exactly two
 // atoms in triangles, paths and most cliques' levels). Both cursors live
 // in registers for the whole pursuit.
-func (f *frame) search2(st *Stats, d int) {
+func (f *frame) search2() {
 	v0, v1 := f.vals[0], f.vals[1]
 	p0, p1 := f.pos[0], f.pos[1]
 	k0, k1 := f.keys[0], f.keys[1]
-	var seeks int64
+	d0, d1 := f.dirs[0], f.dirs[1]
 	for k0 != k1 {
 		if k0 < k1 {
-			p0 = seekSlice(v0, p0, k1)
-			seeks++
+			p0 = seekRoot(v0, p0, k1, d0)
 			if p0 >= len(v0) {
 				f.atEnd = true
 				break
 			}
 			k0 = v0[p0]
 		} else {
-			p1 = seekSlice(v1, p1, k0)
-			seeks++
+			p1 = seekRoot(v1, p1, k0, d1)
 			if p1 >= len(v1) {
 				f.atEnd = true
 				break
@@ -503,12 +634,10 @@ func (f *frame) search2(st *Stats, d int) {
 	f.keys[0], f.keys[1] = k0, k1
 	f.key = k0
 	f.p = 0
-	st.LevelSeeks[d] += seeks
 }
 
 // next is leapfrog-next: advance past the current match.
-func (f *frame) next(st *Stats, d int) {
-	st.LevelSeeks[d]++
+func (f *frame) next() {
 	np := f.pos[f.p] + 1
 	vals := f.vals[f.p]
 	if np >= len(vals) {
@@ -521,30 +650,29 @@ func (f *frame) next(st *Stats, d int) {
 	if f.p == len(f.iters) {
 		f.p = 0
 	}
-	f.search(st, d)
+	f.search()
 }
 
-// drain consumes the frame's remaining intersection — the caller must be
+// drain consumes the remaining intersection of a leaf frame that is not a
+// ring of two (leaf intersects those without a frame) — the caller must be
 // positioned on a match — counting (and optionally emitting) every value,
-// and leaves the frame atEnd. Rings of one and two, the common leaf shapes
-// in subgraph queries, run as tight sorted-list intersections. A
-// non-negative limit stops the drain once that many values are taken (the
-// caller's remaining work budget); the frame is abandoned mid-range, which
-// is fine because the caller returns ErrBudget immediately.
+// and leaves the frame atEnd. A non-negative limit stops the drain once
+// that many values are taken (the caller's remaining work budget); the
+// frame is abandoned mid-range, which is fine because the caller returns
+// ErrBudget immediately.
 //
 // Results reach the sink as one run sharing the prefix binding[:d]: the
 // single-iterator case hands its sibling slice to the sink untouched (the
-// values already sit contiguously in trie storage), the multi-iterator
-// intersections stage matches in runBuf. The count is identical with and
-// without a sink — both flows share the same loops — which the truncation
-// regression suite pins at every limit boundary.
+// values already sit contiguously in trie storage), larger rings stage
+// matches in runBuf. The count is identical with and without a sink —
+// both flows share the same loops — which the truncation regression suite
+// pins at every limit boundary.
 func (f *frame) drain(st *Stats, d int, sink Sink, binding []Value, limit int64, runBuf *[]Value) int64 {
 	var results int64
 	if sink != nil {
 		sink.BeginRun(binding[:d])
 	}
-	switch len(f.iters) {
-	case 1:
+	if len(f.iters) == 1 {
 		rest := f.vals[0][f.pos[0]:]
 		if limit >= 0 && int64(len(rest)) > limit {
 			rest = rest[:limit]
@@ -553,53 +681,14 @@ func (f *frame) drain(st *Stats, d int, sink Sink, binding []Value, limit int64,
 		if sink != nil {
 			deliver(sink, st, rest)
 		}
-	case 2:
-		v0, v1 := f.vals[0], f.vals[1]
-		p0, p1 := f.pos[0], f.pos[1]
-		k0, k1 := f.keys[0], f.keys[1]
-		run := (*runBuf)[:0]
-		var seeks int64
-		for limit < 0 || results < limit {
-			if k0 == k1 {
-				results++
-				if sink != nil {
-					run = append(run, k0)
-				}
-				p0++
-				p1++
-				if p0 >= len(v0) || p1 >= len(v1) {
-					break
-				}
-				k0, k1 = v0[p0], v1[p1]
-			} else if k0 < k1 {
-				p0 = seekSlice(v0, p0, k1)
-				seeks++
-				if p0 >= len(v0) {
-					break
-				}
-				k0 = v0[p0]
-			} else {
-				p1 = seekSlice(v1, p1, k0)
-				seeks++
-				if p1 >= len(v1) {
-					break
-				}
-				k1 = v1[p1]
-			}
-		}
-		st.LevelSeeks[d] += seeks
-		if sink != nil {
-			deliver(sink, st, run)
-		}
-		*runBuf = run[:0]
-	default:
+	} else {
 		run := (*runBuf)[:0]
 		for !f.atEnd && (limit < 0 || results < limit) {
 			results++
 			if sink != nil {
 				run = append(run, f.key)
 			}
-			f.next(st, d)
+			f.next()
 		}
 		if sink != nil {
 			deliver(sink, st, run)
@@ -612,12 +701,11 @@ func (f *frame) drain(st *Stats, d int, sink Sink, binding []Value, limit int64,
 
 // seekExact positions the level at exactly v; returns false if v is not in
 // the intersection.
-func (f *frame) seekExact(v Value, st *Stats, d int) bool {
+func (f *frame) seekExact(v Value) bool {
 	for !f.atEnd && f.key < v {
 		// Seek one iterator to v then re-search.
-		st.LevelSeeks[d]++
 		vals := f.vals[f.p]
-		np := seekSlice(vals, f.pos[f.p], v)
+		np := seekRoot(vals, f.pos[f.p], v, f.dirs[f.p])
 		if np >= len(vals) {
 			f.atEnd = true
 			return false
@@ -625,7 +713,7 @@ func (f *frame) seekExact(v Value, st *Stats, d int) bool {
 		f.pos[f.p] = np
 		f.keys[f.p] = vals[np]
 		f.p = (f.p + 1) % len(f.iters)
-		f.search(st, d)
+		f.search()
 	}
 	if f.atEnd || f.key != v {
 		f.atEnd = true

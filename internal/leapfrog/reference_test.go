@@ -1,0 +1,224 @@
+package leapfrog
+
+import (
+	"errors"
+	"fmt"
+	"math/rand"
+	"reflect"
+	"slices"
+	"testing"
+	"testing/quick"
+
+	"adj/internal/hypergraph"
+	"adj/internal/relation"
+	"adj/internal/testutil"
+	"adj/internal/trie"
+)
+
+// rowLog is a Sink recording every result row in delivery order.
+type rowLog struct {
+	prefix []Value
+	rows   [][]Value
+}
+
+func (l *rowLog) BeginRun(prefix []Value) { l.prefix = slices.Clone(prefix) }
+
+func (l *rowLog) AppendRun(vals []Value) {
+	for _, v := range vals {
+		l.rows = append(l.rows, append(slices.Clone(l.prefix), v))
+	}
+}
+
+// refJoin is the joiner's contract written as the obvious recursion over
+// Extender.Extend (a separate intersection path the joiner shares no loop
+// with): depth-first in ascending value order, one work unit per binding, a
+// leaf taking at most Budget-work+1 values and failing once work exceeds
+// Budget, one run per leaf with at least one value, FirstFixed narrowing
+// depth 0 to one value.
+func refJoin(tries []*trie.Trie, order []string, opt Options) (Stats, error) {
+	ext, err := NewExtender(tries, order)
+	if err != nil {
+		return Stats{}, err
+	}
+	n := len(order)
+	st := Stats{LevelTuples: make([]int64, n)}
+	binding := make([]Value, n)
+	var work int64
+	var rec func(d int) error
+	rec = func(d int) error {
+		vals, _ := ext.Extend(binding, d)
+		if d == 0 && opt.FirstFixed != nil {
+			if _, ok := slices.BinarySearch(vals, *opt.FirstFixed); !ok {
+				return nil
+			}
+			vals = []Value{*opt.FirstFixed}
+			if n == 1 {
+				// The constrained single-attribute run is exactly the
+				// fixed value and does no budgeted work.
+				st.LevelTuples[0], st.Results = 1, 1
+				if opt.Sink != nil {
+					opt.Sink.BeginRun(nil)
+					deliver(opt.Sink, &st, vals)
+				}
+				return nil
+			}
+		}
+		if d == n-1 {
+			take := int64(len(vals))
+			if opt.Budget > 0 && take > opt.Budget-work+1 {
+				take = opt.Budget - work + 1
+			}
+			if opt.Sink != nil && take > 0 {
+				opt.Sink.BeginRun(binding[:d])
+				deliver(opt.Sink, &st, vals[:take])
+			}
+			st.LevelTuples[d] += take
+			st.Results += take
+			work += take
+			if opt.Budget > 0 && work > opt.Budget {
+				return ErrBudget
+			}
+			return nil
+		}
+		for _, v := range vals {
+			binding[d] = v
+			st.LevelTuples[d]++
+			work++
+			if opt.Budget > 0 && work > opt.Budget {
+				return ErrBudget
+			}
+			if err := rec(d + 1); err != nil {
+				return err
+			}
+		}
+		return nil
+	}
+	return st, rec(0)
+}
+
+// checkAgainstReference runs Join counting and emitting under opt and
+// compares every Stats field, the error and the emitted rows in order with
+// refJoin's.
+func checkAgainstReference(tries []*trie.Trie, order []string, opt Options) error {
+	var wantRows rowLog
+	refOpt := opt
+	refOpt.Sink = &wantRows
+	want, wantErr := refJoin(tries, order, refOpt)
+
+	var gotRows rowLog
+	emitOpt := opt
+	emitOpt.Sink = &gotRows
+	got, gotErr := Join(tries, order, emitOpt)
+	if !errors.Is(gotErr, wantErr) || !reflect.DeepEqual(got, want) {
+		return fmt.Errorf("emitting: stats %+v err %v, reference %+v err %v", got, gotErr, want, wantErr)
+	}
+	if !reflect.DeepEqual(gotRows.rows, wantRows.rows) {
+		return fmt.Errorf("emitting: %d rows, reference %d (or another order)", len(gotRows.rows), len(wantRows.rows))
+	}
+	want.EmittedRuns, want.EmittedValues = 0, 0
+	got, gotErr = Join(tries, order, opt)
+	if !errors.Is(gotErr, wantErr) || !reflect.DeepEqual(got, want) {
+		return fmt.Errorf("counting: stats %+v err %v, reference %+v err %v", got, gotErr, want, wantErr)
+	}
+	return nil
+}
+
+// permutations returns every ordering of attrs.
+func permutations(attrs []string) [][]string {
+	if len(attrs) <= 1 {
+		return [][]string{slices.Clone(attrs)}
+	}
+	var out [][]string
+	for i := range attrs {
+		rest := append(slices.Clone(attrs[:i]), attrs[i+1:]...)
+		for _, p := range permutations(rest) {
+			out = append(out, append([]string{attrs[i]}, p...))
+		}
+	}
+	return out
+}
+
+// boundaryBudgets lists the budgets around every point where a run over
+// total work units changes behaviour: the first few, and the three around
+// the total.
+func boundaryBudgets(total int64) []int64 {
+	out := []int64{0, 1, 2, 3, 5, 8}
+	for _, b := range []int64{total / 2, total - 1, total, total + 1} {
+		if b > 8 {
+			out = append(out, b)
+		}
+	}
+	return out
+}
+
+// The catalog's cyclic shapes under every attribute order — leaf rings of
+// one (Q11's pendant edge last), two (the kernel) and three (the clique) —
+// with Budget at each boundary and with FirstFixed: LevelTuples, Results,
+// EmittedRuns, EmittedValues, the error and the sink's rows in order equal
+// the reference's, and the unbudgeted rows are NaiveJoin's.
+func TestJoinMatchesReferenceEveryOrder(t *testing.T) {
+	rng := rand.New(rand.NewSource(31))
+	edges := testutil.RandEdges(rng, "E", 70, 9)
+	for _, q := range []hypergraph.Query{
+		hypergraph.Q1(), hypergraph.Q2(), hypergraph.Q4(), hypergraph.Q5(), hypergraph.Q10(), hypergraph.Q11(),
+	} {
+		rels := q.BindGraph(edges)
+		oracle := relation.NaiveJoin(rels, q.Attrs())
+		if oracle.Len() == 0 {
+			t.Fatalf("%s: no results on the test graph, the case tests nothing", q.Name)
+		}
+		for _, order := range permutations(q.Attrs()) {
+			tries := BuildTries(rels, order)
+			out := relation.New("out", order...)
+			full, err := Join(tries, order, Options{Sink: relation.NewColumnWriter(out)})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := out.ProjectMulti(q.Attrs()...).Sort(); !got.Equal(oracle.Renamed(got.Name)) {
+				t.Fatalf("%s %v: %d rows, oracle has %d (sorted rows differ)", q.Name, order, got.Len(), oracle.Len())
+			}
+			first := tries[0].Levels[0].Vals
+			for _, budget := range boundaryBudgets(full.TotalWithResults()) {
+				if err := checkAgainstReference(tries, order, Options{Budget: budget}); err != nil {
+					t.Fatalf("%s %v budget=%d: %v", q.Name, order, budget, err)
+				}
+			}
+			for _, v := range []Value{first[0], first[len(first)/2], first[len(first)-1], -1} {
+				v := v
+				for _, budget := range []int64{0, 1, 4} {
+					if err := checkAgainstReference(tries, order, Options{Budget: budget, FirstFixed: &v}); err != nil {
+						t.Fatalf("%s %v first=%d budget=%d: %v", q.Name, order, v, budget, err)
+					}
+				}
+			}
+		}
+	}
+}
+
+// Mixed arities 1–3 put unary relations at the leaf (a candidate list that
+// is the trie's root) and rings of every size there; every order of each
+// random instance, unbudgeted, at a mid-run budget and constrained.
+func TestJoinMatchesReferenceMixedArity(t *testing.T) {
+	f := func(seed int64) bool {
+		rng := rand.New(rand.NewSource(seed))
+		q, rels := testutil.RandMixedQueryInstance(rng, 4, 4, 25, 5)
+		for _, order := range permutations(q.Attrs()) {
+			tries := BuildTries(rels, order)
+			full, err := Join(tries, order, Options{})
+			if err != nil {
+				return false
+			}
+			v := Value(rng.Int63n(5))
+			for _, opt := range []Options{{}, {Budget: 1 + full.TotalWithResults()/2}, {FirstFixed: &v}} {
+				if err := checkAgainstReference(tries, order, opt); err != nil {
+					t.Logf("seed %d order %v opt %+v: %v", seed, order, opt, err)
+					return false
+				}
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 120}); err != nil {
+		t.Fatal(err)
+	}
+}

@@ -5,9 +5,10 @@ package leapfrog
 // the binding of all attributes except the deepest, which the leaf-level
 // intersection enumerates in sorted order. A sink is told the shared
 // prefix once per run (BeginRun) and then handed whole slices of leaf
-// values (AppendRun) — the ring-of-2 and sorted-slice leaf fast paths hold
-// the matching values contiguously, so no per-tuple callback sits between
-// the intersection kernel and the output columns.
+// values (AppendRun) — a single-relation leaf holds them contiguously in
+// trie storage and the intersection kernels stage theirs in one buffer, so
+// no per-tuple callback sits between the intersection and the output
+// columns.
 //
 // relation.ColumnWriter satisfies Sink directly and is the production
 // implementation.

@@ -167,7 +167,9 @@ func (ix *Index) triesFor(rels []*relation.Relation, order []string) []*trie.Tri
 			t = trie.Build(r, attrs)
 			ix.tries[string(key)] = t
 		}
-		out[i] = &trie.Trie{Attrs: attrs, Levels: t.Levels, NumTuples: t.NumTuples}
+		view := *t
+		view.Attrs = attrs
+		out[i] = &view
 	}
 	return out
 }

@@ -135,6 +135,7 @@ func (b *Builder) Build(r *relation.Relation, attrs []string) *Trie {
 	for d := 0; d < k; d++ {
 		t.Levels[d].Starts = append(t.Levels[d].Starts, int32(len(t.Levels[d].Vals)))
 	}
+	t.Root = newDirectory(t.Levels[0].Vals)
 	return t
 }
 

@@ -187,22 +187,57 @@ func Decode(buf []byte) (*Trie, error) {
 			return nil, err
 		}
 		off += used
-		// A corrupt payload (the wire may be a real TCP transport) must
-		// fail here, not as a slice-bounds panic at join time: starts are
-		// child-range offsets into vals, so they must be non-decreasing
-		// and within [0, len(vals)].
-		prev := int32(0)
-		for i, s := range starts {
-			if s < prev || int(s) > len(vals) {
-				return nil, fmt.Errorf("trie decode: level %d starts[%d]=%d out of range (prev %d, %d vals)",
-					d, i, s, prev, len(vals))
-			}
-			prev = s
-		}
 		t.Levels[d] = Level{Vals: vals, Starts: starts}
 	}
 	if off != len(buf) {
 		return nil, fmt.Errorf("trie decode: %d trailing bytes", len(buf)-off)
 	}
+	if err := t.validate(); err != nil {
+		return nil, err
+	}
+	if arity > 0 {
+		t.Root = newDirectory(t.Levels[0].Vals)
+	}
 	return t, nil
+}
+
+// validate checks a decoded trie against the shape every builder produces
+// (see the package doc). A corrupt payload — the wire may be a real TCP
+// transport — must fail here, as an error the receiver reports, not as a
+// slice-bounds panic or a silently wrong answer at join time.
+func (t *Trie) validate() error {
+	parents := 1 // level 0 hangs off the root
+	for d, l := range t.Levels {
+		// One start per parent plus the terminator; under an empty level
+		// that is the terminator alone.
+		if len(l.Starts) != parents+1 {
+			return fmt.Errorf("trie decode: level %d has %d starts, want %d", d, len(l.Starts), parents+1)
+		}
+		if l.Starts[0] != 0 || int(l.Starts[parents]) != len(l.Vals) {
+			return fmt.Errorf("trie decode: level %d starts span [%d, %d], want [0, %d]",
+				d, l.Starts[0], l.Starts[parents], len(l.Vals))
+		}
+		for p := 0; p < parents; p++ {
+			lo, hi := l.Starts[p], l.Starts[p+1]
+			// Below level 0 every parent has a child; only a whole trie
+			// may be empty.
+			if hi < lo || (hi == lo && d > 0) || int(hi) > len(l.Vals) {
+				return fmt.Errorf("trie decode: level %d starts[%d]=%d after %d (%d vals)", d, p+1, hi, lo, len(l.Vals))
+			}
+			for i := lo + 1; i < hi; i++ {
+				if l.Vals[i-1] >= l.Vals[i] {
+					return fmt.Errorf("trie decode: level %d values not ascending at %d", d, i)
+				}
+			}
+		}
+		parents = len(l.Vals)
+	}
+	leaves := 0
+	if len(t.Levels) > 0 {
+		leaves = parents
+	}
+	if t.NumTuples != leaves {
+		return fmt.Errorf("trie decode: %d tuples claimed, %d leaves", t.NumTuples, leaves)
+	}
+	return nil
 }

@@ -134,16 +134,32 @@ func (it *Iterator) SiblingCount() int32 {
 
 // CurrentRange returns the full sibling slice at the current depth; used by
 // the cached join to materialize intersections.
-func (it *Iterator) CurrentRange() []Value {
-	d := it.depth
+func (it *Iterator) CurrentRange() []Value { return it.rangeAt(it.depth) }
+
+// ChildRange returns the sibling slice Open would descend into — the
+// children of the current node, or the whole first level from the root —
+// without moving the iterator. The joiner intersects a leaf's two lists
+// straight from these.
+func (it *Iterator) ChildRange() []Value { return it.rangeAt(it.depth + 1) }
+
+// rangeAt returns the children, at level d, of the node open at level d-1
+// (of the root when d is 0).
+func (it *Iterator) rangeAt(d int) []Value {
+	l := &it.t.Levels[d]
 	var parent int32
-	if d == 0 {
-		parent = 0
-	} else {
+	if d > 0 {
 		parent = it.pos[d-1]
 	}
-	l := it.t.Levels[d]
 	return l.Vals[l.Starts[parent]:l.Starts[parent+1]]
+}
+
+// RootDirectory returns the trie's level-0 directory when the iterator's
+// current sibling range is that level and it has one, else nil.
+func (it *Iterator) RootDirectory() *Directory {
+	if it.depth != 0 || len(it.t.Root.idx) == 0 {
+		return nil
+	}
+	return &it.t.Root
 }
 
 // ParentPos returns the node position of the parent at depth d-1 (0 for the

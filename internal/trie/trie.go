@@ -8,6 +8,21 @@
 // layout is the "three arrays" scheme the paper mentions, generalized to
 // arbitrary arity: per level a flat value array plus a starts array that
 // delimits each parent's child range.
+//
+// Level 0 — one ascending run of the first attribute's distinct values — also
+// carries a Directory: a bucket index over the value span that lets a seek
+// enter the run near its target instead of galloping from the cursor. A join
+// re-opens a relation's root under every binding of the attributes before it,
+// so those seeks never amortize the way a single leapfrog pass does. The
+// directory is plain immutable data built together with the level (Builder,
+// FromSorted, Merge, Decode); it is not on the wire, MemBytes counts it, and
+// value copies of a Trie share it.
+//
+// Decode's contract: what decodes is a trie a builder could have produced.
+// Every level has one start per parent plus the terminator, starts begin at
+// 0, strictly ascend (level 0: exactly [0, len]) and end at the level's value
+// count, every sibling range strictly ascends, and NumTuples is the leaf
+// count. Anything else is an error at the receiver, never a panic in a join.
 package trie
 
 import (
@@ -36,6 +51,65 @@ type Trie struct {
 	Levels []Level
 	// NumTuples is the number of distinct tuples represented.
 	NumTuples int
+	// Root indexes level 0 (zero value: no directory, seeks gallop).
+	Root Directory
+}
+
+// Directory is a bucket index over a trie's level 0. The value span
+// [min, max] is cut into equal buckets of 2^shift values, at most two
+// buckets per root value, and idx[b] is the first position whose value lies
+// in bucket b or a later one. Every value before idx[bucket(v)] is in an
+// earlier bucket, hence smaller than v, so a seek for v may start there:
+// exact for any int64 values (the span is taken in uint64, where it cannot
+// overflow), one probe when the root is dense, a short gallop inside a
+// crowded bucket otherwise.
+type Directory struct {
+	idx   []int32
+	min   Value
+	shift uint8
+}
+
+// minDirectoryRoot is the smallest root that gets a directory. A gallop from
+// the start of a shorter root costs within a few nanoseconds of a directory
+// probe (BenchmarkRootSeek in internal/leapfrog: 10–12 ns at 8 and 16 values,
+// ≈ 4 more than a probe; from 32 up the gallop is over twice the probe's 5 ns
+// and keeps growing with log n), which does not pay for one more allocation
+// in each of the thousands of small block tries a cold shuffle builds.
+const minDirectoryRoot = 32
+
+// newDirectory indexes an ascending, duplicate-free root level.
+func newDirectory(root []Value) Directory {
+	n := len(root)
+	if n < minDirectoryRoot {
+		return Directory{}
+	}
+	min := root[0]
+	span := uint64(root[n-1]) - uint64(min)
+	shift := 0
+	for span>>shift >= uint64(2*n) {
+		shift++
+	}
+	idx := make([]int32, span>>shift+1)
+	b := 0
+	for p, v := range root {
+		for vb := int((uint64(v) - uint64(min)) >> shift); b <= vb; b++ {
+			idx[b] = int32(p)
+		}
+	}
+	return Directory{idx: idx, min: min, shift: uint8(shift)}
+}
+
+// Floor returns a position no root value at or above v precedes: the place
+// to start seeking v from. An empty directory answers 0.
+func (d *Directory) Floor(v Value) int {
+	if len(d.idx) == 0 || v <= d.min {
+		return 0
+	}
+	b := (uint64(v) - uint64(d.min)) >> d.shift
+	if last := uint64(len(d.idx) - 1); b > last {
+		b = last // v is past the root's maximum
+	}
+	return int(d.idx[b])
 }
 
 // Build constructs a trie from r with columns reordered to `attrs` (which
@@ -107,6 +181,7 @@ func fromSortedColumns(attrs []string, cols [][]Value) *Trie {
 		}
 		group = newGroup
 	}
+	t.Root = newDirectory(t.Levels[0].Vals)
 	return t
 }
 
@@ -127,10 +202,11 @@ func (t *Trie) SizeValues() int {
 }
 
 // MemBytes estimates the resident heap size of the trie: level value and
-// start arrays plus a fixed struct overhead. The session block-trie store
-// charges entries against its byte budget with this estimate.
+// start arrays, the root directory, plus a fixed struct overhead. The
+// session block-trie store charges entries against its byte budget with
+// this estimate.
 func (t *Trie) MemBytes() int64 {
-	b := int64(64) // struct + slice headers
+	b := int64(64) + int64(len(t.Root.idx))*4 // struct + slice headers, directory
 	for _, l := range t.Levels {
 		b += int64(len(l.Vals))*8 + int64(len(l.Starts))*4
 	}

@@ -1,8 +1,11 @@
 package trie
 
 import (
+	"fmt"
+	"math"
 	"math/rand"
 	"reflect"
+	"sort"
 	"testing"
 	"testing/quick"
 
@@ -268,23 +271,154 @@ func TestCodecPropertyRoundtrip(t *testing.T) {
 	}
 }
 
-// A corrupt payload whose starts point outside the level's value array
-// must fail at decode time, not panic at join time.
+// A payload that decodes to anything but a trie a builder could have
+// produced must fail at decode time — over a transport that is a retryable
+// corrupt-payload error — not panic, or answer wrongly, at join time.
 func TestCodecRejectsOutOfRangeStarts(t *testing.T) {
-	good := Build(mkRel([]string{"a", "b"}, [][]Value{{1, 2}, {3, 4}}), []string{"a", "b"})
-	bogus := &Trie{Attrs: good.Attrs, NumTuples: good.NumTuples, Levels: []Level{
-		{Vals: good.Levels[0].Vals, Starts: []int32{0, 99}}, // 99 > len(vals)
-		good.Levels[1],
-	}}
-	if _, err := Decode(Encode(bogus)); err == nil {
-		t.Fatal("decode must reject starts beyond the value array")
+	good := Build(mkRel([]string{"a", "b"}, [][]Value{{1, 2}, {3, 4}, {3, 6}}), []string{"a", "b"})
+	root, leaves := good.Levels[0], good.Levels[1] // [1 3] / [2 | 4 6], starts [0 1 3]
+	for _, c := range []struct {
+		name   string
+		tuples int
+		levels []Level
+	}{
+		{"starts beyond the value array", 3, []Level{{Vals: root.Vals, Starts: []int32{0, 99}}, leaves}},
+		{"descending starts", 3, []Level{root, {Vals: leaves.Vals, Starts: []int32{2, 0, 3}}}},
+		// One start short: Iterator.Open on the second parent read past the
+		// array ("index out of range [2] with length 2").
+		{"a start short of parents+1", 3, []Level{root, {Vals: leaves.Vals, Starts: []int32{0, 1}}}},
+		{"a start too many", 3, []Level{root, {Vals: leaves.Vals, Starts: []int32{0, 1, 2, 3}}}},
+		{"root with three starts", 3, []Level{{Vals: root.Vals, Starts: []int32{0, 1, 2}}, leaves}},
+		{"first start not 0", 3, []Level{root, {Vals: leaves.Vals, Starts: []int32{1, 2, 3}}}},
+		{"terminator short of the values", 3, []Level{root, {Vals: leaves.Vals, Starts: []int32{0, 1, 2}}}},
+		{"a parent without children", 3, []Level{root, {Vals: leaves.Vals, Starts: []int32{0, 0, 3}}}},
+		// A descending root decoded silently: wrong answers from every seek.
+		{"descending root values", 3, []Level{{Vals: []Value{3, 1}, Starts: root.Starts}, leaves}},
+		{"descending sibling values", 3, []Level{root, {Vals: []Value{2, 6, 4}, Starts: leaves.Starts}}},
+		{"repeated sibling value", 3, []Level{root, {Vals: []Value{2, 4, 4}, Starts: leaves.Starts}}},
+		{"tuple count not the leaf count", 1 << 40, []Level{root, leaves}},
+	} {
+		bogus := &Trie{Attrs: good.Attrs, NumTuples: c.tuples, Levels: c.levels}
+		if _, err := Decode(Encode(bogus)); err == nil {
+			t.Errorf("decode accepted a trie with %s", c.name)
+		}
 	}
-	descending := &Trie{Attrs: good.Attrs, NumTuples: good.NumTuples, Levels: []Level{
-		good.Levels[0],
-		{Vals: good.Levels[1].Vals, Starts: []int32{2, 0, 4}},
-	}}
-	if _, err := Decode(Encode(descending)); err == nil {
-		t.Fatal("decode must reject descending starts")
+	// Ascending across siblings is not required, only within them.
+	if _, err := Decode(Encode(good)); err != nil {
+		t.Fatalf("decode rejected a built trie: %v", err)
+	}
+	for _, empty := range []*Trie{
+		Build(mkRel([]string{"a", "b"}, nil), []string{"a", "b"}),
+		Build(mkRel([]string{"a"}, nil), []string{"a"}),
+		Merge(nil),
+	} {
+		if _, err := Decode(Encode(empty)); err != nil {
+			t.Fatalf("decode rejected the empty %v: %v", empty, err)
+		}
+	}
+}
+
+// rootSeek is a seek for v from cursor `from` that trusts the directory:
+// start at Floor(v) when that is ahead, then scan. It equals the lower bound
+// exactly when Floor never passes it.
+func rootSeek(t *Trie, from int, v Value) int {
+	root := t.Levels[0].Vals
+	if lo := t.Root.Floor(v); lo > from {
+		from = lo
+	}
+	for from < len(root) && root[from] < v {
+		from++
+	}
+	return from
+}
+
+// The root directory is exact — a seek entering through it lands where a
+// binary search over the whole level does, for every probe around every
+// value and every cursor — whatever the values' spread, and the same
+// directory comes out of every way a level 0 is built.
+func TestRootDirectoryExact(t *testing.T) {
+	rng := rand.New(rand.NewSource(41))
+	draw := func(n int, lo Value, span int64) []Value {
+		seen := make(map[Value]bool, n)
+		for len(seen) < n {
+			seen[lo+rng.Int63n(span)] = true
+		}
+		out := make([]Value, 0, n)
+		for v := range seen {
+			out = append(out, v)
+		}
+		sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+		return out
+	}
+	roots := map[string][]Value{
+		"dense":            draw(300, 100, 330),
+		"sparse":           draw(300, 0, 1<<45),
+		"all-negative":     draw(120, -1<<50, 1<<49),
+		"one-far-outlier":  append(draw(99, 0, 150), 1<<55),
+		"int64-extremes":   {math.MinInt64, math.MaxInt64},
+		"extremes-and-mid": append(append([]Value{math.MinInt64}, draw(80, -500, 1000)...), math.MaxInt64),
+	}
+	for _, n := range []int{minDirectoryRoot - 1, minDirectoryRoot, minDirectoryRoot + 1} {
+		roots[fmt.Sprintf("cut-off/%d", n)] = draw(n, -40, 400)
+	}
+	for name, root := range roots {
+		rows := make([][]Value, 0, 2*len(root))
+		for _, v := range root {
+			rows = append(rows, []Value{v, 1}, []Value{v, 2})
+		}
+		attrs := []string{"a", "b"}
+		built := Build(mkRel(attrs, rows), attrs)
+		if got, want := len(built.Root.idx) > 0, len(root) >= minDirectoryRoot; got != want {
+			t.Fatalf("%s (%d values): directory present = %v", name, len(root), got)
+		}
+		if len(built.Root.idx) > 2*len(root) {
+			t.Fatalf("%s: %d buckets for %d values, more than two per value", name, len(built.Root.idx), len(root))
+		}
+		if built.MemBytes() != (&Trie{Attrs: built.Attrs, Levels: built.Levels}).MemBytes()+4*int64(len(built.Root.idx)) {
+			t.Fatalf("%s: MemBytes does not count the directory", name)
+		}
+		var probes []Value
+		for _, v := range root {
+			probes = append(probes, v)
+			if v > math.MinInt64 {
+				probes = append(probes, v-1)
+			}
+			if v < math.MaxInt64 {
+				probes = append(probes, v+1)
+			}
+		}
+		for _, v := range probes {
+			bound := sort.Search(len(root), func(i int) bool { return root[i] >= v })
+			for from := 0; from <= len(root); from++ {
+				want := bound
+				if from > want {
+					want = from
+				}
+				if got := rootSeek(built, from, v); got != want {
+					t.Fatalf("%s: seek %d from %d = %d, search says %d", name, v, from, got, want)
+				}
+			}
+		}
+		// Every construction path indexes the same level the same way, and
+		// a value copy (how a warm execution re-skins a stored trie)
+		// carries it.
+		half := len(rows) / 2
+		decoded, err := Decode(Encode(built))
+		if err != nil {
+			t.Fatal(err)
+		}
+		skinned := *built
+		skinned.Attrs = []string{"x", "y"}
+		for how, other := range map[string]*Trie{
+			"FromSorted": FromSorted(mkRel(attrs, rows)),
+			"Merge":      Merge([]*Trie{Build(mkRel(attrs, rows[:half+1]), attrs), Build(mkRel(attrs, rows[half:]), attrs)}),
+			"Decode":     decoded,
+			"value copy": &skinned,
+		} {
+			if !reflect.DeepEqual(other.Root, built.Root) {
+				t.Fatalf("%s: %s built another directory than Build", name, how)
+			}
+		}
 	}
 }
 
