@@ -27,6 +27,10 @@ type Worker struct {
 	Scratch map[string]interface{}
 	// arena holds per-exchange payload allocations; reset after consume.
 	arena payloadArena
+	// values and int32s are the worker's free lists of column and row-id
+	// buffers (buffers.go); exchanges take from and return to them.
+	values freeList[relation.Value]
+	int32s freeList[int32]
 }
 
 // PayloadCopy copies enc into the worker's per-exchange payload arena and
@@ -254,15 +258,16 @@ func (c *Cluster) SetPanicHook(hook func(phase string, workerID int)) {
 	c.panicHook = hook
 }
 
-// ResetRun clears all per-run worker state: payload arenas, block-trie
-// registries, relation fragments and scratch. A session calls it after a
-// failed or cancelled execution so no half-built registry can leak into the
-// next run (a
-// clean run re-loads everything it needs; the session-level trie store is
-// separate state and survives).
+// ResetRun clears all per-run worker state: payload arenas (emptied; the
+// current slab stays for the next run), block-trie registries, relation
+// fragments and scratch. A session calls it after a failed or cancelled
+// execution so no half-built registry can leak into the next run (a clean
+// run re-loads everything it needs; the session-level trie store is
+// separate state and survives, and so do the workers' free buffer lists,
+// which hold only buffers nothing references).
 func (c *Cluster) ResetRun() {
 	for _, w := range c.Workers {
-		w.arena = payloadArena{}
+		w.arena.reset()
 		w.Rels = make(map[string]*relation.Relation)
 		w.ResetCubes()
 		w.Scratch = make(map[string]interface{})

@@ -68,6 +68,8 @@ func (c *Cluster) StreamExchange(phase string,
 	defer func() {
 		for _, w := range c.Workers {
 			w.arena.reset()
+			w.values.retire()
+			w.int32s.retire()
 		}
 	}()
 

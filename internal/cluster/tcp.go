@@ -443,8 +443,8 @@ func (t *TCPTransport) serveConn(d int, conn net.Conn) {
 			}
 			continue
 		}
-		buf := pool.get(int(plen))
-		if _, err := io.ReadFull(br, buf); err != nil {
+		buf, err := readPayload(br, pool, int(plen))
+		if err != nil {
 			return
 		}
 		env := Envelope{
@@ -452,6 +452,34 @@ func (t *TCPTransport) serveConn(d int, conn net.Conn) {
 			Tuples: tuples, Weight: weight, Chunk: chunk,
 		}
 		ex.deliver(d, queuedChunk{env: env, release: func() { pool.put(buf) }})
+	}
+}
+
+// payloadStep is the most a frame's length field alone can make the
+// receiver allocate.
+const payloadStep = 1 << 20
+
+// readPayload reads a frame's plen payload bytes into a pooled buffer. The
+// length came off the wire, so it is believed only as far as bytes back it
+// up: the buffer starts at min(plen, payloadStep) and doubles each time the
+// sender has filled it, and a corrupt or hostile header followed by a
+// short stream costs one step, not plen.
+func readPayload(br *bufio.Reader, pool *bufPool, plen int) ([]byte, error) {
+	buf := pool.get(min(plen, payloadStep))
+	got := 0
+	for {
+		if _, err := io.ReadFull(br, buf[got:]); err != nil {
+			pool.put(buf)
+			return nil, err
+		}
+		got = len(buf)
+		if got == plen {
+			return buf, nil
+		}
+		grown := pool.get(min(plen, 2*got))
+		copy(grown, buf)
+		pool.put(buf)
+		buf = grown
 	}
 }
 

@@ -1,10 +1,12 @@
 package cluster
 
 import (
+	"bytes"
 	"context"
 	"encoding/binary"
 	"errors"
 	"net"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -406,5 +408,70 @@ func TestTCPCorruptStreamAbortsTyped(t *testing.T) {
 	}
 	if len(out[1]) != 1 || out[1][0].Key != "legit" {
 		t.Fatalf("recovery exchange delivered %+v", out[1])
+	}
+}
+
+// TestTCPHostilePayloadLengthBounded forges a well-addressed frame whose
+// header claims a 1 GiB payload, sends 16 bytes of it and hangs up. The
+// receiver believes a length only as far as bytes arrive: it allocates one
+// bounded step (not the gigabyte), its reader goroutine ends with the
+// connection, and the transport serves the next exchange.
+func TestTCPHostilePayloadLengthBounded(t *testing.T) {
+	tr, err := NewTCPTransport(2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer tr.Close()
+	es, err := tr.OpenExchange(context.Background(), "x", 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	baseline := runtime.NumGoroutine()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+
+	conn, err := net.Dial("tcp", tr.addrs[1])
+	if err != nil {
+		t.Fatal(err)
+	}
+	var frame []byte
+	frame = binary.LittleEndian.AppendUint32(frame, tcpMagic)
+	frame = binary.LittleEndian.AppendUint32(frame, 0) // sender 0
+	frame = binary.LittleEndian.AppendUint64(frame, es.(*tcpExchange).id)
+	frame = binary.LittleEndian.AppendUint32(frame, 0)     // from
+	frame = binary.LittleEndian.AppendUint32(frame, 1)     // to
+	frame = binary.LittleEndian.AppendUint32(frame, 0)     // chunk
+	frame = binary.LittleEndian.AppendUint32(frame, 0)     // keyLen
+	frame = binary.LittleEndian.AppendUint64(frame, 1)     // tuples
+	frame = binary.LittleEndian.AppendUint64(frame, 0)     // weight
+	frame = binary.LittleEndian.AppendUint32(frame, 1<<30) // payloadLen: 1 GiB
+	frame = append(frame, make([]byte, 16)...)             // ... of which 16 bytes exist
+	if _, err := conn.Write(frame); err != nil {
+		t.Fatal(err)
+	}
+	conn.Close()
+
+	// The reader goroutine exits when it meets the end of the stream.
+	deadline := time.Now().Add(10 * time.Second)
+	for runtime.NumGoroutine() > baseline && time.Now().Before(deadline) {
+		time.Sleep(5 * time.Millisecond)
+	}
+	if now := runtime.NumGoroutine(); now > baseline {
+		t.Fatalf("%d goroutines before the truncated frame, %d after the connection closed", baseline, now)
+	}
+	runtime.ReadMemStats(&after)
+	if grew := after.TotalAlloc - before.TotalAlloc; grew >= 4<<20 {
+		t.Fatalf("a header claiming 1 GiB backed by 16 bytes made the receiver allocate %d bytes, want < 4 MiB", grew)
+	}
+	es.Close()
+
+	bySender := make([][]Envelope, 2)
+	bySender[0] = []Envelope{{From: 0, To: 1, Key: "legit", Payload: bytes.Repeat([]byte("x"), 3*payloadStep+5)}}
+	out, err := routeWithTimeout(t, tr, bySender, 30*time.Second)
+	if err != nil {
+		t.Fatalf("recovery exchange failed: %v", err)
+	}
+	if len(out[1]) != 1 || out[1][0].Key != "legit" || !bytes.Equal(out[1][0].Payload, bySender[0][0].Payload) {
+		t.Fatalf("recovery exchange did not deliver the %d-byte payload intact", len(bySender[0][0].Payload))
 	}
 }

@@ -266,8 +266,10 @@ func appendExceptionRun(dst []byte, vals []int64, base, m int) []byte {
 }
 
 // RunSize returns the total encoded size of the run of n values starting
-// at buf, validating that buf holds it entirely — the section walk the
-// relation codec performs before materializing any values.
+// at buf, validating that buf holds it entirely and that DecodeRun will
+// accept it — the section walk the relation codec performs before
+// materializing any values. A run RunSize passes decodes without error, so
+// a caller that sizes every run first never stops half-way through a write.
 func RunSize(buf []byte, n int) (int, error) {
 	if len(buf) < 1 {
 		return 0, fmt.Errorf("deltaenc: missing tag byte")
@@ -280,22 +282,43 @@ func RunSize(buf []byte, n int) (int, error) {
 		}
 		return size, nil
 	}
+	_, _, size, err := exceptionLayout(buf, n)
+	return size, err
+}
+
+// exceptionLayout validates the exception-list form of a run of n values
+// at buf — the tag, the outlier count, the size, and the position list
+// (strictly ascending, in range) — so a corrupt or hostile payload cannot
+// index out of bounds. It returns the outlier count m, the width uw of its
+// varint and the run's total size.
+func exceptionLayout(buf []byte, n int) (m, uw, size int, err error) {
+	tag := int(buf[0])
 	base := tag &^ exceptionTag
 	if tag&exceptionTag == 0 || !validBase(base) {
-		return 0, fmt.Errorf("deltaenc: bad run tag %#02x", tag)
+		return 0, 0, 0, fmt.Errorf("deltaenc: bad run tag %#02x", tag)
 	}
-	m64, w := binary.Uvarint(buf[1:])
-	if w <= 0 {
-		return 0, fmt.Errorf("deltaenc: truncated exception count")
+	m64, uw := binary.Uvarint(buf[1:])
+	if uw <= 0 {
+		return 0, 0, 0, fmt.Errorf("deltaenc: truncated exception count")
 	}
 	if m64 > uint64(n) {
-		return 0, fmt.Errorf("deltaenc: %d exceptions for %d values", m64, n)
+		return 0, 0, 0, fmt.Errorf("deltaenc: %d exceptions for %d values", m64, n)
 	}
-	size := 1 + w + int(m64)*exceptionOverhead + n*base
+	m = int(m64)
+	size = 1 + uw + m*exceptionOverhead + n*base
 	if len(buf) < size {
-		return 0, fmt.Errorf("deltaenc: truncated exception run: need %d bytes", size)
+		return 0, 0, 0, fmt.Errorf("deltaenc: truncated exception run: need %d bytes", size)
 	}
-	return size, nil
+	pos := buf[1+uw : 1+uw+4*m]
+	last := -1
+	for e := 0; e < m; e++ {
+		p := int(binary.LittleEndian.Uint32(pos[4*e:]))
+		if p <= last || p >= n {
+			return 0, 0, 0, fmt.Errorf("deltaenc: bad exception position %d (n=%d)", p, n)
+		}
+		last = p
+	}
+	return m, uw, size, nil
 }
 
 // DecodeRun decodes len(out) values from buf (a tag byte plus the run
@@ -346,40 +369,18 @@ func DecodeRun(buf []byte, out []int64) (int, error) {
 	return need, nil
 }
 
-// decodeExceptionRun decodes the exception-list form, validating the tag,
-// the outlier count and the position list (strictly ascending, in range)
-// so a corrupt or hostile payload cannot index out of bounds.
+// decodeExceptionRun decodes the exception-list form once exceptionLayout
+// has accepted it.
 func decodeExceptionRun(buf []byte, out []int64) (int, error) {
-	tag := int(buf[0])
-	base := tag &^ exceptionTag
-	if tag&exceptionTag == 0 || !validBase(base) {
-		return 0, fmt.Errorf("deltaenc: bad run tag %#02x", tag)
-	}
 	n := len(out)
-	m64, uw := binary.Uvarint(buf[1:])
-	if uw <= 0 {
-		return 0, fmt.Errorf("deltaenc: truncated exception count")
+	m, uw, need, err := exceptionLayout(buf, n)
+	if err != nil {
+		return 0, err
 	}
-	m := int(m64)
-	if m64 > uint64(n) {
-		return 0, fmt.Errorf("deltaenc: %d exceptions for %d values", m64, n)
-	}
-	need := 1 + uw + m*exceptionOverhead + n*base
-	if len(buf) < need {
-		return 0, fmt.Errorf("deltaenc: truncated exception run: need %d bytes", need)
-	}
+	base := int(buf[0]) &^ exceptionTag
 	pos := buf[1+uw : 1+uw+4*m]
 	wide := buf[1+uw+4*m : 1+uw+exceptionOverhead*m]
 	body := buf[1+uw+exceptionOverhead*m : need]
-	// Validate positions before touching the body.
-	last := -1
-	for e := 0; e < m; e++ {
-		p := int(binary.LittleEndian.Uint32(pos[4*e:]))
-		if p <= last || p >= n {
-			return 0, fmt.Errorf("deltaenc: bad exception position %d (n=%d)", p, n)
-		}
-		last = p
-	}
 	// Decode segment-wise: a tight base-width loop between outliers, then
 	// the wide delta spliced in — the inner loops stay branch-free.
 	prev := int64(0)

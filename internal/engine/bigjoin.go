@@ -1,7 +1,6 @@
 package engine
 
 import (
-	"fmt"
 	"slices"
 
 	"adj/internal/cluster"
@@ -15,72 +14,50 @@ import (
 // pre-built indexes).
 func proposeRound(c *cluster.Cluster, phase string, prop *relation.Relation, prefix []string, attr string, cfg Config) error {
 	boundAttrs := sharedAttrs(prop.Attrs, prefix)
+	idxAttrs := prop.Attrs
+	if len(boundAttrs) == 0 {
+		idxAttrs = []string{attr}
+	}
+	idxKey, bindKey := attrIdx(prop.Attrs, boundAttrs), attrIdx(prefix, boundAttrs)
+	// Partitioned on the bound attributes, each worker gets an even share
+	// of both sides; unconstrained, the index is a projection of unknown
+	// size and the bindings stay where they are.
+	var idxShare, bindShare int64
+	if len(boundAttrs) > 0 {
+		idxShare, bindShare = int64(prop.Len()/c.N), globalSize(c, "bindings")/int64(c.N)
+	}
 
 	return c.StreamExchange(phase,
 		func(w *cluster.Worker, s cluster.StreamSender) error {
-			// Ship proposer fragments partitioned by bound attrs (index build).
-			if frag, ok := w.Rels[prop.Name]; ok {
-				if len(boundAttrs) == 0 {
-					// Unconstrained: broadcast the projection on attr.
-					proj := frag.Project(attr)
-					if proj.Len() > 0 {
-						err := w.EncodeRelationChunks(proj, 0, func(payload []byte, lo, hi, chunk int) error {
-							for to := 0; to < w.N; to++ {
-								if err := s.Send(cluster.Envelope{
-									To: to, Key: "idx", Chunk: int32(chunk),
-									Payload: payload, Tuples: int64(hi - lo), Weight: partWeight(chunk),
-								}); err != nil {
-									return err
-								}
-							}
-							return nil
-						})
-						if err != nil {
-							return err
-						}
-					}
-				} else {
-					parts := frag.PartitionBy(attrIdx(frag.Attrs, boundAttrs), w.N)
-					if err := sendParts(w, s, parts, "idx"); err != nil {
+			frag, binds := w.Rels[prop.Name], w.Rels["bindings"]
+			if len(boundAttrs) == 0 {
+				// Unconstrained: broadcast the proposer's projection on
+				// attr (the index build) and keep the bindings local.
+				if frag != nil {
+					if err := sendWhole(w, s, frag.Project(attr), "idx", everyWorker(w.N)...); err != nil {
 						return err
 					}
 				}
+				return sendWhole(w, s, binds, "bind", w.ID)
 			}
-			// Ship bindings partitioned by the same key.
-			if b, ok := w.Rels["bindings"]; ok && b.Len() > 0 {
-				if len(boundAttrs) == 0 {
-					// Keep bindings local; candidates are broadcast.
-					err := w.EncodeRelationChunks(b, 0, func(payload []byte, lo, hi, chunk int) error {
-						return s.Send(cluster.Envelope{
-							To: w.ID, Key: "bind", Chunk: int32(chunk),
-							Payload: payload, Tuples: int64(hi - lo), Weight: partWeight(chunk),
-						})
-					})
-					if err != nil {
-						return err
-					}
-				} else {
-					parts := b.PartitionBy(attrIdx(b.Attrs, boundAttrs), w.N)
-					if err := sendParts(w, s, parts, "bind"); err != nil {
-						return err
-					}
-				}
+			// Ship proposer fragments partitioned by the bound attributes
+			// (the index build), and the bindings by the same key.
+			if err := sendParts(w, s, frag, idxKey, "idx"); err != nil {
+				return err
 			}
-			return nil
+			return sendParts(w, s, binds, bindKey, "bind")
 		},
 		func(w *cluster.Worker, r cluster.StreamReceiver) error {
-			idx := relation.New(prop.Name, prop.Attrs...)
-			if len(boundAttrs) == 0 {
-				idx = relation.New(prop.Name, attr)
-			}
+			idx := relation.New(prop.Name, idxAttrs...)
 			binds := relation.New("bindings", prefix...)
-			if err := recvRound(r, "propose", idx, binds); err != nil {
+			if err := recvInto(w, r, "bigjoin exchange", recvTarget{"idx", idx, idxShare}, recvTarget{"bind", binds, bindShare}); err != nil {
 				return err
 			}
 			extended, err := extendBindings(binds, idx, boundAttrs, attr, cfg.Budget)
 			if err != nil {
 				return err
 			}
+			recycle(w, idx, binds)
 			w.Rels["bindings"] = extended
 			return nil
 		})
@@ -152,57 +129,27 @@ func extendBindings(binds, idx *relation.Relation, boundAttrs []string, attr str
 // only when the relation contains the projection.
 func verifyRound(c *cluster.Cluster, phase string, ver *relation.Relation, prefix []string, attr string) error {
 	checkAttrs := append(sharedAttrs(ver.Attrs, prefix), attr)
+	bound := append(slices.Clip(prefix), attr)
+	idxKey, bindKey := attrIdx(ver.Attrs, checkAttrs), attrIdx(bound, checkAttrs)
+	idxShare, bindShare := int64(ver.Len()/c.N), globalSize(c, "bindings")/int64(c.N)
 	return c.StreamExchange(phase,
 		func(w *cluster.Worker, s cluster.StreamSender) error {
-			if frag, ok := w.Rels[ver.Name]; ok {
-				parts := frag.PartitionBy(attrIdx(frag.Attrs, checkAttrs), w.N)
-				if err := sendParts(w, s, parts, "idx"); err != nil {
-					return err
-				}
+			if err := sendParts(w, s, w.Rels[ver.Name], idxKey, "idx"); err != nil {
+				return err
 			}
-			if b, ok := w.Rels["bindings"]; ok && b.Len() > 0 {
-				parts := b.PartitionBy(attrIdx(b.Attrs, checkAttrs), w.N)
-				if err := sendParts(w, s, parts, "bind"); err != nil {
-					return err
-				}
-			}
-			return nil
+			return sendParts(w, s, w.Rels["bindings"], bindKey, "bind")
 		},
 		func(w *cluster.Worker, r cluster.StreamReceiver) error {
 			idx := relation.New(ver.Name, ver.Attrs...)
-			binds := relation.New("bindings", append(slices.Clip(prefix), attr)...)
-			if err := recvRound(r, "verify", idx, binds); err != nil {
+			binds := relation.New("bindings", bound...)
+			if err := recvInto(w, r, "bigjoin exchange", recvTarget{"idx", idx, idxShare}, recvTarget{"bind", binds, bindShare}); err != nil {
 				return err
 			}
-			w.Rels["bindings"] = binds.Semijoin(idx, checkAttrs)
+			kept := binds.Semijoin(idx, checkAttrs)
+			recycle(w, idx, binds)
+			w.Rels["bindings"] = kept
 			return nil
 		})
-}
-
-// recvRound drains one BigJoin round's stream on a worker, folding "idx"
-// chunks into idx and "bind" chunks into binds. Both targets carry the
-// schema the round expects, so a chunk of any other shape is a corrupt
-// payload, not a panic further down.
-func recvRound(r cluster.StreamReceiver, round string, idx, binds *relation.Relation) error {
-	var scratch relation.Relation
-	for {
-		e, ok, err := r.Recv()
-		if err != nil || !ok {
-			return err
-		}
-		var dst *relation.Relation
-		switch e.Key {
-		case "idx":
-			dst = idx
-		case "bind":
-			dst = binds
-		default:
-			return fmt.Errorf("bigjoin %s: bad key %q", round, e.Key)
-		}
-		if err := relation.DecodeAppend(e.Payload, dst, &scratch); err != nil {
-			return cluster.CorruptPayload("bigjoin exchange", err)
-		}
-	}
 }
 
 // pickCols returns r's columns for the named attributes, in that order.

@@ -19,6 +19,22 @@ func binaryJoinOrder(rels []*relation.Relation) []int {
 	}
 	order := []int{start}
 	used[start] = true
+	// Distinct counts, each (relation, attribute) at most once per call:
+	// the number of groups of an index over the column.
+	type relAttr struct {
+		rel  int
+		attr string
+	}
+	distinct := make(map[relAttr]int)
+	distinctOf := func(i int, attr string) int {
+		d, ok := distinct[relAttr{i, attr}]
+		if !ok {
+			r := rels[i]
+			d = relation.NewIndex([][]relation.Value{r.Column(r.AttrIndex(attr))}, r.Len()).Groups()
+			distinct[relAttr{i, attr}] = d
+		}
+		return d
+	}
 	attrs := append([]string(nil), rels[start].Attrs...)
 	for len(order) < n {
 		best := -1
@@ -36,7 +52,7 @@ func binaryJoinOrder(rels []*relation.Relation) []int {
 				// independence estimate (the style whose errors §IV criticizes).
 				d := 1
 				for _, a := range shared {
-					di := distinctOf(rels[i], a)
+					di := distinctOf(i, a)
 					if di > d {
 						d = di
 					}
@@ -53,8 +69,4 @@ func binaryJoinOrder(rels []*relation.Relation) []int {
 		attrs = joinedAttrs(attrs, rels[best].Attrs)
 	}
 	return order
-}
-
-func distinctOf(r *relation.Relation, attr string) int {
-	return len(r.Distinct(attr))
 }

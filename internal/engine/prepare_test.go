@@ -41,6 +41,36 @@ func TestCoOptimizeDeterministic(t *testing.T) {
 	}
 }
 
+// TestPairwiseOrderPinned pins SparkSQL's greedy pairwise order on a graph
+// whose source and target columns hold different numbers of distinct
+// values (on a uniform random graph they tie and the order is the schema's).
+// The order is a function of relation sizes and per-attribute distinct
+// counts only, so however binaryJoinOrder counts distinct values — a sort
+// and compact, the groups of an index — these labels may not move. Recorded
+// from the sort-and-compact implementation.
+func TestPairwiseOrderPinned(t *testing.T) {
+	graph := coldGraph(1)
+	for i, tc := range []struct {
+		q    hypergraph.Query
+		want string
+	}{
+		{hypergraph.Q1(), "pairwise: R1 ⋈ R2 ⋈ R3"},
+		{hypergraph.Q2(), "pairwise: R1 ⋈ R4 ⋈ R3 ⋈ R2 ⋈ R5 ⋈ R6"},
+		{hypergraph.Q3(), "pairwise: R1 ⋈ R5 ⋈ R4 ⋈ R3 ⋈ R2 ⋈ R6 ⋈ R7 ⋈ R8 ⋈ R9 ⋈ R10"},
+		{hypergraph.Q4(), "pairwise: R1 ⋈ R5 ⋈ R4 ⋈ R3 ⋈ R2 ⋈ R6"},
+		{hypergraph.Q5(), "pairwise: R1 ⋈ R5 ⋈ R4 ⋈ R3 ⋈ R2 ⋈ R6 ⋈ R7"},
+		{hypergraph.Q6(), "pairwise: R1 ⋈ R5 ⋈ R4 ⋈ R3 ⋈ R2 ⋈ R6 ⋈ R7 ⋈ R8"},
+	} {
+		pp, err := Prepare("SparkSQL", tc.q, tc.q.BindGraph(graph), smallCfg(4))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if pp.Program.Label != tc.want {
+			t.Errorf("Q%d: plan %q, want %q", i+1, pp.Program.Label, tc.want)
+		}
+	}
+}
+
 // BenchmarkPrepareADJ times one ADJ planning pass on the cold-adj
 // workload's shape (Q5 over an LJ@0.05 graph): sampling index, estimates,
 // GHD and plan search.

@@ -553,14 +553,13 @@ func consumeTupleBlocks(w *cluster.Worker, r cluster.StreamReceiver, p Plan) err
 }
 
 // groupBlocks buckets a fragment's tuples by block signature into one
-// contiguous backing per attribute (a signature pass, a counting pass,
-// then one scatter of row slots — no per-block growth). It returns
-// ascending signatures and, aligned with them, the non-empty blocks; block
-// relations alias the shared backing column-wise and may be sorted in
-// place by the caller.
+// contiguous backing per attribute (a signature pass, then
+// relation.ScatterGroups — the grouping scatter PartitionBy also runs). It
+// returns ascending signatures and, aligned with them, the non-empty
+// blocks; block relations alias the shared backing column-wise, each
+// capped at its own rows, and may be sorted in place by the caller.
 func groupBlocks(frag *relation.Relation, s Shares, relPos []int, ri RelInfo) ([]int, []*relation.Relation) {
 	n := frag.Len()
-	k := frag.Arity()
 	nb := s.NumBlocks(relPos)
 	sigOf := make([]int32, n)
 	fragCols := frag.Columns()
@@ -574,44 +573,20 @@ func groupBlocks(frag *relation.Relation, s Shares, relPos []int, ri RelInfo) ([
 		}
 		stride *= pv
 	}
-	counts := make([]int32, nb+1)
-	for _, sig := range sigOf {
-		counts[sig+1]++
+	back := make([][]relation.Value, len(fragCols))
+	for j := range back {
+		back[j] = make([]relation.Value, n)
 	}
-	for b := 1; b <= nb; b++ {
-		counts[b] += counts[b-1]
-	}
-	offsets := counts // prefix sums; counts[sig] = first row slot of sig
-	// One slot per row, computed once; every column scatters through it.
-	slots := make([]int32, n)
-	fill := make([]int32, nb)
-	for i, sig := range sigOf {
-		slots[i] = offsets[sig] + fill[sig]
-		fill[sig]++
-	}
-	backCols := make([][]relation.Value, k)
-	for j, col := range fragCols {
-		back := make([]relation.Value, n)
-		for i, slot := range slots {
-			back[slot] = col[i]
-		}
-		backCols[j] = back
-	}
+	off := relation.ScatterGroups(fragCols, sigOf, nb, back)
 	var sigs []int
 	var blocks []*relation.Relation
 	for sig := 0; sig < nb; sig++ {
-		lo, hi := int(offsets[sig]), int(offsets[sig+1])
+		lo, hi := int(off[sig]), int(off[sig+1])
 		if lo == hi {
 			continue
 		}
-		// Three-index slices: cap each block column at its own region so an
-		// append reallocates instead of overwriting the next block's rows.
-		blockCols := make([][]relation.Value, k)
-		for j := 0; j < k; j++ {
-			blockCols[j] = backCols[j][lo:hi:hi]
-		}
 		sigs = append(sigs, sig)
-		blocks = append(blocks, relation.FromColumns(ri.Name, ri.Attrs, blockCols))
+		blocks = append(blocks, relation.FromColumns(ri.Name, ri.Attrs, relation.RowRange(back, lo, hi)))
 	}
 	return sigs, blocks
 }

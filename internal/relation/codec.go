@@ -3,7 +3,6 @@ package relation
 import (
 	"encoding/binary"
 	"fmt"
-	"slices"
 
 	"adj/internal/deltaenc"
 )
@@ -103,6 +102,102 @@ func Decode(buf []byte) (*Relation, error) {
 	return &r, nil
 }
 
+// wireReader walks one encoded relation. Strings come back as sub-slices
+// of the payload, so a caller that only compares them allocates nothing.
+type wireReader struct {
+	buf []byte
+	off int
+}
+
+func (w *wireReader) uvarint() (uint64, error) {
+	v, n := binary.Uvarint(w.buf[w.off:])
+	if n <= 0 {
+		return 0, fmt.Errorf("relation decode: truncated varint at %d", w.off)
+	}
+	w.off += n
+	return v, nil
+}
+
+func (w *wireReader) bytes() ([]byte, error) {
+	n, err := w.uvarint()
+	if err != nil {
+		return nil, err
+	}
+	if uint64(len(w.buf)-w.off) < n {
+		return nil, fmt.Errorf("relation decode: truncated string at %d", w.off)
+	}
+	b := w.buf[w.off : w.off+int(n)]
+	w.off += int(n)
+	return b, nil
+}
+
+// open checks the magic byte and reads the name and the arity, leaving the
+// reader at the first attribute.
+func (w *wireReader) open() (name []byte, arity int, err error) {
+	if len(w.buf) == 0 || w.buf[0] != codecMagic {
+		return nil, 0, fmt.Errorf("relation decode: bad magic (want 0x%02x)", codecMagic)
+	}
+	w.off = 1
+	if name, err = w.bytes(); err != nil {
+		return nil, 0, err
+	}
+	k, err := w.uvarint()
+	if err != nil {
+		return nil, 0, err
+	}
+	if k > 64 {
+		return nil, 0, fmt.Errorf("relation decode: implausible arity %d", k)
+	}
+	return name, int(k), nil
+}
+
+// rows reads the tuple count that follows the k attributes and checks
+// everything after it without decoding a value: the count is plausible,
+// every column's run is present and well-formed, and the runs end exactly
+// where the payload does. The reader is left at the first run.
+//
+// This is the guard in front of every allocation a payload can ask for
+// (it may arrive over the real TCP transport): every column section must
+// be present before n*k values are materialized, and the total is capped
+// outright — width-0 columns occupy no payload bytes, so byte accounting
+// alone cannot bound a zero-compressed bomb. A relation without
+// attributes holds no tuples.
+func (w *wireReader) rows(k int) (int, error) {
+	count, err := w.uvarint()
+	if err != nil {
+		return 0, err
+	}
+	n := int(count)
+	if total := n * k; n < 0 || total < 0 || total > 1<<28 || (k == 0 && n > 0) {
+		return 0, fmt.Errorf("relation decode: implausible tuple count %d", count)
+	}
+	end := w.off
+	for j := 0; j < k && n > 0; j++ {
+		size, err := deltaenc.RunSize(w.buf[end:], n)
+		if err != nil {
+			return 0, fmt.Errorf("relation decode: column %d: %w", j, err)
+		}
+		end += size
+	}
+	if end != len(w.buf) {
+		return 0, fmt.Errorf("relation decode: %d trailing bytes", len(w.buf)-end)
+	}
+	return n, nil
+}
+
+// run decodes the next column's run into col (one value per row).
+func (w *wireReader) run(j int, col []Value) error {
+	if len(col) == 0 {
+		return nil
+	}
+	used, err := deltaenc.DecodeRun(w.buf[w.off:], col)
+	if err != nil {
+		return fmt.Errorf("relation decode: column %d: %w", j, err)
+	}
+	w.off += used
+	return nil
+}
+
 // DecodeInto deserializes into r, reusing r's backing arrays (when their
 // capacity suffices) and r's schema strings (when they match the payload).
 // Receivers that decode a stream of blocks into one scratch relation
@@ -111,54 +206,23 @@ func Decode(buf []byte) (*Relation, error) {
 // are shared (e.g. via Renamed). Each wire column is one contiguous delta
 // run, so decode writes every column with a single sequential pass.
 func DecodeInto(buf []byte, r *Relation) error {
-	if len(buf) == 0 || buf[0] != codecMagic {
-		return fmt.Errorf("relation decode: bad magic (want 0x%02x)", codecMagic)
-	}
-	off := 1
-	getUvarint := func() (uint64, error) {
-		v, w := binary.Uvarint(buf[off:])
-		if w <= 0 {
-			return 0, fmt.Errorf("relation decode: truncated varint at %d", off)
-		}
-		off += w
-		return v, nil
-	}
-	// Read name/attr bytes without allocating when they match r's current
-	// schema — the steady state for a consumer decoding a stream of blocks
-	// of the same relation ("string(b) == s" compares without copying).
-	getStringBytes := func() ([]byte, error) {
-		n, err := getUvarint()
-		if err != nil {
-			return nil, err
-		}
-		if uint64(len(buf)-off) < n {
-			return nil, fmt.Errorf("relation decode: truncated string at %d", off)
-		}
-		b := buf[off : off+int(n)]
-		off += int(n)
-		return b, nil
-	}
-	nameBytes, err := getStringBytes()
+	w := wireReader{buf: buf}
+	nameBytes, k, err := w.open()
 	if err != nil {
 		return err
 	}
+	// Keep r's strings where they already say what the payload says
+	// ("string(b) != s" compares without copying).
 	name := r.Name
 	if string(nameBytes) != name {
 		name = string(nameBytes)
 	}
-	arity, err := getUvarint()
-	if err != nil {
-		return err
-	}
-	if arity > 64 {
-		return fmt.Errorf("relation decode: implausible arity %d", arity)
-	}
 	attrs := r.Attrs
-	if len(attrs) != int(arity) {
-		attrs = make([]string, arity)
+	if len(attrs) != k {
+		attrs = make([]string, k)
 	}
 	for i := range attrs {
-		ab, err := getStringBytes()
+		ab, err := w.bytes()
 		if err != nil {
 			return err
 		}
@@ -166,29 +230,9 @@ func DecodeInto(buf []byte, r *Relation) error {
 			attrs[i] = string(ab)
 		}
 	}
-	count, err := getUvarint()
+	n, err := w.rows(k)
 	if err != nil {
 		return err
-	}
-	k := int(arity)
-	n := int(count)
-	total := n * k
-	// Guard the allocation below against corrupt or hostile counts (the
-	// payload may arrive over the real TCP transport): every column
-	// section must be present in the buffer before n*k values are
-	// materialized, and the total is capped outright — width-0 columns
-	// occupy no payload bytes, so byte accounting alone cannot bound a
-	// zero-compressed bomb. A relation without attributes holds no tuples.
-	if n < 0 || total < 0 || total > 1<<28 || (k == 0 && n > 0) {
-		return fmt.Errorf("relation decode: implausible tuple count %d", count)
-	}
-	walk := off
-	for j := 0; j < k && n > 0; j++ {
-		size, err := deltaenc.RunSize(buf[walk:], n)
-		if err != nil {
-			return fmt.Errorf("relation decode: column %d: %w", j, err)
-		}
-		walk += size
 	}
 	cols := r.cols
 	if cap(cols) >= k {
@@ -196,22 +240,15 @@ func DecodeInto(buf []byte, r *Relation) error {
 	} else {
 		cols = make([][]Value, k)
 	}
-	for j := 0; j < k; j++ {
+	for j := range cols {
 		if cap(cols[j]) >= n {
 			cols[j] = cols[j][:n]
 		} else {
 			cols[j] = make([]Value, n)
 		}
-	}
-	for j := 0; j < k && n > 0; j++ {
-		used, err := deltaenc.DecodeRun(buf[off:], cols[j])
-		if err != nil {
-			return fmt.Errorf("relation decode: column %d: %w", j, err)
+		if err := w.run(j, cols[j]); err != nil {
+			return err
 		}
-		off += used
-	}
-	if off != len(buf) {
-		return fmt.Errorf("relation decode: %d trailing bytes", len(buf)-off)
 	}
 	r.Name = name
 	r.Attrs = attrs
@@ -219,24 +256,82 @@ func DecodeInto(buf []byte, r *Relation) error {
 	return nil
 }
 
-// DecodeAppend decodes one chunk payload through scratch (caller-owned,
-// reused across chunks — the steady state allocates nothing) and appends
-// its tuples to dst column-wise. This is the streaming receiver's
-// incremental decode: chunks of one logical block accumulate into dst in
-// arrival order without materializing the whole block's bytes first.
+// DecodeAppend appends one chunk's tuples to dst, decoding each column's
+// run straight onto the tail of dst's column. This is the streaming
+// receiver's incremental decode: chunks of one logical block accumulate
+// into dst in arrival order, and a value is written once, where it stays.
 //
-// dst carries the schema the receiver expects. A chunk that decodes but
-// has another arity or other attribute names is an error like any other
-// corrupt payload — it arrived from outside the process — and leaves dst
-// untouched. The relation name is not compared: senders ship projections
-// and partitions under derived names.
-func DecodeAppend(buf []byte, dst, scratch *Relation) error {
-	if err := DecodeInto(buf, scratch); err != nil {
+// Validate, then write. dst carries the schema the receiver expects, and
+// the whole chunk is checked against it before a byte of dst changes:
+// magic, arity and attribute names (compared as bytes; the relation name
+// is not — senders ship projections and partitions under derived names),
+// the tuple count and its cap, every column's run, no trailing bytes. A
+// chunk that fails any of it — it arrived from outside the process — is an
+// error and leaves dst's length and contents as they were. Columns that
+// must grow at least double, so a stream of chunks copies each value O(1)
+// times.
+//
+// The third parameter is unused. It was the scratch relation chunks were
+// once decoded through; benchmark/ still passes one, and the parameter
+// goes when benchmark/ moves off internal signatures (ROADMAP item 4).
+func DecodeAppend(buf []byte, dst, _ *Relation) error {
+	return DecodeAppendGrow(buf, dst, nil)
+}
+
+// DecodeAppendGrow is DecodeAppend with the caller supplying column
+// growth: when a column of dst cannot hold the chunk, grow(col, need) must
+// return a slice holding col's values with capacity at least need, and
+// owns col afterwards. A nil grow allocates (growColumn). grow runs only
+// after the chunk has passed validation.
+func DecodeAppendGrow(buf []byte, dst *Relation, grow func(col []Value, need int) []Value) error {
+	w := wireReader{buf: buf}
+	_, k, err := w.open()
+	if err != nil {
 		return err
 	}
-	if !slices.Equal(scratch.Attrs, dst.Attrs) {
-		return fmt.Errorf("relation decode: chunk schema %v, receiver expects %v", scratch.Attrs, dst.Attrs)
+	if k != len(dst.Attrs) {
+		return fmt.Errorf("relation decode: chunk arity %d, receiver expects %v", k, dst.Attrs)
 	}
-	dst.AppendColumns(scratch.cols)
+	for _, want := range dst.Attrs {
+		ab, err := w.bytes()
+		if err != nil {
+			return err
+		}
+		if string(ab) != want {
+			return fmt.Errorf("relation decode: chunk attribute %q, receiver expects %v", ab, dst.Attrs)
+		}
+	}
+	n, err := w.rows(k)
+	if err != nil {
+		return err
+	}
+	if grow == nil {
+		grow = growColumn
+	}
+	for j, col := range dst.cols {
+		old := len(col)
+		if cap(col)-old < n {
+			col = grow(col, old+n)
+		}
+		col = col[:old+n]
+		dst.cols[j] = col
+		// rows has already walked this run with the decoder's own size
+		// check, so the decode below cannot fail part-way through dst.
+		if err := w.run(j, col[old:]); err != nil {
+			for j := range dst.cols {
+				dst.cols[j] = dst.cols[j][:old]
+			}
+			return err
+		}
+	}
 	return nil
+}
+
+// growColumn is append's job with a floor on the step: at least double, so
+// a column that receives a stream of chunks is copied O(1) times per value
+// where append's 1.25× steps copy it four times over.
+func growColumn(col []Value, need int) []Value {
+	grown := make([]Value, len(col), max(need, 2*cap(col)))
+	copy(grown, col)
+	return grown
 }

@@ -271,11 +271,15 @@ func FuzzDecodeInto(f *testing.F) {
 }
 
 // FuzzDecodeAppend: a receiver folds chunks into a relation whose schema it
-// chose, through one scratch it reuses. Whatever the bytes, DecodeAppend
-// never panics; a chunk it refuses — undecodable, or decodable with another
-// arity or other attribute names — leaves dst as it was, and a chunk it
-// accepts appends exactly its rows. testdata/fuzz/FuzzDecodeAppend holds
-// the two well-formed wrong-shape payloads that used to panic AppendAll.
+// chose. The reference is DecodeInto of the same bytes: DecodeAppend
+// accepts a chunk exactly when DecodeInto accepts it and its attributes are
+// the receiver's, and then appends exactly DecodeInto's rows. Whatever the
+// bytes it never panics, and a chunk it refuses leaves dst as it was —
+// validation comes before the first write: no column has been grown, and
+// spare capacity past dst's length still holds what it held.
+// testdata/fuzz/FuzzDecodeAppend holds the two well-formed wrong-shape
+// payloads that used to panic AppendAll, and a chunk whose last column's
+// run passes the size walk but names an exception position out of range.
 func FuzzDecodeAppend(f *testing.F) {
 	base := FromTuples("R", []string{"a", "b"}, [][]Value{{1, 2}, {3, -4}})
 	for _, seed := range []*Relation{
@@ -290,20 +294,44 @@ func FuzzDecodeAppend(f *testing.F) {
 	chunked.Attrs = slices.Clone(base.Attrs)
 	f.Add(AppendEncodeRange(nil, chunked, 50, 120))
 	f.Add([]byte{codecMagic, 0, 2, 1, 'a', 1, 'b', 0xff, 0xff, 0xff, 0xff, 0x0f}) // huge count, no payload
-	var scratch Relation
+	const spare, sentinel = 256, Value(-0x5ca1ab1e)
+	var ref Relation
 	f.Fuzz(func(t *testing.T, buf []byte) {
-		dst := base.Clone()
-		if err := DecodeAppend(buf, dst, &scratch); err != nil {
-			if !dst.Equal(base) {
-				t.Fatalf("refused chunk (%v) changed dst:\n%v", err, dst)
+		refErr := DecodeInto(buf, &ref)
+		accept := refErr == nil && slices.Equal(ref.Attrs, base.Attrs)
+
+		// tight must grow to take even one row; roomy takes up to spare
+		// rows in place.
+		tight, roomy := base.Clone(), base.Clone()
+		for j, col := range roomy.cols {
+			col = append(col, slices.Repeat([]Value{sentinel}, spare)...)
+			roomy.cols[j] = col[:base.Len()]
+		}
+		grown := 0
+		errTight := DecodeAppendGrow(buf, tight, func(col []Value, need int) []Value {
+			grown++
+			return growColumn(col, need)
+		})
+		errRoomy := DecodeAppend(buf, roomy, nil)
+		if (errTight == nil) != accept || (errRoomy == nil) != accept {
+			t.Fatalf("DecodeInto: %v (attrs %v); DecodeAppend: %v (must grow), %v (in place)", refErr, ref.Attrs, errTight, errRoomy)
+		}
+		if !accept {
+			if grown != 0 || !tight.Equal(base) || !roomy.Equal(base) {
+				t.Fatalf("refused chunk (%v) changed dst (%d columns grown):\n%v\n%v", errTight, grown, tight, roomy)
+			}
+			for j, col := range roomy.cols {
+				if k := slices.IndexFunc(col[len(col):len(col)+spare], func(v Value) bool { return v != sentinel }); k >= 0 {
+					t.Fatalf("refused chunk (%v) wrote column %d, %d past dst's length", errRoomy, j, k)
+				}
 			}
 			return
 		}
-		checkDecodedShape(t, &scratch)
+		checkDecodedShape(t, &ref)
 		want := base.Clone()
-		want.AppendColumns(scratch.Columns())
-		if !slices.Equal(scratch.Attrs, base.Attrs) || !dst.Equal(want) {
-			t.Fatalf("accepted chunk %v did not append its rows:\n%v", &scratch, dst)
+		want.AppendColumns(ref.Columns())
+		if !tight.Equal(want) || !roomy.Equal(want) {
+			t.Fatalf("accepted chunk %v did not append its rows:\n%v\n%v", &ref, tight, roomy)
 		}
 	})
 }

@@ -91,11 +91,12 @@ func newIndex(keyCols [][]Value, n int, tableBits uint) *Index {
 // home is the first slot a row's key probes.
 //
 // Every build side reaches a worker pre-partitioned by HashValue (splitmix64
-// finalizer, % parts) or HashTuple (FNV-1a, % parts), so its keys agree on
-// the low bits of both. A table that masked the low bits of either hash
-// would use only 1/parts of its slots. This mix shares neither function's
-// steps and takes the high bits of a product, which depend on every bit of
-// the key.
+// finalizer, % parts) or HashTuple (a multiply–xorshift step per value,
+// high word of state × parts), so its keys agree on one residue of the
+// former or one slice of the latter's range. A table addressed by either
+// function's bits would use only 1/parts of its slots. This mix shares
+// neither function's constants or steps and takes the high bits of a
+// product, which depend on every bit of the key.
 func (ix *Index) home(cols [][]Value, i int) uint64 {
 	h := uint64(len(cols))
 	for _, c := range cols {

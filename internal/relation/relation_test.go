@@ -342,6 +342,37 @@ func TestPartitionBy(t *testing.T) {
 				t.Fatalf("iter %d: partition %d on key %v:\n%v\nwant rows %v", iter, p, key, got[p], want[p])
 			}
 		}
+
+		// Stable: with the row number as one more column (equal rows can no
+		// longer stand in for each other), every part's numbers ascend.
+		numbered := FromTuples("R", attrNames(arity), rows)
+		numbered.Attrs = append(numbered.Attrs, "row")
+		rowNo := make([]Value, len(rows))
+		for i := range rowNo {
+			rowNo[i] = Value(i)
+		}
+		numbered.SetColumns(append(numbered.Columns(), rowNo))
+		parted := numbered.PartitionBy(key, parts)
+		for p, part := range parted {
+			if !slices.IsSorted(part.Column(arity)) {
+				t.Fatalf("iter %d: partition %d on key %v does not keep input order: rows %v", iter, p, key, part.Column(arity))
+			}
+		}
+		// Capped: the parts share one backing per column, and appending to
+		// one of them must reallocate, never run into the next part's rows.
+		before := make([]*Relation, parts)
+		for p, part := range parted {
+			before[p] = part.Clone()
+		}
+		for p, part := range parted {
+			part.AppendTuple(slices.Repeat([]Value{-1}, arity+1))
+			for o, other := range parted {
+				if o != p && !other.Equal(before[o]) {
+					t.Fatalf("iter %d: appending a row to partition %d changed partition %d", iter, p, o)
+				}
+			}
+			before[p] = part.Clone()
+		}
 	}
 }
 
@@ -360,6 +391,55 @@ func TestHashValueRangeAndSpread(t *testing.T) {
 		}
 	}
 	if HashValue(123, 1) != 0 {
+		t.Fatal("parts=1 must map to 0")
+	}
+}
+
+// HashTuple on the keys a multi-column partition actually sees: dense ids
+// paired with a neighbour, with a low-entropy column, negative and past
+// 2³². Every bucket is in range, no bucket holds more than 1.15× the mean
+// at any parts (power of two or not), and swapping the columns moves most
+// tuples — the hash reads the values in order.
+func TestHashTupleRangeAndSpread(t *testing.T) {
+	const n = 48000
+	grids := []struct {
+		name string
+		row  func(i int) []Value
+	}{
+		{"(i,i+1)", func(i int) []Value { return []Value{Value(i), Value(i + 1)} }},
+		{"(i,i%97)", func(i int) []Value { return []Value{Value(i), Value(i % 97)} }},
+		{"(i%97,i)", func(i int) []Value { return []Value{Value(i % 97), Value(i)} }},
+		{"(-i,i<<33)", func(i int) []Value { return []Value{Value(-i), Value(i) << 33} }},
+		{"(i,i+1,i%97)", func(i int) []Value { return []Value{Value(i), Value(i + 1), Value(i % 97)} }},
+		{"(i%13,i%97,i)", func(i int) []Value { return []Value{Value(i % 13), Value(i % 97), Value(i)} }},
+		{"(i<<32,-i,7)", func(i int) []Value { return []Value{Value(i) << 32, Value(-i), 7} }},
+	}
+	for _, g := range grids {
+		for _, parts := range []int{2, 3, 4, 7, 16} {
+			counts := make([]int, parts)
+			moved := 0
+			for i := 1; i <= n; i++ {
+				row := g.row(i)
+				h := HashTuple(row, parts)
+				if h < 0 || h >= parts {
+					t.Fatalf("%s: HashTuple(%v, %d) = %d, out of range", g.name, row, parts, h)
+				}
+				counts[h]++
+				row[0], row[1] = row[1], row[0]
+				if HashTuple(row, parts) != h {
+					moved++
+				}
+			}
+			if worst := float64(slices.Max(counts)) * float64(parts) / n; worst > 1.15 {
+				t.Errorf("%s over %d parts: fullest bucket holds %.3f× the mean, want ≤ 1.15 (%v)", g.name, parts, worst, counts)
+			}
+			// Independent buckets for (a,b) and (b,a) differ on (parts−1)/parts of the inputs.
+			if want := float64(n) * float64(parts-1) / float64(parts); float64(moved) < 0.9*want {
+				t.Errorf("%s over %d parts: swapping the first two values moved %d of %d tuples, want about %.0f", g.name, parts, moved, n, want)
+			}
+		}
+	}
+	if HashTuple([]Value{1, 2}, 1) != 0 {
 		t.Fatal("parts=1 must map to 0")
 	}
 }
