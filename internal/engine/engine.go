@@ -13,6 +13,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 	"time"
@@ -262,21 +263,41 @@ func sortAttrsByOrder(attrs []string, order []string) []string {
 	return out
 }
 
+// cubeJoin is localCubeJoin's outcome.
+type cubeJoin struct {
+	// total is the summed result count, merged the materialized output
+	// (cfg.CollectOutput on an op that does not keep its output on the
+	// workers).
+	total  int64
+	merged *relation.Relation
+	cache  blockcache.Stats
+	emit   emitStats
+	// rows[w][i] is the result count of worker w's i-th cube: the next
+	// execution's hint.
+	rows [][]int64
+}
+
 // localCubeJoin runs Leapfrog on every cube of every worker and returns the
-// summed result count, the materialized output (when requested) and the
-// folded block-cache stats. Per-cube tries come from the worker's shared
-// block-trie registry: each (relation, block) trie is built exactly once
-// per worker and merged lazily into cube tries at first use (charged to
-// the same computation phase, as in the paper where trie construction is
-// part of join processing). The per-worker extension budget is cfg.Budget
-// divided across workers.
+// summed result count, the materialized output (when requested), the folded
+// block-cache stats and the per-cube result counts. Per-cube tries come from
+// the worker's shared block-trie registry: each (relation, block) trie is
+// built exactly once per worker and merged lazily into cube tries at first
+// use (charged to the same computation phase, as in the paper where trie
+// construction is part of join processing). The per-worker extension budget
+// is cfg.Budget divided across workers.
 //
-// When storeAs is non-empty each worker additionally keeps its own cube
-// outputs resident as w.Rels[storeAs] — a valid partition of the result,
-// since HCube assigns every output tuple to exactly one cube. This is how
-// the hybrid plan's cyclic core feeds its downstream distributed hash
-// joins without a coordinator round-trip; the coordinator still only sees
-// the count unless cfg.CollectOutput asks for the merge.
+// When storeAs is non-empty each worker keeps its own cube outputs resident
+// as w.Rels[storeAs] — a valid partition of the result, since HCube assigns
+// every output tuple to exactly one cube — and the coordinator sees only the
+// count. This is how the hybrid plan's cyclic core feeds its downstream
+// distributed hash joins without a coordinator round-trip.
+//
+// hint is what the previous execution of this op over the same content
+// returned as rows, or nil. It sizes the output and nothing else: every cube
+// writes into its own window of the final columns (see cubeWindows), so with
+// a true hint each row is written once, where it stays, and with a wrong or
+// missing one the cubes grow private columns and the fold copies them — the
+// rows and their (worker, cube) order are the same either way.
 //
 // By default a worker's cubes are spread over locality-partitioned
 // work-stealing deques (see runCubes): cubes sharing blocks run on the
@@ -286,12 +307,30 @@ func sortAttrsByOrder(attrs []string, order []string) []string {
 // richest deque. cfg.Sequential restores the deterministic in-order loop.
 // Results and outputs are accumulated per cube and folded in cube order,
 // so both modes produce identical reports.
-func localCubeJoin(c *cluster.Cluster, phase string, infos []hcube.RelInfo, order []string, cfg Config, cached bool, storeAs string) (int64, *relation.Relation, blockcache.Stats, emitStats, error) {
+func localCubeJoin(c *cluster.Cluster, phase string, infos []hcube.RelInfo, order []string, cfg Config, cached bool, storeAs string, hint [][]int64) (cubeJoin, error) {
 	collect := cfg.CollectOutput || storeAs != ""
-	results := make([]int64, c.N)
-	// cubeOuts[w] holds worker w's per-cube outputs, in cube order.
-	cubeOuts := make([][]*relation.Relation, c.N)
-	emitted := make([]emitStats, c.N)
+	var res cubeJoin
+	// cubesOf[w] lists worker w's cubes in cube order; first[w] is the index
+	// of its first cube in (worker, cube) order.
+	cubesOf := make([][]int, c.N)
+	first := make([]int, c.N+1)
+	for w, wk := range c.Workers {
+		cubesOf[w] = wk.Blocks.Cubes()
+		first[w+1] = first[w] + len(cubesOf[w])
+	}
+	res.rows = zeroRows(cubesOf)
+	if !sameShape(hint, res.rows) {
+		hint = zeroRows(cubesOf) // no hint: every window starts with no capacity
+	}
+	emitted := make([]emitStats, first[c.N])
+	var outs []*relation.Relation // per-cube outputs in (worker, cube) order
+	var all *cubeWindows          // the coordinator's fold, nil when the workers keep theirs
+	if collect {
+		outs = make([]*relation.Relation, first[c.N])
+		if storeAs == "" {
+			all = newCubeWindows(order, hint...)
+		}
+	}
 	budgetPer := int64(0)
 	if cfg.Budget > 0 {
 		budgetPer = cfg.Budget / int64(c.N)
@@ -306,21 +345,22 @@ func localCubeJoin(c *cluster.Cluster, phase string, infos []hcube.RelInfo, orde
 	runCtx := c.Context()
 	cancelled := c.CancelPoll()
 	err := c.Parallel(phase, func(w *cluster.Worker) error {
-		cubes := w.Blocks.Cubes()
-		perCube := make([]int64, len(cubes))
-		perCubeEmit := make([]emitStats, len(cubes))
-		var perCubeOut []*relation.Relation
-		if collect {
-			perCubeOut = make([]*relation.Relation, len(cubes))
+		cubes, base := cubesOf[w.ID], first[w.ID]
+		perCube := res.rows[w.ID]
+		// This worker's cubes write to windows winBase… of wins: the
+		// coordinator's, or the worker's own when its output stays here.
+		wins, winBase := all, base
+		if storeAs != "" {
+			wins, winBase = newCubeWindows(order, hint[w.ID]), 0
 		}
 		joinCube := func(ci int) error {
 			tries := cubeTries(w, cubes[ci], infos, order)
 			opts := leapfrog.Options{Budget: budgetPer, Cancel: cancelled}
 			if collect {
 				// The sink appends whole runs from the leaf intersection to
-				// the cube's output columns.
-				out := relation.New("out", order...)
-				perCubeOut[ci] = out
+				// the cube's window of the output columns.
+				out := wins.window(winBase + ci)
+				outs[base+ci] = out
 				opts.Sink = relation.NewColumnWriter(out)
 			}
 			var st leapfrog.Stats
@@ -341,7 +381,7 @@ func localCubeJoin(c *cluster.Cluster, phase string, infos []hcube.RelInfo, orde
 				return err
 			}
 			perCube[ci] = st.Results
-			perCubeEmit[ci] = emitStats{runs: st.EmittedRuns, values: st.EmittedValues}
+			emitted[base+ci] = emitStats{runs: st.EmittedRuns, values: st.EmittedValues}
 			return nil
 		}
 		blocksOf := func(ci int) []blockcache.Key { return w.Blocks.BlockKeysOf(cubes[ci]) }
@@ -352,53 +392,120 @@ func localCubeJoin(c *cluster.Cluster, phase string, infos []hcube.RelInfo, orde
 		if err := runCtx.Err(); err != nil {
 			return err
 		}
-		for _, r := range perCube {
-			results[w.ID] += r
-		}
-		for _, e := range perCubeEmit {
-			emitted[w.ID].add(e)
-		}
-		cubeOuts[w.ID] = perCubeOut
 		if storeAs != "" {
-			w.Rels[storeAs] = concatOutputs(storeAs, order, results[w.ID], perCubeOut)
+			w.Rels[storeAs] = wins.fold(storeAs, outs[base:base+len(cubes)])
 		}
 		return nil
 	})
-	var cacheStats blockcache.Stats
 	for _, w := range c.Workers {
-		cacheStats.Add(w.Blocks.Stats())
+		res.cache.Add(w.Blocks.Stats())
 	}
-	var allEmit emitStats
 	for _, e := range emitted {
-		allEmit.add(e)
+		res.emit.add(e)
 	}
 	if err != nil {
-		return 0, nil, cacheStats, allEmit, err
+		return cubeJoin{cache: res.cache, emit: res.emit}, err
 	}
-	var total int64
-	for _, r := range results {
-		total += r
-	}
-	var merged *relation.Relation
-	if cfg.CollectOutput {
-		// One copy per row, cube output → result: the counts are in, so the
-		// fold allocates each column once at its final size.
-		merged = concatOutputs("out", order, total, cubeOuts...)
-	}
-	return total, merged, cacheStats, allEmit, nil
-}
-
-// concatOutputs appends the cube outputs, in the order given, to one fresh
-// relation of rows capacity: (worker, cube) order, the same in parallel and
-// Sequential runs.
-func concatOutputs(name string, order []string, rows int64, outs ...[]*relation.Relation) *relation.Relation {
-	all := relation.NewWithCapacity(name, int(rows), order...)
-	for _, perCube := range outs {
-		for _, o := range perCube {
-			all.AppendAll(o)
+	for _, perCube := range res.rows {
+		for _, r := range perCube {
+			res.total += r
 		}
 	}
-	return all
+	if all != nil {
+		res.merged = all.fold("out", outs)
+	}
+	return res, nil
+}
+
+// zeroRows returns one zero count per cube, in the shape of cubeJoin.rows.
+func zeroRows(cubes [][]int) [][]int64 {
+	rows := make([][]int64, len(cubes))
+	for w := range rows {
+		rows[w] = make([]int64, len(cubes[w]))
+	}
+	return rows
+}
+
+func sameShape(a, b [][]int64) bool {
+	return slices.EqualFunc(a, b, func(x, y []int64) bool { return len(x) == len(y) })
+}
+
+// cubeWindows is the output storage of one fold — a worker's cubes when the
+// op keeps its output on the workers, every cube of the cluster otherwise:
+// the final columns, allocated once at the hinted row count, and one window
+// of them per cube, in fold order. A window is its stretch of every column
+// with length 0 and the capacity clamped to the cube's hinted rows
+// (col[off:off:off+n]), so the cube's ColumnWriter appends in place for as
+// long as the hint holds and re-allocates privately, as append does, once it
+// does not — a cube can never write into its neighbour's rows. No hint is
+// the same thing with every capacity 0.
+type cubeWindows struct {
+	order []string
+	cols  [][]relation.Value
+	// off[k]:off[k+1] is window k.
+	off []int
+}
+
+// newCubeWindows sizes the storage from the hinted row counts, given in fold
+// order (one slice per worker).
+func newCubeWindows(order []string, hint ...[]int64) *cubeWindows {
+	off := []int{0}
+	for _, perCube := range hint {
+		for _, n := range perCube {
+			off = append(off, off[len(off)-1]+int(n))
+		}
+	}
+	cw := &cubeWindows{order: order, cols: make([][]relation.Value, len(order)), off: off}
+	for j := range cw.cols {
+		cw.cols[j] = make([]relation.Value, 0, off[len(off)-1])
+	}
+	return cw
+}
+
+// window returns the empty relation cube k writes its rows to.
+func (cw *cubeWindows) window(k int) *relation.Relation {
+	lo, hi := cw.off[k], cw.off[k+1]
+	cols := make([][]relation.Value, len(cw.cols))
+	for j, col := range cw.cols {
+		cols[j] = col[lo:lo:hi]
+	}
+	return relation.FromColumns("out", cw.order, cols)
+}
+
+// fold returns the cubes' outputs, outs[k] written through window k,
+// concatenated in order. When every cube stayed inside its window the rows
+// are already in the final columns and only a cube that sits right of where
+// it belongs — one after a cube that came up short — is moved; with a true
+// hint that is no cube at all. A cube that outgrew its window left it, so
+// then the columns are allocated again at the exact size and every cube is
+// copied: what a fold without a hint always does.
+func (cw *cubeWindows) fold(name string, outs []*relation.Relation) *relation.Relation {
+	rows, inPlace := 0, true
+	for k, o := range outs {
+		rows += o.Len()
+		inPlace = inPlace && o.Len() <= cw.off[k+1]-cw.off[k]
+	}
+	if !inPlace {
+		all := relation.NewWithCapacity(name, rows, cw.order...)
+		for _, o := range outs {
+			all.AppendAll(o)
+		}
+		return all
+	}
+	cols := make([][]relation.Value, len(cw.cols))
+	for j, col := range cw.cols {
+		cols[j] = col[:rows]
+	}
+	at := 0
+	for k, o := range outs {
+		if n := o.Len(); n > 0 && at < cw.off[k] {
+			for j, src := range o.Columns() {
+				copy(cols[j][at:at+n], src) // to the left, where every earlier cube already is
+			}
+		}
+		at += o.Len()
+	}
+	return relation.FromColumns(name, cw.order, cols)
 }
 
 // emitStats folds the leapfrog emitted-run counters across cubes/workers.

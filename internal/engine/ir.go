@@ -48,6 +48,7 @@ func Run(name string, q hypergraph.Query, rels []*relation.Relation, cfg Config)
 			return rep, err
 		}
 		chargeSeconds(c, "optimize", t0)
+		cfg.Prepared = pp
 	}
 	rep.Plan = pp.Program.Label
 	if err := cfg.Ctx.Err(); err != nil {
@@ -274,16 +275,21 @@ func runLeapfrog(c *cluster.Cluster, prog *plan.Program, op *plan.Op, st *progSt
 	if !ok {
 		return fmt.Errorf("engine: LeapfrogCube #%d has no upstream Shuffle", op.ID)
 	}
-	total, output, cstats, estats, err := localCubeJoin(c, op.Phase, sp.Rels, op.Order, cfg, op.Cached, op.StoreAs)
-	rep.CacheBlocks += cstats.Blocks
-	rep.TrieBuilds += cstats.Builds
-	rep.TrieCacheHits += cstats.Hits
-	rep.EmittedRuns += estats.runs
-	rep.EmittedValues += estats.values
+	// The plan remembers what each cube produced the last time this op ran
+	// to the end; the counts size this run's output and are replaced by its
+	// own.
+	pp := cfg.Prepared
+	res, err := localCubeJoin(c, op.Phase, sp.Rels, op.Order, cfg, op.Cached, op.StoreAs, pp.cubeRowsOf(op.ID))
+	rep.CacheBlocks += res.cache.Blocks
+	rep.TrieBuilds += res.cache.Builds
+	rep.TrieCacheHits += res.cache.Hits
+	rep.EmittedRuns += res.emit.runs
+	rep.EmittedValues += res.emit.values
 	if err != nil {
 		return opFailure(c, op, st, err, 0, rep)
 	}
-	st.lf[op.ID] = lfResult{total: total, merged: output}
+	pp.rememberCubeRows(op.ID, res.rows)
+	st.lf[op.ID] = lfResult{total: res.total, merged: res.merged}
 	return nil
 }
 

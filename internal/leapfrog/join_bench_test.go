@@ -35,15 +35,15 @@ func cubeOf(rels []*relation.Relation, s hcube.Shares, cube int) []*relation.Rel
 }
 
 // BenchmarkJoinTriangle times leapfrog.Join on the serve-warm shape — the
-// triangle over a power-law graph under ADJ's order [b c a] — counting and
-// emitting: the whole graph on one node, and cube 0 of the two 4-cube
+// triangle over the LJ@2 power-law graph under ADJ's order [b c a] —
+// counting and emitting: the whole graph on one node, and cube 0 of the two 4-cube
 // partitions that tie on communication, [2 2 1] (the leading attributes
 // split: what hcube.Optimize picks) and [1 2 2] (the lexicographically
 // smallest vector, what it picked before). ns/result is the per-layer
 // metric the benchmark reports as leapfrog.{count,emit}_ns_per_result.
 func BenchmarkJoinTriangle(b *testing.B) {
 	q := hypergraph.Q1()
-	rels := q.BindGraph(dataset.Generate(dataset.SpecOf("LJ", 0.5)))
+	rels := q.BindGraph(dataset.Generate(dataset.SpecOf("LJ", 2)))
 	order := []string{"b", "c", "a"}
 	type input struct {
 		name string

@@ -136,3 +136,101 @@ func BenchmarkRootSeek(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkIntersectProbe times the bitmap leaf beside intersect on the same
+// lists: the shapes of BenchmarkIntersect (probe list × marked list), then a
+// 64-value list marked over wider and wider value spans and probed by 64
+// values drawn from the same span — the numbers behind maxMarkWords. "probe"
+// is a leaf under a list already marked (the common one: a stable list is
+// marked once per binding above the leaf's parent), "mark+probe" pays the
+// re-mark — clear the old list, set the new — at every leaf, and "merge" is
+// intersect. triangle-leaves runs markSet.ready over the leaf sequence of the
+// serve-warm triangle, so it marks as often as the join does.
+func BenchmarkIntersectProbe(b *testing.B) {
+	rng := rand.New(rand.NewSource(7))
+	// pairs is how many list pairs a shape cycles through: 64 keeps the
+	// lists cache-resident, as the workload's tries are; the span series
+	// takes 1024, so that a wide bitmap is probed where no recent leaf left
+	// it cached (1024 × 64 values touch every cache line of 2^22 bits).
+	type shape struct {
+		name              string
+		mk, pr, sp, pairs int
+	}
+	shapes := []shape{
+		{"16x16", 16, 16, 64, 64},
+		{"16x400", 400, 16, 1600, 64},
+		{"400x16", 16, 400, 1600, 64},
+	}
+	for _, lg := range []int{12, 16, 18, 20, 22, 24, 26} {
+		shapes = append(shapes, shape{fmt.Sprintf("64x64/span-2^%d", lg), 64, 64, 1 << lg, 1024})
+	}
+	for _, sh := range shapes {
+		pairs := sh.pairs
+		var mks, prs [][]Value
+		for i := 0; i < pairs; i++ {
+			mks = append(mks, ascending(rng, sh.mk, 0, int64(sh.sp)))
+			prs = append(prs, ascending(rng, sh.pr, 0, int64(sh.sp)))
+		}
+		perValue := func(b *testing.B) {
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(sh.mk+sh.pr), "ns/value")
+		}
+		span := func(l []Value) uint64 { return uint64(l[len(l)-1]) - uint64(l[0]) }
+		b.Run(sh.name+"/probe", func(b *testing.B) {
+			var m markSet
+			m.mark(mks[0], span(mks[0]))
+			var n int
+			for i := 0; i < b.N; i++ {
+				n += m.count(prs[i%pairs])
+			}
+			sinkCount = int64(n)
+			perValue(b)
+		})
+		b.Run(sh.name+"/mark+probe", func(b *testing.B) {
+			var m markSet
+			var n int
+			for i := 0; i < b.N; i++ {
+				mk := mks[i%pairs]
+				m.mark(mk, span(mk))
+				n += m.count(prs[i%pairs])
+			}
+			sinkCount = int64(n)
+			perValue(b)
+		})
+		b.Run(sh.name+"/merge", func(b *testing.B) {
+			var n int64
+			for i := 0; i < b.N; i++ {
+				n += intersect(mks[i%pairs], prs[i%pairs], -1, nil)
+			}
+			sinkCount = n
+			perValue(b)
+		})
+	}
+
+	leaves := leafPairs(0.5)
+	var values int
+	for _, p := range leaves {
+		values += len(p[0]) + len(p[1])
+	}
+	for _, mode := range []string{"count", "append"} {
+		emit := mode == "append"
+		b.Run("triangle-leaves/"+mode, func(b *testing.B) {
+			var m markSet
+			out := make([]Value, 1<<16)
+			var n int64
+			for i := 0; i < b.N; i++ {
+				for _, p := range leaves {
+					switch {
+					case !m.ready(p[0], len(p[1])):
+						n += intersect(p[0], p[1], -1, nil)
+					case emit:
+						n += int64(m.collect(p[1], out))
+					default:
+						n += int64(m.count(p[1]))
+					}
+				}
+			}
+			sinkCount = n
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(values), "ns/value")
+		})
+	}
+}

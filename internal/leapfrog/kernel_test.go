@@ -1,9 +1,11 @@
 package leapfrog
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"reflect"
+	"slices"
 	"sort"
 	"testing"
 
@@ -163,5 +165,95 @@ func TestSeekRootMatchesSearch(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// The leaf through the bitmap against the same reference: one pooled-style
+// joiner meets every pair of a grid of lengths × ratios × value spans (dense,
+// sparse, wider than the bitmap may be, negative, the int64 extremes), with
+// either list as the stable one and with none, counting and emitting, at every
+// limit that changes the answer. The joiner is not reset between pairs, so a
+// bit left behind by one list is a wrong count for the next.
+func TestMeetMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(24))
+	type pair struct {
+		name string
+		a, b []Value
+	}
+	var cases []pair
+	for _, n := range []int{0, 1, 2, 63, 64, 65, 1000} {
+		for _, ratio := range []int{1, 2, 7, 8, 9, 64} {
+			if n*ratio > 8000 {
+				continue
+			}
+			for _, sp := range []struct {
+				name     string
+				lo, span int64
+			}{
+				{"dense", 0, int64(2*n*ratio + 2)},
+				{"sparse", -1 << 20, 1 << 21},
+				{"negative", -5000 - int64(3*n*ratio), int64(3*n*ratio + 3)},
+				{"wider-than-cap", -1 << 40, 1 << 41},
+				{"at-min", math.MinInt64, int64(4*n*ratio + 4)},
+				{"at-max", math.MaxInt64 - int64(4*n*ratio+4), int64(4*n*ratio + 4)},
+			} {
+				a, b := ascending(rng, n, sp.lo, sp.span), ascending(rng, n*ratio, sp.lo, sp.span)
+				if sp.name == "wider-than-cap" && n > 1 {
+					// One list spanning the whole of int64: the span
+					// arithmetic must not wrap into a small bitmap.
+					a[0], a[len(a)-1] = math.MinInt64, math.MaxInt64
+				}
+				cases = append(cases, pair{fmt.Sprintf("%s/%dx%d", sp.name, n, n*ratio), a, b})
+			}
+		}
+	}
+	var probed, merged int
+	j := &joiner{}
+	for _, c := range cases {
+		full := refDrain2(nil, c.a, c.b, -1)
+		m := int64(len(full))
+		for _, limit := range []int64{-1, 0, 1, m / 2, m - 1, m, m + 1} {
+			want := refDrain2(nil, c.a, c.b, limit)
+			for _, swap := range []bool{false, true} {
+				a, b := c.a, c.b
+				if swap {
+					a, b = b, a
+				}
+				for _, stable := range []int{0, 1, -1} {
+					// Twice: the first leaf under a list may wait or
+					// mark, the second finds it marked.
+					for rep := 0; rep < 2; rep++ {
+						j.stable = stable
+						if got := j.meet(a, b, limit, false); got != int64(len(want)) {
+							t.Fatalf("%s limit=%d swap=%v stable=%d: counted %d, reference takes %d",
+								c.name, limit, swap, stable, got, len(want))
+						}
+						got := j.meet(a, b, limit, true)
+						if got != int64(len(want)) || !slices.Equal(j.runBuf[:got], want) {
+							t.Fatalf("%s limit=%d swap=%v stable=%d: emitted %v (count %d), reference %v",
+								c.name, limit, swap, stable, j.runBuf[:got], got, want)
+						}
+						if stable >= 0 && len(j.marks.list) > 0 && sameList(j.marks.list, [][]Value{a, b}[stable]) {
+							probed++
+						} else {
+							merged++
+						}
+					}
+				}
+			}
+		}
+	}
+	if probed == 0 || merged == 0 {
+		t.Fatalf("%d leaves probed, %d merged: the grid must reach both", probed, merged)
+	}
+	// What release leaves behind: nothing marked, no word set.
+	j.release()
+	for w, word := range j.marks.bits {
+		if word != 0 {
+			t.Fatalf("bitmap word %d = %#x after release", w, word)
+		}
+	}
+	if j.marks.list != nil || j.marks.cand != nil {
+		t.Fatal("release kept a list")
 	}
 }

@@ -117,7 +117,10 @@ func TrieAttrs(attrs []string, pos map[string]int) []string {
 // per-cube loop of every engine — allocate only their Stats counters.
 func Join(tries []*trie.Trie, order []string, opt Options) (Stats, error) {
 	j := joinerPool.Get().(*joiner)
-	defer joinerPool.Put(j)
+	defer func() {
+		j.release()
+		joinerPool.Put(j)
+	}()
 	if err := j.init(tries, order); err != nil {
 		return Stats{}, err
 	}
@@ -154,6 +157,11 @@ type joiner struct {
 	// the leaf) into one slice per leaf so they reach the sink as a single
 	// run.
 	runBuf []Value
+	// stable is the index, in the two-relation leaf's ring, of the iterator
+	// whose candidate list outlives a leaf (see stableLeaf), or -1; marks is
+	// the bitmap of that list the leaf probes.
+	stable int
+	marks  markSet
 }
 
 var joinerPool = sync.Pool{New: func() interface{} { return &joiner{} }}
@@ -209,6 +217,7 @@ func (j *joiner) init(tries []*trie.Trie, order []string) error {
 			return fmt.Errorf("leapfrog: attribute %q not covered by any relation", order[d])
 		}
 	}
+	j.stable = j.stableLeaf(tries)
 	if cap(j.frames) < j.n {
 		j.frames = make([]frame, j.n)
 	} else {
@@ -338,8 +347,8 @@ func (j *joiner) run(opt Options) (Stats, error) {
 // Two relations at the leaf — every edge attribute of a subgraph query is
 // shared by exactly two atoms — is the hot shape, and it opens no frame:
 // the two candidate lists are read straight off the iterators (their
-// parents were synced by the caller) and handed to intersect. Any other
-// ring size opens the leaf's frame and drains it.
+// parents were synced by the caller) and handed to meet. Any other ring
+// size opens the leaf's frame and drains it.
 func (j *joiner) leaf(st *Stats, opt *Options, work *int64) error {
 	d := j.n - 1
 	limit := int64(-1)
@@ -348,22 +357,17 @@ func (j *joiner) leaf(st *Stats, opt *Options, work *int64) error {
 	}
 	f := &j.frames[d]
 	var cnt int64
-	switch {
-	case len(f.iters) != 2:
+	if len(f.iters) == 2 {
+		cnt = j.meet(f.iters[0].ChildRange(), f.iters[1].ChildRange(), limit, opt.Sink != nil)
+		if opt.Sink != nil && cnt > 0 {
+			opt.Sink.BeginRun(j.binding[:d])
+			deliver(opt.Sink, st, j.runBuf[:cnt])
+		}
+	} else {
 		if f.open() {
 			cnt = f.drain(st, d, opt.Sink, j.binding, limit, &j.runBuf)
 		}
 		f.close()
-	case opt.Sink == nil:
-		cnt = intersect(f.iters[0].ChildRange(), f.iters[1].ChildRange(), limit, nil)
-	default:
-		run := j.runBuf[:0]
-		cnt = intersect(f.iters[0].ChildRange(), f.iters[1].ChildRange(), limit, &run)
-		if cnt > 0 {
-			opt.Sink.BeginRun(j.binding[:d])
-			deliver(opt.Sink, st, run)
-		}
-		j.runBuf = run[:0]
 	}
 	st.LevelTuples[d] += cnt
 	st.Results += cnt

@@ -5,9 +5,12 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"runtime"
 	"slices"
+	"sync/atomic"
 	"testing"
 	"testing/quick"
+	"time"
 
 	"adj/internal/hypergraph"
 	"adj/internal/relation"
@@ -221,4 +224,126 @@ func TestJoinMatchesReferenceMixedArity(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 120}); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// The leaf shapes the bitmap kernel tells apart, each under a fixed order and
+// on lists long enough to cross bitmap words: a list held across the
+// second-to-last depth (the triangle), across two depths (a four-cycle with
+// one chord missing), a unary relation at the leaf, two lists that both hang
+// off the second-to-last depth (none to mark) and two that both hang off the
+// first (either would do). Budget sweeps every value from 1 past the run's
+// total, so it trips inside a leaf, on its last value and between leaves;
+// FirstFixed takes a present, an absent and the last first value. Stats, error
+// and rows in order equal the reference's.
+func TestJoinLeafShapesMatchReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(37))
+	rel := func(name string, tuples int, domain int64, attrs ...string) *relation.Relation {
+		return testutil.RandRelation(rng, name, attrs, tuples, domain).SortDedup()
+	}
+	for _, c := range []struct {
+		name   string
+		order  []string
+		rels   []*relation.Relation
+		stable int
+	}{
+		{"triangle", []string{"a", "b", "c"}, []*relation.Relation{
+			rel("R", 300, 90, "a", "b"), rel("S", 300, 90, "b", "c"), rel("T", 300, 90, "a", "c")}, 1},
+		{"held-across-two-depths", []string{"a", "b", "c", "d"}, []*relation.Relation{
+			rel("R", 120, 40, "a", "d"), rel("S", 120, 40, "c", "d"), rel("T", 60, 40, "a", "b"), rel("V", 60, 40, "b", "c")}, 0},
+		{"unary-at-leaf", []string{"a", "b"}, []*relation.Relation{
+			rel("R", 400, 120, "a", "b"), rel("U", 70, 120, "b")}, 1},
+		{"both-off-second-to-last", []string{"a", "b", "c"}, []*relation.Relation{
+			rel("R", 400, 12, "a", "b", "c"), rel("S", 100, 12, "b", "c")}, -1},
+		{"both-off-first", []string{"a", "b", "c"}, []*relation.Relation{
+			rel("R", 300, 70, "a", "c"), rel("S", 300, 70, "a", "c"), rel("T", 100, 70, "a", "b")}, 0},
+	} {
+		tries := BuildTries(c.rels, c.order)
+		j := &joiner{}
+		if err := j.init(tries, c.order); err != nil {
+			t.Fatal(err)
+		}
+		if j.stable != c.stable {
+			t.Fatalf("%s: stable leaf iterator %d, want %d", c.name, j.stable, c.stable)
+		}
+		full, err := Join(tries, c.order, Options{})
+		if err != nil || full.Results == 0 {
+			t.Fatalf("%s: %d results, err %v: the case tests nothing", c.name, full.Results, err)
+		}
+		for budget := int64(0); budget <= full.TotalWithResults()+1; budget++ {
+			if err := checkAgainstReference(tries, c.order, Options{Budget: budget}); err != nil {
+				t.Fatalf("%s budget=%d: %v", c.name, budget, err)
+			}
+		}
+		first := tries[0].Levels[0].Vals
+		for _, v := range []Value{first[0], first[len(first)/2], first[len(first)-1], -1} {
+			v := v
+			for _, budget := range []int64{0, 1, 7} {
+				if err := checkAgainstReference(tries, c.order, Options{Budget: budget, FirstFixed: &v}); err != nil {
+					t.Fatalf("%s first=%d budget=%d: %v", c.name, v, budget, err)
+				}
+			}
+		}
+	}
+}
+
+// A joiner back in the pool keeps nothing of the join it ran: with the pooled
+// joiner held, two collections free the join's tries (their finalizers run),
+// and the same joiner then joins other tries, of another shape, to the
+// reference's rows — a bit left in its bitmap would be a wrong answer.
+func TestPooledJoinerPinsNoTrie(t *testing.T) {
+	rng := rand.New(rand.NewSource(41))
+	q := hypergraph.Q1()
+	order := []string{"a", "b", "c"}
+	var j *joiner
+	var freed *atomic.Int32 // tries of the last join its finalizers have seen
+	// The race detector makes the pool drop some Puts, and a Get may land on
+	// another P's empty shard: join until the pool hands a used joiner back.
+	for attempt := 0; j == nil && attempt < 200; attempt++ {
+		func() {
+			tries := BuildTries(q.BindGraph(testutil.RandEdges(rng, "E", 400, 40)), order)
+			if _, err := Join(tries, order, Options{Sink: &rowLog{}}); err != nil {
+				t.Fatal(err)
+			}
+			n := new(atomic.Int32)
+			for _, tr := range tries {
+				runtime.SetFinalizer(tr, func(*trie.Trie) { n.Add(1) })
+			}
+			freed = n
+		}()
+		if got := joinerPool.Get().(*joiner); cap(got.iters) > 0 {
+			j = got
+		}
+	}
+	if j == nil {
+		t.Skip("the pool never handed back a used joiner")
+	}
+	for deadline := time.Now().Add(10 * time.Second); freed.Load() < 3; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d of the join's 3 tries freed with its joiner pooled: the joiner pins the rest", freed.Load())
+		}
+		runtime.GC()
+		runtime.GC()
+	}
+
+	rels := []*relation.Relation{
+		testutil.RandRelation(rng, "R", []string{"a", "b"}, 500, 60).SortDedup(),
+		testutil.RandRelation(rng, "U", []string{"b"}, 40, 60).SortDedup(),
+	}
+	order = []string{"a", "b"}
+	tries := BuildTries(rels, order)
+	var want, got rowLog
+	wantSt, err := refJoin(tries, order, Options{Sink: &want})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := j.init(tries, order); err != nil {
+		t.Fatal(err)
+	}
+	gotSt, err := j.run(Options{Sink: &got})
+	if err != nil || !reflect.DeepEqual(gotSt, wantSt) || !reflect.DeepEqual(got.rows, want.rows) {
+		t.Fatalf("second join on the pooled joiner: stats %+v err %v, %d rows; reference %+v, %d rows",
+			gotSt, err, len(got.rows), wantSt, len(want.rows))
+	}
+	j.release()
+	joinerPool.Put(j)
 }

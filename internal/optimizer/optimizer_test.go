@@ -2,10 +2,12 @@ package optimizer
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 
 	"adj/internal/costmodel"
 	"adj/internal/dataset"
+	"adj/internal/ghd"
 	"adj/internal/hypergraph"
 	"adj/internal/leapfrog"
 	"adj/internal/relation"
@@ -243,5 +245,31 @@ func TestPlanningPassSharesTries(t *testing.T) {
 	}
 	if n := o.ix.TriesBuilt(); n != 2 {
 		t.Fatalf("planning pass built %d tries, want 2", n)
+	}
+}
+
+// ChooseOrderSketch is a function of its inputs: 500 calls pick one order on
+// the equal-size triangle (Q1 with every atom bound to one graph, LJ@0.5:
+// [a b c] and [b a c] cost the same up to float rounding, which dividing in
+// map order decided differently on one call in five) and on Q1–Q6 over the
+// LJ@0.05 test graph. Run under -cpu 1,2,4 by CI.
+func TestChooseOrderSketchDeterministic(t *testing.T) {
+	type input struct {
+		q     hypergraph.Query
+		scale float64
+	}
+	inputs := []input{{hypergraph.Q1(), 0.5}}
+	for _, q := range []hypergraph.Query{hypergraph.Q1(), hypergraph.Q2(), hypergraph.Q3(), hypergraph.Q4(), hypergraph.Q5(), hypergraph.Q6()} {
+		inputs = append(inputs, input{q, 0.05})
+	}
+	for _, in := range inputs {
+		o := newOpt(t, in.q, in.q.BindGraph(dataset.Load("LJ", in.scale)), 4)
+		orders := ghd.AllAttrOrders(in.q.Attrs())
+		first := o.ChooseOrderSketch(orders)
+		for call := 1; call < 500; call++ {
+			if got := o.ChooseOrderSketch(orders); !slices.Equal(got, first) {
+				t.Fatalf("%s on LJ@%v: call %d chose %v, the first call %v", in.q.Name, in.scale, call, got, first)
+			}
+		}
 	}
 }

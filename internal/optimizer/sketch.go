@@ -87,8 +87,10 @@ func (st *sketchStats) prefixEstimate(rels []*relation.Relation, prefix []string
 	if !any {
 		return 1
 	}
-	for a, c := range cover {
-		for k := 1; k < c; k++ {
+	// In prefix order, not map order: float division does not commute in its
+	// rounding, and orders that tie must tie the same way on every call.
+	for _, a := range prefix {
+		for k := 1; k < cover[a]; k++ {
 			d := maxD[a]
 			if d < 1 {
 				d = 1

@@ -58,7 +58,12 @@ func (w *ColumnWriter) BeginRun(prefix []Value) {
 		panic(fmt.Sprintf("relation %q: run prefix arity %d != %d",
 			w.r.Name, len(prefix), len(w.r.Attrs)-1))
 	}
-	w.prefix = append(w.prefix[:0], prefix...)
+	// A prefix is a value or two and there is one per run: a loop, not the
+	// call append makes.
+	w.prefix = w.prefix[:0]
+	for _, v := range prefix {
+		w.prefix = append(w.prefix, v)
+	}
 }
 
 // AppendRun appends one tuple per value in vals: the current prefix in the
@@ -98,10 +103,14 @@ func (w *ColumnWriter) AppendTuple(t Tuple) {
 	w.rows++
 }
 
-// extendCol grows col by n slots, ready to be overwritten.
+// extendCol grows col by n slots, ready to be overwritten. Out of capacity it
+// at least doubles (growColumn): append's own schedule falls to 1.25× for
+// large slices, and a run-appended column climbing it from empty allocated
+// over five times its final size (TestRunAppendAllocCeiling).
 func extendCol(col []Value, n int) []Value {
-	if cap(col)-len(col) >= n {
-		return col[:len(col)+n]
+	need := len(col) + n
+	if need > cap(col) {
+		col = growColumn(col, need)
 	}
-	return append(col, make([]Value, n)...)
+	return col[:need]
 }

@@ -2,6 +2,7 @@ package relation
 
 import (
 	"math/rand"
+	"runtime"
 	"testing"
 )
 
@@ -87,4 +88,29 @@ func TestColumnWriterPanics(t *testing.T) {
 	expectPanic("bad prefix arity", func() { w.BeginRun([]Value{1, 2}) })
 	expectPanic("bad tuple arity", func() { w.AppendTuple([]Value{1}) })
 	expectPanic("zero attrs", func() { NewColumnWriter(New("empty")) })
+}
+
+// A relation appended run by run from empty — a cube's output on a first
+// execution, before any count is known — allocates the 2–4× of its final
+// bytes that doubling costs (twice the last capacity, which is under twice
+// the rows): 2.62× at 200 k rows in runs of two. On append's schedule (1.25×
+// steps for large slices) the same rows allocated 5.23× their size.
+func TestRunAppendAllocCeiling(t *testing.T) {
+	const rows, run = 200_000, 2
+	vals := make([]Value, run)
+	prefix := []Value{1, 2}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	out := New("out", "a", "b", "c")
+	w := NewColumnWriter(out)
+	for i := 0; i < rows/run; i++ {
+		w.BeginRun(prefix)
+		w.AppendRun(vals)
+	}
+	runtime.ReadMemStats(&after)
+	ratio := float64(after.TotalAlloc-before.TotalAlloc) / float64(out.SizeBytes())
+	t.Logf("%d rows in runs of %d: allocated %.2f× the final columns' bytes", out.Len(), run, ratio)
+	if out.Len() != rows || ratio > 2.7 {
+		t.Fatalf("%d rows appended by run allocated %.2f× their final size, want %d rows at ≤ 2.7×", out.Len(), ratio, rows)
+	}
 }

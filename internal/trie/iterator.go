@@ -40,6 +40,10 @@ func (it *Iterator) Init(t *Trie) {
 	}
 }
 
+// Unbind drops the iterator's trie and keeps its position arrays for the
+// next Init: a pooled iterator must not keep its last trie alive.
+func (it *Iterator) Unbind() { it.t = nil }
+
 // Reset repositions at the root without reallocating.
 func (it *Iterator) Reset() { it.depth = -1 }
 
