@@ -68,10 +68,8 @@ import (
 	"adj/internal/cluster"
 	"adj/internal/dataset"
 	"adj/internal/engine"
-	"adj/internal/ghd"
 	"adj/internal/hypergraph"
 	"adj/internal/relation"
-	"adj/internal/yannakakis"
 )
 
 // Value is the attribute domain (int64; graph vertex ids).
@@ -250,18 +248,3 @@ func LoadGraph(path string) (*Relation, error) { return dataset.LoadSNAPFile(pat
 
 // DatasetNames lists the named synthetic datasets in size order.
 func DatasetNames() []string { return dataset.Names() }
-
-// CountAcyclic evaluates an α-acyclic query with Yannakakis' algorithm
-// (linear in input + output; §VI positions it as the acyclic-query
-// standard). It errors when the query is cyclic — use a Session for those.
-func CountAcyclic(q Query, db Database) (int64, error) {
-	rels, err := q.Bind(db)
-	if err != nil {
-		return 0, err
-	}
-	d, err := ghd.Decompose(q, ghd.Options{})
-	if err != nil {
-		return 0, err
-	}
-	return yannakakis.Count(q, rels, d)
-}

@@ -140,29 +140,3 @@ func TestDatasetNames(t *testing.T) {
 		}
 	}
 }
-
-func TestCountAcyclic(t *testing.T) {
-	q, err := ParseQuery("Qp :- R(a,b) ⋈ S(b,c)")
-	if err != nil {
-		t.Fatal(err)
-	}
-	r := NewRelation("R", "x", "y")
-	r.Append(1, 2)
-	r.Append(3, 2)
-	s := NewRelation("S", "x", "y")
-	s.Append(2, 7)
-	s.Append(2, 8)
-	n, err := CountAcyclic(q, Database{"R": r, "S": s})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n != 4 {
-		t.Fatalf("count=%d want 4", n)
-	}
-	// Cyclic queries must be rejected.
-	if _, err := CountAcyclic(CatalogQuery("Q1"), Database{
-		"R1": r, "R2": r, "R3": r,
-	}); err == nil {
-		t.Fatal("expected error for cyclic query")
-	}
-}

@@ -19,6 +19,7 @@ import (
 	"testing"
 
 	"adj"
+	"adj/internal/cluster"
 	"adj/internal/costmodel"
 	"adj/internal/engine"
 	"adj/internal/experiments"
@@ -321,20 +322,42 @@ func ratioD(a, b float64) float64 {
 	return b / a
 }
 
-// BenchmarkAblationShuffle isolates Push vs Pull vs Merge end-to-end
-// within HCubeJ.
+// BenchmarkAblationShuffle isolates Push vs Pull vs Merge: one HCube
+// shuffle of Q2 over 8 loaded workers plus the receiver-side cube tries, as
+// Fig. 9 measures them.
 func BenchmarkAblationShuffle(b *testing.B) {
 	edges := adj.GenerateGraph("AS", benchScale())
 	q := hypergraph.Get("Q2")
 	rels := q.BindGraph(edges)
+	order := q.Attrs()
+	infos := hcube.InfoOf(rels)
+	shares, err := hcube.Optimize(infos, hcube.Config{Attrs: order, NumServers: 8})
+	if err != nil {
+		b.Fatal(err)
+	}
 	for _, kind := range []hcube.Kind{hcube.Push, hcube.Pull, hcube.Merge} {
-		kind := kind
 		b.Run(kind.String(), func(b *testing.B) {
+			c := cluster.New(cluster.Config{N: 8})
+			defer c.Close()
 			for i := 0; i < b.N; i++ {
-				cfg := engine.Config{NumServers: 8, Samples: 100, Seed: 1, Ctx: context.Background()}
-				k := kind
-				cfg.ShuffleKind = &k
-				if _, err := engine.Run("HCubeJ", q, rels, cfg); err != nil {
+				b.StopTimer()
+				c.ResetRun()
+				c.LoadDatabase(rels)
+				b.StartTimer()
+				if err := hcube.Run(c, "shuffle", hcube.Plan{
+					Shares: shares, Rels: infos, Kind: kind, TrieOrder: order,
+				}); err != nil {
+					b.Fatal(err)
+				}
+				err := c.Parallel("tries", func(w *cluster.Worker) error {
+					for _, cube := range w.Blocks.Cubes() {
+						for _, name := range w.Blocks.CubeRels(cube) {
+							w.Blocks.CubeTrie(cube, name)
+						}
+					}
+					return nil
+				})
+				if err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -1,22 +1,21 @@
-// Package blockcache is the per-worker shared block-trie registry behind
-// the Merge HCube's amortization argument (§V of the paper): a block of a
-// relation — all tuples sharing one hash signature — lands in every cube
-// whose coordinates match the signature, so with CubesPerServer > 1 many of
-// a worker's cubes contain the exact same (relation, block) fragment. The
-// registry builds each block's trie exactly once per worker and hands the
-// shared immutable trie to every cube that needs it; per-(cube, relation)
-// tries are assembled lazily at first use by merging the cube's block
-// tries (or aliasing the single block trie directly — the common case when
-// a relation's attributes pin every one of its share coordinates).
+// Package blockcache is the per-worker block-trie registry the HCube
+// shuffles deliver into (§V of the paper): a block of a relation — all
+// tuples sharing one hash signature — arrives as parts from every sender
+// (raw tuples from Push/Pull, pre-built tries from Merge, or a trie adopted
+// from the session's store on a warm run) and the registry builds its trie
+// exactly once. A worker holds one cube; its per-relation tries are
+// assembled lazily at first use by merging the cube's block tries (or
+// aliasing the single block trie directly — the common case when a
+// relation's attributes pin every one of its share coordinates).
 //
 // Deposits happen during the shuffle's consume phase (one goroutine per
-// worker); trie construction happens during the join phase, where cubes
-// run on a work-stealing pool — both block and cube entries are
-// single-flight, so two cubes racing on the same block wait for one build
-// instead of duplicating it.
+// worker); trie construction happens during the join phase. Block and cube
+// entries are single-flight, so concurrent requests for one block wait for
+// one build instead of duplicating it.
 package blockcache
 
 import (
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -38,10 +37,12 @@ type Stats struct {
 	Blocks int64
 	// Builds counts block tries constructed. With every deposited block
 	// requested at least once, Builds == Blocks: each trie is built exactly
-	// once no matter how many cubes share it.
+	// once.
 	Builds int64
-	// Hits counts block-trie requests served from the cache (requests
-	// beyond the first per block — the cross-cube reuse factor).
+	// Hits counts block-trie requests answered without a build: a request
+	// for a trie adopted from the store, or a repeat request for a block.
+	// A worker's one cube asks for each block once, so in a join these are
+	// the adopted tries.
 	Hits int64
 	// CubeMerges counts lazy per-(cube, relation) k-way merges; cubes whose
 	// relation has a single block alias the block trie and merge nothing.
@@ -58,14 +59,11 @@ func (s *Stats) Add(s2 Stats) {
 
 // Registry is one worker's block-trie cache. Deposit* and Bind* are called
 // from the (single-goroutine) shuffle consume phase; BlockTrie/CubeTrie
-// are safe for concurrent use from the cube pool.
+// are safe for concurrent use.
 type Registry struct {
 	mu     sync.Mutex
 	blocks map[Key]*blockEntry
 	cubes  map[cubeKey]*cubeEntry
-	// byCube aggregates each cube's block working set for the locality
-	// scheduler (ordered by first binding, deduplicated).
-	byCube map[int][]Key
 
 	builds     atomic.Int64
 	hits       atomic.Int64
@@ -92,10 +90,6 @@ type blockEntry struct {
 	// build — the whole point of cross-query reuse is that no shuffle-side
 	// trie construction happens at all.
 	adopted *trie.Trie
-	// size accumulates the tuples deposited for this block — the cost
-	// estimate the cube scheduler weighs (deposits happen before the join
-	// phase reads sizes, so no atomicity beyond the registry lock needed).
-	size int64
 }
 
 // cubeEntry lists the blocks of one (cube, relation) and memoizes their
@@ -111,7 +105,6 @@ func New() *Registry {
 	return &Registry{
 		blocks: make(map[Key]*blockEntry),
 		cubes:  make(map[cubeKey]*cubeEntry),
-		byCube: make(map[int][]Key),
 	}
 }
 
@@ -122,7 +115,6 @@ func (r *Registry) DepositTrie(k Key, attrs []string, t *trie.Trie) {
 	r.mu.Lock()
 	e := r.entry(k, attrs)
 	e.trieParts = append(e.trieParts, t)
-	e.size += int64(t.NumTuples)
 	r.mu.Unlock()
 }
 
@@ -133,7 +125,6 @@ func (r *Registry) DepositTuples(k Key, attrs []string, part *relation.Relation)
 	r.mu.Lock()
 	e := r.entry(k, attrs)
 	e.tupleParts = append(e.tupleParts, part)
-	e.size += int64(part.Len())
 	r.mu.Unlock()
 }
 
@@ -146,7 +137,6 @@ func (r *Registry) DepositBuilt(k Key, attrs []string, t *trie.Trie) {
 	r.mu.Lock()
 	e := r.entry(k, attrs)
 	e.adopted = t
-	e.size += int64(t.NumTuples)
 	r.mu.Unlock()
 }
 
@@ -176,7 +166,6 @@ func (r *Registry) BindCube(cube int, rel string, k Key) {
 		}
 	}
 	ce.keys = append(ce.keys, k)
-	r.byCube[cube] = append(r.byCube[cube], k)
 }
 
 // BlockTrie returns the trie of block k, building it exactly once
@@ -291,9 +280,11 @@ func (r *Registry) BuiltBlocks() []BuiltBlock {
 // Cubes returns the sorted distinct cube ids with at least one bound block.
 func (r *Registry) Cubes() []int {
 	r.mu.Lock()
-	out := make([]int, 0, len(r.byCube))
-	for c := range r.byCube {
-		out = append(out, c)
+	var out []int
+	for ck := range r.cubes {
+		if !slices.Contains(out, ck.cube) {
+			out = append(out, ck.cube)
+		}
 	}
 	r.mu.Unlock()
 	sort.Ints(out)
@@ -312,32 +303,6 @@ func (r *Registry) CubeRels(cube int) []string {
 	r.mu.Unlock()
 	sort.Strings(out)
 	return out
-}
-
-// BlockKeysOf returns cube's block working set across all relations, in
-// binding order — the locality signal the cube scheduler partitions on.
-// The returned slice is shared; callers must not mutate it.
-func (r *Registry) BlockKeysOf(cube int) []Key {
-	r.mu.Lock()
-	ks := r.byCube[cube]
-	r.mu.Unlock()
-	return ks
-}
-
-// CubeWeight estimates cube's join work as the summed tuple counts
-// deposited for its bound blocks — the cost signal the locality
-// partitioner balances deques by. Sizes survive the trie build, so cubes
-// can be weighed at any point.
-func (r *Registry) CubeWeight(cube int) int64 {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	var w int64
-	for _, k := range r.byCube[cube] {
-		if e, ok := r.blocks[k]; ok {
-			w += e.size
-		}
-	}
-	return w
 }
 
 // Len returns the number of distinct blocks deposited.

@@ -86,9 +86,6 @@ func TestCubeTrieSharingAndLazyMerge(t *testing.T) {
 	if st.CubeMerges != 1 {
 		t.Fatalf("cube merges = %d, want 1 (only the two-block cube merges)", st.CubeMerges)
 	}
-	if got := len(r.BlockKeysOf(4)); got != 2 {
-		t.Fatalf("cube 4 working set = %d keys, want 2", got)
-	}
 	if got := r.Cubes(); fmt.Sprint(got) != "[0 2 4]" {
 		t.Fatalf("cubes = %v", got)
 	}
@@ -156,37 +153,6 @@ func TestSingleFlightUnderRace(t *testing.T) {
 	st := r.Stats()
 	if st.Builds != blocks {
 		t.Fatalf("builds = %d, want exactly %d (one per block)", st.Builds, blocks)
-	}
-}
-
-// CubeWeight must sum the tuple counts deposited for a cube's bound
-// blocks — across senders, both deposit kinds, and surviving the trie
-// build (the scheduler weighs cubes after tries may already exist).
-func TestCubeWeight(t *testing.T) {
-	r := New()
-	attrs := []string{"a", "b"}
-	kA := Key{Rel: "R", Sig: 0}
-	kB := Key{Rel: "S", Sig: 1}
-	r.DepositTuples(kA, attrs, mkRel("R", [][]relation.Value{{1, 2}, {1, 3}}))
-	r.DepositTuples(kA, attrs, mkRel("R", [][]relation.Value{{2, 2}}))
-	r.DepositTrie(kB, attrs, trie.Build(mkRel("S", [][]relation.Value{{5, 6}, {5, 7}, {6, 6}, {7, 7}}), attrs))
-	r.BindCube(0, "R", kA)
-	r.BindCube(0, "S", kB)
-	r.BindCube(1, "R", kA)
-	if w := r.CubeWeight(0); w != 7 {
-		t.Fatalf("cube 0 weight = %d, want 7 (3 tuple-part rows + 4 trie tuples)", w)
-	}
-	if w := r.CubeWeight(1); w != 3 {
-		t.Fatalf("cube 1 weight = %d, want 3", w)
-	}
-	if w := r.CubeWeight(99); w != 0 {
-		t.Fatalf("unknown cube weight = %d, want 0", w)
-	}
-	// Building the tries must not lose the size accounting.
-	r.BlockTrie(kA)
-	r.BlockTrie(kB)
-	if w := r.CubeWeight(0); w != 7 {
-		t.Fatalf("cube 0 weight after builds = %d, want 7", w)
 	}
 }
 

@@ -175,8 +175,7 @@ type Cluster struct {
 	// a worker panic, so peers observe prompt cancellation even when the
 	// caller's context stays live. Phases check it at every barrier;
 	// in-phase cancellation is handled by the workloads themselves (the
-	// cube scheduler and the join inner loops poll the same context via
-	// CancelPoll).
+	// cube joins poll the same context via CancelPoll).
 	ctx       context.Context
 	cancelRun context.CancelFunc
 	// panicHook, when non-nil, runs at the start of every worker's phase
@@ -244,7 +243,7 @@ func (c *Cluster) Context() context.Context { return c.ctx }
 
 // CancelPoll returns a cheap poll reporting whether the current run is
 // cancelled (caller cancellation or a peer worker's panic). Workloads with
-// long inner loops (the cube scheduler, the Leapfrog intersections) poll
+// long inner loops (the cube loop, the Leapfrog intersections) poll
 // it between batches so an abort lands mid-phase, not at the next barrier.
 func (c *Cluster) CancelPoll() func() bool {
 	ctx := c.ctx
@@ -407,13 +406,6 @@ func (c *Cluster) LoadRelation(r *relation.Relation) {
 func (c *Cluster) LoadDatabase(rels []*relation.Relation) {
 	for _, r := range rels {
 		c.LoadRelation(r)
-	}
-}
-
-// DropRelation removes a relation's fragments from all workers.
-func (c *Cluster) DropRelation(name string) {
-	for _, w := range c.Workers {
-		delete(w.Rels, name)
 	}
 }
 

@@ -169,9 +169,6 @@ func NewTCPTransportWithRetry(n int, policy RetryPolicy) (*TCPTransport, error) 
 	return t, nil
 }
 
-// Addrs returns the listener addresses (for diagnostics).
-func (t *TCPTransport) Addrs() []string { return append([]string(nil), t.addrs...) }
-
 // RetryStats returns the cumulative dial retry count (RetryCounter).
 func (t *TCPTransport) RetryStats() int64 { return t.retries.Load() }
 

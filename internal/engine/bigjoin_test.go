@@ -181,9 +181,12 @@ func TestWrongShapePayloadIsTransportError(t *testing.T) {
 		{"BigJoin", "verify"},
 	} {
 		for shape, reshape := range reshapes {
+			c := cluster.New(cluster.Config{N: 3,
+				Transport: &reshapeTransport{cluster.NewLocalTransport(3), consumer.phase, reshape}})
 			cfg := smallCfg(3)
-			cfg.Transport = &reshapeTransport{cluster.NewLocalTransport(3), consumer.phase, reshape}
+			cfg.Cluster = c
 			_, err := Run(consumer.engine, q, rels, cfg)
+			c.Close()
 			if !errors.Is(err, cluster.ErrTransport) || errors.Is(err, cluster.ErrWorkerPanic) {
 				t.Fatalf("%s %s, %s chunk: err %v, want a transport error and no panic",
 					consumer.engine, consumer.phase, shape, err)

@@ -28,66 +28,56 @@ func invariantReport(rep Report) string {
 }
 
 // TestCacheSchedulerEquivalenceAllEngines pins the determinism contract
-// across all six engines and cube fan-outs 1 and 4: parallel scheduling
-// (2N exchange goroutines, locality deques + stealing) agrees with
-// Config.Sequential on every scheduling-invariant field, and two Sequential
-// runs additionally agree on BytesShuffled and on output row order.
+// across all six engines: parallel scheduling (a goroutine per worker, 2N
+// exchange goroutines) agrees with Config.Sequential on every
+// scheduling-invariant field, and two Sequential runs additionally agree on
+// BytesShuffled and on output row order.
 func TestCacheSchedulerEquivalenceAllEngines(t *testing.T) {
 	rng := rand.New(rand.NewSource(57))
 	for iter := 0; iter < 3; iter++ {
 		edges := testutil.RandEdges(rng, "E", 300+200*iter, int64(25+5*iter))
 		for _, q := range []hypergraph.Query{hypergraph.Q1(), hypergraph.Q2()} {
 			rels := q.BindGraph(edges)
+			var counts []int64 // every engine's count, which must agree
 			for name, run := range Engines() {
-				for _, cps := range []int{1, 4} {
-					// CubesPerServer changes the shuffle (finer cubes), so
-					// compare only within a fan-out.
-					at := fmt.Sprintf("iter=%d %s/%s cps=%d", iter, name, q.Name, cps)
-					exec := func(sequential bool) Report {
-						cfg := smallCfg(3)
-						cfg.CubesPerServer = cps
-						cfg.Sequential = sequential
-						cfg.CollectOutput = true
-						rep, err := run(q, rels, cfg)
-						if err != nil {
-							t.Fatalf("%s seq=%v: %v", at, sequential, err)
-						}
-						if int64(rep.Output.Len()) != rep.Results {
-							t.Fatalf("%s seq=%v: output %d tuples, results=%d", at, sequential, rep.Output.Len(), rep.Results)
-						}
-						switch name {
-						case "ADJ", "HCubeJ", "HCubeJ+Cache":
-							// Batched emission engaged, one value per result.
-							if (rep.Results > 0 && rep.EmittedRuns == 0) || rep.EmittedValues != rep.Results {
-								t.Fatalf("%s seq=%v: %d results, %d emitted runs, %d emitted values",
-									at, sequential, rep.Results, rep.EmittedRuns, rep.EmittedValues)
-							}
-						}
-						return rep
-					}
-					seq, seqAgain, par := exec(true), exec(true), exec(false)
-					if want, got := invariantReport(seq), invariantReport(par); got != want {
-						t.Fatalf("%s: parallel differs from sequential:\n  seq: %s\n  par: %s", at, want, got)
-					}
-					if invariantReport(seq) != invariantReport(seqAgain) ||
-						seq.BytesShuffled != seqAgain.BytesShuffled || !seq.Output.Equal(seqAgain.Output) {
-						t.Fatalf("%s: two sequential runs differ (bytes %d vs %d, same row order: %v)",
-							at, seq.BytesShuffled, seqAgain.BytesShuffled, seq.Output.Equal(seqAgain.Output))
-					}
-				}
-			}
-			// All engines and fan-outs agree on the count.
-			var counts []int64
-			for name, run := range Engines() {
-				for _, cps := range []int{1, 4} {
+				at := fmt.Sprintf("iter=%d %s/%s", iter, name, q.Name)
+				exec := func(sequential bool) Report {
 					cfg := smallCfg(3)
-					cfg.CubesPerServer = cps
+					cfg.Sequential = sequential
+					cfg.CollectOutput = true
 					rep, err := run(q, rels, cfg)
 					if err != nil {
-						t.Fatalf("%s cps=%d: %v", name, cps, err)
+						t.Fatalf("%s seq=%v: %v", at, sequential, err)
 					}
-					counts = append(counts, rep.Results)
+					if int64(rep.Output.Len()) != rep.Results {
+						t.Fatalf("%s seq=%v: output %d tuples, results=%d", at, sequential, rep.Output.Len(), rep.Results)
+					}
+					// A worker's one cube asks for each of its blocks once, so
+					// a cold run builds every block and hits none.
+					if rep.TrieBuilds != rep.CacheBlocks || rep.TrieCacheHits != 0 {
+						t.Fatalf("%s seq=%v: %d blocks, %d builds, %d hits", at, sequential,
+							rep.CacheBlocks, rep.TrieBuilds, rep.TrieCacheHits)
+					}
+					switch name {
+					case "ADJ", "HCubeJ", "HCubeJ+Cache":
+						// Batched emission engaged, one value per result.
+						if (rep.Results > 0 && rep.EmittedRuns == 0) || rep.EmittedValues != rep.Results {
+							t.Fatalf("%s seq=%v: %d results, %d emitted runs, %d emitted values",
+								at, sequential, rep.Results, rep.EmittedRuns, rep.EmittedValues)
+						}
+					}
+					return rep
 				}
+				seq, seqAgain, par := exec(true), exec(true), exec(false)
+				if want, got := invariantReport(seq), invariantReport(par); got != want {
+					t.Fatalf("%s: parallel differs from sequential:\n  seq: %s\n  par: %s", at, want, got)
+				}
+				if invariantReport(seq) != invariantReport(seqAgain) ||
+					seq.BytesShuffled != seqAgain.BytesShuffled || !seq.Output.Equal(seqAgain.Output) {
+					t.Fatalf("%s: two sequential runs differ (bytes %d vs %d, same row order: %v)",
+						at, seq.BytesShuffled, seqAgain.BytesShuffled, seq.Output.Equal(seqAgain.Output))
+				}
+				counts = append(counts, seq.Results)
 			}
 			for _, c := range counts[1:] {
 				if c != counts[0] {
@@ -110,10 +100,7 @@ func TestCachedVsRebuiltCubeTries(t *testing.T) {
 		order := q.Attrs()
 		info := hcube.InfoOf(rels)
 		n := 2 + rng.Intn(3)
-		shares, err := hcube.Optimize(info, hcube.Config{
-			Attrs: order, NumServers: n,
-			MaxCubes: 2 * n, MinCubes: 2 * n, // force multi-cube workers
-		})
+		shares, err := hcube.Optimize(info, hcube.Config{Attrs: order, NumServers: n})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -156,30 +143,5 @@ func TestCachedVsRebuiltCubeTries(t *testing.T) {
 				}
 			}
 		}
-	}
-}
-
-// With multiple cubes per server on a shared-block workload the cache must
-// actually be hit: blocks shared across cubes are built once and reused.
-func TestCacheHitsWithCubeFanout(t *testing.T) {
-	rng := rand.New(rand.NewSource(13))
-	edges := testutil.RandEdges(rng, "E", 1500, 45)
-	q := hypergraph.Q1()
-	rels := q.BindGraph(edges)
-	cfg := smallCfg(4)
-	cfg.CubesPerServer = 4
-	rep, err := Run("ADJ", q, rels, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.CacheBlocks == 0 {
-		t.Fatal("no blocks deposited in the cache")
-	}
-	if rep.TrieBuilds != rep.CacheBlocks {
-		t.Fatalf("trie builds=%d, blocks=%d: each block must be built exactly once",
-			rep.TrieBuilds, rep.CacheBlocks)
-	}
-	if rep.TrieCacheHits == 0 {
-		t.Fatal("cube fan-out with shared blocks produced zero cache hits")
 	}
 }

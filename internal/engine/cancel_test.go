@@ -15,8 +15,8 @@ import (
 // the sequential simulation and the default parallel mode, and checks the
 // run returns promptly with the context's error and the process goroutine
 // count settles back to its baseline — the no-leak guarantee of the
-// cancellation plumbing (phase barriers, cube scheduler, Leapfrog inner
-// loops, sampling).
+// cancellation plumbing (phase barriers, each cube join's start, Leapfrog
+// inner loops, sampling).
 func TestCancelAllEngines(t *testing.T) {
 	edges := dataset.Load("LJ", 0.3)
 	q := hypergraph.Get("Q5") // 5-node pattern: long enough to catch mid-run

@@ -81,21 +81,22 @@ func TestChaosMatrix(t *testing.T) {
 							break
 						}
 						baseline := runtime.NumGoroutine()
-						cfg := base
-						cfg.Sequential = sequential
-						var clus *cluster.Cluster
+						// Every cell borrows an explicit cluster for the run:
+						// panic injection needs its hook, the others its
+						// wrapped transport.
+						clusCfg := cluster.Config{N: base.NumServers, Sequential: sequential}
 						var ftr *faultinject.Transport
-						if k.panic {
-							// Panic injection needs the cluster's hook, so
-							// borrow an explicit cluster for the run.
-							clus = cluster.New(cluster.Config{N: cfg.NumServers, Sequential: sequential})
-							clus.SetPanicHook(faultinject.PanicHook(seed, 0.02, ""))
-							cfg.Cluster = clus
-						} else {
+						if !k.panic {
 							ftr = faultinject.Wrap(
-								cluster.NewLocalTransport(cfg.NumServers), seed, k.rules...)
-							cfg.Transport = ftr
+								cluster.NewLocalTransport(base.NumServers), seed, k.rules...)
+							clusCfg.Transport = ftr
 						}
+						clus := cluster.New(clusCfg)
+						if k.panic {
+							clus.SetPanicHook(faultinject.PanicHook(seed, 0.02, ""))
+						}
+						cfg := base
+						cfg.Cluster = clus
 
 						var rep Report
 						var err error
@@ -136,9 +137,7 @@ func TestChaosMatrix(t *testing.T) {
 						} else {
 							fired = fired || err != nil // a fired hook always fails the run
 						}
-						if clus != nil {
-							clus.Close()
-						}
+						clus.Close()
 						waitGoroutines(t, baseline)
 					}
 					if !fired {

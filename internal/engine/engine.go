@@ -43,23 +43,9 @@ type Config struct {
 	Budget int64
 	// MemoryPerServer bounds HCube loads in tuples (0 = unbounded).
 	MemoryPerServer int64
-	// CacheBudget is HCubeJ+Cache's per-level cache size in values; 0 picks
-	// a default derived from MemoryPerServer.
-	CacheBudget int
-	// CubesPerServer assigns multiple hypercubes per server (the paper's
-	// "P can be larger than N*" skew mitigation: finer cubes spread a hub's
-	// work over more, smaller tasks). Default 1.
-	CubesPerServer int
-	// ShuffleKind overrides the engine's default HCube implementation
-	// (HCubeJ family defaults to Push — the original implementation the
-	// paper attributes their failures to; ADJ defaults to Merge).
-	ShuffleKind *hcube.Kind
-	// Transport overrides the cluster transport (default in-process).
-	Transport cluster.Transport
-	// Sequential forces the deterministic sequential simulation: workers
-	// run one at a time and a worker's cubes run in order. The default
-	// executes workers on goroutines and spreads a worker's cubes over a
-	// work-stealing pool (the hot path).
+	// Sequential builds the run's cluster in the deterministic sequential
+	// simulation: workers run one at a time. The default runs one goroutine
+	// per worker (the hot path). A borrowed Cluster keeps its own mode.
 	Sequential bool
 	// CollectOutput materializes result tuples into Report.Output (tests);
 	// default counts only.
@@ -68,15 +54,16 @@ type Config struct {
 	// --- Session execution (see the adj package's Session API) ---
 
 	// Ctx is the run's context. It is required: Prepare and Run reject a
-	// nil Ctx. Cancellation is observed at every phase barrier, between
-	// cubes in the scheduler, inside the Leapfrog inner loops and between
+	// nil Ctx. Cancellation is observed at every phase barrier, before
+	// each cube join, inside the Leapfrog inner loops and between
 	// samples while planning, so a mid-run cancel returns promptly with the
 	// context's error and no leaked goroutines.
 	Ctx context.Context
 	// Cluster, when non-nil, is a session-resident cluster borrowed for
 	// this run: the engine resets its metrics and per-cube state but does
-	// not close it, and NumServers is taken from it. nil builds a fresh
-	// cluster for the run and closes it on return.
+	// not close it, and NumServers is taken from it. It is also how a run
+	// gets a transport other than the in-process one. nil builds a fresh
+	// in-process cluster for the run and closes it on return.
 	Cluster *cluster.Cluster
 	// Prepared, when non-nil, supplies the cached planning artifact of a
 	// PreparedQuery: Run skips its optimization phase (sampling included)
@@ -128,8 +115,8 @@ type Report struct {
 	// CacheBlocks counts distinct (relation, block) fragments received,
 	// TrieBuilds the block tries actually constructed (equal to CacheBlocks
 	// when every block is built exactly once), and TrieCacheHits the
-	// block-trie requests served from the shared cache — the cross-cube
-	// reuse the shuffle's replication creates.
+	// block-trie requests answered without a build: a worker joins one
+	// cube, so these are the tries adopted from the session's trie store.
 	CacheBlocks   int64
 	TrieBuilds    int64
 	TrieCacheHits int64
@@ -196,15 +183,6 @@ func (r Report) String() string {
 		r.Total(), r.TuplesShuffled, status)
 }
 
-// maxCubes returns the hypercube count for a run: one per server unless
-// CubesPerServer requests finer skew-spreading cubes.
-func maxCubes(cfg Config) int {
-	if cfg.CubesPerServer > 1 {
-		return cfg.NumServers * cfg.CubesPerServer
-	}
-	return cfg.NumServers
-}
-
 // clusterFor returns the cluster a run executes on and its release hook:
 // a borrowed session-resident cluster (cfg.Cluster) is reset — fresh
 // metrics, run context installed — and handed back un-closed; otherwise a
@@ -224,11 +202,7 @@ func clusterFor(cfg Config) (*cluster.Cluster, func()) {
 			c.SetContext(nil)
 		}
 	}
-	c := cluster.New(cluster.Config{
-		N:          cfg.NumServers,
-		Transport:  cfg.Transport,
-		Sequential: cfg.Sequential,
-	})
+	c := cluster.New(cluster.Config{N: cfg.NumServers, Sequential: cfg.Sequential})
 	c.SetContext(cfg.Ctx)
 	return c, func() { c.Close() }
 }
@@ -299,14 +273,9 @@ type cubeJoin struct {
 // missing one the cubes grow private columns and the fold copies them — the
 // rows and their (worker, cube) order are the same either way.
 //
-// By default a worker's cubes are spread over locality-partitioned
-// work-stealing deques (see runCubes): cubes sharing blocks run on the
-// same goroutine, back to back, so a block trie built for one cube is
-// still cache-hot for the next; with CubesPerServer > 1 a skewed hub cube
-// no longer serializes its worker — idle goroutines steal from the
-// richest deque. cfg.Sequential restores the deterministic in-order loop.
-// Results and outputs are accumulated per cube and folded in cube order,
-// so both modes produce identical reports.
+// hcube.Optimize picks exactly NumServers cubes, so every worker holds at
+// most one. A worker joins its cube list in order on its own goroutine,
+// polling for cancellation before each cube.
 func localCubeJoin(c *cluster.Cluster, phase string, infos []hcube.RelInfo, order []string, cfg Config, cached bool, storeAs string, hint [][]int64) (cubeJoin, error) {
 	collect := cfg.CollectOutput || storeAs != ""
 	var res cubeJoin
@@ -340,8 +309,8 @@ func localCubeJoin(c *cluster.Cluster, phase string, infos []hcube.RelInfo, orde
 	}
 	// Poll the cluster's derived run context, not just cfg.Ctx: it is also
 	// cancelled when a peer worker panics, so the leapfrog inner loops and
-	// the cube scheduler abandon their work mid-phase instead of computing
-	// to the barrier of a run that already failed.
+	// the cube loop abandon their work mid-phase instead of computing to the
+	// barrier of a run that already failed.
 	runCtx := c.Context()
 	cancelled := c.CancelPoll()
 	err := c.Parallel(phase, func(w *cluster.Worker) error {
@@ -353,8 +322,11 @@ func localCubeJoin(c *cluster.Cluster, phase string, infos []hcube.RelInfo, orde
 		if storeAs != "" {
 			wins, winBase = newCubeWindows(order, hint[w.ID]), 0
 		}
-		joinCube := func(ci int) error {
-			tries := cubeTries(w, cubes[ci], infos, order)
+		for ci, cube := range cubes {
+			if cancelled() {
+				break
+			}
+			tries := cubeTries(w, cube, infos, order)
 			opts := leapfrog.Options{Budget: budgetPer, Cancel: cancelled}
 			if collect {
 				// The sink appends whole runs from the leaf intersection to
@@ -382,12 +354,6 @@ func localCubeJoin(c *cluster.Cluster, phase string, infos []hcube.RelInfo, orde
 			}
 			perCube[ci] = st.Results
 			emitted[base+ci] = emitStats{runs: st.EmittedRuns, values: st.EmittedValues}
-			return nil
-		}
-		blocksOf := func(ci int) []blockcache.Key { return w.Blocks.BlockKeysOf(cubes[ci]) }
-		weightOf := func(ci int) int64 { return w.Blocks.CubeWeight(cubes[ci]) }
-		if err := runCubes(len(cubes), cfg.Sequential, cancelled, blocksOf, weightOf, joinCube); err != nil {
-			return err
 		}
 		if err := runCtx.Err(); err != nil {
 			return err
@@ -518,10 +484,8 @@ func (e *emitStats) add(o emitStats) {
 	e.values += o.values
 }
 
+// cacheBudget is HCubeJ+Cache's per-level cache size in values.
 func cacheBudget(cfg Config) int {
-	if cfg.CacheBudget > 0 {
-		return cfg.CacheBudget
-	}
 	if cfg.MemoryPerServer > 0 {
 		// The cache gets whatever memory HCube's shuffled load left behind —
 		// the starvation effect §VII describes for HCubeJ+Cache on LJ.

@@ -7,7 +7,6 @@ import (
 	"testing/quick"
 
 	"adj/internal/cluster"
-	"adj/internal/hcube"
 	"adj/internal/hypergraph"
 	"adj/internal/relation"
 	"adj/internal/testutil"
@@ -193,34 +192,16 @@ func TestADJOverTCPTransport(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	c := cluster.New(cluster.Config{N: 3, Transport: tr})
+	defer c.Close()
 	cfg := smallCfg(3)
-	cfg.Transport = tr
+	cfg.Cluster = c
 	rep, err := Run("ADJ", q, rels, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if rep.Results != want {
 		t.Fatalf("TCP run: results=%d want %d", rep.Results, want)
-	}
-}
-
-func TestShuffleKindOverride(t *testing.T) {
-	rng := rand.New(rand.NewSource(15))
-	edges := testutil.RandEdges(rng, "E", 400, 25)
-	q := hypergraph.Q1()
-	rels := q.BindGraph(edges)
-	want := int64(relation.NaiveJoin(rels, q.Attrs()).Len())
-	for _, kind := range []hcube.Kind{hcube.Push, hcube.Pull, hcube.Merge} {
-		kind := kind
-		cfg := smallCfg(4)
-		cfg.ShuffleKind = &kind
-		rep, err := Run("HCubeJ", q, rels, cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if rep.Results != want {
-			t.Fatalf("kind=%v results=%d want %d", kind, rep.Results, want)
-		}
 	}
 }
 
@@ -250,28 +231,6 @@ func TestEngineNamesComplete(t *testing.T) {
 	for i, n := range EngineNames() {
 		if AllEngineNames()[i] != n {
 			t.Fatalf("AllEngineNames()[%d] = %q, want %q", i, AllEngineNames()[i], n)
-		}
-	}
-}
-
-// Multiple cubes per server (skew mitigation) must not change results.
-func TestCubesPerServerCorrectness(t *testing.T) {
-	rng := rand.New(rand.NewSource(23))
-	edges := testutil.RandEdges(rng, "E", 600, 30)
-	q := hypergraph.Q1()
-	rels := q.BindGraph(edges)
-	want := int64(relation.NaiveJoin(rels, q.Attrs()).Len())
-	for _, cps := range []int{1, 2, 4} {
-		cfg := smallCfg(3)
-		cfg.CubesPerServer = cps
-		for _, name := range []string{"ADJ", "HCubeJ"} {
-			rep, err := Run(name, q, rels, cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if rep.Results != want {
-				t.Fatalf("%s cps=%d: results=%d want %d", rep.Engine, cps, rep.Results, want)
-			}
 		}
 	}
 }

@@ -44,11 +44,47 @@ func TestEarDecompose(t *testing.T) {
 // random connected queries — same counts, same sorted materialized tuples —
 // under both sequential and parallel scheduling. This is the correctness
 // contract of strategy routing: whatever route the cost model picks, the
-// answer is the answer.
+// answer is the answer. Two fixed acyclic inputs always take Hybrid's
+// acyclic route: a two-atom path and a three-atom star.
 func TestHybridMatchesPureEnginesRandom(t *testing.T) {
 	rng := rand.New(rand.NewSource(19))
+	type instance struct {
+		q    hypergraph.Query
+		rels []*relation.Relation
+	}
+	var cases []instance
 	for iter := 0; iter < 6; iter++ {
 		q, rels := testutil.RandQueryInstance(rng, 5, 5, 150, 40)
+		cases = append(cases, instance{q, rels})
+	}
+	path := hypergraph.Database{
+		"R": relation.FromTuples("R", []string{"x", "y"}, [][]relation.Value{{1, 2}, {3, 2}}),
+		"S": relation.FromTuples("S", []string{"x", "y"}, [][]relation.Value{{2, 7}, {2, 8}}),
+	}
+	star := hypergraph.Database{}
+	for _, name := range []string{"R1", "R2", "R3"} {
+		star[name] = testutil.RandRelation(rng, name, []string{"x", "y"}, 60, 12).SortDedup()
+	}
+	for _, fixed := range []struct {
+		query string
+		db    hypergraph.Database
+	}{
+		{"Qp :- R(a,b) ⋈ S(b,c)", path},
+		{"Star :- R1(a,b) ⋈ R2(a,c) ⋈ R3(a,d)", star},
+	} {
+		q, err := hypergraph.ParseQuery(fixed.query)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rels, err := q.Bind(fixed.db)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cases = append(cases, instance{q, rels})
+	}
+	for iter, in := range cases {
+		q, rels := in.q, in.rels
+		want := relation.NaiveJoin(rels, q.Attrs())
 		for _, sequential := range []bool{true, false} {
 			cfg := smallCfg(3)
 			cfg.Sequential = sequential
@@ -56,6 +92,10 @@ func TestHybridMatchesPureEnginesRandom(t *testing.T) {
 			hyb, err := Run("Hybrid", q, rels, cfg)
 			if err != nil {
 				t.Fatalf("iter=%d seq=%v hybrid: %v", iter, sequential, err)
+			}
+			if hyb.Results != int64(want.Len()) {
+				t.Fatalf("iter=%d seq=%v %s: hybrid results=%d, oracle %d (plan %q)",
+					iter, sequential, q.Name, hyb.Results, want.Len(), hyb.Plan)
 			}
 			// Engines emit under their own attribute orders; canonicalize to
 			// the query's order and sort (multiset-preserving) so the

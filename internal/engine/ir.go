@@ -211,8 +211,6 @@ func runShuffle(c *cluster.Cluster, op *plan.Op, st *progState, rels []*relation
 	shares, err := hcube.Optimize(infos, hcube.Config{
 		Attrs:           op.Order,
 		NumServers:      cfg.NumServers,
-		MaxCubes:        maxCubes(cfg),
-		MinCubes:        maxCubes(cfg),
 		MemoryPerServer: cfg.MemoryPerServer,
 	})
 	if err != nil {
@@ -233,9 +231,8 @@ func runShuffle(c *cluster.Cluster, op *plan.Op, st *progState, rels []*relation
 		rep.FailReason = "memory"
 		return errRunFailed
 	}
-	kind := shuffleKindOf(op, cfg)
 	sp := hcube.Plan{
-		Shares: shares, Rels: infos, Kind: kind, TrieOrder: op.Order,
+		Shares: shares, Rels: infos, Kind: shuffleKindOf(op), TrieOrder: op.Order,
 		Reuse: shuffleReuse(cfg, planID, infos),
 	}
 	sp.Warm = sp.WarmRels()
@@ -252,12 +249,9 @@ func runShuffle(c *cluster.Cluster, op *plan.Op, st *progState, rels []*relation
 	return nil
 }
 
-// shuffleKindOf resolves the HCube implementation: the run config's
-// override wins, then the plan's choice, then Push (the original).
-func shuffleKindOf(op *plan.Op, cfg Config) hcube.Kind {
-	if cfg.ShuffleKind != nil {
-		return *cfg.ShuffleKind
-	}
+// shuffleKindOf resolves the HCube implementation the plan chose, Push (the
+// original) when it names none.
+func shuffleKindOf(op *plan.Op) hcube.Kind {
 	switch op.ShuffleKind {
 	case "merge":
 		return hcube.Merge

@@ -118,13 +118,44 @@ func TestOptimizeUsesAllServers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if s.NumCubes() != 8 {
-		t.Fatalf("cubes=%d want 8 (MinCubes defaults to N)", s.NumCubes())
-	}
 	// Triangle with equal sizes: balanced shares (2,2,2) minimize comm
 	// (each relation duplicated by the share of its missing attribute).
 	if !reflect.DeepEqual(s.P, []int{2, 2, 2}) {
 		t.Fatalf("p=%v want [2 2 2]", s.P)
+	}
+	// The contract that keeps a worker's cube list at most one long: on
+	// every catalog query, cluster size and input sizes, with and without a
+	// memory bound (feasible or not), there are exactly N cubes and
+	// ServerOfCube gives each server one of them.
+	rng := rand.New(rand.NewSource(5))
+	for _, q := range hypergraph.AllQueries() {
+		for n := 1; n <= 28; n++ {
+			for trial := 0; trial < 3; trial++ {
+				rels := make([]RelInfo, len(q.Atoms))
+				var total int64
+				for i, a := range q.Atoms {
+					rels[i] = RelInfo{Name: a.Name, Attrs: a.Attrs, Size: 1 + rng.Int63n(1_000_000)}
+					total += rels[i].Size
+				}
+				for _, mem := range []int64{0, 1 + rng.Int63n(total)} {
+					s, err := Optimize(rels, Config{Attrs: q.Attrs(), NumServers: n, MemoryPerServer: mem})
+					if err != nil {
+						t.Fatal(err)
+					}
+					if s.NumCubes() != n {
+						t.Fatalf("%s n=%d mem=%d: p=%v has %d cubes, want %d", q.Name, n, mem, s.P, s.NumCubes(), n)
+					}
+					servers := make([]bool, n)
+					for cube := 0; cube < n; cube++ {
+						sv := ServerOfCube(cube, n)
+						if servers[sv] {
+							t.Fatalf("%s n=%d: server %d holds two cubes", q.Name, n, sv)
+						}
+						servers[sv] = true
+					}
+				}
+			}
+		}
 	}
 }
 
@@ -200,20 +231,6 @@ func TestOptimizeInfeasibleMemoryFallsBack(t *testing.T) {
 	// Falls back to min-load vector (max split).
 	if s.P[0] != 2 {
 		t.Fatalf("p=%v want max split", s.P)
-	}
-}
-
-func TestCubesOfServer(t *testing.T) {
-	got := CubesOfServer(1, 7, 3)
-	if !reflect.DeepEqual(got, []int{1, 4}) {
-		t.Fatalf("cubes=%v", got)
-	}
-	total := 0
-	for sv := 0; sv < 3; sv++ {
-		total += len(CubesOfServer(sv, 7, 3))
-	}
-	if total != 7 {
-		t.Fatalf("cube assignment lost cubes: %d", total)
 	}
 }
 
@@ -320,6 +337,9 @@ func TestShuffleKindsAgree(t *testing.T) {
 		}
 		snap := make(map[string]string)
 		for _, w := range c.Workers {
+			if cubes := w.Blocks.Cubes(); len(cubes) != 1 || cubes[0] != w.ID {
+				t.Fatalf("kind=%v: worker %d holds cubes %v, want [%d]", kind, w.ID, cubes, w.ID)
+			}
 			for _, cube := range w.Blocks.Cubes() {
 				tries := cubeTries(w, cube, info, order)
 				for i, tr := range tries {

@@ -2,13 +2,14 @@
 // paper): the output space of a join is divided into hypercubes by a share
 // vector p (partitions per attribute); every input tuple is replicated to
 // the cubes whose coordinates match the tuple's hash on the relation's own
-// attributes. After one exchange every server evaluates its cubes
+// attributes. After one exchange every server evaluates its cube
 // independently — no intermediate-result shuffling.
 //
 // The share optimizer solves the paper's Eq. (3): minimize total shuffled
 // tuples subject to p ≥ 1 and a per-server memory bound, by exhaustive
-// enumeration of share vectors with bounded product (queries here have at
-// most six attributes, so enumeration is exact and fast).
+// enumeration of the share vectors whose product is the server count, one
+// cube per server (queries here have at most six attributes, so enumeration
+// is exact and fast).
 package hcube
 
 import (
@@ -122,35 +123,14 @@ func LoadPerCube(rels []RelInfo, s Shares) float64 {
 type Config struct {
 	// Attrs is the global attribute list (every relation attr must appear).
 	Attrs []string
-	// NumServers is N*.
+	// NumServers is N*, and Π p: one cube per server.
 	NumServers int
-	// MaxCubes caps Π p (default NumServers: one cube per server). Values
-	// above NumServers assign multiple cubes per server, the paper's skew
-	// mitigation.
-	MaxCubes int
-	// MinCubes floors Π p (default NumServers, so every server works).
-	MinCubes int
 	// MemoryPerServer bounds expected tuples per server (0 = unbounded).
 	MemoryPerServer int64
 }
 
-func (c *Config) normalize() {
-	if c.NumServers <= 0 {
-		c.NumServers = 1
-	}
-	if c.MaxCubes <= 0 {
-		c.MaxCubes = c.NumServers
-	}
-	if c.MinCubes <= 0 {
-		c.MinCubes = c.NumServers
-	}
-	if c.MinCubes > c.MaxCubes {
-		c.MinCubes = c.MaxCubes
-	}
-}
-
 // Optimize picks the share vector minimizing total communication subject to
-// the cube-count window and memory bound (Eq. 3). Ties break toward lower
+// Π p = NumServers and the memory bound (Eq. 3). Ties break toward lower
 // per-server load, then toward the lexicographically larger p over
 // cfg.Attrs: callers pass the join's traversal order, so among vectors that
 // shuffle the same tuples the one partitioning the attributes visited first
@@ -160,7 +140,9 @@ func (c *Config) normalize() {
 // the minimum-load vector is returned (the run will be reported as
 // memory-stressed by the engine, mirroring the paper's OOM failures).
 func Optimize(rels []RelInfo, cfg Config) (Shares, error) {
-	cfg.normalize()
+	if cfg.NumServers <= 0 {
+		cfg.NumServers = 1
+	}
 	n := len(cfg.Attrs)
 	if n == 0 {
 		return Shares{}, fmt.Errorf("hcube: no attributes")
@@ -196,19 +178,16 @@ func Optimize(rels []RelInfo, cfg Config) (Shares, error) {
 		}
 		return false
 	}
-	cubesPerServer := func(total int) float64 {
-		return math.Ceil(float64(total) / float64(cfg.NumServers))
-	}
+	// Enumerate the factorizations of NumServers into n shares.
 	p := make([]int, n)
 	var rec func(i, prod int)
 	rec = func(i, prod int) {
 		if i == n {
-			if prod < cfg.MinCubes {
+			if prod != cfg.NumServers {
 				return
 			}
 			s := Shares{Attrs: cfg.Attrs, P: append([]int(nil), p...)}
-			c := &cand{s: s, comm: TotalComm(rels, s)}
-			c.load = LoadPerCube(rels, s) * cubesPerServer(prod)
+			c := &cand{s: s, comm: TotalComm(rels, s), load: LoadPerCube(rels, s)}
 			c.feasible = cfg.MemoryPerServer <= 0 || c.load <= float64(cfg.MemoryPerServer)
 			if c.feasible && better(c, best) {
 				best = c
@@ -218,20 +197,19 @@ func Optimize(rels []RelInfo, cfg Config) (Shares, error) {
 			}
 			return
 		}
-		for v := 1; prod*v <= cfg.MaxCubes; v++ {
+		for v := 1; prod*v <= cfg.NumServers; v++ {
+			if (cfg.NumServers/prod)%v != 0 {
+				continue
+			}
 			p[i] = v
 			rec(i+1, prod*v)
 		}
 	}
 	rec(0, 1)
-	if best != nil {
-		return best.s, nil
+	if best == nil {
+		best = bestAny // p = (NumServers, 1, …, 1) always exists
 	}
-	if bestAny != nil {
-		return bestAny.s, nil
-	}
-	return Shares{}, fmt.Errorf("hcube: no share vector with %d..%d cubes over %d attrs",
-		cfg.MinCubes, cfg.MaxCubes, n)
+	return best.s, nil
 }
 
 // --- Coordinate math ---
@@ -246,18 +224,6 @@ func (s Shares) Strides() []int {
 		acc *= s.P[i]
 	}
 	return st
-}
-
-// CubeOf returns the cube index of a fully-bound output tuple (values in
-// s.Attrs order): the unique cube that reports this output tuple.
-func (s Shares) CubeOf(binding []relation.Value) int {
-	idx := 0
-	stride := 1
-	for i, pv := range s.P {
-		idx += relation.HashValue(binding[i], pv) * stride
-		stride *= pv
-	}
-	return idx
 }
 
 // CoordsOf decodes a cube index into per-attribute coordinates.
@@ -369,15 +335,6 @@ func (s Shares) matching(fixed map[int]int) []int {
 	return out
 }
 
-// ServerOfCube maps cube indexes to servers round-robin (the paper assigns
-// one or more hypercubes per worker core).
+// ServerOfCube maps cube indexes to servers round-robin. Optimize's vectors
+// have exactly numServers cubes, so server i holds cube i alone.
 func ServerOfCube(cube, numServers int) int { return cube % numServers }
-
-// CubesOfServer lists the cubes assigned to one server.
-func CubesOfServer(server, numCubes, numServers int) []int {
-	var out []int
-	for c := server; c < numCubes; c += numServers {
-		out = append(out, c)
-	}
-	return out
-}

@@ -151,8 +151,7 @@ type Op struct {
 	Rels []RelRef
 	// Order: the shuffle/trie/Leapfrog attribute order.
 	Order []string
-	// ShuffleKind is "push", "pull", "merge", or "" for the run config's
-	// engine default (overridable by Config.ShuffleKind either way).
+	// ShuffleKind is "push", "pull", "merge", or "" for Push.
 	ShuffleKind string
 	// ChargeOptimize charges the run-time share optimization to the
 	// optimize phase (the HCubeJ family's accounting).

@@ -1,7 +1,5 @@
 package relation
 
-import "sort"
-
 // NaiveJoin evaluates the natural join of rels over the output attribute
 // list outAttrs by brute-force backtracking over tuples. It exists purely as
 // a correctness oracle for property tests of Leapfrog, HCube and the
@@ -50,13 +48,6 @@ func NaiveJoin(rels []*Relation, outAttrs []string) *Relation {
 	// The same output tuple can be produced once per combination of input
 	// tuples; natural-join semantics over sets require dedup.
 	return out.SortDedup()
-}
-
-// SortedValues returns vals sorted ascending (non-mutating helper).
-func SortedValues(vals []Value) []Value {
-	out := append([]Value(nil), vals...)
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
 }
 
 // IntersectSorted intersects two ascending value slices.

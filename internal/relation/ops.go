@@ -46,22 +46,6 @@ func (r *Relation) gather(name string, rows []int32) *Relation {
 	return FromColumns(name, r.Attrs, gatherCols(r.cols, rows))
 }
 
-// Filter returns the tuples for which keep returns true. The tuple passed
-// to keep is scratch reused across rows; keep must not retain it.
-func (r *Relation) Filter(keep func(Tuple) bool) *Relation {
-	row := make(Tuple, len(r.cols))
-	var kept []int32
-	for i, n := 0, r.Len(); i < n; i++ {
-		for j, col := range r.cols {
-			row[j] = col[i]
-		}
-		if keep(row) {
-			kept = append(kept, int32(i))
-		}
-	}
-	return r.gather(r.Name+"_filt", kept)
-}
-
 // filterColumn returns the tuples whose attribute a satisfies keep.
 func (r *Relation) filterColumn(op, a string, keep func(Value) bool) *Relation {
 	c := r.AttrIndex(a)
@@ -251,17 +235,4 @@ func JoinAll(rels []*Relation) *Relation {
 		acc = HashJoin(acc, r)
 	}
 	return acc
-}
-
-// CrossCount returns the product of the sizes; a quick upper bound used by
-// guards in the test harness.
-func CrossCount(rels []*Relation) int64 {
-	p := int64(1)
-	for _, r := range rels {
-		p *= int64(r.Len())
-		if p < 0 { // overflow
-			return 1 << 62
-		}
-	}
-	return p
 }

@@ -165,12 +165,3 @@ func (it *Iterator) RootDirectory() *Directory {
 	}
 	return &it.t.Root
 }
-
-// ParentPos returns the node position of the parent at depth d-1 (0 for the
-// root); used as a cache key by the cached Leapfrog variant.
-func (it *Iterator) ParentPos() int32 {
-	if it.depth == 0 {
-		return 0
-	}
-	return it.pos[it.depth-1]
-}

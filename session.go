@@ -383,8 +383,8 @@ func WithTenant(tenant string) ExecOption {
 // request whose ctx deadline cannot be met by the estimated queue wait is
 // rejected immediately with context.DeadlineExceeded. ctx cancellation
 // and deadline expiry are observed promptly at every stage — the
-// admission queue, the pool checkout, phase barriers, the cube scheduler
-// and the Leapfrog inner loops — with no goroutines leaked; the returned
+// admission queue, the pool checkout, phase barriers, each cube join's
+// start and the Leapfrog inner loops — with no goroutines leaked; the returned
 // error is then ctx.Err(). ctx must not be nil.
 //
 // Executions over unchanged registered relations go warm: the shuffle is
