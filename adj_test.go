@@ -140,3 +140,42 @@ func TestDatasetNames(t *testing.T) {
 		}
 	}
 }
+
+// TestCountAcyclic counts an α-acyclic two-atom path through the public
+// Session API: every engine, Hybrid's acyclic route included, must agree.
+func TestCountAcyclic(t *testing.T) {
+	q, err := ParseQuery("Qp :- R(a,b) ⋈ S(b,c)")
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := NewRelation("R", "x", "y")
+	r.Append(1, 2)
+	r.Append(3, 2)
+	s := NewRelation("S", "x", "y")
+	s.Append(2, 7)
+	s.Append(2, 8)
+	sess, err := Open(Options{Workers: 2, Samples: 50, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { sess.Close() })
+	if err := sess.RegisterDatabase(Database{"R": r, "S": s}); err != nil {
+		t.Fatal(err)
+	}
+	for _, name := range AllEngineNames() {
+		pq, err := sess.Prepare(name, q)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		res, err := pq.Exec(context.Background())
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if rep := res.Report(); rep.Failed {
+			t.Fatalf("%s failed: %s", name, rep.FailReason)
+		}
+		if res.Count() != 4 {
+			t.Fatalf("%s: count=%d want 4", name, res.Count())
+		}
+	}
+}
