@@ -323,8 +323,8 @@ func ratioD(a, b float64) float64 {
 }
 
 // BenchmarkAblationShuffle isolates Push vs Pull vs Merge: one HCube
-// shuffle of Q2 over 8 loaded workers plus the receiver-side cube tries, as
-// Fig. 9 measures them.
+// shuffle of Q2 over 8 loaded workers plus the receiver-side tries of each
+// worker's cube, as Fig. 9 measures them.
 func BenchmarkAblationShuffle(b *testing.B) {
 	edges := adj.GenerateGraph("AS", benchScale())
 	q := hypergraph.Get("Q2")
@@ -350,10 +350,8 @@ func BenchmarkAblationShuffle(b *testing.B) {
 					b.Fatal(err)
 				}
 				err := c.Parallel("tries", func(w *cluster.Worker) error {
-					for _, cube := range w.Blocks.Cubes() {
-						for _, name := range w.Blocks.CubeRels(cube) {
-							w.Blocks.CubeTrie(cube, name)
-						}
+					for _, ri := range infos {
+						w.Blocks.Trie(ri.Name)
 					}
 					return nil
 				})

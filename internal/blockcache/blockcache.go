@@ -1,21 +1,19 @@
 // Package blockcache is the per-worker block-trie registry the HCube
-// shuffles deliver into (§V of the paper): a block of a relation — all
-// tuples sharing one hash signature — arrives as parts from every sender
-// (raw tuples from Push/Pull, pre-built tries from Merge, or a trie adopted
-// from the session's store on a warm run) and the registry builds its trie
-// exactly once. A worker holds one cube; its per-relation tries are
-// assembled lazily at first use by merging the cube's block tries (or
-// aliasing the single block trie directly — the common case when a
-// relation's attributes pin every one of its share coordinates).
+// shuffles deliver into (§V of the paper). A worker holds one cube, and a
+// cube fixes a coordinate for every attribute, so it holds exactly one block
+// of each relation — all of the relation's tuples sharing one hash
+// signature. The block arrives as parts from every sender (raw tuples from
+// Push/Pull, pre-built tries from Merge, or a trie adopted from the
+// session's store on a warm run) and the registry builds its trie exactly
+// once, at first use.
 //
 // Deposits happen during the shuffle's consume phase (one goroutine per
-// worker); trie construction happens during the join phase. Block and cube
-// entries are single-flight, so concurrent requests for one block wait for
-// one build instead of duplicating it.
+// worker); trie construction happens during the join phase. Entries are
+// single-flight, so concurrent requests for one relation's trie wait for one
+// build instead of duplicating it.
 package blockcache
 
 import (
-	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -25,7 +23,8 @@ import (
 )
 
 // Key identifies one block: a relation name plus the block's hash
-// signature under the shuffle's share vector.
+// signature under the shuffle's share vector. A registry holds at most one
+// block per relation.
 type Key struct {
 	Rel string
 	Sig int
@@ -33,7 +32,7 @@ type Key struct {
 
 // Stats is a snapshot of registry activity.
 type Stats struct {
-	// Blocks counts distinct (relation, block) entries deposited.
+	// Blocks counts the relations with a block deposited.
 	Blocks int64
 	// Builds counts block tries constructed. With every deposited block
 	// requested at least once, Builds == Blocks: each trie is built exactly
@@ -41,12 +40,9 @@ type Stats struct {
 	Builds int64
 	// Hits counts block-trie requests answered without a build: a request
 	// for a trie adopted from the store, or a repeat request for a block.
-	// A worker's one cube asks for each block once, so in a join these are
-	// the adopted tries.
+	// A join asks for each relation's trie once, so there these are the
+	// adopted tries.
 	Hits int64
-	// CubeMerges counts lazy per-(cube, relation) k-way merges; cubes whose
-	// relation has a single block alias the block trie and merge nothing.
-	CubeMerges int64
 }
 
 // Add accumulates s2 into s (for folding per-worker stats into a report).
@@ -54,31 +50,24 @@ func (s *Stats) Add(s2 Stats) {
 	s.Blocks += s2.Blocks
 	s.Builds += s2.Builds
 	s.Hits += s2.Hits
-	s.CubeMerges += s2.CubeMerges
 }
 
-// Registry is one worker's block-trie cache. Deposit* and Bind* are called
-// from the (single-goroutine) shuffle consume phase; BlockTrie/CubeTrie
-// are safe for concurrent use.
+// Registry is one worker's block-trie cache, one block per relation.
+// Deposit* are called from the (single-goroutine) shuffle consume phase;
+// Trie is safe for concurrent use.
 type Registry struct {
 	mu     sync.Mutex
-	blocks map[Key]*blockEntry
-	cubes  map[cubeKey]*cubeEntry
+	blocks map[string]*blockEntry // by relation name
 
-	builds     atomic.Int64
-	hits       atomic.Int64
-	cubeMerges atomic.Int64
-}
-
-type cubeKey struct {
-	cube int
-	rel  string
+	builds atomic.Int64
+	hits   atomic.Int64
 }
 
 // blockEntry holds one block's raw parts (one per sender) and its
 // lazily-built trie.
 type blockEntry struct {
 	once  sync.Once
+	key   Key
 	attrs []string
 	// trieParts are pre-built block tries (Merge shuffle); tupleParts are
 	// sorted raw blocks (Push/Pull shuffles). Exactly one kind is populated.
@@ -92,24 +81,14 @@ type blockEntry struct {
 	adopted *trie.Trie
 }
 
-// cubeEntry lists the blocks of one (cube, relation) and memoizes their
-// merged trie.
-type cubeEntry struct {
-	once  sync.Once
-	keys  []Key
-	built *trie.Trie
-}
-
 // New returns an empty registry.
 func New() *Registry {
-	return &Registry{
-		blocks: make(map[Key]*blockEntry),
-		cubes:  make(map[cubeKey]*cubeEntry),
-	}
+	return &Registry{blocks: make(map[string]*blockEntry)}
 }
 
 // DepositTrie adds a pre-built block trie part (Merge shuffle). attrs is
-// the trie attribute order; all parts of a key must share it. The trie is
+// the trie attribute order. Every part of a relation must carry the same
+// key and attrs: the first deposit fixes them. The trie is
 // retained and must not be mutated afterwards.
 func (r *Registry) DepositTrie(k Key, attrs []string, t *trie.Trie) {
 	r.mu.Lock()
@@ -141,39 +120,20 @@ func (r *Registry) DepositBuilt(k Key, attrs []string, t *trie.Trie) {
 }
 
 func (r *Registry) entry(k Key, attrs []string) *blockEntry {
-	e, ok := r.blocks[k]
+	e, ok := r.blocks[k.Rel]
 	if !ok {
-		e = &blockEntry{attrs: attrs}
-		r.blocks[k] = e
+		e = &blockEntry{key: k, attrs: attrs}
+		r.blocks[k.Rel] = e
 	}
 	return e
 }
 
-// BindCube records that cube's copy of relation rel includes block k.
-// Rebinding the same (cube, rel, k) is a no-op.
-func (r *Registry) BindCube(cube int, rel string, k Key) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	ck := cubeKey{cube, rel}
-	ce, ok := r.cubes[ck]
-	if !ok {
-		ce = &cubeEntry{}
-		r.cubes[ck] = ce
-	}
-	for _, have := range ce.keys {
-		if have == k {
-			return
-		}
-	}
-	ce.keys = append(ce.keys, k)
-}
-
-// BlockTrie returns the trie of block k, building it exactly once
+// Trie returns the trie of relation rel's block, building it exactly once
 // (single-flight: concurrent callers wait for the first build). Returns
-// nil for unknown keys.
-func (r *Registry) BlockTrie(k Key) *trie.Trie {
+// nil when no block of rel was deposited.
+func (r *Registry) Trie(rel string) *trie.Trie {
 	r.mu.Lock()
-	e := r.blocks[k]
+	e := r.blocks[rel]
 	r.mu.Unlock()
 	if e == nil {
 		return nil
@@ -218,33 +178,6 @@ func (e *blockEntry) build() *trie.Trie {
 	return trie.Build(all, e.attrs)
 }
 
-// CubeTrie returns the merged trie of relation rel on cube, assembling it
-// at first use: block tries are pulled from the cache (shared across
-// cubes) and k-way merged only when the cube holds more than one block of
-// the relation. The second return is false when the (cube, rel) pair holds
-// no blocks.
-func (r *Registry) CubeTrie(cube int, rel string) (*trie.Trie, bool) {
-	r.mu.Lock()
-	ce := r.cubes[cubeKey{cube, rel}]
-	r.mu.Unlock()
-	if ce == nil {
-		return nil, false
-	}
-	ce.once.Do(func() {
-		if len(ce.keys) == 1 {
-			ce.built = r.BlockTrie(ce.keys[0])
-			return
-		}
-		parts := make([]*trie.Trie, len(ce.keys))
-		for i, k := range ce.keys {
-			parts[i] = r.BlockTrie(k)
-		}
-		ce.built = trie.Merge(parts)
-		r.cubeMerges.Add(1)
-	})
-	return ce.built, true
-}
-
 // BuiltBlock is one registry block whose trie exists: the key, the trie
 // attribute order it was built in, and the trie itself. Adopted marks
 // blocks installed pre-built from the session store (already published —
@@ -264,44 +197,11 @@ type BuiltBlock struct {
 func (r *Registry) BuiltBlocks() []BuiltBlock {
 	r.mu.Lock()
 	out := make([]BuiltBlock, 0, len(r.blocks))
-	for k, e := range r.blocks {
-		out = append(out, BuiltBlock{Key: k, Attrs: e.attrs, Trie: e.built, Adopted: e.adopted != nil})
+	for _, e := range r.blocks {
+		out = append(out, BuiltBlock{Key: e.key, Attrs: e.attrs, Trie: e.built, Adopted: e.adopted != nil})
 	}
 	r.mu.Unlock()
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Key.Rel != out[j].Key.Rel {
-			return out[i].Key.Rel < out[j].Key.Rel
-		}
-		return out[i].Key.Sig < out[j].Key.Sig
-	})
-	return out
-}
-
-// Cubes returns the sorted distinct cube ids with at least one bound block.
-func (r *Registry) Cubes() []int {
-	r.mu.Lock()
-	var out []int
-	for ck := range r.cubes {
-		if !slices.Contains(out, ck.cube) {
-			out = append(out, ck.cube)
-		}
-	}
-	r.mu.Unlock()
-	sort.Ints(out)
-	return out
-}
-
-// CubeRels returns the sorted relation names bound on cube.
-func (r *Registry) CubeRels(cube int) []string {
-	r.mu.Lock()
-	var out []string
-	for ck := range r.cubes {
-		if ck.cube == cube {
-			out = append(out, ck.rel)
-		}
-	}
-	r.mu.Unlock()
-	sort.Strings(out)
+	sort.Slice(out, func(i, j int) bool { return out[i].Key.Rel < out[j].Key.Rel })
 	return out
 }
 
@@ -316,9 +216,8 @@ func (r *Registry) Len() int {
 // Stats snapshots the registry counters.
 func (r *Registry) Stats() Stats {
 	return Stats{
-		Blocks:     int64(r.Len()),
-		Builds:     r.builds.Load(),
-		Hits:       r.hits.Load(),
-		CubeMerges: r.cubeMerges.Load(),
+		Blocks: int64(r.Len()),
+		Builds: r.builds.Load(),
+		Hits:   r.hits.Load(),
 	}
 }

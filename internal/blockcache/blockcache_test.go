@@ -1,7 +1,6 @@
 package blockcache
 
 import (
-	"fmt"
 	"math/rand"
 	"sync"
 	"testing"
@@ -35,11 +34,11 @@ func TestBlockTrieBuildOnce(t *testing.T) {
 	if r.Len() != 1 {
 		t.Fatalf("len=%d after two deposits of one key", r.Len())
 	}
-	first := r.BlockTrie(k)
+	first := r.Trie("R")
 	if first == nil || first.NumTuples != 3 {
 		t.Fatalf("block trie = %s, want 3 distinct tuples", trieRows(first))
 	}
-	again := r.BlockTrie(k)
+	again := r.Trie("R")
 	if again != first {
 		t.Fatal("second request built a new trie instead of sharing")
 	}
@@ -49,45 +48,29 @@ func TestBlockTrieBuildOnce(t *testing.T) {
 	}
 }
 
-// Two cubes bound to the same single block must alias the same trie with
-// no cube-level merge; a cube holding two blocks merges them lazily.
-func TestCubeTrieSharingAndLazyMerge(t *testing.T) {
+// Each relation's trie is its one block's trie, built once and shared by
+// every request; a relation with no block deposited has no trie.
+func TestRelationTrieIsItsBlockTrie(t *testing.T) {
 	r := New()
 	attrs := []string{"a", "b"}
-	kA := Key{Rel: "R", Sig: 0}
-	kB := Key{Rel: "R", Sig: 1}
-	r.DepositTuples(kA, attrs, mkRel("R", [][]relation.Value{{1, 1}}))
-	r.DepositTuples(kB, attrs, mkRel("R", [][]relation.Value{{2, 2}}))
-	r.BindCube(0, "R", kA)
-	r.BindCube(2, "R", kA) // shares block A with cube 0
-	r.BindCube(4, "R", kA)
-	r.BindCube(4, "R", kB) // cube 4 holds both blocks
-	r.BindCube(4, "R", kA) // rebinding is a no-op
-
-	t0, ok := r.CubeTrie(0, "R")
-	if !ok {
-		t.Fatal("cube 0 unbound")
+	r.DepositTuples(Key{Rel: "R", Sig: 0}, attrs, mkRel("R", [][]relation.Value{{1, 1}}))
+	r.DepositTuples(Key{Rel: "S", Sig: 1}, attrs, mkRel("S", [][]relation.Value{{2, 2}, {3, 3}}))
+	tR, tS := r.Trie("R"), r.Trie("S")
+	if tR.NumTuples != 1 || tS.NumTuples != 2 {
+		t.Fatalf("R = %s, S = %s: want R's and S's blocks", trieRows(tR), trieRows(tS))
 	}
-	t2, _ := r.CubeTrie(2, "R")
-	if t0 != t2 {
-		t.Fatal("single-block cubes must share the block trie instance")
+	if r.Trie("R") != tR {
+		t.Fatal("a repeat request must share the built trie")
 	}
-	t4, _ := r.CubeTrie(4, "R")
-	if t4.NumTuples != 2 {
-		t.Fatalf("cube 4 merged trie = %s, want 2 tuples", trieRows(t4))
+	if tr := r.Trie("T"); tr != nil {
+		t.Fatalf("relation without a block has trie %s", trieRows(tr))
 	}
-	if _, ok := r.CubeTrie(1, "R"); ok {
-		t.Fatal("unbound cube reported present")
+	if st := r.Stats(); st.Blocks != 2 || st.Builds != 2 || st.Hits != 1 {
+		t.Fatalf("stats = %+v, want blocks=2 builds=2 hits=1", st)
 	}
-	st := r.Stats()
-	if st.Builds != 2 {
-		t.Fatalf("builds = %d, want 2 (one per block, shared by 3 cube bindings)", st.Builds)
-	}
-	if st.CubeMerges != 1 {
-		t.Fatalf("cube merges = %d, want 1 (only the two-block cube merges)", st.CubeMerges)
-	}
-	if got := r.Cubes(); fmt.Sprint(got) != "[0 2 4]" {
-		t.Fatalf("cubes = %v", got)
+	bbs := r.BuiltBlocks()
+	if len(bbs) != 2 || bbs[0].Key != (Key{Rel: "R", Sig: 0}) || bbs[1].Key != (Key{Rel: "S", Sig: 1}) {
+		t.Fatalf("BuiltBlocks = %+v, want R's block 0 then S's block 1", bbs)
 	}
 }
 
@@ -99,73 +82,63 @@ func TestTriePartsMerge(t *testing.T) {
 	attrs := []string{"a", "b"}
 	r.DepositTrie(k, attrs, trie.Build(mkRel("S", [][]relation.Value{{1, 2}, {3, 4}}), attrs))
 	r.DepositTrie(k, attrs, trie.Build(mkRel("S", [][]relation.Value{{3, 4}, {5, 6}}), attrs))
-	bt := r.BlockTrie(k)
+	bt := r.Trie("S")
 	if bt.NumTuples != 3 {
 		t.Fatalf("merged block = %s, want 3 tuples", trieRows(bt))
 	}
 }
 
-// Single-flight: many goroutines racing on the same blocks and cubes must
-// observe exactly one build per block (run with -race in CI).
+// Single-flight: many goroutines racing on several relations' tries must
+// observe exactly one build per relation and share its instance (run with
+// -race in CI).
 func TestSingleFlightUnderRace(t *testing.T) {
 	r := New()
 	attrs := []string{"a", "b"}
-	const blocks = 8
+	rels := []string{"R", "S", "T", "U", "V", "W", "X", "Y"}
 	rng := rand.New(rand.NewSource(7))
-	for s := 0; s < blocks; s++ {
-		k := Key{Rel: "R", Sig: s}
+	for i, rel := range rels {
 		rows := make([][]relation.Value, 50)
-		for i := range rows {
-			rows[i] = []relation.Value{rng.Int63n(100), rng.Int63n(100)}
+		for j := range rows {
+			rows[j] = []relation.Value{rng.Int63n(100), rng.Int63n(100)}
 		}
-		r.DepositTuples(k, attrs, mkRel("R", rows))
-		for cube := 0; cube < 16; cube++ {
-			if cube%blocks == s || (cube+1)%blocks == s {
-				r.BindCube(cube, "R", k)
-			}
-		}
+		// Two senders' parts, so every build concatenates.
+		r.DepositTuples(Key{Rel: rel, Sig: i}, attrs, mkRel(rel, rows[:25]))
+		r.DepositTuples(Key{Rel: rel, Sig: i}, attrs, mkRel(rel, rows[25:]))
 	}
+	const goroutines = 8
 	var wg sync.WaitGroup
-	tries := make([][]*trie.Trie, 8)
-	for g := 0; g < 8; g++ {
+	tries := make([][]*trie.Trie, goroutines)
+	for g := 0; g < goroutines; g++ {
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
-			for cube := 0; cube < 16; cube++ {
-				tr, ok := r.CubeTrie(cube, "R")
-				if ok {
-					tries[g] = append(tries[g], tr)
-				}
+			for i := range rels {
+				// Each goroutine walks the relations from its own start.
+				tries[g] = append(tries[g], r.Trie(rels[(g+i)%len(rels)]))
 			}
 		}(g)
 	}
 	wg.Wait()
-	for g := 1; g < 8; g++ {
-		if len(tries[g]) != len(tries[0]) {
-			t.Fatalf("goroutine %d saw %d cube tries, goroutine 0 saw %d", g, len(tries[g]), len(tries[0]))
-		}
-		for i := range tries[g] {
-			if tries[g][i] != tries[0][i] {
-				t.Fatalf("goroutine %d got a different trie instance for cube %d", g, i)
+	for g := 1; g < goroutines; g++ {
+		for i := range rels {
+			if got, want := tries[g][(i-g+len(rels))%len(rels)], tries[0][i]; got != want || got == nil {
+				t.Fatalf("goroutine %d got a different trie instance for %s", g, rels[i])
 			}
 		}
 	}
 	st := r.Stats()
-	if st.Builds != blocks {
-		t.Fatalf("builds = %d, want exactly %d (one per block)", st.Builds, blocks)
+	if st.Builds != int64(len(rels)) || st.Hits != int64((goroutines-1)*len(rels)) {
+		t.Fatalf("stats = %+v, want exactly %d builds (one per relation) and %d hits", st, len(rels), (goroutines-1)*len(rels))
 	}
 }
 
 // An empty registry answers gracefully.
 func TestEmptyRegistry(t *testing.T) {
 	r := New()
-	if tr := r.BlockTrie(Key{Rel: "X", Sig: 0}); tr != nil {
-		t.Fatal("unknown block should return nil")
+	if tr := r.Trie("X"); tr != nil {
+		t.Fatal("unknown relation should return nil")
 	}
-	if _, ok := r.CubeTrie(0, "X"); ok {
-		t.Fatal("unknown cube should report absent")
-	}
-	if len(r.Cubes()) != 0 || r.Len() != 0 {
+	if len(r.BuiltBlocks()) != 0 || r.Len() != 0 {
 		t.Fatal("empty registry reports contents")
 	}
 }

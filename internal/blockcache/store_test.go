@@ -105,11 +105,10 @@ func TestRegistryAdoptedTriesCountAsHits(t *testing.T) {
 	tr := testTrie(t, "R", 8)
 	k := Key{Rel: "R", Sig: 0}
 	r.DepositBuilt(k, []string{"a", "b"}, tr)
-	r.BindCube(1, "R", k)
-	if got := r.BlockTrie(k); got != tr {
+	if got := r.Trie("R"); got != tr {
 		t.Fatal("adopted trie not returned")
 	}
-	r.BlockTrie(k)
+	r.Trie("R")
 	st := r.Stats()
 	if st.Builds != 0 {
 		t.Fatalf("adopted block counted %d builds", st.Builds)

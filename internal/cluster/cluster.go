@@ -19,9 +19,9 @@ type Worker struct {
 	N  int
 	// Rels holds local fragments of base/derived relations, keyed by name.
 	Rels map[string]*relation.Relation
-	// Blocks is the worker's shared block-trie cache: the HCube shuffle
-	// deposits (relation, block) parts here and the join phase pulls
-	// per-cube tries built exactly once per block (see blockcache).
+	// Blocks is the worker's block-trie cache: the HCube shuffle deposits
+	// the parts of its cube's one block per relation here and the join
+	// phase pulls each relation's trie, built exactly once (see blockcache).
 	Blocks *blockcache.Registry
 	// Scratch carries engine-specific per-phase state.
 	Scratch map[string]interface{}
@@ -142,7 +142,8 @@ func newWorker(id, n int) *Worker {
 	}
 }
 
-// ResetCubes clears per-cube state between shuffles.
+// ResetCubes clears the worker's cube — its block-trie registry — between
+// shuffles.
 func (w *Worker) ResetCubes() { w.Blocks = blockcache.New() }
 
 // Config configures a cluster.

@@ -168,10 +168,10 @@ func TestResetRunClearsWorkerState(t *testing.T) {
 	w := c.Workers[0]
 	w.Scratch["k"] = 1
 	w.Rels["r"] = relation.New("r", "a")
-	w.Blocks.BindCube(3, "r", blockcache.Key{Rel: "r", Sig: 0})
+	w.Blocks.DepositTuples(blockcache.Key{Rel: "r", Sig: 0}, []string{"a"}, relation.New("r", "a"))
 	c.ResetRun()
-	if len(w.Scratch) != 0 || len(w.Rels) != 0 || len(w.Blocks.Cubes()) != 0 {
-		t.Fatalf("ResetRun left state behind: scratch=%v rels=%v cubes=%v",
-			w.Scratch, w.Rels, w.Blocks.Cubes())
+	if len(w.Scratch) != 0 || len(w.Rels) != 0 || w.Blocks.Len() != 0 {
+		t.Fatalf("ResetRun left state behind: scratch=%v rels=%v blocks=%d",
+			w.Scratch, w.Rels, w.Blocks.Len())
 	}
 }

@@ -120,13 +120,13 @@ func TestProposeOverBudgetAllocatesNoOutput(t *testing.T) {
 	}
 }
 
-// reshapeTransport re-encodes every chunk of the phases whose name contains
+// reshapeTransport passes every chunk of the phases whose name contains
 // phase through reshape: what arrives is a well-formed payload of a shape
-// the receiver did not ask for.
+// the receiver did not ask for, or under a key it did not expect.
 type reshapeTransport struct {
 	cluster.Transport
 	phase   string
-	reshape func(*relation.Relation) *relation.Relation
+	reshape func(cluster.Envelope) (cluster.Envelope, error)
 }
 
 func (t *reshapeTransport) OpenExchange(ctx context.Context, phase string, window int) (cluster.ExchangeStream, error) {
@@ -139,7 +139,7 @@ func (t *reshapeTransport) OpenExchange(ctx context.Context, phase string, windo
 
 type reshapeStream struct {
 	cluster.ExchangeStream
-	reshape func(*relation.Relation) *relation.Relation
+	reshape func(cluster.Envelope) (cluster.Envelope, error)
 }
 
 func (s *reshapeStream) Sender(worker int) cluster.StreamSender {
@@ -148,31 +148,47 @@ func (s *reshapeStream) Sender(worker int) cluster.StreamSender {
 
 type reshapeSender struct {
 	cluster.StreamSender
-	reshape func(*relation.Relation) *relation.Relation
+	reshape func(cluster.Envelope) (cluster.Envelope, error)
 }
 
 func (s *reshapeSender) Send(e cluster.Envelope) error {
-	r, err := relation.Decode(e.Payload)
+	e, err := s.reshape(e)
 	if err != nil {
 		return err
 	}
-	e.Payload = relation.Encode(s.reshape(r))
 	return s.StreamSender.Send(e)
 }
 
-// A chunk that decodes but has the wrong arity or a renamed attribute is a
+// reshapePayload re-encodes an envelope's relation through reshape.
+func reshapePayload(reshape func(*relation.Relation) *relation.Relation) func(cluster.Envelope) (cluster.Envelope, error) {
+	return func(e cluster.Envelope) (cluster.Envelope, error) {
+		r, err := relation.Decode(e.Payload)
+		if err != nil {
+			return e, err
+		}
+		e.Payload = relation.Encode(reshape(r))
+		return e, nil
+	}
+}
+
+// A chunk that decodes but has the wrong arity or a renamed attribute, or
+// arrives under a key that names none of the receiver's targets, is a
 // corrupt payload: every multi-round consumer reports it as a transport
 // error (transient, what Options.Retry keys on), never as a worker panic.
 func TestWrongShapePayloadIsTransportError(t *testing.T) {
 	q := hypergraph.Q1()
 	rels := q.BindGraph(testutil.RandEdges(rand.New(rand.NewSource(31)), "E", 400, 30))
-	reshapes := map[string]func(*relation.Relation) *relation.Relation{
-		"wrong arity": func(r *relation.Relation) *relation.Relation {
+	reshapes := map[string]func(cluster.Envelope) (cluster.Envelope, error){
+		"wrong arity": reshapePayload(func(r *relation.Relation) *relation.Relation {
 			return relation.FromColumns(r.Name, append(r.Attrs, "extra"), append(r.Columns(), r.Column(0)))
-		},
-		"renamed attribute": func(r *relation.Relation) *relation.Relation {
+		}),
+		"renamed attribute": reshapePayload(func(r *relation.Relation) *relation.Relation {
 			r.Attrs[0] = "renamed"
 			return r
+		}),
+		"rewritten key": func(e cluster.Envelope) (cluster.Envelope, error) {
+			e.Key = "rewritten " + e.Key
+			return e, nil
 		},
 	}
 	for _, consumer := range []struct{ engine, phase string }{

@@ -25,14 +25,14 @@ func cubeOp(t *testing.T, pp *PreparedPlan) int {
 	return -1
 }
 
-// The remembered per-cube counts size the output and never decide it. Every
-// cube engine × Q1/Q2/Q5, and Hybrid on a triangle with a tail (its core kept
-// on the workers, folded per worker), on a resident cluster under one
-// prepared plan: the first execution (nothing remembered), the second (the
-// first's counts), and executions under counts made wrong on purpose — half,
-// double, zero, one cube short and the next one long, a worker missing, a
-// cube missing — return the oracle's rows, and the same rows in the same
-// (worker, cube) order every time, parallel and Sequential. After each
+// The remembered per-worker counts size the output and never decide it.
+// Every cube engine × Q1/Q2/Q5, and Hybrid on a triangle with a tail (its
+// core kept on the workers, folded per worker), on a resident cluster under
+// one prepared plan: the first execution (nothing remembered), the second
+// (the first's counts), and executions under counts made wrong on purpose —
+// half, double, zero, one worker short and the next one long, a worker
+// missing, a worker too many — return the oracle's rows, and the same rows
+// in the same worker order every time, parallel and Sequential. After each
 // execution the plan remembers the true counts again.
 func TestCubeOutputHintNeverChangesRows(t *testing.T) {
 	rng := rand.New(rand.NewSource(29))
@@ -63,20 +63,16 @@ func TestCubeOutputHintNeverChangesRows(t *testing.T) {
 	runs = append(runs, run{"Hybrid", tailQ, tailRels, binary.Output.ProjectMulti(tailQ.Attrs()...).Sort()})
 	wrong := []struct {
 		name string
-		of   func(truth [][]int64) [][]int64
+		of   func(truth []int64) []int64
 	}{
-		{"half", func(h [][]int64) [][]int64 { return mapRows(h, func(_, _ int, n int64) int64 { return n / 2 }) }},
-		{"double", func(h [][]int64) [][]int64 { return mapRows(h, func(_, _ int, n int64) int64 { return 2*n + 3 }) }},
-		{"zero", func(h [][]int64) [][]int64 { return mapRows(h, func(_, _ int, n int64) int64 { return 0 }) }},
-		{"short-then-long", func(h [][]int64) [][]int64 {
-			return mapRows(h, func(w, _ int, n int64) int64 { return n + int64(5*(w%2*2-1)) })
+		{"half", func(h []int64) []int64 { return mapRows(h, func(_ int, n int64) int64 { return n / 2 }) }},
+		{"double", func(h []int64) []int64 { return mapRows(h, func(_ int, n int64) int64 { return 2*n + 3 }) }},
+		{"zero", func(h []int64) []int64 { return mapRows(h, func(_ int, n int64) int64 { return 0 }) }},
+		{"short-then-long", func(h []int64) []int64 {
+			return mapRows(h, func(w int, n int64) int64 { return n + int64(5*(w%2*2-1)) })
 		}},
-		{"worker-missing", func(h [][]int64) [][]int64 { return h[1:] }},
-		{"cube-missing", func(h [][]int64) [][]int64 {
-			out := mapRows(h, func(_, _ int, n int64) int64 { return n })
-			out[0] = out[0][1:]
-			return out
-		}},
+		{"worker-missing", func(h []int64) []int64 { return h[1:] }},
+		{"worker-extra", func(h []int64) []int64 { return append(mapRows(h, func(_ int, n int64) int64 { return n }), 7) }},
 	}
 	for _, r := range runs {
 		rels, oracle := r.rels, r.oracle
@@ -120,10 +116,8 @@ func TestCubeOutputHintNeverChangesRows(t *testing.T) {
 					t.Fatalf("%s %s: %d rows, first execution %d (or another order)", name, step, got.Len(), first.Len())
 				}
 				var sum int64
-				for _, perCube := range pp.cubeRowsOf(op) {
-					for _, n := range perCube {
-						sum += n
-					}
+				for _, n := range pp.cubeRowsOf(op) {
+					sum += n
 				}
 				if ordered && sum != rep.Results {
 					t.Fatalf("%s %s: the plan remembers %d rows, the execution produced %d", name, step, sum, rep.Results)
@@ -147,14 +141,11 @@ func TestCubeOutputHintNeverChangesRows(t *testing.T) {
 	}
 }
 
-// mapRows returns rows with every count replaced by f(worker, cube, count).
-func mapRows(rows [][]int64, f func(w, i int, n int64) int64) [][]int64 {
-	out := make([][]int64, len(rows))
-	for w, perCube := range rows {
-		out[w] = make([]int64, len(perCube))
-		for i, n := range perCube {
-			out[w][i] = max(0, f(w, i, n))
-		}
+// mapRows returns rows with every count replaced by f(worker, count).
+func mapRows(rows []int64, f func(w int, n int64) int64) []int64 {
+	out := make([]int64, len(rows))
+	for w, n := range rows {
+		out[w] = max(0, f(w, n))
 	}
 	return out
 }

@@ -284,9 +284,9 @@ type recvTarget struct {
 // chunk, and a column that fills up moves to one at least twice as large.
 // Every request is rounded up to a power of two, so that whatever order the
 // chunks arrive in the requests fall on the same few sizes and the next
-// exchange's find this one's buffers. A chunk of any other shape than its
-// target's is a corrupt payload, not a panic further down; what names the
-// exchange in that error.
+// exchange's find this one's buffers. A chunk under a key no target has, or
+// of any other shape than its target's, is a corrupt payload, not a panic
+// further down; what names the exchange in that error.
 func recvInto(w *cluster.Worker, r cluster.StreamReceiver, what string, targets ...recvTarget) error {
 	lend := func(rows int) []relation.Value { return w.Values(1 << bits.Len(uint(rows-1))) }
 	for _, t := range targets {
@@ -310,7 +310,7 @@ func recvInto(w *cluster.Worker, r cluster.StreamReceiver, what string, targets 
 		}
 		i := slices.IndexFunc(targets, func(t recvTarget) bool { return t.key == e.Key })
 		if i < 0 {
-			return fmt.Errorf("%s: bad key %q", what, e.Key)
+			return cluster.CorruptPayload(what, fmt.Errorf("no target for key %q", e.Key))
 		}
 		if err := relation.DecodeAppendGrow(e.Payload, targets[i].rel, grow); err != nil {
 			return cluster.CorruptPayload(what, err)

@@ -13,7 +13,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"slices"
 	"sort"
 	"strings"
 	"time"
@@ -246,58 +245,49 @@ type cubeJoin struct {
 	merged *relation.Relation
 	cache  blockcache.Stats
 	emit   emitStats
-	// rows[w][i] is the result count of worker w's i-th cube: the next
-	// execution's hint.
-	rows [][]int64
+	// rows[w] is the result count of worker w's cube: the next execution's
+	// hint.
+	rows []int64
 }
 
-// localCubeJoin runs Leapfrog on every cube of every worker and returns the
-// summed result count, the materialized output (when requested), the folded
-// block-cache stats and the per-cube result counts. Per-cube tries come from
-// the worker's shared block-trie registry: each (relation, block) trie is
-// built exactly once per worker and merged lazily into cube tries at first
-// use (charged to the same computation phase, as in the paper where trie
-// construction is part of join processing). The per-worker extension budget
-// is cfg.Budget divided across workers.
+// localCubeJoin runs Leapfrog on every worker's cube and returns the summed
+// result count, the materialized output (when requested), the folded
+// block-cache stats and the per-worker result counts. hcube.Optimize picks
+// exactly NumServers cubes, so worker w is cube w and holds one block of
+// each relation; its tries come from its block-trie registry, each built
+// once at first use (charged to the same computation phase, as in the paper
+// where trie construction is part of join processing). The per-worker
+// extension budget is cfg.Budget divided across workers.
 //
-// When storeAs is non-empty each worker keeps its own cube outputs resident
-// as w.Rels[storeAs] — a valid partition of the result, since HCube assigns
+// When storeAs is non-empty each worker keeps its cube's output resident as
+// w.Rels[storeAs] — a valid partition of the result, since HCube assigns
 // every output tuple to exactly one cube — and the coordinator sees only the
 // count. This is how the hybrid plan's cyclic core feeds its downstream
 // distributed hash joins without a coordinator round-trip.
 //
 // hint is what the previous execution of this op over the same content
-// returned as rows, or nil. It sizes the output and nothing else: every cube
-// writes into its own window of the final columns (see cubeWindows), so with
-// a true hint each row is written once, where it stays, and with a wrong or
-// missing one the cubes grow private columns and the fold copies them — the
-// rows and their (worker, cube) order are the same either way.
+// returned as rows, or nil; one of another length than the cluster counts as
+// none. It sizes the output and nothing else: every worker writes into its
+// own window of the final columns (see cubeWindows), so with a true hint
+// each row is written once, where it stays, and with a wrong or missing one
+// the workers grow private columns and the fold copies them — the rows and
+// their worker order are the same either way.
 //
-// hcube.Optimize picks exactly NumServers cubes, so every worker holds at
-// most one. A worker joins its cube list in order on its own goroutine,
-// polling for cancellation before each cube.
-func localCubeJoin(c *cluster.Cluster, phase string, infos []hcube.RelInfo, order []string, cfg Config, cached bool, storeAs string, hint [][]int64) (cubeJoin, error) {
+// Each worker joins on its own goroutine and polls for cancellation before
+// it starts.
+func localCubeJoin(c *cluster.Cluster, phase string, infos []hcube.RelInfo, order []string, cfg Config, cached bool, storeAs string, hint []int64) (cubeJoin, error) {
 	collect := cfg.CollectOutput || storeAs != ""
-	var res cubeJoin
-	// cubesOf[w] lists worker w's cubes in cube order; first[w] is the index
-	// of its first cube in (worker, cube) order.
-	cubesOf := make([][]int, c.N)
-	first := make([]int, c.N+1)
-	for w, wk := range c.Workers {
-		cubesOf[w] = wk.Blocks.Cubes()
-		first[w+1] = first[w] + len(cubesOf[w])
+	res := cubeJoin{rows: make([]int64, c.N)}
+	if len(hint) != c.N {
+		hint = make([]int64, c.N) // no hint: every window starts with no capacity
 	}
-	res.rows = zeroRows(cubesOf)
-	if !sameShape(hint, res.rows) {
-		hint = zeroRows(cubesOf) // no hint: every window starts with no capacity
-	}
-	emitted := make([]emitStats, first[c.N])
-	var outs []*relation.Relation // per-cube outputs in (worker, cube) order
+	emitted := make([]emitStats, c.N)
+	var outs []*relation.Relation // per-worker outputs in worker order
 	var all *cubeWindows          // the coordinator's fold, nil when the workers keep theirs
 	if collect {
-		outs = make([]*relation.Relation, first[c.N])
+		outs = make([]*relation.Relation, c.N)
 		if storeAs == "" {
-			all = newCubeWindows(order, hint...)
+			all = newCubeWindows(order, hint)
 		}
 	}
 	budgetPer := int64(0)
@@ -308,58 +298,53 @@ func localCubeJoin(c *cluster.Cluster, phase string, infos []hcube.RelInfo, orde
 		}
 	}
 	// Poll the cluster's derived run context, not just cfg.Ctx: it is also
-	// cancelled when a peer worker panics, so the leapfrog inner loops and
-	// the cube loop abandon their work mid-phase instead of computing to the
-	// barrier of a run that already failed.
+	// cancelled when a peer worker panics, so the leapfrog inner loops
+	// abandon their work mid-phase instead of computing to the barrier of a
+	// run that already failed.
 	runCtx := c.Context()
 	cancelled := c.CancelPoll()
 	err := c.Parallel(phase, func(w *cluster.Worker) error {
-		cubes, base := cubesOf[w.ID], first[w.ID]
-		perCube := res.rows[w.ID]
-		// This worker's cubes write to windows winBase… of wins: the
-		// coordinator's, or the worker's own when its output stays here.
-		wins, winBase := all, base
+		if err := runCtx.Err(); err != nil {
+			return err
+		}
+		// The worker writes to window win of wins: the coordinator's, or
+		// its own when its output stays here.
+		wins, win := all, w.ID
 		if storeAs != "" {
-			wins, winBase = newCubeWindows(order, hint[w.ID]), 0
+			wins, win = newCubeWindows(order, hint[w.ID:w.ID+1]), 0
 		}
-		for ci, cube := range cubes {
-			if cancelled() {
-				break
-			}
-			tries := cubeTries(w, cube, infos, order)
-			opts := leapfrog.Options{Budget: budgetPer, Cancel: cancelled}
-			if collect {
-				// The sink appends whole runs from the leaf intersection to
-				// the cube's window of the output columns.
-				out := wins.window(winBase + ci)
-				outs[base+ci] = out
-				opts.Sink = relation.NewColumnWriter(out)
-			}
-			var st leapfrog.Stats
-			var err error
-			if cached {
-				cj := leapfrog.NewCachedJoin(tries, order, cacheBudget(cfg))
-				st, err = cj.Run(opts)
-			} else {
-				st, err = leapfrog.Join(tries, order, opts)
-			}
-			if err != nil {
-				if errors.Is(err, leapfrog.ErrBudget) {
-					return ErrBudget
-				}
-				if errors.Is(err, leapfrog.ErrCanceled) {
-					return runCtx.Err()
-				}
-				return err
-			}
-			perCube[ci] = st.Results
-			emitted[base+ci] = emitStats{runs: st.EmittedRuns, values: st.EmittedValues}
+		tries := cubeTries(w, infos, order)
+		opts := leapfrog.Options{Budget: budgetPer, Cancel: cancelled}
+		if collect {
+			// The sink appends whole runs from the leaf intersection to the
+			// worker's window of the output columns.
+			outs[w.ID] = wins.window(win)
+			opts.Sink = relation.NewColumnWriter(outs[w.ID])
 		}
+		var st leapfrog.Stats
+		var err error
+		if cached {
+			cj := leapfrog.NewCachedJoin(tries, order, cacheBudget(cfg))
+			st, err = cj.Run(opts)
+		} else {
+			st, err = leapfrog.Join(tries, order, opts)
+		}
+		if err != nil {
+			if errors.Is(err, leapfrog.ErrBudget) {
+				return ErrBudget
+			}
+			if errors.Is(err, leapfrog.ErrCanceled) {
+				return runCtx.Err()
+			}
+			return err
+		}
+		res.rows[w.ID] = st.Results
+		emitted[w.ID] = emitStats{runs: st.EmittedRuns, values: st.EmittedValues}
 		if err := runCtx.Err(); err != nil {
 			return err
 		}
 		if storeAs != "" {
-			w.Rels[storeAs] = wins.fold(storeAs, outs[base:base+len(cubes)])
+			w.Rels[storeAs] = wins.fold(storeAs, outs[w.ID:w.ID+1])
 		}
 		return nil
 	})
@@ -372,10 +357,8 @@ func localCubeJoin(c *cluster.Cluster, phase string, infos []hcube.RelInfo, orde
 	if err != nil {
 		return cubeJoin{cache: res.cache, emit: res.emit}, err
 	}
-	for _, perCube := range res.rows {
-		for _, r := range perCube {
-			res.total += r
-		}
+	for _, r := range res.rows {
+		res.total += r
 	}
 	if all != nil {
 		res.merged = all.fold("out", outs)
@@ -383,23 +366,10 @@ func localCubeJoin(c *cluster.Cluster, phase string, infos []hcube.RelInfo, orde
 	return res, nil
 }
 
-// zeroRows returns one zero count per cube, in the shape of cubeJoin.rows.
-func zeroRows(cubes [][]int) [][]int64 {
-	rows := make([][]int64, len(cubes))
-	for w := range rows {
-		rows[w] = make([]int64, len(cubes[w]))
-	}
-	return rows
-}
-
-func sameShape(a, b [][]int64) bool {
-	return slices.EqualFunc(a, b, func(x, y []int64) bool { return len(x) == len(y) })
-}
-
-// cubeWindows is the output storage of one fold — a worker's cubes when the
-// op keeps its output on the workers, every cube of the cluster otherwise:
-// the final columns, allocated once at the hinted row count, and one window
-// of them per cube, in fold order. A window is its stretch of every column
+// cubeWindows is the output storage of one fold — a worker's cube when the
+// op keeps its output on the workers, every worker's cube otherwise: the
+// final columns, allocated once at the hinted row count, and one window of
+// them per cube, in fold order. A window is its stretch of every column
 // with length 0 and the capacity clamped to the cube's hinted rows
 // (col[off:off:off+n]), so the cube's ColumnWriter appends in place for as
 // long as the hint holds and re-allocates privately, as append does, once it
@@ -412,14 +382,12 @@ type cubeWindows struct {
 	off []int
 }
 
-// newCubeWindows sizes the storage from the hinted row counts, given in fold
-// order (one slice per worker).
-func newCubeWindows(order []string, hint ...[]int64) *cubeWindows {
+// newCubeWindows sizes the storage from the hinted row counts, one per cube
+// in fold order.
+func newCubeWindows(order []string, hint []int64) *cubeWindows {
 	off := []int{0}
-	for _, perCube := range hint {
-		for _, n := range perCube {
-			off = append(off, off[len(off)-1]+int(n))
-		}
+	for _, n := range hint {
+		off = append(off, off[len(off)-1]+int(n))
 	}
 	cw := &cubeWindows{order: order, cols: make([][]relation.Value, len(order)), off: off}
 	for j := range cw.cols {
@@ -498,17 +466,15 @@ func cacheBudget(cfg Config) int {
 	return 1 << 22
 }
 
-// cubeTries assembles the tries of one cube in the global order from the
-// worker's block-trie registry: each (relation, block) trie is built once
-// per worker and the cube's trie is merged lazily here, at first use (or
-// aliased directly when the cube holds a single block of the relation —
-// the common case, since a relation's own attributes pin its share
-// coordinates). A relation with no block on the cube joins as empty.
-func cubeTries(w *cluster.Worker, cube int, infos []hcube.RelInfo, order []string) []*trie.Trie {
+// cubeTries assembles the tries of a worker's cube in the global order from
+// its block-trie registry: the cube holds one block of each relation, whose
+// trie is built here, at first use. A relation with no tuples in the cube
+// joins as empty.
+func cubeTries(w *cluster.Worker, infos []hcube.RelInfo, order []string) []*trie.Trie {
 	out := make([]*trie.Trie, 0, len(infos))
 	for _, ri := range infos {
-		tr, ok := w.Blocks.CubeTrie(cube, ri.Name)
-		if !ok || tr == nil {
+		tr := w.Blocks.Trie(ri.Name)
+		if tr == nil {
 			tr = trie.Build(relation.New(ri.Name, ri.Attrs...), sortAttrsByOrder(ri.Attrs, order))
 		}
 		out = append(out, tr)

@@ -119,19 +119,19 @@ type PreparedPlan struct {
 	// Seconds is the measured planning time — what Run charges to its
 	// Optimization phase when it plans itself.
 	Seconds float64
-	// cubeRows maps a LeapfrogCube op's ID to the row count each (worker,
-	// cube) produced the last time the op ran to the end: the capacity hint
+	// cubeRows maps a LeapfrogCube op's ID to the row count each worker's
+	// cube produced the last time the op ran to the end: the capacity hint
 	// of the next execution's output (localCubeJoin), never its truth. A
 	// plan is cached for exactly one content signature of its inputs
 	// (Session.planKeyLocked) and re-registering different content replaces
 	// the PreparedPlan, so the counts cannot outlive the content they were
 	// taken from. Concurrent executions of one plan share them: the map is
 	// immutable once stored and replaced whole, so a reader takes no lock.
-	cubeRows atomic.Pointer[map[int][][]int64]
+	cubeRows atomic.Pointer[map[int][]int64]
 }
 
 // cubeRowsOf returns the remembered counts of op, or nil.
-func (p *PreparedPlan) cubeRowsOf(op int) [][]int64 {
+func (p *PreparedPlan) cubeRowsOf(op int) []int64 {
 	if m := p.cubeRows.Load(); m != nil {
 		return (*m)[op]
 	}
@@ -142,12 +142,12 @@ func (p *PreparedPlan) cubeRowsOf(op int) [][]int64 {
 // already there — on unchanged content they always are, so a warm execution
 // stores nothing. Of two executions finishing together one's snapshot wins;
 // both counted the same content.
-func (p *PreparedPlan) rememberCubeRows(op int, rows [][]int64) {
+func (p *PreparedPlan) rememberCubeRows(op int, rows []int64) {
 	old := p.cubeRows.Load()
-	if old != nil && slices.EqualFunc((*old)[op], rows, slices.Equal[[]int64]) {
+	if old != nil && slices.Equal((*old)[op], rows) {
 		return
 	}
-	next := map[int][][]int64{}
+	next := map[int][]int64{}
 	if old != nil {
 		next = maps.Clone(*old)
 	}

@@ -42,16 +42,14 @@ func Fig9(cfg Config) (Result, error) {
 			}); err != nil {
 				return res, err
 			}
-			// Receiver-side trie construction: materialize every cube trie
-			// from the block registry (as the join engine would at first
-			// use). Push/Pull pay full block builds here; Merge only merges
-			// the pre-built tries it received — the cost gap the figure
-			// reports.
+			// Receiver-side trie construction: materialize every worker's
+			// tries from its block registry (as the join engine would at
+			// first use). Push/Pull pay full block builds here; Merge only
+			// merges the pre-built tries it received — the cost gap the
+			// figure reports.
 			err = c.Parallel("tries", func(w *cluster.Worker) error {
-				for _, cube := range w.Blocks.Cubes() {
-					for _, name := range w.Blocks.CubeRels(cube) {
-						w.Blocks.CubeTrie(cube, name)
-					}
+				for _, ri := range infos {
+					w.Blocks.Trie(ri.Name)
 				}
 				return nil
 			})

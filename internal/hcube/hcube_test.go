@@ -1,9 +1,14 @@
 package hcube
 
 import (
+	"context"
+	"errors"
 	"fmt"
 	"math/rand"
 	"reflect"
+	"slices"
+	"strconv"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -123,10 +128,11 @@ func TestOptimizeUsesAllServers(t *testing.T) {
 	if !reflect.DeepEqual(s.P, []int{2, 2, 2}) {
 		t.Fatalf("p=%v want [2 2 2]", s.P)
 	}
-	// The contract that keeps a worker's cube list at most one long: on
-	// every catalog query, cluster size and input sizes, with and without a
-	// memory bound (feasible or not), there are exactly N cubes and
-	// ServerOfCube gives each server one of them.
+	// The contract that makes a worker its cube and gives it one block per
+	// relation: on every catalog query, cluster size and input sizes, with
+	// and without a memory bound (feasible or not), there are exactly N
+	// cubes, every cube matches exactly one block signature of every
+	// relation, and cubeSig names that signature.
 	rng := rand.New(rand.NewSource(5))
 	for _, q := range hypergraph.AllQueries() {
 		for n := 1; n <= 28; n++ {
@@ -145,13 +151,25 @@ func TestOptimizeUsesAllServers(t *testing.T) {
 					if s.NumCubes() != n {
 						t.Fatalf("%s n=%d mem=%d: p=%v has %d cubes, want %d", q.Name, n, mem, s.P, s.NumCubes(), n)
 					}
-					servers := make([]bool, n)
-					for cube := 0; cube < n; cube++ {
-						sv := ServerOfCube(cube, n)
-						if servers[sv] {
-							t.Fatalf("%s n=%d: server %d holds two cubes", q.Name, n, sv)
+					for _, ri := range rels {
+						relPos := s.RelPositions(ri.Attrs)
+						sigOf := make([]int, n)
+						for cube := range sigOf {
+							sigOf[cube] = -1
 						}
-						servers[sv] = true
+						for sig := 0; sig < s.NumBlocks(relPos); sig++ {
+							for _, cube := range s.BlockCubes(relPos, sig) {
+								if sigOf[cube] >= 0 {
+									t.Fatalf("%s n=%d p=%v: cube %d matches blocks %d and %d of %s", q.Name, n, s.P, cube, sigOf[cube], sig, ri.Name)
+								}
+								sigOf[cube] = sig
+							}
+						}
+						for cube, sig := range sigOf {
+							if got := s.cubeSig(relPos, cube); got != sig {
+								t.Fatalf("%s n=%d p=%v: cube %d matches block %d of %s, cubeSig says %d", q.Name, n, s.P, cube, sig, ri.Name, got)
+							}
+						}
 					}
 				}
 			}
@@ -264,15 +282,12 @@ func TestShuffleJoinEqualsSequential(t *testing.T) {
 				}
 				var total int64
 				for _, w := range c.Workers {
-					for _, cube := range w.Blocks.Cubes() {
-						tries := cubeTries(w, cube, info, order)
-						st, err := leapfrog.Join(tries, order, leapfrog.Options{})
-						if err != nil {
-							t.Logf("join: %v", err)
-							return false
-						}
-						total += st.Results
+					st, err := leapfrog.Join(workerTries(w, info, order), order, leapfrog.Options{})
+					if err != nil {
+						t.Logf("join: %v", err)
+						return false
 					}
+					total += st.Results
 				}
 				want := relation.NaiveJoin(rels, order).Len()
 				if int(total) != want {
@@ -288,14 +303,14 @@ func TestShuffleJoinEqualsSequential(t *testing.T) {
 	}
 }
 
-// cubeTries assembles tries for one cube from the worker's block-trie
-// cache. Relations with no local tuples for the cube are empty.
-func cubeTries(w *cluster.Worker, cube int, info []RelInfo, order []string) []*trie.Trie {
+// workerTries assembles the tries of a worker's cube from its block-trie
+// cache. Relations with no tuples in the cube are empty.
+func workerTries(w *cluster.Worker, info []RelInfo, order []string) []*trie.Trie {
 	p := Plan{TrieOrder: order}
 	var out []*trie.Trie
 	for _, ri := range info {
-		tr, ok := w.Blocks.CubeTrie(cube, ri.Name)
-		if !ok || tr == nil {
+		tr := w.Blocks.Trie(ri.Name)
+		if tr == nil {
 			tr = trie.Build(relation.New(ri.Name, ri.Attrs...), p.trieAttrs(ri))
 		}
 		out = append(out, tr)
@@ -315,7 +330,8 @@ func TestRunRequiresTrieOrder(t *testing.T) {
 	}
 }
 
-// Push, Pull and Merge must deliver identical cube contents.
+// Push, Pull and Merge must deliver identical cube contents, each worker
+// holding its own cube's block of every relation and no other.
 func TestShuffleKindsAgree(t *testing.T) {
 	rng := rand.New(rand.NewSource(99))
 	edges := testutil.RandEdges(rng, "E", 400, 30)
@@ -337,14 +353,13 @@ func TestShuffleKindsAgree(t *testing.T) {
 		}
 		snap := make(map[string]string)
 		for _, w := range c.Workers {
-			if cubes := w.Blocks.Cubes(); len(cubes) != 1 || cubes[0] != w.ID {
-				t.Fatalf("kind=%v: worker %d holds cubes %v, want [%d]", kind, w.ID, cubes, w.ID)
+			for i, tr := range workerTries(w, info, order) {
+				snap[fmt.Sprintf("%s/%d", info[i].Name, w.ID)] = tr.ToRelation("x").SortDedup().String()
 			}
-			for _, cube := range w.Blocks.Cubes() {
-				tries := cubeTries(w, cube, info, order)
-				for i, tr := range tries {
-					key := info[i].Name + "/" + string(rune('0'+cube))
-					snap[key] = tr.ToRelation("x").SortDedup().String()
+			for _, bb := range w.Blocks.BuiltBlocks() {
+				ri := info[slices.IndexFunc(info, func(ri RelInfo) bool { return ri.Name == bb.Key.Rel })]
+				if want := shares.cubeSig(shares.RelPositions(ri.Attrs), w.ID); bb.Key.Sig != want {
+					t.Fatalf("kind=%v: worker %d holds block %d of %s, its cube matches %d", kind, w.ID, bb.Key.Sig, ri.Name, want)
 				}
 			}
 		}
@@ -392,8 +407,9 @@ func TestShuffleCostOrdering(t *testing.T) {
 
 // TestShuffleCubeContentsMatchBruteForce checks what each shuffle kind
 // delivers against a per-row expectation: relation row t belongs to exactly
-// the cubes DestCubes names, so every hosted cube's trie must enumerate the
-// sorted distinct rows placed there — and nothing may be lost. It covers
+// the cubes DestCubes names, and worker w is cube w, so every worker's trie
+// of a relation must enumerate the sorted distinct rows placed in its cube —
+// and nothing may be lost. It covers
 // the per-column signature accumulation in groupBlocks (against the
 // per-row BlockSig sum behind DestCubes), the block sort and the codec.
 func TestShuffleCubeContentsMatchBruteForce(t *testing.T) {
@@ -431,17 +447,15 @@ func TestShuffleCubeContentsMatchBruteForce(t *testing.T) {
 					t.Fatal(err)
 				}
 				for _, w := range c.Workers {
-					for _, cube := range w.Blocks.Cubes() {
-						for i, tr := range cubeTries(w, cube, info, order) {
-							key := fmt.Sprintf("%s/%d", info[i].Name, cube)
-							exp := want[key]
-							if exp == nil {
-								exp = relation.New("x", info[i].Attrs...)
-							}
-							delete(want, key)
-							if got := tr.ToRelation("x"); !got.Equal(exp.Project(tr.Attrs...)) {
-								t.Fatalf("iter %d: %s holds\n%v\nwant\n%v", iter, key, got, exp)
-							}
+					for i, tr := range workerTries(w, info, order) {
+						key := fmt.Sprintf("%s/%d", info[i].Name, w.ID)
+						exp := want[key]
+						if exp == nil {
+							exp = relation.New("x", info[i].Attrs...)
+						}
+						delete(want, key)
+						if got := tr.ToRelation("x"); !got.Equal(exp.Project(tr.Attrs...)) {
+							t.Fatalf("iter %d: %s holds\n%v\nwant\n%v", iter, key, got, exp)
 						}
 					}
 				}
@@ -451,5 +465,89 @@ func TestShuffleCubeContentsMatchBruteForce(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// keyTransport rewrites the key of every envelope a sender ships through
+// rewrite: a well-formed payload under a key the receiver did not expect.
+type keyTransport struct {
+	cluster.Transport
+	rewrite func(e cluster.Envelope) string
+}
+
+func (t *keyTransport) OpenExchange(ctx context.Context, phase string, window int) (cluster.ExchangeStream, error) {
+	st, err := t.Transport.OpenExchange(ctx, phase, window)
+	if err != nil {
+		return st, err
+	}
+	return &keyStream{st, t.rewrite}, nil
+}
+
+type keyStream struct {
+	cluster.ExchangeStream
+	rewrite func(e cluster.Envelope) string
+}
+
+func (s *keyStream) Sender(worker int) cluster.StreamSender {
+	return &keySender{s.ExchangeStream.Sender(worker), s.rewrite}
+}
+
+type keySender struct {
+	cluster.StreamSender
+	rewrite func(e cluster.Envelope) string
+}
+
+func (s *keySender) Send(e cluster.Envelope) error {
+	e.Key = s.rewrite(e)
+	return s.StreamSender.Send(e)
+}
+
+// A key that names no shuffled relation, carries no parsable signature or
+// names a block of a relation that the receiving worker's cube does not
+// match is a corrupt payload: every kind reports it as a transport error
+// (what Options.Retry keys on) instead of dropping the block or joining a
+// cube the worker does not own.
+func TestRewrittenKeyIsTransportError(t *testing.T) {
+	const n = 4
+	rels := hypergraph.Q1().BindGraph(testutil.RandEdges(rand.New(rand.NewSource(13)), "E", 400, 30))
+	order := hypergraph.Q1().Attrs()
+	info := InfoOf(rels)
+	shares, err := Optimize(info, Config{Attrs: order, NumServers: n})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rewrites := map[string]func(e cluster.Envelope) string{
+		"unknown relation": func(e cluster.Envelope) string {
+			_, sig, _ := strings.Cut(e.Key, "@")
+			return "nope@" + sig
+		},
+		"unparsable signature": func(e cluster.Envelope) string {
+			rel, _, _ := strings.Cut(e.Key, "@")
+			return rel + "@x"
+		},
+		"signature of another worker": func(e cluster.Envelope) string {
+			rel, sig, _ := strings.Cut(e.Key, "@")
+			ri := info[slices.IndexFunc(info, func(ri RelInfo) bool { return ri.Name == rel })]
+			s, _ := strconv.Atoi(sig)
+			return rel + "@" + strconv.Itoa((s+1)%shares.NumBlocks(shares.RelPositions(ri.Attrs)))
+		},
+	}
+	for _, ri := range info {
+		if shares.NumBlocks(shares.RelPositions(ri.Attrs)) < 2 {
+			t.Fatalf("p=%v leaves %s one block: no other worker's signature to name", shares.P, ri.Name)
+		}
+	}
+	for _, kind := range []Kind{Push, Pull, Merge} {
+		for name, rewrite := range rewrites {
+			t.Run(kind.String()+"/"+name, func(t *testing.T) {
+				c := cluster.New(cluster.Config{N: n, Transport: &keyTransport{cluster.NewLocalTransport(n), rewrite}})
+				defer c.Close()
+				c.LoadDatabase(rels)
+				err := Run(c, "shuffle", Plan{Shares: shares, Rels: info, Kind: kind, TrieOrder: order})
+				if !errors.Is(err, cluster.ErrTransport) || errors.Is(err, cluster.ErrWorkerPanic) {
+					t.Fatalf("err %v, want a transport error and no panic", err)
+				}
+			})
+		}
 	}
 }

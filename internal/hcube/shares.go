@@ -335,6 +335,15 @@ func (s Shares) matching(fixed map[int]int) []int {
 	return out
 }
 
-// ServerOfCube maps cube indexes to servers round-robin. Optimize's vectors
-// have exactly numServers cubes, so server i holds cube i alone.
-func ServerOfCube(cube, numServers int) int { return cube % numServers }
+// cubeSig returns the one block signature of a relation that cube matches:
+// the mixed-radix index of the cube's coordinates over the relation's
+// attributes, as BlockSig computes it from a tuple's hashes.
+func (s Shares) cubeSig(relPos []int, cube int) int {
+	coords := s.CoordsOf(cube)
+	sig, stride := 0, 1
+	for _, p := range relPos {
+		sig += coords[p] * stride
+		stride *= s.P[p]
+	}
+	return sig
+}

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"sort"
 	"strconv"
+	"strings"
 
 	"adj/internal/blockcache"
 	"adj/internal/cluster"
@@ -131,51 +132,35 @@ func (p Plan) WarmRels() map[string]map[int]*trie.Trie {
 	return warm
 }
 
-// adoptWarm installs one worker's share of the warm relations' block tries
-// into its registry: for every stored block whose signature maps a cube to
-// this worker, the published trie is re-skinned with the current query's
-// attribute names and deposited pre-built (requests count as cache hits,
-// never builds), and the matching cubes are bound — exactly the bindings a
-// cold shuffle's consume phase would have produced.
+// adoptWarm installs one worker's block of every warm relation into its
+// registry: the published trie of the worker's cube's signature is
+// re-skinned with the current query's attribute names and deposited
+// pre-built (requests count as cache hits, never builds) — the block a cold
+// shuffle would have delivered. A relation with no tuples in that block has
+// no stored trie, and the worker joins it as empty, as it would cold.
 func adoptWarm(w *cluster.Worker, p Plan) {
 	for _, ri := range p.Rels {
 		blocks, ok := p.Warm[ri.Name]
 		if !ok {
 			continue
 		}
-		relPos := p.Shares.RelPositions(ri.Attrs)
+		sig := p.Shares.cubeSig(p.Shares.RelPositions(ri.Attrs), w.ID)
+		bt, ok := blocks[sig]
+		if !ok {
+			continue
+		}
 		attrs := p.trieAttrs(ri)
-		sigs := make([]int, 0, len(blocks))
-		for sig := range blocks {
-			sigs = append(sigs, sig)
-		}
-		sort.Ints(sigs)
-		for _, sig := range sigs {
-			var local []int
-			for _, cube := range p.Shares.BlockCubes(relPos, sig) {
-				if ServerOfCube(cube, w.N) == w.ID {
-					local = append(local, cube)
-				}
-			}
-			if len(local) == 0 {
-				continue
-			}
-			skinned := *blocks[sig]
-			skinned.Attrs = attrs
-			key := blockcache.Key{Rel: ri.Name, Sig: sig}
-			w.Blocks.DepositBuilt(key, attrs, &skinned)
-			for _, cube := range local {
-				w.Blocks.BindCube(cube, ri.Name, key)
-			}
-		}
+		skinned := *bt
+		skinned.Attrs = attrs
+		w.Blocks.DepositBuilt(blockcache.Key{Rel: ri.Name, Sig: sig}, attrs, &skinned)
 	}
 }
 
 // Publish deposits a completed run's built block tries into the session
 // store, then records each fully-built relation's manifest — the complete
 // signature set a later execution needs to go warm. Call it after the join
-// phase (block tries are built lazily at first cube use, so they only
-// exist once every cube has run). Adopted (warm) blocks skip the store
+// phase (block tries are built lazily at a worker's first use, so they only
+// exist once every worker has joined). Adopted (warm) blocks skip the store
 // deposit — their tries are already resident — but still count toward
 // their relation's manifest, which is re-recorded idempotently; a relation
 // with any block still unbuilt skips its manifest write (and PutManifest
@@ -238,31 +223,34 @@ func Publish(c *cluster.Cluster, p Plan) {
 	}
 }
 
-// Run executes the shuffle on the cluster: afterwards every worker's
-// block-trie registry (Worker.Blocks) holds the deposited blocks of its
-// assigned cubes, ready for lazy per-cube trie assembly. Phase metrics
-// accrue under the given phase name.
+// Run executes the shuffle on the cluster: every worker owns the cube of
+// its own index (the share vector must have one cube per worker, as
+// Optimize's do), every block of a relation goes to the workers whose cubes
+// match its signature, and afterwards each worker's block-trie registry
+// (Worker.Blocks) holds one block per relation, ready for its trie to be
+// built at first use. Envelope keys are "rel@sig" for all three kinds. Phase
+// metrics accrue under the given phase name.
+//
+// Warm relations (p.Warm): the session store still holds the complete
+// block-trie set for this content and layout, so they skip the exchange
+// entirely — no encode, no wire, no shuffle-side trie build — and every
+// worker adopts its block of the published tries during consume.
 func Run(c *cluster.Cluster, phase string, p Plan) error {
 	if len(p.TrieOrder) == 0 {
 		return fmt.Errorf("hcube %s: TrieOrder required", p.Kind)
 	}
+	if p.Kind < Push || p.Kind > Merge {
+		return fmt.Errorf("hcube: unknown kind %d", p.Kind)
+	}
+	if n := p.Shares.NumCubes(); n != c.N {
+		return fmt.Errorf("hcube %s: %d cubes for %d workers (%v)", p.Kind, n, c.N, p.Shares)
+	}
 	for _, w := range c.Workers {
 		w.ResetCubes()
 	}
-	// Warm relations (p.Warm): the session store still holds the complete
-	// block-trie set for this content and layout, so they skip the exchange
-	// entirely — no encode, no wire, no shuffle-side trie build — and every
-	// worker adopts its share of the published tries during consume.
-	switch p.Kind {
-	case Push:
-		return runPush(c, phase, p)
-	case Pull:
-		return runPull(c, phase, p)
-	case Merge:
-		return runMerge(c, phase, p)
-	default:
-		return fmt.Errorf("hcube: unknown kind %d", p.Kind)
-	}
+	return c.StreamExchange(phase,
+		func(w *cluster.Worker, s cluster.StreamSender) error { return p.send(w, s) },
+		func(w *cluster.Worker, r cluster.StreamReceiver) error { return p.receive(w, r) })
 }
 
 // trieAttrs returns ri's attributes sorted by TrieOrder position.
@@ -276,279 +264,126 @@ func (p Plan) trieAttrs(ri RelInfo) []string {
 	return attrs
 }
 
-// attrsByRel precomputes trieAttrs for every plan relation.
-func (p Plan) attrsByRel() map[string][]string {
-	out := make(map[string][]string, len(p.Rels))
+// send ships every block of the worker's fragments of the cold relations
+// to each worker whose cube matches the block's signature. Push and Pull
+// stream a block as its sorted tuples in bounded chunks whose payloads are
+// shared by all destinations; they differ only in the message weight the
+// cost models measure: Push counts one message per tuple copy (each chunk
+// carries the weight of its rows), Pull one per block copy (the first chunk
+// carries it, continuations ride free as WeightContinuation), so both
+// totals are chunking-invariant. Merge ships each block as one pre-built
+// trie: a trie encoding is one indivisible unit, so a block copy is one
+// chunk — receivers still overlap, depositing the first trie while later
+// blocks are being built and encoded.
+func (p Plan) send(w *cluster.Worker, s cluster.StreamSender) error {
 	for _, ri := range p.Rels {
-		out[ri.Name] = p.trieAttrs(ri)
-	}
-	return out
-}
-
-// runPush replicates tuples to every matching cube. Tuples are bucketed
-// into sorted blocks by hash signature; each block streams out in bounded
-// chunks whose payloads are shared by all destination cubes, but Weight
-// still counts one message per tuple copy (the Push cost model the paper
-// measures — each chunk carries the weight of its rows, so the per-tuple
-// total is chunking-invariant). Envelope keys carry both the block
-// signature and the destination cube ("rel@sig#cube") so the receiver can
-// deposit each sender's chunk once into the block cache while still
-// binding every replicated cube.
-func runPush(c *cluster.Cluster, phase string, p Plan) error {
-	return c.StreamExchange(phase,
-		func(w *cluster.Worker, s cluster.StreamSender) error {
-			for _, ri := range p.Rels {
-				if _, ok := p.Warm[ri.Name]; ok {
-					continue
-				}
-				frag, ok := w.Rels[ri.Name]
-				if !ok {
-					continue
-				}
-				relPos := p.Shares.RelPositions(ri.Attrs)
-				sigs, blocks := groupBlocks(frag, p.Shares, relPos, ri)
-				for bi, sig := range sigs {
-					b := blocks[bi]
-					b.Sort()
-					cubes := p.Shares.BlockCubes(relPos, sig)
-					err := w.EncodeRelationChunks(b, 0, func(payload []byte, lo, hi, chunk int) error {
-						for _, cube := range cubes {
-							if err := s.Send(cluster.Envelope{
-								To:      ServerOfCube(cube, c.N),
-								Key:     ri.Name + "@" + strconv.Itoa(sig) + "#" + strconv.Itoa(cube),
-								Chunk:   int32(chunk),
-								Payload: payload,
-								Tuples:  int64(hi - lo),
-								Weight:  int64(hi - lo), // per-tuple shuffle messages
-							}); err != nil {
-								return err
-							}
-						}
-						return nil
-					})
-					if err != nil {
+		if _, ok := p.Warm[ri.Name]; ok {
+			continue
+		}
+		frag, ok := w.Rels[ri.Name]
+		if !ok {
+			continue
+		}
+		relPos := p.Shares.RelPositions(ri.Attrs)
+		attrs := p.trieAttrs(ri)
+		sigs, blocks := groupBlocks(frag, p.Shares, relPos, ri)
+		for bi, sig := range sigs {
+			key := ri.Name + "@" + strconv.Itoa(sig)
+			dests := p.Shares.BlockCubes(relPos, sig)
+			if p.Kind == Merge {
+				bt := trie.Build(blocks[bi], attrs)
+				payload := w.PayloadCopy(trie.Encode(bt))
+				for _, to := range dests {
+					if err := s.Send(cluster.Envelope{To: to, Key: key, Payload: payload, Tuples: int64(bt.Len()), Weight: 1}); err != nil {
 						return err
 					}
 				}
+				continue
 			}
-			return nil
-		},
-		func(w *cluster.Worker, r cluster.StreamReceiver) error {
-			adoptWarm(w, p)
-			return consumeTupleBlocks(w, r, p)
-		})
-}
-
-// runPull groups by block signature and ships each block once per server,
-// streamed as bounded chunks: the first chunk of a block copy carries the
-// block's single message weight, continuations ride free
-// (WeightContinuation), so the per-block message count the Pull cost model
-// measures is chunking-invariant. Receivers deposit each chunk as one more
-// tuple part of its block — the lazy trie build concatenates, sorts and
-// dedups parts, so chunk granularity never changes the built trie.
-func runPull(c *cluster.Cluster, phase string, p Plan) error {
-	return c.StreamExchange(phase,
-		func(w *cluster.Worker, s cluster.StreamSender) error {
-			for _, ri := range p.Rels {
-				if _, ok := p.Warm[ri.Name]; ok {
-					continue
+			b := blocks[bi]
+			b.Sort()
+			err := w.EncodeRelationChunks(b, 0, func(payload []byte, lo, hi, chunk int) error {
+				weight := int64(hi - lo) // Push: one message per tuple copy
+				if p.Kind == Pull {
+					weight = 1 // one message per block copy
+					if chunk > 0 {
+						weight = cluster.WeightContinuation
+					}
 				}
-				frag, ok := w.Rels[ri.Name]
-				if !ok {
-					continue
-				}
-				relPos := p.Shares.RelPositions(ri.Attrs)
-				sigs, blocks := groupBlocks(frag, p.Shares, relPos, ri)
-				for bi, sig := range sigs {
-					b := blocks[bi]
-					b.Sort()
-					servers := blockServers(p.Shares, relPos, sig, c.N)
-					err := w.EncodeRelationChunks(b, 0, func(payload []byte, lo, hi, chunk int) error {
-						weight := int64(1) // one message per block copy
-						if chunk > 0 {
-							weight = cluster.WeightContinuation
-						}
-						for _, server := range servers {
-							if err := s.Send(cluster.Envelope{
-								To:      server,
-								Key:     ri.Name + "@" + strconv.Itoa(sig),
-								Chunk:   int32(chunk),
-								Payload: payload,
-								Tuples:  int64(hi - lo),
-								Weight:  weight,
-							}); err != nil {
-								return err
-							}
-						}
-						return nil
-					})
-					if err != nil {
+				for _, to := range dests {
+					if err := s.Send(cluster.Envelope{
+						To:      to,
+						Key:     key,
+						Chunk:   int32(chunk),
+						Payload: payload,
+						Tuples:  int64(hi - lo),
+						Weight:  weight,
+					}); err != nil {
 						return err
 					}
 				}
+				return nil
+			})
+			if err != nil {
+				return err
 			}
-			return nil
-		},
-		func(w *cluster.Worker, r cluster.StreamReceiver) error {
-			adoptWarm(w, p)
-			attrsOf := p.attrsByRel()
-			for {
-				e, ok, err := r.Recv()
-				if err != nil {
-					return err
-				}
-				if !ok {
-					return nil
-				}
-				name, sig, err := splitKey(e.Key, '@')
-				if err != nil {
-					return err
-				}
-				ri, ok := relByName(p.Rels, name)
-				if !ok {
-					return fmt.Errorf("hcube pull: unknown relation %q", name)
-				}
-				// Deposit the sender's chunk as one tuple part; bind every
-				// local cube matching the signature (rebinds are no-ops). The
-				// part relation is freshly decoded because the registry
-				// retains it until the block trie is built — received
-				// payloads are only valid until the next Recv.
-				key := blockcache.Key{Rel: name, Sig: sig}
-				part := new(relation.Relation)
-				if err := relation.DecodeInto(e.Payload, part); err != nil {
-					return cluster.CorruptPayload("hcube pull block", err)
-				}
-				w.Blocks.DepositTuples(key, attrsOf[name], part)
-				for _, cube := range p.Shares.BlockCubes(p.Shares.RelPositions(ri.Attrs), sig) {
-					if ServerOfCube(cube, w.N) == w.ID {
-						w.Blocks.BindCube(cube, name, key)
-					}
-				}
-			}
-		})
-}
-
-// runMerge ships pre-built block tries; receivers deposit them into the
-// block-trie cache instead of eagerly merging per destination cube — the
-// merge happens lazily at a cube's first use, and a block shared by many
-// cubes is decoded and (when it is a relation's only block on the cube)
-// merged exactly once.
-func runMerge(c *cluster.Cluster, phase string, p Plan) error {
-	return c.StreamExchange(phase,
-		func(w *cluster.Worker, s cluster.StreamSender) error {
-			for _, ri := range p.Rels {
-				if _, ok := p.Warm[ri.Name]; ok {
-					continue
-				}
-				frag, ok := w.Rels[ri.Name]
-				if !ok {
-					continue
-				}
-				relPos := p.Shares.RelPositions(ri.Attrs)
-				attrs := p.trieAttrs(ri)
-				sigs, blocks := groupBlocks(frag, p.Shares, relPos, ri)
-				for bi, sig := range sigs {
-					// A trie encoding is one indivisible unit (receivers merge
-					// whole tries), so each block copy streams as one chunk —
-					// receivers still overlap: the first trie deposits while
-					// later blocks are still being built and encoded.
-					bt := trie.Build(blocks[bi], attrs)
-					payload := w.PayloadCopy(trie.Encode(bt))
-					for _, server := range blockServers(p.Shares, relPos, sig, c.N) {
-						if err := s.Send(cluster.Envelope{
-							To:      server,
-							Key:     ri.Name + "@" + strconv.Itoa(sig),
-							Payload: payload,
-							Tuples:  int64(bt.Len()),
-							Weight:  1,
-						}); err != nil {
-							return err
-						}
-					}
-				}
-			}
-			return nil
-		},
-		func(w *cluster.Worker, r cluster.StreamReceiver) error {
-			adoptWarm(w, p)
-			attrsOf := p.attrsByRel()
-			for {
-				e, ok, err := r.Recv()
-				if err != nil {
-					return err
-				}
-				if !ok {
-					return nil
-				}
-				name, sig, err := splitKey(e.Key, '@')
-				if err != nil {
-					return err
-				}
-				bt, err := trie.Decode(e.Payload)
-				if err != nil {
-					return cluster.CorruptPayload("hcube merge trie", err)
-				}
-				ri, ok := relByName(p.Rels, name)
-				if !ok {
-					return fmt.Errorf("hcube merge: unknown relation %q", name)
-				}
-				relPos := p.Shares.RelPositions(ri.Attrs)
-				key := blockcache.Key{Rel: name, Sig: sig}
-				w.Blocks.DepositTrie(key, attrsOf[name], bt)
-				for _, cube := range p.Shares.BlockCubes(relPos, sig) {
-					if ServerOfCube(cube, w.N) == w.ID {
-						w.Blocks.BindCube(cube, name, key)
-					}
-				}
-			}
-		})
-}
-
-// --- helpers ---
-
-// consumeTupleBlocks drains Push envelopes ("rel@sig#cube") from the
-// stream. Each sender's chunk is decoded and deposited once — replicated
-// cube copies carry the same chunk ordinal, so the dedup key is (sender,
-// block, chunk) — and every replicated cube binds the shared block key.
-func consumeTupleBlocks(w *cluster.Worker, r cluster.StreamReceiver, p Plan) error {
-	type seenKey struct {
-		from  int
-		chunk int32
-		key   blockcache.Key
+		}
 	}
-	seen := make(map[seenKey]bool)
-	attrsOf := p.attrsByRel()
+	return nil
+}
+
+// receive adopts the worker's warm blocks, then drains the stream into its
+// registry: a Merge envelope deposits its decoded trie, a Push or Pull
+// envelope its decoded tuples as one more part of the block — the trie
+// build concatenates, sorts and dedups parts, so chunk granularity never
+// changes the built trie. The part relation is freshly decoded because the
+// registry retains it until the trie is built, and received payloads are
+// only valid until the next Recv. A key naming no cold relation of the plan,
+// or a block of it that is not this worker's, is a corrupt payload: the
+// worker would otherwise join a cube that is not its own.
+func (p Plan) receive(w *cluster.Worker, r cluster.StreamReceiver) error {
+	adoptWarm(w, p)
+	type local struct {
+		sig   int
+		attrs []string
+	}
+	mine := make(map[string]local, len(p.Rels))
+	for _, ri := range p.Rels {
+		if _, ok := p.Warm[ri.Name]; !ok {
+			mine[ri.Name] = local{p.Shares.cubeSig(p.Shares.RelPositions(ri.Attrs), w.ID), p.trieAttrs(ri)}
+		}
+	}
+	what := "hcube " + p.Kind.String()
 	for {
 		e, ok, err := r.Recv()
-		if err != nil {
+		if err != nil || !ok {
 			return err
 		}
+		name, sig, err := splitKey(e.Key)
+		if err != nil {
+			return cluster.CorruptPayload(what, err)
+		}
+		l, ok := mine[name]
 		if !ok {
-			return nil
+			return cluster.CorruptPayload(what, fmt.Errorf("key %q: no shuffled relation %q", e.Key, name))
 		}
-		relSig, cube, err := splitKey(e.Key, '#')
-		if err != nil {
-			return err
-		}
-		name, sig, err := splitKey(relSig, '@')
-		if err != nil {
-			return err
-		}
-		attrs, ok := attrsOf[name]
-		if !ok {
-			return fmt.Errorf("hcube push: unknown relation %q", name)
+		if sig != l.sig {
+			return cluster.CorruptPayload(what, fmt.Errorf("key %q: worker %d holds block %d of %s", e.Key, w.ID, l.sig, name))
 		}
 		key := blockcache.Key{Rel: name, Sig: sig}
-		sk := seenKey{e.From, e.Chunk, key}
-		if !seen[sk] {
-			seen[sk] = true
-			part := new(relation.Relation)
-			if err := relation.DecodeInto(e.Payload, part); err != nil {
-				return cluster.CorruptPayload("hcube push block", err)
+		if p.Kind == Merge {
+			bt, err := trie.Decode(e.Payload)
+			if err != nil {
+				return cluster.CorruptPayload(what+" trie", err)
 			}
-			w.Blocks.DepositTuples(key, attrs, part)
+			w.Blocks.DepositTrie(key, l.attrs, bt)
+			continue
 		}
-		w.Blocks.BindCube(cube, name, key)
+		part := new(relation.Relation)
+		if err := relation.DecodeInto(e.Payload, part); err != nil {
+			return cluster.CorruptPayload(what+" block", err)
+		}
+		w.Blocks.DepositTuples(key, l.attrs, part)
 	}
 }
 
@@ -591,39 +426,15 @@ func groupBlocks(frag *relation.Relation, s Shares, relPos []int, ri RelInfo) ([
 	return sigs, blocks
 }
 
-// blockServers returns the distinct servers hosting cubes matching sig.
-func blockServers(s Shares, relPos []int, sig, n int) []int {
-	seen := make(map[int]bool)
-	var out []int
-	for _, cube := range s.BlockCubes(relPos, sig) {
-		sv := ServerOfCube(cube, n)
-		if !seen[sv] {
-			seen[sv] = true
-			out = append(out, sv)
-		}
+// splitKey parses an envelope key "rel@sig".
+func splitKey(key string) (string, int, error) {
+	i := strings.LastIndexByte(key, '@')
+	if i < 0 {
+		return "", 0, fmt.Errorf("bad envelope key %q", key)
 	}
-	sort.Ints(out)
-	return out
-}
-
-func relByName(rels []RelInfo, name string) (RelInfo, bool) {
-	for _, r := range rels {
-		if r.Name == name {
-			return r, true
-		}
+	sig, err := strconv.Atoi(key[i+1:])
+	if err != nil {
+		return "", 0, fmt.Errorf("bad envelope key %q: %w", key, err)
 	}
-	return RelInfo{}, false
-}
-
-func splitKey(key string, sep byte) (string, int, error) {
-	for i := len(key) - 1; i >= 0; i-- {
-		if key[i] == sep {
-			v, err := strconv.Atoi(key[i+1:])
-			if err != nil {
-				return "", 0, fmt.Errorf("hcube: bad envelope key %q: %w", key, err)
-			}
-			return key[:i], v, nil
-		}
-	}
-	return "", 0, fmt.Errorf("hcube: bad envelope key %q", key)
+	return key[:i], sig, nil
 }

@@ -2,7 +2,6 @@ package leapfrog
 
 import (
 	"slices"
-	"sort"
 
 	"adj/internal/trie"
 )
@@ -175,25 +174,6 @@ func (c *CachedJoin) Run(opt Options) (Stats, error) {
 			}
 		}
 		return nil
-	}
-	if opt.FirstFixed != nil {
-		first, _ := ext.Extend(binding, 0)
-		idx := sort.Search(len(first), func(i int) bool { return first[i] >= *opt.FirstFixed })
-		if idx == len(first) || first[idx] != *opt.FirstFixed {
-			return st, nil
-		}
-		binding[0] = *opt.FirstFixed
-		st.LevelTuples[0]++
-		if n == 1 {
-			st.Results++
-			if sink != nil {
-				sink.BeginRun(binding[:0])
-				deliver(sink, &st, binding[:1])
-			}
-			return st, nil
-		}
-		err = rec(1)
-		return st, err
 	}
 	err = rec(0)
 	return st, err

@@ -77,9 +77,6 @@ type Options struct {
 	Sink Sink
 	// Budget caps total extension work (sum of level tuples); 0 = unlimited.
 	Budget int64
-	// FirstFixed, when non-nil, restricts the first attribute to one value —
-	// the constrained Leapfrog the sampler runs per sampled value (§IV).
-	FirstFixed *Value
 	// Cancel, when non-nil, is polled periodically (every cancelStride
 	// bindings); returning true aborts the run with ErrCanceled. The engines
 	// wire a context.Context's Err here so a mid-join cancellation returns
@@ -264,37 +261,12 @@ func (j *joiner) run(opt Options) (Stats, error) {
 	lf := j.frames
 	last := j.n - 1
 	var work int64
-	if last == 0 && opt.FirstFixed == nil {
+	if last == 0 {
 		// One attribute: the join is a single leaf over the roots.
 		return st, j.leaf(&st, &opt, &work)
 	}
 	if !lf[0].open() {
 		return st, nil
-	}
-	if opt.FirstFixed != nil {
-		if !lf[0].seekExact(*opt.FirstFixed) {
-			return st, nil
-		}
-		if last == 0 {
-			// Single-attribute constrained run: exactly the fixed value.
-			st.LevelTuples[0] = 1
-			st.Results = 1
-			if opt.Sink != nil {
-				j.binding[0] = *opt.FirstFixed
-				opt.Sink.BeginRun(j.binding[:0])
-				deliver(opt.Sink, &st, j.binding[:1])
-			}
-			return st, nil
-		}
-	}
-	// advance moves depth d past the value whose subtree is done; a
-	// constrained run has only the fixed value at depth 0.
-	advance := func(d int) {
-		if d == 0 && opt.FirstFixed != nil {
-			lf[0].atEnd = true
-			return
-		}
-		lf[d].next()
 	}
 	d := 0
 	var steps int
@@ -311,7 +283,7 @@ func (j *joiner) run(opt Options) (Stats, error) {
 			f.close()
 			d--
 			if d >= 0 {
-				advance(d)
+				lf[d].next()
 			}
 			continue
 		}
@@ -333,7 +305,7 @@ func (j *joiner) run(opt Options) (Stats, error) {
 		if err := j.leaf(&st, &opt, &work); err != nil {
 			return st, err
 		}
-		advance(d)
+		f.next()
 	}
 	return st, nil
 }
@@ -701,27 +673,4 @@ func (f *frame) drain(st *Stats, d int, sink Sink, binding []Value, limit int64,
 	}
 	f.atEnd = true
 	return results
-}
-
-// seekExact positions the level at exactly v; returns false if v is not in
-// the intersection.
-func (f *frame) seekExact(v Value) bool {
-	for !f.atEnd && f.key < v {
-		// Seek one iterator to v then re-search.
-		vals := f.vals[f.p]
-		np := seekRoot(vals, f.pos[f.p], v, f.dirs[f.p])
-		if np >= len(vals) {
-			f.atEnd = true
-			return false
-		}
-		f.pos[f.p] = np
-		f.keys[f.p] = vals[np]
-		f.p = (f.p + 1) % len(f.iters)
-		f.search()
-	}
-	if f.atEnd || f.key != v {
-		f.atEnd = true
-		return false
-	}
-	return true
 }

@@ -131,31 +131,6 @@ func TestBudgetEnforced(t *testing.T) {
 	}
 }
 
-func TestFirstFixedMatchesSelection(t *testing.T) {
-	rng := rand.New(rand.NewSource(5))
-	edges := testutil.RandEdges(rng, "E", 300, 20)
-	q := hypergraph.Q1()
-	rels := q.BindGraph(edges)
-	order := []string{"a", "b", "c"}
-	// Ground truth per a-value via naive join.
-	want := relation.NaiveJoin(rels, order)
-	counts := make(map[Value]int64)
-	for i := 0; i < want.Len(); i++ {
-		counts[want.Tuple(i)[0]]++
-	}
-	tries := BuildTries(rels, order)
-	for v := Value(0); v < 20; v++ {
-		vv := v
-		st, err := Join(tries, order, Options{FirstFixed: &vv})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if st.Results != counts[v] {
-			t.Fatalf("a=%d: results=%d want %d", v, st.Results, counts[v])
-		}
-	}
-}
-
 func TestLevelTuplesMonotoneSemantics(t *testing.T) {
 	// LevelTuples[last] must equal Results; all counters non-negative.
 	rng := rand.New(rand.NewSource(9))

@@ -36,8 +36,7 @@ func (l *rowLog) AppendRun(vals []Value) {
 // Extender.Extend (a separate intersection path the joiner shares no loop
 // with): depth-first in ascending value order, one work unit per binding, a
 // leaf taking at most Budget-work+1 values and failing once work exceeds
-// Budget, one run per leaf with at least one value, FirstFixed narrowing
-// depth 0 to one value.
+// Budget, one run per leaf with at least one value.
 func refJoin(tries []*trie.Trie, order []string, opt Options) (Stats, error) {
 	ext, err := NewExtender(tries, order)
 	if err != nil {
@@ -50,22 +49,6 @@ func refJoin(tries []*trie.Trie, order []string, opt Options) (Stats, error) {
 	var rec func(d int) error
 	rec = func(d int) error {
 		vals, _ := ext.Extend(binding, d)
-		if d == 0 && opt.FirstFixed != nil {
-			if _, ok := slices.BinarySearch(vals, *opt.FirstFixed); !ok {
-				return nil
-			}
-			vals = []Value{*opt.FirstFixed}
-			if n == 1 {
-				// The constrained single-attribute run is exactly the
-				// fixed value and does no budgeted work.
-				st.LevelTuples[0], st.Results = 1, 1
-				if opt.Sink != nil {
-					opt.Sink.BeginRun(nil)
-					deliver(opt.Sink, &st, vals)
-				}
-				return nil
-			}
-		}
 		if d == n-1 {
 			take := int64(len(vals))
 			if opt.Budget > 0 && take > opt.Budget-work+1 {
@@ -156,7 +139,7 @@ func boundaryBudgets(total int64) []int64 {
 
 // The catalog's cyclic shapes under every attribute order — leaf rings of
 // one (Q11's pendant edge last), two (the kernel) and three (the clique) —
-// with Budget at each boundary and with FirstFixed: LevelTuples, Results,
+// with Budget at each boundary: LevelTuples, Results,
 // EmittedRuns, EmittedValues, the error and the sink's rows in order equal
 // the reference's, and the unbudgeted rows are NaiveJoin's.
 func TestJoinMatchesReferenceEveryOrder(t *testing.T) {
@@ -180,18 +163,9 @@ func TestJoinMatchesReferenceEveryOrder(t *testing.T) {
 			if got := out.ProjectMulti(q.Attrs()...).Sort(); !got.Equal(oracle.Renamed(got.Name)) {
 				t.Fatalf("%s %v: %d rows, oracle has %d (sorted rows differ)", q.Name, order, got.Len(), oracle.Len())
 			}
-			first := tries[0].Levels[0].Vals
 			for _, budget := range boundaryBudgets(full.TotalWithResults()) {
 				if err := checkAgainstReference(tries, order, Options{Budget: budget}); err != nil {
 					t.Fatalf("%s %v budget=%d: %v", q.Name, order, budget, err)
-				}
-			}
-			for _, v := range []Value{first[0], first[len(first)/2], first[len(first)-1], -1} {
-				v := v
-				for _, budget := range []int64{0, 1, 4} {
-					if err := checkAgainstReference(tries, order, Options{Budget: budget, FirstFixed: &v}); err != nil {
-						t.Fatalf("%s %v first=%d budget=%d: %v", q.Name, order, v, budget, err)
-					}
 				}
 			}
 		}
@@ -200,7 +174,7 @@ func TestJoinMatchesReferenceEveryOrder(t *testing.T) {
 
 // Mixed arities 1–3 put unary relations at the leaf (a candidate list that
 // is the trie's root) and rings of every size there; every order of each
-// random instance, unbudgeted, at a mid-run budget and constrained.
+// random instance, unbudgeted and at a mid-run budget.
 func TestJoinMatchesReferenceMixedArity(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
@@ -211,8 +185,7 @@ func TestJoinMatchesReferenceMixedArity(t *testing.T) {
 			if err != nil {
 				return false
 			}
-			v := Value(rng.Int63n(5))
-			for _, opt := range []Options{{}, {Budget: 1 + full.TotalWithResults()/2}, {FirstFixed: &v}} {
+			for _, opt := range []Options{{}, {Budget: 1 + full.TotalWithResults()/2}} {
 				if err := checkAgainstReference(tries, order, opt); err != nil {
 					t.Logf("seed %d order %v opt %+v: %v", seed, order, opt, err)
 					return false
@@ -232,9 +205,8 @@ func TestJoinMatchesReferenceMixedArity(t *testing.T) {
 // one chord missing), a unary relation at the leaf, two lists that both hang
 // off the second-to-last depth (none to mark) and two that both hang off the
 // first (either would do). Budget sweeps every value from 1 past the run's
-// total, so it trips inside a leaf, on its last value and between leaves;
-// FirstFixed takes a present, an absent and the last first value. Stats, error
-// and rows in order equal the reference's.
+// total, so it trips inside a leaf, on its last value and between leaves.
+// Stats, error and rows in order equal the reference's.
 func TestJoinLeafShapesMatchReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(37))
 	rel := func(name string, tuples int, domain int64, attrs ...string) *relation.Relation {
@@ -272,15 +244,6 @@ func TestJoinLeafShapesMatchReference(t *testing.T) {
 		for budget := int64(0); budget <= full.TotalWithResults()+1; budget++ {
 			if err := checkAgainstReference(tries, c.order, Options{Budget: budget}); err != nil {
 				t.Fatalf("%s budget=%d: %v", c.name, budget, err)
-			}
-		}
-		first := tries[0].Levels[0].Vals
-		for _, v := range []Value{first[0], first[len(first)/2], first[len(first)-1], -1} {
-			v := v
-			for _, budget := range []int64{0, 1, 7} {
-				if err := checkAgainstReference(tries, c.order, Options{Budget: budget, FirstFixed: &v}); err != nil {
-					t.Fatalf("%s first=%d budget=%d: %v", c.name, v, budget, err)
-				}
 			}
 		}
 	}

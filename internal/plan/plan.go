@@ -33,11 +33,11 @@ const (
 	// BuildTrie marks the block-trie construction the downstream
 	// LeapfrogCube forces lazily out of the shuffle's block registry. It
 	// executes as a no-op — tries are built at first use, once per
-	// (relation, block) per worker — but carries the order and cost
+	// relation per worker — but carries the order and cost
 	// annotation so Explain shows where trie time goes.
 	BuildTrie
-	// LeapfrogCube runs the worst-case-optimal Leapfrog join over every
-	// cube of every worker under Order.
+	// LeapfrogCube runs the worst-case-optimal Leapfrog join under Order
+	// on every worker, over the one cube the worker owns.
 	LeapfrogCube
 	// HashJoin is one distributed binary hash join Left ⋈ Right → Out:
 	// both sides are repartitioned on their shared attributes and joined
