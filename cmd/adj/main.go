@@ -49,7 +49,7 @@ func main() {
 		repeat   = flag.Int("repeat", 1, "execute the prepared query this many times on one session (run 2+ go warm)")
 		all      = flag.Bool("all", false, "run every engine and compare")
 		explain  = flag.Bool("explain", false, "print the chosen engine's plan DAG and exit")
-		phases   = flag.Bool("phases", false, "print per-phase metrics")
+		phases   = flag.Bool("phases", false, "print the run record: one line per runtime step, in execution order")
 	)
 	flag.Parse()
 

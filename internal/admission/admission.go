@@ -122,7 +122,8 @@ type Request struct {
 type Usage struct {
 	// Bytes is the execution's shuffle volume.
 	Bytes int64
-	// CPUSeconds is the execution's modeled compute time.
+	// CPUSeconds is the execution's measured worker compute time (no
+	// modeled network time).
 	CPUSeconds float64
 }
 

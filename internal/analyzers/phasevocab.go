@@ -8,12 +8,12 @@ import (
 )
 
 // PhaseVocab enforces the phase-name vocabulary that ties the plan IR,
-// the cluster metrics ledger, and the experiment harness together. Phase
-// names are join keys: lower.go stamps them on plan ops, Parallel /
-// StreamExchange charge wall-clock to them, and the fig09-style
-// reports group by them. A typo'd phase name is not an error anywhere —
-// it just silently opens a new metrics bucket and the report's numbers
-// stop adding up.
+// the cluster's run record, and the report fold together. Phase names are
+// join keys: lower.go stamps them on plan ops, Parallel / StreamExchange /
+// Metrics.Charge record entries under them, and the engine's report fold
+// buckets entries by their prefix. A typo'd phase name is not an error
+// anywhere — its entry silently lands in the wrong bucket and the report's
+// numbers stop adding up.
 //
 // The vocabulary is root[digits][/subphase]: roots are the pipeline's
 // stages (precompute, shuffle, join, round, optimize, sample, emit, tries,
@@ -23,12 +23,12 @@ import (
 // Checked sites (string literals only; computed names are the caller's
 // responsibility):
 //   - Phase: fields in composite literals of a type named Op (the plan IR)
-//   - .Phase(...) calls on a type named Metrics
+//   - .Charge(...) calls on a type named Metrics
 //   - the phase argument of .Parallel / .StreamExchange calls
 //     on a type named Cluster
 var PhaseVocab = &Analyzer{
 	Name: "phasevocab",
-	Doc:  "phase-name literals on plan ops and metrics charges must come from the fixed vocabulary",
+	Doc:  "phase-name literals on plan ops and run-record entries must come from the fixed vocabulary",
 	Run:  runPhaseVocab,
 }
 
@@ -64,7 +64,7 @@ func litString(pass *Pass, e ast.Expr) (string, bool) {
 }
 
 func reportBadPhase(pass *Pass, e ast.Expr, name, site string) {
-	pass.Reportf(e.Pos(), "phase name %q (%s) is outside the vocabulary %s[digits][/subphase]: a typo here opens a fresh metrics bucket instead of failing",
+	pass.Reportf(e.Pos(), "phase name %q (%s) is outside the vocabulary %s[digits][/subphase]: a typo here files the step under the wrong report bucket instead of failing",
 		name, site, strings.Join(phaseRoots(), "|"))
 }
 
@@ -93,7 +93,7 @@ func checkOpPhaseField(pass *Pass, lit *ast.CompositeLit) {
 	}
 }
 
-// checkPhaseCallArg validates the phase-name argument of Metrics.Phase and
+// checkPhaseCallArg validates the phase-name argument of Metrics.Charge and
 // the Cluster phase-running methods.
 func checkPhaseCallArg(pass *Pass, call *ast.CallExpr) {
 	sel, ok := call.Fun.(*ast.SelectorExpr)
@@ -106,8 +106,8 @@ func checkPhaseCallArg(pass *Pass, call *ast.CallExpr) {
 	}
 	var site string
 	switch {
-	case sel.Sel.Name == "Phase" && typeNameIs(tv.Type, "Metrics"):
-		site = "Metrics.Phase charge"
+	case sel.Sel.Name == "Charge" && typeNameIs(tv.Type, "Metrics"):
+		site = "Metrics.Charge"
 	case typeNameIs(tv.Type, "Cluster") &&
 		(sel.Sel.Name == "Parallel" || sel.Sel.Name == "StreamExchange"):
 		site = "Cluster." + sel.Sel.Name + " phase"

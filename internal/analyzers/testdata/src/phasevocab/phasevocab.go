@@ -10,7 +10,7 @@ type Op struct {
 
 type Metrics struct{}
 
-func (m *Metrics) Phase(name string) *Metrics { return m }
+func (m *Metrics) Charge(phase string, seconds float64) {}
 
 type Cluster struct{}
 
@@ -25,8 +25,8 @@ func good(c *Cluster, m *Metrics) {
 	_ = Op{Phase: "round0"}
 	_ = Op{Phase: "join"}
 	_ = Op{Phase: legacyPhase} // ok: named constants define vocabulary deliberately
-	m.Phase("shuffle")
-	m.Phase("sample/reduce")
+	m.Charge("optimize", 1)
+	m.Charge("sample/reduce", 1)
 	_ = c.Parallel("tries", nil)
 	_ = c.StreamExchange("shuffle")
 	_ = c.StreamExchange("emit")
@@ -34,14 +34,14 @@ func good(c *Cluster, m *Metrics) {
 
 func bad(c *Cluster, m *Metrics) {
 	_ = Op{Phase: "shufle"}       // want "outside the vocabulary"
-	m.Phase("Join")               // want "outside the vocabulary"
+	m.Charge("Join", 1)           // want "outside the vocabulary"
 	_ = c.Parallel("warmup", nil) // want "outside the vocabulary"
 	_ = c.StreamExchange("x")     // want "outside the vocabulary"
 }
 
 func suppressed(m *Metrics) {
 	//adjlint:ignore phasevocab migration shim keeps the pre-rename bucket
-	m.Phase("hcube")
+	m.Charge("hcube", 1)
 }
 
 func computed(c *Cluster, phase string) {
@@ -51,8 +51,8 @@ func computed(c *Cluster, phase string) {
 
 type other struct{}
 
-func (o *other) Phase(name string) {}
+func (o *other) Charge(name string, seconds float64) {}
 
 func unrelated(o *other) {
-	o.Phase("whatever") // ok: not the Metrics type
+	o.Charge("whatever", 1) // ok: not the Metrics type
 }

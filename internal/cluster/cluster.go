@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"runtime/debug"
+	"slices"
 	"sync"
 	"time"
 
@@ -152,8 +153,6 @@ type Config struct {
 	N int
 	// Transport defaults to LocalTransport.
 	Transport Transport
-	// Network models exchange wall time; zero value uses DefaultNetwork.
-	Network NetworkModel
 	// Sequential runs phase bodies one worker at a time and defines phase
 	// wall time as the max per-worker time — the deterministic simulation
 	// mode, which times a 28-worker cluster faithfully on a 2-core machine.
@@ -166,7 +165,6 @@ type Cluster struct {
 	N        int
 	Workers  []*Worker
 	Metrics  *Metrics
-	network  NetworkModel
 	transp   Transport
 	parallel bool
 	// parent is the caller's run context (SetContext's argument; never
@@ -193,13 +191,9 @@ func New(cfg Config) *Cluster {
 	if cfg.Transport == nil {
 		cfg.Transport = NewLocalTransport(cfg.N)
 	}
-	if cfg.Network == (NetworkModel{}) {
-		cfg.Network = DefaultNetwork()
-	}
 	c := &Cluster{
 		N:        cfg.N,
 		Metrics:  NewMetrics(),
-		network:  cfg.Network,
 		transp:   cfg.Transport,
 		parallel: !cfg.Sequential,
 	}
@@ -274,11 +268,11 @@ func (c *Cluster) ResetRun() {
 	}
 }
 
-// ResetMetrics starts a fresh metrics collection (workers keep their data).
+// ResetMetrics starts a fresh record (workers keep their data).
 func (c *Cluster) ResetMetrics() { c.Metrics = NewMetrics() }
 
-// Parallel runs fn on every worker and charges the phase's computation time
-// as the maximum per-worker duration (simulated parallel wall clock).
+// Parallel runs fn on every worker and records one entry whose Seconds is
+// the maximum per-worker duration (simulated parallel wall clock).
 //
 // Panic containment: a panic in any worker's phase body (either mode) is
 // recovered into a *WorkerPanicError carrying the worker ID, phase and
@@ -314,13 +308,7 @@ func (c *Cluster) Parallel(phase string, fn func(w *Worker) error) error {
 			durs[i] = time.Since(t0)
 		}
 	}
-	var max time.Duration
-	for _, d := range durs {
-		if d > max {
-			max = d
-		}
-	}
-	c.Metrics.Phase(phase).CompSeconds += max.Seconds()
+	c.Metrics.add(Entry{Kind: ParallelEntry, Phase: phase, Seconds: slices.Max(durs).Seconds()})
 	return c.foldErrors(phase, errs)
 }
 

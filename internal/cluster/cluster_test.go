@@ -46,8 +46,8 @@ func TestParallelChargesMaxTime(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if c.Metrics.Phase("work").CompSeconds <= 0 {
-		t.Fatal("no computation time recorded")
+	if es := c.Metrics.Entries(); len(es) != 1 || es[0].Kind != ParallelEntry || es[0].Phase != "work" || es[0].Seconds <= 0 {
+		t.Fatalf("record = %+v, want one timed parallel entry", es)
 	}
 }
 
@@ -140,12 +140,19 @@ func TestExchangeRoutesAndCounts(t *testing.T) {
 					t.Fatalf("worker %d received %v want %v", id, got[id], want)
 				}
 			}
-			pm := c.Metrics.Phase("x")
-			if pm.Messages != 6 || pm.TuplesSent != 6 || pm.BytesSent != 6 || pm.StreamChunks != 6 {
-				t.Fatalf("metrics: %+v", pm)
+			es := c.Metrics.Entries()
+			if len(es) != 1 || es[0].Kind != ExchangeEntry || es[0].Phase != "x" {
+				t.Fatalf("record = %+v, want one exchange entry", es)
 			}
-			if pm.CommSeconds <= 0 {
-				t.Fatal("no modeled communication time")
+			e := es[0]
+			if e.Messages != 6 || e.TuplesSent != 6 || e.BytesSent != 6 || e.StreamChunks != 6 {
+				t.Fatalf("metrics: %+v", e)
+			}
+			// Every worker sends and receives two 1-byte messages: the
+			// bottleneck counters the network model prices
+			// (costmodel's TestExchangeSeconds prices them).
+			if e.MaxServerBytes != 2 || e.MaxServerMessages != 2 {
+				t.Fatalf("bottleneck bytes=%d msgs=%d, want 2 and 2", e.MaxServerBytes, e.MaxServerMessages)
 			}
 		})
 	}
@@ -237,29 +244,56 @@ func TestEnvelopeOutOfRange(t *testing.T) {
 }
 
 func TestMetricsAccumulation(t *testing.T) {
-	m := NewMetrics()
-	m.Phase("a").CompSeconds = 1
-	m.Phase("a").CommSeconds = 2
-	m.Phase("b/send").CompSeconds = 3
-	if m.TotalSeconds() != 6 {
-		t.Fatalf("total=%v", m.TotalSeconds())
+	c := New(Config{N: 2, Sequential: true})
+	defer c.Close()
+	c.Metrics.Charge("optimize", 1)
+	if err := c.Parallel("join", func(w *Worker) error { return nil }); err != nil {
+		t.Fatal(err)
 	}
-	comp, comm := m.SumMatching("a")
-	if comp != 1 || comm != 2 {
-		t.Fatalf("SumMatching: %v %v", comp, comm)
+	err := c.StreamExchange("shuffle",
+		func(w *Worker, s StreamSender) error {
+			return s.Send(Envelope{To: 1 - w.ID, Key: "k", Payload: make([]byte, 3), Tuples: 2})
+		},
+		func(w *Worker, r StreamReceiver) error {
+			_, err := drain(r)
+			return err
+		})
+	if err != nil {
+		t.Fatal(err)
 	}
-	if len(m.Phases()) != 2 {
-		t.Fatalf("phases=%d", len(m.Phases()))
+	c.Metrics.Charge("optimize", 2)
+	// One entry per step, in execution order: a repeated phase name is a
+	// second entry, not a merge into the first.
+	es := c.Metrics.Entries()
+	want := []struct {
+		kind  EntryKind
+		phase string
+	}{{ChargeEntry, "optimize"}, {ParallelEntry, "join"}, {ExchangeEntry, "shuffle"}, {ChargeEntry, "optimize"}}
+	if len(es) != len(want) {
+		t.Fatalf("record has %d entries, want %d: %+v", len(es), len(want), es)
 	}
-}
-
-func TestNetworkModel(t *testing.T) {
-	nm := NetworkModel{BandwidthBytesPerSec: 1e9, PerMessageSec: 1e-5}
-	s := nm.CommSeconds(1e9, 100)
-	if s < 1.0 || s > 1.01 {
-		t.Fatalf("comm seconds=%v", s)
+	for i, w := range want {
+		if es[i].Kind != w.kind || es[i].Phase != w.phase {
+			t.Fatalf("entry %d = %v %q, want %v %q", i, es[i].Kind, es[i].Phase, w.kind, w.phase)
+		}
 	}
-	if (NetworkModel{}).CommSeconds(100, 100) != 0 {
-		t.Fatal("zero model must cost nothing")
+	if es[0].CompSeconds() != 1 || es[3].CompSeconds() != 2 {
+		t.Fatalf("charges = %v, %v", es[0].CompSeconds(), es[3].CompSeconds())
+	}
+	ex := es[2]
+	if ex.TuplesSent != 4 || ex.BytesSent != 6 || ex.Messages != 2 || ex.StreamChunks != 2 ||
+		ex.MaxServerBytes != 3 || ex.MaxServerMessages != 1 || ex.Seconds != 0 {
+		t.Fatalf("exchange entry %+v", ex)
+	}
+	if ex.CompSeconds() != ex.SendSeconds+ex.RecvSeconds {
+		t.Fatalf("exchange comp %v != send %v + recv %v", ex.CompSeconds(), ex.SendSeconds, ex.RecvSeconds)
+	}
+	if got := c.Metrics.TotalTuplesSent(); got != 4 {
+		t.Fatalf("TotalTuplesSent = %d, want 4", got)
+	}
+	// The printer walks the record in execution order.
+	lines := strings.Split(strings.TrimSpace(c.Metrics.String()), "\n")
+	if len(lines) != 4 || !strings.HasPrefix(lines[0], "charge") || !strings.HasPrefix(lines[2], "exchange") {
+		t.Fatalf("String():\n%s", c.Metrics.String())
 	}
 }

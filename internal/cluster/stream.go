@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"sync"
@@ -146,52 +147,30 @@ func (c *Cluster) StreamExchange(phase string,
 	// Send/Recv (backpressure waits are not computation), and the overlap
 	// counter records how much busy time the pipeline packed into less
 	// wall clock than a barriered exchange would need.
-	pm := c.Metrics.Phase(phase)
+	e := Entry{Kind: ExchangeEntry, Phase: phase,
+		StreamChunks: stats.Chunks, InflightPeakChunks: stats.InflightPeak, RecvPeakBytes: stats.RecvPeakBytes}
 	inBytes := make([]int64, n)
-	var maxBytes, maxMsgs int64
-	var maxProdBusy, maxConsBusy float64
 	for i := 0; i < n; i++ {
 		ms, mr := senders[i], receivers[i]
 		if ms == nil || mr == nil {
 			continue
 		}
-		pm.BytesSent += ms.bytes
-		pm.TuplesSent += ms.tuples
-		pm.Messages += ms.msgs
-		if ms.bytes > maxBytes {
-			maxBytes = ms.bytes
-		}
-		if ms.msgs > maxMsgs {
-			maxMsgs = ms.msgs
-		}
+		e.BytesSent += ms.bytes
+		e.TuplesSent += ms.tuples
+		e.Messages += ms.msgs
+		e.MaxServerBytes = max(e.MaxServerBytes, ms.bytes)
+		e.MaxServerMessages = max(e.MaxServerMessages, ms.msgs)
 		for d, b := range ms.inBytes {
 			inBytes[d] += b
 		}
-		if busy := (prodDur[i] - ms.wait).Seconds(); busy > maxProdBusy {
-			maxProdBusy = busy
-		}
-		if busy := (consDur[i] - mr.wait).Seconds(); busy > maxConsBusy {
-			maxConsBusy = busy
-		}
+		e.SendSeconds = max(e.SendSeconds, (prodDur[i] - ms.wait).Seconds())
+		e.RecvSeconds = max(e.RecvSeconds, (consDur[i] - mr.wait).Seconds())
 	}
 	for _, b := range inBytes {
-		if b > maxBytes {
-			maxBytes = b
-		}
+		e.MaxServerBytes = max(e.MaxServerBytes, b)
 	}
-	pm.CommSeconds += c.network.CommSeconds(maxBytes, maxMsgs)
-	c.Metrics.Phase(phase + "/send").CompSeconds += maxProdBusy
-	c.Metrics.Phase(phase + "/recv").CompSeconds += maxConsBusy
-	if overlap := maxProdBusy + maxConsBusy - elapsed; overlap > 0 {
-		pm.OverlapSeconds += overlap
-	}
-	pm.StreamChunks += stats.Chunks
-	if stats.InflightPeak > pm.InflightPeakChunks {
-		pm.InflightPeakChunks = stats.InflightPeak
-	}
-	if stats.RecvPeakBytes > pm.RecvPeakBytes {
-		pm.RecvPeakBytes = stats.RecvPeakBytes
-	}
+	e.OverlapSeconds = max(0, e.SendSeconds+e.RecvSeconds-elapsed)
+	c.Metrics.add(e)
 	if hasRetry {
 		c.Metrics.AddTransportRetries(rc.RetryStats() - retryBefore)
 	}
@@ -199,11 +178,17 @@ func (c *Cluster) StreamExchange(phase string,
 		c.Metrics.AddTransportDials(dc.DialStats() - dialBefore)
 	}
 
-	if err := c.foldErrors(phase+"/send", prodErrs); err != nil {
-		return err
+	// A panic in either half beats the cancellations it provoked in the
+	// other, as it does within one half (foldErrors).
+	sendErr, recvErr := c.foldErrors(phase+"/send", prodErrs), c.foldErrors(phase+"/recv", consErrs)
+	if errors.Is(recvErr, ErrWorkerPanic) && !errors.Is(sendErr, ErrWorkerPanic) {
+		return recvErr
 	}
-	if err := c.foldErrors(phase+"/recv", consErrs); err != nil {
-		return err
+	if sendErr != nil {
+		return sendErr
+	}
+	if recvErr != nil {
+		return recvErr
 	}
 	if cause := tracker.cause(); cause != nil {
 		// Every worker error was collateral of one abort (e.g. the caller's

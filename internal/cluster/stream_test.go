@@ -108,7 +108,7 @@ func TestStreamExchangeParallelMatchesSequential(t *testing.T) {
 		}
 	}
 
-	pmPar, pmSeq := par.Metrics.Phase("x"), seq.Metrics.Phase("x")
+	pmPar, pmSeq := par.Metrics.Entries()[0], seq.Metrics.Entries()[0]
 	if pmPar.StreamChunks != int64(n*n*chunks) || pmSeq.StreamChunks != pmPar.StreamChunks {
 		t.Fatalf("StreamChunks parallel=%d sequential=%d, want %d", pmPar.StreamChunks, pmSeq.StreamChunks, n*n*chunks)
 	}

@@ -5,10 +5,11 @@
 // cost costM (shuffle + join of a GHD bag's relations).
 //
 // Of the constants, α (tuples shuffled per second) is derived from the
-// cluster's network model and β for pre-computed relations is measured by
-// timing probes on a pre-built trie, as the paper prescribes (the engine
-// does so once per process); β for raw relations and the hash-join rate
-// are the DefaultParams constants (internal/engine/README.md, "What a
+// network model (NetworkModel, which also prices every exchange a run
+// records) and β for pre-computed relations is measured by timing probes
+// on a pre-built trie, as the paper prescribes (the engine does so once
+// per process); β for raw relations and the hash-join rate are the
+// DefaultParams constants (internal/engine/README.md, "What a
 // planning pass measures", says why the sampler's own rate is not wired
 // in).
 package costmodel
@@ -17,6 +18,7 @@ import (
 	"math/rand"
 	"time"
 
+	"adj/internal/cluster"
 	"adj/internal/hcube"
 	"adj/internal/relation"
 	"adj/internal/trie"
@@ -55,11 +57,46 @@ func DefaultParams(n int) Params {
 	}
 }
 
+// NetworkModel converts an exchange's bottleneck counters into modeled
+// seconds, calibrated to the paper's cluster (10 GbE ≈ 1.1 GB/s usable per
+// server; per-message software overhead dominates tuple-at-a-time
+// shuffles).
+type NetworkModel struct {
+	// BandwidthBytesPerSec is the per-server usable bandwidth.
+	BandwidthBytesPerSec float64
+	// PerMessageSec is the fixed cost per envelope (framing, syscalls,
+	// scheduling) — what makes Push-style shuffles slow.
+	PerMessageSec float64
+}
+
+// DefaultNetwork approximates the paper's testbed.
+func DefaultNetwork() NetworkModel {
+	return NetworkModel{
+		BandwidthBytesPerSec: 1.1e9,
+		PerMessageSec:        20e-6,
+	}
+}
+
+// CommSeconds models the wall-clock of one exchange: the bottleneck server
+// pays max(in, out) bytes over its link, plus per-message overhead which is
+// paid by the senders in parallel.
+func (nm NetworkModel) CommSeconds(maxServerBytes, maxServerMsgs int64) float64 {
+	if nm.BandwidthBytesPerSec <= 0 {
+		return 0
+	}
+	return float64(maxServerBytes)/nm.BandwidthBytesPerSec + float64(maxServerMsgs)*nm.PerMessageSec
+}
+
+// ExchangeSeconds is the modeled network time of one record entry on the
+// paper's testbed: the one price every reported communication second comes
+// from. An entry that moved nothing costs 0.
+func ExchangeSeconds(e cluster.Entry) float64 {
+	return DefaultNetwork().CommSeconds(e.MaxServerBytes, e.MaxServerMessages)
+}
+
 // CalibrateAlpha measures shuffle throughput in tuples/second implied by
 // the network model nm for blocks of binary tuples.
-func CalibrateAlpha(nm interface {
-	CommSeconds(maxServerBytes, maxServerMsgs int64) float64
-}, numServers int) float64 {
+func CalibrateAlpha(nm NetworkModel, numServers int) float64 {
 	const tuples = 1 << 20
 	const bytesPerTuple = 16
 	// Tuples spread evenly: each server ships tuples/numServers in

@@ -15,14 +15,38 @@ func TestDefaultParams(t *testing.T) {
 }
 
 func TestCalibrateAlpha(t *testing.T) {
-	a := CalibrateAlpha(cluster.DefaultNetwork(), 8)
+	a := CalibrateAlpha(DefaultNetwork(), 8)
 	if a < 1e6 || a > 1e10 {
 		t.Fatalf("alpha=%v implausible", a)
 	}
 	// More servers => more aggregate bandwidth is not modeled per-tuple:
 	// alpha is per-cluster throughput and must stay positive.
-	if CalibrateAlpha(cluster.NetworkModel{}, 4) <= 0 {
+	if CalibrateAlpha(NetworkModel{}, 4) <= 0 {
 		t.Fatal("zero model must fall back to a positive default")
+	}
+}
+
+func TestNetworkModel(t *testing.T) {
+	nm := NetworkModel{BandwidthBytesPerSec: 1e9, PerMessageSec: 1e-5}
+	s := nm.CommSeconds(1e9, 100)
+	if s < 1.0 || s > 1.01 {
+		t.Fatalf("comm seconds=%v", s)
+	}
+	if (NetworkModel{}).CommSeconds(100, 100) != 0 {
+		t.Fatal("zero model must cost nothing")
+	}
+}
+
+// An exchange entry is priced on its bottleneck counters under the paper's
+// network; an entry that moved nothing costs nothing.
+func TestExchangeSeconds(t *testing.T) {
+	e := cluster.Entry{Kind: cluster.ExchangeEntry, Phase: "shuffle", BytesSent: 6, Messages: 6,
+		MaxServerBytes: 2, MaxServerMessages: 2}
+	if got, want := ExchangeSeconds(e), DefaultNetwork().CommSeconds(2, 2); got <= 0 || got != want {
+		t.Fatalf("ExchangeSeconds = %v, want %v > 0", got, want)
+	}
+	if got := ExchangeSeconds(cluster.Entry{Kind: cluster.ParallelEntry, Phase: "join", Seconds: 1}); got != 0 {
+		t.Fatalf("a parallel entry priced at %v", got)
 	}
 }
 

@@ -31,7 +31,7 @@ func invariantReport(rep Report) string {
 // across all six engines: parallel scheduling (a goroutine per worker, 2N
 // exchange goroutines) agrees with Config.Sequential on every
 // scheduling-invariant field, and two Sequential runs additionally agree on
-// BytesShuffled and on output row order.
+// BytesShuffled, modeled Communication, StreamChunks and output row order.
 func TestCacheSchedulerEquivalenceAllEngines(t *testing.T) {
 	rng := rand.New(rand.NewSource(57))
 	for iter := 0; iter < 3; iter++ {
@@ -73,9 +73,11 @@ func TestCacheSchedulerEquivalenceAllEngines(t *testing.T) {
 					t.Fatalf("%s: parallel differs from sequential:\n  seq: %s\n  par: %s", at, want, got)
 				}
 				if invariantReport(seq) != invariantReport(seqAgain) ||
-					seq.BytesShuffled != seqAgain.BytesShuffled || !seq.Output.Equal(seqAgain.Output) {
-					t.Fatalf("%s: two sequential runs differ (bytes %d vs %d, same row order: %v)",
-						at, seq.BytesShuffled, seqAgain.BytesShuffled, seq.Output.Equal(seqAgain.Output))
+					seq.BytesShuffled != seqAgain.BytesShuffled || !seq.Output.Equal(seqAgain.Output) ||
+					seq.Communication != seqAgain.Communication || seq.StreamChunks != seqAgain.StreamChunks {
+					t.Fatalf("%s: two sequential runs differ (bytes %d vs %d, comm %v vs %v, chunks %d vs %d, same row order: %v)",
+						at, seq.BytesShuffled, seqAgain.BytesShuffled, seq.Communication, seqAgain.Communication,
+						seq.StreamChunks, seqAgain.StreamChunks, seq.Output.Equal(seqAgain.Output))
 				}
 				counts = append(counts, seq.Results)
 			}

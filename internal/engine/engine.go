@@ -15,7 +15,6 @@ import (
 	"fmt"
 	"sort"
 	"strings"
-	"time"
 
 	"adj/internal/blockcache"
 	"adj/internal/cluster"
@@ -101,7 +100,12 @@ type Report struct {
 	Dataset string
 	Servers int
 	Results int64
-	// Cost breakdown in (simulated) seconds, as in Tables II–IV.
+	// Cost breakdown in seconds, as in Tables II–IV. Computation is
+	// measured: per step, the busiest worker (an exchange's busiest
+	// producer plus its busiest consumer). Communication is modeled: the
+	// paper's network (costmodel.ExchangeSeconds) prices each exchange's
+	// bottleneck bytes and messages. Optimization and PreComputing add
+	// their steps' measured seconds and their exchanges' modeled ones.
 	Optimization  float64
 	PreComputing  float64
 	Communication float64
@@ -162,9 +166,17 @@ type Report struct {
 	Plan string
 	// Output holds materialized results when Config.CollectOutput.
 	Output *relation.Relation
-	// Metrics exposes raw per-phase numbers.
+	// Metrics is the run's record, one entry per runtime step in execution
+	// order; finishReport folds the cost breakdown, the shuffle and
+	// exchange counters and CPUSeconds from it.
 	Metrics *cluster.Metrics
+	// cpuSeconds is the measured part of PreComputing and Computation.
+	cpuSeconds float64
 }
+
+// CPUSeconds is the run's measured pre-computing and computation time: the
+// worker seconds a tenant is charged, with no modeled network time in it.
+func (r Report) CPUSeconds() float64 { return r.cpuSeconds }
 
 // Total returns the end-to-end cost.
 func (r Report) Total() float64 {
@@ -220,7 +232,7 @@ func cancelOf(cfg Config) func() bool {
 // defaultParams calibrates cost-model constants for a run.
 func defaultParams(cfg Config) costmodel.Params {
 	p := costmodel.DefaultParams(cfg.NumServers)
-	p.Alpha = costmodel.CalibrateAlpha(cluster.DefaultNetwork(), cfg.NumServers)
+	p.Alpha = costmodel.CalibrateAlpha(costmodel.DefaultNetwork(), cfg.NumServers)
 	p.MemoryPerServer = cfg.MemoryPerServer
 	return p
 }
@@ -482,34 +494,33 @@ func cubeTries(w *cluster.Worker, infos []hcube.RelInfo, order []string) []*trie
 	return out
 }
 
-// finishReport folds phase metrics into the paper's four buckets by phase
-// name prefix: "optimize", "precompute", everything else splits into comm
-// (modeled network) vs comp (measured worker time).
+// finishReport is the one fold of a run's record into the Report: each
+// entry lands in the paper's bucket its phase name prefixes ("optimize",
+// "precompute", else comm/comp), with its measured seconds and the modeled
+// network time costmodel.ExchangeSeconds prices it at.
 func finishReport(r *Report, m *cluster.Metrics) {
-	for _, p := range m.Phases() {
+	for _, e := range m.Entries() {
+		comp, comm := e.CompSeconds(), costmodel.ExchangeSeconds(e)
 		switch {
-		case strings.HasPrefix(p.Name, "optimize"):
-			r.Optimization += p.CompSeconds + p.CommSeconds
-		case strings.HasPrefix(p.Name, "precompute"):
-			r.PreComputing += p.CompSeconds + p.CommSeconds
+		case strings.HasPrefix(e.Phase, "optimize"):
+			r.Optimization += comp + comm
+		case strings.HasPrefix(e.Phase, "precompute"):
+			r.PreComputing += comp + comm
+			r.cpuSeconds += comp
 		default:
-			r.Communication += p.CommSeconds
-			r.Computation += p.CompSeconds
+			r.Communication += comm
+			r.Computation += comp
+			r.cpuSeconds += comp
 		}
-		r.TuplesShuffled += p.TuplesSent
-		r.BytesShuffled += p.BytesSent
-		r.Messages += p.Messages
+		r.TuplesShuffled += e.TuplesSent
+		r.BytesShuffled += e.BytesSent
+		r.Messages += e.Messages
+		r.StreamChunks += e.StreamChunks
+		r.OverlapSeconds += e.OverlapSeconds
+		r.RecvPeakBytes = max(r.RecvPeakBytes, e.RecvPeakBytes)
 	}
 	r.PanicsRecovered = m.PanicsRecovered()
 	r.TransportRetries = m.TransportRetries()
-	r.StreamChunks = m.TotalStreamChunks()
-	r.OverlapSeconds = m.TotalOverlapSeconds()
-	r.RecvPeakBytes = m.MaxRecvPeakBytes()
 	r.TransportDials = m.TransportDials()
 	r.Metrics = m
-}
-
-// chargeSeconds adds measured coordinator-side seconds to a named phase.
-func chargeSeconds(c *cluster.Cluster, phase string, start time.Time) {
-	c.Metrics.Phase(phase).CompSeconds += time.Since(start).Seconds()
 }

@@ -47,7 +47,7 @@ func Run(name string, q hypergraph.Query, rels []*relation.Relation, cfg Config)
 		if pp, err = Prepare(name, q, rels, cfg); err != nil {
 			return rep, err
 		}
-		chargeSeconds(c, "optimize", t0)
+		c.Metrics.Charge("optimize", time.Since(t0).Seconds())
 		cfg.Prepared = pp
 	}
 	rep.Plan = pp.Program.Label
@@ -219,7 +219,7 @@ func runShuffle(c *cluster.Cluster, op *plan.Op, st *progState, rels []*relation
 	if op.ChargeOptimize {
 		// The HCubeJ family charges share optimization to the paper's
 		// Optimization column; ADJ's shares are part of the shuffle.
-		chargeSeconds(c, "optimize", t0)
+		c.Metrics.Charge("optimize", time.Since(t0).Seconds())
 	}
 	planID := op.ReuseID
 	if op.LabelShares {

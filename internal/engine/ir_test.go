@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"context"
 	"math/rand"
 	"strings"
 	"testing"
@@ -102,6 +103,67 @@ func TestLoweredPhaseNames(t *testing.T) {
 	for _, ph := range big[plan.Semijoin] {
 		if !strings.Contains(ph, "/verify") {
 			t.Fatalf("BigJoin verify phase = %q", ph)
+		}
+	}
+}
+
+// The run's record is the program, executed: one entry per op that runs on
+// the cluster, in op order, under the op's Phase — an exchange for every
+// Shuffle, HashJoin, Semijoin and Extend, a Parallel entry for every
+// LeapfrogCube and Project. The only other entries are "optimize" charges,
+// one per op that charges its share optimization.
+func TestRecordFollowsProgram(t *testing.T) {
+	rng := rand.New(rand.NewSource(8))
+	edges := testutil.RandEdges(rng, "E", 300, 25)
+	// The Hybrid workload and config of TestHybridRoutesSplitAndWins: its
+	// plan is the split, with Semijoin pre-reductions and HashJoin ears.
+	hq, hrels := hybridWorkload(1000)
+	hcfg := Config{NumServers: 4, Samples: 300, Seed: 7, Ctx: context.Background()}
+	insts := []struct {
+		q    hypergraph.Query
+		rels []*relation.Relation
+		cfg  Config
+	}{
+		{hypergraph.Q1(), hypergraph.Q1().BindGraph(edges), smallCfg(3)},
+		{hypergraph.Q2(), hypergraph.Q2().BindGraph(edges), smallCfg(3)},
+		{hq, hrels, hcfg},
+	}
+	for _, in := range insts {
+		for _, row := range engineTable {
+			at := row.name + "/" + in.q.Name
+			cfg := in.cfg
+			pp, err := Prepare(row.name, in.q, in.rels, cfg)
+			if err != nil {
+				t.Fatalf("%s: %v", at, err)
+			}
+			cfg.Prepared = pp
+			rep, err := Run(row.name, in.q, in.rels, cfg)
+			if err != nil || rep.Failed {
+				t.Fatalf("%s: err=%v failed=%v(%s)", at, err, rep.Failed, rep.FailReason)
+			}
+			var want, got []string
+			charges := 0
+			for _, op := range pp.Program.Ops {
+				if op.ChargeOptimize {
+					charges++
+				}
+				switch op.Kind {
+				case plan.Shuffle, plan.HashJoin, plan.Semijoin, plan.Extend:
+					want = append(want, "exchange "+op.Phase)
+				case plan.LeapfrogCube, plan.Project:
+					want = append(want, "parallel "+op.Phase)
+				}
+			}
+			for _, e := range rep.Metrics.Entries() {
+				if e.Kind == cluster.ChargeEntry && e.Phase == "optimize" {
+					charges--
+					continue
+				}
+				got = append(got, e.Kind.String()+" "+e.Phase)
+			}
+			if strings.Join(got, ", ") != strings.Join(want, ", ") || charges != 0 {
+				t.Fatalf("%s: record %v, program %v (%d optimize charges unmatched)", at, got, want, charges)
+			}
 		}
 	}
 }

@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"adj/internal/cluster"
+	"adj/internal/costmodel"
 	"adj/internal/dataset"
 	"adj/internal/hcube"
 )
@@ -44,8 +45,9 @@ func Fig9(cfg Config) (Result, error) {
 			}
 			// Receiver-side trie construction: materialize every worker's
 			// tries from its block registry (as the join engine would at
-			// first use). Push/Pull pay full block builds here; Merge only
-			// merges the pre-built tries it received — the cost gap the
+			// first use). Push/Pull build each block from its raw tuple
+			// parts here; Merge merges the pre-built parts it received, one
+			// per sender that held tuples of the block — the cost gap the
 			// figure reports.
 			err = c.Parallel("tries", func(w *cluster.Worker) error {
 				for _, ri := range infos {
@@ -57,9 +59,9 @@ func Fig9(cfg Config) (Result, error) {
 				return res, err
 			}
 			var comm, comp float64
-			for _, p := range c.Metrics.Phases() {
-				comm += p.CommSeconds
-				comp += p.CompSeconds
+			for _, e := range c.Metrics.Entries() {
+				comm += costmodel.ExchangeSeconds(e)
+				comp += e.CompSeconds()
 			}
 			label := kind.String()
 			label = string(label[0]-('a'-'A')) + label[1:]

@@ -394,7 +394,7 @@ func TestShuffleCostOrdering(t *testing.T) {
 		if err := Run(c, "sh", Plan{Shares: shares, Rels: info, Kind: kind, TrieOrder: order}); err != nil {
 			t.Fatal(err)
 		}
-		msgs[kind] = c.Metrics.Phase("sh").Messages
+		msgs[kind] = c.Metrics.Entries()[0].Messages
 		c.Close()
 	}
 	if msgs[Pull] >= msgs[Push] {

@@ -25,8 +25,9 @@ const (
 	// Pull groups tuples into blocks by their hash signature; each block is
 	// serialized once and fetched by the matching servers.
 	Pull
-	// Merge ships blocks as pre-built tries; receivers merge tries instead
-	// of re-sorting raw tuples.
+	// Merge ships blocks as pre-built tries: a receiver gets one trie part
+	// per sender that held tuples of its block and merges the parts
+	// instead of re-sorting raw tuples.
 	Merge
 )
 
@@ -228,8 +229,8 @@ func Publish(c *cluster.Cluster, p Plan) {
 // Optimize's do), every block of a relation goes to the workers whose cubes
 // match its signature, and afterwards each worker's block-trie registry
 // (Worker.Blocks) holds one block per relation, ready for its trie to be
-// built at first use. Envelope keys are "rel@sig" for all three kinds. Phase
-// metrics accrue under the given phase name.
+// built at first use. Envelope keys are "rel@sig" for all three kinds. The
+// exchange is one record entry under the given phase name.
 //
 // Warm relations (p.Warm): the session store still holds the complete
 // block-trie set for this content and layout, so they skip the exchange

@@ -21,8 +21,10 @@ import (
 //  4. only the reduced fragments are broadcast; every worker then evaluates
 //     a disjoint share of the samples with constrained Leapfrog.
 //
-// Phase names are prefixed with phase+"/" so engines can attribute the cost
-// to their Optimization bucket.
+// Its steps record under fixed sample/* phase names (sample/vala,
+// sample/reduce, sample/count). The engine's report fold buckets by name
+// prefix and only "optimize" reaches Optimization, so on an engine's
+// cluster these steps would land in Communication and Computation.
 
 // DistributedEstimate runs the reduced-database sampler on a cluster whose
 // workers hold fragments of the named relations (attribute-renamed query

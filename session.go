@@ -365,7 +365,7 @@ func WithClass(c Class) ExecOption {
 	return func(o *execOpts) { o.class = c }
 }
 
-// WithTenant charges the execution's shuffle bytes and modeled CPU to the
+// WithTenant charges the execution's shuffle bytes and measured CPU to the
 // named tenant's decaying budget account; a tenant over budget is refused
 // with ErrOverloaded until the account decays. Unset executions are
 // unaccounted.
@@ -510,7 +510,7 @@ func (p *PreparedQuery) Exec(ctx context.Context, opts ...ExecOption) (*Results,
 	rep.AdmissionClass = ticket.Class().String()
 	usage = admission.Usage{
 		Bytes:      rep.BytesShuffled,
-		CPUSeconds: rep.Computation + rep.PreComputing,
+		CPUSeconds: rep.CPUSeconds(),
 	}
 	return newResults(rep), nil
 }

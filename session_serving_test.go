@@ -4,12 +4,17 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"math"
 	"math/rand"
 	"runtime"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"adj/internal/costmodel"
+	"adj/internal/testutil"
 )
 
 // TestSessionConcurrentExecEquivalence is the serving tier's correctness
@@ -529,5 +534,70 @@ func TestSessionTenantBudgetExec(t *testing.T) {
 	}
 	if _, err := pq.Exec(context.Background(), CountOnly()); err != nil {
 		t.Fatalf("unaccounted exec refused: %v", err)
+	}
+}
+
+// TestSessionTenantChargedMeasuredSeconds: a tenant is charged the
+// execution's measured worker seconds, never the modeled network time of
+// its exchanges. The workload is the Hybrid engine's split case (a
+// triangle with a selective path attached): its semijoin pre-reductions
+// are exchanges under precompute/*, so PreComputing carries modeled seconds
+// the charge must leave out.
+func TestSessionTenantChargedMeasuredSeconds(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	const scale = 1000
+	tri := testutil.RandEdges(rng, "E", 10*scale, scale/2)
+	p1, p2 := NewRelation("P1", "c", "d"), NewRelation("P2", "d", "e")
+	for i := 0; i < scale; i++ {
+		p1.Append(Value(rng.Intn(40)), Value(10000+rng.Int63n(50*scale)))
+	}
+	for i := 0; i < 40*scale; i++ {
+		p2.Append(Value(10000+rng.Int63n(50*scale)), Value(rng.Int63n(8000)))
+	}
+	p1.SortDedup()
+	p2.SortDedup()
+	q, err := ParseQuery("Qh :- R1(a,b) ⋈ R2(b,c) ⋈ R3(a,c) ⋈ P1(c,d) ⋈ P2(d,e)")
+	if err != nil {
+		t.Fatal(err)
+	}
+	// A frozen clock: the tenant account does not decay between the charge
+	// and the read.
+	now := time.Unix(1_000_000_000, 0)
+	s, err := Open(Options{Workers: 4, Samples: 300, Seed: 7,
+		Admission: AdmissionConfig{Clock: func() time.Time { return now }}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	if err := s.RegisterDatabase(Database{"R1": tri, "R2": tri, "R3": tri, "P1": p1, "P2": p2}); err != nil {
+		t.Fatal(err)
+	}
+	pq, err := s.Prepare("Hybrid", q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := pq.Exec(context.Background(), CountOnly(), WithTenant("t"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	rep := res.Report()
+	var measured, modeledPre float64
+	for _, e := range rep.Metrics.Entries() {
+		switch {
+		case strings.HasPrefix(e.Phase, "optimize"):
+		case strings.HasPrefix(e.Phase, "precompute"):
+			measured += e.CompSeconds()
+			modeledPre += costmodel.ExchangeSeconds(e)
+		default:
+			measured += e.CompSeconds()
+		}
+	}
+	if modeledPre <= 0 {
+		t.Fatalf("plan has no priced precompute exchange: %s\n%s", rep.Plan, rep.Metrics)
+	}
+	got := s.AdmissionStats().Tenants["t"].CPUSeconds
+	if math.Abs(got-measured) > 1e-12 {
+		t.Fatalf("tenant charged %v s, measured compute is %v s (Computation+PreComputing %v s)",
+			got, measured, rep.Computation+rep.PreComputing)
 	}
 }
