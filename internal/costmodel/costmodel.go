@@ -4,14 +4,13 @@
 // divided by the extension rate β and the server count), and pre-computing
 // cost costM (shuffle + join of a GHD bag's relations).
 //
-// Of the constants, α (tuples shuffled per second) is derived from the
-// network model (NetworkModel, which also prices every exchange a run
-// records) and β for pre-computed relations is measured by timing probes
-// on a pre-built trie, as the paper prescribes (the engine does so once
-// per process); β for raw relations and the hash-join rate are the
-// DefaultParams constants (internal/engine/README.md, "What a
-// planning pass measures", says why the sampler's own rate is not wired
-// in).
+// Every planner reads its constants from DefaultParams, and none of them is
+// timed while planning, so a plan is a function of its inputs: α is derived
+// from the network model (NetworkModel, which also prices every exchange a
+// run records), and the β rates and the hash-join rate are constants. The
+// paper pre-measures β once per machine; CalibrateBetaTrie and
+// CalibrateJoinRate are those measurements, run by hand (and by the
+// benchmark's probes), never by a plan.
 package costmodel
 
 import (
@@ -45,16 +44,32 @@ type Params struct {
 	MemoryPerServer int64
 }
 
-// DefaultParams returns constants roughly calibrated to this repository's
-// simulated cluster; engines re-derive α and measure BetaTrie.
+// DefaultParams returns the cost constants of a cluster of n servers. Only α
+// depends on n; nothing is timed.
 func DefaultParams(n int) Params {
 	return Params{
-		Alpha:      40e6,
-		BetaBase:   4e6,
-		BetaTrie:   25e6,
+		Alpha:    alpha(n),
+		BetaBase: 4e6,
+		// BetaTrie is the median of 24 fresh-process CalibrateBetaTrie(1<<14)
+		// readings (5.95–8.63 M/s) on an idle 2-core x86-64 Linux host,
+		// go1.24, October 2026. Re-measure with `go test -count=1 -v -run
+		// TestCalibrateBetaTrie ./internal/costmodel/` in fresh processes.
+		BetaTrie:   7.7e6,
 		JoinRate:   12e6,
 		NumServers: n,
 	}
+}
+
+// alpha is the shuffle throughput, in tuples per second across the cluster,
+// that DefaultNetwork implies for blocks of binary tuples spread evenly over
+// n servers (n < 1 counts as one).
+func alpha(n int) float64 {
+	const tuples = 1 << 20
+	const bytesPerTuple = 16
+	n = max(n, 1)
+	perServer := int64(tuples / n)
+	msgs := perServer/4096 + 1
+	return float64(tuples) / (DefaultNetwork().CommSeconds(perServer*bytesPerTuple, msgs) * float64(n))
 }
 
 // NetworkModel converts an exchange's bottleneck counters into modeled
@@ -94,29 +109,12 @@ func ExchangeSeconds(e cluster.Entry) float64 {
 	return DefaultNetwork().CommSeconds(e.MaxServerBytes, e.MaxServerMessages)
 }
 
-// CalibrateAlpha measures shuffle throughput in tuples/second implied by
-// the network model nm for blocks of binary tuples.
-func CalibrateAlpha(nm NetworkModel, numServers int) float64 {
-	const tuples = 1 << 20
-	const bytesPerTuple = 16
-	// Tuples spread evenly: each server ships tuples/numServers in
-	// block-sized messages.
-	perServer := int64(tuples / numServers)
-	msgs := perServer/4096 + 1
-	sec := nm.CommSeconds(perServer*bytesPerTuple, msgs)
-	if sec <= 0 {
-		return 40e6
-	}
-	return float64(tuples) / (sec * float64(numServers))
-}
-
 // CalibrateBetaTrie measures probe throughput on a pre-built trie of the
 // given size, as §III-B prescribes ("pre-measure β_i on tries of various
 // sizes"). The probes run in batches and the rate is read off the fastest
 // one: β is a constant of the machine, and a batch that shared its core with
 // a neighbour or sat through a GC cycle says how busy the host was, not how
-// fast a probe is — a caller that keeps the value (the engine does, for the
-// life of the process) must not keep a bad moment with it.
+// fast a probe is. DefaultParams.BetaTrie is the median of such readings.
 func CalibrateBetaTrie(size int) float64 {
 	if size < 1024 {
 		size = 1024

@@ -7,22 +7,29 @@ import (
 	"adj/internal/hcube"
 )
 
+// DefaultParams derives α from the network model for the cluster's size:
+// per-cluster shuffle throughput of 16-byte tuples in 4096-tuple blocks,
+// which must stay positive and plausible at every size the paper runs —
+// and at n ≤ 0, which counts as one server rather than dividing by zero.
 func TestDefaultParams(t *testing.T) {
-	p := DefaultParams(8)
-	if p.NumServers != 8 || p.Alpha <= 0 || p.BetaBase <= 0 || p.BetaTrie <= p.BetaBase {
-		t.Fatalf("params=%+v", p)
+	for _, n := range []int{1, 4, 8, 28} {
+		p := DefaultParams(n)
+		if p.NumServers != n || p.BetaBase <= 0 || p.BetaTrie <= p.BetaBase || p.JoinRate <= 0 {
+			t.Fatalf("n=%d: params=%+v", n, p)
+		}
+		if p.Alpha < 1e6 || p.Alpha > 1e10 {
+			t.Fatalf("n=%d: alpha=%v implausible", n, p.Alpha)
+		}
+		perServer := int64((1 << 20) / n)
+		sec := DefaultNetwork().CommSeconds(16*perServer, perServer/4096+1)
+		if want := (1 << 20) / (sec * float64(n)); p.Alpha != want {
+			t.Fatalf("n=%d: alpha=%v, want the network model's %v", n, p.Alpha, want)
+		}
 	}
-}
-
-func TestCalibrateAlpha(t *testing.T) {
-	a := CalibrateAlpha(DefaultNetwork(), 8)
-	if a < 1e6 || a > 1e10 {
-		t.Fatalf("alpha=%v implausible", a)
-	}
-	// More servers => more aggregate bandwidth is not modeled per-tuple:
-	// alpha is per-cluster throughput and must stay positive.
-	if CalibrateAlpha(NetworkModel{}, 4) <= 0 {
-		t.Fatal("zero model must fall back to a positive default")
+	for _, n := range []int{0, -1} {
+		if got, want := DefaultParams(n).Alpha, DefaultParams(1).Alpha; got != want {
+			t.Fatalf("n=%d: alpha=%v, want one server's %v", n, got, want)
+		}
 	}
 }
 
@@ -50,11 +57,14 @@ func TestExchangeSeconds(t *testing.T) {
 	}
 }
 
+// TestCalibrateBetaTrie logs the reading DefaultParams' BetaTrie is the
+// median of: run it in fresh processes on an idle host to re-measure.
 func TestCalibrateBetaTrie(t *testing.T) {
-	b := CalibrateBetaTrie(1 << 12)
+	b := CalibrateBetaTrie(1 << 14)
 	if b <= 0 {
 		t.Fatalf("betaTrie=%v", b)
 	}
+	t.Logf("CalibrateBetaTrie(1<<14) = %.3g probes/s", b)
 	if CalibrateBetaTrie(0) <= 0 {
 		t.Fatal("degenerate size must still calibrate")
 	}

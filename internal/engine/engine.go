@@ -229,10 +229,10 @@ func cancelOf(cfg Config) func() bool {
 	return func() bool { return ctx.Err() != nil }
 }
 
-// defaultParams calibrates cost-model constants for a run.
+// defaultParams is the cost-model constants for a run's cluster and memory
+// bound.
 func defaultParams(cfg Config) costmodel.Params {
 	p := costmodel.DefaultParams(cfg.NumServers)
-	p.Alpha = costmodel.CalibrateAlpha(costmodel.DefaultNetwork(), cfg.NumServers)
 	p.MemoryPerServer = cfg.MemoryPerServer
 	return p
 }

@@ -5,11 +5,9 @@ import (
 	"maps"
 	"slices"
 	"sort"
-	"sync"
 	"sync/atomic"
 	"time"
 
-	"adj/internal/costmodel"
 	"adj/internal/hcube"
 	"adj/internal/hypergraph"
 	"adj/internal/optimizer"
@@ -222,20 +220,13 @@ func planBinary(q hypergraph.Query, rels []*relation.Relation, _ Config) (*plan.
 	return lowerBinary(q, rels, binaryJoinOrder(rels)), nil
 }
 
-// betaTrie is the pre-computed-trie probe rate of §III-B ("pre-measure β_i"):
-// a constant of the machine, not of the query or the data, so it is measured
-// on the first ADJ plan and kept for the life of the process.
-var betaTrie = sync.OnceValue(func() float64 { return costmodel.CalibrateBetaTrie(1 << 14) })
-
 // adjPlan is ADJ's optimization phase (§III): take the cost constants, then
 // co-optimize over the GHD-restricted plan space (or pick the
-// communication-first plan). No constant is timed per plan, so within a
-// process the plan is a function of the inputs and the seed.
+// communication-first plan). No constant is timed, so the plan is a function
+// of the inputs and the seed, in any process on any host.
 func adjPlan(q hypergraph.Query, rels []*relation.Relation, cfg Config, coOptimize bool) (*optimizer.Plan, error) {
-	params := defaultParams(cfg)
-	params.BetaTrie = betaTrie()
 	opt, err := optimizer.New(q, rels, optimizer.Options{
-		Params:  params,
+		Params:  defaultParams(cfg),
 		Samples: cfg.Samples,
 		Seed:    cfg.Seed,
 		Cancel:  cancelOf(cfg),

@@ -2,7 +2,14 @@ package engine
 
 import (
 	"context"
+	"flag"
+	"fmt"
+	"os"
+	"os/exec"
+	"runtime"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
 
 	"adj/internal/hypergraph"
@@ -12,12 +19,13 @@ import (
 // coldGraph is one graph of the benchmark's cold-adj shape (LJ@0.05).
 func coldGraph(seed int64) *relation.Relation { return powerLawGraph(0.05, seed) }
 
-// TestCoOptimizeDeterministic pins the plan-determinism contract: within a
-// process, ADJ's plan is a function of (query, relations, seed). Bags of
-// equal cost are common on BindGraph databases (every atom is the same edge
-// list); before the co-optimizer visited candidates in bag-ID order those
-// ties broke by map iteration order, and repeated prepares of one graph
-// returned two traversals.
+// TestCoOptimizeDeterministic pins the plan-determinism contract: across
+// processes, ADJ's plan is a function of (query, relations, seed). This test
+// repeats prepares in one process; TestPlanSameAcrossProcesses starts fresh
+// ones. Bags of equal cost are common on BindGraph databases (every atom is
+// the same edge list); before the co-optimizer visited candidates in bag-ID
+// order those ties broke by map iteration order, and repeated prepares of
+// one graph returned two traversals.
 func TestCoOptimizeDeterministic(t *testing.T) {
 	q := hypergraph.Q5()
 	cfg := Config{NumServers: 4, Seed: 1, Ctx: context.Background()}
@@ -38,6 +46,84 @@ func TestCoOptimizeDeterministic(t *testing.T) {
 				t.Fatalf("graph %d, prepare %d chose a different plan:\n%s\n%s", seed, i, first, label)
 			}
 		}
+	}
+}
+
+// planLabelsArg makes the test binary a child of TestPlanSameAcrossProcesses:
+// it prints planLabels and exits.
+const planLabelsArg = "plan-labels"
+
+// planLabels prepares ADJ for Q1–Q6 over four cold-adj graphs and returns
+// the full plan labels, modeled seconds included, one per line.
+func planLabels(t *testing.T) string {
+	var sb strings.Builder
+	cfg := Config{NumServers: 4, Seed: 1, Ctx: context.Background()}
+	for seed := int64(1); seed <= 4; seed++ {
+		graph := coldGraph(seed)
+		for _, q := range []hypergraph.Query{hypergraph.Q1(), hypergraph.Q2(), hypergraph.Q3(),
+			hypergraph.Q4(), hypergraph.Q5(), hypergraph.Q6()} {
+			pp, err := Prepare("ADJ", q, q.BindGraph(graph), cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			fmt.Fprintf(&sb, "graph %d %s: %s\n", seed, q.Name, pp.Program.Label)
+		}
+	}
+	return sb.String()
+}
+
+// TestPlanSameAcrossProcesses pins that no plan depends on the host: eight
+// fresh processes, each with its own first plan, and the last one beside a
+// busy loop on every core, must print the same labels. The cold-adj graphs'
+// Q5 plans flip on β_trie between 5.5 and 7.0 M/s, inside the range one
+// host's timings span, so any cost constant timed while planning fails it.
+func TestPlanSameAcrossProcesses(t *testing.T) {
+	if flag.Arg(0) == planLabelsArg {
+		fmt.Print(planLabels(t))
+		return
+	}
+	const procs = 8
+	var first string
+	for i := 0; i < procs; i++ {
+		stop := func() {}
+		if i == procs-1 {
+			stop = busyLoop()
+		}
+		out, err := exec.Command(os.Args[0], "-test.run=^TestPlanSameAcrossProcesses$", planLabelsArg).Output()
+		stop()
+		if err != nil {
+			t.Fatalf("process %d: %v\n%s", i, err, out)
+		}
+		labels, _, _ := strings.Cut(string(out), "PASS\n")
+		if i == 0 {
+			first = labels
+			if strings.Count(first, "\n") != 24 {
+				t.Fatalf("process 0 printed:\n%s", out)
+			}
+		} else if labels != first {
+			t.Fatalf("process %d planned differently from process 0:\n%s\nvs\n%s", i, labels, first)
+		}
+	}
+}
+
+// busyLoop keeps every core of the host busy until the returned stop is
+// called.
+func busyLoop() (stop func()) {
+	prev := runtime.GOMAXPROCS(runtime.NumCPU())
+	var done atomic.Bool
+	var wg sync.WaitGroup
+	for i := 0; i < runtime.NumCPU(); i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for x := uint64(1); !done.Load(); x = x*6364136223846793005 + 1 {
+			}
+		}()
+	}
+	return func() {
+		done.Store(true)
+		wg.Wait()
+		runtime.GOMAXPROCS(prev)
 	}
 }
 

@@ -9,9 +9,10 @@ import (
 
 // Extender answers "given a partial binding of the first d attributes of
 // the global order, which values of attribute d+1 join with it?" — the
-// val(t_i → A_{i+1}) primitive of Alg. 1. BigJoin uses it to extend
-// distributed partial bindings one attribute per round, and the sampler
-// uses it to count extensions per level.
+// val(t_i → A_{i+1}) primitive of Alg. 1. The sampler uses it to count
+// extensions per level, and CachedJoin (HCubeJ+Cache) computes a level on
+// a cache miss with it. BigJoin does not: it extends its distributed bindings
+// through relation.Index.
 type Extender struct {
 	order []string
 	pos   map[string]int

@@ -15,7 +15,7 @@ import (
 
 // Options configures the planner.
 type Options struct {
-	// Params are the calibrated cost constants.
+	// Params are the cost constants (engines pass costmodel.DefaultParams).
 	Params costmodel.Params
 	// Samples per cardinality estimation (§IV; the paper uses 10^5 at full
 	// scale, scaled instances need fewer).
@@ -46,10 +46,9 @@ type Optimizer struct {
 	tCache map[string]float64
 	// bagCache memoizes |Rv| estimates by bag ID.
 	bagCache map[int]float64
-	// SampleOps / SampleSeconds accumulate measured sampling work, exposed
-	// so engines can charge it to their Optimization phase and derive β.
-	SampleOps     int64
-	SampleSeconds float64
+	// SampleOps sums the extension work of every estimate the optimizer has
+	// sampled; a memoized answer adds nothing.
+	SampleOps int64
 }
 
 // New builds an optimizer: it computes the GHD immediately (cheap for the
@@ -105,7 +104,6 @@ func (o *Optimizer) SubsetSize(attrSet []string) float64 {
 	if err == nil {
 		v = est.LevelCounts[len(attrSet)-1]
 		o.SampleOps += est.WorkOps
-		o.SampleSeconds += est.Seconds
 	}
 	o.tCache[key] = v
 	return v
@@ -153,7 +151,6 @@ func (o *Optimizer) BagSize(id int) float64 {
 		if err == nil {
 			v = est.Cardinality
 			o.SampleOps += est.WorkOps
-			o.SampleSeconds += est.Seconds
 		}
 	}
 	o.bagCache[id] = v
@@ -314,18 +311,6 @@ func (o *Optimizer) CommunicationFirst() (*Plan, error) {
 	traversals := o.Decomp.TraversalOrders()
 	plan := &Plan{Query: o.Q, Decomp: o.Decomp, Traversal: traversals[0], AttrOrder: order}
 	plan.Est.Communication = o.commCost(nil)
-	return plan, nil
-}
-
-// ValidOrderPlan is CoOptimize restricted to order selection (no
-// pre-computation): ADJ's plan when every bag is kept as base relations.
-// Used by the Fig. 8 experiment as "Valid-Selected".
-func (o *Optimizer) ValidOrderPlan() (*Plan, error) {
-	order := o.ChooseOrder(o.Decomp.ValidAttrOrders())
-	traversals := o.Decomp.TraversalOrders()
-	plan := &Plan{Query: o.Q, Decomp: o.Decomp, Traversal: traversals[0], AttrOrder: order}
-	plan.Est.Communication = o.commCost(nil)
-	plan.Est.Computation = o.estimateOrderCost(order)
 	return plan, nil
 }
 

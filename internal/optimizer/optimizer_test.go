@@ -150,20 +150,6 @@ func TestCommunicationFirstNeverPrecomputes(t *testing.T) {
 	}
 }
 
-func TestValidOrderPlanIsValid(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	edges := testutil.RandEdges(rng, "E", 500, 25)
-	q := hypergraph.Q4()
-	o := newOpt(t, q, q.BindGraph(edges), 4)
-	plan, err := o.ValidOrderPlan()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !o.Decomp.IsValidAttrOrder(plan.AttrOrder) {
-		t.Fatalf("order %v invalid", plan.AttrOrder)
-	}
-}
-
 func TestChooseOrderPrefersSmallIntermediates(t *testing.T) {
 	// Construct a database where starting from attribute c explodes:
 	// R1(a,b) tiny, R2(b,c) fan-out heavy.

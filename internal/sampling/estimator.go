@@ -61,22 +61,8 @@ type Estimate struct {
 	// Seconds is the wall time of the whole estimate: index lookups or
 	// builds, val(A), drawing and evaluating the samples.
 	Seconds float64
-	// BusySeconds is the time spent evaluating samples, summed over the
-	// shards that shared them (feeds β, §III-B). It is what one core would
-	// have spent, so the rate derived from it does not depend on how many
-	// cores sampled.
-	BusySeconds float64
 	// Samples is the number of samples actually taken.
 	Samples int
-}
-
-// ExtensionsPerSecond returns the measured β: extension ops per second of
-// one core's sample evaluation. Returns 0 when nothing was measured.
-func (e Estimate) ExtensionsPerSecond() float64 {
-	if e.BusySeconds <= 0 || e.WorkOps == 0 {
-		return 0
-	}
-	return float64(e.WorkOps) / e.BusySeconds
 }
 
 // SampleSize returns the k of Lemma 2: with k = ⌈0.5·p⁻²·ln(2/δ)⌉ samples,
@@ -238,9 +224,6 @@ type Accum struct {
 	LevelSums []int64
 	WorkOps   int64
 	Samples   int
-	// BusySeconds is the time spent evaluating the batch (summed, not
-	// overlapped, when batches merge).
-	BusySeconds float64
 }
 
 // Add merges another accumulator.
@@ -253,7 +236,6 @@ func (a *Accum) Add(b Accum) {
 	}
 	a.WorkOps += b.WorkOps
 	a.Samples += b.Samples
-	a.BusySeconds += b.BusySeconds
 }
 
 // chunkSamples is how many consecutive samples a shard claims at a time, and
@@ -342,7 +324,6 @@ func newCounter(ext *leapfrog.Extender, n int, cfg Config) *counter {
 // run tallies every sample of the chunk; it reports false, having stopped
 // early, once cancel fires.
 func (c *counter) run(samples []relation.Value) bool {
-	t0 := time.Now()
 	done := true
 	for _, a := range samples {
 		if c.cancel != nil && c.cancel() {
@@ -358,7 +339,6 @@ func (c *counter) run(samples []relation.Value) bool {
 		c.acc.WorkOps += c.work
 	}
 	c.acc.Samples += len(samples)
-	c.acc.BusySeconds += time.Since(t0).Seconds()
 	return done
 }
 
@@ -374,7 +354,6 @@ func (e *Estimate) absorb(acc Accum, valA, k int) {
 	e.LevelCounts[0] = n // every sampled value binds level 0 exactly once
 	e.Cardinality = e.LevelCounts[len(e.LevelCounts)-1]
 	e.WorkOps = acc.WorkOps
-	e.BusySeconds = acc.BusySeconds
 	e.Samples = k
 }
 

@@ -89,9 +89,9 @@ func referenceEstimate(t *testing.T, rels []*relation.Relation, order []string, 
 	return est
 }
 
-// tallies strips the timing fields, leaving what must be reproducible.
+// tallies strips the timing field, leaving what must be reproducible.
 func tallies(e Estimate) Estimate {
-	e.Seconds, e.BusySeconds = 0, 0
+	e.Seconds = 0
 	return e
 }
 
@@ -121,9 +121,6 @@ func TestEstimateIdenticalAcrossCores(t *testing.T) {
 				}
 				if !reflect.DeepEqual(tallies(got), want) {
 					t.Fatalf("%s %+v GOMAXPROCS=%d:\n got %+v\nwant %+v", q.Name, cfg, procs, tallies(got), want)
-				}
-				if got.BusySeconds <= 0 || got.ExtensionsPerSecond() <= 0 {
-					t.Fatalf("%s GOMAXPROCS=%d: no busy time measured: %+v", q.Name, procs, got)
 				}
 			}
 		}
