@@ -7,23 +7,29 @@ import (
 	"adj/internal/hcube"
 )
 
-// DefaultParams derives α from the network model for the cluster's size:
-// per-cluster shuffle throughput of 16-byte tuples in 4096-tuple blocks,
-// which must stay positive and plausible at every size the paper runs —
-// and at n ≤ 0, which counts as one server rather than dividing by zero.
 func TestDefaultParams(t *testing.T) {
 	for _, n := range []int{1, 4, 8, 28} {
 		p := DefaultParams(n)
-		if p.NumServers != n || p.BetaBase <= 0 || p.BetaTrie <= p.BetaBase || p.JoinRate <= 0 {
+		if p.NumServers != n || p.Alpha <= 0 || p.BetaBase <= 0 || p.BetaTrie <= p.BetaBase || p.JoinRate <= 0 {
 			t.Fatalf("n=%d: params=%+v", n, p)
 		}
-		if p.Alpha < 1e6 || p.Alpha > 1e10 {
-			t.Fatalf("n=%d: alpha=%v implausible", n, p.Alpha)
+	}
+}
+
+// DefaultParams calibrates α from the network model for the cluster's size:
+// per-cluster shuffle throughput of 16-byte tuples in 4096-tuple blocks,
+// which must stay positive and plausible at every size the paper runs —
+// and at n ≤ 0, which counts as one server rather than dividing by zero.
+func TestCalibrateAlpha(t *testing.T) {
+	for _, n := range []int{1, 4, 8, 28} {
+		a := DefaultParams(n).Alpha
+		if a < 1e6 || a > 1e10 {
+			t.Fatalf("n=%d: alpha=%v implausible", n, a)
 		}
 		perServer := int64((1 << 20) / n)
 		sec := DefaultNetwork().CommSeconds(16*perServer, perServer/4096+1)
-		if want := (1 << 20) / (sec * float64(n)); p.Alpha != want {
-			t.Fatalf("n=%d: alpha=%v, want the network model's %v", n, p.Alpha, want)
+		if want := (1 << 20) / (sec * float64(n)); a != want {
+			t.Fatalf("n=%d: alpha=%v, want the network model's %v", n, a, want)
 		}
 	}
 	for _, n := range []int{0, -1} {
