@@ -49,6 +49,8 @@ type Optimizer struct {
 	// SampleOps sums the extension work of every estimate the optimizer has
 	// sampled; a memoized answer adds nothing.
 	SampleOps int64
+	// subsetBudget is SubsetSize's per-sample work cap.
+	subsetBudget int64
 }
 
 // New builds an optimizer: it computes the GHD immediately (cheap for the
@@ -70,12 +72,22 @@ func New(q hypergraph.Query, rels []*relation.Relation, opts Options) (*Optimize
 		ix:       sampling.NewIndex(),
 		tCache:   make(map[string]float64),
 		bagCache: make(map[int]float64),
+
+		subsetBudget: 5000,
 	}, nil
 }
 
 // SubsetSize estimates |T_S|: the number of Leapfrog partial bindings over
 // the given attribute set (order-independent; memoized). The empty set has
 // size 1 (the empty binding t0).
+//
+// The estimate samples down S in canonical attribute order, so its level i
+// counts the bindings of S's first i+1 canonical attributes. When no sample
+// was cut short, those counts are exactly what SubsetSize would return for
+// each such prefix — the same first attribute and seed draw the same
+// samples, the relations reaching those depths have the same tries, and a
+// shallower run does less work, so it cannot truncate either — and they are
+// memoized too. A truncated run memoizes only S.
 func (o *Optimizer) SubsetSize(attrSet []string) float64 {
 	if len(attrSet) == 0 {
 		return 1
@@ -85,28 +97,37 @@ func (o *Optimizer) SubsetSize(attrSet []string) float64 {
 		return v
 	}
 	order := o.orderWithPrefix(attrSet)
-	// Loose attribute sets (few constraining relations) can have enormous
-	// partial joins; a per-sample work cap keeps planning cost bounded —
-	// truncated estimates read as "at least huge", which is all ordering
-	// decisions need.
-	samples := o.opts.Samples
-	if samples > 150 {
-		samples = 150
-	}
-	est, err := o.ix.Estimate(o.Rels, order, sampling.Config{
-		Samples:         samples,
-		Seed:            o.opts.Seed,
-		MaxDepth:        len(attrSet),
-		PerSampleBudget: 5000,
-		Cancel:          o.opts.Cancel,
-	})
+	est, err := o.ix.Estimate(o.Rels, order, o.subsetConfig(len(attrSet)))
 	v := 0.0
 	if err == nil {
 		v = est.LevelCounts[len(attrSet)-1]
 		o.SampleOps += est.WorkOps
+		if !est.Truncated {
+			for i := range len(attrSet) - 1 {
+				k := setKey(order[:i+1])
+				if _, ok := o.tCache[k]; !ok {
+					o.tCache[k] = est.LevelCounts[i]
+				}
+			}
+		}
 	}
 	o.tCache[key] = v
 	return v
+}
+
+// subsetConfig is the sampling run SubsetSize makes for a set of depth
+// attributes. Loose attribute sets (few constraining relations) can have
+// enormous partial joins; a per-sample work cap keeps planning cost bounded
+// — truncated estimates read as "at least huge", which is all ordering
+// decisions need.
+func (o *Optimizer) subsetConfig(depth int) sampling.Config {
+	return sampling.Config{
+		Samples:         min(o.opts.Samples, 150),
+		Seed:            o.opts.Seed,
+		MaxDepth:        depth,
+		PerSampleBudget: o.subsetBudget,
+		Cancel:          o.opts.Cancel,
+	}
 }
 
 // orderWithPrefix returns a full attribute order starting with the subset
@@ -341,13 +362,14 @@ func (o *Optimizer) estimateOrderCost(order []string) float64 {
 }
 
 // attrOrderFor converts a bag traversal into a full attribute order,
-// choosing each bag's within-bag order by estimated intermediate size.
+// choosing each bag's within-bag order by estimated intermediate size
+// (greedily; a group's last attribute is forced, so it is not estimated).
 func (o *Optimizer) attrOrderFor(traversal []int) []string {
 	groups := o.Decomp.NewAttrsAt(traversal)
 	var out []string
 	for _, grp := range groups {
 		grp = append([]string(nil), grp...)
-		for len(grp) > 0 {
+		for len(grp) > 1 {
 			// Greedily pick the next attribute minimizing |T_{prefix+a}|.
 			bestI := 0
 			bestV := 1e308
@@ -361,6 +383,8 @@ func (o *Optimizer) attrOrderFor(traversal []int) []string {
 			out = append(out, grp[bestI])
 			grp = append(grp[:bestI], grp[bestI+1:]...)
 		}
+		// The last attribute has no rival: it goes last unestimated.
+		out = append(out, grp...)
 	}
 	return out
 }

@@ -1,8 +1,10 @@
 package optimizer
 
 import (
+	"fmt"
 	"math/rand"
 	"slices"
+	"strings"
 	"testing"
 
 	"adj/internal/costmodel"
@@ -11,6 +13,7 @@ import (
 	"adj/internal/hypergraph"
 	"adj/internal/leapfrog"
 	"adj/internal/relation"
+	"adj/internal/sampling"
 	"adj/internal/testutil"
 )
 
@@ -71,6 +74,103 @@ func TestSubsetSizeMemoizes(t *testing.T) {
 	}
 	if o.SampleOps != ops {
 		t.Fatal("second call must hit the memo")
+	}
+
+	// Q7's bags {a,b} and {b,c} bring the groups [a b] and [c]. The greedy
+	// weighs only the first group's first pick — two one-attribute sets,
+	// which cost no work — and every other attribute is forced: no set of
+	// two or three attributes is estimated.
+	q7 := hypergraph.Q7()
+	o = newOpt(t, q7, q7.BindGraph(edges), 4)
+	tr := o.Decomp.TraversalOrders()[0]
+	groups := o.Decomp.NewAttrsAt(tr)
+	if len(groups) != 2 || len(groups[0]) != 2 || len(groups[1]) != 1 {
+		t.Fatalf("Q7 traversal %v has groups %v, want two then one attribute", tr, groups)
+	}
+	order := o.attrOrderFor(tr)
+	if o.SampleOps != 0 {
+		t.Fatalf("ordering %v sampled %d ops", order, o.SampleOps)
+	}
+	for key := range o.tCache {
+		if strings.Contains(key, "\x00") {
+			t.Fatalf("ordering %v estimated the forced set %q", order, key)
+		}
+	}
+}
+
+// freshPass is a new planning pass with o's query, relations, GHD and
+// options: an empty index and empty memos.
+func freshPass(o *Optimizer) *Optimizer {
+	f := *o
+	f.ix = sampling.NewIndex()
+	f.tCache = make(map[string]float64)
+	f.bagCache = make(map[int]float64)
+	f.SampleOps = 0
+	return &f
+}
+
+// Every |T_S| a planning pass memoizes — sampled for S itself or read off a
+// deeper run's canonical-order prefix — is exactly what a fresh optimizer's
+// SubsetSize(S) returns, for Q1–Q11 over seeded random graphs at N ∈
+// {1,4,7}, at the default per-sample budget and at one so small that runs
+// truncate (a truncated run must share no prefix). The pass's subset work
+// is the fresh estimates' total less the sets it never sampled.
+func TestSubsetPrefixesShareExactly(t *testing.T) {
+	var truncated int
+	var saved int64
+	for qi := 1; qi <= 11; qi++ {
+		q := hypergraph.Get(fmt.Sprintf("Q%d", qi))
+		for seed := int64(1); seed <= 2; seed++ {
+			rng := rand.New(rand.NewSource(seed))
+			rels := q.BindGraph(testutil.RandEdges(rng, "E", 300*int(seed), 30*seed))
+			base := newOpt(t, q, rels, 1)
+			for _, n := range []int{1, 4, 7} {
+				for _, budget := range []int64{5000, 30} {
+					o := freshPass(base)
+					o.opts.Params = testParams(n)
+					o.subsetBudget = budget
+					if _, err := o.CoOptimize(); err != nil {
+						t.Fatal(err)
+					}
+					var freshOps int64
+					for key, v := range o.tCache {
+						set := strings.Split(key, "\x00")
+						fresh := freshPass(o)
+						if got := fresh.SubsetSize(set); got != v {
+							t.Fatalf("%s seed %d N=%d budget %d: memoized |T_%v| = %v, a fresh estimate %v",
+								q.Name, seed, n, budget, set, v, got)
+						}
+						freshOps += fresh.SampleOps
+						if truncated > 0 || budget == 5000 {
+							continue
+						}
+						est, err := fresh.ix.Estimate(rels, fresh.orderWithPrefix(set), fresh.subsetConfig(len(set)))
+						if err != nil {
+							t.Fatal(err)
+						}
+						if est.Truncated {
+							truncated++
+						}
+					}
+					bags := freshPass(o)
+					for id := range o.bagCache {
+						bags.BagSize(id)
+					}
+					s := freshOps - (o.SampleOps - bags.SampleOps)
+					if s < 0 {
+						t.Fatalf("%s seed %d N=%d budget %d: the pass sampled %d ops more than one fresh estimate per set",
+							q.Name, seed, n, budget, -s)
+					}
+					saved += s
+				}
+			}
+		}
+	}
+	if truncated == 0 {
+		t.Fatal("no estimate truncated: the small budget no longer covers the truncated case")
+	}
+	if saved == 0 {
+		t.Fatal("no pass read a set off a deeper run")
 	}
 }
 

@@ -63,6 +63,12 @@ type Estimate struct {
 	Seconds float64
 	// Samples is the number of samples actually taken.
 	Samples int
+	// Truncated reports that some sample's count was cut short — it spent
+	// PerSampleBudget, or Cancel stopped the run — so the tallies are lower
+	// bounds. An untruncated run's LevelCounts[i] is exactly what a run to
+	// depth i+1 gives, with the same seed and sample count, over any order
+	// that begins with the same i+1 attributes.
+	Truncated bool
 }
 
 // SampleSize returns the k of Lemma 2: with k = ⌈0.5·p⁻²·ln(2/δ)⌉ samples,
@@ -198,6 +204,14 @@ func (ix *Index) Estimate(rels []*relation.Relation, order []string, cfg Config)
 		est.Seconds = time.Since(t0).Seconds()
 		return est, nil
 	}
+	if len(order) == 1 || cfg.MaxDepth == 1 {
+		// Every sample binds level 0 once and descends no further, so the
+		// tallies are known without drawing a sample: |val(A)| and k
+		// bindings visited, no extension work.
+		est.absorb(Accum{LevelSums: []int64{int64(cfg.Samples)}, Samples: cfg.Samples}, len(vals), cfg.Samples)
+		est.Seconds = time.Since(t0).Seconds()
+		return est, nil
+	}
 	acc, err := countSamples(tries, order, drawSamples(vals, cfg), cfg, shardsFor(cfg.Samples))
 	if err != nil {
 		return Estimate{}, err
@@ -224,6 +238,8 @@ type Accum struct {
 	LevelSums []int64
 	WorkOps   int64
 	Samples   int
+	// Truncated: some sample stopped at its budget, or Cancel fired.
+	Truncated bool
 }
 
 // Add merges another accumulator.
@@ -236,6 +252,7 @@ func (a *Accum) Add(b Accum) {
 	}
 	a.WorkOps += b.WorkOps
 	a.Samples += b.Samples
+	a.Truncated = a.Truncated || b.Truncated
 }
 
 // chunkSamples is how many consecutive samples a shard claims at a time, and
@@ -328,13 +345,14 @@ func (c *counter) run(samples []relation.Value) bool {
 	for _, a := range samples {
 		if c.cancel != nil && c.cancel() {
 			done = false
+			c.acc.Truncated = true
 			break
 		}
 		c.binding[0] = a
 		c.acc.LevelSums[0]++
 		c.work = 0
-		if c.n > 1 {
-			c.descend(1)
+		if c.n > 1 && !c.descend(1) {
+			c.acc.Truncated = true
 		}
 		c.acc.WorkOps += c.work
 	}
@@ -355,6 +373,7 @@ func (e *Estimate) absorb(acc Accum, valA, k int) {
 	e.Cardinality = e.LevelCounts[len(e.LevelCounts)-1]
 	e.WorkOps = acc.WorkOps
 	e.Samples = k
+	e.Truncated = acc.Truncated
 }
 
 // descend counts the partial bindings below the current binding of levels

@@ -208,8 +208,13 @@ func TestAccumAdd(t *testing.T) {
 	var b Accum
 	b.Add(a)
 	b.Add(a)
-	if b.LevelSums[1] != 4 || b.WorkOps != 10 || b.Samples != 2 {
+	if b.LevelSums[1] != 4 || b.WorkOps != 10 || b.Samples != 2 || b.Truncated {
 		t.Fatalf("accum=%+v", b)
+	}
+	b.Add(Accum{LevelSums: []int64{0, 0}, Truncated: true})
+	b.Add(a)
+	if !b.Truncated {
+		t.Fatalf("a truncated shard left the sum untruncated: %+v", b)
 	}
 }
 

@@ -16,7 +16,8 @@ import (
 
 // referenceEstimate is the plain sequential sampler the sharded one must
 // reproduce bit for bit: val(A) from sorted column projections, fresh
-// tries, one extender, one sample after another.
+// tries, one extender, one sample after another. It is truncated when some
+// sample's descent stopped at the budget.
 func referenceEstimate(t *testing.T, rels []*relation.Relation, order []string, cfg Config) Estimate {
 	t.Helper()
 	n := len(order)
@@ -76,8 +77,8 @@ func referenceEstimate(t *testing.T, rels []*relation.Relation, order []string, 
 			}
 			return true
 		}
-		if n > 1 {
-			rec(1)
+		if n > 1 && !rec(1) {
+			est.Truncated = true
 		}
 		est.WorkOps += work
 	}
@@ -99,6 +100,7 @@ func TestEstimateIdenticalAcrossCores(t *testing.T) {
 	rng := rand.New(rand.NewSource(21))
 	edges := testutil.RandEdges(rng, "E", 3000, 300)
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	var truncated, whole int
 	for _, q := range []hypergraph.Query{hypergraph.Q1(), hypergraph.Q5()} {
 		rels := q.BindGraph(edges)
 		order := q.Attrs()
@@ -113,6 +115,11 @@ func TestEstimateIdenticalAcrossCores(t *testing.T) {
 			if want.WorkOps == 0 {
 				t.Fatalf("%s %+v: reference did no work", q.Name, cfg)
 			}
+			if want.Truncated {
+				truncated++
+			} else {
+				whole++
+			}
 			for _, procs := range []int{1, 2, 4} {
 				runtime.GOMAXPROCS(procs)
 				got, err := EstimateCardinality(rels, order, cfg)
@@ -122,6 +129,45 @@ func TestEstimateIdenticalAcrossCores(t *testing.T) {
 				if !reflect.DeepEqual(tallies(got), want) {
 					t.Fatalf("%s %+v GOMAXPROCS=%d:\n got %+v\nwant %+v", q.Name, cfg, procs, tallies(got), want)
 				}
+			}
+		}
+	}
+	if truncated == 0 || whole == 0 {
+		t.Fatalf("%d truncated and %d whole estimates: the budgets no longer cover both", truncated, whole)
+	}
+}
+
+// A depth-1 estimate is |val(A)| without a sample drawn: its tallies are the
+// reference sampler's (k bindings at level 0, no work) at any core count,
+// under a depth bound or over a one-attribute order.
+func TestDepthOneEstimate(t *testing.T) {
+	rng := rand.New(rand.NewSource(24))
+	edges := testutil.RandEdges(rng, "E", 2000, 200)
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	q := hypergraph.Q5()
+	rels := q.BindGraph(edges)
+	unary := relation.FromColumns("U", []string{"a"}, [][]relation.Value{edges.Column(0)})
+	for _, in := range []struct {
+		rels  []*relation.Relation
+		order []string
+		cfg   Config
+	}{
+		{rels, q.Attrs(), Config{Samples: 300, Seed: 4, MaxDepth: 1}},
+		{rels, q.Attrs(), Config{Samples: 300, Seed: 4, MaxDepth: 1, PerSampleBudget: 1}},
+		{[]*relation.Relation{unary}, []string{"a"}, Config{Samples: 77, Seed: 4}},
+	} {
+		want := referenceEstimate(t, in.rels, in.order, in.cfg)
+		if want.ValA == 0 || want.LevelOps[0] != int64(in.cfg.Samples) || want.WorkOps != 0 {
+			t.Fatalf("%v %+v: reference %+v is not a depth-1 tally", in.order, in.cfg, want)
+		}
+		for _, procs := range []int{1, 2, 4} {
+			runtime.GOMAXPROCS(procs)
+			got, err := EstimateCardinality(in.rels, in.order, in.cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(tallies(got), want) {
+				t.Fatalf("%v %+v GOMAXPROCS=%d:\n got %+v\nwant %+v", in.order, in.cfg, procs, tallies(got), want)
 			}
 		}
 	}

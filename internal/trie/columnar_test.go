@@ -26,8 +26,8 @@ func randomRel(rng *rand.Rand, arity, n, domain int) *relation.Relation {
 }
 
 // TestMergeUnaryTries is the regression test for the arity-1 merge path:
-// the tuple stream's initial descent must open the iterator exactly once,
-// so the first tuple is the real minimum, not a zero value.
+// the first merged value is the real minimum, not a zero value (which an
+// earlier tuple-stream merge produced by opening its iterator twice).
 func TestMergeUnaryTries(t *testing.T) {
 	a := Build(relation.FromTuples("A", []string{"x"}, [][]relation.Value{{5}, {1}, {9}}), []string{"x"})
 	b := Build(relation.FromTuples("B", []string{"x"}, [][]relation.Value{{2}, {9}, {4}}), []string{"x"})

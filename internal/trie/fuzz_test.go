@@ -1,6 +1,7 @@
 package trie_test
 
 import (
+	"fmt"
 	"testing"
 
 	"adj/internal/leapfrog"
@@ -10,10 +11,11 @@ import (
 
 // FuzzTrieDecode: the Merge shuffle decodes tries straight off the wire, so
 // whatever the bytes, Decode never panics, and what it accepts is a trie the
-// join can run on: it enumerates exactly NumTuples ascending tuples, joins
-// with itself to the same count (every level a ring of two: frames, the
-// root directory and the leaf kernel all read it), and merges with itself
-// to itself. testdata/fuzz/FuzzTrieDecode holds the payloads whose shape
+// join can run on: it enumerates exactly NumTuples ascending tuples, merges
+// with a built trie whose values interleave with its own into Build of the
+// union, joins with itself to the same count (every level a ring of two:
+// frames, the root directory and the leaf kernel all read it), and merges
+// with itself to itself. testdata/fuzz/FuzzTrieDecode holds the payloads whose shape
 // Decode used to accept: a starts array one entry short (Iterator.Open
 // indexed past it), a descending root, an empty child range.
 func FuzzTrieDecode(f *testing.F) {
@@ -47,7 +49,11 @@ func FuzzTrieDecode(f *testing.F) {
 		if n != tr.Len() {
 			t.Fatalf("enumerated %d tuples of %d", n, tr.Len())
 		}
-		if tr.Arity() == 0 || !distinctNames(tr.Attrs) {
+		if tr.Arity() == 0 {
+			return
+		}
+		checkMergeWithInterleaved(t, tr)
+		if !distinctNames(tr.Attrs) {
 			return // no attribute order to join under
 		}
 		st, err := leapfrog.Join([]*trie.Trie{tr, tr}, tr.Attrs, leapfrog.Options{})
@@ -59,6 +65,43 @@ func FuzzTrieDecode(f *testing.F) {
 			t.Fatalf("self-merge of %v has %d tuples", tr, m.Len())
 		}
 	})
+}
+
+// checkMergeWithInterleaved merges tr with a fixed built trie of its arity
+// whose small values fall between and onto the seeds' values, so some nodes
+// are in both inputs and some subtrees in one only (the path a self-merge
+// never takes): the merge must hold the sorted, deduplicated union of the
+// two, laid out level for level as Build lays out that union.
+func checkMergeWithInterleaved(t *testing.T, tr *trie.Trie) {
+	k := tr.Arity()
+	attrs := make([]string, k) // distinct names: tr's may repeat
+	for j := range attrs {
+		attrs[j] = fmt.Sprintf("c%d", j)
+	}
+	fixed := relation.New("F", attrs...)
+	row := make(relation.Tuple, k)
+	for i := 0; i < 12; i++ {
+		for j := range row {
+			row[j] = relation.Value((i*(j+1))%5 - 1)
+		}
+		fixed.AppendTuple(row)
+	}
+	union := relation.New("U", attrs...)
+	union.AppendAll(fixed)
+	tr.Enumerate(func(tp relation.Tuple) { union.AppendTuple(tp) })
+	other := *trie.Build(fixed, attrs)
+	other.Attrs = tr.Attrs
+	m := trie.Merge([]*trie.Trie{tr, &other})
+	got := m.ToRelation("U")
+	got.Attrs = attrs
+	if want := union.SortDedup(); !got.Equal(want) {
+		t.Fatalf("merge of %v with the interleaved trie: %v, want %v", tr, got, want)
+	}
+	want := trie.Build(union, attrs)
+	want.Attrs = tr.Attrs
+	if diff := trie.LayoutDiff(m, want); diff != "" {
+		t.Fatalf("merge of %v with the interleaved trie: %s", tr, diff)
+	}
 }
 
 func lexLess(a, b relation.Tuple) bool {

@@ -1,7 +1,6 @@
 package trie
 
 import (
-	"container/heap"
 	"sync"
 
 	"adj/internal/relation"
@@ -10,15 +9,22 @@ import (
 // Merge combines block tries of the same schema into a single trie. This is
 // the server-side half of the Merge HCube implementation (§V): each block
 // arrives with its trie pre-built by the sender, and the receiver merges the
-// sorted tuple streams rather than re-sorting raw tuples.
+// senders' levels directly rather than re-sorting raw tuples.
+//
+// The merge walks the inputs level by level: under each output node it takes
+// the smallest value across the inputs' sibling ranges by a linear scan and
+// descends into the child ranges of every input holding it. A range only one
+// input holds is copied with its whole subtree in bulk — one append per
+// level and a re-based Starts — so the receiver's work is in the nodes the
+// senders share, which are mostly near the root. The result is the trie
+// Build makes from the union of the inputs' tuples, level for level.
 //
 // Merge is reuse-safe: inputs are never mutated, and the returned trie
 // aliases no pooled scratch — it is either freshly built or, when exactly
 // one non-empty input remains, that input itself (callers treating tries
 // as immutable, as the whole runtime does, may therefore share both inputs
-// and output freely, e.g. across cubes in the block cache). All k-way
-// heap state, tuple streams and the staging columns come from an
-// internal pool, so repeated merges — the per-cube path of the Merge
+// and output freely). The cursors and the staging level arrays come from an
+// internal pool, so repeated merges — the per-block path of the Merge
 // shuffle — allocate only the output trie.
 func Merge(ts []*Trie) *Trie {
 	// Remember the schema before dropping empty blocks so a fully-empty
@@ -46,90 +52,145 @@ func Merge(ts []*Trie) *Trie {
 	return t
 }
 
-// merger holds the pooled k-way merge state: tuple streams (iterator +
-// current-tuple buffer each), the stream heap's item slice, the dedup
-// buffer and the staging columns.
+// cursor is one input's position in a sibling range at some level: vals is
+// what is left of the range, lo the level position of vals[0]. Ranges are
+// never empty: a non-empty trie (Build's or Decode's) has a non-empty root
+// and at least one child under every node.
+type cursor struct {
+	vals []Value
+	lo   int32
+	in   int32 // index of the input trie
+}
+
+// merger holds the pooled merge state: the inputs, one cursor list per
+// level and the staging level arrays the output is copied out of.
 type merger struct {
-	streams []tupleStream
-	h       streamHeap
-	last    []Value
-	cols    [][]Value
+	ts     []*Trie
+	k      int
+	cur    [][]cursor
+	vals   [][]Value
+	starts [][]int32
 }
 
 var mergePool = sync.Pool{New: func() interface{} { return &merger{} }}
 
 func (m *merger) merge(ts []*Trie) *Trie {
 	k := ts[0].Arity()
-	attrs := ts[0].Attrs
-	// Bind one stream per input, reusing stream slots (and their iterator
-	// position arrays and tuple buffers) from previous merges. Heap items
-	// point into m.streams, so the slice must reach its final length
-	// before any pointers are taken.
-	if cap(m.streams) < len(ts) {
-		m.streams = make([]tupleStream, len(ts))
-	} else {
-		m.streams = m.streams[:len(ts)]
+	m.ts, m.k = ts, k
+	if len(m.cur) < k {
+		m.cur = make([][]cursor, k)
+		m.vals = make([][]Value, k)
+		m.starts = make([][]int32, k)
 	}
-	if cap(m.h.items) < len(ts) {
-		m.h.items = make([]*tupleStream, 0, len(ts))
-	} else {
-		m.h.items = m.h.items[:0]
+	// Stage each level in a pooled array sized for the inputs' sum, which
+	// bounds the merged level.
+	for d := 0; d < k; d++ {
+		need := 0
+		for _, t := range ts {
+			need += len(t.Levels[d].Vals)
+		}
+		if cap(m.vals[d]) < need {
+			m.vals[d] = make([]Value, 0, need)
+		}
+		if cap(m.starts[d]) < need+1 {
+			m.starts[d] = make([]int32, 0, need+1)
+		}
+		m.vals[d] = m.vals[d][:0]
+		m.starts[d] = m.starts[d][:0]
 	}
+	root := m.cur[0][:0]
 	for i, t := range ts {
-		s := &m.streams[i]
-		s.init(t)
-		if s.next() {
-			m.h.items = append(m.h.items, s)
-		}
+		root = append(root, cursor{vals: t.Levels[0].Vals, in: int32(i)})
 	}
-	m.h.k = k
-	heap.Init(&m.h)
-	// Stage the merged, deduplicated rows in pooled columns;
-	// fromSortedColumns copies them into fresh level arrays, so the
-	// backing stays with the pool afterwards.
-	if cap(m.cols) < k {
-		m.cols = make([][]Value, k)
+	m.cur[0] = root
+	m.starts[0] = append(m.starts[0], 0)
+	m.level(0)
+
+	t := &Trie{Attrs: append([]string(nil), ts[0].Attrs...), Levels: make([]Level, k)}
+	for d := 0; d < k; d++ {
+		vals := make([]Value, len(m.vals[d]))
+		copy(vals, m.vals[d])
+		starts := make([]int32, len(m.starts[d])+1)
+		copy(starts, m.starts[d])
+		starts[len(starts)-1] = int32(len(vals))
+		t.Levels[d] = Level{Vals: vals, Starts: starts}
 	}
-	cols := m.cols[:k]
-	need := totalTuples(ts)
-	for j := range cols {
-		if cap(cols[j]) < need {
-			cols[j] = make([]Value, 0, need)
-		}
-		cols[j] = cols[j][:0]
-	}
-	if cap(m.last) < k {
-		m.last = make([]Value, k)
-	}
-	last := m.last[:k]
-	havLast := false
-	for m.h.Len() > 0 {
-		s := m.h.items[0]
-		if !havLast || !equalTuple(last, s.cur) {
-			copy(last, s.cur)
-			havLast = true
-			for j, v := range s.cur {
-				cols[j] = append(cols[j], v)
-			}
-		}
-		if s.next() {
-			heap.Fix(&m.h, 0)
-		} else {
-			heap.Pop(&m.h)
-		}
-	}
-	t := fromSortedColumns(attrs, cols)
-	// Drop every input-trie reference before the merger parks in the pool:
+	t.NumTuples = len(t.Levels[k-1].Vals)
+	t.Root = newDirectory(t.Levels[0].Vals)
+	// Drop every input reference before the merger parks in the pool:
 	// callers (the block cache in particular) release their part tries
-	// after merging, and a pooled stream slot must not pin them. Clearing
-	// runs at the end of every merge, so slots beyond a later, smaller
-	// merge's length hold no stale pointers either.
-	for i := range m.streams {
-		m.streams[i].t = nil
-		m.streams[i].it.t = nil
+	// after merging, and a pooled cursor must not pin them.
+	m.ts = nil
+	for d := range m.cur {
+		clear(m.cur[d][:cap(m.cur[d])])
 	}
-	m.h.items = m.h.items[:0]
 	return t
+}
+
+// level merges the sibling ranges in m.cur[d] into one output range at
+// level d, appending each output node's start at level d+1 before its
+// children.
+func (m *merger) level(d int) {
+	cs := m.cur[d]
+	leaf := d == m.k-1
+	for len(cs) > 1 {
+		v := cs[0].vals[0]
+		for _, c := range cs[1:] {
+			v = min(v, c.vals[0])
+		}
+		m.vals[d] = append(m.vals[d], v)
+		var next []cursor
+		if !leaf {
+			m.starts[d+1] = append(m.starts[d+1], int32(len(m.vals[d+1])))
+			next = m.cur[d+1][:0]
+		}
+		j := 0
+		for _, c := range cs {
+			if c.vals[0] == v {
+				if !leaf {
+					lv := &m.ts[c.in].Levels[d+1]
+					s0, s1 := lv.Starts[c.lo], lv.Starts[c.lo+1]
+					next = append(next, cursor{vals: lv.Vals[s0:s1], lo: s0, in: c.in})
+				}
+				c.vals, c.lo = c.vals[1:], c.lo+1
+				if len(c.vals) == 0 {
+					continue
+				}
+			}
+			cs[j] = c
+			j++
+		}
+		cs = cs[:j]
+		if !leaf {
+			m.cur[d+1] = next
+			m.level(d + 1)
+		}
+	}
+	if len(cs) == 1 {
+		m.copySubtree(d, cs[0])
+	}
+}
+
+// copySubtree appends what is left of one input's sibling range at level d,
+// with every node below it: each level's nodes under a contiguous range are
+// themselves contiguous, so every level is one append of values and one of
+// starts shifted to the output's positions.
+func (m *merger) copySubtree(d int, c cursor) {
+	t := m.ts[c.in]
+	lo, hi := c.lo, c.lo+int32(len(c.vals))
+	m.vals[d] = append(m.vals[d], c.vals...)
+	for e := d + 1; e < m.k; e++ {
+		lv := &t.Levels[e]
+		st := lv.Starts[lo : hi+1]
+		n := len(m.starts[e])
+		m.starts[e] = append(m.starts[e], st[:len(st)-1]...)
+		shift := int32(len(m.vals[e])) - st[0]
+		for i := n; i < len(m.starts[e]); i++ {
+			m.starts[e][i] += shift
+		}
+		lo, hi = st[0], st[len(st)-1]
+		m.vals[e] = append(m.vals[e], lv.Vals[lo:hi]...)
+	}
 }
 
 func nonEmpty(ts []*Trie) []*Trie {
@@ -140,112 +201,4 @@ func nonEmpty(ts []*Trie) []*Trie {
 		}
 	}
 	return out
-}
-
-func totalTuples(ts []*Trie) int {
-	n := 0
-	for _, t := range ts {
-		n += t.NumTuples
-	}
-	return n
-}
-
-func equalTuple(a, b []Value) bool {
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
-}
-
-// tupleStream walks a trie's tuples in lexicographic order iteratively.
-type tupleStream struct {
-	t   *Trie
-	it  Iterator
-	cur []Value
-	// started marks whether the depth-first walk has begun.
-	started bool
-}
-
-// init rebinds a (possibly recycled) stream to a trie, reusing the
-// iterator's position arrays and the tuple buffer.
-func (s *tupleStream) init(t *Trie) {
-	s.t = t
-	s.it.Init(t)
-	s.started = false
-	k := t.Arity()
-	if cap(s.cur) < k {
-		s.cur = make([]Value, k)
-	} else {
-		s.cur = s.cur[:k]
-	}
-}
-
-// next advances to the next tuple; returns false when exhausted.
-func (s *tupleStream) next() bool {
-	k := s.t.Arity()
-	if k == 0 || s.t.NumTuples == 0 {
-		return false
-	}
-	it := &s.it
-	if !s.started {
-		s.started = true
-		// Initial descent: open exactly k levels from the root, recording
-		// the key at every depth. Counting levels explicitly keeps the
-		// loop independent of the iterator's root-depth convention (a
-		// depth-based condition like `Depth() < k-1` only stays correct
-		// for arity-1 tries because the root sits at depth -1); the unary
-		// merge regression tests in columnar_test.go pin the behavior.
-		for d := 0; d < k; d++ {
-			it.Open()
-			if it.AtEnd() {
-				return false
-			}
-			s.cur[d] = it.Key()
-		}
-		return true
-	}
-	// Advance deepest level; on exhaustion pop up and advance there.
-	for {
-		it.Next()
-		if !it.AtEnd() {
-			s.cur[it.Depth()] = it.Key()
-			// Re-descend to the deepest level.
-			for it.Depth() < k-1 {
-				it.Open()
-				s.cur[it.Depth()] = it.Key()
-			}
-			return true
-		}
-		it.Up()
-		if it.Depth() < 0 {
-			return false
-		}
-	}
-}
-
-type streamHeap struct {
-	items []*tupleStream
-	k     int
-}
-
-func (h *streamHeap) Len() int { return len(h.items) }
-func (h *streamHeap) Less(i, j int) bool {
-	a, b := h.items[i].cur, h.items[j].cur
-	for x := 0; x < h.k; x++ {
-		if a[x] != b[x] {
-			return a[x] < b[x]
-		}
-	}
-	return false
-}
-func (h *streamHeap) Swap(i, j int)      { h.items[i], h.items[j] = h.items[j], h.items[i] }
-func (h *streamHeap) Push(x interface{}) { h.items = append(h.items, x.(*tupleStream)) }
-func (h *streamHeap) Pop() interface{} {
-	old := h.items
-	n := len(old)
-	it := old[n-1]
-	h.items = old[:n-1]
-	return it
 }

@@ -57,10 +57,45 @@ func TestMergePooledReuse(t *testing.T) {
 	}
 }
 
-// BenchmarkMerge measures the pooled k-way merge; with the heap state,
-// tuple streams and staging relation pooled, steady-state allocations are
-// only the output trie's level arrays (benchmark/'s
-// trie.merge_ns_per_tuple probe measures the same kernel).
+// Merge(parts) is the trie Build makes from the parts' union, not just the
+// same tuples: every level's Vals and Starts, NumTuples and the root
+// directory agree, over arities 1–4, 1–8 parts, empty parts, parts that
+// crossed the codec and domains from a few values (every node shared) to
+// hundreds (most subtrees held by one part and copied whole).
+func TestMergeLayoutMatchesBuild(t *testing.T) {
+	rng := rand.New(rand.NewSource(31))
+	for iter := 0; iter < 1500; iter++ {
+		arity := 1 + rng.Intn(4)
+		nparts := 1 + rng.Intn(8)
+		domain := []int{2, 6, 40, 400}[rng.Intn(4)]
+		union := randomRel(rng, arity, 0, 1)
+		parts := make([]*Trie, nparts)
+		for p := range parts {
+			n := rng.Intn(120)
+			if rng.Intn(5) == 0 {
+				n = 0
+			}
+			blk := randomRel(rng, arity, n, domain)
+			union.AppendAll(blk)
+			parts[p] = Build(blk, blk.Attrs)
+			if rng.Intn(2) == 0 {
+				dec, err := Decode(Encode(parts[p]))
+				if err != nil {
+					t.Fatal(err)
+				}
+				parts[p] = dec
+			}
+		}
+		if diff := LayoutDiff(Merge(parts), Build(union, union.Attrs)); diff != "" {
+			t.Fatalf("iter %d (arity %d, %d parts, domain %d): %s", iter, arity, nparts, domain, diff)
+		}
+	}
+}
+
+// BenchmarkMerge measures the pooled level-by-level merge; with the
+// cursors and staging levels pooled, steady-state allocations are only the
+// output trie's level arrays (benchmark/'s trie.merge_ns_per_tuple probe
+// measures the same kernel).
 func BenchmarkMerge(b *testing.B) {
 	rng := rand.New(rand.NewSource(11))
 	blocks := randBlocks(rng, 8, 2000)
