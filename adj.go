@@ -134,8 +134,9 @@ const (
 )
 
 // AdmissionConfig tunes a session's (or server's) admission controller:
-// concurrency limit, queue bound, shed watermarks, tenant budgets. The
-// zero value derives everything from Options.Concurrency.
+// concurrency limit, queue bound, shed watermarks, tenant budgets. Its
+// MaxConcurrent also sizes the session's cluster pool. The zero value
+// takes the controller's defaults.
 type AdmissionConfig = admission.Config
 
 // AdmissionStats snapshots an admission controller (see
@@ -177,16 +178,14 @@ type Options struct {
 	// Report is marked Retried. Worker panics, cancellations and budget
 	// failures are never retried.
 	Retry bool
-	// Concurrency is the session's resident cluster-pool size — how many
-	// Exec calls run truly in parallel (default: the admission
-	// controller's concurrency limit, itself defaulting to 1). Each
-	// in-flight execution borrows one pool cluster exclusively; the trie
-	// store is shared across the pool.
-	Concurrency int
-	// Admission tunes the session's admission controller (queue bound,
-	// shed watermarks, tenant budgets). Zero-value fields take defaults
-	// derived from Concurrency. Ignored by Server.OpenShared sessions,
-	// which share the server's controller.
+	// Admission tunes the session's admission controller (concurrency
+	// limit, queue bound, shed watermarks, tenant budgets); zero-value
+	// fields take the controller's defaults. Its concurrency limit is also
+	// the session's resident cluster-pool size — how many Exec calls run
+	// truly in parallel, each borrowing one pool cluster exclusively; the
+	// trie store is shared across the pool. Ignored by Server.OpenShared
+	// sessions, which share the server's controller and size their pool
+	// by its limit.
 	Admission AdmissionConfig
 }
 

@@ -2,9 +2,10 @@
 // shuffles deliver into (§V of the paper). A worker holds one cube, and a
 // cube fixes a coordinate for every attribute, so it holds exactly one block
 // of each relation — all of the relation's tuples sharing one hash
-// signature. The block arrives as parts from every sender (raw tuples from
-// Push/Pull, pre-built tries from Merge, or a trie adopted from the
-// session's store on a warm run) and the registry builds its trie exactly
+// signature. The block arrives in one of three forms: one tuple relation
+// that a Push or Pull receiver appended every sender's chunks onto, one
+// pre-built trie part per sender from Merge, or a trie adopted from the
+// session's store on a warm run. The registry builds its trie exactly
 // once, at first use.
 //
 // Deposits happen during the shuffle's consume phase (one goroutine per
@@ -63,17 +64,17 @@ type Registry struct {
 	hits   atomic.Int64
 }
 
-// blockEntry holds one block's raw parts (one per sender) and its
-// lazily-built trie.
+// blockEntry holds one block as it arrived and its lazily-built trie.
 type blockEntry struct {
 	once  sync.Once
 	key   Key
 	attrs []string
-	// trieParts are pre-built block tries (Merge shuffle); tupleParts are
-	// sorted raw blocks (Push/Pull shuffles). Exactly one kind is populated.
-	trieParts  []*trie.Trie
-	tupleParts []*relation.Relation
-	built      *trie.Trie
+	// trieParts are pre-built block tries, one per sender (Merge shuffle);
+	// tuples is the block's raw tuples (Push/Pull shuffles). Exactly one
+	// is set.
+	trieParts []*trie.Trie
+	tuples    *relation.Relation
+	built     *trie.Trie
 	// adopted is a pre-built trie installed from the session-resident store
 	// (a warm shuffle). The first request counts as a cache hit, not a
 	// build — the whole point of cross-query reuse is that no shuffle-side
@@ -97,13 +98,12 @@ func (r *Registry) DepositTrie(k Key, attrs []string, t *trie.Trie) {
 	r.mu.Unlock()
 }
 
-// DepositTuples adds a raw tuple block part (Push/Pull shuffles). attrs is
-// the order the block's trie will be built in. part is retained and must
-// be a stable copy (not a reused decode scratch).
-func (r *Registry) DepositTuples(k Key, attrs []string, part *relation.Relation) {
+// DepositTuples sets the block's raw tuples (Push/Pull shuffles), every
+// sender's at once. attrs is the order the block's trie will be built in.
+// block is retained and must not be reused afterwards.
+func (r *Registry) DepositTuples(k Key, attrs []string, block *relation.Relation) {
 	r.mu.Lock()
-	e := r.entry(k, attrs)
-	e.tupleParts = append(e.tupleParts, part)
+	r.entry(k, attrs).tuples = block
 	r.mu.Unlock()
 }
 
@@ -147,7 +147,7 @@ func (r *Registry) Trie(rel string) *trie.Trie {
 			built = true
 			r.builds.Add(1)
 		}
-		e.trieParts, e.tupleParts = nil, nil // parts are dead once built
+		e.trieParts, e.tuples = nil, nil // dead once built
 	})
 	if !built {
 		r.hits.Add(1)
@@ -159,23 +159,7 @@ func (e *blockEntry) build() *trie.Trie {
 	if len(e.trieParts) > 0 {
 		return trie.Merge(e.trieParts)
 	}
-	switch len(e.tupleParts) {
-	case 0:
-		return trie.Build(relation.New("block", e.attrs...), e.attrs)
-	case 1:
-		return trie.Build(e.tupleParts[0], e.attrs)
-	}
-	// Multiple senders contributed sub-blocks: concatenate and build once —
-	// the radix builder sorts and dedups across parts.
-	total := 0
-	for _, p := range e.tupleParts {
-		total += p.Len()
-	}
-	all := relation.NewWithCapacity(e.tupleParts[0].Name, total, e.tupleParts[0].Attrs...)
-	for _, p := range e.tupleParts {
-		all.AppendAll(p)
-	}
-	return trie.Build(all, e.attrs)
+	return trie.Build(e.tuples, e.attrs)
 }
 
 // BuiltBlock is one registry block whose trie exists: the key, the trie

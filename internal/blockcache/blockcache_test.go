@@ -20,19 +20,16 @@ func trieRows(t *trie.Trie) string {
 	return t.ToRelation("x").String()
 }
 
-// A block deposited as tuple parts from several senders must build one
-// trie equal to the trie over the concatenation, and every subsequent
-// request must return the same shared instance.
+// A block deposited as the tuples every sender shipped (duplicates
+// included) must build one trie of its distinct tuples, and every
+// subsequent request must return the same shared instance.
 func TestBlockTrieBuildOnce(t *testing.T) {
 	r := New()
 	k := Key{Rel: "R", Sig: 3}
 	attrs := []string{"a", "b"}
-	p1 := mkRel("R", [][]relation.Value{{1, 2}, {5, 6}})
-	p2 := mkRel("R", [][]relation.Value{{1, 2}, {3, 4}})
-	r.DepositTuples(k, attrs, p1)
-	r.DepositTuples(k, attrs, p2)
+	r.DepositTuples(k, attrs, mkRel("R", [][]relation.Value{{1, 2}, {5, 6}, {1, 2}, {3, 4}}))
 	if r.Len() != 1 {
-		t.Fatalf("len=%d after two deposits of one key", r.Len())
+		t.Fatalf("len=%d after one deposit", r.Len())
 	}
 	first := r.Trie("R")
 	if first == nil || first.NumTuples != 3 {
@@ -101,9 +98,7 @@ func TestSingleFlightUnderRace(t *testing.T) {
 		for j := range rows {
 			rows[j] = []relation.Value{rng.Int63n(100), rng.Int63n(100)}
 		}
-		// Two senders' parts, so every build concatenates.
-		r.DepositTuples(Key{Rel: rel, Sig: i}, attrs, mkRel(rel, rows[:25]))
-		r.DepositTuples(Key{Rel: rel, Sig: i}, attrs, mkRel(rel, rows[25:]))
+		r.DepositTuples(Key{Rel: rel, Sig: i}, attrs, mkRel(rel, rows))
 	}
 	const goroutines = 8
 	var wg sync.WaitGroup

@@ -18,3 +18,6 @@ func heldBytes[T any](l *freeList[T]) int {
 	}
 	return n
 }
+
+// StreamSettle is streamSettle for the package's external tests.
+var StreamSettle = streamSettle

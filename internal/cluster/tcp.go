@@ -17,7 +17,10 @@ import (
 // TCPTransport moves envelopes over real loopback TCP sockets. It exists
 // to keep the serialization and wire path honest: integration tests run
 // the full join engines over it and must produce byte-identical results to
-// the local transport.
+// the local transport. Its exchanges are the same exchange core as
+// LocalTransport's (queues, window, abort, completion, receivers); what
+// TCP adds is how a chunk reaches its destination's queue: the sender
+// writes a frame, and the destination's demux reader queues it.
 //
 // Connection discipline (the serving-scale contract):
 //
@@ -42,8 +45,9 @@ import (
 //     (session retry), which finds the connection healed by lazy redial.
 //   - OpenExchange observes its context: a deadline becomes a per-write
 //     deadline and bounds dial attempts; in-flight cancellation aborts the
-//     exchange at chunk granularity, returning the context's error from
-//     every blocked Send/Recv.
+//     exchange at chunk granularity, as on every transport. An abort also
+//     wakes dial backoffs and tears down connections still writing for
+//     the exchange.
 //   - Frame-level protocol violations (implausible lengths, bad
 //     addressing — a corrupt stream) abort the addressed exchange with a
 //     typed error and close the connection; retrying cannot repair
@@ -192,8 +196,7 @@ func (t *TCPTransport) backoff(attempt int) time.Duration {
 
 // OpenExchange registers a streaming exchange and returns its stream. The
 // exchange is registered before any sender can emit, so its frames are
-// never mistaken for stale traffic. Every sender half must be closed for
-// receivers to observe end-of-stream, and Close must always be called.
+// never mistaken for stale traffic.
 func (t *TCPTransport) OpenExchange(ctx context.Context, phase string, window int) (ExchangeStream, error) {
 	t.mu.Lock()
 	if t.closed {
@@ -201,38 +204,13 @@ func (t *TCPTransport) OpenExchange(ctx context.Context, phase string, window in
 		return nil, &TransportError{Op: "open", Dest: -1, Err: errors.New("transport closed")}
 	}
 	t.mu.Unlock()
-	ex := &tcpExchange{
-		t:          t,
-		id:         t.seq.Add(1),
-		queues:     make([]*chunkQueue, t.n),
-		senderDone: make([]bool, t.n),
-		expected:   make([]int64, t.n),
-		delivered:  make([]int64, t.n),
-		destDone:   make([]bool, t.n),
-		abortCh:    make(chan struct{}),
-		watchStop:  make(chan struct{}),
-		watchDone:  make(chan struct{}),
-	}
-	ex.deadline, ex.hasDeadline = ctx.Deadline()
-	for i := range ex.queues {
-		ex.queues[i] = newChunkQueue(window)
-	}
+	tx := &tcpExchange{t: t, id: t.seq.Add(1), abortCh: make(chan struct{})}
+	tx.deadline, tx.hasDeadline = ctx.Deadline()
+	tx.exchange = newExchange(ctx, t.n, window, tx)
 	t.exMu.Lock()
-	t.exchanges[ex.id] = ex
+	t.exchanges[tx.id] = tx
 	t.exMu.Unlock()
-	go func() {
-		defer close(ex.watchDone)
-		if ctx.Done() == nil {
-			<-ex.watchStop
-			return
-		}
-		select {
-		case <-ctx.Done():
-			ex.abort(ctx.Err())
-		case <-ex.watchStop:
-		}
-	}()
-	return ex, nil
+	return tx, nil
 }
 
 // getConn returns the persistent connection for (s, d), dialing it (with
@@ -268,14 +246,14 @@ func (t *TCPTransport) getConn(ex *tcpExchange, s, d int) (*wconn, error) {
 func (t *TCPTransport) dialConn(ex *tcpExchange, s, d int) (*wconn, error) {
 	var lastErr error
 	for attempt := 1; attempt <= t.retry.MaxAttempts; attempt++ {
-		if err := ex.cause(); err != nil {
+		if err := ex.err(); err != nil {
 			return nil, err
 		}
 		if attempt > 1 {
 			t.retries.Add(1)
 			select {
 			case <-ex.abortCh:
-				return nil, ex.cause()
+				return nil, ex.err()
 			case <-time.After(t.backoff(attempt - 1)):
 			}
 		}
@@ -448,7 +426,7 @@ func (t *TCPTransport) serveConn(d int, conn net.Conn) {
 			From: from, To: to, Key: string(key), Payload: buf,
 			Tuples: tuples, Weight: weight, Chunk: chunk,
 		}
-		ex.deliver(d, queuedChunk{env: env, release: func() { pool.put(buf) }})
+		ex.deliver(env, func() { pool.put(buf) })
 	}
 }
 
@@ -485,7 +463,7 @@ func readPayload(br *bufio.Reader, pool *bufPool, plen int) ([]byte, error) {
 // the connection is closed by the caller either way.
 func (t *TCPTransport) abortProto(ex *tcpExchange, d int, err error) {
 	if ex != nil {
-		ex.abort(&TransportError{Op: "read", Dest: d, Err: err})
+		ex.Abort(&TransportError{Op: "read", Dest: d, Err: err})
 	}
 }
 
@@ -507,7 +485,7 @@ func (t *TCPTransport) Close() error {
 	}
 	t.exMu.Unlock()
 	for _, ex := range exs {
-		ex.abort(&TransportError{Op: "close", Dest: -1, Err: errors.New("transport closed")})
+		ex.Abort(&TransportError{Op: "close", Dest: -1, Err: errors.New("transport closed")})
 	}
 
 	var first error
@@ -606,204 +584,44 @@ func (wc *wconn) writeFrame(ex *tcpExchange, e Envelope) error {
 	return nil
 }
 
-// tcpExchange is one registered streaming exchange. Completion is
-// accounted in-process: each sender records its per-destination chunk
-// counts at Close, and a destination's queue closes once every sender has
-// closed and the destination has received its expected chunk count.
+// tcpExchange is one registered exchange: the shared exchange core plus
+// what the wire needs — the exchange id every frame carries, the write
+// deadline, and the abort channel a dial backoff waits on. It is the
+// core's link: a sent chunk is written as a frame, and the destination's
+// demux reader (serveConn) queues it.
 type tcpExchange struct {
+	*exchange
 	t           *TCPTransport
 	id          uint64
 	deadline    time.Time
 	hasDeadline bool
-	queues      []*chunkQueue
-
-	mu            sync.Mutex
-	closedSenders int
-	senderDone    []bool
-	expected      []int64
-	delivered     []int64
-	destDone      []bool
-	abortErr      error
-	closed        bool
-
-	abortOnce sync.Once
-	abortCh   chan struct{}
-	watchStop chan struct{}
-	watchDone chan struct{}
+	abortCh     chan struct{}
 }
 
-func (ex *tcpExchange) Sender(worker int) StreamSender {
-	return &tcpSender{ex: ex, s: worker, sent: make([]int64, ex.t.n)}
-}
-
-func (ex *tcpExchange) Receiver(worker int) StreamReceiver {
-	return &tcpReceiver{ex: ex, d: worker}
-}
-
-func (ex *tcpExchange) cause() error {
-	ex.mu.Lock()
-	defer ex.mu.Unlock()
-	return ex.abortErr
-}
-
-func (ex *tcpExchange) Abort(cause error) {
-	if cause == nil {
-		cause = errors.New("tcp transport: exchange aborted")
-	}
-	ex.abort(cause)
-}
-
-func (ex *tcpExchange) abort(cause error) {
-	ex.abortOnce.Do(func() {
-		ex.mu.Lock()
-		ex.abortErr = cause
-		ex.mu.Unlock()
-		close(ex.abortCh)
-		for _, q := range ex.queues {
-			q.fail(cause)
-		}
-		ex.t.killWriters(ex.id)
-	})
-}
-
-func (ex *tcpExchange) Stats() StreamStats {
-	var s StreamStats
-	for _, q := range ex.queues {
-		s.merge(q.stats())
-	}
-	return s
-}
-
-func (ex *tcpExchange) Close() error {
-	ex.mu.Lock()
-	if ex.closed {
-		ex.mu.Unlock()
-		return nil
-	}
-	ex.closed = true
-	complete := ex.abortErr == nil
-	if complete {
-		for _, done := range ex.destDone {
-			if !done {
-				complete = false
-				break
-			}
-		}
-	}
-	ex.mu.Unlock()
-	if !complete && ex.cause() == nil {
-		ex.abort(errors.New("tcp transport: exchange closed before completion"))
-	}
-	close(ex.watchStop)
-	<-ex.watchDone
-	ex.t.unregister(ex.id)
-	return nil
-}
-
-// deliver pushes one inbound chunk into destination d's queue (blocking
-// under backpressure) and runs completion accounting. Aborted exchanges
-// discard the chunk, returning its buffer to the pool.
-func (ex *tcpExchange) deliver(d int, item queuedChunk) {
-	if err := ex.queues[d].push(item); err != nil {
-		if item.release != nil {
-			item.release()
-		}
-		return
-	}
-	ex.mu.Lock()
-	ex.delivered[d]++
-	ex.maybeFinishLocked(d)
-	ex.mu.Unlock()
-}
-
-func (ex *tcpExchange) senderClosed(s int, sent []int64) {
-	ex.mu.Lock()
-	defer ex.mu.Unlock()
-	if s < 0 || s >= len(ex.senderDone) || ex.senderDone[s] {
-		return
-	}
-	ex.senderDone[s] = true
-	ex.closedSenders++
-	for d, c := range sent {
-		ex.expected[d] += c
-	}
-	if ex.closedSenders == len(ex.senderDone) {
-		for d := range ex.queues {
-			ex.maybeFinishLocked(d)
-		}
-	}
-}
-
-func (ex *tcpExchange) maybeFinishLocked(d int) {
-	if ex.destDone[d] || ex.closedSenders != len(ex.senderDone) || ex.abortErr != nil {
-		return
-	}
-	if ex.delivered[d] >= ex.expected[d] {
-		ex.destDone[d] = true
-		ex.queues[d].close()
-	}
-}
-
-type tcpSender struct {
-	ex     *tcpExchange
-	s      int
-	sent   []int64
-	closed bool
-}
-
-func (snd *tcpSender) Send(e Envelope) error {
-	ex := snd.ex
-	if err := ex.cause(); err != nil {
+func (tx *tcpExchange) carry(_ *exchange, from int, e Envelope) error {
+	if err := tx.err(); err != nil {
 		return err
 	}
-	t := ex.t
-	if e.To < 0 || e.To >= t.n {
-		err := &TransportError{Op: "deliver", Dest: e.To,
-			Err: fmt.Errorf("destination out of range [0,%d)", t.n)}
-		ex.abort(err)
-		return err
-	}
-	wc, err := t.getConn(ex, snd.s, e.To)
+	wc, err := tx.t.getConn(tx, from, e.To)
 	if err != nil {
-		ex.abort(err)
 		return err
 	}
-	if err := wc.writeFrame(ex, e); err != nil {
-		terr := &TransportError{Op: "write", Dest: e.To, Attempts: 1, Err: err}
-		ex.abort(terr)
-		return terr
+	if err := wc.writeFrame(tx, e); err != nil {
+		return &TransportError{Op: "write", Dest: e.To, Attempts: 1, Err: err}
 	}
-	snd.sent[e.To]++
 	return nil
 }
 
-func (snd *tcpSender) Close() error {
-	if snd.closed {
-		return nil
-	}
-	snd.closed = true
-	snd.ex.senderClosed(snd.s, snd.sent)
-	return nil
+// onAbort wakes dial backoffs and tears down connections still writing
+// for the exchange (a sender stuck in a write the receiver will never
+// drain).
+func (tx *tcpExchange) onAbort() {
+	close(tx.abortCh)
+	tx.t.killWriters(tx.id)
 }
 
-type tcpReceiver struct {
-	ex      *tcpExchange
-	d       int
-	pending func()
-}
-
-func (r *tcpReceiver) Recv() (Envelope, bool, error) {
-	if r.pending != nil {
-		r.pending()
-		r.pending = nil
-	}
-	c, ok, err := r.ex.queues[r.d].pop()
-	if err != nil || !ok {
-		return Envelope{}, false, err
-	}
-	r.pending = c.release
-	return c.env, true, nil
-}
+// onClose unregisters the exchange: later frames for it are stale traffic.
+func (tx *tcpExchange) onClose() { tx.t.unregister(tx.id) }
 
 // bufPool is a per-connection free list of receive payload buffers: the
 // demux reader gets, the receiving worker puts back after decode adoption.

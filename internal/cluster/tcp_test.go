@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/binary"
 	"errors"
+	"io"
 	"net"
 	"runtime"
 	"sync"
@@ -474,4 +475,95 @@ func TestTCPHostilePayloadLengthBounded(t *testing.T) {
 	if len(out[1]) != 1 || out[1][0].Key != "legit" || !bytes.Equal(out[1][0].Payload, bySender[0][0].Payload) {
 		t.Fatalf("recovery exchange did not deliver the %d-byte payload intact", len(bySender[0][0].Payload))
 	}
+}
+
+// fuzzTransport is a TCPTransport with no listeners: enough for serveConn,
+// which only looks up exchanges, and cheap enough to make per input. Its
+// first exchange has id 1.
+func fuzzTransport() *TCPTransport {
+	return &TCPTransport{n: 2, exchanges: make(map[uint64]*tcpExchange)}
+}
+
+// capturedFrames returns what a worker-0 connection to worker 1 carries for
+// two chunks of exchange 1: the connection header, then the frames
+// writeFrame puts on the wire.
+func capturedFrames(t testing.TB) []byte {
+	tr := fuzzTransport()
+	es, err := tr.OpenExchange(context.Background(), "capture", 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer es.Close()
+	client, server := net.Pipe()
+	wire := make(chan []byte)
+	go func() {
+		b, _ := io.ReadAll(server)
+		wire <- b
+	}()
+	var hd []byte
+	hd = binary.LittleEndian.AppendUint32(hd, tcpMagic)
+	hd = binary.LittleEndian.AppendUint32(hd, 0)
+	if _, err := client.Write(hd); err != nil {
+		t.Fatal(err)
+	}
+	wc := &wconn{conn: client}
+	for k, payload := range []string{"first chunk", ""} {
+		e := Envelope{From: 0, To: 1, Key: "R@1", Chunk: int32(k), Payload: []byte(payload), Tuples: 3, Weight: 1}
+		if err := wc.writeFrame(es.(*tcpExchange), e); err != nil {
+			t.Fatal(err)
+		}
+	}
+	client.Close()
+	return <-wire
+}
+
+// FuzzTCPFrame feeds bytes to one inbound connection's demux reader
+// (serveConn, at worker 1) over net.Pipe while exchange 1 is registered and
+// its receiver drains. Whatever the bytes, the reader does not panic and
+// returns once they run out, and if it aborted the exchange the cause is a
+// typed transport error. The corpus in testdata/fuzz/FuzzTCPFrame holds the
+// hostile lengths of TestTCPCorruptStreamAbortsTyped and
+// TestTCPHostilePayloadLengthBounded, a bad magic and bad addressing.
+func FuzzTCPFrame(f *testing.F) {
+	frames := capturedFrames(f)
+	f.Add(frames)
+	f.Add(frames[:len(frames)-5])
+	f.Fuzz(func(t *testing.T, in []byte) {
+		tr := fuzzTransport()
+		es, err := tr.OpenExchange(context.Background(), "fuzz", 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		drained := make(chan struct{})
+		go func() {
+			defer close(drained)
+			r := es.Receiver(1)
+			for {
+				if _, ok, err := r.Recv(); err != nil || !ok {
+					return
+				}
+			}
+		}()
+		client, server := net.Pipe()
+		done := make(chan struct{})
+		go func() {
+			defer close(done)
+			tr.serveConn(1, server)
+			server.Close()
+		}()
+		go func() {
+			client.Write(in)
+			client.Close()
+		}()
+		select {
+		case <-done:
+		case <-time.After(10 * time.Second):
+			t.Fatal("the frame reader did not return")
+		}
+		if err := es.(*tcpExchange).err(); err != nil && !errors.Is(err, ErrTransport) {
+			t.Fatalf("the reader aborted the exchange with %v, want a transport error", err)
+		}
+		es.Close()
+		<-drained
+	})
 }

@@ -1,11 +1,6 @@
 package cluster
 
-import (
-	"context"
-	"errors"
-	"fmt"
-	"sync"
-)
+import "context"
 
 // Envelope is one logical message between workers. Payload is an opaque
 // serialized blob (relation block, trie block, or control data); Tuples
@@ -42,11 +37,16 @@ func (e Envelope) MsgWeight() int64 {
 }
 
 // Transport moves envelopes between workers, one streaming exchange at a
-// time. An exchange must either deliver every chunk to its destination's
-// receiver with payload bytes preserved exactly, or fail every blocked and
-// future Send/Recv with an error — partial or corrupted delivery without an
-// error is a contract violation (the engines would silently compute wrong
-// results).
+// time. Both transports share one exchange core (exchange.go): the
+// per-destination queues, the window, the abort, the completion rule and
+// the receivers are the same code, and a transport supplies only how a
+// sent chunk reaches its destination's queue — LocalTransport queues it
+// inside Send, TCPTransport writes a frame that the destination's demux
+// reader queues. An exchange either delivers every chunk to its
+// destination's receiver with payload bytes preserved exactly, or fails
+// every blocked and later Send/Recv with its first abort's cause; partial
+// or corrupted delivery without an error would let the engines compute
+// wrong results.
 type Transport interface {
 	// OpenExchange starts a multiplexed exchange in which senders emit
 	// bounded chunks and receivers pull them through a window of at most
@@ -94,9 +94,12 @@ type StreamReceiver interface {
 }
 
 // ExchangeStream is one in-flight streaming exchange: per-worker sender
-// and receiver halves multiplexed over the transport, with chunk
-// granularity cancellation via Abort. Close releases the exchange
-// (aborting it if still active) and must always be called.
+// and receiver halves over one bounded queue per destination. A
+// destination's stream ends once every sender has closed and the chunks
+// they sent it have arrived. The first Abort fails every blocked and later
+// Send/Recv with its cause; so does the run's context once it is done.
+// Close must always be called: it aborts an exchange that has not
+// completed and returns that cause (nil after completion).
 type ExchangeStream interface {
 	Sender(worker int) StreamSender
 	Receiver(worker int) StreamReceiver
@@ -134,10 +137,10 @@ func (s *StreamStats) merge(o StreamStats) {
 // caller passes window <= 0.
 const DefaultStreamWindow = 64
 
-// LocalTransport moves envelopes in-process. Payloads are still serialized
-// bytes (senders encode, receivers decode), so the compute cost of the
-// serialization path is identical to a networked deployment; only the wire
-// is skipped.
+// LocalTransport moves envelopes in-process: a chunk is queued at its
+// destination inside Send. Payloads are still serialized bytes (senders
+// encode, receivers decode), so the compute cost of the serialization path
+// is identical to a networked deployment; only the wire is skipped.
 type LocalTransport struct {
 	n int
 }
@@ -145,253 +148,14 @@ type LocalTransport struct {
 // NewLocalTransport returns a transport for n workers.
 func NewLocalTransport(n int) *LocalTransport { return &LocalTransport{n: n} }
 
-// OpenExchange starts an in-process streaming exchange backed by bounded
-// per-destination chunk queues.
+// OpenExchange starts an in-process streaming exchange.
 func (t *LocalTransport) OpenExchange(ctx context.Context, phase string, window int) (ExchangeStream, error) {
-	return newLocalExchange(ctx, t.n, window), nil
+	return newExchange(ctx, t.n, window, t), nil
 }
 
 // Close is a no-op.
 func (t *LocalTransport) Close() error { return nil }
 
-// queuedChunk pairs a delivered envelope with an optional release hook
-// returning its (pooled) payload buffer to the transport.
-type queuedChunk struct {
-	env     Envelope
-	release func()
-}
-
-// chunkQueue is a bounded producer/consumer queue of chunks with abort
-// support and high-water tracking. push blocks while the queue holds
-// `window` chunks (backpressure); pop blocks until a chunk, close, or
-// abort.
-type chunkQueue struct {
-	mu       sync.Mutex
-	cond     *sync.Cond
-	items    []queuedChunk
-	head     int
-	window   int
-	closed   bool
-	err      error
-	curBytes int64
-
-	chunks    int64
-	peak      int64
-	peakBytes int64
-}
-
-func newChunkQueue(window int) *chunkQueue {
-	if window <= 0 {
-		window = DefaultStreamWindow
-	}
-	q := &chunkQueue{window: window}
-	q.cond = sync.NewCond(&q.mu)
-	return q
-}
-
-var errQueueClosed = errors.New("cluster: send on closed stream")
-
-func (q *chunkQueue) push(c queuedChunk) error {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	for len(q.items)-q.head >= q.window && q.err == nil && !q.closed {
-		q.cond.Wait()
-	}
-	if q.err != nil {
-		return q.err
-	}
-	if q.closed {
-		return errQueueClosed
-	}
-	q.items = append(q.items, c)
-	q.chunks++
-	q.curBytes += int64(len(c.env.Payload))
-	if depth := int64(len(q.items) - q.head); depth > q.peak {
-		q.peak = depth
-	}
-	if q.curBytes > q.peakBytes {
-		q.peakBytes = q.curBytes
-	}
-	q.cond.Broadcast()
-	return nil
-}
-
-func (q *chunkQueue) pop() (queuedChunk, bool, error) {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	for len(q.items) == q.head && q.err == nil && !q.closed {
-		q.cond.Wait()
-	}
-	if q.err != nil {
-		return queuedChunk{}, false, q.err
-	}
-	if len(q.items) == q.head {
-		return queuedChunk{}, false, nil
-	}
-	c := q.items[q.head]
-	q.items[q.head] = queuedChunk{}
-	q.head++
-	q.curBytes -= int64(len(c.env.Payload))
-	if q.head == len(q.items) {
-		q.items = q.items[:0]
-		q.head = 0
-	}
-	q.cond.Broadcast()
-	return c, true, nil
-}
-
-// close marks end-of-stream; buffered chunks remain poppable.
-func (q *chunkQueue) close() {
-	q.mu.Lock()
-	q.closed = true
-	q.cond.Broadcast()
-	q.mu.Unlock()
-}
-
-// fail aborts the queue: pending and future push/pop return err, and any
-// buffered pooled payloads are released.
-func (q *chunkQueue) fail(err error) {
-	q.mu.Lock()
-	if q.err == nil {
-		q.err = err
-		for i := q.head; i < len(q.items); i++ {
-			if rel := q.items[i].release; rel != nil {
-				rel()
-			}
-			q.items[i] = queuedChunk{}
-		}
-		q.items = q.items[:0]
-		q.head = 0
-		q.curBytes = 0
-	}
-	q.cond.Broadcast()
-	q.mu.Unlock()
-}
-
-func (q *chunkQueue) stats() StreamStats {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	return StreamStats{Chunks: q.chunks, InflightPeak: q.peak, RecvPeakBytes: q.peakBytes}
-}
-
-// localExchange is the in-process ExchangeStream: senders push directly
-// into per-destination bounded queues; a queue closes once every sender
-// has closed.
-type localExchange struct {
-	n      int
-	queues []*chunkQueue
-
-	mu            sync.Mutex
-	closedSenders int
-	aborted       error
-
-	watchStop chan struct{}
-	watchDone chan struct{}
-}
-
-func newLocalExchange(ctx context.Context, n, window int) *localExchange {
-	ex := &localExchange{
-		n:         n,
-		queues:    make([]*chunkQueue, n),
-		watchStop: make(chan struct{}),
-		watchDone: make(chan struct{}),
-	}
-	for i := range ex.queues {
-		ex.queues[i] = newChunkQueue(window)
-	}
-	go func() {
-		defer close(ex.watchDone)
-		select {
-		case <-ctx.Done():
-			ex.Abort(ctx.Err())
-		case <-ex.watchStop:
-		}
-	}()
-	return ex
-}
-
-func (ex *localExchange) Sender(worker int) StreamSender { return &localSender{ex: ex, id: worker} }
-func (ex *localExchange) Receiver(worker int) StreamReceiver {
-	return &localReceiver{ex: ex, id: worker}
-}
-
-func (ex *localExchange) Abort(cause error) {
-	if cause == nil {
-		cause = errors.New("cluster: exchange aborted")
-	}
-	ex.mu.Lock()
-	if ex.aborted == nil {
-		ex.aborted = cause
-	}
-	ex.mu.Unlock()
-	for _, q := range ex.queues {
-		q.fail(cause)
-	}
-}
-
-func (ex *localExchange) Stats() StreamStats {
-	var s StreamStats
-	for _, q := range ex.queues {
-		s.merge(q.stats())
-	}
-	return s
-}
-
-func (ex *localExchange) Close() error {
-	ex.mu.Lock()
-	done := ex.closedSenders >= ex.n || ex.aborted != nil
-	ex.mu.Unlock()
-	if !done {
-		ex.Abort(errors.New("cluster: exchange closed before completion"))
-	}
-	close(ex.watchStop)
-	<-ex.watchDone
-	return nil
-}
-
-type localSender struct {
-	ex     *localExchange
-	id     int
-	closed bool
-}
-
-func (s *localSender) Send(e Envelope) error {
-	ex := s.ex
-	if e.To < 0 || e.To >= ex.n {
-		err := fmt.Errorf("local transport: destination %d out of range [0,%d)", e.To, ex.n)
-		ex.Abort(err)
-		return err
-	}
-	return ex.queues[e.To].push(queuedChunk{env: e})
-}
-
-func (s *localSender) Close() error {
-	if s.closed {
-		return nil
-	}
-	s.closed = true
-	ex := s.ex
-	ex.mu.Lock()
-	ex.closedSenders++
-	last := ex.closedSenders == ex.n && ex.aborted == nil
-	ex.mu.Unlock()
-	if last {
-		for _, q := range ex.queues {
-			q.close()
-		}
-	}
-	return nil
-}
-
-type localReceiver struct {
-	ex *localExchange
-	id int
-}
-
-func (r *localReceiver) Recv() (Envelope, bool, error) {
-	c, ok, err := r.ex.queues[r.id].pop()
-	if err != nil || !ok {
-		return Envelope{}, false, err
-	}
-	return c.env, true, nil
-}
+func (t *LocalTransport) carry(ex *exchange, _ int, e Envelope) error { return ex.deliver(e, nil) }
+func (t *LocalTransport) onAbort()                                    {}
+func (t *LocalTransport) onClose()                                    {}

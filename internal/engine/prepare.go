@@ -200,11 +200,12 @@ func planADJ(coOptimize bool) planner {
 	}
 }
 
-// planHCubeJ is the HCubeJ family's planner; cached selects the
-// level-cached Leapfrog.
+// planHCubeJ is the HCubeJ family's planner: ADJ's communication-first
+// plan, whose order is chosen over all n! orders by estimated intermediate
+// size (Fig. 8's "All-Selected"); cached selects the level-cached Leapfrog.
 func planHCubeJ(cached bool) planner {
 	return func(q hypergraph.Query, rels []*relation.Relation, cfg Config) (*plan.Program, error) {
-		opt, err := commFirstPlan(q, rels, cfg)
+		opt, err := adjPlan(q, rels, cfg, false)
 		if err != nil {
 			return nil, err
 		}
@@ -236,21 +237,6 @@ func adjPlan(q hypergraph.Query, rels []*relation.Relation, cfg Config, coOptimi
 	}
 	if coOptimize {
 		return opt.CoOptimize()
-	}
-	return opt.CommunicationFirst()
-}
-
-// commFirstPlan is the HCubeJ family's order selection over all n! orders
-// by estimated intermediate size (Fig. 8's "All-Selected").
-func commFirstPlan(q hypergraph.Query, rels []*relation.Relation, cfg Config) (*optimizer.Plan, error) {
-	opt, err := optimizer.New(q, rels, optimizer.Options{
-		Params:  defaultParams(cfg),
-		Samples: cfg.Samples,
-		Seed:    cfg.Seed,
-		Cancel:  cancelOf(cfg),
-	})
-	if err != nil {
-		return nil, err
 	}
 	return opt.CommunicationFirst()
 }

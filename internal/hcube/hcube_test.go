@@ -468,38 +468,37 @@ func TestShuffleCubeContentsMatchBruteForce(t *testing.T) {
 	}
 }
 
-// keyTransport rewrites the key of every envelope a sender ships through
-// rewrite: a well-formed payload under a key the receiver did not expect.
-type keyTransport struct {
+// envTransport rewrites every envelope a sender ships through rewrite: a
+// well-formed chunk the receiver did not expect.
+type envTransport struct {
 	cluster.Transport
-	rewrite func(e cluster.Envelope) string
+	rewrite func(e cluster.Envelope) cluster.Envelope
 }
 
-func (t *keyTransport) OpenExchange(ctx context.Context, phase string, window int) (cluster.ExchangeStream, error) {
+func (t *envTransport) OpenExchange(ctx context.Context, phase string, window int) (cluster.ExchangeStream, error) {
 	st, err := t.Transport.OpenExchange(ctx, phase, window)
 	if err != nil {
 		return st, err
 	}
-	return &keyStream{st, t.rewrite}, nil
+	return &envStream{st, t.rewrite}, nil
 }
 
-type keyStream struct {
+type envStream struct {
 	cluster.ExchangeStream
-	rewrite func(e cluster.Envelope) string
+	rewrite func(e cluster.Envelope) cluster.Envelope
 }
 
-func (s *keyStream) Sender(worker int) cluster.StreamSender {
-	return &keySender{s.ExchangeStream.Sender(worker), s.rewrite}
+func (s *envStream) Sender(worker int) cluster.StreamSender {
+	return &envSender{s.ExchangeStream.Sender(worker), s.rewrite}
 }
 
-type keySender struct {
+type envSender struct {
 	cluster.StreamSender
-	rewrite func(e cluster.Envelope) string
+	rewrite func(e cluster.Envelope) cluster.Envelope
 }
 
-func (s *keySender) Send(e cluster.Envelope) error {
-	e.Key = s.rewrite(e)
-	return s.StreamSender.Send(e)
+func (s *envSender) Send(e cluster.Envelope) error {
+	return s.StreamSender.Send(s.rewrite(e))
 }
 
 // A key that names no shuffled relation, carries no parsable signature or
@@ -540,7 +539,58 @@ func TestRewrittenKeyIsTransportError(t *testing.T) {
 	for _, kind := range []Kind{Push, Pull, Merge} {
 		for name, rewrite := range rewrites {
 			t.Run(kind.String()+"/"+name, func(t *testing.T) {
-				c := cluster.New(cluster.Config{N: n, Transport: &keyTransport{cluster.NewLocalTransport(n), rewrite}})
+				rekey := func(e cluster.Envelope) cluster.Envelope {
+					e.Key = rewrite(e)
+					return e
+				}
+				c := cluster.New(cluster.Config{N: n, Transport: &envTransport{cluster.NewLocalTransport(n), rekey}})
+				defer c.Close()
+				c.LoadDatabase(rels)
+				err := Run(c, "shuffle", Plan{Shares: shares, Rels: info, Kind: kind, TrieOrder: order})
+				if !errors.Is(err, cluster.ErrTransport) || errors.Is(err, cluster.ErrWorkerPanic) {
+					t.Fatalf("err %v, want a transport error and no panic", err)
+				}
+			})
+		}
+	}
+}
+
+// A Push or Pull chunk re-encoded under another schema — its first
+// attribute renamed, or one column dropped — is a corrupt payload: Run
+// returns a transport error instead of depositing a block whose trie
+// build would panic in the join phase.
+func TestRewrittenPayloadSchemaIsTransportError(t *testing.T) {
+	const n = 4
+	rels := hypergraph.Q1().BindGraph(testutil.RandEdges(rand.New(rand.NewSource(13)), "E", 400, 30))
+	order := hypergraph.Q1().Attrs()
+	info := InfoOf(rels)
+	shares, err := Optimize(info, Config{Attrs: order, NumServers: n})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rewrites := map[string]func(r *relation.Relation) *relation.Relation{
+		"renamed attribute": func(r *relation.Relation) *relation.Relation {
+			attrs := slices.Clone(r.Attrs)
+			attrs[0] = "zz"
+			return relation.FromColumns(r.Name, attrs, r.Columns())
+		},
+		"dropped column": func(r *relation.Relation) *relation.Relation {
+			return relation.FromColumns(r.Name, r.Attrs[1:], r.Columns()[1:])
+		},
+	}
+	for _, kind := range []Kind{Push, Pull} {
+		for name, rewrite := range rewrites {
+			t.Run(kind.String()+"/"+name, func(t *testing.T) {
+				reschema := func(e cluster.Envelope) cluster.Envelope {
+					r, err := relation.Decode(e.Payload)
+					if err != nil {
+						t.Errorf("chunk does not decode: %v", err)
+						return e
+					}
+					e.Payload = relation.Encode(rewrite(r))
+					return e
+				}
+				c := cluster.New(cluster.Config{N: n, Transport: &envTransport{cluster.NewLocalTransport(n), reschema}})
 				defer c.Close()
 				c.LoadDatabase(rels)
 				err := Run(c, "shuffle", Plan{Shares: shares, Rels: info, Kind: kind, TrieOrder: order})

@@ -334,31 +334,38 @@ func (p Plan) send(w *cluster.Worker, s cluster.StreamSender) error {
 }
 
 // receive adopts the worker's warm blocks, then drains the stream into its
-// registry: a Merge envelope deposits its decoded trie, a Push or Pull
-// envelope its decoded tuples as one more part of the block — the trie
-// build concatenates, sorts and dedups parts, so chunk granularity never
-// changes the built trie. The part relation is freshly decoded because the
-// registry retains it until the trie is built, and received payloads are
-// only valid until the next Recv. A key naming no cold relation of the plan,
-// or a block of it that is not this worker's, is a corrupt payload: the
-// worker would otherwise join a cube that is not its own.
+// registry. A Merge chunk is one sender's trie of the block and is
+// deposited as it lands. A Push or Pull chunk is a run of the block's
+// tuples: every chunk of a relation is appended onto one block relation
+// with the plan's attributes (DecodeAppendGrow refuses a chunk of another
+// arity or other attribute names), and the block is deposited once the
+// stream ends, for each relation that received a chunk. The block
+// outlives the exchange, so its columns are allocated, not borrowed from
+// the worker's free lists. A key naming no cold relation of the plan, or a
+// block of it that is not this worker's, is a corrupt payload: the worker
+// would otherwise join a cube that is not its own.
 func (p Plan) receive(w *cluster.Worker, r cluster.StreamReceiver) error {
 	adoptWarm(w, p)
 	type local struct {
+		ri    RelInfo
 		sig   int
 		attrs []string
+		block *relation.Relation // Push/Pull: the tuples received so far
 	}
-	mine := make(map[string]local, len(p.Rels))
+	mine := make(map[string]*local, len(p.Rels))
 	for _, ri := range p.Rels {
 		if _, ok := p.Warm[ri.Name]; !ok {
-			mine[ri.Name] = local{p.Shares.cubeSig(p.Shares.RelPositions(ri.Attrs), w.ID), p.trieAttrs(ri)}
+			mine[ri.Name] = &local{ri: ri, sig: p.Shares.cubeSig(p.Shares.RelPositions(ri.Attrs), w.ID), attrs: p.trieAttrs(ri)}
 		}
 	}
 	what := "hcube " + p.Kind.String()
 	for {
 		e, ok, err := r.Recv()
-		if err != nil || !ok {
+		if err != nil {
 			return err
+		}
+		if !ok {
+			break
 		}
 		name, sig, err := splitKey(e.Key)
 		if err != nil {
@@ -371,21 +378,27 @@ func (p Plan) receive(w *cluster.Worker, r cluster.StreamReceiver) error {
 		if sig != l.sig {
 			return cluster.CorruptPayload(what, fmt.Errorf("key %q: worker %d holds block %d of %s", e.Key, w.ID, l.sig, name))
 		}
-		key := blockcache.Key{Rel: name, Sig: sig}
 		if p.Kind == Merge {
 			bt, err := trie.Decode(e.Payload)
 			if err != nil {
 				return cluster.CorruptPayload(what+" trie", err)
 			}
-			w.Blocks.DepositTrie(key, l.attrs, bt)
+			w.Blocks.DepositTrie(blockcache.Key{Rel: name, Sig: sig}, l.attrs, bt)
 			continue
 		}
-		part := new(relation.Relation)
-		if err := relation.DecodeInto(e.Payload, part); err != nil {
+		if l.block == nil {
+			l.block = relation.New(name, l.ri.Attrs...)
+		}
+		if err := relation.DecodeAppendGrow(e.Payload, l.block, nil); err != nil {
 			return cluster.CorruptPayload(what+" block", err)
 		}
-		w.Blocks.DepositTuples(key, l.attrs, part)
 	}
+	for _, ri := range p.Rels {
+		if l := mine[ri.Name]; l != nil && l.block != nil {
+			w.Blocks.DepositTuples(blockcache.Key{Rel: ri.Name, Sig: l.sig}, l.attrs, l.block)
+		}
+	}
+	return nil
 }
 
 // groupBlocks buckets a fragment's tuples by block signature into one

@@ -48,7 +48,7 @@ func AppendEncode(dst []byte, r *Relation) []byte {
 // AppendEncodeRange serializes the row range [lo, hi) of r onto dst as a
 // complete, standalone relation encoding: the chunk carries the full
 // schema header and its delta runs restart at the range boundary, so every
-// chunk decodes independently through DecodeInto/DecodeAppend. This is the
+// chunk decodes independently through Decode/DecodeAppend. This is the
 // streaming transport's chunked encode: a block cut into row ranges
 // ships as it is encoded instead of materializing one monolithic payload.
 // AppendEncodeRange(dst, r, 0, r.Len()) is byte-identical to AppendEncode.
@@ -91,15 +91,6 @@ func Encode(r *Relation) []byte {
 		hint += 8 + len(a)
 	}
 	return AppendEncode(make([]byte, 0, hint), r)
-}
-
-// Decode deserializes a relation encoded by Encode/AppendEncode.
-func Decode(buf []byte) (*Relation, error) {
-	var r Relation
-	if err := DecodeInto(buf, &r); err != nil {
-		return nil, err
-	}
-	return &r, nil
 }
 
 // wireReader walks one encoded relation. Strings come back as sub-slices
@@ -198,62 +189,38 @@ func (w *wireReader) run(j int, col []Value) error {
 	return nil
 }
 
-// DecodeInto deserializes into r, reusing r's backing arrays (when their
-// capacity suffices) and r's schema strings (when they match the payload).
-// Receivers that decode a stream of blocks into one scratch relation
-// allocate nothing in steady state. r must be owned by the caller — its
-// arrays are overwritten, so never pass a relation whose columns or Attrs
-// are shared (e.g. via Renamed). Each wire column is one contiguous delta
-// run, so decode writes every column with a single sequential pass.
-func DecodeInto(buf []byte, r *Relation) error {
+// Decode deserializes a relation encoded by Encode/AppendEncode into fresh
+// columns. It is the reference decoder: it takes its schema from the
+// payload, where DecodeAppend checks the payload against the receiver's,
+// and FuzzDecodeAppend holds DecodeAppend to its verdict and rows. Each
+// wire column is one contiguous delta run, so decode writes every column
+// with a single sequential pass.
+func Decode(buf []byte) (*Relation, error) {
 	w := wireReader{buf: buf}
-	nameBytes, k, err := w.open()
+	name, k, err := w.open()
 	if err != nil {
-		return err
+		return nil, err
 	}
-	// Keep r's strings where they already say what the payload says
-	// ("string(b) != s" compares without copying).
-	name := r.Name
-	if string(nameBytes) != name {
-		name = string(nameBytes)
-	}
-	attrs := r.Attrs
-	if len(attrs) != k {
-		attrs = make([]string, k)
-	}
+	attrs := make([]string, k)
 	for i := range attrs {
 		ab, err := w.bytes()
 		if err != nil {
-			return err
+			return nil, err
 		}
-		if string(ab) != attrs[i] {
-			attrs[i] = string(ab)
-		}
+		attrs[i] = string(ab)
 	}
 	n, err := w.rows(k)
 	if err != nil {
-		return err
+		return nil, err
 	}
-	cols := r.cols
-	if cap(cols) >= k {
-		cols = cols[:k]
-	} else {
-		cols = make([][]Value, k)
-	}
+	cols := make([][]Value, k)
 	for j := range cols {
-		if cap(cols[j]) >= n {
-			cols[j] = cols[j][:n]
-		} else {
-			cols[j] = make([]Value, n)
-		}
+		cols[j] = make([]Value, n)
 		if err := w.run(j, cols[j]); err != nil {
-			return err
+			return nil, err
 		}
 	}
-	r.Name = name
-	r.Attrs = attrs
-	r.cols = cols
-	return nil
+	return &Relation{Name: string(name), Attrs: attrs, cols: cols}, nil
 }
 
 // DecodeAppend appends one chunk's tuples to dst, decoding each column's
@@ -273,7 +240,7 @@ func DecodeInto(buf []byte, r *Relation) error {
 //
 // The third parameter is unused. It was the scratch relation chunks were
 // once decoded through; benchmark/ still passes one, and the parameter
-// goes when benchmark/ moves off internal signatures (ROADMAP item 4).
+// goes when benchmark/ moves off internal signatures (ROADMAP item 6).
 func DecodeAppend(buf []byte, dst, _ *Relation) error {
 	return DecodeAppendGrow(buf, dst, nil)
 }

@@ -82,32 +82,6 @@ func TestCodecRejectsTruncatedAndGarbage(t *testing.T) {
 	}
 }
 
-func TestDecodeIntoReusesBacking(t *testing.T) {
-	big := New("big", "a", "b")
-	for i := 0; i < 1000; i++ {
-		big.Append(Value(i), Value(i*2))
-	}
-	buf := Encode(big)
-	var scratch Relation
-	if err := DecodeInto(buf, &scratch); err != nil {
-		t.Fatal(err)
-	}
-	if !scratch.Equal(big) {
-		t.Fatal("first decode mismatch")
-	}
-	firstBacking := &scratch.cols[0][0]
-	small := FromTuples("small", []string{"x", "y"}, [][]Value{{5, 6}})
-	if err := DecodeInto(Encode(small), &scratch); err != nil {
-		t.Fatal(err)
-	}
-	if !scratch.Equal(small) {
-		t.Fatal("second decode mismatch")
-	}
-	if &scratch.cols[0][0] != firstBacking {
-		t.Fatal("DecodeInto should reuse the backing array when capacity suffices")
-	}
-}
-
 func TestSortedRunsEncodeSmallerThanRaw(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	r := New("E", "src", "dst")
@@ -144,11 +118,10 @@ func BenchmarkEncode(b *testing.B) {
 func BenchmarkDecode(b *testing.B) {
 	r := benchRelation(20000)
 	buf := Encode(r)
-	var scratch Relation
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if err := DecodeInto(buf, &scratch); err != nil {
+		if _, err := Decode(buf); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -226,9 +199,9 @@ func checkDecodedShape(t testing.TB, dec *Relation) {
 	}
 }
 
-// FuzzDecodeInto: hostile bytes never panic the decoder or push it past its
-// allocation cap, and whatever decodes re-encodes to bytes that decode to
-// the same relation and encode to themselves. Encoder output (the seeds)
+// FuzzDecodeInto fuzzes Decode: hostile bytes never panic the decoder or
+// push it past its allocation cap, and whatever decodes re-encodes to bytes
+// that decode to the same relation and encode to themselves. Encoder output (the seeds)
 // re-encodes byte for byte; arbitrary accepted input need not, because the
 // format admits padded varints and wider-than-needed delta runs.
 func FuzzDecodeInto(f *testing.F) {
@@ -251,29 +224,30 @@ func FuzzDecodeInto(f *testing.F) {
 	}
 	f.Add([]byte{codecMagic, 0, 1, 0, 0xff, 0xff, 0xff, 0xff, 0x0f}) // huge count, no payload
 	f.Add([]byte{codecMagic, 1, '0', 0, 0x30})                       // tuples without attributes
-	var scratch, again Relation
 	f.Fuzz(func(t *testing.T, buf []byte) {
-		if err := DecodeInto(buf, &scratch); err != nil {
+		dec, err := Decode(buf)
+		if err != nil {
 			return
 		}
-		checkDecodedShape(t, &scratch)
-		enc := Encode(&scratch)
-		if err := DecodeInto(enc, &again); err != nil {
+		checkDecodedShape(t, dec)
+		enc := Encode(dec)
+		again, err := Decode(enc)
+		if err != nil {
 			t.Fatalf("re-encoded payload does not decode: %v\n in  %x\n enc %x", err, buf, enc)
 		}
-		if !again.Equal(&scratch) || again.Name != scratch.Name {
+		if !again.Equal(dec) || again.Name != dec.Name {
 			t.Fatalf("re-encoded payload decodes differently:\n in  %x\n enc %x", buf, enc)
 		}
-		if twice := Encode(&again); !bytes.Equal(twice, enc) {
+		if twice := Encode(again); !bytes.Equal(twice, enc) {
 			t.Fatalf("canonical encoding is not a fixed point:\n enc   %x\n twice %x", enc, twice)
 		}
 	})
 }
 
 // FuzzDecodeAppend: a receiver folds chunks into a relation whose schema it
-// chose. The reference is DecodeInto of the same bytes: DecodeAppend
-// accepts a chunk exactly when DecodeInto accepts it and its attributes are
-// the receiver's, and then appends exactly DecodeInto's rows. Whatever the
+// chose. The reference is Decode of the same bytes: DecodeAppend accepts a
+// chunk exactly when Decode accepts it and its attributes are the
+// receiver's, and then appends exactly Decode's rows. Whatever the
 // bytes it never panics, and a chunk it refuses leaves dst as it was —
 // validation comes before the first write: no column has been grown, and
 // spare capacity past dst's length still holds what it held.
@@ -295,9 +269,8 @@ func FuzzDecodeAppend(f *testing.F) {
 	f.Add(AppendEncodeRange(nil, chunked, 50, 120))
 	f.Add([]byte{codecMagic, 0, 2, 1, 'a', 1, 'b', 0xff, 0xff, 0xff, 0xff, 0x0f}) // huge count, no payload
 	const spare, sentinel = 256, Value(-0x5ca1ab1e)
-	var ref Relation
 	f.Fuzz(func(t *testing.T, buf []byte) {
-		refErr := DecodeInto(buf, &ref)
+		ref, refErr := Decode(buf)
 		accept := refErr == nil && slices.Equal(ref.Attrs, base.Attrs)
 
 		// tight must grow to take even one row; roomy takes up to spare
@@ -314,7 +287,7 @@ func FuzzDecodeAppend(f *testing.F) {
 		})
 		errRoomy := DecodeAppend(buf, roomy, nil)
 		if (errTight == nil) != accept || (errRoomy == nil) != accept {
-			t.Fatalf("DecodeInto: %v (attrs %v); DecodeAppend: %v (must grow), %v (in place)", refErr, ref.Attrs, errTight, errRoomy)
+			t.Fatalf("Decode: %v (%v); DecodeAppend: %v (must grow), %v (in place)", refErr, ref, errTight, errRoomy)
 		}
 		if !accept {
 			if grown != 0 || !tight.Equal(base) || !roomy.Equal(base) {
@@ -327,11 +300,11 @@ func FuzzDecodeAppend(f *testing.F) {
 			}
 			return
 		}
-		checkDecodedShape(t, &ref)
+		checkDecodedShape(t, ref)
 		want := base.Clone()
 		want.AppendColumns(ref.Columns())
 		if !tight.Equal(want) || !roomy.Equal(want) {
-			t.Fatalf("accepted chunk %v did not append its rows:\n%v\n%v", &ref, tight, roomy)
+			t.Fatalf("accepted chunk %v did not append its rows:\n%v\n%v", ref, tight, roomy)
 		}
 	})
 }

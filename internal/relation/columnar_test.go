@@ -119,28 +119,6 @@ func TestEncodeGoldenBytes(t *testing.T) {
 	}
 }
 
-func TestDecodeIntoReusesColumnBacking(t *testing.T) {
-	big := New("big", "a", "b")
-	for i := 0; i < 1000; i++ {
-		big.Append(Value(i), Value(i*2))
-	}
-	var scratch Relation
-	if err := DecodeInto(Encode(big), &scratch); err != nil {
-		t.Fatal(err)
-	}
-	firstBacking := &scratch.cols[0][0]
-	small := FromTuples("small", []string{"a", "b"}, [][]Value{{5, 6}})
-	if err := DecodeInto(Encode(small), &scratch); err != nil {
-		t.Fatal(err)
-	}
-	if !scratch.Equal(small) {
-		t.Fatal("second decode mismatch")
-	}
-	if &scratch.cols[0][0] != firstBacking {
-		t.Fatal("DecodeInto should reuse column backing when capacity suffices")
-	}
-}
-
 // TestRenamedAliasMutationStaysConsistent: Renamed shares column contents,
 // so after a sibling sorts in place the original reads the sorted values —
 // through Column and Tuple alike.

@@ -61,8 +61,8 @@ func NewServer(opts ServerOptions) *Server {
 // OpenShared opens a session on the server: its executions pass the
 // server's admission controller and publish into / adopt from the
 // server's shared trie store. opts.TrieStoreBytes and opts.Admission are
-// ignored (the server owns both); opts.Concurrency sizes the session's
-// own cluster pool and defaults to the server's concurrency limit.
+// ignored (the server owns both); the session's own cluster pool has one
+// cluster per the server's concurrency limit.
 func (srv *Server) OpenShared(opts Options) (*Session, error) {
 	srv.mu.Lock()
 	defer srv.mu.Unlock()

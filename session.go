@@ -42,9 +42,9 @@ type TrieStoreStats = blockcache.StoreStats
 // builds (Report.TrieBuilds == 0 on a warm run).
 //
 // A Session is safe for concurrent use and executes concurrently: it owns
-// a small pool of resident clusters (Options.Concurrency), and Exec calls
-// from many goroutines each borrow one exclusively for the duration of
-// their run. Every execution passes the session's admission controller
+// a small pool of resident clusters (one per concurrently admitted
+// execution), and Exec calls from many goroutines each borrow one
+// exclusively for the duration of their run. Every execution passes the session's admission controller
 // first — a priority queue (interactive before bulk) with a bounded
 // concurrency limiter, per-tenant budgets and load-shed watermarks — so
 // under overload requests fail fast with a typed ErrOverloaded (bulk
@@ -84,17 +84,13 @@ func Open(opts Options) (*Session, error) {
 	default:
 		store = blockcache.NewStore(opts.TrieStoreBytes)
 	}
-	acfg := opts.Admission
-	if acfg.MaxConcurrent <= 0 {
-		acfg.MaxConcurrent = opts.Concurrency // <= 0 defaults inside the controller
-	}
-	return newSession(opts, store, admission.NewController(acfg), nil), nil
+	return newSession(opts, store, admission.NewController(opts.Admission), nil), nil
 }
 
 // newSession wires the common state behind Open and Server.OpenShared:
-// the cluster pool (Options.Concurrency clusters, defaulting to the
-// controller's concurrency limit so every admitted request finds a free
-// cluster), plus the given store and admission controller.
+// the cluster pool (one cluster per the controller's concurrency limit, so
+// every admitted request finds a free cluster), plus the given store and
+// admission controller.
 func newSession(opts Options, store *blockcache.Store, ctrl *admission.Controller, srv *Server) *Session {
 	if opts.Workers <= 0 {
 		opts.Workers = 4
@@ -102,10 +98,7 @@ func newSession(opts Options, store *blockcache.Store, ctrl *admission.Controlle
 	if opts.Samples <= 0 {
 		opts.Samples = 1000
 	}
-	size := opts.Concurrency
-	if size <= 0 {
-		size = ctrl.MaxConcurrent()
-	}
+	size := ctrl.MaxConcurrent()
 	s := &Session{
 		opts:     opts,
 		pool:     make(chan *cluster.Cluster, size),

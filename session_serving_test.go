@@ -27,7 +27,7 @@ func TestSessionConcurrentExecEquivalence(t *testing.T) {
 	edges := randomEdges(t, rng, 400, 50)
 	before := runtime.NumGoroutine()
 
-	s, err := Open(Options{Workers: 3, Samples: 60, Seed: 1, Concurrency: 3})
+	s, err := Open(Options{Workers: 3, Samples: 60, Seed: 1, Admission: AdmissionConfig{MaxConcurrent: 3}})
 	if err != nil {
 		t.Fatal(err)
 	}
