@@ -10,8 +10,8 @@
 // alone (HCubeJ), ADJ's optimizer may pre-compute selected bags of a
 // generalized hypertree decomposition — trading a little communication and
 // pre-computing for a large cut in Leapfrog computation — choosing the plan
-// that minimizes the combined cost, with cardinalities estimated by a
-// distributed sampler with a Chernoff–Hoeffding guarantee.
+// that minimizes the combined cost, with cardinalities estimated by the
+// paper's sampler with a Chernoff–Hoeffding guarantee.
 //
 // # Quick start
 //

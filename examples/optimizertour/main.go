@@ -49,7 +49,7 @@ func main() {
 
 	// Stage 1 — hypergraph and GHD (§III-A, Fig. 5): bags become the only
 	// candidate pre-computed relations.
-	d, err := ghd.Decompose(q, ghd.Options{})
+	d, err := ghd.Decompose(q)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -16,9 +16,9 @@ import (
 // numbers stop adding up.
 //
 // The vocabulary is root[digits][/subphase]: roots are the pipeline's
-// stages (precompute, shuffle, join, round, optimize, sample, emit, tries,
+// stages (precompute, shuffle, join, round, optimize, emit, tries,
 // coordinator), an optional round index (round0, round1), and an optional
-// slash-separated subphase (precompute/canon, sample/reduce, join/probe).
+// slash-separated subphase (precompute/canon, join/probe).
 //
 // Checked sites (string literals only; computed names are the caller's
 // responsibility):
@@ -32,7 +32,7 @@ var PhaseVocab = &Analyzer{
 	Run:  runPhaseVocab,
 }
 
-var phaseNameRE = regexp.MustCompile(`^(precompute|shuffle|join|round|optimize|sample|emit|tries|coordinator)[0-9]*(/[A-Za-z0-9_/-]+)?$`)
+var phaseNameRE = regexp.MustCompile(`^(precompute|shuffle|join|round|optimize|emit|tries|coordinator)[0-9]*(/[A-Za-z0-9_/-]+)?$`)
 
 func runPhaseVocab(pass *Pass) error {
 	for _, file := range pass.Files {
@@ -69,7 +69,7 @@ func reportBadPhase(pass *Pass, e ast.Expr, name, site string) {
 }
 
 func phaseRoots() []string {
-	return []string{"precompute", "shuffle", "join", "round", "optimize", "sample", "emit", "tries", "coordinator"}
+	return []string{"precompute", "shuffle", "join", "round", "optimize", "emit", "tries", "coordinator"}
 }
 
 // checkOpPhaseField validates Phase: "..." fields in plan-IR Op literals.

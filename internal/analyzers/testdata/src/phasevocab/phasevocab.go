@@ -26,7 +26,6 @@ func good(c *Cluster, m *Metrics) {
 	_ = Op{Phase: "join"}
 	_ = Op{Phase: legacyPhase} // ok: named constants define vocabulary deliberately
 	m.Charge("optimize", 1)
-	m.Charge("sample/reduce", 1)
 	_ = c.Parallel("tries", nil)
 	_ = c.StreamExchange("shuffle")
 	_ = c.StreamExchange("emit")
@@ -37,6 +36,7 @@ func bad(c *Cluster, m *Metrics) {
 	m.Charge("Join", 1)           // want "outside the vocabulary"
 	_ = c.Parallel("warmup", nil) // want "outside the vocabulary"
 	_ = c.StreamExchange("x")     // want "outside the vocabulary"
+	m.Charge("sample/reduce", 1)  // want "outside the vocabulary"
 }
 
 func suppressed(m *Metrics) {

@@ -24,8 +24,6 @@ type Worker struct {
 	// the parts of its cube's one block per relation here and the join
 	// phase pulls each relation's trie, built exactly once (see blockcache).
 	Blocks *blockcache.Registry
-	// Scratch carries engine-specific per-phase state.
-	Scratch map[string]interface{}
 	// arena holds per-exchange payload allocations; reset after consume.
 	arena payloadArena
 	// values and int32s are the worker's free lists of column and row-id
@@ -49,52 +47,35 @@ var encScratch = sync.Pool{New: func() interface{} {
 	return &b
 }}
 
-// EncodeRelation serializes r with the delta codec into a pooled scratch
-// buffer and parks the payload in the worker's per-exchange arena. All
-// shuffle producers (HCube blocks, BigJoin binding rounds, binary-join
-// partitions) share this path.
-func (w *Worker) EncodeRelation(r *relation.Relation) []byte {
-	sp := encScratch.Get().(*[]byte)
-	buf := relation.AppendEncode((*sp)[:0], r)
-	payload := w.PayloadCopy(buf)
-	*sp = buf[:0]
-	encScratch.Put(sp)
-	return payload
-}
-
 // DefaultChunkRows bounds the rows per stream chunk when a producer
 // passes chunkRows <= 0: large enough to amortize framing, small enough
 // that receivers start decoding long before a big block finishes sending.
 const DefaultChunkRows = 8192
 
-// EncodeRelationChunks serializes r in row-range chunks of at most
-// chunkRows rows (<= 0 uses DefaultChunkRows), invoking fn once per chunk
-// with the arena-parked payload, the row range [lo, hi), and the chunk
-// ordinal. Each chunk is an independently decodable relation encoding; a
-// relation at or under chunkRows yields exactly one chunk, byte-identical
-// to EncodeRelation's output. Iteration stops at fn's first error.
+// EncodeRelationChunks serializes r with the delta codec in row-range
+// chunks of at most chunkRows rows (<= 0 uses DefaultChunkRows), invoking
+// fn once per chunk with the payload, the row range [lo, hi), and the chunk
+// ordinal. Each chunk is encoded into a pooled scratch buffer and parked in
+// the worker's per-exchange arena; every exchange producer (HCube blocks,
+// BigJoin binding rounds, binary-join partitions) ships through here. Each
+// chunk is an independently decodable relation encoding; a relation at or
+// under chunkRows rows (an empty one included) yields exactly one chunk,
+// byte-identical to relation.Encode's output. Iteration stops at fn's first
+// error.
 func (w *Worker) EncodeRelationChunks(r *relation.Relation, chunkRows int, fn func(payload []byte, lo, hi, chunk int) error) error {
 	if chunkRows <= 0 {
 		chunkRows = DefaultChunkRows
 	}
-	n := r.Len()
-	if n <= chunkRows {
-		return fn(w.EncodeRelation(r), 0, n, 0)
-	}
 	sp := encScratch.Get().(*[]byte)
 	defer func() { encScratch.Put(sp) }()
-	chunk := 0
-	for lo := 0; lo < n; lo += chunkRows {
-		hi := lo + chunkRows
-		if hi > n {
-			hi = n
-		}
+	n := r.Len()
+	for lo, chunk := 0, 0; chunk == 0 || lo < n; lo, chunk = lo+chunkRows, chunk+1 {
+		hi := min(lo+chunkRows, n)
 		buf := relation.AppendEncodeRange((*sp)[:0], r, lo, hi)
 		*sp = buf[:0]
 		if err := fn(w.PayloadCopy(buf), lo, hi, chunk); err != nil {
 			return err
 		}
-		chunk++
 	}
 	return nil
 }
@@ -137,9 +118,8 @@ func (a *payloadArena) reset() {
 func newWorker(id, n int) *Worker {
 	return &Worker{
 		ID: id, N: n,
-		Rels:    make(map[string]*relation.Relation),
-		Blocks:  blockcache.New(),
-		Scratch: make(map[string]interface{}),
+		Rels:   make(map[string]*relation.Relation),
+		Blocks: blockcache.New(),
 	}
 }
 
@@ -253,18 +233,17 @@ func (c *Cluster) SetPanicHook(hook func(phase string, workerID int)) {
 }
 
 // ResetRun clears all per-run worker state: payload arenas (emptied; the
-// current slab stays for the next run), block-trie registries, relation
-// fragments and scratch. A session calls it after a failed or cancelled
-// execution so no half-built registry can leak into the next run (a clean
-// run re-loads everything it needs; the session-level trie store is
-// separate state and survives, and so do the workers' free buffer lists,
-// which hold only buffers nothing references).
+// current slab stays for the next run), block-trie registries and relation
+// fragments. A session calls it after a failed or cancelled execution so no
+// half-built registry can leak into the next run (a clean run re-loads
+// everything it needs; the session-level trie store is separate state and
+// survives, and so do the workers' free buffer lists, which hold only
+// buffers nothing references).
 func (c *Cluster) ResetRun() {
 	for _, w := range c.Workers {
 		w.arena.reset()
 		w.Rels = make(map[string]*relation.Relation)
 		w.ResetCubes()
-		w.Scratch = make(map[string]interface{})
 	}
 }
 

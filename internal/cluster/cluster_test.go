@@ -33,6 +33,7 @@ func TestLoadRelationRoundRobin(t *testing.T) {
 func TestParallelChargesMaxTime(t *testing.T) {
 	c := New(Config{N: 4})
 	defer c.Close()
+	sums := make([]int, c.N)
 	err := c.Parallel("work", func(w *Worker) error {
 		// Unequal busy loops: worker 3 does ~4x the work.
 		n := 1 + w.ID
@@ -40,7 +41,7 @@ func TestParallelChargesMaxTime(t *testing.T) {
 		for i := 0; i < n*200000; i++ {
 			s += i
 		}
-		w.Scratch["s"] = s
+		sums[w.ID] = s
 		return nil
 	})
 	if err != nil {

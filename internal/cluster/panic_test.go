@@ -166,12 +166,10 @@ func TestResetRunClearsWorkerState(t *testing.T) {
 	c := New(Config{N: 2})
 	defer c.Close()
 	w := c.Workers[0]
-	w.Scratch["k"] = 1
 	w.Rels["r"] = relation.New("r", "a")
 	w.Blocks.DepositTuples(blockcache.Key{Rel: "r", Sig: 0}, []string{"a"}, relation.New("r", "a"))
 	c.ResetRun()
-	if len(w.Scratch) != 0 || len(w.Rels) != 0 || w.Blocks.Len() != 0 {
-		t.Fatalf("ResetRun left state behind: scratch=%v rels=%v blocks=%d",
-			w.Scratch, w.Rels, w.Blocks.Len())
+	if len(w.Rels) != 0 || w.Blocks.Len() != 0 {
+		t.Fatalf("ResetRun left state behind: rels=%v blocks=%d", w.Rels, w.Blocks.Len())
 	}
 }

@@ -12,7 +12,6 @@ package dataset
 import (
 	"fmt"
 	"math"
-	"sort"
 	"sync"
 
 	"adj/internal/relation"
@@ -163,23 +162,4 @@ func StatsOf(name string, r *relation.Relation) Stats {
 	}
 	s.SizeMB = float64(r.SizeBytes()) / 1e6
 	return s
-}
-
-// DegreeHistogram returns sorted (degree, count) pairs of out-degrees; the
-// generator tests use it to verify heavy tails.
-func DegreeHistogram(r *relation.Relation) [][2]int {
-	deg := make(map[relation.Value]int)
-	for _, u := range r.Column(0) {
-		deg[u]++
-	}
-	hist := make(map[int]int)
-	for _, d := range deg {
-		hist[d]++
-	}
-	var out [][2]int
-	for d, c := range hist {
-		out = append(out, [2]int{d, c})
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i][0] < out[j][0] })
-	return out
 }

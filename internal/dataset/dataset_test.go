@@ -154,14 +154,3 @@ func TestStatsOf(t *testing.T) {
 		t.Fatalf("stats=%+v", st)
 	}
 }
-
-func TestDegreeHistogram(t *testing.T) {
-	r := relation.FromTuples("g", []string{"src", "dst"}, [][]relation.Value{
-		{1, 2}, {1, 3}, {2, 3},
-	})
-	h := DegreeHistogram(r)
-	// Node 1 has out-degree 2, node 2 has 1: hist = [(1,1),(2,1)].
-	if len(h) != 2 || h[0] != [2]int{1, 1} || h[1] != [2]int{2, 1} {
-		t.Fatalf("hist=%v", h)
-	}
-}

@@ -21,22 +21,6 @@ func Zigzag(d int64) uint64 { return uint64(d<<1) ^ uint64(d>>63) }
 // Unzigzag inverts Zigzag.
 func Unzigzag(z uint64) int64 { return int64(z>>1) ^ -int64(z&1) }
 
-// WidthFor returns the byte width (0, 1, 2, 4, 8) holding maxZ.
-func WidthFor(maxZ uint64) int {
-	switch {
-	case maxZ == 0:
-		return 0
-	case maxZ < 1<<8:
-		return 1
-	case maxZ < 1<<16:
-		return 2
-	case maxZ < 1<<32:
-		return 4
-	default:
-		return 8
-	}
-}
-
 // ValidWidth reports whether w is an encodable fixed width.
 func ValidWidth(w int) bool {
 	switch w {

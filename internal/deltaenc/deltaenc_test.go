@@ -3,6 +3,7 @@ package deltaenc
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 )
 
@@ -20,24 +21,6 @@ func TestZigzagRoundtripBoundaries(t *testing.T) {
 	}
 	if Zigzag(math.MinInt64) != math.MaxUint64 {
 		t.Errorf("Zigzag(MinInt64) = %d, want MaxUint64", Zigzag(math.MinInt64))
-	}
-}
-
-func TestWidthForBoundaries(t *testing.T) {
-	cases := []struct {
-		z uint64
-		w int
-	}{
-		{0, 0},
-		{1, 1}, {255, 1},
-		{256, 2}, {65535, 2},
-		{65536, 4}, {1<<32 - 1, 4},
-		{1 << 32, 8}, {math.MaxUint64, 8},
-	}
-	for _, c := range cases {
-		if got := WidthFor(c.z); got != c.w {
-			t.Errorf("WidthFor(%d) = %d, want %d", c.z, got, c.w)
-		}
 	}
 }
 
@@ -372,5 +355,57 @@ func TestExtendReusesCapacity(t *testing.T) {
 	grown := Extend(make([]byte, 2, 4), 10)
 	if len(grown) != 12 {
 		t.Fatalf("grown len=%d", len(grown))
+	}
+}
+
+// FuzzDecodeRun: the relation codec sizes every run with RunSize before it
+// decodes any with DecodeRun, so the two must agree on every input — a run
+// RunSize passes must decode, to exactly the size it reported, and a run it
+// refuses must not decode either. Neither may panic on hostile bytes. The
+// values a run decodes to, and values derived from the raw bytes (deltas
+// of every byte width, with sparse wide outliers), must round-trip through
+// AppendRun. The checked-in corpus (testdata/fuzz/FuzzDecodeRun) holds a
+// run of every fixed width, exception runs of every base, and the corrupt
+// runs TestExceptionRunCorrupt builds.
+func FuzzDecodeRun(f *testing.F) {
+	const maxRun = 4096
+	f.Fuzz(func(t *testing.T, buf []byte, n uint16) {
+		k := int(n) % (maxRun + 1)
+		size, sizeErr := RunSize(buf, k)
+		out := make([]int64, k)
+		used, decErr := DecodeRun(buf, out)
+		if (sizeErr == nil) != (decErr == nil) {
+			t.Fatalf("n=%d: RunSize err %v, DecodeRun err %v\n in %x", k, sizeErr, decErr, buf)
+		}
+		if sizeErr == nil {
+			if size != used {
+				t.Fatalf("n=%d: RunSize %d bytes, DecodeRun consumed %d\n in %x", k, size, used, buf)
+			}
+			checkRoundtrip(t, out)
+		}
+		derived := make([]int64, min(len(buf), maxRun))
+		prev := int64(0)
+		for i := range derived {
+			b := buf[i]
+			prev += int64(int8(b)) << (8 * (b >> 5)) // b>>5 in 0..7: every width
+			derived[i] = prev
+		}
+		checkRoundtrip(t, derived)
+	})
+}
+
+// checkRoundtrip encodes vals with AppendRun and requires RunSize and
+// DecodeRun to read back exactly the run, and the values.
+func checkRoundtrip(t *testing.T, vals []int64) {
+	t.Helper()
+	enc := AppendRun(nil, vals)
+	size, err := RunSize(enc, len(vals))
+	if err != nil || size != len(enc) {
+		t.Fatalf("RunSize of an encoded run: %d, %v; want %d\n vals %v\n enc %x", size, err, len(enc), vals, enc)
+	}
+	back := make([]int64, len(vals))
+	used, err := DecodeRun(enc, back)
+	if err != nil || used != len(enc) || !slices.Equal(back, vals) {
+		t.Fatalf("round trip: used %d of %d, err %v\n vals %v\n back %v", used, len(enc), err, vals, back)
 	}
 }

@@ -7,6 +7,7 @@ import (
 	"testing/quick"
 
 	"adj/internal/cluster"
+	"adj/internal/faultinject"
 	"adj/internal/hypergraph"
 	"adj/internal/relation"
 	"adj/internal/testutil"
@@ -44,30 +45,52 @@ func TestAllEnginesTriangle(t *testing.T) {
 	}
 }
 
-// The central cross-engine property: all five engines agree with the naive
-// oracle on random queries, databases and cluster sizes.
+// The engine oracle: on random instances every engineTable row returns the
+// naive join's rows. The 25 seeds rotate over the transports — LocalTransport,
+// loopback TCPTransport, and a faultinject wrapper with no rules, which must
+// change nothing — crossed with parallel and Sequential clusters, so every
+// cell sees about four seeds. One cluster per seed serves every engine, so
+// later engines run on buffers earlier ones handed back.
 func TestEnginesAgreeProperty(t *testing.T) {
 	if testing.Short() {
 		t.Skip("short mode")
 	}
+	transports := []struct {
+		name string
+		make func(n int) (cluster.Transport, error)
+	}{
+		{"local", func(n int) (cluster.Transport, error) { return cluster.NewLocalTransport(n), nil }},
+		{"tcp", func(n int) (cluster.Transport, error) { return cluster.NewTCPTransport(n) }},
+		{"faultinject", func(n int) (cluster.Transport, error) {
+			return faultinject.Wrap(cluster.NewLocalTransport(n), 0), nil
+		}},
+	}
+	cell := 0
 	f := func(seed int64) bool {
+		tr, sequential := transports[cell%len(transports)], cell/len(transports)%2 == 1
+		cell++
 		rng := rand.New(rand.NewSource(seed))
 		q, rels := testutil.RandQueryInstance(rng, 4, 4, 25, 6)
 		n := 1 + rng.Intn(4)
-		want := int64(relation.NaiveJoin(rels, q.Attrs()).Len())
-		for _, name := range EngineNames() {
-			rep, err := Run(name, q, rels, Config{NumServers: n, Samples: 60, Seed: seed, Ctx: context.Background()})
-			if err != nil {
-				t.Logf("seed=%d n=%d %s: error %v", seed, n, name, err)
+		want := relation.NaiveJoin(rels, q.Attrs())
+		transport, err := tr.make(n)
+		if err != nil {
+			t.Fatal(err)
+		}
+		c := cluster.New(cluster.Config{N: n, Transport: transport, Sequential: sequential})
+		defer c.Close()
+		for _, e := range engineTable {
+			cfg := Config{NumServers: n, Samples: 60, Seed: seed, Ctx: context.Background(),
+				Cluster: c, Sequential: sequential, CollectOutput: true}
+			rep, err := Run(e.name, q, rels, cfg)
+			if err != nil || rep.Failed {
+				t.Logf("seed=%d n=%d %s seq=%v %s: err %v, failed %q", seed, n, tr.name, sequential, e.name, err, rep.FailReason)
 				return false
 			}
-			if rep.Failed {
-				t.Logf("seed=%d n=%d %s: failed %s", seed, n, name, rep.FailReason)
-				return false
-			}
-			if rep.Results != want {
-				t.Logf("seed=%d n=%d %s: results=%d want %d (q=%s, plan=%s)",
-					seed, n, name, rep.Results, want, q, rep.Plan)
+			got := rep.Output.ProjectMulti(q.Attrs()...).Sort()
+			if !got.Equal(want.Renamed(got.Name)) {
+				t.Logf("seed=%d n=%d %s seq=%v %s: %d rows, oracle has %d, sorted rows differ (q=%s, plan=%s)",
+					seed, n, tr.name, sequential, e.name, got.Len(), want.Len(), q, rep.Plan)
 				return false
 			}
 		}

@@ -159,10 +159,14 @@ func (p *PreparedPlan) rememberCubeRows(op int, rows []int64) {
 // the others, selectivity-driven strategy routing for Hybrid. The result
 // plugs into Config.Prepared, making Run skip its optimization phase.
 // cfg.Ctx is required and observed between samples; a context that is
-// already done fails every engine with its error.
+// already done fails every engine with its error. A query Validate refuses
+// is refused here, before any engine plans it.
 func Prepare(engineName string, q hypergraph.Query, rels []*relation.Relation, cfg Config) (*PreparedPlan, error) {
 	if cfg.Ctx == nil {
 		return nil, errNilCtx
+	}
+	if err := q.Validate(); err != nil {
+		return nil, err
 	}
 	cfg = cfg.withDefaults()
 	for _, e := range engineTable {

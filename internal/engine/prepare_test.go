@@ -2,6 +2,7 @@ package engine
 
 import (
 	"context"
+	"errors"
 	"flag"
 	"fmt"
 	"os"
@@ -12,6 +13,7 @@ import (
 	"sync/atomic"
 	"testing"
 
+	"adj/internal/cluster"
 	"adj/internal/hypergraph"
 	"adj/internal/relation"
 )
@@ -169,6 +171,45 @@ func BenchmarkPrepareADJ(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		if _, err := Prepare("ADJ", q, rels, cfg); err != nil {
 			b.Fatal(err)
+		}
+	}
+}
+
+// A query that repeats an attribute inside an atom, or names one relation
+// in two atoms, is refused by every engine before it plans: the engines
+// bind one column per attribute and key worker fragments by atom name, so
+// such a query used to come back with a wrong count from some engines and
+// a transport error (which Options.Retry re-runs) from others.
+func TestMalformedQueryRefused(t *testing.T) {
+	edges := relation.FromTuples("E", []string{"x", "y"},
+		[][]relation.Value{{1, 2}, {2, 3}, {3, 1}, {2, 4}, {4, 5}, {6, 6}})
+	db := hypergraph.Database{"E": edges, "F": edges}
+	atom := func(name string, attrs ...string) hypergraph.Atom {
+		return hypergraph.Atom{Name: name, Attrs: attrs}
+	}
+	for _, tc := range []struct {
+		q    hypergraph.Query
+		atom string // the atom the error must name
+	}{
+		{hypergraph.Query{Name: "Loop", Atoms: []hypergraph.Atom{atom("E", "a", "a")}}, "E(a,a)"},
+		{hypergraph.Query{Name: "LoopJoin", Atoms: []hypergraph.Atom{atom("E", "a", "a"), atom("F", "a", "b")}}, "E(a,a)"},
+		{hypergraph.Query{Name: "Path", Atoms: []hypergraph.Atom{atom("E", "a", "b"), atom("E", "b", "c")}}, "E(b,c)"},
+	} {
+		rels, err := tc.q.Bind(db)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, e := range engineTable {
+			rep, err := Run(e.name, tc.q, rels, smallCfg(3))
+			if err == nil {
+				t.Errorf("%s on %s: ran, results=%d; want the query refused", e.name, tc.q, rep.Results)
+				continue
+			}
+			if errors.Is(err, cluster.ErrTransport) || rep.Results != 0 ||
+				!strings.Contains(err.Error(), tc.q.Name) || !strings.Contains(err.Error(), tc.atom) {
+				t.Errorf("%s on %s: results=%d err=%v; want a validation error naming %s and %s",
+					e.name, tc.q, rep.Results, err, tc.q.Name, tc.atom)
+			}
 		}
 	}
 }

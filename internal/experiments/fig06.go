@@ -24,7 +24,7 @@ func Fig6(cfg Config) (Result, error) {
 			}
 			edges := cfg.graph(ds)
 			q, rels := bindQ(qn, edges)
-			d, err := ghd.Decompose(q, ghd.Options{})
+			d, err := ghd.Decompose(q)
 			if err != nil {
 				return res, err
 			}

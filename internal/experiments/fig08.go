@@ -41,7 +41,7 @@ func Fig8(cfg Config) (Result, error) {
 			}
 			edges := dataset.Load(ds, scale)
 			q, rels := bindQ(qn, edges)
-			d, err := ghd.Decompose(q, ghd.Options{})
+			d, err := ghd.Decompose(q)
 			if err != nil {
 				return res, err
 			}

@@ -66,22 +66,16 @@ func (d *Decomposition) String() string {
 	return sb.String()
 }
 
-// Options tunes the enumeration.
-type Options struct {
-	// MaxBagAtoms caps the number of atoms per bag (0 = no cap). The paper's
-	// bags are "as small as possible"; capping keeps pre-computed relations
-	// near-binary and bounds enumeration on large queries.
-	MaxBagAtoms int
-}
-
-// Decompose enumerates edge-partition decompositions of q's hypergraph and
-// returns one minimizing (max bag width, then sum of widths, then fewer
-// non-base bags, then more bags). It is a pure function of the query's
-// atoms, and every optimizer.New pays for it, so the enumeration works on
-// bitmasks — a vertex set is a word, and a partition that is rejected
-// (disconnected group, cyclic bag hypergraph, no better than the incumbent)
-// allocates nothing.
-func Decompose(q hypergraph.Query, opt Options) (*Decomposition, error) {
+// Decompose enumerates every partition of q's atoms into bags and returns,
+// among those whose bags are each connected and together form an acyclic
+// join tree, one minimizing (max bag width, then sum of widths, then fewer
+// non-base bags, then more bags). Bag size is not capped. It is a pure
+// function of the query's atoms, and its connectivity check is the only one
+// the planner runs. Every optimizer.New pays for it, so the enumeration
+// works on bitmasks — a vertex set is a word, and a partition that is
+// rejected (disconnected group, cyclic bag hypergraph, no better than the
+// incumbent) allocates nothing.
+func Decompose(q hypergraph.Query) (*Decomposition, error) {
 	h := q.Hypergraph()
 	m := len(h.Edges)
 	if m == 0 {
@@ -141,9 +135,6 @@ func Decompose(q hypergraph.Query, opt Options) (*Decomposition, error) {
 			groupEdges[g] |= 1 << e
 		}
 		for _, em := range groupEdges[:numGroups] {
-			if opt.MaxBagAtoms > 0 && bits.OnesCount64(em) > opt.MaxBagAtoms {
-				return
-			}
 			if !connectedEdges(edgeMask, em) {
 				return
 			}

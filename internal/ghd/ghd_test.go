@@ -14,7 +14,7 @@ func TestPaperExampleDecomposition(t *testing.T) {
 	// §III-A Example 3: Q(a,b,c,d,e) with R1(a,b,c), R2(a,d), R3(c,d),
 	// R4(b,e), R5(c,e) decomposes into bags {R1}, {R2⋈R3}, {R4⋈R5}.
 	q := hypergraph.PaperExample()
-	d, err := Decompose(q, Options{})
+	d, err := Decompose(q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -47,7 +47,7 @@ func TestPaperExampleDecomposition(t *testing.T) {
 func TestTriangleDecomposition(t *testing.T) {
 	// The triangle is cyclic: the only valid edge-partition is a single bag,
 	// with fractional cover 1.5.
-	d, err := Decompose(hypergraph.Q1(), Options{})
+	d, err := Decompose(hypergraph.Q1())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -61,7 +61,7 @@ func TestTriangleDecomposition(t *testing.T) {
 
 func TestAcyclicPathDecomposition(t *testing.T) {
 	// Q9 = path a-b-c-d is acyclic: singleton bags, width 1.
-	d, err := Decompose(hypergraph.Q9(), Options{})
+	d, err := Decompose(hypergraph.Q9())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -79,7 +79,7 @@ func TestDecompositionInvariants(t *testing.T) {
 	for _, q := range hypergraph.AllQueries() {
 		q := q
 		t.Run(q.Name, func(t *testing.T) {
-			d, err := Decompose(q, Options{})
+			d, err := Decompose(q)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -216,7 +216,7 @@ func TestK5Cover(t *testing.T) {
 
 func TestTraversalOrders(t *testing.T) {
 	q := hypergraph.PaperExample()
-	d, err := Decompose(q, Options{})
+	d, err := Decompose(q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -237,7 +237,7 @@ func TestTraversalOrders(t *testing.T) {
 
 func TestValidAttrOrders(t *testing.T) {
 	q := hypergraph.PaperExample()
-	d, err := Decompose(q, Options{})
+	d, err := Decompose(q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -267,7 +267,7 @@ func TestValidAttrOrders(t *testing.T) {
 }
 
 func TestSingleBagAllOrdersValid(t *testing.T) {
-	d, err := Decompose(hypergraph.Q1(), Options{})
+	d, err := Decompose(hypergraph.Q1())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -275,34 +275,5 @@ func TestSingleBagAllOrdersValid(t *testing.T) {
 	all := AllAttrOrders(hypergraph.Q1().Attrs())
 	if len(valid) != len(all) {
 		t.Fatalf("single bag: valid=%d all=%d should match", len(valid), len(all))
-	}
-}
-
-func TestMaxBagAtomsCap(t *testing.T) {
-	q := hypergraph.Q6()
-	d, err := Decompose(q, Options{MaxBagAtoms: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, b := range d.Bags {
-		if len(b.Atoms) > 3 {
-			t.Fatalf("bag %v exceeds cap", b.Atoms)
-		}
-	}
-}
-
-func TestBagOfAttr(t *testing.T) {
-	q := hypergraph.PaperExample()
-	d, _ := Decompose(q, Options{})
-	orders := d.TraversalOrders()
-	for _, o := range orders {
-		groups := d.NewAttrsAt(o)
-		for i, grp := range groups {
-			for _, a := range grp {
-				if got := d.BagOfAttr(o, a); got != i {
-					t.Fatalf("BagOfAttr(%v,%s)=%d want %d", o, a, got, i)
-				}
-			}
-		}
 	}
 }

@@ -148,18 +148,3 @@ func perms(items []string, fn func([]string)) {
 	}
 	rec(0)
 }
-
-// BagOfAttr returns, for a traversal order, the index i of the first bag in
-// the order whose vertex set introduces attribute a (i.e. the traversed
-// node that Leapfrog is "extending" when it binds a).
-func (d *Decomposition) BagOfAttr(order []int, a string) int {
-	groups := d.NewAttrsAt(order)
-	for i, grp := range groups {
-		for _, v := range grp {
-			if v == a {
-				return i
-			}
-		}
-	}
-	return -1
-}

@@ -37,11 +37,6 @@ func AllQueries() []Query {
 	return []Query{Q1(), Q2(), Q3(), Q4(), Q5(), Q6(), Q7(), Q8(), Q9(), Q10(), Q11()}
 }
 
-// HardQueries returns Q1..Q6, the ones §VII evaluates in detail.
-func HardQueries() []Query {
-	return []Query{Q1(), Q2(), Q3(), Q4(), Q5(), Q6()}
-}
-
 // Q1 is the triangle query.
 func Q1() Query {
 	return q("Q1",

@@ -5,7 +5,7 @@ package hypergraph
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 	"strings"
 
 	"adj/internal/relation"
@@ -42,18 +42,24 @@ func (q Query) Attrs() []string {
 	return out
 }
 
-// AtomsWith returns the indexes of atoms whose schema contains attribute v.
-func (q Query) AtomsWith(v string) []int {
-	var out []int
-	for i, a := range q.Atoms {
-		for _, x := range a.Attrs {
-			if x == v {
-				out = append(out, i)
-				break
+// Validate rejects a query no engine can answer: an atom that repeats an
+// attribute (E(a,a)), or two atoms with the same relation name. Engines key
+// worker fragments by atom name and bind one column per attribute, so both
+// shapes would be misread rather than refused.
+func (q Query) Validate() error {
+	seen := make(map[string]Atom, len(q.Atoms))
+	for _, a := range q.Atoms {
+		for i, v := range a.Attrs {
+			if slices.Contains(a.Attrs[:i], v) {
+				return fmt.Errorf("query %s: atom %s repeats attribute %q", q.Name, a, v)
 			}
 		}
+		if prev, ok := seen[a.Name]; ok {
+			return fmt.Errorf("query %s: atoms %s and %s share the relation name %q", q.Name, prev, a, a.Name)
+		}
+		seen[a.Name] = a
 	}
-	return out
+	return nil
 }
 
 // String renders the query in the paper's notation.
@@ -78,77 +84,6 @@ func (q Query) Hypergraph() *Hypergraph {
 type Hypergraph struct {
 	Vertices []string
 	Edges    [][]string
-}
-
-// EdgesWith returns the indexes of hyperedges containing vertex v.
-func (h *Hypergraph) EdgesWith(v string) []int {
-	var out []int
-	for i, e := range h.Edges {
-		for _, x := range e {
-			if x == v {
-				out = append(out, i)
-				break
-			}
-		}
-	}
-	return out
-}
-
-// ConnectedEdges reports whether the sub-hypergraph induced by the edge
-// index set is connected (shares vertices transitively). Single edges and
-// empty sets are connected by convention.
-func (h *Hypergraph) ConnectedEdges(edgeIdx []int) bool {
-	if len(edgeIdx) <= 1 {
-		return true
-	}
-	visited := make(map[int]bool, len(edgeIdx))
-	inSet := make(map[int]bool, len(edgeIdx))
-	for _, i := range edgeIdx {
-		inSet[i] = true
-	}
-	stack := []int{edgeIdx[0]}
-	visited[edgeIdx[0]] = true
-	for len(stack) > 0 {
-		cur := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		for _, other := range edgeIdx {
-			if visited[other] {
-				continue
-			}
-			if shareVertex(h.Edges[cur], h.Edges[other]) {
-				visited[other] = true
-				stack = append(stack, other)
-			}
-		}
-	}
-	return len(visited) == len(edgeIdx)
-}
-
-func shareVertex(a, b []string) bool {
-	for _, x := range a {
-		for _, y := range b {
-			if x == y {
-				return true
-			}
-		}
-	}
-	return false
-}
-
-// VerticesOf returns the sorted union of vertices in the given edges.
-func (h *Hypergraph) VerticesOf(edgeIdx []int) []string {
-	seen := make(map[string]bool)
-	var out []string
-	for _, i := range edgeIdx {
-		for _, v := range h.Edges[i] {
-			if !seen[v] {
-				seen[v] = true
-				out = append(out, v)
-			}
-		}
-	}
-	sort.Strings(out)
-	return out
 }
 
 // Database maps atom names to base relations.

@@ -28,9 +28,6 @@ func TestCatalogComplete(t *testing.T) {
 	if len(AllQueries()) != 11 {
 		t.Fatalf("AllQueries=%d", len(AllQueries()))
 	}
-	if len(HardQueries()) != 6 {
-		t.Fatalf("HardQueries=%d", len(HardQueries()))
-	}
 }
 
 func TestGetUnknownPanics(t *testing.T) {
@@ -56,37 +53,6 @@ func TestQueryShapes(t *testing.T) {
 	// Each of Q4..Q6 adds one chord.
 	if len(Q5().Atoms) != len(Q4().Atoms)+1 || len(Q6().Atoms) != len(Q5().Atoms)+1 {
 		t.Fatal("Q4/Q5/Q6 chord progression broken")
-	}
-}
-
-func TestHypergraphEdgesWith(t *testing.T) {
-	h := Q1().Hypergraph()
-	if got := h.EdgesWith("a"); !reflect.DeepEqual(got, []int{0, 2}) {
-		t.Fatalf("edges with a: %v", got)
-	}
-	if got := h.EdgesWith("zz"); got != nil {
-		t.Fatalf("edges with zz: %v", got)
-	}
-}
-
-func TestConnectedEdges(t *testing.T) {
-	h := Q9().Hypergraph() // path a-b-c-d
-	if !h.ConnectedEdges([]int{0, 1, 2}) {
-		t.Fatal("full path should be connected")
-	}
-	if h.ConnectedEdges([]int{0, 2}) {
-		t.Fatal("R1(a,b) and R3(c,d) share no vertex")
-	}
-	if !h.ConnectedEdges([]int{1}) || !h.ConnectedEdges(nil) {
-		t.Fatal("singletons and empty are connected by convention")
-	}
-}
-
-func TestVerticesOf(t *testing.T) {
-	h := Q1().Hypergraph()
-	got := h.VerticesOf([]int{0, 1})
-	if !reflect.DeepEqual(got, []string{"a", "b", "c"}) {
-		t.Fatalf("vertices=%v", got)
 	}
 }
 
@@ -166,6 +132,7 @@ func TestParseQueryErrors(t *testing.T) {
 		"",
 		"R1",
 		"R1(a,b) R1(b,c)", // duplicate name
+		"R1(a,a)",         // repeated attribute
 		"R1(a,",
 		"(a,b)",
 	} {
@@ -184,12 +151,5 @@ func TestParseRoundtripCatalog(t *testing.T) {
 		if back.Name != q.Name || len(back.Atoms) != len(q.Atoms) {
 			t.Fatalf("%s roundtrip mismatch", q.Name)
 		}
-	}
-}
-
-func TestAtomsWith(t *testing.T) {
-	q := Q1()
-	if got := q.AtomsWith("b"); !reflect.DeepEqual(got, []int{0, 1}) {
-		t.Fatalf("atoms with b: %v", got)
 	}
 }

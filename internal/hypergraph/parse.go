@@ -78,13 +78,8 @@ func ParseQuery(input string) (Query, error) {
 	if len(q.Atoms) == 0 {
 		return Query{}, fmt.Errorf("parse query: no atoms in %q", input)
 	}
-	// Reject duplicate atom names: engines key worker fragments by name.
-	seen := make(map[string]bool)
-	for _, a := range q.Atoms {
-		if seen[a.Name] {
-			return Query{}, fmt.Errorf("parse query: duplicate relation name %q", a.Name)
-		}
-		seen[a.Name] = true
+	if err := q.Validate(); err != nil {
+		return Query{}, fmt.Errorf("parse query: %w", err)
 	}
 	return q, nil
 }

@@ -21,8 +21,6 @@ type Options struct {
 	// scale, scaled instances need fewer).
 	Samples int
 	Seed    int64
-	// GHDMaxBagAtoms caps bag size during decomposition (0 = none).
-	GHDMaxBagAtoms int
 	// Cancel, when non-nil, is threaded into every sampling run — whose
 	// shards poll it from several goroutines — so a cancelled context
 	// aborts planning promptly (estimates truncated by cancellation are
@@ -62,7 +60,7 @@ func New(q hypergraph.Query, rels []*relation.Relation, opts Options) (*Optimize
 	if opts.Params.NumServers <= 0 {
 		opts.Params.NumServers = 1
 	}
-	d, err := ghd.Decompose(q, ghd.Options{MaxBagAtoms: opts.GHDMaxBagAtoms})
+	d, err := ghd.Decompose(q)
 	if err != nil {
 		return nil, err
 	}

@@ -6,9 +6,9 @@ import (
 )
 
 // Index groups the rows of a set of key columns by key. It is the one
-// lookup structure under HashJoin, Semijoin, SemijoinValues and BigJoin's
-// propose round: build it over one side's key columns, then ask which
-// group a row of the other side falls in and read that group's rows.
+// lookup structure under HashJoin, Semijoin and BigJoin's propose round:
+// build it over one side's key columns, then ask which group a row of the
+// other side falls in and read that group's rows.
 //
 // Layout (CSR, four int32 slices, nothing allocated per row or per key):
 // the distinct keys sit in a power-of-two open-addressing table (slots,

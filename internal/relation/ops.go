@@ -46,26 +46,6 @@ func (r *Relation) gather(name string, rows []int32) *Relation {
 	return FromColumns(name, r.Attrs, gatherCols(r.cols, rows))
 }
 
-// filterColumn returns the tuples whose attribute a satisfies keep.
-func (r *Relation) filterColumn(op, a string, keep func(Value) bool) *Relation {
-	c := r.AttrIndex(a)
-	if c < 0 {
-		panic(fmt.Sprintf("relation %q: %s on missing attribute %q", r.Name, op, a))
-	}
-	var kept []int32
-	for i, v := range r.cols[c] {
-		if keep(v) {
-			kept = append(kept, int32(i))
-		}
-	}
-	return r.gather(r.Name+"_filt", kept)
-}
-
-// Select returns tuples whose attribute a equals v.
-func (r *Relation) Select(a string, v Value) *Relation {
-	return r.filterColumn("select", a, func(x Value) bool { return x == v })
-}
-
 // Distinct returns the sorted set of values of attribute a.
 func (r *Relation) Distinct(a string) []Value {
 	c := r.AttrIndex(a)
@@ -93,15 +73,9 @@ func (r *Relation) keyCols(op string, attrs []string) [][]Value {
 
 // Semijoin returns the tuples of r that join with at least one tuple of s on
 // the shared attributes `on` (which must exist in both schemas), in r's row
-// order. This is the database-reduction step of the distributed sampler
-// (§IV of the paper) and BigJoin's verify filter.
+// order. This is BigJoin's verify filter.
 func (r *Relation) Semijoin(s *Relation, on []string) *Relation {
 	return r.keepIndexed(r.Name, r.keyCols("semijoin", on), NewIndex(s.keyCols("semijoin", on), s.Len()))
-}
-
-// SemijoinValues keeps tuples whose attribute a takes a value in vals.
-func (r *Relation) SemijoinValues(a string, vals []Value) *Relation {
-	return r.keepIndexed(r.Name+"_filt", r.keyCols("semijoinValues", []string{a}), NewIndex([][]Value{vals}, len(vals)))
 }
 
 // keepIndexed returns, under the given name, the rows of r whose key (r's
@@ -222,17 +196,4 @@ func hashJoin(r, s *Relation, limit int) *Relation {
 		out.cols[j] = col
 	}
 	return out
-}
-
-// JoinAll left-folds HashJoin over rels; with set-semantics inputs the
-// result equals the natural join of all of them.
-func JoinAll(rels []*Relation) *Relation {
-	if len(rels) == 0 {
-		return New("empty")
-	}
-	acc := rels[0]
-	for _, r := range rels[1:] {
-		acc = HashJoin(acc, r)
-	}
-	return acc
 }

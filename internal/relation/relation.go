@@ -8,8 +8,8 @@
 // untouched, matching the immutable dataflow style of the distributed
 // runtime (package cluster).
 //
-// Every key lookup — HashJoin, Semijoin, SemijoinValues, and BigJoin's
-// propose round in package engine — goes through one structure, Index: the
+// Every key lookup — HashJoin, Semijoin and BigJoin's propose round in
+// package engine — goes through one structure, Index: the
 // rows of some key columns grouped by key, integer keys compared as
 // integers, each key's rows one contiguous run. Its consumers count their
 // output from the runs before they allocate it, so an output limit is

@@ -1,10 +1,13 @@
-// Package sampling implements the paper's distributed sampling cardinality
-// estimator (§IV). The estimate of |T| decomposes over the first attribute
-// A of the join order: |T| = |val(A)| · E[|T_{A=a}|] for a uniform over
-// val(A), where val(A) is the intersection of the A-projections of every
-// relation containing A. Each sampled a is evaluated with a constrained
-// Leapfrog (first attribute fixed), and the Chernoff–Hoeffding bound gives
-// the (p, δ) guarantee of Lemma 2.
+// Package sampling implements the paper's sampling cardinality estimator
+// (§IV). The estimate of |T| decomposes over the first attribute A of the
+// join order: |T| = |val(A)| · E[|T_{A=a}|] for a uniform over val(A),
+// where val(A) is the intersection of the A-projections of every relation
+// containing A. Each sampled a is evaluated with a constrained Leapfrog
+// (first attribute fixed), and the Chernoff–Hoeffding bound gives the
+// (p, δ) guarantee of Lemma 2. The planner runs it once, on the
+// coordinator's cores over the whole database (Index.Estimate), rather
+// than as the paper's distributed pass over a reduced database: the
+// samples are split across cores instead of servers.
 package sampling
 
 import (
@@ -208,11 +211,11 @@ func (ix *Index) Estimate(rels []*relation.Relation, order []string, cfg Config)
 		// Every sample binds level 0 once and descends no further, so the
 		// tallies are known without drawing a sample: |val(A)| and k
 		// bindings visited, no extension work.
-		est.absorb(Accum{LevelSums: []int64{int64(cfg.Samples)}, Samples: cfg.Samples}, len(vals), cfg.Samples)
+		est.absorb(accum{LevelSums: []int64{int64(cfg.Samples)}, Samples: cfg.Samples}, len(vals), cfg.Samples)
 		est.Seconds = time.Since(t0).Seconds()
 		return est, nil
 	}
-	acc, err := countSamples(tries, order, drawSamples(vals, cfg), cfg, shardsFor(cfg.Samples))
+	acc, err := countSamples(tries, order, drawSamples(vals, cfg), cfg)
 	if err != nil {
 		return Estimate{}, err
 	}
@@ -232,9 +235,9 @@ func drawSamples(vals []relation.Value, cfg Config) []relation.Value {
 	return samples
 }
 
-// Accum is the raw per-level tally of a batch of samples; shards and the
-// distributed sampler's workers sum Accums before scaling.
-type Accum struct {
+// accum is the raw per-level tally of a batch of samples; countSamples sums
+// its shards' accums before absorb scales them.
+type accum struct {
 	LevelSums []int64
 	WorkOps   int64
 	Samples   int
@@ -242,8 +245,8 @@ type Accum struct {
 	Truncated bool
 }
 
-// Add merges another accumulator.
-func (a *Accum) Add(b Accum) {
+// add merges another accumulator.
+func (a *accum) add(b accum) {
 	if a.LevelSums == nil {
 		a.LevelSums = make([]int64, len(b.LevelSums))
 	}
@@ -267,23 +270,21 @@ func shardsFor(samples int) int {
 
 // countSamples evaluates the constrained count of every sample and tallies
 // per-level binding counts, honouring cfg's PerSampleBudget, MaxDepth and
-// Cancel. Up to shards goroutines, each with its own Extender, claim the
-// samples a chunk at a time; the caller's goroutine is one of them, so it
-// waits for a helper only while that helper is inside a chunk — a helper the
-// scheduler never gets to costs nothing, which keeps an estimate's wall time
-// steady when the machine has fewer free cores than GOMAXPROCS. A sample's
-// tally does not depend on who evaluates it and the tallies are integers, so
-// the sum is the same for any shard count and any claim order. Both the
-// local sampler (a shard per core) and the distributed one (every worker is
-// already a shard) count through here.
-func countSamples(tries []*trie.Trie, order []string, samples []relation.Value, cfg Config, shards int) (Accum, error) {
+// Cancel. Up to shardsFor(len(samples)) goroutines, each with its own
+// Extender, claim the samples a chunk at a time; the caller's goroutine is
+// one of them, so it waits for a helper only while that helper is inside a
+// chunk — a helper the scheduler never gets to costs nothing, which keeps an
+// estimate's wall time steady when the machine has fewer free cores than
+// GOMAXPROCS. A sample's tally does not depend on who evaluates it and the
+// tallies are integers, so the sum is the same for any shard count and any
+// claim order.
+func countSamples(tries []*trie.Trie, order []string, samples []relation.Value, cfg Config) (accum, error) {
 	chunks := (len(samples) + chunkSamples - 1) / chunkSamples
-	shards = max(1, min(shards, chunks))
-	counters := make([]*counter, shards)
+	counters := make([]*counter, shardsFor(len(samples)))
 	for i := range counters {
 		ext, err := leapfrog.NewExtender(tries, order)
 		if err != nil {
-			return Accum{}, err
+			return accum{}, err
 		}
 		counters[i] = newCounter(ext, len(order), cfg)
 	}
@@ -306,9 +307,9 @@ func countSamples(tries []*trie.Trie, order []string, samples []relation.Value, 
 	}
 	claim(counters[0])
 	wg.Wait()
-	var total Accum
+	var total accum
 	for _, c := range counters {
-		total.Add(c.acc)
+		total.add(c.acc)
 	}
 	return total, nil
 }
@@ -322,7 +323,7 @@ type counter struct {
 	budget  int64
 	cancel  func() bool
 	binding []relation.Value
-	acc     Accum
+	acc     accum
 	work    int64 // extension work of the sample being evaluated
 }
 
@@ -334,7 +335,7 @@ func newCounter(ext *leapfrog.Extender, n int, cfg Config) *counter {
 	return &counter{
 		ext: ext, n: n, depth: depth, budget: cfg.PerSampleBudget, cancel: cfg.Cancel,
 		binding: make([]relation.Value, n),
-		acc:     Accum{LevelSums: make([]int64, n)},
+		acc:     accum{LevelSums: make([]int64, n)},
 	}
 }
 
@@ -362,7 +363,7 @@ func (c *counter) run(samples []relation.Value) bool {
 
 // absorb scales a raw accumulator into the estimate: |T_i| ≈ |val(A)| ×
 // mean per-sample count at level i.
-func (e *Estimate) absorb(acc Accum, valA, k int) {
+func (e *Estimate) absorb(acc accum, valA, k int) {
 	n := float64(valA)
 	kk := float64(k)
 	for i := range acc.LevelSums {

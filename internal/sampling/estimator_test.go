@@ -6,7 +6,6 @@ import (
 	"reflect"
 	"testing"
 
-	"adj/internal/cluster"
 	"adj/internal/hypergraph"
 	"adj/internal/leapfrog"
 	"adj/internal/relation"
@@ -117,102 +116,16 @@ func TestEstimateDeterministic(t *testing.T) {
 	_ = c // different seed may differ; just ensure it runs
 }
 
-func TestDistributedMatchesSequential(t *testing.T) {
-	// Same seed and sample count: the distributed sampler computes the same
-	// val(A), draws the same samples, and must produce the identical
-	// estimate (the work is split, not re-randomized) — at full depth and
-	// under a depth bound, which both samplers honour through the one
-	// evaluator.
-	rng := rand.New(rand.NewSource(8))
-	edges := testutil.RandEdges(rng, "E", 500, 25)
-	q := hypergraph.Q1()
-	rels := q.BindGraph(edges)
-	order := q.Attrs()
-	relAttrs := make(map[string][]string)
-	for _, r := range rels {
-		relAttrs[r.Name] = r.Attrs
-	}
-	for _, cfg := range []Config{{Samples: 800, Seed: 11}, {Samples: 800, Seed: 11, MaxDepth: 2}} {
-		seq, err := EstimateCardinality(rels, order, cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if cfg.MaxDepth == 2 && (seq.LevelCounts[1] == 0 || seq.LevelCounts[2] != 0) {
-			t.Fatalf("depth-2 estimate counted levels %v", seq.LevelCounts)
-		}
-		for _, n := range []int{1, 3, 5} {
-			c := cluster.New(cluster.Config{N: n})
-			c.LoadDatabase(rels)
-			dist, err := DistributedEstimate(c, relAttrs, order, cfg)
-			c.Close()
-			if err != nil {
-				t.Fatal(err)
-			}
-			if dist.ValA != seq.ValA {
-				t.Fatalf("n=%d: valA %d vs %d", n, dist.ValA, seq.ValA)
-			}
-			if !reflect.DeepEqual(dist.LevelCounts, seq.LevelCounts) || !reflect.DeepEqual(dist.LevelOps, seq.LevelOps) {
-				t.Fatalf("n=%d depth=%d: distributed levels %v %v vs sequential %v %v",
-					n, cfg.MaxDepth, dist.LevelCounts, dist.LevelOps, seq.LevelCounts, seq.LevelOps)
-			}
-		}
-	}
-
-	// A cancel that has already fired stops every worker before its first
-	// sample.
-	c := cluster.New(cluster.Config{N: 3})
-	defer c.Close()
-	c.LoadDatabase(rels)
-	dist, err := DistributedEstimate(c, relAttrs, order, Config{Samples: 800, Seed: 11, Cancel: func() bool { return true }})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if dist.LevelOps[0] != 0 || dist.WorkOps != 0 {
-		t.Fatalf("cancelled distributed estimate still evaluated samples: ops %v work %d", dist.LevelOps, dist.WorkOps)
-	}
-}
-
-func TestDistributedReducesShuffledTuples(t *testing.T) {
-	// The §IV point: semijoin reduction ships less than the raw database
-	// when samples cover few val(A) values.
-	rng := rand.New(rand.NewSource(9))
-	edges := testutil.RandEdges(rng, "E", 4000, 500)
-	q := hypergraph.Q1()
-	rels := q.BindGraph(edges)
-	order := q.Attrs()
-	relAttrs := make(map[string][]string)
-	for _, r := range rels {
-		relAttrs[r.Name] = r.Attrs
-	}
-	c := cluster.New(cluster.Config{N: 4})
-	defer c.Close()
-	c.LoadDatabase(rels)
-	_, err := DistributedEstimate(c, relAttrs, order, Config{Samples: 5, Seed: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var reduceTuples int64
-	for _, e := range c.Metrics.Entries() {
-		if e.Phase == "sample/reduce" {
-			reduceTuples += e.TuplesSent
-		}
-	}
-	fullBroadcast := int64(3*edges.Len()) * int64(c.N)
-	if reduceTuples >= fullBroadcast {
-		t.Fatalf("reduction shipped %d tuples, full broadcast is %d", reduceTuples, fullBroadcast)
-	}
-}
-
 func TestAccumAdd(t *testing.T) {
-	a := Accum{LevelSums: []int64{1, 2}, WorkOps: 5, Samples: 1}
-	var b Accum
-	b.Add(a)
-	b.Add(a)
+	a := accum{LevelSums: []int64{1, 2}, WorkOps: 5, Samples: 1}
+	var b accum
+	b.add(a)
+	b.add(a)
 	if b.LevelSums[1] != 4 || b.WorkOps != 10 || b.Samples != 2 || b.Truncated {
 		t.Fatalf("accum=%+v", b)
 	}
-	b.Add(Accum{LevelSums: []int64{0, 0}, Truncated: true})
-	b.Add(a)
+	b.add(accum{LevelSums: []int64{0, 0}, Truncated: true})
+	b.add(a)
 	if !b.Truncated {
 		t.Fatalf("a truncated shard left the sum untruncated: %+v", b)
 	}
