@@ -13,16 +13,26 @@ import (
 // extensions per level, and CachedJoin (HCubeJ+Cache) computes a level on
 // a cache miss with it. BigJoin does not: it extends its distributed bindings
 // through relation.Index.
+//
+// A binding re-enters every relation at its root, so every seek the
+// extender makes in a trie's whole first level — finding a bound value, or
+// chasing a rival list's key while intersecting — starts at the value's
+// bucket in the trie's root Directory, as the joiner's seekRoot does, rather
+// than galloping in from the start. Deeper levels are one parent's children
+// and gallop. The positions found, and so the values and the one work unit
+// each seek counts, do not depend on where a seek starts.
 type Extender struct {
 	order []string
 	pos   map[string]int
 	// rels[d] lists, for each depth, the tries of relations containing
 	// order[d], with the positions (in the global order) of their attributes.
 	rels [][]extRel
-	// lists/cursors/runBuf are Extend and DrainLeaf scratch (an Extender
-	// serves one join at a time; it is not safe for concurrent use — the
-	// sharded sampler gives every shard its own).
+	// lists/dirs/cursors/runBuf are Extend and DrainLeaf scratch (an
+	// Extender serves one join at a time; it is not safe for concurrent use
+	// — the sharded sampler gives every shard its own). dirs[i] is
+	// lists[i]'s root directory when lists[i] is a whole first level.
 	lists   [][]Value
+	dirs    []*trie.Directory
 	cursors []int
 	runBuf  []Value
 	// inter[d] is depth d's intersection buffer: the values Extend(·, d)
@@ -32,6 +42,8 @@ type Extender struct {
 
 type extRel struct {
 	t *trie.Trie
+	// root is the trie's root directory (nil when it has none).
+	root *trie.Directory
 	// attrPos are the global-order positions of the trie's attributes.
 	attrPos []int
 }
@@ -57,7 +69,7 @@ func NewExtender(tries []*trie.Trie, order []string) (*Extender, error) {
 		if !sort.IntsAreSorted(ap) {
 			return nil, fmt.Errorf("extender: trie attrs %v not sorted by order", t.Attrs)
 		}
-		er := extRel{t: t, attrPos: ap}
+		er := extRel{t: t, root: t.RootDirectory(), attrPos: ap}
 		for _, p := range ap {
 			e.rels[p] = append(e.rels[p], er)
 		}
@@ -76,19 +88,8 @@ func NewExtender(tries []*trie.Trie, order []string) (*Extender, error) {
 // range over it while extending deeper levels, and a caller that retains
 // it past that copies it. Steady state allocates nothing.
 func (e *Extender) Extend(binding []Value, d int) ([]Value, int64) {
-	lists := e.lists[:0]
-	var work int64
-	for _, er := range e.rels[d] {
-		vals, w := er.candidates(binding, d)
-		work += w
-		if vals == nil {
-			e.lists = lists[:0]
-			return nil, work
-		}
-		lists = append(lists, vals)
-	}
-	e.lists = lists // keep grown scratch
-	if len(lists) == 0 {
+	lists, dirs, work := e.gather(binding, d)
+	if lists == nil {
 		return nil, work
 	}
 	// Intersect smallest-first. The stable insertion sort fixes the order of
@@ -97,13 +98,14 @@ func (e *Extender) Extend(binding []Value, d int) ([]Value, int64) {
 	for i := 1; i < len(lists); i++ {
 		for j := i; j > 0 && len(lists[j]) < len(lists[j-1]); j-- {
 			lists[j], lists[j-1] = lists[j-1], lists[j]
+			dirs[j], dirs[j-1] = dirs[j-1], dirs[j]
 		}
 	}
 	acc := lists[0]
-	for _, l := range lists[1:] {
+	for i, l := range lists[1:] {
 		// The first round reads trie storage and fills the buffer; later
 		// rounds filter the buffer in place (writes trail reads).
-		acc = intersectInto(e.inter[d][:0], acc, l)
+		acc = intersectInto(e.inter[d][:0], acc, l, dirs[i+1])
 		e.inter[d] = acc
 		work += int64(len(acc))
 		if len(acc) == 0 {
@@ -119,15 +121,40 @@ func (e *Extender) Extend(binding []Value, d int) ([]Value, int64) {
 // shorter.
 const gallopRatio = 8
 
+// gather collects the candidate lists of every relation containing
+// order[d] into the extender's scratch, with their root directories, and
+// the seek work spent finding them. It returns nil lists, having stopped at
+// the first, when some relation offers no candidate (its bound prefix is
+// absent, or its trie is empty), or when no relation contains order[d].
+func (e *Extender) gather(binding []Value, d int) ([][]Value, []*trie.Directory, int64) {
+	lists, dirs := e.lists[:0], e.dirs[:0]
+	var work int64
+	for _, er := range e.rels[d] {
+		vals, dir, w := er.candidates(binding, d)
+		work += w
+		if len(vals) == 0 {
+			e.lists, e.dirs = lists[:0], dirs[:0]
+			return nil, nil, work
+		}
+		lists, dirs = append(lists, vals), append(dirs, dir)
+	}
+	e.lists, e.dirs = lists, dirs // keep grown scratch
+	if len(lists) == 0 {
+		return nil, nil, work
+	}
+	return lists, dirs, work
+}
+
 // intersectInto appends the intersection of two ascending slices (a no
-// longer than b) to dst and returns it. dst may be a[:0]: an element is
-// written only after it, and everything before it, has been read.
-func intersectInto(dst, a, b []Value) []Value {
+// longer than b) to dst and returns it; bdir is b's root directory when b is
+// a whole first level. dst may be a[:0]: an element is written only after
+// it, and everything before it, has been read.
+func intersectInto(dst, a, b []Value, bdir *trie.Directory) []Value {
 	if len(b) > gallopRatio*len(a) {
 		j := 0
 		for _, v := range a {
 			if b[j] < v {
-				if j = seekSlice(b, j, v); j == len(b) {
+				if j = seekRoot(b, j, v, bdir); j == len(b) {
 					break
 				}
 			}
@@ -157,30 +184,46 @@ func intersectInto(dst, a, b []Value) []Value {
 }
 
 // candidates walks er's trie down the bound prefix and returns the child
-// values at the level corresponding to global attribute d. Returns nil when
-// the bound prefix is absent from the relation (no extension possible), and
-// an empty non-nil slice for "present but no children" (cannot happen in a
-// static trie, kept for clarity).
-func (er extRel) candidates(binding []Value, d int) ([]Value, int64) {
+// values at the level corresponding to global attribute d, with the trie's
+// root directory when they are its whole first level (nil otherwise).
+// Each bound level costs one seek, one work unit: through the root
+// directory at level 0, a gallop over the parent's children below. Returns
+// nil when the bound prefix is absent from the relation (no extension
+// possible).
+func (er extRel) candidates(binding []Value, d int) ([]Value, *trie.Directory, int64) {
 	var node int32 // node position at current level
 	var work int64
 	level := -1 // trie level of the last matched attribute
 	for i, p := range er.attrPos {
+		vals := er.childValues(i, level, node)
 		if p == d {
 			// All earlier trie levels are bound (trie attrs sorted by global
 			// order and relations containing d must have their earlier attrs
 			// among the bound prefix).
-			return er.childValues(i, level, node), work
+			if i == 0 {
+				return vals, er.root, work
+			}
+			return vals, nil, work
 		}
 		if p > d {
 			break
 		}
-		// Attribute p is bound: descend by binary search.
-		vals := er.childValues(i, level, node)
-		idx := sort.Search(len(vals), func(k int) bool { return vals[k] >= binding[p] })
+		// Attribute p is bound: seek it.
+		v := binding[p]
 		work++
-		if idx == len(vals) || vals[idx] != binding[p] {
-			return nil, work
+		if len(vals) == 0 || vals[len(vals)-1] < v {
+			return nil, nil, work
+		}
+		var idx int
+		if vals[0] < v {
+			var dir *trie.Directory
+			if i == 0 {
+				dir = er.root
+			}
+			idx = seekRoot(vals, 0, v, dir)
+		}
+		if vals[idx] != v {
+			return nil, nil, work
 		}
 		l := er.t.Levels[i]
 		var base int32
@@ -193,7 +236,7 @@ func (er extRel) candidates(binding []Value, d int) ([]Value, int64) {
 		level = i
 	}
 	// d not an attribute of this relation (callers prevent this).
-	return nil, work
+	return nil, nil, work
 }
 
 // childValues returns the children at trie level i under the node reached
@@ -219,19 +262,8 @@ func (er extRel) childValues(i, level int, node int32) []Value {
 // Counts are identical with and without a sink. Returns the number of
 // values matched and the seek work performed.
 func (e *Extender) DrainLeaf(binding []Value, d int, limit int64, sink Sink) (int64, int64) {
-	lists := e.lists[:0]
-	var work int64
-	for _, er := range e.rels[d] {
-		vals, w := er.candidates(binding, d)
-		work += w
-		if len(vals) == 0 {
-			e.lists = lists[:0]
-			return 0, work
-		}
-		lists = append(lists, vals)
-	}
-	e.lists = lists // keep grown scratch
-	if len(lists) == 0 {
+	lists, dirs, work := e.gather(binding, d)
+	if lists == nil {
 		return 0, work
 	}
 	if sink != nil {
@@ -250,6 +282,7 @@ func (e *Extender) DrainLeaf(binding []Value, d int, limit int64, sink Sink) (in
 		count = int64(len(vals))
 	case 2:
 		v0, v1 := lists[0], lists[1]
+		d0, d1 := dirs[0], dirs[1]
 		run := e.runBuf[:0]
 		var p0, p1 int
 		k0, k1 := v0[0], v1[0]
@@ -266,14 +299,14 @@ func (e *Extender) DrainLeaf(binding []Value, d int, limit int64, sink Sink) (in
 				}
 				k0, k1 = v0[p0], v1[p1]
 			} else if k0 < k1 {
-				p0 = seekSlice(v0, p0, k1)
+				p0 = seekRoot(v0, p0, k1, d0)
 				work++
 				if p0 >= len(v0) {
 					break
 				}
 				k0 = v0[p0]
 			} else {
-				p1 = seekSlice(v1, p1, k0)
+				p1 = seekRoot(v1, p1, k0, d1)
 				work++
 				if p1 >= len(v1) {
 					break
@@ -310,7 +343,7 @@ func (e *Extender) DrainLeaf(binding []Value, d int, limit int64, sink Sink) (in
 			for matched < k {
 				vals := lists[ring]
 				if vals[pos[ring]] < hi {
-					pos[ring] = seekSlice(vals, pos[ring], hi)
+					pos[ring] = seekRoot(vals, pos[ring], hi, dirs[ring])
 					work++
 					if pos[ring] >= len(vals) {
 						break drain

@@ -2,8 +2,10 @@ package optimizer
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
+	"sync"
 
 	"adj/internal/costmodel"
 	"adj/internal/ghd"
@@ -90,27 +92,123 @@ func (o *Optimizer) SubsetSize(attrSet []string) float64 {
 	if len(attrSet) == 0 {
 		return 1
 	}
-	key := setKey(attrSet)
-	if v, ok := o.tCache[key]; ok {
-		return v
+	o.fill([]need{{set: attrSet}})
+	return o.tCache[setKey(attrSet)]
+}
+
+// need is one memoized estimate a planning step reads: |T_S| for the
+// attribute set S, or |Rv| for bag v when set is nil.
+type need struct {
+	set []string
+	bag int
+}
+
+// job is a need being sampled.
+type job struct {
+	need
+	key   string   // setKey(set), for a subset
+	order []string // the order a subset is sampled in: S canonical, then the rest
+	est   sampling.Estimate
+	err   error
+}
+
+// fill memoizes every need not yet memoized, leaving tCache, bagCache and
+// SampleOps exactly as asking for the needs one at a time, in order, would
+// (SubsetSize and BagSize are fill of one need). The estimates run
+// concurrently — none depends on what runs beside it — and their results
+// are written afterwards in the needs' order. Only the prefix memo couples
+// them: a set that an earlier, untruncated run of the batch covers as a
+// canonical prefix is by then a memo hit, so its own run is dropped and
+// adds nothing to SampleOps, as the one-at-a-time loop would not have
+// sampled it. (No catalog query's planning batch holds such a pair.)
+func (o *Optimizer) fill(needs []need) {
+	var jobs []*job
+	queued := make(map[string]bool)
+	queuedBag := make(map[int]bool)
+	for _, n := range needs {
+		if n.set == nil {
+			if _, ok := o.bagCache[n.bag]; ok || queuedBag[n.bag] {
+				continue
+			}
+			if b := o.Decomp.Bags[n.bag]; b.IsBase() {
+				o.bagCache[n.bag] = float64(o.Rels[b.Atoms[0]].Len())
+				continue
+			}
+			queuedBag[n.bag] = true
+			jobs = append(jobs, &job{need: n})
+			continue
+		}
+		key := setKey(n.set)
+		if _, ok := o.tCache[key]; ok || queued[key] {
+			continue
+		}
+		queued[key] = true
+		jobs = append(jobs, &job{need: n, key: key, order: o.orderWithPrefix(n.set)})
 	}
-	order := o.orderWithPrefix(attrSet)
-	est, err := o.ix.Estimate(o.Rels, order, o.subsetConfig(len(attrSet)))
+	if len(jobs) == 0 {
+		return
+	}
+	var wg sync.WaitGroup
+	for _, j := range jobs[1:] {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			o.sample(j)
+		}()
+	}
+	o.sample(jobs[0])
+	wg.Wait()
+	for _, j := range jobs {
+		o.absorb(j)
+	}
+}
+
+// sample runs j's estimate. It reads the optimizer but writes only j, so
+// the jobs of a batch run concurrently.
+func (o *Optimizer) sample(j *job) {
+	if j.set != nil {
+		j.est, j.err = o.ix.Estimate(o.Rels, j.order, o.subsetConfig(len(j.set)))
+		return
+	}
+	b := o.Decomp.Bags[j.bag]
+	rels := make([]*relation.Relation, len(b.Atoms))
+	for i, ai := range b.Atoms {
+		rels[i] = o.Rels[ai]
+	}
+	j.est, j.err = o.ix.Estimate(rels, bagOrder(rels), sampling.Config{
+		Samples: o.opts.Samples, Seed: o.opts.Seed, Cancel: o.opts.Cancel,
+	})
+}
+
+// absorb writes j's result into the memos and SampleOps, unless an earlier
+// run's prefix already answered it.
+func (o *Optimizer) absorb(j *job) {
+	if j.set == nil {
+		v := 0.0
+		if j.err == nil {
+			v = j.est.Cardinality
+			o.SampleOps += j.est.WorkOps
+		}
+		o.bagCache[j.bag] = v
+		return
+	}
+	if _, ok := o.tCache[j.key]; ok {
+		return
+	}
 	v := 0.0
-	if err == nil {
-		v = est.LevelCounts[len(attrSet)-1]
-		o.SampleOps += est.WorkOps
-		if !est.Truncated {
-			for i := range len(attrSet) - 1 {
-				k := setKey(order[:i+1])
+	if j.err == nil {
+		v = j.est.LevelCounts[len(j.set)-1]
+		o.SampleOps += j.est.WorkOps
+		if !j.est.Truncated {
+			for i := range len(j.set) - 1 {
+				k := setKey(j.order[:i+1])
 				if _, ok := o.tCache[k]; !ok {
-					o.tCache[k] = est.LevelCounts[i]
+					o.tCache[k] = j.est.LevelCounts[i]
 				}
 			}
 		}
 	}
-	o.tCache[key] = v
-	return v
+	o.tCache[j.key] = v
 }
 
 // subsetConfig is the sampling run SubsetSize makes for a set of depth
@@ -152,28 +250,8 @@ func (o *Optimizer) orderWithPrefix(subset []string) []string {
 // BagSize estimates |Rv| = |⋈ λ(v)| for a bag (memoized). Base bags use
 // the exact relation size.
 func (o *Optimizer) BagSize(id int) float64 {
-	if v, ok := o.bagCache[id]; ok {
-		return v
-	}
-	b := o.Decomp.Bags[id]
-	var v float64
-	if b.IsBase() {
-		v = float64(o.Rels[b.Atoms[0]].Len())
-	} else {
-		rels := make([]*relation.Relation, len(b.Atoms))
-		for i, ai := range b.Atoms {
-			rels[i] = o.Rels[ai]
-		}
-		est, err := o.ix.Estimate(rels, bagOrder(rels), sampling.Config{
-			Samples: o.opts.Samples, Seed: o.opts.Seed, Cancel: o.opts.Cancel,
-		})
-		if err == nil {
-			v = est.Cardinality
-			o.SampleOps += est.WorkOps
-		}
-	}
-	o.bagCache[id] = v
-	return v
+	o.fill([]need{{bag: id}})
+	return o.bagCache[id]
 }
 
 // bagOrder returns the attribute order for a bag-local estimation.
@@ -258,20 +336,34 @@ func (o *Optimizer) CoOptimize() (*Plan, error) {
 			extendCost float64
 			preCost    float64
 		}
+		// The round's candidates, and the estimates they read — |T| of the
+		// remaining prefix, |Rv| of a bag that may be pre-computed — sampled
+		// together before any is weighed.
+		var cands []ghd.Bag
+		var prefixes [][]string
+		var needs []need
+		for _, b := range d.Bags {
+			if !remaining[b.ID] || !o.prefixConnected(remaining, b.ID) {
+				continue
+			}
+			cands = append(cands, b)
+			// |T_{v_{i-1}}|: bindings over the attrs of the remaining prefix.
+			prefixes = append(prefixes, o.attrsOfBags(remaining, b.ID))
+			needs = append(needs, need{set: prefixes[len(prefixes)-1]})
+			if !b.IsBase() && !chosen[b.ID] {
+				needs = append(needs, need{bag: b.ID})
+			}
+		}
+		o.fill(needs)
 		// Candidates are visited in bag-ID order and replace the incumbent
 		// only when strictly cheaper, so equal costs resolve to the lower
 		// bag ID, then to not pre-computing: the plan is a function of the
 		// costs, not of map iteration order.
 		var best *candidate
 		commNow := o.commCost(chosen) // the same for every candidate of this round
-		for _, b := range d.Bags {
+		for i, b := range cands {
 			v := b.ID
-			if !remaining[v] || !o.prefixConnected(remaining, v) {
-				continue
-			}
-			// |T_{v_{i-1}}|: bindings over the attrs of the remaining prefix.
-			prefixAttrs := o.attrsOfBags(remaining, v)
-			bindings := o.SubsetSize(prefixAttrs)
+			bindings := o.SubsetSize(prefixes[i])
 
 			// Branch 1: do not pre-compute v.
 			ext1 := costmodel.ExtendCost(bindings, o.opts.Params.BetaFor(chosen[v]), o.opts.Params.NumServers)
@@ -368,11 +460,17 @@ func (o *Optimizer) attrOrderFor(traversal []int) []string {
 	for _, grp := range groups {
 		grp = append([]string(nil), grp...)
 		for len(grp) > 1 {
-			// Greedily pick the next attribute minimizing |T_{prefix+a}|.
+			// Greedily pick the next attribute minimizing |T_{prefix+a}|,
+			// sampling every rival's set at once.
+			needs := make([]need, len(grp))
+			for i, a := range grp {
+				needs[i] = need{set: append(slices.Clone(out), a)}
+			}
+			o.fill(needs)
 			bestI := 0
 			bestV := 1e308
-			for i, a := range grp {
-				v := o.SubsetSize(append(append([]string(nil), out...), a))
+			for i, n := range needs {
+				v := o.SubsetSize(n.set)
 				if v < bestV {
 					bestV = v
 					bestI = i

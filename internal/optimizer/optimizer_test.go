@@ -2,10 +2,14 @@ package optimizer
 
 import (
 	"fmt"
+	"maps"
 	"math/rand"
+	"runtime"
 	"slices"
 	"strings"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"adj/internal/costmodel"
 	"adj/internal/dataset"
@@ -357,5 +361,105 @@ func TestChooseOrderSketchDeterministic(t *testing.T) {
 				t.Fatalf("%s on LJ@%v: call %d chose %v, the first call %v", in.q.Name, in.scale, call, got, first)
 			}
 		}
+	}
+}
+
+// Cancelling through Options.Cancel in the middle of a round — its subset
+// and bag estimates sampling side by side — stops every estimate of the
+// round promptly, and CoOptimize returns without leaving one running.
+func TestCoOptimizeCancelMidRound(t *testing.T) {
+	rng := rand.New(rand.NewSource(23))
+	edges := testutil.RandEdges(rng, "E", 20000, 5000)
+	q := hypergraph.Q5()
+	const fire = 2000
+	var polls, peak atomic.Int64
+	before := runtime.NumGoroutine()
+	cancel := func() bool {
+		n := polls.Add(1)
+		if n%50 == 0 {
+			if g := int64(runtime.NumGoroutine()); g > peak.Load() {
+				peak.Store(g)
+			}
+		}
+		return n > fire
+	}
+	// Uncancelled, a bag estimate of this many samples runs for seconds.
+	o, err := New(q, q.BindGraph(edges), Options{Params: testParams(4), Samples: 2_000_000, Seed: 1, Cancel: cancel})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t0 := time.Now()
+	o.CoOptimize() // the plan of a cancelled pass is abandoned
+	if d := time.Since(t0); d > 2*time.Second {
+		t.Fatalf("cancelled planning returned after %v", d)
+	}
+	if p := polls.Load(); p <= fire {
+		t.Fatalf("planning finished after %d polls, before the cancel at %d", p, fire)
+	}
+	if p := peak.Load(); p <= int64(before) {
+		t.Fatalf("no estimate ran beside the test's goroutine (peak %d, %d before)", p, before)
+	}
+	deadline := time.Now().Add(time.Second)
+	for runtime.NumGoroutine() > before {
+		if time.Now().After(deadline) {
+			t.Fatalf("goroutines %d → %d across a cancelled plan", before, runtime.NumGoroutine())
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
+// A batch of needs leaves the memos and SampleOps exactly as asking for
+// them one at a time, in order: random batches of subsets (many of them
+// canonical prefixes of an earlier set, whose own runs the batch must drop
+// when that set's run is untruncated) and bags, at a subset budget that
+// finishes and at one that truncates.
+func TestFillMatchesOneAtATime(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	var dropped int
+	for _, q := range []hypergraph.Query{hypergraph.Q2(), hypergraph.Q5(), hypergraph.Q11()} {
+		rels := q.BindGraph(testutil.RandEdges(rng, "E", 800, 60))
+		base := newOpt(t, q, rels, 4)
+		attrs := q.Attrs()
+		for _, budget := range []int64{5000, 30} {
+			for range 20 {
+				var needs []need
+				for range 1 + rng.Intn(6) {
+					if rng.Intn(4) == 0 {
+						needs = append(needs, need{bag: rng.Intn(len(base.Decomp.Bags))})
+						continue
+					}
+					var set []string
+					for _, p := range rng.Perm(len(attrs))[:1+rng.Intn(len(attrs))] {
+						set = append(set, attrs[p])
+					}
+					needs = append(needs, need{set: set})
+				}
+				batch, seq := freshPass(base), freshPass(base)
+				batch.subsetBudget, seq.subsetBudget = budget, budget
+				batch.fill(needs)
+				for _, n := range needs {
+					if n.set == nil {
+						seq.BagSize(n.bag)
+					} else {
+						seq.SubsetSize(n.set)
+					}
+				}
+				if !maps.Equal(batch.tCache, seq.tCache) || !maps.Equal(batch.bagCache, seq.bagCache) || batch.SampleOps != seq.SampleOps {
+					t.Fatalf("%s budget %d needs %v: batch memos %v %v ops %d, one at a time %v %v ops %d",
+						q.Name, budget, needs, batch.tCache, batch.bagCache, batch.SampleOps, seq.tCache, seq.bagCache, seq.SampleOps)
+				}
+				for i, n := range needs {
+					for _, m := range needs[:i] {
+						if n.set != nil && len(m.set) > len(n.set) &&
+							slices.Equal(batch.orderWithPrefix(m.set)[:len(n.set)], batch.orderWithPrefix(n.set)[:len(n.set)]) {
+							dropped++
+						}
+					}
+				}
+			}
+		}
+	}
+	if dropped == 0 {
+		t.Fatal("no batch held a set an earlier set covers as a prefix")
 	}
 }

@@ -111,8 +111,11 @@ func ValA(rels []*relation.Relation, attr string) []relation.Value {
 // name share nothing. The index pins the columns it has seen, which keeps
 // their addresses from being reused while it lives; relations must not be
 // mutated during the pass. An Index is owned by one planning pass (an
-// optimizer.Optimizer) and is not safe for concurrent use.
+// optimizer.Optimizer), whose estimates may run concurrently: the memo sits
+// under a lock, so the first estimate to need a trie builds it while any
+// other that needs it waits, and a built trie is read-only.
 type Index struct {
+	mu     sync.Mutex
 	cols   map[colID]uint32      // column → dense number, in order of first sight
 	tries  map[string]*trie.Trie // by the level columns' numbers
 	keyBuf []byte
@@ -130,11 +133,17 @@ func NewIndex() *Index {
 }
 
 // TriesBuilt returns how many distinct tries the index has built.
-func (ix *Index) TriesBuilt() int { return len(ix.tries) }
+func (ix *Index) TriesBuilt() int {
+	ix.mu.Lock()
+	defer ix.mu.Unlock()
+	return len(ix.tries)
+}
 
 // triesFor returns the tries leapfrog.BuildTries(rels, order) would build,
 // each a view (own attribute names, shared levels) of a memoized trie.
 func (ix *Index) triesFor(rels []*relation.Relation, order []string) []*trie.Trie {
+	ix.mu.Lock()
+	defer ix.mu.Unlock()
 	pos := make(map[string]int, len(order))
 	for i, a := range order {
 		pos[a] = i
@@ -191,7 +200,8 @@ func EstimateCardinality(rels []*relation.Relation, order []string, cfg Config) 
 // Estimate runs the sampler over bound relations for a given attribute
 // order, taking tries from the index. The estimate is a function of the
 // relations' content, the order and cfg alone: it does not depend on what
-// the index already holds or on how many cores evaluate the samples.
+// the index already holds, on how many cores evaluate the samples, or on
+// which other estimates run beside it. Safe for concurrent use.
 func (ix *Index) Estimate(rels []*relation.Relation, order []string, cfg Config) (Estimate, error) {
 	if len(order) == 0 {
 		return Estimate{}, fmt.Errorf("sampling: empty order")

@@ -160,8 +160,8 @@ func (it *Iterator) rangeAt(d int) []Value {
 // RootDirectory returns the trie's level-0 directory when the iterator's
 // current sibling range is that level and it has one, else nil.
 func (it *Iterator) RootDirectory() *Directory {
-	if it.depth != 0 || len(it.t.Root.idx) == 0 {
+	if it.depth != 0 {
 		return nil
 	}
-	return &it.t.Root
+	return it.t.RootDirectory()
 }

@@ -99,6 +99,15 @@ func newDirectory(root []Value) Directory {
 	return Directory{idx: idx, min: min, shift: uint8(shift)}
 }
 
+// RootDirectory returns the trie's level-0 directory, or nil when the root
+// is too short to have one.
+func (t *Trie) RootDirectory() *Directory {
+	if len(t.Root.idx) == 0 {
+		return nil
+	}
+	return &t.Root
+}
+
 // Floor returns a position no root value at or above v precedes: the place
 // to start seeking v from. An empty directory answers 0.
 func (d *Directory) Floor(v Value) int {
