@@ -369,7 +369,7 @@ func TestChooseOrderSketchDeterministic(t *testing.T) {
 // round promptly, and CoOptimize returns without leaving one running.
 func TestCoOptimizeCancelMidRound(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
-	edges := testutil.RandEdges(rng, "E", 20000, 5000)
+	edges := testutil.RandEdges(rng, "E", 20000, 600)
 	q := hypergraph.Q5()
 	const fire = 2000
 	var polls, peak atomic.Int64
@@ -383,8 +383,8 @@ func TestCoOptimizeCancelMidRound(t *testing.T) {
 		}
 		return n > fire
 	}
-	// Uncancelled, a bag estimate of this many samples runs for seconds.
-	o, err := New(q, q.BindGraph(edges), Options{Params: testParams(4), Samples: 2_000_000, Seed: 1, Cancel: cancel})
+	// Uncancelled, this pass samples for about six seconds on two cores.
+	o, err := New(q, q.BindGraph(edges), Options{Params: testParams(4), Samples: 200_000, Seed: 1, Cancel: cancel})
 	if err != nil {
 		t.Fatal(err)
 	}

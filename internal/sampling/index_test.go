@@ -4,6 +4,7 @@ import (
 	"math/rand"
 	"reflect"
 	"runtime"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -253,6 +254,45 @@ func TestPlanningIndexSharesByContent(t *testing.T) {
 	// Three directions of the ternary relation, two of the edge list.
 	if n := ix.TriesBuilt(); n != 5 {
 		t.Fatalf("paper example built %d tries, want 5", n)
+	}
+}
+
+// Estimates running side by side on one index share its tries and each
+// equals the reference: a planning round's batch, with every estimate
+// asking for the index's tries at once.
+func TestIndexConcurrentEstimates(t *testing.T) {
+	rng := rand.New(rand.NewSource(25))
+	edges := testutil.RandEdges(rng, "E", 2000, 150)
+	q := hypergraph.Q5()
+	rels := q.BindGraph(edges)
+	orders := [][]string{
+		{"a", "b", "c", "d", "e"}, {"e", "d", "c", "b", "a"}, {"b", "d", "e", "c", "a"},
+		{"c", "a", "e", "b", "d"}, {"d", "b", "a", "e", "c"}, {"b", "a", "c", "d", "e"},
+	}
+	cfgs := []Config{{Samples: 300, Seed: 5}, {Samples: 300, Seed: 5, PerSampleBudget: 60, MaxDepth: 3}}
+	ix := NewIndex()
+	got := make([]Estimate, len(orders)*len(cfgs))
+	var wg sync.WaitGroup
+	for i := range got {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			est, err := ix.Estimate(rels, orders[i/len(cfgs)], cfgs[i%len(cfgs)])
+			if err != nil {
+				t.Error(err)
+			}
+			got[i] = est
+		}()
+	}
+	wg.Wait()
+	for i, est := range got {
+		order, cfg := orders[i/len(cfgs)], cfgs[i%len(cfgs)]
+		if want := referenceEstimate(t, rels, order, cfg); !reflect.DeepEqual(tallies(est), want) {
+			t.Fatalf("order %v %+v beside %d others:\n got %+v\nwant %+v", order, cfg, len(got)-1, tallies(est), want)
+		}
+	}
+	if n := ix.TriesBuilt(); n != 2 {
+		t.Fatalf("concurrent estimates over Q5 built %d tries, want 2", n)
 	}
 }
 
