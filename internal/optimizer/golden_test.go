@@ -5,7 +5,6 @@ import (
 	"flag"
 	"fmt"
 	"math/rand"
-	"os"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -30,15 +29,8 @@ func TestPlansGolden(t *testing.T) {
 		graphs = append(graphs, testutil.RandEdges(rand.New(rand.NewSource(seed)), "E", 300*int(seed), 30*seed))
 	}
 	// A third graph with cubed vertex ids: its roots' directories have
-	// crowded low buckets.
-	e := testutil.RandEdges(rand.New(rand.NewSource(3)), "E", 2000, 200)
-	cubed := make([][]relation.Value, 2)
-	for i, c := range e.Columns() {
-		for _, v := range c {
-			cubed[i] = append(cubed[i], v*v*v)
-		}
-	}
-	graphs = append(graphs, relation.FromColumns("E", []string{"src", "dst"}, cubed))
+	// crowded buckets.
+	graphs = append(graphs, testutil.CubedEdges(rand.New(rand.NewSource(3)), "E", 2000, 200))
 	var out bytes.Buffer
 	for _, q := range hypergraph.AllQueries() {
 		for gi, g := range graphs {
@@ -59,35 +51,5 @@ func TestPlansGolden(t *testing.T) {
 			}
 		}
 	}
-	checkGolden(t, "plans.golden", out.Bytes())
-}
-
-// checkGolden compares got with testdata/name, or rewrites the file under
-// -update.
-func checkGolden(t *testing.T, name string, got []byte) {
-	t.Helper()
-	path := filepath.Join("testdata", name)
-	if *update {
-		if err := os.MkdirAll("testdata", 0o755); err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(path, got, 0o644); err != nil {
-			t.Fatal(err)
-		}
-		return
-	}
-	want, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if bytes.Equal(got, want) {
-		return
-	}
-	gl, wl := strings.Split(string(got), "\n"), strings.Split(string(want), "\n")
-	for i := range min(len(gl), len(wl)) {
-		if gl[i] != wl[i] {
-			t.Fatalf("%s line %d:\n got %s\nwant %s", path, i+1, gl[i], wl[i])
-		}
-	}
-	t.Fatalf("%s: %d lines, want %d", path, len(gl), len(wl))
+	testutil.Golden(t, filepath.Join("testdata", "plans.golden"), out.Bytes(), *update)
 }

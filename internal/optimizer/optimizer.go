@@ -120,7 +120,10 @@ type job struct {
 // them: a set that an earlier, untruncated run of the batch covers as a
 // canonical prefix is by then a memo hit, so its own run is dropped and
 // adds nothing to SampleOps, as the one-at-a-time loop would not have
-// sampled it. (No catalog query's planning batch holds such a pair.)
+// sampled it. (No catalog query's planning batch holds such a pair.) A
+// batch is one planning step's — at most a set and a bag per bag of the
+// decomposition, or a set per attribute — so each estimate gets its own
+// goroutine.
 func (o *Optimizer) fill(needs []need) {
 	var jobs []*job
 	queued := make(map[string]bool)

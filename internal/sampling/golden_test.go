@@ -5,7 +5,6 @@ import (
 	"flag"
 	"fmt"
 	"math/rand"
-	"os"
 	"path/filepath"
 	"slices"
 	"strings"
@@ -20,20 +19,13 @@ var update = flag.Bool("update", false, "rewrite testdata/*.golden from the curr
 
 // goldenGraphs are the two seeded graphs the golden estimates run over: a
 // small one whose roots stay below the size that gets a directory, and a
-// larger one whose vertex ids are cubed, so its roots have directories with
-// dense low buckets and sparse high ones.
+// larger one with cubed vertex ids, whose roots have directories with
+// crowded buckets.
 func goldenGraphs() []*relation.Relation {
-	small := testutil.RandEdges(rand.New(rand.NewSource(1)), "E", 300, 30)
-	big := testutil.RandEdges(rand.New(rand.NewSource(2)), "E", 2500, 250)
-	cols := big.Columns()
-	cubed := make([][]relation.Value, len(cols))
-	for i, c := range cols {
-		cubed[i] = make([]relation.Value, len(c))
-		for j, v := range c {
-			cubed[i][j] = v * v * v
-		}
+	return []*relation.Relation{
+		testutil.RandEdges(rand.New(rand.NewSource(1)), "E", 300, 30),
+		testutil.CubedEdges(rand.New(rand.NewSource(2)), "E", 2500, 250),
 	}
-	return []*relation.Relation{small, relation.FromColumns("E", []string{"src", "dst"}, cubed)}
 }
 
 // TestEstimatesGolden pins every reproducible field of Estimate for Q1–Q11
@@ -82,35 +74,5 @@ func TestEstimatesGolden(t *testing.T) {
 	if truncated == 0 {
 		t.Fatal("no golden estimate truncated: the budgets no longer cover the truncated case")
 	}
-	checkGolden(t, "estimates.golden", out.Bytes())
-}
-
-// checkGolden compares got with testdata/name, or rewrites the file under
-// -update.
-func checkGolden(t *testing.T, name string, got []byte) {
-	t.Helper()
-	path := filepath.Join("testdata", name)
-	if *update {
-		if err := os.MkdirAll("testdata", 0o755); err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(path, got, 0o644); err != nil {
-			t.Fatal(err)
-		}
-		return
-	}
-	want, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if bytes.Equal(got, want) {
-		return
-	}
-	gl, wl := strings.Split(string(got), "\n"), strings.Split(string(want), "\n")
-	for i := range min(len(gl), len(wl)) {
-		if gl[i] != wl[i] {
-			t.Fatalf("%s line %d:\n got %s\nwant %s", path, i+1, gl[i], wl[i])
-		}
-	}
-	t.Fatalf("%s: %d lines, want %d", path, len(gl), len(wl))
+	testutil.Golden(t, filepath.Join("testdata", "estimates.golden"), out.Bytes(), *update)
 }

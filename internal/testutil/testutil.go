@@ -4,7 +4,12 @@
 package testutil
 
 import (
+	"bytes"
 	"math/rand"
+	"os"
+	"path/filepath"
+	"strings"
+	"testing"
 
 	"adj/internal/hypergraph"
 	"adj/internal/relation"
@@ -32,6 +37,51 @@ func RandEdges(rng *rand.Rand, name string, n int, nodes int64) *relation.Relati
 		r.Append(rng.Int63n(nodes), rng.Int63n(nodes))
 	}
 	return r.SortDedup()
+}
+
+// CubedEdges is RandEdges with every vertex id v replaced by v³: the same
+// graph in the same row order, whose trie roots are dense at small ids and
+// sparse at large ones, so their directories hold crowded buckets.
+func CubedEdges(rng *rand.Rand, name string, n int, nodes int64) *relation.Relation {
+	e := RandEdges(rng, name, n, nodes)
+	cols := make([][]relation.Value, 2)
+	for i, c := range e.Columns() {
+		cols[i] = make([]relation.Value, len(c))
+		for j, v := range c {
+			cols[i][j] = v * v * v
+		}
+	}
+	return relation.FromColumns(name, e.Attrs, cols)
+}
+
+// Golden compares got with the golden file at path, or rewrites the file
+// when update is set (each test package defines its own -update flag).
+// A mismatch names the first differing line.
+func Golden(t testing.TB, path string, got []byte, update bool) {
+	t.Helper()
+	if update {
+		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, got, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if bytes.Equal(got, want) {
+		return
+	}
+	gl, wl := strings.Split(string(got), "\n"), strings.Split(string(want), "\n")
+	for i := range min(len(gl), len(wl)) {
+		if gl[i] != wl[i] {
+			t.Fatalf("%s line %d:\n got %s\nwant %s", path, i+1, gl[i], wl[i])
+		}
+	}
+	t.Fatalf("%s: %d lines, want %d", path, len(gl), len(wl))
 }
 
 // RandQueryInstance generates a random query (random binary atoms over a
