@@ -276,7 +276,7 @@ func buildHybridProgram(q hypergraph.Query, rels []*relation.Relation,
 			Left:        plan.Sig{Name: accName, Attrs: accAttrs},
 			Right:       plan.Sig{Name: ear.Name, Attrs: ear.Attrs},
 			Out:         plan.Sig{Name: outName, Attrs: outAttrs},
-			BudgetLabel: "budget(intermediate %d tuples)",
+			BudgetLabel: "budget(intermediate %s tuples)",
 		})
 		last = op.ID
 		accName = outName

@@ -144,7 +144,7 @@ func runOp(c *cluster.Cluster, prog *plan.Program, op *plan.Op, st *progState,
 		size, err := distributedJoin(c, op.Phase, op.Left.Name, op.Left.Attrs,
 			op.Right.Name, op.Right.Attrs, op.Out.Name, cfg.Budget)
 		if err != nil {
-			return opFailure(c, op, st, err, size, rep)
+			return opFailure(op, err, size, cfg, rep)
 		}
 		return nil
 	case plan.Semijoin:
@@ -158,7 +158,7 @@ func runOp(c *cluster.Cluster, prog *plan.Program, op *plan.Op, st *progState,
 				op.Right.Name, op.Right.Attrs, op.Out.Name)
 		}
 		if err != nil {
-			return opFailure(c, op, st, err, 0, rep)
+			return opFailure(op, err, 0, cfg, rep)
 		}
 		return checkOpBudget(c, op, cfg, rep)
 	case plan.Project:
@@ -182,7 +182,7 @@ func runOp(c *cluster.Cluster, prog *plan.Program, op *plan.Op, st *progState,
 	case plan.Extend:
 		st.load(c, rels, rels[op.RelIdx].Name)
 		if err := proposeRound(c, op.Phase, rels[op.RelIdx], op.Prefix, op.Attr, cfg); err != nil {
-			return opFailure(c, op, st, err, 0, rep)
+			return opFailure(op, err, 0, cfg, rep)
 		}
 		return checkOpBudget(c, op, cfg, rep)
 	case plan.Emit:
@@ -280,7 +280,7 @@ func runLeapfrog(c *cluster.Cluster, prog *plan.Program, op *plan.Op, st *progSt
 	rep.EmittedRuns += res.emit.runs
 	rep.EmittedValues += res.emit.values
 	if err != nil {
-		return opFailure(c, op, st, err, 0, rep)
+		return opFailure(op, err, 0, cfg, rep)
 	}
 	pp.rememberCubeRows(op.ID, res.rows)
 	st.lf[op.ID] = lfResult{total: res.total, merged: res.merged}
@@ -330,9 +330,11 @@ func runEmit(c *cluster.Cluster, prog *plan.Program, op *plan.Op, st *progState,
 }
 
 // opFailure routes an op error: a budget overrun becomes the reported
-// failure the op's BudgetLabel names (with the offending size substituted
-// for a "%d" verb); everything else propagates as a real error.
-func opFailure(c *cluster.Cluster, op *plan.Op, st *progState, err error, size int64, rep *Report) error {
+// failure the op's BudgetLabel names, its "%s" verb receiving the size that
+// passed the budget — the global size when the op got that far, else
+// ">budget" for a worker whose local step passed it first; everything else
+// propagates as a real error.
+func opFailure(op *plan.Op, err error, size int64, cfg Config, rep *Report) error {
 	if !errors.Is(err, ErrBudget) {
 		return err
 	}
@@ -340,8 +342,12 @@ func opFailure(c *cluster.Cluster, op *plan.Op, st *progState, err error, size i
 	if label == "" {
 		label = "budget"
 	}
-	if strings.Contains(label, "%d") {
-		label = fmt.Sprintf(label, size)
+	if strings.Contains(label, "%s") {
+		passed := fmt.Sprint(size)
+		if size <= cfg.Budget {
+			passed = fmt.Sprintf(">%d", cfg.Budget)
+		}
+		label = fmt.Sprintf(label, passed)
 	}
 	rep.Failed = true
 	rep.FailReason = label

@@ -271,33 +271,37 @@ func TestBorrowedClusterSetsNumServers(t *testing.T) {
 }
 
 // Budget failures routed through the interpreter must keep the engines'
-// established FailReason formats.
+// established FailReason formats. A SparkSQL join that a worker's local
+// hash join refuses names the budget it passed, not a size nobody counted.
 func TestInterpreterBudgetFailReasons(t *testing.T) {
 	rng := rand.New(rand.NewSource(8))
 	edges := testutil.RandEdges(rng, "E", 2000, 40)
 	q := hypergraph.Q2()
 	rels := q.BindGraph(edges)
-	cfg := smallCfg(2)
-	cfg.Budget = 40
 
 	cases := []struct {
 		engine string
-		prefix string
+		budget int64
+		reason string
 	}{
-		{"SparkSQL", "budget(intermediate "},
-		{"BigJoin", "budget"}, // per-worker propose cap trips before the round check
-		{"HCubeJ", "budget"},
+		{"SparkSQL", 40, "budget(intermediate >40 tuples)"},
+		{"SparkSQL", 400, "budget(intermediate >400 tuples)"},
+		{"SparkSQL", 4000, "budget(intermediate >4000 tuples)"},
+		{"BigJoin", 40, "budget"}, // per-worker propose cap trips before the round check
+		{"HCubeJ", 40, "budget"},
 	}
 	for _, tc := range cases {
+		cfg := smallCfg(2)
+		cfg.Budget = tc.budget
 		rep, err := Engines()[tc.engine](q, rels, cfg)
 		if err != nil {
 			t.Fatalf("%s: %v", tc.engine, err)
 		}
 		if !rep.Failed {
-			t.Fatalf("%s: tiny budget did not fail (results=%d)", tc.engine, rep.Results)
+			t.Fatalf("%s budget %d: did not fail (results=%d)", tc.engine, tc.budget, rep.Results)
 		}
-		if !strings.HasPrefix(rep.FailReason, tc.prefix) {
-			t.Fatalf("%s: FailReason = %q, want prefix %q", tc.engine, rep.FailReason, tc.prefix)
+		if rep.FailReason != tc.reason {
+			t.Fatalf("%s budget %d: FailReason = %q, want %q", tc.engine, tc.budget, rep.FailReason, tc.reason)
 		}
 	}
 }

@@ -163,7 +163,7 @@ func lowerBinary(q hypergraph.Query, rels []*relation.Relation, order []int) *pl
 			Left:        plan.Sig{Name: accName, Attrs: accAttrs},
 			Right:       plan.Sig{Name: next.Name, Attrs: next.Attrs},
 			Out:         plan.Sig{Name: outName, Attrs: outAttrs},
-			BudgetLabel: "budget(intermediate %d tuples)",
+			BudgetLabel: "budget(intermediate %s tuples)",
 		})
 		chain = append(chain, op.ID)
 		accName = outName

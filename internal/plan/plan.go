@@ -181,7 +181,7 @@ type Op struct {
 	Round  int
 
 	// BudgetLabel is the Report.FailReason when this op exceeds the work
-	// budget; a single "%d" verb receives the offending size.
+	// budget; a single "%s" verb receives the size that passed it.
 	BudgetLabel string
 	// CheckBudget re-checks Out's global size against the budget after
 	// the op completes (BigJoin's per-round binding cap).
