@@ -11,56 +11,21 @@ import (
 // proposer relation. Bindings travel to the proposer's index partition;
 // the proposer relation's fragments are indexed by their bound attributes
 // within the same exchange (a self-contained simulation of BigJoin's
-// pre-built indexes).
-func proposeRound(c *cluster.Cluster, phase string, prop *relation.Relation, prefix []string, attr string, cfg Config) error {
+// pre-built indexes). Returns the global number of extended bindings.
+func proposeRound(c *cluster.Cluster, phase string, prop *relation.Relation, prefix []string, attr string, budget int64) (int64, error) {
 	boundAttrs := sharedAttrs(prop.Attrs, prefix)
-	idxAttrs := prop.Attrs
+	idx := exchangeInput{name: prop.Name, attrs: prop.Attrs, cols: attrIdx(prop.Attrs, boundAttrs)}
+	binds := exchangeInput{name: "bindings", attrs: prefix, cols: attrIdx(prefix, boundAttrs)}
 	if len(boundAttrs) == 0 {
-		idxAttrs = []string{attr}
+		// Unconstrained: every worker indexes the proposer's whole
+		// projection on attr, and the bindings stay where they are.
+		idx.attrs, idx.route = []string{attr}, broadcast
+		idx.derive = func(r *relation.Relation) *relation.Relation { return r.Project(attr) }
+		binds.route = keep
 	}
-	idxKey, bindKey := attrIdx(prop.Attrs, boundAttrs), attrIdx(prefix, boundAttrs)
-	// Partitioned on the bound attributes, each worker gets an even share
-	// of both sides; unconstrained, the index is a projection of unknown
-	// size and the bindings stay where they are.
-	var idxShare, bindShare int64
-	if len(boundAttrs) > 0 {
-		idxShare, bindShare = int64(prop.Len()/c.N), globalSize(c, "bindings")/int64(c.N)
-	}
-
-	return c.StreamExchange(phase,
-		func(w *cluster.Worker, s cluster.StreamSender) error {
-			frag, binds := w.Rels[prop.Name], w.Rels["bindings"]
-			if len(boundAttrs) == 0 {
-				// Unconstrained: broadcast the proposer's projection on
-				// attr (the index build) and keep the bindings local.
-				if frag != nil {
-					if err := sendWhole(w, s, frag.Project(attr), "idx", everyWorker(w.N)...); err != nil {
-						return err
-					}
-				}
-				return sendWhole(w, s, binds, "bind", w.ID)
-			}
-			// Ship proposer fragments partitioned by the bound attributes
-			// (the index build), and the bindings by the same key.
-			if err := sendParts(w, s, frag, idxKey, "idx"); err != nil {
-				return err
-			}
-			return sendParts(w, s, binds, bindKey, "bind")
-		},
-		func(w *cluster.Worker, r cluster.StreamReceiver) error {
-			idx := relation.New(prop.Name, idxAttrs...)
-			binds := relation.New("bindings", prefix...)
-			if err := recvInto(w, r, "bigjoin exchange", recvTarget{"idx", idx, idxShare}, recvTarget{"bind", binds, bindShare}); err != nil {
-				return err
-			}
-			extended, err := extendBindings(binds, idx, boundAttrs, attr, cfg.Budget)
-			if err != nil {
-				return err
-			}
-			recycle(w, idx, binds)
-			w.Rels["bindings"] = extended
-			return nil
-		})
+	return coExchange(c, phase, "bindings", []exchangeInput{idx, binds}, func(in []*relation.Relation) (*relation.Relation, error) {
+		return extendBindings(in[1], in[0], boundAttrs, attr, budget)
+	})
 }
 
 // extendBindings is a propose round's local step: every binding is extended
@@ -126,30 +91,17 @@ func extendBindings(binds, idx *relation.Relation, boundAttrs []string, attr str
 
 // verifyRound filters extended bindings against one relation: bindings are
 // shuffled to the partition owning the relation's matching tuples and kept
-// only when the relation contains the projection.
-func verifyRound(c *cluster.Cluster, phase string, ver *relation.Relation, prefix []string, attr string) error {
+// only when the relation contains the projection. Returns the global
+// number of bindings kept.
+func verifyRound(c *cluster.Cluster, phase string, ver *relation.Relation, prefix []string, attr string) (int64, error) {
 	checkAttrs := append(sharedAttrs(ver.Attrs, prefix), attr)
 	bound := append(slices.Clip(prefix), attr)
-	idxKey, bindKey := attrIdx(ver.Attrs, checkAttrs), attrIdx(bound, checkAttrs)
-	idxShare, bindShare := int64(ver.Len()/c.N), globalSize(c, "bindings")/int64(c.N)
-	return c.StreamExchange(phase,
-		func(w *cluster.Worker, s cluster.StreamSender) error {
-			if err := sendParts(w, s, w.Rels[ver.Name], idxKey, "idx"); err != nil {
-				return err
-			}
-			return sendParts(w, s, w.Rels["bindings"], bindKey, "bind")
-		},
-		func(w *cluster.Worker, r cluster.StreamReceiver) error {
-			idx := relation.New(ver.Name, ver.Attrs...)
-			binds := relation.New("bindings", bound...)
-			if err := recvInto(w, r, "bigjoin exchange", recvTarget{"idx", idx, idxShare}, recvTarget{"bind", binds, bindShare}); err != nil {
-				return err
-			}
-			kept := binds.Semijoin(idx, checkAttrs)
-			recycle(w, idx, binds)
-			w.Rels["bindings"] = kept
-			return nil
-		})
+	return coExchange(c, phase, "bindings", []exchangeInput{
+		{name: ver.Name, attrs: ver.Attrs, cols: attrIdx(ver.Attrs, checkAttrs)},
+		{name: "bindings", attrs: bound, cols: attrIdx(bound, checkAttrs)},
+	}, func(in []*relation.Relation) (*relation.Relation, error) {
+		return in[1].Semijoin(in[0], checkAttrs), nil
+	})
 }
 
 // pickCols returns r's columns for the named attributes, in that order.

@@ -266,13 +266,12 @@ func BenchmarkProposeRound(b *testing.B) {
 	c := cluster.New(cluster.Config{N: 4})
 	defer c.Close()
 	c.LoadRelation(rels[1])
-	cfg := smallCfg(4)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		b.StopTimer()
 		c.LoadRelation(binds)
 		b.StartTimer()
-		if err := proposeRound(c, "round2/propose", rels[1], []string{"a", "b"}, "c", cfg); err != nil {
+		if _, err := proposeRound(c, "round2/propose", rels[1], []string{"a", "b"}, "c", 0); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -1,12 +1,13 @@
 package engine
 
 import (
-	"errors"
 	"fmt"
 	"math/bits"
 	"slices"
+	"strconv"
 
 	"adj/internal/cluster"
+	"adj/internal/plan"
 	"adj/internal/relation"
 )
 
@@ -14,105 +15,35 @@ import (
 // hash-partitioned on their shared attributes, each worker joins its
 // partitions locally, and the result fragments are stored as outName. This
 // is the kernel of the SparkSQL-style BinaryJoin baseline and of ADJ's bag
-// pre-computation. Returns the global result size.
+// pre-computation. Returns the global result size; a worker's join or the
+// result passing the budget is ErrBudget.
 //
-// With no shared attributes the smaller side is broadcast (a cross
-// product; rare, but required for generality).
-func distributedJoin(c *cluster.Cluster, phase string, aName string, aAttrs []string,
-	bName string, bAttrs []string, outName string, budget int64) (int64, error) {
-
-	shared := sharedAttrs(aAttrs, bAttrs)
+// With no shared attributes the smaller side is broadcast and the larger
+// kept (a cross product; rare, but required for generality).
+func distributedJoin(c *cluster.Cluster, phase string, a, b plan.Sig, outName string, budget int64) (int64, error) {
+	shared := sharedAttrs(a.Attrs, b.Attrs)
+	ins := []exchangeInput{
+		{name: a.Name, attrs: a.Attrs, cols: attrIdx(a.Attrs, shared)},
+		{name: b.Name, attrs: b.Attrs, cols: attrIdx(b.Attrs, shared)},
+	}
 	if len(shared) == 0 {
-		return distributedCross(c, phase, aName, aAttrs, bName, bAttrs, outName, budget)
-	}
-	aCols := attrIdx(aAttrs, shared)
-	bCols := attrIdx(bAttrs, shared)
-	aShare, bShare := globalSize(c, aName)/int64(c.N), globalSize(c, bName)/int64(c.N)
-
-	err := c.StreamExchange(phase,
-		func(w *cluster.Worker, s cluster.StreamSender) error {
-			if err := sendParts(w, s, w.Rels[aName], aCols, "L"); err != nil {
-				return err
-			}
-			return sendParts(w, s, w.Rels[bName], bCols, "R")
-		},
-		func(w *cluster.Worker, r cluster.StreamReceiver) error {
-			left := relation.New(aName, aAttrs...)
-			right := relation.New(bName, bAttrs...)
-			if err := recvInto(w, r, "binary join exchange", recvTarget{"L", left, aShare}, recvTarget{"R", right, bShare}); err != nil {
-				return err
-			}
-			res, err := relation.HashJoinLimit(left, right, int(budget))
-			if err != nil {
-				return ErrBudget
-			}
-			recycle(w, left, right)
-			res.Name = outName
-			w.Rels[outName] = res
-			return nil
-		})
-	return joinedSize(c, outName, budget, err)
-}
-
-// joinedSize is a distributed join's return: the exchange's error, else the
-// global size of outName, over budget or not.
-func joinedSize(c *cluster.Cluster, outName string, budget int64, err error) (int64, error) {
-	if err != nil {
-		if errors.Is(err, ErrBudget) {
-			return 0, ErrBudget
+		small, big := 1, 0
+		if globalSize(c, a.Name) < globalSize(c, b.Name) {
+			small, big = 0, 1
 		}
-		return 0, err
+		ins[small].route, ins[big].route = broadcast, keep
 	}
-	size := globalSize(c, outName)
-	if budget > 0 && size > budget {
-		return size, ErrBudget
+	size, err := coExchange(c, phase, outName, ins, func(in []*relation.Relation) (*relation.Relation, error) {
+		res, err := relation.HashJoinLimit(in[0], in[1], int(budget))
+		if err != nil {
+			return nil, ErrBudget
+		}
+		return res, nil
+	})
+	if err == nil && budget > 0 && size > budget {
+		err = ErrBudget
 	}
-	return size, nil
-}
-
-// globalSize is the number of tuples of relation name over all workers.
-func globalSize(c *cluster.Cluster, name string) int64 {
-	return c.GatherCounts(func(w *cluster.Worker) int64 { return int64(w.LocalSize(name)) })
-}
-
-// distributedCross broadcasts the smaller side and joins locally.
-func distributedCross(c *cluster.Cluster, phase string, aName string, aAttrs []string,
-	bName string, bAttrs []string, outName string, budget int64) (int64, error) {
-
-	aSize, bSize := globalSize(c, aName), globalSize(c, bName)
-	small, smallAttrs, smallSize := bName, bAttrs, bSize
-	big, bigAttrs := aName, aAttrs
-	if aSize < bSize {
-		small, smallAttrs, smallSize = aName, aAttrs, aSize
-		big, bigAttrs = bName, bAttrs
-	}
-	err := c.StreamExchange(phase,
-		func(w *cluster.Worker, s cluster.StreamSender) error {
-			return sendWhole(w, s, w.Rels[small], "B", everyWorker(w.N)...)
-		},
-		func(w *cluster.Worker, r cluster.StreamReceiver) error {
-			smallRel := relation.New(small, smallAttrs...)
-			if err := recvInto(w, r, "binary join exchange", recvTarget{"B", smallRel, smallSize}); err != nil {
-				return err
-			}
-			// bigRel is the worker's own fragment, not a receive target:
-			// it is not this exchange's to recycle.
-			bigRel, ok := w.Rels[big]
-			if !ok {
-				bigRel = relation.New(big, bigAttrs...)
-			}
-			var res *relation.Relation
-			if big == aName {
-				res = relation.HashJoin(bigRel, smallRel)
-			} else {
-				res = relation.HashJoin(smallRel, bigRel)
-			}
-			recycle(w, smallRel)
-			res.Name = outName
-			w.Rels[outName] = res
-			return nil
-		})
-	return joinedSize(c, outName, budget, err)
+	return size, err
 }
 
 // distributedSemijoin computes A ⋉ B over worker fragments: A is
@@ -122,53 +53,133 @@ func distributedCross(c *cluster.Cluster, phase string, aName string, aAttrs []s
 // are stored as outName. This is the hybrid plan's pre-reduction: a
 // selective acyclic fragment shrinks a cyclic-core relation before the
 // core is shuffled.
-func distributedSemijoin(c *cluster.Cluster, phase string, aName string, aAttrs []string,
-	bName string, bAttrs []string, outName string) error {
-
-	shared := sharedAttrs(aAttrs, bAttrs)
+func distributedSemijoin(c *cluster.Cluster, phase string, a, b plan.Sig, outName string) (int64, error) {
+	shared := sharedAttrs(a.Attrs, b.Attrs)
 	if len(shared) == 0 {
-		return fmt.Errorf("distributedSemijoin: %s and %s share no attributes", aName, bName)
+		return 0, fmt.Errorf("distributedSemijoin: %s and %s share no attributes", a.Name, b.Name)
 	}
-	aCols := attrIdx(aAttrs, shared)
-	aShare := globalSize(c, aName) / int64(c.N)
+	return coExchange(c, phase, outName, []exchangeInput{
+		{name: a.Name, attrs: a.Attrs, cols: attrIdx(a.Attrs, shared)},
+		{name: b.Name, attrs: shared, cols: attrIdx(shared, shared), derive: func(r *relation.Relation) *relation.Relation {
+			return r.ProjectMulti(shared...).SortDedup()
+		}},
+	}, func(in []*relation.Relation) (*relation.Relation, error) {
+		return in[0].Semijoin(in[1], shared), nil
+	})
+}
 
-	return c.StreamExchange(phase,
-		func(w *cluster.Worker, s cluster.StreamSender) error {
-			if err := sendParts(w, s, w.Rels[aName], aCols, "L"); err != nil {
-				return err
-			}
-			keys := w.Rels[bName]
-			if keys != nil {
-				keys = keys.ProjectMulti(shared...).SortDedup()
-			}
-			return sendParts(w, s, keys, attrIdx(shared, shared), "R")
-		},
-		func(w *cluster.Worker, r cluster.StreamReceiver) error {
-			left := relation.New(aName, aAttrs...)
-			keys := relation.New(bName, shared...)
-			if err := recvInto(w, r, "semijoin exchange", recvTarget{"L", left, aShare}, recvTarget{"R", keys, 0}); err != nil {
-				return err
-			}
-			res := left.Semijoin(keys, shared)
-			recycle(w, left, keys)
-			res.Name = outName
-			w.Rels[outName] = res
-			return nil
-		})
+// globalSize is the number of tuples of relation name over all workers.
+func globalSize(c *cluster.Cluster, name string) int64 {
+	return c.GatherCounts(func(w *cluster.Worker) int64 { return int64(w.LocalSize(name)) })
 }
 
 // The data path of a multi-round exchange (README.md, "The data path of a
 // multi-round exchange"). Every distributed join, semijoin and BigJoin
-// round is one StreamExchange whose producer calls sendParts (sendWhole for
-// a broadcast) per relation it ships and whose consumer calls recvInto,
-// runs its kernel on the received relations and recycles them. Partition
-// backings and receive targets live in buffers the worker lends and takes
-// back, which is a contract on every kernel here: its output may never
-// alias its input — HashJoin, Semijoin (keepIndexed → gather) and
-// extendBindings all write fresh columns — because the next exchange
-// overwrites what it read. Only relations a consumer itself created for
-// recvInto are recycled; w.Rels fragments belong to the run, and a consumer
-// that fails simply drops its targets to the collector.
+// round is one coExchange: the operator names its inputs — a worker
+// fragment and a route each — and its local kernel, and coExchange ships,
+// receives, runs the kernel and stores its result. Partition backings and
+// receive targets live in buffers the worker lends and takes back, which
+// is a contract on every kernel: its output may never alias its input —
+// HashJoin, Semijoin (keepIndexed → gather) and extendBindings all write
+// fresh columns — because the next exchange overwrites what it read. Only
+// receive targets are recycled; a kept input is the worker's own fragment,
+// which belongs to the run, and a consumer that fails simply drops its
+// targets to the collector.
+
+// route says how one input of a co-partitioned exchange reaches the worker
+// whose kernel reads it.
+type route uint8
+
+const (
+	// partition hash-partitions every fragment on the input's key columns
+	// and sends part i to worker i.
+	partition route = iota
+	// broadcast sends every fragment whole to every worker.
+	broadcast
+	// keep sends nothing: the kernel reads the worker's own fragment.
+	keep
+)
+
+// exchangeInput is one input of a coExchange: the worker fragments stored
+// under name, of schema attrs, and their route.
+type exchangeInput struct {
+	name  string
+	attrs []string
+	route route
+	// cols are a partitioned input's key columns.
+	cols []int
+	// derive, when set, is what a worker sends instead of its fragment: a
+	// de-duplicated projection, whose size the coordinator cannot tell.
+	derive func(*relation.Relation) *relation.Relation
+}
+
+// coExchange runs one exchange over ins and stores kernel's result on every
+// worker as out, returning out's global size. Each worker sends its
+// fragment of every input by the input's route, in input order, under the
+// input's index as the envelope key; the kernel then reads one relation per
+// input, in input order: a kept input's own fragment, any other the
+// worker's receive target. A target expects an even share of a partitioned
+// input and all of a broadcast one, nothing of a derived one.
+func coExchange(c *cluster.Cluster, phase, out string, ins []exchangeInput,
+	kernel func(in []*relation.Relation) (*relation.Relation, error)) (int64, error) {
+
+	expect := make([]int64, len(ins))
+	for i, in := range ins {
+		if in.route != keep && in.derive == nil {
+			expect[i] = globalSize(c, in.name)
+			if in.route == partition {
+				expect[i] /= int64(c.N)
+			}
+		}
+	}
+	err := c.StreamExchange(phase,
+		func(w *cluster.Worker, s cluster.StreamSender) error {
+			for i, in := range ins {
+				frag := w.Rels[in.name]
+				if frag != nil && in.derive != nil {
+					frag = in.derive(frag)
+				}
+				var err error
+				switch key := strconv.Itoa(i); in.route {
+				case partition:
+					err = sendParts(w, s, frag, in.cols, key)
+				case broadcast:
+					err = sendWhole(w, s, frag, key, everyWorker(w.N)...)
+				}
+				if err != nil {
+					return err
+				}
+			}
+			return nil
+		},
+		func(w *cluster.Worker, r cluster.StreamReceiver) error {
+			rels := make([]*relation.Relation, len(ins))
+			targets := make([]*relation.Relation, len(ins))
+			for i, in := range ins {
+				rels[i] = relation.New(in.name, in.attrs...)
+				if in.route != keep {
+					targets[i] = rels[i]
+				} else if frag, ok := w.Rels[in.name]; ok {
+					rels[i] = frag
+				}
+			}
+			if err := recvInto(w, r, phase, targets, expect); err != nil {
+				return err
+			}
+			res, err := kernel(rels)
+			if err != nil {
+				return err
+			}
+			recycle(w, targets...)
+			res.Name = out
+			w.Rels[out] = res
+			return nil
+		})
+	if err != nil {
+		return 0, err
+	}
+	return globalSize(c, out), nil
+}
 
 // poisonRecycled is a test hook: when set, every buffer is overwritten with
 // recycledPoison on its way back to a worker, so a result that aliases a
@@ -192,12 +203,14 @@ func recycleColumns(w *cluster.Worker, cols [][]relation.Value) {
 	}
 }
 
-// recycle hands the columns of receive targets back to w and leaves the
-// targets empty.
+// recycle hands the columns of receive targets (nil: none) back to w and
+// leaves the targets empty.
 func recycle(w *cluster.Worker, targets ...*relation.Relation) {
 	for _, t := range targets {
-		recycleColumns(w, t.Columns())
-		clear(t.Columns())
+		if t != nil {
+			recycleColumns(w, t.Columns())
+			clear(t.Columns())
+		}
 	}
 }
 
@@ -267,33 +280,23 @@ func sendParts(w *cluster.Worker, s cluster.StreamSender, frag *relation.Relatio
 	return nil
 }
 
-// recvTarget is the relation that chunks under one envelope key append to.
-// It carries the schema the consumer expects. rows is how many rows this
-// worker should expect under the key when the coordinator can tell (an even
-// share of a hash-partitioned relation, all of a broadcast one), 0 when it
-// cannot (the sender projects or de-duplicates first).
-type recvTarget struct {
-	key  string
-	rel  *relation.Relation
-	rows int64
-}
-
 // recvInto drains a worker's stream, decoding every chunk onto the tail of
-// the target its key names. Columns live in buffers the worker lends: a
-// target with an expectation reserves it, an eighth over, before the first
-// chunk, and a column that fills up moves to one at least twice as large.
-// Every request is rounded up to a power of two, so that whatever order the
-// chunks arrive in the requests fall on the same few sizes and the next
-// exchange's find this one's buffers. A chunk under a key no target has, or
-// of any other shape than its target's, is a corrupt payload, not a panic
-// further down; what names the exchange in that error.
-func recvInto(w *cluster.Worker, r cluster.StreamReceiver, what string, targets ...recvTarget) error {
+// targets[k], k the chunk's key (a nil target receives nothing). Columns
+// live in buffers the worker lends: a target with an expectation reserves
+// it, an eighth over, before the first chunk, and a column that fills up
+// moves to one at least twice as large. Every request is rounded up to a
+// power of two, so that whatever order the chunks arrive in the requests
+// fall on the same few sizes and the next exchange's find this one's
+// buffers. A chunk under a key no target has, or of any other shape than
+// its target's, is a corrupt payload, not a panic further down; what names
+// the exchange in that error.
+func recvInto(w *cluster.Worker, r cluster.StreamReceiver, what string, targets []*relation.Relation, expect []int64) error {
 	lend := func(rows int) []relation.Value { return w.Values(1 << bits.Len(uint(rows-1))) }
-	for _, t := range targets {
-		if t.rows > 0 {
-			cols := t.rel.Columns()
+	for i, t := range targets {
+		if t != nil && expect[i] > 0 {
+			cols := t.Columns()
 			for j := range cols {
-				cols[j] = lend(int(t.rows + t.rows/8))[:0]
+				cols[j] = lend(int(expect[i] + expect[i]/8))[:0]
 			}
 		}
 	}
@@ -308,55 +311,41 @@ func recvInto(w *cluster.Worker, r cluster.StreamReceiver, what string, targets 
 		if err != nil || !ok {
 			return err
 		}
-		i := slices.IndexFunc(targets, func(t recvTarget) bool { return t.key == e.Key })
-		if i < 0 {
+		k, err := strconv.Atoi(e.Key)
+		if err != nil || k < 0 || k >= len(targets) || targets[k] == nil {
 			return cluster.CorruptPayload(what, fmt.Errorf("no target for key %q", e.Key))
 		}
-		if err := relation.DecodeAppendGrow(e.Payload, targets[i].rel, grow); err != nil {
+		if err := relation.DecodeAppendGrow(e.Payload, targets[k], grow); err != nil {
 			return cluster.CorruptPayload(what, err)
 		}
 	}
 }
 
+// sharedAttrs returns a's attributes that b also has, in a's order.
 func sharedAttrs(a, b []string) []string {
 	var out []string
 	for _, x := range a {
-		for _, y := range b {
-			if x == y {
-				out = append(out, x)
-				break
-			}
+		if slices.Contains(b, x) {
+			out = append(out, x)
 		}
 	}
 	return out
 }
 
+// attrIdx returns the column of each wanted attribute in attrs (-1: none).
 func attrIdx(attrs, want []string) []int {
 	out := make([]int, len(want))
 	for i, wa := range want {
-		out[i] = -1
-		for j, a := range attrs {
-			if a == wa {
-				out[i] = j
-				break
-			}
-		}
+		out[i] = slices.Index(attrs, wa)
 	}
 	return out
 }
 
 // joinedAttrs returns the output schema of A ⋈ B.
 func joinedAttrs(a, b []string) []string {
-	out := append([]string(nil), a...)
+	out := slices.Clone(a)
 	for _, x := range b {
-		found := false
-		for _, y := range a {
-			if x == y {
-				found = true
-				break
-			}
-		}
-		if !found {
+		if !slices.Contains(a, x) {
 			out = append(out, x)
 		}
 	}

@@ -148,7 +148,7 @@ func BenchmarkVerifyRound(b *testing.B) {
 		for i, w := range c.Workers {
 			w.Rels["bindings"] = held[i] // the round replaces it with what it kept
 		}
-		if err := verifyRound(c, "verify", ver, []string{"a", "b"}, "c"); err != nil {
+		if _, err := verifyRound(c, "verify", ver, []string{"a", "b"}, "c"); err != nil {
 			b.Fatal(err)
 		}
 		return c.GatherCounts(func(w *cluster.Worker) int64 { return int64(w.LocalSize("bindings")) })

@@ -141,26 +141,24 @@ func runOp(c *cluster.Cluster, prog *plan.Program, op *plan.Op, st *progState,
 		return runLeapfrog(c, prog, op, st, cfg, rep)
 	case plan.HashJoin:
 		st.load(c, rels, op.Left.Name, op.Right.Name)
-		size, err := distributedJoin(c, op.Phase, op.Left.Name, op.Left.Attrs,
-			op.Right.Name, op.Right.Attrs, op.Out.Name, cfg.Budget)
-		if err != nil {
+		if size, err := distributedJoin(c, op.Phase, op.Left, op.Right, op.Out.Name, cfg.Budget); err != nil {
 			return opFailure(op, err, size, cfg, rep)
 		}
 		return nil
 	case plan.Semijoin:
+		var size int64
 		var err error
 		if op.Attr != "" {
 			st.load(c, rels, rels[op.RelIdx].Name)
-			err = verifyRound(c, op.Phase, rels[op.RelIdx], op.Prefix, op.Attr)
+			size, err = verifyRound(c, op.Phase, rels[op.RelIdx], op.Prefix, op.Attr)
 		} else {
 			st.load(c, rels, op.Left.Name, op.Right.Name)
-			err = distributedSemijoin(c, op.Phase, op.Left.Name, op.Left.Attrs,
-				op.Right.Name, op.Right.Attrs, op.Out.Name)
+			size, err = distributedSemijoin(c, op.Phase, op.Left, op.Right, op.Out.Name)
 		}
 		if err != nil {
 			return opFailure(op, err, 0, cfg, rep)
 		}
-		return checkOpBudget(c, op, cfg, rep)
+		return checkOpBudget(op, size, cfg, rep)
 	case plan.Project:
 		st.load(c, rels, op.Left.Name)
 		return c.Parallel(op.Phase, func(w *cluster.Worker) error {
@@ -181,10 +179,11 @@ func runOp(c *cluster.Cluster, prog *plan.Program, op *plan.Op, st *progState,
 		return nil
 	case plan.Extend:
 		st.load(c, rels, rels[op.RelIdx].Name)
-		if err := proposeRound(c, op.Phase, rels[op.RelIdx], op.Prefix, op.Attr, cfg); err != nil {
+		size, err := proposeRound(c, op.Phase, rels[op.RelIdx], op.Prefix, op.Attr, cfg.Budget)
+		if err != nil {
 			return opFailure(op, err, 0, cfg, rep)
 		}
-		return checkOpBudget(c, op, cfg, rep)
+		return checkOpBudget(op, size, cfg, rep)
 	case plan.Emit:
 		st.load(c, rels, op.From)
 		return runEmit(c, prog, op, st, cfg, rep)
@@ -202,8 +201,7 @@ func runShuffle(c *cluster.Cluster, op *plan.Op, st *progState, rels []*relation
 	for i, rr := range op.Rels {
 		size := rr.Size
 		if rr.Dynamic {
-			name := rr.Name
-			size = c.GatherCounts(func(w *cluster.Worker) int64 { return int64(w.LocalSize(name)) })
+			size = globalSize(c, rr.Name)
 		}
 		infos[i] = hcube.RelInfo{Name: rr.Name, Attrs: rr.Attrs, Size: size}
 	}
@@ -316,7 +314,7 @@ func runEmit(c *cluster.Cluster, prog *plan.Program, op *plan.Op, st *progState,
 		return fmt.Errorf("engine: Emit #%d has no upstream LeapfrogCube result", op.ID)
 	}
 	name := op.From
-	rep.Results = c.GatherCounts(func(w *cluster.Worker) int64 { return int64(w.LocalSize(name)) })
+	rep.Results = globalSize(c, name)
 	if cfg.CollectOutput {
 		out := relation.New("out", op.Out.Attrs...)
 		for _, w := range c.Workers {
@@ -356,16 +354,11 @@ func opFailure(op *plan.Op, err error, size int64, cfg Config, rep *Report) erro
 
 // checkOpBudget enforces a post-op bound on the op output's global size
 // (BigJoin's per-round binding cap).
-func checkOpBudget(c *cluster.Cluster, op *plan.Op, cfg Config, rep *Report) error {
-	if !op.CheckBudget || cfg.Budget <= 0 {
+func checkOpBudget(op *plan.Op, size int64, cfg Config, rep *Report) error {
+	if !op.CheckBudget || cfg.Budget <= 0 || size <= cfg.Budget {
 		return nil
 	}
-	name := op.Out.Name
-	sz := c.GatherCounts(func(w *cluster.Worker) int64 { return int64(w.LocalSize(name)) })
-	if sz > cfg.Budget {
-		rep.Failed = true
-		rep.FailReason = fmt.Sprintf("budget(round %d: %d bindings)", op.Round, sz)
-		return errRunFailed
-	}
-	return nil
+	rep.Failed = true
+	rep.FailReason = fmt.Sprintf("budget(round %d: %d bindings)", op.Round, size)
+	return errRunFailed
 }
