@@ -291,10 +291,11 @@ func BenchmarkAblationEstimator(b *testing.B) {
 	q := hypergraph.Get("Q5")
 	rels := q.BindGraph(edges)
 	order := q.Attrs()
-	exact, err := leapfrog.Count(rels, order)
+	st, err := leapfrog.JoinRelations(rels, order, leapfrog.Options{})
 	if err != nil {
 		b.Fatal(err)
 	}
+	exact := st.Results
 	o, err := optimizer.New(q, rels, optimizer.Options{
 		Params: costmodel.DefaultParams(8), Samples: 2000, Seed: 1,
 	})

@@ -378,51 +378,3 @@ func (e *Extender) DrainLeaf(binding []Value, d int, limit int64, sink Sink) (in
 	}
 	return count, work
 }
-
-// CountPerLevel runs a full (budgeted) traversal counting partial bindings
-// per level without materializing them, starting from the given first-level
-// values (or all when firstVals is nil). The sampler uses it with a handful
-// of sampled first values; Fig. 6 uses it with all of them. Leaf levels
-// count through the streaming drain (no value-list materialization).
-func (e *Extender) CountPerLevel(firstVals []Value, budget int64) (levels []int64, truncated bool) {
-	n := len(e.order)
-	levels = make([]int64, n)
-	binding := make([]Value, n)
-	var work int64
-	var rec func(d int) bool
-	rec = func(d int) bool {
-		if d == n {
-			return true
-		}
-		if d == n-1 && !(d == 0 && firstVals != nil) {
-			limit := int64(-1)
-			if budget > 0 {
-				limit = budget - work + 1
-			}
-			cnt, _ := e.DrainLeaf(binding, d, limit, nil)
-			levels[d] += cnt
-			work += cnt
-			return budget <= 0 || work <= budget
-		}
-		var vals []Value
-		if d == 0 && firstVals != nil {
-			vals = firstVals
-		} else {
-			vals, _ = e.Extend(binding, d)
-		}
-		for _, v := range vals {
-			binding[d] = v
-			levels[d]++
-			work++
-			if budget > 0 && work > budget {
-				return false
-			}
-			if !rec(d + 1) {
-				return false
-			}
-		}
-		return true
-	}
-	completed := rec(0)
-	return levels, !completed
-}

@@ -129,12 +129,6 @@ func JoinRelations(rels []*relation.Relation, order []string, opt Options) (Stat
 	return Join(BuildTries(rels, order), order, opt)
 }
 
-// Count runs the join and returns only the result count.
-func Count(rels []*relation.Relation, order []string) (int64, error) {
-	st, err := JoinRelations(rels, order, Options{})
-	return st.Results, err
-}
-
 // joiner holds the per-run state; instances are pooled and re-initialized
 // per join, reusing every backing array.
 type joiner struct {

@@ -46,10 +46,11 @@ func TestEstimateExactWhenSamplingAll(t *testing.T) {
 	q := hypergraph.Q1()
 	rels := q.BindGraph(edges)
 	order := q.Attrs()
-	truth, err := leapfrog.Count(rels, order)
+	st, err := leapfrog.JoinRelations(rels, order, leapfrog.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
+	truth := st.Results
 	if truth == 0 {
 		t.Skip("instance has no triangles")
 	}
