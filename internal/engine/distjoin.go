@@ -73,19 +73,6 @@ func globalSize(c *cluster.Cluster, name string) int64 {
 	return c.GatherCounts(func(w *cluster.Worker) int64 { return int64(w.LocalSize(name)) })
 }
 
-// The data path of a multi-round exchange (README.md, "The data path of a
-// multi-round exchange"). Every distributed join, semijoin and BigJoin
-// round is one coExchange: the operator names its inputs — a worker
-// fragment and a route each — and its local kernel, and coExchange ships,
-// receives, runs the kernel and stores its result. Partition backings and
-// receive targets live in buffers the worker lends and takes back, which
-// is a contract on every kernel: its output may never alias its input —
-// HashJoin, Semijoin (keepIndexed → gather) and extendBindings all write
-// fresh columns — because the next exchange overwrites what it read. Only
-// receive targets are recycled; a kept input is the worker's own fragment,
-// which belongs to the run, and a consumer that fails simply drops its
-// targets to the collector.
-
 // route says how one input of a co-partitioned exchange reaches the worker
 // whose kernel reads it.
 type route uint8
@@ -120,6 +107,15 @@ type exchangeInput struct {
 // input, in input order: a kept input's own fragment, any other the
 // worker's receive target. A target expects an even share of a partitioned
 // input and all of a broadcast one, nothing of a derived one.
+//
+// Partition backings and receive targets live in buffers the worker lends
+// and takes back (README.md, "The data path of a multi-round exchange"),
+// which is a contract on every kernel: its output may never alias its input
+// — HashJoin, Semijoin (keepIndexed → gather) and extendBindings all write
+// fresh columns — because the next exchange overwrites what it read. Only
+// receive targets are recycled; a kept input is the worker's own fragment,
+// which belongs to the run, and a consumer that fails drops its targets to
+// the collector.
 func coExchange(c *cluster.Cluster, phase, out string, ins []exchangeInput,
 	kernel func(in []*relation.Relation) (*relation.Relation, error)) (int64, error) {
 
