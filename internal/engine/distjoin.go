@@ -166,7 +166,7 @@ func coExchange(c *cluster.Cluster, phase, out string, ins []exchangeInput,
 			if err != nil {
 				return err
 			}
-			recycle(w, targets...)
+			recycle(w, targets)
 			res.Name = out
 			w.Rels[out] = res
 			return nil
@@ -201,7 +201,7 @@ func recycleColumns(w *cluster.Worker, cols [][]relation.Value) {
 
 // recycle hands the columns of receive targets (nil: none) back to w and
 // leaves the targets empty.
-func recycle(w *cluster.Worker, targets ...*relation.Relation) {
+func recycle(w *cluster.Worker, targets []*relation.Relation) {
 	for _, t := range targets {
 		if t != nil {
 			recycleColumns(w, t.Columns())
