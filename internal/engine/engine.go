@@ -13,7 +13,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"sort"
 	"strings"
 
 	"adj/internal/blockcache"
@@ -235,17 +234,6 @@ func defaultParams(cfg Config) costmodel.Params {
 	p := costmodel.DefaultParams(cfg.NumServers)
 	p.MemoryPerServer = cfg.MemoryPerServer
 	return p
-}
-
-// sortAttrsByOrder returns rel attrs sorted by global order position.
-func sortAttrsByOrder(attrs []string, order []string) []string {
-	pos := make(map[string]int, len(order))
-	for i, a := range order {
-		pos[a] = i
-	}
-	out := append([]string(nil), attrs...)
-	sort.Slice(out, func(i, j int) bool { return pos[out[i]] < pos[out[j]] })
-	return out
 }
 
 // cubeJoin is localCubeJoin's outcome.
@@ -487,7 +475,7 @@ func cubeTries(w *cluster.Worker, infos []hcube.RelInfo, order []string) []*trie
 	for _, ri := range infos {
 		tr := w.Blocks.Trie(ri.Name)
 		if tr == nil {
-			tr = trie.Build(relation.New(ri.Name, ri.Attrs...), sortAttrsByOrder(ri.Attrs, order))
+			tr = trie.Build(relation.New(ri.Name, ri.Attrs...), trie.AttrsInOrder(ri.Attrs, order))
 		}
 		out = append(out, tr)
 	}

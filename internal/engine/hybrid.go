@@ -2,11 +2,11 @@ package engine
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 
 	"adj/internal/costmodel"
-	"adj/internal/hcube"
 	"adj/internal/hypergraph"
 	"adj/internal/optimizer"
 	"adj/internal/plan"
@@ -30,12 +30,7 @@ const earSelectivity = 0.75
 // expressible.
 func lowerHybrid(q hypergraph.Query, rels []*relation.Relation, cfg Config) (*plan.Program, error) {
 	params := defaultParams(cfg)
-	opt, err := optimizer.New(q, rels, optimizer.Options{
-		Params:  params,
-		Samples: cfg.Samples,
-		Seed:    cfg.Seed,
-		Cancel:  cancelOf(cfg),
-	})
+	opt, err := newOptimizer(q, rels, cfg)
 	if err != nil {
 		return nil, err
 	}
@@ -47,6 +42,13 @@ func lowerHybrid(q hypergraph.Query, rels []*relation.Relation, cfg Config) (*pl
 		return nil, err
 	}
 	wcojCost := fullPlan.Est.Communication + orderCompCost(opt, fullPlan.AttrOrder, params)
+	// The pure worst-case-optimal route is ADJ's lowering of the
+	// communication-first plan, under Hybrid's label.
+	wcoj := func(why string) *plan.Program {
+		prog := lowerADJ(q, rels, fullPlan)
+		prog.Label = fmt.Sprintf("hybrid: wcoj ord=%v %s", fullPlan.AttrOrder, why)
+		return prog
+	}
 
 	core, ears := earDecompose(q)
 
@@ -55,26 +57,20 @@ func lowerHybrid(q hypergraph.Query, rels []*relation.Relation, cfg Config) (*pl
 	// size-thresholded strategy switches unified architectures use.
 	if len(core) == 0 {
 		binOrder := binaryJoinOrder(rels)
-		binCost := binaryChainCost(opt, q, rels, binOrder, params)
+		first := rels[binOrder[0]]
+		binCost := chainCost(opt, q, first.Attrs, float64(first.Len()), relsAt(rels, binOrder[1:]), params)
 		if binCost < wcojCost {
 			prog := lowerBinary(q, rels, binOrder)
 			prog.Label = fmt.Sprintf("hybrid: binary (acyclic; binary=%.3gs wcoj=%.3gs) %s",
 				binCost, wcojCost, prog.Label)
-			for _, op := range prog.Ops {
-				if op.Kind == plan.HashJoin {
-					op.Cost.Seconds = 0 // priced as a chain, not per op
-				}
-			}
 			return prog, nil
 		}
-		return hybridWCOJProgram(q, rels, fullPlan, fmt.Sprintf(
-			"hybrid: wcoj ord=%v (acyclic; wcoj=%.3gs binary=%.3gs)", fullPlan.AttrOrder, wcojCost, binCost)), nil
+		return wcoj(fmt.Sprintf("(acyclic; wcoj=%.3gs binary=%.3gs)", wcojCost, binCost)), nil
 	}
 
 	// Fully cyclic: nothing to split; run the optimized pure WCOJ plan.
 	if len(ears) == 0 {
-		return hybridWCOJProgram(q, rels, fullPlan, fmt.Sprintf(
-			"hybrid: wcoj ord=%v (cyclic core only)", fullPlan.AttrOrder)), nil
+		return wcoj("(cyclic core only)"), nil
 	}
 
 	// Mixed: price the split — Leapfrog over the cyclic core, hash joins
@@ -99,12 +95,7 @@ func lowerHybrid(q hypergraph.Query, rels []*relation.Relation, cfg Config) (*pl
 	for i, ai := range core {
 		coreQ.Atoms[i] = q.Atoms[ai]
 	}
-	coreOpt, err := optimizer.New(coreQ, coreRels, optimizer.Options{
-		Params:  params,
-		Samples: cfg.Samples,
-		Seed:    cfg.Seed,
-		Cancel:  cancelOf(cfg),
-	})
+	coreOpt, err := newOptimizer(coreQ, coreRels, cfg)
 	if err != nil {
 		return nil, err
 	}
@@ -118,12 +109,11 @@ func lowerHybrid(q hypergraph.Query, rels []*relation.Relation, cfg Config) (*pl
 
 	coreCost := corePlan.Est.Communication + orderCompCost(coreOpt, corePlan.AttrOrder, params)
 	redCost := reductionCost(reds, rels, params)
-	tailCost := hybridTailCost(opt, coreOpt, q, rels, corePlan.AttrOrder, tail, params)
+	tailCost := chainCost(opt, q, corePlan.AttrOrder, coreOpt.SubsetSize(corePlan.AttrOrder), relsAt(rels, tail), params)
 	hybridCost := redCost + coreCost + tailCost
 
 	if wcojCost <= hybridCost {
-		return hybridWCOJProgram(q, rels, fullPlan, fmt.Sprintf(
-			"hybrid: wcoj ord=%v (wcoj=%.3gs hybrid=%.3gs)", fullPlan.AttrOrder, wcojCost, hybridCost)), nil
+		return wcoj(fmt.Sprintf("(wcoj=%.3gs hybrid=%.3gs)", wcojCost, hybridCost)), nil
 	}
 
 	return buildHybridProgram(q, rels, core, tail, reds, corePlan, wcojCost, hybridCost), nil
@@ -188,8 +178,8 @@ func reductionCost(reds []reduction, rels []*relation.Relation, p costmodel.Para
 }
 
 // buildHybridProgram lowers the chosen split: the planned semijoin
-// pre-reductions, the core's Merge shuffle + Leapfrog kept
-// worker-resident, then the ear hash-join chain and the final gather.
+// pre-reductions, the core's cube join kept worker-resident, then the ear
+// hash-join chain and the final gather.
 func buildHybridProgram(q hypergraph.Query, rels []*relation.Relation,
 	core, tail []int, reds []reduction, corePlan *optimizer.Plan, wcojCost, hybridCost float64) *plan.Program {
 
@@ -198,8 +188,10 @@ func buildHybridProgram(q hypergraph.Query, rels []*relation.Relation,
 		coreNames[i] = q.Atoms[ai].Name
 	}
 	earNames := make([]string, len(tail))
+	ears := make([]plan.Sig, len(tail))
 	for i, ai := range tail {
 		earNames[i] = q.Atoms[ai].Name
+		ears[i] = plan.Sig{Name: q.Atoms[ai].Name, Attrs: q.Atoms[ai].Attrs}
 	}
 	label := fmt.Sprintf("hybrid: core=[%s] ord=%v ⋈ ears=[%s] (hybrid=%.3gs wcoj=%.3gs)",
 		strings.Join(coreNames, " "), corePlan.AttrOrder, strings.Join(earNames, " "),
@@ -210,91 +202,37 @@ func buildHybridProgram(q hypergraph.Query, rels []*relation.Relation,
 	// a core relation by a directly connected ear when the ear is selective
 	// on their shared attributes. Always sound — the ear joins back in
 	// later, so tuples the reduction drops could never reach the output.
-	type coreRef struct {
-		name    string
-		attrs   []string
-		size    int64
-		dynamic bool
-		lastOp  int // -1 when no reduction op produced it
-	}
-	refs := make([]coreRef, len(core))
+	// after[i] is the reduction op that last produced core relation i.
+	refs := make([]plan.RelRef, len(core))
+	after := make([][]int, len(core))
 	for i, ai := range core {
-		refs[i] = coreRef{name: q.Atoms[ai].Name, attrs: q.Atoms[ai].Attrs,
-			size: int64(rels[ai].Len()), lastOp: -1}
+		refs[i] = plan.RelRef{Name: q.Atoms[ai].Name, Attrs: q.Atoms[ai].Attrs, Size: int64(rels[ai].Len())}
 	}
 	for n, rd := range reds {
-		r := refs[rd.coreIdx]
+		r := &refs[rd.coreIdx]
 		ear := rels[rd.earIdx]
 		op := prog.Add(&plan.Op{
 			Kind: plan.Semijoin, Phase: fmt.Sprintf("precompute/reduce%d", n+1),
-			Strategy: "binary",
-			Inputs:   inputsOf(r.lastOp),
-			Left:     plan.Sig{Name: r.name, Attrs: r.attrs},
-			Right:    plan.Sig{Name: ear.Name, Attrs: ear.Attrs},
-			Out:      plan.Sig{Name: rd.outName, Attrs: r.attrs},
-			Cost:     plan.Cost{Card: float64(rd.est)},
-			Note:     "selective ear pre-reduction",
+			Inputs: after[rd.coreIdx],
+			Left:   plan.Sig{Name: r.Name, Attrs: r.Attrs},
+			Right:  plan.Sig{Name: ear.Name, Attrs: ear.Attrs},
+			Out:    plan.Sig{Name: rd.outName, Attrs: r.Attrs},
+			Cost:   plan.Cost{Card: float64(rd.est)},
+			Note:   "selective ear pre-reduction",
 		})
-		refs[rd.coreIdx] = coreRef{name: rd.outName, attrs: r.attrs,
-			size: rd.est, dynamic: true, lastOp: op.ID}
+		*r = plan.RelRef{Name: rd.outName, Attrs: r.Attrs, Size: rd.est, Dynamic: true}
+		after[rd.coreIdx] = []int{op.ID}
 	}
 
-	// The core: one optimized Merge shuffle + Leapfrog, outputs kept
-	// worker-resident as ~core to feed the ear joins.
-	relRefs := make([]plan.RelRef, len(refs))
-	var shuffleIns []int
-	for i, r := range refs {
-		relRefs[i] = plan.RelRef{Name: r.name, Attrs: r.attrs, Size: r.size, Dynamic: r.dynamic}
-		if r.lastOp >= 0 {
-			shuffleIns = append(shuffleIns, r.lastOp)
-		}
-	}
-	sh := prog.Add(&plan.Op{
-		Kind: plan.Shuffle, Phase: "shuffle",
-		Inputs: shuffleIns, Rels: relRefs, Order: corePlan.AttrOrder,
+	// The core's cube join, outputs kept worker-resident as ~core, then
+	// the ears fold back in with distributed hash joins.
+	lf := addCubeJoin(prog, plan.Op{
+		Inputs: slices.Concat(after...), Rels: refs, Order: corePlan.AttrOrder,
 		ShuffleKind: "merge", ReuseID: label,
 		Cost: plan.Cost{Seconds: corePlan.Est.Communication},
-	})
-	bt := prog.Add(&plan.Op{Kind: plan.BuildTrie, Inputs: []int{sh.ID}, Order: corePlan.AttrOrder})
-	lf := prog.Add(&plan.Op{
-		Kind: plan.LeapfrogCube, Phase: "join", Strategy: "wcoj",
-		Inputs: []int{bt.ID}, Order: corePlan.AttrOrder,
-		StoreAs: "~core", BudgetLabel: "budget",
-	})
-
-	// The ears fold back in with distributed hash joins.
-	accName := "~core"
-	accAttrs := append([]string(nil), corePlan.AttrOrder...)
-	last := lf.ID
-	for step, ai := range tail {
-		ear := q.Atoms[ai]
-		outName := fmt.Sprintf("I%d", step+1)
-		outAttrs := joinedAttrs(accAttrs, ear.Attrs)
-		op := prog.Add(&plan.Op{
-			Kind: plan.HashJoin, Phase: fmt.Sprintf("join%d", step+1), Strategy: "binary",
-			Inputs:      []int{last},
-			Left:        plan.Sig{Name: accName, Attrs: accAttrs},
-			Right:       plan.Sig{Name: ear.Name, Attrs: ear.Attrs},
-			Out:         plan.Sig{Name: outName, Attrs: outAttrs},
-			BudgetLabel: "budget(intermediate %s tuples)",
-		})
-		last = op.ID
-		accName = outName
-		accAttrs = outAttrs
-	}
-	prog.Add(&plan.Op{
-		Kind: plan.Emit, Inputs: []int{last},
-		From: accName, ProjectOnto: q.Attrs(),
-		Out: plan.Sig{Name: "out", Attrs: q.Attrs()},
-	})
+	}, plan.Op{StoreAs: "~core"})
+	addJoinChain(prog, q, plan.Sig{Name: "~core", Attrs: slices.Clone(corePlan.AttrOrder)}, []int{lf.ID}, ears)
 	return prog
-}
-
-func inputsOf(lastOp int) []int {
-	if lastOp < 0 {
-		return nil
-	}
-	return []int{lastOp}
 }
 
 // earIsSelective reports whether ear's distinct key set on the shared
@@ -309,35 +247,6 @@ func earIsSelective(coreRel, ear *relation.Relation, shared []string) bool {
 	return float64(earKeys) < earSelectivity*float64(coreKeys)
 }
 
-// hybridWCOJProgram lowers a pure worst-case-optimal route for the Hybrid
-// engine: one optimized Merge shuffle of every relation, Leapfrog under
-// the chosen order.
-func hybridWCOJProgram(q hypergraph.Query, rels []*relation.Relation, opt *optimizer.Plan, label string) *plan.Program {
-	prog := &plan.Program{Label: label}
-	infos := hcube.InfoOf(rels)
-	refs := make([]plan.RelRef, len(infos))
-	for i, ri := range infos {
-		refs[i] = plan.RelRef{Name: ri.Name, Attrs: ri.Attrs, Size: ri.Size}
-	}
-	sh := prog.Add(&plan.Op{
-		Kind: plan.Shuffle, Phase: "shuffle",
-		Rels: refs, Order: opt.AttrOrder,
-		ShuffleKind: "merge", ReuseID: label,
-		Cost: plan.Cost{Seconds: opt.Est.Communication},
-	})
-	bt := prog.Add(&plan.Op{Kind: plan.BuildTrie, Inputs: []int{sh.ID}, Order: opt.AttrOrder})
-	lf := prog.Add(&plan.Op{
-		Kind: plan.LeapfrogCube, Phase: "join", Strategy: "wcoj",
-		Inputs: []int{bt.ID}, Order: opt.AttrOrder,
-		BudgetLabel: "budget",
-	})
-	prog.Add(&plan.Op{
-		Kind: plan.Emit, Inputs: []int{lf.ID},
-		Out: plan.Sig{Name: "out", Attrs: opt.AttrOrder},
-	})
-	return prog
-}
-
 // orderCompCost prices Leapfrog under an attribute order: the sum of
 // estimated partial-binding counts over the order's proper prefixes,
 // converted to seconds at the base extension rate.
@@ -349,50 +258,34 @@ func orderCompCost(opt *optimizer.Optimizer, order []string, p costmodel.Params)
 	return cost
 }
 
-// binaryChainCost prices a pairwise hash-join chain: each step shuffles
-// both inputs and materializes the estimated intermediate.
-func binaryChainCost(opt *optimizer.Optimizer, q hypergraph.Query, rels []*relation.Relation,
-	order []int, p costmodel.Params) float64 {
+// chainCost prices a left-deep hash-join chain: starting from an input
+// over attrs of card tuples, each step joins the next relation, shuffling
+// both inputs plus the estimated output at the network rate and probing at
+// the join rate.
+func chainCost(opt *optimizer.Optimizer, q hypergraph.Query, attrs []string, card float64,
+	rights []*relation.Relation, p costmodel.Params) float64 {
 
 	cost := 0.0
-	accAttrs := append([]string(nil), rels[order[0]].Attrs...)
-	cur := float64(rels[order[0]].Len())
-	for _, idx := range order[1:] {
-		next := rels[idx]
-		accAttrs = joinedAttrs(accAttrs, next.Attrs)
-		out := opt.SubsetSize(queryAttrsIn(q, accAttrs))
-		cost += stepCost(cur, float64(next.Len()), out, p)
-		cur = out
+	for _, r := range rights {
+		attrs = joinedAttrs(attrs, r.Attrs)
+		out := opt.SubsetSize(queryAttrsIn(q, attrs))
+		comm := 0.0
+		if p.Alpha > 0 {
+			comm = (card + float64(r.Len()) + out) / p.Alpha
+		}
+		cost += comm + costmodel.ExtendCost(out, p.JoinRate, p.NumServers)
+		card = out
 	}
 	return cost
 }
 
-// hybridTailCost prices the ear hash-join chain stitched onto the core's
-// Leapfrog output.
-func hybridTailCost(opt, coreOpt *optimizer.Optimizer, q hypergraph.Query, rels []*relation.Relation,
-	coreOrder []string, tail []int, p costmodel.Params) float64 {
-
-	cost := 0.0
-	accAttrs := append([]string(nil), coreOrder...)
-	cur := coreOpt.SubsetSize(coreOrder)
-	for _, ai := range tail {
-		ear := rels[ai]
-		accAttrs = joinedAttrs(accAttrs, ear.Attrs)
-		out := opt.SubsetSize(queryAttrsIn(q, accAttrs))
-		cost += stepCost(cur, float64(ear.Len()), out, p)
-		cur = out
+// relsAt returns the relations at the given indexes.
+func relsAt(rels []*relation.Relation, idx []int) []*relation.Relation {
+	out := make([]*relation.Relation, len(idx))
+	for i, ix := range idx {
+		out[i] = rels[ix]
 	}
-	return cost
-}
-
-// stepCost prices one distributed hash join: shuffle both inputs plus the
-// output at the network rate, probe at the join rate.
-func stepCost(left, right, out float64, p costmodel.Params) float64 {
-	comm := 0.0
-	if p.Alpha > 0 {
-		comm = (left + right + out) / p.Alpha
-	}
-	return comm + costmodel.ExtendCost(out, p.JoinRate, p.NumServers)
+	return out
 }
 
 // queryAttrsIn returns the members of set in the query's canonical

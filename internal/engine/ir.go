@@ -115,7 +115,7 @@ func runProgram(c *cluster.Cluster, prog *plan.Program, rels []*relation.Relatio
 		if err := cfg.Ctx.Err(); err != nil {
 			return err
 		}
-		if err := runOp(c, prog, op, st, rels, cfg, rep); err != nil {
+		if err := runOp(c, op, st, rels, cfg, rep); err != nil {
 			return err
 		}
 	}
@@ -127,18 +127,13 @@ func runProgram(c *cluster.Cluster, prog *plan.Program, rels []*relation.Relatio
 	return nil
 }
 
-func runOp(c *cluster.Cluster, prog *plan.Program, op *plan.Op, st *progState,
+func runOp(c *cluster.Cluster, op *plan.Op, st *progState,
 	rels []*relation.Relation, cfg Config, rep *Report) error {
 	switch op.Kind {
 	case plan.Shuffle:
 		return runShuffle(c, op, st, rels, cfg, rep)
-	case plan.BuildTrie:
-		// Tries are built lazily per (relation, block) at first cube use —
-		// see cubeTries — so the op itself is a marker carrying the order
-		// and cost annotation for Explain.
-		return nil
 	case plan.LeapfrogCube:
-		return runLeapfrog(c, prog, op, st, cfg, rep)
+		return runLeapfrog(c, op, st, cfg, rep)
 	case plan.HashJoin:
 		st.load(c, rels, op.Left.Name, op.Right.Name)
 		if size, err := distributedJoin(c, op.Phase, op.Left, op.Right, op.Out.Name, cfg.Budget); err != nil {
@@ -186,7 +181,7 @@ func runOp(c *cluster.Cluster, prog *plan.Program, op *plan.Op, st *progState,
 		return checkOpBudget(op, size, cfg, rep)
 	case plan.Emit:
 		st.load(c, rels, op.From)
-		return runEmit(c, prog, op, st, cfg, rep)
+		return runEmit(c, op, st, cfg, rep)
 	default:
 		return fmt.Errorf("engine: unknown plan op kind %v", op.Kind)
 	}
@@ -247,25 +242,25 @@ func runShuffle(c *cluster.Cluster, op *plan.Op, st *progState, rels []*relation
 	return nil
 }
 
-// shuffleKindOf resolves the HCube implementation the plan chose, Push (the
-// original) when it names none.
+// shuffleKindOf resolves the HCube implementation the plan chose: Merge
+// (ADJ, Hybrid) or Push (the HCubeJ family).
 func shuffleKindOf(op *plan.Op) hcube.Kind {
-	switch op.ShuffleKind {
-	case "merge":
+	if op.ShuffleKind == "merge" {
 		return hcube.Merge
-	case "pull":
-		return hcube.Pull
-	default:
-		return hcube.Push
 	}
+	return hcube.Push
 }
 
-// runLeapfrog executes the WCOJ over the cubes its upstream Shuffle
+// runLeapfrog executes the WCOJ over the cubes its one input, a Shuffle,
 // distributed, folding the cache/emit counters into the report.
-func runLeapfrog(c *cluster.Cluster, prog *plan.Program, op *plan.Op, st *progState, cfg Config, rep *Report) error {
-	sp, ok := shuffleFor(prog, op, st)
+func runLeapfrog(c *cluster.Cluster, op *plan.Op, st *progState, cfg Config, rep *Report) error {
+	var sp hcube.Plan
+	ok := len(op.Inputs) == 1
+	if ok {
+		sp, ok = st.shuffles[op.Inputs[0]]
+	}
 	if !ok {
-		return fmt.Errorf("engine: LeapfrogCube #%d has no upstream Shuffle", op.ID)
+		return fmt.Errorf("engine: LeapfrogCube #%d does not read one Shuffle", op.ID)
 	}
 	// The plan remembers what each cube produced the last time this op ran
 	// to the end; the counts size this run's output and are replaced by its
@@ -285,24 +280,10 @@ func runLeapfrog(c *cluster.Cluster, prog *plan.Program, op *plan.Op, st *progSt
 	return nil
 }
 
-// shuffleFor resolves the executed hcube plan feeding op, walking through
-// marker ops (BuildTrie) to the upstream Shuffle.
-func shuffleFor(prog *plan.Program, op *plan.Op, st *progState) (hcube.Plan, bool) {
-	for _, in := range op.Inputs {
-		if sp, ok := st.shuffles[in]; ok {
-			return sp, true
-		}
-		if sp, ok := shuffleFor(prog, prog.Ops[in], st); ok {
-			return sp, true
-		}
-	}
-	return hcube.Plan{}, false
-}
-
 // runEmit terminates the plan: count and optionally materialize results,
 // either from the upstream LeapfrogCube's folded outputs or by gathering
 // the worker fragments of the From relation.
-func runEmit(c *cluster.Cluster, prog *plan.Program, op *plan.Op, st *progState, cfg Config, rep *Report) error {
+func runEmit(c *cluster.Cluster, op *plan.Op, st *progState, cfg Config, rep *Report) error {
 	if op.From == "" {
 		for _, in := range op.Inputs {
 			if r, ok := st.lf[in]; ok {

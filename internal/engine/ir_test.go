@@ -3,6 +3,8 @@ package engine
 import (
 	"context"
 	"math/rand"
+	"regexp"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -15,40 +17,92 @@ import (
 
 // Every engine's Prepare must lower to a valid physical program: a
 // well-formed DAG (inputs strictly precede consumers) ending in exactly
-// one Emit, with the engine's identity stamped on it.
+// one Emit, with the engine's identity stamped on it, and holding only
+// what the interpreter relies on — ops of the kinds runOp executes, and a
+// LeapfrogCube that reads exactly one input, the Shuffle that placed its
+// cubes. Tree tags each op with the strategy its kind implies: LeapfrogCube,
+// Extend and a verify Semijoin "wcoj", HashJoin and a reduction Semijoin
+// "binary". Every row runs on Q1 and on Hybrid's split workload.
 func TestEveryEngineLowersToValidProgram(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	edges := testutil.RandEdges(rng, "E", 300, 25)
-	q := hypergraph.Q1()
-	rels := q.BindGraph(edges)
-	for _, name := range AllEngineNames() {
-		pp, err := Prepare(name, q, rels, smallCfg(3))
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-		if pp.Program == nil {
-			t.Fatalf("%s: Prepare returned no program", name)
-		}
-		if err := pp.Program.Validate(); err != nil {
-			t.Fatalf("%s: invalid program: %v", name, err)
-		}
-		if pp.Program.Engine != name {
-			t.Fatalf("%s: program stamped %q", name, pp.Program.Engine)
-		}
-		emits := 0
-		for _, op := range pp.Program.Ops {
-			if op.Kind == plan.Emit {
-				emits++
+	hq, hrels := hybridWorkload(1000)
+	insts := []struct {
+		q    hypergraph.Query
+		rels []*relation.Relation
+		cfg  Config
+	}{
+		{hypergraph.Q1(), hypergraph.Q1().BindGraph(edges), smallCfg(3)},
+		{hq, hrels, Config{NumServers: 4, Samples: 300, Seed: 7, Ctx: context.Background()}},
+	}
+	executed := map[plan.Kind]bool{
+		plan.Shuffle: true, plan.LeapfrogCube: true, plan.HashJoin: true, plan.Semijoin: true,
+		plan.Project: true, plan.Emit: true, plan.Scatter: true, plan.Extend: true,
+	}
+	opLine := regexp.MustCompile(`#(\d+) \S+ .*?(?:  \[(.*)\])?$`)
+	for _, in := range insts {
+		for _, row := range engineTable {
+			name := row.name + "/" + in.q.Name
+			pp, err := Prepare(row.name, in.q, in.rels, in.cfg)
+			if err != nil {
+				t.Fatalf("%s: %v", name, err)
 			}
-		}
-		if emits != 1 {
-			t.Fatalf("%s: %d Emit ops, want 1", name, emits)
-		}
-		if last := pp.Program.Ops[len(pp.Program.Ops)-1]; last.Kind != plan.Emit {
-			t.Fatalf("%s: last op is %s, want Emit", name, last.Kind)
-		}
-		if tree := pp.Program.Tree(); !strings.Contains(tree, "Emit") {
-			t.Fatalf("%s: Tree rendering missing Emit:\n%s", name, tree)
+			prog := pp.Program
+			if prog == nil {
+				t.Fatalf("%s: Prepare returned no program", name)
+			}
+			if err := prog.Validate(); err != nil {
+				t.Fatalf("%s: invalid program: %v", name, err)
+			}
+			if prog.Engine != row.name {
+				t.Fatalf("%s: program stamped %q", name, prog.Engine)
+			}
+			emits := 0
+			for _, op := range prog.Ops {
+				if !executed[op.Kind] {
+					t.Fatalf("%s: op #%d has kind %s, which the interpreter does not execute", name, op.ID, op.Kind)
+				}
+				if op.Kind == plan.Emit {
+					emits++
+				}
+				if op.Kind == plan.LeapfrogCube && (len(op.Inputs) != 1 || prog.Ops[op.Inputs[0]].Kind != plan.Shuffle) {
+					t.Fatalf("%s: LeapfrogCube #%d reads %v, want one Shuffle", name, op.ID, op.Inputs)
+				}
+			}
+			if emits != 1 {
+				t.Fatalf("%s: %d Emit ops, want 1", name, emits)
+			}
+			if last := prog.Ops[len(prog.Ops)-1]; last.Kind != plan.Emit {
+				t.Fatalf("%s: last op is %s, want Emit", name, last.Kind)
+			}
+			tree := prog.Tree()
+			tagged := 0
+			for _, line := range strings.Split(tree, "\n") {
+				m := opLine.FindStringSubmatch(line)
+				if m == nil {
+					continue
+				}
+				id, _ := strconv.Atoi(m[1])
+				op := prog.Ops[id]
+				want := ""
+				switch {
+				case op.Kind == plan.LeapfrogCube, op.Kind == plan.Extend, op.Kind == plan.Semijoin && op.Attr != "":
+					want = "wcoj"
+				case op.Kind == plan.HashJoin, op.Kind == plan.Semijoin:
+					want = "binary"
+				}
+				got, _, _ := strings.Cut(m[2], ", ")
+				if got != "wcoj" && got != "binary" {
+					got = ""
+				}
+				if got != want {
+					t.Fatalf("%s: op #%d (%s) tagged %q, want %q:\n%s", name, id, op.Kind, got, want, tree)
+				}
+				tagged++
+			}
+			if tagged != len(prog.Ops) {
+				t.Fatalf("%s: Tree renders %d of %d ops:\n%s", name, tagged, len(prog.Ops), tree)
+			}
 		}
 	}
 }

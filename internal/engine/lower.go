@@ -2,9 +2,9 @@ package engine
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 
-	"adj/internal/hcube"
 	"adj/internal/hypergraph"
 	"adj/internal/optimizer"
 	"adj/internal/plan"
@@ -19,8 +19,8 @@ import (
 
 // lowerADJ lowers ADJ's co-optimized (or communication-first) GHD plan:
 // per-bag pre-computation as distributed HashJoin chains canonicalized by
-// a Project, one optimized Merge shuffle of the rewritten query Qi, and
-// Leapfrog under the plan's valid attribute order.
+// a Project, then the cube join of the rewritten query Qi: one optimized
+// Merge shuffle and Leapfrog under the plan's valid attribute order.
 func lowerADJ(q hypergraph.Query, rels []*relation.Relation, opt *optimizer.Plan) *plan.Program {
 	prog := &plan.Program{Label: opt.String()}
 
@@ -33,33 +33,25 @@ func lowerADJ(q hypergraph.Query, rels []*relation.Relation, opt *optimizer.Plan
 		bag := opt.Decomp.Bags[id]
 		outName := optimizer.BagRelationName(opt.Decomp, id)
 		bagNames[id] = outName
-		accName := q.Atoms[bag.Atoms[0]].Name
-		accAttrs := append([]string(nil), q.Atoms[bag.Atoms[0]].Attrs...)
-		var chain []int
+		acc := plan.Sig{Name: q.Atoms[bag.Atoms[0]].Name, Attrs: slices.Clone(q.Atoms[bag.Atoms[0]].Attrs)}
+		var after []int
 		for step, ai := range bag.Atoms[1:] {
 			next := q.Atoms[ai]
-			stepOut := outName
+			out := plan.Sig{Name: outName, Attrs: joinedAttrs(acc.Attrs, next.Attrs)}
 			if step < len(bag.Atoms)-2 {
-				stepOut = outName + "~" + next.Name
+				out.Name = outName + "~" + next.Name
 			}
-			outAttrs := joinedAttrs(accAttrs, next.Attrs)
 			op := prog.Add(&plan.Op{
-				Kind: plan.HashJoin, Phase: "precompute", Strategy: "binary",
-				Inputs:      chainTail(chain),
-				Left:        plan.Sig{Name: accName, Attrs: accAttrs},
-				Right:       plan.Sig{Name: next.Name, Attrs: next.Attrs},
-				Out:         plan.Sig{Name: stepOut, Attrs: outAttrs},
+				Kind: plan.HashJoin, Phase: "precompute", Inputs: after,
+				Left: acc, Right: plan.Sig{Name: next.Name, Attrs: next.Attrs}, Out: out,
 				BudgetLabel: "budget(precompute)",
 			})
-			chain = append(chain, op.ID)
-			accName = stepOut
-			accAttrs = outAttrs
+			after, acc = []int{op.ID}, out
 		}
 		canon := prog.Add(&plan.Op{
 			Kind: plan.Project, Phase: "precompute/canon",
-			Inputs: chainTail(chain),
-			Left:   plan.Sig{Name: outName, Attrs: accAttrs},
-			Out:    plan.Sig{Name: outName, Attrs: bag.Vertices},
+			Inputs: after, Left: acc,
+			Out: plan.Sig{Name: outName, Attrs: bag.Vertices},
 		})
 		bagOps[id] = canon.ID
 	}
@@ -80,34 +72,28 @@ func lowerADJ(q hypergraph.Query, rels []*relation.Relation, opt *optimizer.Plan
 			refs = append(refs, plan.RelRef{Name: r.Name, Attrs: r.Attrs, Size: int64(r.Len())})
 		}
 	}
-
-	sh := prog.Add(&plan.Op{
-		Kind: plan.Shuffle, Phase: "shuffle",
+	addCubeJoin(prog, plan.Op{
 		Inputs: shuffleIns, Rels: refs, Order: opt.AttrOrder,
 		ShuffleKind: "merge", ReuseID: opt.String(),
 		Cost: plan.Cost{Seconds: opt.Est.Communication},
-	})
-	bt := prog.Add(&plan.Op{Kind: plan.BuildTrie, Inputs: []int{sh.ID}, Order: opt.AttrOrder})
-	lf := prog.Add(&plan.Op{
-		Kind: plan.LeapfrogCube, Phase: "join", Strategy: "wcoj",
-		Inputs: []int{bt.ID}, Order: opt.AttrOrder,
-		BudgetLabel: "budget",
-		Cost:        plan.Cost{Seconds: opt.Est.Computation},
-	})
-	prog.Add(&plan.Op{
-		Kind: plan.Emit, Inputs: []int{lf.ID},
-		Out: plan.Sig{Name: "out", Attrs: opt.AttrOrder},
-	})
+	}, plan.Op{Cost: plan.Cost{Seconds: opt.Est.Computation}})
 	return prog
 }
 
-// chainTail returns the last op of a chain as an input list (empty chain →
-// no inputs).
-func chainTail(chain []int) []int {
-	if len(chain) == 0 {
-		return nil
+// addCubeJoin appends the one-round cube join every HCube engine shares:
+// the Shuffle sh, a LeapfrogCube lf under the shuffle's order over the
+// cubes it placed, and — unless lf keeps its outputs worker-resident
+// (StoreAs) — the Emit of the cube outputs. It returns the LeapfrogCube.
+func addCubeJoin(prog *plan.Program, sh, lf plan.Op) *plan.Op {
+	sh.Kind, sh.Phase = plan.Shuffle, "shuffle"
+	shuffle := prog.Add(&sh)
+	lf.Kind, lf.Phase, lf.Inputs, lf.Order = plan.LeapfrogCube, "join", []int{shuffle.ID}, sh.Order
+	lf.BudgetLabel = "budget"
+	cube := prog.Add(&lf)
+	if lf.StoreAs == "" {
+		prog.Add(&plan.Op{Kind: plan.Emit, Inputs: []int{cube.ID}, Out: plan.Sig{Name: "out", Attrs: sh.Order}})
 	}
-	return []int{chain[len(chain)-1]}
+	return cube
 }
 
 // lowerHCubeJ lowers the one-round communication-first baseline: a single
@@ -116,27 +102,15 @@ func chainTail(chain []int) []int {
 // level-cached — Leapfrog per cube.
 func lowerHCubeJ(rels []*relation.Relation, opt *optimizer.Plan, cached bool) *plan.Program {
 	prog := &plan.Program{Label: fmt.Sprintf("ord=%v", opt.AttrOrder)}
-	infos := hcube.InfoOf(rels)
-	refs := make([]plan.RelRef, len(infos))
-	for i, ri := range infos {
-		refs[i] = plan.RelRef{Name: ri.Name, Attrs: ri.Attrs, Size: ri.Size}
+	refs := make([]plan.RelRef, len(rels))
+	for i, r := range rels {
+		refs[i] = plan.RelRef{Name: r.Name, Attrs: slices.Clone(r.Attrs), Size: int64(r.Len())}
 	}
-	sh := prog.Add(&plan.Op{
-		Kind: plan.Shuffle, Phase: "shuffle",
+	addCubeJoin(prog, plan.Op{
 		Rels: refs, Order: opt.AttrOrder,
 		ShuffleKind: "push", ChargeOptimize: true, LabelShares: true,
 		Cost: plan.Cost{Seconds: opt.Est.Communication},
-	})
-	bt := prog.Add(&plan.Op{Kind: plan.BuildTrie, Inputs: []int{sh.ID}, Order: opt.AttrOrder})
-	lf := prog.Add(&plan.Op{
-		Kind: plan.LeapfrogCube, Phase: "join", Strategy: "wcoj",
-		Inputs: []int{bt.ID}, Order: opt.AttrOrder, Cached: cached,
-		BudgetLabel: "budget",
-	})
-	prog.Add(&plan.Op{
-		Kind: plan.Emit, Inputs: []int{lf.ID},
-		Out: plan.Sig{Name: "out", Attrs: opt.AttrOrder},
-	})
+	}, plan.Op{Cached: cached})
 	return prog
 }
 
@@ -145,36 +119,39 @@ func lowerHCubeJ(rels []*relation.Relation, opt *optimizer.Plan, cached bool) *p
 // intermediate, then a gather of the final fragments.
 func lowerBinary(q hypergraph.Query, rels []*relation.Relation, order []int) *plan.Program {
 	names := make([]string, len(order))
+	rights := make([]plan.Sig, len(order)-1)
 	for i, idx := range order {
 		names[i] = rels[idx].Name
+		if i > 0 {
+			rights[i-1] = plan.Sig{Name: rels[idx].Name, Attrs: rels[idx].Attrs}
+		}
 	}
 	prog := &plan.Program{Label: "pairwise: " + strings.Join(names, " ⋈ ")}
+	first := rels[order[0]]
+	addJoinChain(prog, q, plan.Sig{Name: first.Name, Attrs: slices.Clone(first.Attrs)}, nil, rights)
+	return prog
+}
 
-	accName := rels[order[0]].Name
-	accAttrs := append([]string(nil), rels[order[0]].Attrs...)
-	var chain []int
-	for step, idx := range order[1:] {
-		next := rels[idx]
-		outName := fmt.Sprintf("I%d", step+1)
-		outAttrs := joinedAttrs(accAttrs, next.Attrs)
+// addJoinChain appends the left-deep hash-join chain SparkSQL and Hybrid's
+// ears run: acc ⋈ rights[0] ⋈ rights[1] ⋈ …, step i a distributed HashJoin
+// into I<i> under phase join<i>, the first step reading the ops in after;
+// then the Emit that gathers the last intermediate, projected onto the
+// query's attributes.
+func addJoinChain(prog *plan.Program, q hypergraph.Query, acc plan.Sig, after []int, rights []plan.Sig) {
+	for step, right := range rights {
+		out := plan.Sig{Name: fmt.Sprintf("I%d", step+1), Attrs: joinedAttrs(acc.Attrs, right.Attrs)}
 		op := prog.Add(&plan.Op{
-			Kind: plan.HashJoin, Phase: fmt.Sprintf("join%d", step+1), Strategy: "binary",
-			Inputs:      chainTail(chain),
-			Left:        plan.Sig{Name: accName, Attrs: accAttrs},
-			Right:       plan.Sig{Name: next.Name, Attrs: next.Attrs},
-			Out:         plan.Sig{Name: outName, Attrs: outAttrs},
+			Kind: plan.HashJoin, Phase: fmt.Sprintf("join%d", step+1), Inputs: after,
+			Left: acc, Right: right, Out: out,
 			BudgetLabel: "budget(intermediate %s tuples)",
 		})
-		chain = append(chain, op.ID)
-		accName = outName
-		accAttrs = outAttrs
+		after, acc = []int{op.ID}, out
 	}
 	prog.Add(&plan.Op{
-		Kind: plan.Emit, Inputs: chainTail(chain),
-		From: accName, ProjectOnto: q.Attrs(),
+		Kind: plan.Emit, Inputs: after,
+		From: acc.Name, ProjectOnto: q.Attrs(),
 		Out: plan.Sig{Name: "out", Attrs: q.Attrs()},
 	})
-	return prog
 }
 
 // lowerBigJoin lowers the multi-round WCOJ baseline: seed bindings with a
@@ -209,7 +186,7 @@ func lowerBigJoin(q hypergraph.Query, rels []*relation.Relation, order []string)
 		}
 		phase := fmt.Sprintf("round%d", d)
 		last = prog.Add(&plan.Op{
-			Kind: plan.Extend, Phase: phase + "/propose", Strategy: "wcoj",
+			Kind: plan.Extend, Phase: phase + "/propose",
 			Inputs: []int{last.ID},
 			RelIdx: prop, Prefix: prefix, Attr: attr,
 			Out:         plan.Sig{Name: "bindings", Attrs: bound},
@@ -221,7 +198,7 @@ func lowerBigJoin(q hypergraph.Query, rels []*relation.Relation, order []string)
 				continue
 			}
 			last = prog.Add(&plan.Op{
-				Kind: plan.Semijoin, Phase: fmt.Sprintf("%s/verify%d", phase, vi), Strategy: "wcoj",
+				Kind: plan.Semijoin, Phase: fmt.Sprintf("%s/verify%d", phase, vi),
 				Inputs: []int{last.ID},
 				RelIdx: ridx, Prefix: prefix, Attr: attr,
 				Out:         plan.Sig{Name: "bindings", Attrs: bound},

@@ -230,12 +230,7 @@ func planBinary(q hypergraph.Query, rels []*relation.Relation, _ Config) (*plan.
 // communication-first plan). No constant is timed, so the plan is a function
 // of the inputs and the seed, in any process on any host.
 func adjPlan(q hypergraph.Query, rels []*relation.Relation, cfg Config, coOptimize bool) (*optimizer.Plan, error) {
-	opt, err := optimizer.New(q, rels, optimizer.Options{
-		Params:  defaultParams(cfg),
-		Samples: cfg.Samples,
-		Seed:    cfg.Seed,
-		Cancel:  cancelOf(cfg),
-	})
+	opt, err := newOptimizer(q, rels, cfg)
 	if err != nil {
 		return nil, err
 	}
@@ -243,6 +238,17 @@ func adjPlan(q hypergraph.Query, rels []*relation.Relation, cfg Config, coOptimi
 		return opt.CoOptimize()
 	}
 	return opt.CommunicationFirst()
+}
+
+// newOptimizer is every planner's optimizer over q: the run's cost-model
+// constants, sample count and seed, polling cfg.Ctx between samples.
+func newOptimizer(q hypergraph.Query, rels []*relation.Relation, cfg Config) (*optimizer.Optimizer, error) {
+	return optimizer.New(q, rels, optimizer.Options{
+		Params:  defaultParams(cfg),
+		Samples: cfg.Samples,
+		Seed:    cfg.Seed,
+		Cancel:  cancelOf(cfg),
+	})
 }
 
 // shuffleReuse builds the hcube.Reuse for one shuffle from the session's

@@ -311,7 +311,7 @@ func workerTries(w *cluster.Worker, info []RelInfo, order []string) []*trie.Trie
 	for _, ri := range info {
 		tr := w.Blocks.Trie(ri.Name)
 		if tr == nil {
-			tr = trie.Build(relation.New(ri.Name, ri.Attrs...), p.trieAttrs(ri))
+			tr = trie.Build(relation.New(ri.Name, ri.Attrs...), trie.AttrsInOrder(ri.Attrs, p.TrieOrder))
 		}
 		out = append(out, tr)
 	}

@@ -90,7 +90,7 @@ type Reuse struct {
 // same sorted distinct block tries.
 func (p Plan) layoutSig(ri RelInfo) uint64 {
 	relPos := p.Shares.RelPositions(ri.Attrs)
-	trieAttrs := p.trieAttrs(ri)
+	trieAttrs := trie.AttrsInOrder(ri.Attrs, p.TrieOrder)
 	h := relation.NewHash64()
 	h.Word(uint64(len(ri.Attrs)))
 	for _, pos := range relPos {
@@ -150,7 +150,7 @@ func adoptWarm(w *cluster.Worker, p Plan) {
 		if !ok {
 			continue
 		}
-		attrs := p.trieAttrs(ri)
+		attrs := trie.AttrsInOrder(ri.Attrs, p.TrieOrder)
 		skinned := *bt
 		skinned.Attrs = attrs
 		w.Blocks.DepositBuilt(blockcache.Key{Rel: ri.Name, Sig: sig}, attrs, &skinned)
@@ -254,17 +254,6 @@ func Run(c *cluster.Cluster, phase string, p Plan) error {
 		func(w *cluster.Worker, r cluster.StreamReceiver) error { return p.receive(w, r) })
 }
 
-// trieAttrs returns ri's attributes sorted by TrieOrder position.
-func (p Plan) trieAttrs(ri RelInfo) []string {
-	pos := make(map[string]int, len(p.TrieOrder))
-	for i, a := range p.TrieOrder {
-		pos[a] = i
-	}
-	attrs := append([]string(nil), ri.Attrs...)
-	sort.Slice(attrs, func(x, y int) bool { return pos[attrs[x]] < pos[attrs[y]] })
-	return attrs
-}
-
 // send ships every block of the worker's fragments of the cold relations
 // to each worker whose cube matches the block's signature. Push and Pull
 // stream a block as its sorted tuples in bounded chunks whose payloads are
@@ -286,7 +275,7 @@ func (p Plan) send(w *cluster.Worker, s cluster.StreamSender) error {
 			continue
 		}
 		relPos := p.Shares.RelPositions(ri.Attrs)
-		attrs := p.trieAttrs(ri)
+		attrs := trie.AttrsInOrder(ri.Attrs, p.TrieOrder)
 		sigs, blocks := groupBlocks(frag, p.Shares, relPos, ri)
 		for bi, sig := range sigs {
 			key := ri.Name + "@" + strconv.Itoa(sig)
@@ -355,7 +344,7 @@ func (p Plan) receive(w *cluster.Worker, r cluster.StreamReceiver) error {
 	mine := make(map[string]*local, len(p.Rels))
 	for _, ri := range p.Rels {
 		if _, ok := p.Warm[ri.Name]; !ok {
-			mine[ri.Name] = &local{ri: ri, sig: p.Shares.cubeSig(p.Shares.RelPositions(ri.Attrs), w.ID), attrs: p.trieAttrs(ri)}
+			mine[ri.Name] = &local{ri: ri, sig: p.Shares.cubeSig(p.Shares.RelPositions(ri.Attrs), w.ID), attrs: trie.AttrsInOrder(ri.Attrs, p.TrieOrder)}
 		}
 	}
 	what := "hcube " + p.Kind.String()

@@ -12,7 +12,6 @@ package leapfrog
 import (
 	"errors"
 	"fmt"
-	"sort"
 	"sync"
 
 	"adj/internal/relation"
@@ -88,22 +87,10 @@ type Options struct {
 // is the relation's attributes sorted by position in the global order. All
 // engines share this preparation step.
 func BuildTries(rels []*relation.Relation, order []string) []*trie.Trie {
-	pos := make(map[string]int, len(order))
-	for i, a := range order {
-		pos[a] = i
-	}
 	out := make([]*trie.Trie, len(rels))
 	for i, r := range rels {
-		out[i] = trie.Build(r, TrieAttrs(r.Attrs, pos))
+		out[i] = trie.Build(r, trie.AttrsInOrder(r.Attrs, order))
 	}
-	return out
-}
-
-// TrieAttrs returns a relation's attributes sorted by position (pos) in the
-// global order: the level order of the trie BuildTries builds for it.
-func TrieAttrs(attrs []string, pos map[string]int) []string {
-	out := append([]string(nil), attrs...)
-	sort.Slice(out, func(x, y int) bool { return pos[out[x]] < pos[out[y]] })
 	return out
 }
 

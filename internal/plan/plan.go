@@ -4,8 +4,10 @@
 // interpreter (internal/engine's runProgram) walks the DAG on the resident
 // cluster. The IR is what lets one plan mix execution strategies: a
 // selective acyclic fragment can run as HashJoin/Semijoin ops while the
-// cyclic core runs as a Shuffle → BuildTrie → LeapfrogCube pipeline, with
-// the routing decision annotated on the ops themselves.
+// cyclic core runs as a Shuffle → LeapfrogCube cube join. An op's strategy
+// follows from its kind — LeapfrogCube, Extend and a verify Semijoin are
+// worst-case optimal ("wcoj"), HashJoin and a reduction Semijoin binary —
+// and Tree prints it beside the op.
 //
 // The package is deliberately dependency-free: operators reference
 // relations by signature (name + attribute schema) and carry plan-time
@@ -30,14 +32,10 @@ const (
 	// run time (sizes marked Dynamic are re-gathered from worker
 	// fragments first).
 	Shuffle Kind = iota
-	// BuildTrie marks the block-trie construction the downstream
-	// LeapfrogCube forces lazily out of the shuffle's block registry. It
-	// executes as a no-op — tries are built at first use, once per
-	// relation per worker — but carries the order and cost
-	// annotation so Explain shows where trie time goes.
-	BuildTrie
 	// LeapfrogCube runs the worst-case-optimal Leapfrog join under Order
-	// on every worker, over the one cube the worker owns.
+	// on every worker, over the one cube the worker owns. Its one input is
+	// the Shuffle that placed the cubes; each worker builds a block's trie
+	// at its first use.
 	LeapfrogCube
 	// HashJoin is one distributed binary hash join Left ⋈ Right → Out:
 	// both sides are repartitioned on their shared attributes and joined
@@ -69,8 +67,6 @@ func (k Kind) String() string {
 	switch k {
 	case Shuffle:
 		return "Shuffle"
-	case BuildTrie:
-		return "BuildTrie"
 	case LeapfrogCube:
 		return "LeapfrogCube"
 	case HashJoin:
@@ -136,22 +132,21 @@ func (c Cost) String() string {
 // Op is one physical operator. It is a tagged union: Kind selects which
 // fields are meaningful (see the Kind constants). Every op carries the
 // metrics phase its work is charged to, the IDs of the ops producing its
-// inputs, its output signature, and optional cost/strategy annotations.
+// inputs, its output signature, and optional cost annotations.
 type Op struct {
-	ID       int
-	Kind     Kind
-	Phase    string
-	Strategy string // "wcoj", "binary", "" — the routing Explain surfaces
-	Inputs   []int
-	Out      Sig
-	Cost     Cost
-	Note     string // free-form annotation for Explain
+	ID     int
+	Kind   Kind
+	Phase  string
+	Inputs []int
+	Out    Sig
+	Cost   Cost
+	Note   string // free-form annotation for Explain
 
 	// Shuffle
 	Rels []RelRef
 	// Order: the shuffle/trie/Leapfrog attribute order.
 	Order []string
-	// ShuffleKind is "push", "pull", "merge", or "" for Push.
+	// ShuffleKind is "merge", or "push" (also when empty).
 	ShuffleKind string
 	// ChargeOptimize charges the run-time share optimization to the
 	// optimize phase (the HCubeJ family's accounting).
@@ -207,7 +202,7 @@ func (op *Op) label() string {
 			kind = "default"
 		}
 		fmt.Fprintf(&b, " %s rels=[%s] ord=%v", kind, strings.Join(names, " "), op.Order)
-	case BuildTrie, LeapfrogCube:
+	case LeapfrogCube:
 		fmt.Fprintf(&b, " ord=%v", op.Order)
 		if op.Cached {
 			b.WriteString(" cached")
@@ -237,8 +232,8 @@ func (op *Op) label() string {
 		fmt.Fprintf(&b, " bindings%v + %s via rel#%d", op.Prefix, op.Attr, op.RelIdx)
 	}
 	var tags []string
-	if op.Strategy != "" {
-		tags = append(tags, op.Strategy)
+	if s := op.strategy(); s != "" {
+		tags = append(tags, s)
 	}
 	if c := op.Cost.String(); c != "" {
 		tags = append(tags, c)
@@ -253,6 +248,24 @@ func (op *Op) label() string {
 		fmt.Fprintf(&b, "  [%s]", strings.Join(tags, ", "))
 	}
 	return b.String()
+}
+
+// strategy names the execution strategy the op belongs to: "wcoj" for the
+// worst-case-optimal join ops (a Semijoin with Attr is a BigJoin verify
+// round), "binary" for hash joins and reductions, "" for the rest.
+func (op *Op) strategy() string {
+	switch op.Kind {
+	case LeapfrogCube, Extend:
+		return "wcoj"
+	case HashJoin:
+		return "binary"
+	case Semijoin:
+		if op.Attr != "" {
+			return "wcoj"
+		}
+		return "binary"
+	}
+	return ""
 }
 
 // Program is a lowered query: operators in topological (execution) order.

@@ -8,8 +8,8 @@ import (
 func TestAddAssignsIDsInOrder(t *testing.T) {
 	p := &Program{Engine: "X"}
 	a := p.Add(&Op{Kind: Shuffle, Order: []string{"a", "b"}})
-	b := p.Add(&Op{Kind: BuildTrie, Inputs: []int{a.ID}})
-	c := p.Add(&Op{Kind: LeapfrogCube, Inputs: []int{b.ID}})
+	b := p.Add(&Op{Kind: LeapfrogCube, Inputs: []int{a.ID}})
+	c := p.Add(&Op{Kind: Emit, Inputs: []int{b.ID}})
 	if a.ID != 0 || b.ID != 1 || c.ID != 2 {
 		t.Fatalf("IDs = %d %d %d, want 0 1 2", a.ID, b.ID, c.ID)
 	}
@@ -41,8 +41,7 @@ func TestValidateEmptyAndMisnumbered(t *testing.T) {
 func TestRootsFindsUnconsumedOps(t *testing.T) {
 	p := &Program{}
 	s := p.Add(&Op{Kind: Shuffle})
-	bt := p.Add(&Op{Kind: BuildTrie, Inputs: []int{s.ID}})
-	lf := p.Add(&Op{Kind: LeapfrogCube, Inputs: []int{bt.ID}})
+	lf := p.Add(&Op{Kind: LeapfrogCube, Inputs: []int{s.ID}})
 	em := p.Add(&Op{Kind: Emit, Inputs: []int{lf.ID}})
 	roots := p.Roots()
 	if len(roots) != 1 || roots[0].ID != em.ID {
@@ -54,9 +53,8 @@ func TestTreeRendersPipelineAndSharedNodes(t *testing.T) {
 	p := &Program{Engine: "ADJ", Label: "plan-label"}
 	s := p.Add(&Op{Kind: Shuffle, Phase: "shuffle", Order: []string{"a", "b", "c"},
 		Rels: []RelRef{{Name: "R1"}, {Name: "R2"}}, ShuffleKind: "merge"})
-	bt := p.Add(&Op{Kind: BuildTrie, Inputs: []int{s.ID}, Order: []string{"a", "b", "c"}})
-	lf := p.Add(&Op{Kind: LeapfrogCube, Phase: "join", Strategy: "wcoj",
-		Inputs: []int{bt.ID}, Order: []string{"a", "b", "c"}, Cost: Cost{Card: 1000}})
+	lf := p.Add(&Op{Kind: LeapfrogCube, Phase: "join",
+		Inputs: []int{s.ID}, Order: []string{"a", "b", "c"}, Cost: Cost{Card: 1000}})
 	p.Add(&Op{Kind: Emit, Inputs: []int{lf.ID}, Out: Sig{Name: "out", Attrs: []string{"a", "b", "c"}}})
 
 	tree := p.Tree()
@@ -64,7 +62,6 @@ func TestTreeRendersPipelineAndSharedNodes(t *testing.T) {
 		"ADJ: plan-label",
 		"Emit",
 		"LeapfrogCube",
-		"BuildTrie",
 		"Shuffle merge rels=[R1 R2]",
 		"wcoj",
 		"card≈1e+03",
@@ -76,7 +73,7 @@ func TestTreeRendersPipelineAndSharedNodes(t *testing.T) {
 		}
 	}
 	// Every op renders exactly once in a linear pipeline.
-	for _, label := range []string{"#0 ", "#1 ", "#2 ", "#3 "} {
+	for _, label := range []string{"#0 ", "#1 ", "#2 "} {
 		if n := strings.Count(tree, label); n != 1 {
 			t.Fatalf("op %q rendered %d times:\n%s", label, n, tree)
 		}
@@ -95,7 +92,7 @@ func TestTreeRendersPipelineAndSharedNodes(t *testing.T) {
 }
 
 func TestKindStrings(t *testing.T) {
-	kinds := []Kind{Shuffle, BuildTrie, LeapfrogCube, HashJoin, Semijoin, Project, Emit, Scatter, Extend}
+	kinds := []Kind{Shuffle, LeapfrogCube, HashJoin, Semijoin, Project, Emit, Scatter, Extend}
 	seen := make(map[string]bool)
 	for _, k := range kinds {
 		s := k.String()

@@ -90,19 +90,6 @@ func (w *ColumnWriter) AppendRun(vals []Value) {
 	w.rows += n
 }
 
-// AppendTuple appends one full row (the per-tuple fallback for callers
-// mixing run and row emission through the same writer).
-func (w *ColumnWriter) AppendTuple(t Tuple) {
-	if len(t) != len(w.cols) {
-		panic(fmt.Sprintf("relation %q: append arity %d != schema arity %d",
-			w.r.Name, len(t), len(w.cols)))
-	}
-	for j, v := range t {
-		w.cols[j] = append(w.cols[j], v)
-	}
-	w.rows++
-}
-
 // extendCol grows col by n slots, ready to be overwritten. Out of capacity it
 // at least doubles (growColumn): append's own schedule falls to 1.25× for
 // large slices, and a run-appended column climbing it from empty allocated

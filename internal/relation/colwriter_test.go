@@ -50,26 +50,24 @@ func TestColumnWriterMatchesExpectedRows(t *testing.T) {
 	}
 }
 
-// AppendTuple interleaves with runs, Reserve pre-sizes without changing
-// contents, and attaching to a non-empty relation appends after the
-// existing tuples.
+// Runs follow each other, Reserve pre-sizes without changing contents, and
+// attaching to a non-empty relation appends after the existing tuples.
 func TestColumnWriterMixedAndReserve(t *testing.T) {
 	r := FromTuples("out", []string{"x", "y"}, [][]Value{{1, 2}})
 	w := NewColumnWriter(r)
 	w.Reserve(16)
 	w.BeginRun([]Value{7})
 	w.AppendRun([]Value{10, 11})
-	w.AppendTuple([]Value{8, 12})
 	w.BeginRun([]Value{9})
 	w.AppendRun([]Value{13})
 	want := FromTuples("out", []string{"x", "y"}, [][]Value{
-		{1, 2}, {7, 10}, {7, 11}, {8, 12}, {9, 13},
+		{1, 2}, {7, 10}, {7, 11}, {9, 13},
 	})
 	if !r.Equal(want) {
 		t.Fatalf("got\n%s\nwant\n%s", r, want)
 	}
-	if w.Rows() != 5 {
-		t.Fatalf("rows=%d want 5", w.Rows())
+	if w.Rows() != 4 {
+		t.Fatalf("rows=%d want 4", w.Rows())
 	}
 }
 
@@ -86,7 +84,6 @@ func TestColumnWriterPanics(t *testing.T) {
 	r := New("out", "x", "y")
 	w := NewColumnWriter(r)
 	expectPanic("bad prefix arity", func() { w.BeginRun([]Value{1, 2}) })
-	expectPanic("bad tuple arity", func() { w.AppendTuple([]Value{1}) })
 	expectPanic("zero attrs", func() { NewColumnWriter(New("empty")) })
 }
 

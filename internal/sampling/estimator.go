@@ -144,13 +144,9 @@ func (ix *Index) TriesBuilt() int {
 func (ix *Index) triesFor(rels []*relation.Relation, order []string) []*trie.Trie {
 	ix.mu.Lock()
 	defer ix.mu.Unlock()
-	pos := make(map[string]int, len(order))
-	for i, a := range order {
-		pos[a] = i
-	}
 	out := make([]*trie.Trie, len(rels))
 	for i, r := range rels {
-		attrs := leapfrog.TrieAttrs(r.Attrs, pos)
+		attrs := trie.AttrsInOrder(r.Attrs, order)
 		key := ix.keyBuf[:0]
 		for _, a := range attrs {
 			col := r.Column(r.AttrIndex(a))

@@ -175,8 +175,3 @@ func RandMixedQueryInstance(rng *rand.Rand, maxAtoms, maxAttrs int, tuples int, 
 	}
 	return q, rels
 }
-
-// CountDistinct returns the number of distinct tuples in r (non-mutating).
-func CountDistinct(r *relation.Relation) int {
-	return r.Clone().SortDedup().Len()
-}

@@ -27,6 +27,7 @@ package trie
 
 import (
 	"fmt"
+	"slices"
 
 	"adj/internal/relation"
 )
@@ -53,6 +54,15 @@ type Trie struct {
 	NumTuples int
 	// Root indexes level 0 (zero value: no directory, seeks gallop).
 	Root Directory
+}
+
+// AttrsInOrder returns attrs sorted by position in a join's global
+// attribute order: the level order of the trie the join reads for a
+// relation over attrs. attrs itself is left as it is.
+func AttrsInOrder(attrs, order []string) []string {
+	out := slices.Clone(attrs)
+	slices.SortStableFunc(out, func(a, b string) int { return slices.Index(order, a) - slices.Index(order, b) })
+	return out
 }
 
 // Directory is a bucket index over a trie's level 0. The value span

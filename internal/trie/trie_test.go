@@ -45,6 +45,19 @@ func TestBuildPermutedOrder(t *testing.T) {
 	}
 }
 
+// A relation's trie levels follow the global order whatever its column
+// order, and the caller's schema slice is left untouched.
+func TestAttrsInOrder(t *testing.T) {
+	attrs := []string{"c", "a", "d"}
+	got := AttrsInOrder(attrs, []string{"d", "b", "a", "c"})
+	if want := []string{"d", "a", "c"}; !reflect.DeepEqual(got, want) {
+		t.Fatalf("AttrsInOrder = %v, want %v", got, want)
+	}
+	if want := []string{"c", "a", "d"}; !reflect.DeepEqual(attrs, want) {
+		t.Fatalf("input rewritten to %v", attrs)
+	}
+}
+
 func TestBuildBadOrderPanics(t *testing.T) {
 	defer func() {
 		if recover() == nil {
