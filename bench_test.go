@@ -390,7 +390,7 @@ func BenchmarkTrieBuild(b *testing.B) {
 
 func BenchmarkTrieCodec(b *testing.B) {
 	tr := trie.Build(adj.GenerateGraph("AS", benchScale()), []string{"src", "dst"})
-	buf := trie.Encode(tr)
+	buf := trie.AppendEncode(nil, tr)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := trie.Decode(buf); err != nil {

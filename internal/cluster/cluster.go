@@ -80,14 +80,20 @@ func (w *Worker) EncodeRelationChunks(r *relation.Relation, chunkRows int, fn fu
 	return nil
 }
 
-// payloadArena is a slab allocator for envelope payloads. Reset keeps the
-// first slab, so steady-state exchanges reuse one allocation.
+// payloadArena is a slab allocator for envelope payloads. Slabs grow
+// geometrically from arenaFirstSlab to arenaSlabSize, so an exchange that
+// ships a few kilobytes allocates a few kilobytes, and one that ships
+// megabytes opens few slabs. Reset keeps the current slab, so
+// steady-state exchanges reuse one allocation.
 type payloadArena struct {
 	slabs [][]byte
 	cur   []byte
 }
 
-const arenaSlabSize = 1 << 18
+const (
+	arenaFirstSlab = 1 << 12
+	arenaSlabSize  = 1 << 18
+)
 
 func (a *payloadArena) copyOf(b []byte) []byte {
 	n := len(b)
@@ -95,10 +101,7 @@ func (a *payloadArena) copyOf(b []byte) []byte {
 		return nil
 	}
 	if cap(a.cur)-len(a.cur) < n {
-		size := arenaSlabSize
-		if n > size {
-			size = n
-		}
+		size := max(min(2*cap(a.cur), arenaSlabSize), arenaFirstSlab, n)
 		if a.cur != nil {
 			a.slabs = append(a.slabs, a.cur)
 		}
@@ -351,22 +354,30 @@ func (c *Cluster) foldErrors(phase string, errs []error) error {
 	return fmt.Errorf("phase %s worker %d: %w", phase, firstWorker, firstErr)
 }
 
-// LoadRelation distributes r across workers round-robin (the arbitrary
-// initial placement a distributed file system gives you). Fragments keep
-// the relation's name.
+// LoadRelation distributes r across workers as contiguous splits, the way
+// a distributed file system hands out a file: worker i holds one run of
+// consecutive rows, and the first Len() % N workers hold one row more than
+// the rest. Relations are stored sorted, so each fragment is a key range,
+// and a sender's part of every HCube block covers a range of the block's
+// keys that no other sender's part overlaps except at its ends — which is
+// what lets the Merge shuffle's receiver copy the parts' tries in bulk
+// instead of interleaving them value by value. Fragments keep the
+// relation's name and own their columns.
 func (c *Cluster) LoadRelation(r *relation.Relation) {
 	n := r.Len()
+	lo := 0
 	for i, w := range c.Workers {
-		// Worker i holds rows i, i+N, i+2N, ...: one strided copy per column.
+		hi := lo + n/c.N
+		if i < n%c.N {
+			hi++
+		}
 		cols := make([][]relation.Value, r.Arity())
 		for j, col := range r.Columns() {
-			frag := make([]relation.Value, 0, (n-i+c.N-1)/c.N)
-			for x := i; x < n; x += c.N {
-				frag = append(frag, col[x])
-			}
-			cols[j] = frag
+			cols[j] = make([]relation.Value, hi-lo)
+			copy(cols[j], col[lo:hi])
 		}
 		w.Rels[r.Name] = relation.FromColumns(r.Name, r.Attrs, cols)
+		lo = hi
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"slices"
 	"sort"
 	"strings"
 	"sync/atomic"
@@ -27,6 +28,46 @@ func TestLoadRelationRoundRobin(t *testing.T) {
 	total := c.GatherCounts(func(w *Worker) int64 { return int64(w.LocalSize("R")) })
 	if total != 10 {
 		t.Fatalf("total=%d", total)
+	}
+}
+
+// Worker i holds one contiguous run of rows, the larger fragments first:
+// concatenated in worker order the fragments are r row for row, and they
+// own their columns — scribbling over r afterwards changes none of them.
+func TestLoadRelationContiguous(t *testing.T) {
+	for _, nw := range []int{1, 3, 4, 7} {
+		for _, n := range []int{0, 1, nw - 1, nw, 10, 1000} {
+			r := relation.New("R", "a", "b")
+			for i := 0; i < n; i++ {
+				r.Append(relation.Value(i/3), relation.Value(n-i))
+			}
+			want := r.Clone()
+			c := New(Config{N: nw})
+			c.LoadRelation(r)
+			for _, col := range r.Columns() {
+				for i := range col {
+					col[i] = -1
+				}
+			}
+			back := relation.New("R", "a", "b")
+			for i, w := range c.Workers {
+				size := w.LocalSize("R")
+				wantSize := n / nw
+				if i < n%nw {
+					wantSize++
+				}
+				if size != wantSize {
+					t.Fatalf("N=%d n=%d: worker %d holds %d rows, want %d", nw, n, i, size, wantSize)
+				}
+				back.AppendAll(w.Rels["R"])
+			}
+			c.Close()
+			for j := range want.Columns() {
+				if !slices.Equal(back.Column(j), want.Column(j)) {
+					t.Fatalf("N=%d n=%d: column %d of the fragments in worker order is %v, want %v", nw, n, j, back.Column(j), want.Column(j))
+				}
+			}
+		}
 	}
 }
 
@@ -296,5 +337,42 @@ func TestMetricsAccumulation(t *testing.T) {
 	lines := strings.Split(strings.TrimSpace(c.Metrics.String()), "\n")
 	if len(lines) != 4 || !strings.HasPrefix(lines[0], "charge") || !strings.HasPrefix(lines[2], "exchange") {
 		t.Fatalf("String():\n%s", c.Metrics.String())
+	}
+}
+
+// Payload slabs start small and double up to arenaSlabSize; every payload
+// reads back what was copied, and reset keeps only the current slab.
+func TestPayloadArenaGrowsGeometrically(t *testing.T) {
+	var a payloadArena
+	chunk := make([]byte, 1000)
+	var copies [][]byte
+	for i := 0; i < 1200; i++ {
+		for j := range chunk {
+			chunk[j] = byte(i + j)
+		}
+		copies = append(copies, a.copyOf(chunk))
+	}
+	slabs := append(slices.Clone(a.slabs), a.cur)
+	if cap(slabs[0]) != arenaFirstSlab {
+		t.Fatalf("first slab holds %d bytes, want %d", cap(slabs[0]), arenaFirstSlab)
+	}
+	for i := 1; i < len(slabs); i++ {
+		if want := min(2*cap(slabs[i-1]), arenaSlabSize); cap(slabs[i]) != want {
+			t.Fatalf("slab %d holds %d bytes after one of %d, want %d", i, cap(slabs[i]), cap(slabs[i-1]), want)
+		}
+	}
+	for i, p := range copies {
+		if len(p) != len(chunk) || p[0] != byte(i) || p[len(p)-1] != byte(i+len(p)-1) {
+			t.Fatalf("payload %d changed after later copies", i)
+		}
+	}
+	big := make([]byte, 3*arenaSlabSize)
+	if p := a.copyOf(big); len(p) != len(big) || cap(a.cur) != len(big) {
+		t.Fatalf("a payload over the slab size got a slab of %d bytes, want %d", cap(a.cur), len(big))
+	}
+	cur := cap(a.cur)
+	a.reset()
+	if len(a.slabs) != 0 || len(a.cur) != 0 || cap(a.cur) != cur {
+		t.Fatalf("reset left %d slabs and a current slab of %d/%d bytes, want 0 and 0/%d", len(a.slabs), len(a.cur), cap(a.cur), cur)
 	}
 }

@@ -167,7 +167,7 @@ func runOp(c *cluster.Cluster, op *plan.Op, st *progState,
 			return nil
 		})
 	case plan.Scatter:
-		// Round-robin placement of the first attribute's candidates as the
+		// Contiguous splits of the first attribute's candidates as the
 		// workers' "bindings" fragments (broadcast-free, not a shuffle).
 		vals := sampling.ValA(rels, op.Attr)
 		c.LoadRelation(relation.FromColumns("bindings", []string{op.Attr}, [][]relation.Value{vals}))

@@ -266,6 +266,7 @@ func Run(c *cluster.Cluster, phase string, p Plan) error {
 // chunk — receivers still overlap, depositing the first trie while later
 // blocks are being built and encoded.
 func (p Plan) send(w *cluster.Worker, s cluster.StreamSender) error {
+	var enc []byte // Merge: one encode buffer for every block
 	for _, ri := range p.Rels {
 		if _, ok := p.Warm[ri.Name]; ok {
 			continue
@@ -282,7 +283,8 @@ func (p Plan) send(w *cluster.Worker, s cluster.StreamSender) error {
 			dests := p.Shares.BlockCubes(relPos, sig)
 			if p.Kind == Merge {
 				bt := trie.Build(blocks[bi], attrs)
-				payload := w.PayloadCopy(trie.Encode(bt))
+				enc = trie.AppendEncode(enc[:0], bt)
+				payload := w.PayloadCopy(enc)
 				for _, to := range dests {
 					if err := s.Send(cluster.Envelope{To: to, Key: key, Payload: payload, Tuples: int64(bt.Len()), Weight: 1}); err != nil {
 						return err

@@ -54,7 +54,7 @@ const (
 	// onto Project attributes.
 	Emit
 	// Scatter seeds BigJoin's round 0: the global value list of Attr is
-	// distributed round-robin as the initial bindings.
+	// distributed in contiguous splits as the initial bindings.
 	Scatter
 	// Extend is one BigJoin propose round: every binding over Prefix is
 	// extended with the candidate values the proposer relation (RelIdx)

@@ -3,6 +3,7 @@ package trie
 import (
 	"encoding/binary"
 	"fmt"
+	"slices"
 	"sync"
 
 	"adj/internal/deltaenc"
@@ -30,8 +31,10 @@ import (
 // trieMagic tags the delta-encoded trie format.
 const trieMagic = 0xA7
 
-// Encode serializes the trie.
-func Encode(t *Trie) []byte {
+// AppendEncode appends the trie's encoding to dst and returns the extended
+// buffer. A sender encoding block after block passes the same buffer back
+// each time, so its encodings stop allocating once it fits the largest.
+func AppendEncode(dst []byte, t *Trie) []byte {
 	size := 1 + 4 + 8
 	for _, a := range t.Attrs {
 		size += 4 + len(a)
@@ -40,16 +43,11 @@ func Encode(t *Trie) []byte {
 		// Sorted runs usually fit 1–2 bytes per delta; headroom is cheap.
 		size += 24 + 2*len(l.Vals) + 2*len(l.Starts)
 	}
-	buf := make([]byte, 0, size)
-	var u32 [4]byte
-	put32 := func(v uint32) {
-		binary.LittleEndian.PutUint32(u32[:], v)
-		buf = append(buf, u32[:]...)
-	}
+	buf := slices.Grow(dst, size)
 	buf = append(buf, trieMagic)
-	put32(uint32(len(t.Attrs)))
+	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(t.Attrs)))
 	for _, a := range t.Attrs {
-		put32(uint32(len(a)))
+		buf = binary.LittleEndian.AppendUint32(buf, uint32(len(a)))
 		buf = append(buf, a...)
 	}
 	buf = binary.AppendUvarint(buf, uint64(t.NumTuples))
@@ -114,7 +112,7 @@ func decodeDeltaStarts(buf []byte, out []int32) (int, error) {
 	return used, nil
 }
 
-// Decode deserializes a trie encoded by Encode.
+// Decode deserializes a trie encoded by AppendEncode.
 func Decode(buf []byte) (*Trie, error) {
 	if len(buf) < 1 || buf[0] != trieMagic {
 		return nil, fmt.Errorf("trie decode: bad magic (want 0x%02x)", trieMagic)

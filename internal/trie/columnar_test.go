@@ -61,7 +61,7 @@ func TestMergeUnaryViaCodec(t *testing.T) {
 			blk.Attrs[0] = "x"
 			union.AppendAll(blk)
 			bt := Build(blk, []string{"x"})
-			dec, err := Decode(Encode(bt))
+			dec, err := Decode(AppendEncode(nil, bt))
 			if err != nil {
 				t.Fatalf("iter %d: %v", iter, err)
 			}

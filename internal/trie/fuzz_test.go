@@ -25,13 +25,13 @@ func FuzzTrieDecode(f *testing.F) {
 		relation.FromTuples("T", []string{"a", "b", "c"}, [][]relation.Value{{1, 1, 1}, {1, 2, 1}, {2, 1, 1}}),
 		relation.New("empty", "a", "b"),
 	} {
-		f.Add(trie.Encode(trie.Build(seed, seed.Attrs)))
+		f.Add(trie.AppendEncode(nil, trie.Build(seed, seed.Attrs)))
 	}
 	wide := relation.New("W", "a", "b")
 	for v := relation.Value(0); v < 80; v++ {
 		wide.Append(v*v, v) // a root long enough to carry a directory
 	}
-	f.Add(trie.Encode(trie.Build(wide, wide.Attrs)))
+	f.Add(trie.AppendEncode(nil, trie.Build(wide, wide.Attrs)))
 	f.Fuzz(func(t *testing.T, buf []byte) {
 		tr, err := trie.Decode(buf)
 		if err != nil {

@@ -11,12 +11,18 @@ import (
 // arrives with its trie pre-built by the sender, and the receiver merges the
 // senders' levels directly rather than re-sorting raw tuples.
 //
-// The merge walks the inputs level by level: under each output node it takes
-// the smallest value across the inputs' sibling ranges by a linear scan and
-// descends into the child ranges of every input holding it. A range only one
-// input holds is copied with its whole subtree in bulk — one append per
-// level and a re-based Starts — so the receiver's work is in the nodes the
-// senders share, which are mostly near the root. The result is the trie
+// The merge walks the inputs level by level. Under each output node one
+// linear scan of the inputs' sibling ranges finds the smallest value and the
+// smallest value of every other input. A value several inputs hold goes out
+// once, and the merge descends into the child ranges of every input holding
+// it. A run of values only one input holds — everything it has below the
+// next input's head, its end found by a gallop — is copied with its whole
+// subtree in bulk: one append per level and a re-based Starts. So the cost
+// follows how far the inputs overlap, not their size. Parts cut from one
+// sorted relation as contiguous row ranges share only the boundary keys of
+// its sorted column, so at that column's level — the root, or the child
+// lists below a permuted trie's root — they copy in a few bulk runs; fully
+// interleaved parts pay one step per shared node. The result is the trie
 // Build makes from the union of the inputs' tuples, level for level.
 //
 // Merge is reuse-safe: inputs are never mutated, and the returned trie
@@ -129,14 +135,39 @@ func (m *merger) merge(ts []*Trie) *Trie {
 
 // level merges the sibling ranges in m.cur[d] into one output range at
 // level d, appending each output node's start at level d+1 before its
-// children.
+// children. One pass over the heads finds the smallest head v, the cursor
+// holding it and the smallest head among the others, v2. When v < v2, that
+// cursor's values below v2 are held by no other input: the whole run goes
+// out in one copySubtree, found by a gallop when it is longer than one
+// value. A tie takes the per-value step: v goes out once and every cursor
+// holding it descends into its child range.
 func (m *merger) level(d int) {
 	cs := m.cur[d]
 	leaf := d == m.k-1
 	for len(cs) > 1 {
-		v := cs[0].vals[0]
-		for _, c := range cs[1:] {
-			v = min(v, c.vals[0])
+		mi, v, v2 := 0, cs[0].vals[0], cs[1].vals[0]
+		if v2 < v {
+			mi, v, v2 = 1, v2, v
+		}
+		for i := 2; i < len(cs); i++ {
+			if h := cs[i].vals[0]; h < v {
+				mi, v, v2 = i, h, v
+			} else if h < v2 {
+				v2 = h
+			}
+		}
+		if v < v2 {
+			c := &cs[mi]
+			n := 1
+			if len(c.vals) > 1 && c.vals[1] < v2 {
+				n = runBelow(c.vals, v2)
+			}
+			m.copySubtree(d, cursor{vals: c.vals[:n], lo: c.lo, in: c.in})
+			c.vals, c.lo = c.vals[n:], c.lo+int32(n)
+			if len(c.vals) == 0 {
+				cs = append(cs[:mi], cs[mi+1:]...)
+			}
+			continue
 		}
 		m.vals[d] = append(m.vals[d], v)
 		var next []cursor
@@ -169,6 +200,27 @@ func (m *merger) level(d int) {
 	if len(cs) == 1 {
 		m.copySubtree(d, cs[0])
 	}
+}
+
+// runBelow returns how many values of the ascending run vals lie below
+// bound, given that the first two do: a gallop from the front brackets the
+// end, and a binary search inside the last doubling finds it.
+func runBelow(vals []Value, bound Value) int {
+	lo, step := 1, 2 // vals[lo] < bound
+	for lo+step < len(vals) && vals[lo+step] < bound {
+		lo += step
+		step <<= 1
+	}
+	hi := min(lo+step, len(vals)) // hi == len(vals) or vals[hi] >= bound
+	for hi-lo > 1 {
+		mid := int(uint(lo+hi) >> 1)
+		if vals[mid] < bound {
+			lo = mid
+		} else {
+			hi = mid
+		}
+	}
+	return hi
 }
 
 // copySubtree appends what is left of one input's sibling range at level d,

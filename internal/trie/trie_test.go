@@ -239,7 +239,7 @@ func TestCodecRoundtrip(t *testing.T) {
 		r.Append(rng.Int63n(20), rng.Int63n(20), rng.Int63n(20))
 	}
 	tr := Build(r, []string{"x", "y", "z"})
-	buf := Encode(tr)
+	buf := AppendEncode(nil, tr)
 	back, err := Decode(buf)
 	if err != nil {
 		t.Fatalf("decode: %v", err)
@@ -250,11 +250,16 @@ func TestCodecRoundtrip(t *testing.T) {
 	if !reflect.DeepEqual(back.Attrs, tr.Attrs) {
 		t.Fatalf("attrs mismatch: %v vs %v", back.Attrs, tr.Attrs)
 	}
+	// Appending keeps what dst holds: a reused buffer carries no state.
+	again := AppendEncode(append(buf[:0:0], "xyz"...), tr)
+	if string(again[:3]) != "xyz" || string(again[3:]) != string(buf) {
+		t.Fatal("AppendEncode onto a non-empty buffer differs from a fresh encoding")
+	}
 }
 
 func TestCodecRejectsTruncated(t *testing.T) {
 	tr := Build(mkRel([]string{"a", "b"}, [][]Value{{1, 2}}), []string{"a", "b"})
-	buf := Encode(tr)
+	buf := AppendEncode(nil, tr)
 	for _, cut := range []int{1, len(buf) / 2, len(buf) - 1} {
 		if _, err := Decode(buf[:cut]); err == nil {
 			t.Fatalf("decode of %d/%d bytes should fail", cut, len(buf))
@@ -273,7 +278,7 @@ func TestCodecPropertyRoundtrip(t *testing.T) {
 			r.Append(rng.Int63n(9), rng.Int63n(9))
 		}
 		tr := Build(r, []string{"a", "b"})
-		back, err := Decode(Encode(tr))
+		back, err := Decode(AppendEncode(nil, tr))
 		if err != nil {
 			return false
 		}
@@ -312,12 +317,12 @@ func TestCodecRejectsOutOfRangeStarts(t *testing.T) {
 		{"tuple count not the leaf count", 1 << 40, []Level{root, leaves}},
 	} {
 		bogus := &Trie{Attrs: good.Attrs, NumTuples: c.tuples, Levels: c.levels}
-		if _, err := Decode(Encode(bogus)); err == nil {
+		if _, err := Decode(AppendEncode(nil, bogus)); err == nil {
 			t.Errorf("decode accepted a trie with %s", c.name)
 		}
 	}
 	// Ascending across siblings is not required, only within them.
-	if _, err := Decode(Encode(good)); err != nil {
+	if _, err := Decode(AppendEncode(nil, good)); err != nil {
 		t.Fatalf("decode rejected a built trie: %v", err)
 	}
 	for _, empty := range []*Trie{
@@ -325,7 +330,7 @@ func TestCodecRejectsOutOfRangeStarts(t *testing.T) {
 		Build(mkRel([]string{"a"}, nil), []string{"a"}),
 		Merge(nil),
 	} {
-		if _, err := Decode(Encode(empty)); err != nil {
+		if _, err := Decode(AppendEncode(nil, empty)); err != nil {
 			t.Fatalf("decode rejected the empty %v: %v", empty, err)
 		}
 	}
@@ -416,7 +421,7 @@ func TestRootDirectoryExact(t *testing.T) {
 		// a value copy (how a warm execution re-skins a stored trie)
 		// carries it.
 		half := len(rows) / 2
-		decoded, err := Decode(Encode(built))
+		decoded, err := Decode(AppendEncode(nil, built))
 		if err != nil {
 			t.Fatal(err)
 		}
