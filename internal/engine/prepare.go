@@ -120,11 +120,13 @@ type PreparedPlan struct {
 	// cubeRows maps a LeapfrogCube op's ID to the row count each worker's
 	// cube produced the last time the op ran to the end: the capacity hint
 	// of the next execution's output (localCubeJoin), never its truth. A
-	// plan is cached for exactly one content signature of its inputs
-	// (Session.planKeyLocked) and re-registering different content replaces
-	// the PreparedPlan, so the counts cannot outlive the content they were
-	// taken from. Concurrent executions of one plan share them: the map is
-	// immutable once stored and replaced whole, so a reader takes no lock.
+	// plan is keyed by one content signature of its inputs
+	// (Session.planKeyLocked): other content gets another plan, and content
+	// that comes back finds its plan, counts included, in the plan cache.
+	// So the counts never describe content other than the plan's own.
+	// Concurrent executions of one plan, from any session sharing it, share
+	// them: the map is immutable once stored and replaced whole, so a reader
+	// takes no lock.
 	cubeRows atomic.Pointer[map[int][]int64]
 }
 

@@ -50,7 +50,9 @@ type TrieStoreStats = blockcache.StoreStats
 // under overload requests fail fast with a typed ErrOverloaded (bulk
 // first) instead of queueing without bound. The trie store is shared by
 // the whole pool, and by every session of a Server (OpenShared), so
-// tenants warm each other's tries.
+// tenants warm each other's tries. Beside the store sits a plan cache
+// keyed by planning inputs, shared the same way, so a query over content
+// any of them has planned skips the sampler.
 type Session struct {
 	mu       sync.Mutex
 	opts     Options
@@ -58,11 +60,13 @@ type Session struct {
 	clusters []*cluster.Cluster
 	done     chan struct{} // closed by Close; unblocks pool waiters
 	ctrl     *admission.Controller
-	store    *blockcache.Store
-	srv      *Server // non-nil when opened through a Server
-	rels     map[string]*registeredRel
-	epochs   uint64
-	closed   bool
+	// store and plans are fixed at construction and read without mu.
+	store  *blockcache.Store
+	plans  *planCache
+	srv    *Server // non-nil when opened through a Server
+	rels   map[string]*registeredRel
+	epochs uint64
+	closed bool
 }
 
 type registeredRel struct {
@@ -73,25 +77,29 @@ type registeredRel struct {
 
 // Open creates a session: a resident pool of simulated clusters (each of
 // opts.Workers workers), an admission controller sized to the pool, and
-// the cross-query trie store. Close it when done.
+// the cross-query trie store with its plan cache. Close it when done.
 func Open(opts Options) (*Session, error) {
-	var store *blockcache.Store
+	store, plans := newReuse(opts.TrieStoreBytes)
+	return newSession(opts, store, plans, admission.NewController(opts.Admission), nil), nil
+}
+
+// newReuse builds the cross-query state for a trie-store budget: the
+// store and its plan cache, or neither when the budget is negative.
+func newReuse(storeBytes int64) (*blockcache.Store, *planCache) {
 	switch {
-	case opts.TrieStoreBytes < 0:
-		// reuse disabled
-	case opts.TrieStoreBytes == 0:
-		store = blockcache.NewStore(defaultTrieStoreBytes)
-	default:
-		store = blockcache.NewStore(opts.TrieStoreBytes)
+	case storeBytes < 0:
+		return nil, nil
+	case storeBytes == 0:
+		storeBytes = defaultTrieStoreBytes
 	}
-	return newSession(opts, store, admission.NewController(opts.Admission), nil), nil
+	return blockcache.NewStore(storeBytes), newPlanCache()
 }
 
 // newSession wires the common state behind Open and Server.OpenShared:
 // the cluster pool (one cluster per the controller's concurrency limit, so
-// every admitted request finds a free cluster), plus the given store and
-// admission controller.
-func newSession(opts Options, store *blockcache.Store, ctrl *admission.Controller, srv *Server) *Session {
+// every admitted request finds a free cluster), plus the given store, plan
+// cache and admission controller.
+func newSession(opts Options, store *blockcache.Store, plans *planCache, ctrl *admission.Controller, srv *Server) *Session {
 	if opts.Workers <= 0 {
 		opts.Workers = 4
 	}
@@ -106,6 +114,7 @@ func newSession(opts Options, store *blockcache.Store, ctrl *admission.Controlle
 		done:     make(chan struct{}),
 		ctrl:     ctrl,
 		store:    store,
+		plans:    plans,
 		srv:      srv,
 		rels:     make(map[string]*registeredRel),
 	}
@@ -159,18 +168,21 @@ func (s *Session) Register(name string, rel *Relation) error {
 	if name == "" {
 		return fmt.Errorf("adj: Register: empty relation name")
 	}
+	reg := &registeredRel{rel: rel}
+	if s.store != nil {
+		// The fingerprint only keys the trie store and the plan cache; with
+		// reuse disabled (TrieStoreBytes < 0) the O(values) hash pass is
+		// skipped entirely. It runs before s.mu is taken, so concurrent
+		// Exec, Prepare and Register calls do not wait on it.
+		reg.sig = relation.Fingerprint(rel)
+	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.closed {
 		return ErrSessionClosed
 	}
 	s.epochs++
-	reg := &registeredRel{rel: rel, epoch: s.epochs}
-	if s.store != nil {
-		// The fingerprint only keys the trie store; with reuse disabled
-		// (TrieStoreBytes < 0) the O(values) hash pass is skipped entirely.
-		reg.sig = relation.Fingerprint(rel)
-	}
+	reg.epoch = s.epochs
 	s.rels[name] = reg
 	return nil
 }
@@ -201,12 +213,18 @@ func (s *Session) TrieStoreStats() TrieStoreStats { return s.store.Stats() }
 // engine's planning artifact (sampling-based cardinality estimation, plan
 // selection and the lowered physical program) exactly once. The returned
 // PreparedQuery can be executed any number of times; executions rebind
-// against the session's current registrations. The cached plan is keyed by
-// the planning inputs — the engine, the query shape and every bound
-// relation's content signature — so a warm execution routes straight to the
-// interpreter with zero sampling or planning cost, while an execution over
-// re-registered relations with changed content replans automatically (the
-// replanning time shows up in that report's Optimization).
+// against the session's current registrations. A plan is keyed by the
+// planning inputs — the engine, the query shape, every bound relation's
+// content signature and the session's planning options (Workers, Samples,
+// Seed, Budget, MemoryPerServer) — so a warm execution routes straight to
+// the interpreter with zero sampling or planning cost, while an execution
+// over re-registered relations with changed content replans automatically
+// (the replanning time shows up in that report's Optimization).
+//
+// Plans are also kept in the plan cache beside the trie store, shared by
+// every session of a Server: a Prepare, or a replan, whose key any of them
+// has planned before adopts that plan and costs 0 s (PlanSeconds, and the
+// report's Optimization). With the store disabled there is no plan cache.
 //
 // Prepare takes no context: its planning pass runs to completion. Replans
 // inside Exec run under the exec's context.
@@ -234,24 +252,42 @@ func (s *Session) prepare(engineName string, q Query, graphRel string) (*Prepare
 	if err != nil {
 		return nil, err
 	}
+	key := s.planKeyLocked(p)
 	//adjlint:ignore ctxflow the session's one root context: benchmark/ pins Prepare's and PrepareGraph's ctx-less signatures
-	plan, err := engine.Prepare(engineName, q, rels, s.opts.toConfig(context.Background()))
+	plan, seconds, err := s.planLocked(context.Background(), p, rels, key)
 	if err != nil {
 		return nil, err
 	}
-	p.plan = plan
-	p.planKey = s.planKeyLocked(p)
+	p.plan, p.planKey, p.planSeconds = plan, key, seconds
 	return p, nil
 }
 
+// planLocked returns the plan for key and the planning seconds it cost:
+// the plan cache's at 0 s when it holds one, otherwise a planning pass
+// under ctx, cached only once it succeeds. Caller holds s.mu.
+func (s *Session) planLocked(ctx context.Context, p *PreparedQuery, rels []*Relation, key uint64) (*engine.PreparedPlan, float64, error) {
+	if pl, ok := s.plans.get(key); ok {
+		return pl, 0, nil
+	}
+	pl, err := engine.Prepare(p.engineName, p.q, rels, s.opts.toConfig(ctx))
+	if err != nil {
+		return nil, 0, err
+	}
+	return s.plans.put(key, pl), pl.Seconds, nil
+}
+
 // planKeyLocked fingerprints a prepared query's planning inputs: the
-// engine, the query shape, and the content signature of every bound
-// relation (its registration epoch when content hashing is off, i.e. the
-// trie store is disabled). Two equal keys mean the cached plan was
-// computed from identical inputs and can be executed as-is. Caller holds
-// s.mu.
+// engine, the query shape, the content signature of every bound relation
+// (its registration epoch when content hashing is off, i.e. the trie store
+// is disabled) and the planning options Options.toConfig passes. Two equal
+// keys mean the plan was computed from identical inputs and can be
+// executed as-is. Caller holds s.mu.
 func (s *Session) planKeyLocked(p *PreparedQuery) uint64 {
 	h := relation.NewHash64()
+	o := s.opts
+	for _, v := range []int64{int64(o.Workers), int64(o.Samples), o.Seed, o.Budget, o.MemoryPerServer} {
+		h.Word(uint64(v))
+	}
 	h.Bytes(p.engineName)
 	h.Bytes(p.q.Name)
 	for _, a := range p.q.Atoms {
@@ -317,6 +353,9 @@ type PreparedQuery struct {
 	graphRel   string
 	plan       *engine.PreparedPlan
 	planKey    uint64
+	// planSeconds is what Prepare paid to plan: 0 when it adopted a
+	// cached plan.
+	planSeconds float64
 }
 
 // Engine returns the engine name the query was prepared for.
@@ -325,9 +364,10 @@ func (p *PreparedQuery) Engine() string { return p.engineName }
 // Plan is the cached plan's one-line label.
 func (p *PreparedQuery) Plan() string { return p.plan.Program.Label }
 
-// PlanSeconds is the measured planning time Prepare paid. Exec does not
-// charge it again: a report's Optimization covers only replans.
-func (p *PreparedQuery) PlanSeconds() float64 { return p.plan.Seconds }
+// PlanSeconds is the measured planning time Prepare paid: 0 when it adopted
+// a plan from the plan cache. Exec does not charge it again: a report's
+// Optimization covers only replans.
+func (p *PreparedQuery) PlanSeconds() float64 { return p.planSeconds }
 
 // Explain renders the prepared physical plan — the operator DAG Exec will
 // interpret — as an indented tree with per-op strategy and cost
@@ -441,24 +481,26 @@ func (p *PreparedQuery) Exec(ctx context.Context, opts ...ExecOption) (*Results,
 		return nil, err
 	}
 
-	// Plan-cache validation: the cached plan is keyed by the planning
-	// inputs' content, so a warm hit routes straight to the interpreter —
-	// zero sampling, zero planning. A key mismatch (a relation was
-	// re-registered with different content) replans here and charges the
+	// Plan validation: the prepared query's plan is keyed by the planning
+	// inputs, so a warm hit routes straight to the interpreter — zero
+	// sampling, zero planning. A key mismatch (a relation was re-registered
+	// with different content) looks the key up in the plan cache; a hit
+	// adopts the cached plan at 0 s, a miss replans here and charges the
 	// replanning time to this execution's Optimization phase. The replan
 	// runs under this exec's ctx — a cancel or deadline stops it between
-	// samples, leaving the stale plan and key for the next exec to redo.
-	// Replanning holds s.mu, so concurrent executions of the same prepared
-	// query replan once and the rest adopt the refreshed plan.
+	// samples, leaving the stale plan and key for the next exec to redo and
+	// the cache without an entry. Replanning holds s.mu, so concurrent
+	// executions of the same prepared query replan once and the rest adopt
+	// the refreshed plan.
 	var replanSeconds float64
 	if key := s.planKeyLocked(p); key != p.planKey {
-		pl, err := engine.Prepare(p.engineName, p.q, rels, s.opts.toConfig(ctx))
+		pl, seconds, err := s.planLocked(ctx, p, rels, key)
 		if err != nil {
 			s.mu.Unlock()
 			return nil, err
 		}
 		p.plan, p.planKey = pl, key
-		replanSeconds = pl.Seconds
+		replanSeconds = seconds
 	}
 	plan := p.plan
 	store := s.store
